@@ -20,7 +20,7 @@ from .mollifier import BumpProfile
 from .quantum import MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density
 from .quantum import quadratic_form, trace
 from .regularizer import CoulombPair, build_regularized, density_of
-from .regularizer import kinetic_of_sqrt, potential_error
+from .regularizer import kinetic_of_sqrt, kinetic_term, potential_error
 from .semiclassics import sweep as run_sweep
 
 
@@ -134,8 +134,8 @@ def _cmd_regularize(args) -> dict:
         result["marginal_l1_error"] = density_of(rp).l1_distance(rho)
     if "kinetic" in checks:
         lhs = kinetic_of_sqrt(rp)
-        rhs = plan.n * (h1_seminorm_sqrt(rho)
-                        + BumpProfile(rho.grid.dim).moments()[0] / args.eps**2)
+        rhs = kinetic_term(1.0, plan.n, h1_seminorm_sqrt(rho),
+                           BumpProfile(rho.grid.dim).moments()[0], args.eps, rho.grid.h)
         result["kinetic"] = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
     if "potential" in checks:
         lhs, bound = potential_error(rp, CoulombPair())

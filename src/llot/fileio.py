@@ -45,10 +45,13 @@ def read_density(path, convention: str = "auto",
             if len(row) != ncols:
                 raise ValidationError(f"{path}: line {lineno}: expected {ncols} fields")
             try:
-                xs.append(float(row[0]))
-                vals.append(float(row[1]))
+                x, v = float(row[0]), float(row[1])
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: non-numeric field")
+            if not (math.isfinite(x) and math.isfinite(v)):
+                raise ValidationError(f"{path}: line {lineno}: non-finite field")
+            xs.append(x)
+            vals.append(v)
     if len(xs) < 2:
         raise ValidationError(f"{path}: need at least 2 rows")
     xs = np.asarray(xs)

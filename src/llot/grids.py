@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,13 +35,15 @@ class Grid:
     npts: int
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValidationError("grid spacing must be positive")
+        if not (self.h > 0 and np.isfinite(self.h)):
+            raise ValidationError("grid spacing must be positive and finite")
         if self.npts < 2:
             raise ValidationError("grid needs at least 2 points per axis")
         origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
         if origin.shape != (self.dim,):
             raise ValidationError(f"origin must have shape ({self.dim},)")
+        if not np.all(np.isfinite(origin)):
+            raise ValidationError("grid origin must be finite")
         object.__setattr__(self, "origin", origin)
 
     @classmethod
@@ -70,22 +72,21 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def indices_of(self, x) -> np.ndarray:
+        """Multi-indices of the nodes nearest to points ``x`` of shape
+        ``(..., dim)``, clipped to the grid."""
+        idx = np.rint((np.asarray(x, dtype=float) - self.origin) / self.h).astype(int)
+        return np.clip(idx, 0, self.npts - 1)
+
     def index_of(self, x) -> tuple:
         """Multi-index of the node nearest to ``x`` (clipped to the grid)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.rint((x - self.origin) / self.h).astype(int)
-        idx = np.clip(idx, 0, self.npts - 1)
-        return tuple(int(i) for i in idx)
+        return tuple(int(i) for i in self.indices_of(np.atleast_1d(x)))
 
     def flat_index_of(self, x) -> int:
         return int(np.ravel_multi_index(self.index_of(x), self.shape))
 
     def node(self, idx) -> np.ndarray:
         return self.origin + self.h * np.asarray(idx, dtype=float)
-
-    def contains_index(self, idx) -> bool:
-        idx = np.asarray(idx)
-        return bool(np.all(idx >= 0) and np.all(idx < self.npts))
 
 
 @dataclass
@@ -106,6 +107,8 @@ class GridDensity:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("density values must be finite")
         if np.any(values < 0):
             raise ValidationError("density values must be nonnegative")
         self.values = values
@@ -125,11 +128,6 @@ class GridDensity:
 
     def flat(self) -> np.ndarray:
         return self.values.ravel()
-
-    def to_probability(self) -> "GridDensity":
-        if self.mass_convention == "probability":
-            return self
-        return GridDensity(self.grid, self.values / self.n_particles, "probability")
 
     def l1_distance(self, other: "GridDensity") -> float:
         return float(np.abs(self.values - other.values).sum() * self.grid.cell_volume)
@@ -165,6 +163,8 @@ class AtomicPlan:
             raise ValidationError("weights must match configs")
         if configs.shape[0] == 0:
             raise ValidationError("empty measure")
+        if not (np.all(np.isfinite(configs)) and np.all(np.isfinite(weights))):
+            raise ValidationError("atom coordinates and weights must be finite")
         if np.any(weights <= 0):
             raise ValidationError("atom weights must be positive")
         if abs(weights.sum() - 1.0) > WEIGHT_TOL:
@@ -282,14 +282,8 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
     The exact marginal and trace identities of the smoothing constructions
     hold only for node-supported plans, so plans are snapped on entry.
     """
-    snapped = np.empty_like(plan.configs)
-    shift = 0.0
-    for a in range(plan.n_atoms):
-        for k in range(plan.n):
-            idx = grid.index_of(plan.configs[a, k])
-            node = grid.node(idx)
-            shift = max(shift, float(np.max(np.abs(node - plan.configs[a, k]))))
-            snapped[a, k] = node
+    snapped = grid.origin + grid.h * grid.indices_of(plan.configs)
+    shift = float(np.abs(snapped - plan.configs).max())
     if max_shift is not None and shift > max_shift:
         raise ValidationError(
             f"atom coordinates are {shift:.3g} away from the nearest node, "
@@ -308,30 +302,19 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
     return AtomicPlan(plan.n, plan.dim, configs, weights)
 
 
-def marginal(plan: AtomicPlan, grid: Grid, bandwidth: float = 0.0) -> GridDensity:
+def marginal(plan: AtomicPlan, grid: Grid) -> GridDensity:
     """One-particle marginal of a symmetric plan, binned to grid nodes.
 
     Each atom spreads weight ``w / n`` onto the nearest node of each of its
-    ``n`` coordinates.  With ``bandwidth > 0`` the binned marginal is
-    convolved with the squared mollifier kernel of that width (plotting aid
-    only; the exact identities use the raw binned marginal).
+    ``n`` coordinates.
     """
     if plan.n_atoms == 0:
         raise ValidationError("empty measure")
-    if bandwidth < 0:
-        raise ValidationError("bandwidth must be nonnegative")
     values = np.zeros(grid.shape)
-    cell = grid.cell_volume
-    for config, w in zip(plan.configs, plan.weights):
-        for k in range(plan.n):
-            values[grid.index_of(config[k])] += w / (plan.n * cell)
-    rho = GridDensity(grid, values)
-    if bandwidth > 0:
-        from .mollifier import BumpProfile, ScaledMollifier, convolve_sq
-
-        m = ScaledMollifier(BumpProfile(grid.dim), bandwidth)
-        rho = convolve_sq(rho, m)
-    return rho
+    idx = grid.indices_of(plan.configs).reshape(-1, grid.dim)
+    weights = np.repeat(plan.weights, plan.n) / (plan.n * grid.cell_volume)
+    np.add.at(values, tuple(idx.T), weights)
+    return GridDensity(grid, values)
 
 
 def h1_seminorm_sqrt(rho: GridDensity) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NumericalError, ValidationError
-from .grids import Grid, GridDensity
+from .grids import GridDensity
 
 QUAD_TOL = 1e-9
 
@@ -146,12 +146,6 @@ class ScaledMollifier:
         scale = self.eps ** (-self.dim / 2.0 - 1.0)
         return scale * self.base.radial_deriv(np.asarray(r, dtype=float) / self.eps)
 
-    def grad_sq_moment(self) -> float:
-        return self.base.moments()[0] / self.eps**2
-
-    def second_moment(self) -> float:
-        return self.base.moments()[1] * self.eps**2
-
 
 def eval_chi(m: ScaledMollifier, x):
     """Pointwise chi_eps; exactly zero for |x| >= eps."""
@@ -200,36 +194,33 @@ class GridKernel:
             r = np.sqrt((u * u).sum(axis=-1))
         return self.m.radial(r) / math.sqrt(self.norm)
 
-    def amp_deriv_at(self, r):
-        """Radial derivative of the renormalized amplitude."""
-        return self.m.radial_deriv(r) / math.sqrt(self.norm)
+def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
+    """``out[x] = sum_o w_o * values[x - o]`` over the trailing ``dim`` axes.
 
-    def sq_cube(self) -> np.ndarray:
-        """Dense ``(2k+1,)*dim`` array of the squared kernel (zeros off-ball)."""
-        side = 2 * self.halfwidth + 1
-        cube = np.zeros((side,) * self.dim)
-        for o, v in zip(self.offsets, self.sq):
-            cube[tuple(o + self.halfwidth)] = v
-        return cube
-
-    def discrete_grad_sq(self) -> float:
-        """Offset-lattice quadrature of |grad amp|^2 (radial derivative)."""
-        radii = np.sqrt((self.offsets.astype(float) ** 2).sum(axis=1)) * self.h
-        d = self.amp_deriv_at(radii)
-        return float((d * d).sum() * self.h**self.dim)
+    ``dim`` is the length of each offset; leading axes of ``values`` are
+    batch axes.  ``values`` counts as zero off the grid.  The sum is direct,
+    one slice-add per lattice offset, so denormal-size products survive.
+    """
+    values = np.asarray(values, dtype=float)
+    shape = values.shape[values.ndim - offsets.shape[1]:]
+    out = np.zeros_like(values)
+    for o, w in zip(offsets, weights):
+        if any(abs(int(ok)) >= npts for ok, npts in zip(o, shape)):
+            continue
+        dst = tuple(slice(max(ok, 0), npts + min(ok, 0)) for ok, npts in zip(o, shape))
+        src = tuple(slice(max(-ok, 0), npts - max(ok, 0)) for ok, npts in zip(o, shape))
+        out[(Ellipsis,) + dst] += w * values[(Ellipsis,) + src]
+    return out
 
 
 def convolve_sq(rho: GridDensity, m: ScaledMollifier) -> GridDensity:
     """``rho`` convolved with the renormalized squared kernel of ``m``.
 
     Mass is preserved to machine precision whenever the support of ``rho``
-    keeps a kernel radius of margin from the grid boundary.
+    keeps a kernel radius of margin from the grid boundary.  Summed directly
+    by :func:`offset_sum`, so the denormal-size tails that the smoothing
+    denominators depend on are kept, not flushed or lost to FFT rounding.
     """
-    from scipy import signal
-
     kernel = GridKernel(m, rho.grid.h)
-    cube = kernel.sq_cube() * rho.grid.cell_volume
-    # signal.convolve keeps denormal-size tail contributions that
-    # ndimage.convolve truncates; the denominators downstream need them
-    out = signal.convolve(rho.values, cube, mode="same", method="direct")
-    return GridDensity(rho.grid, np.maximum(out, 0.0), "free")
+    out = offset_sum(rho.values, kernel.offsets, kernel.sq * rho.grid.cell_volume)
+    return GridDensity(rho.grid, out, "free")

@@ -26,50 +26,33 @@ import numpy as np
 from .errors import ValidationError
 from .grids import GridDensity, h1_seminorm_sqrt
 from .mollifier import GridKernel
-from .regularizer import RegularizedPlan
+from .regularizer import RegularizedPlan, kinetic_term
 
 MAX_DENSE_ENTRIES = 1 << 24
 
 
-def _permutations_with_sign(n: int):
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        perms.append((perm, sign))
-    return perms
-
-
-def _sort_block(config: np.ndarray):
-    """Lexicographic sort of particle rows; returns (sorted, permutation sign)."""
-    keys = tuple(config[:, d] for d in reversed(range(config.shape[1])))
-    order = np.lexsort(keys)
-    sign = 1
-    seen = [False] * len(order)
-    perm = list(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
+def _parity(perm) -> int:
+    """Sign of a permutation given as the sequence of images of 0..n-1."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        j, length = start, 0
         while not seen[j]:
             seen[j] = True
             j = perm[j]
             length += 1
-        if length % 2 == 0:
+        if length and length % 2 == 0:
             sign = -sign
-    return config[order], sign
+    return sign
+
+
+def _permutations_with_sign(n: int):
+    return [(perm, _parity(perm)) for perm in itertools.permutations(range(n))]
+
+
+def _sort_block(config: np.ndarray):
+    """Lexicographic sort of particle rows; returns (sorted, permutation sign)."""
+    order = np.lexsort(tuple(config[:, d] for d in reversed(range(config.shape[1]))))
+    return config[order], _parity(list(order))
 
 
 class OrbitalSet:
@@ -243,15 +226,9 @@ def trace(K: MixedStateKernel) -> float:
 def one_particle_density(K: MixedStateKernel) -> GridDensity:
     """Partial diagonal trace over coordinates 2..n."""
     rp = K.rp
-    cell = rp.grid.cell_volume
-    acc = np.zeros(rp.grid.n_sites)
-    for a in range(rp.source.n_atoms):
-        w = rp.source.weights[a]
-        tail = 1.0
-        for k in range(1, rp.n):
-            tail *= rp.transfer[rp.center_of[a, k]].sum() * cell
-        acc += w * tail * rp.transfer[rp.center_of[a, 0]]
-    return GridDensity(rp.grid, acc.reshape(rp.grid.shape))
+    tails = rp.source.weights * rp.coordinate_masses()[:, 1:].prod(axis=1)
+    coef = np.bincount(rp.center_of[:, 0], tails, minlength=len(rp.centers))
+    return GridDensity(rp.grid, (coef @ rp.transfer).reshape(rp.grid.shape))
 
 
 _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(16)
@@ -260,13 +237,14 @@ _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(16)
 def kinetic_trace(K: MixedStateKernel) -> tuple:
     """Kinetic energy of the state, two independent ways.
 
-    ``analytic`` assembles n * (H1 seminorm of sqrt(rho) + eps^-2 * profile
-    gradient moment).  ``quadrature`` integrates the squared gradient of
-    each localized orbital sqrt(rho) amp(. - z) against the (atom, z)
-    measure: the gradient is the product rule with the analytic kernel
-    derivative and finite-difference slopes of sqrt(rho), and the spatial
-    integral is done cell by cell with Gauss quadrature (sqrt(rho) taken
-    piecewise linear).  The two sides agree up to second-order
+    ``analytic`` assembles n * (H1 seminorm of sqrt(rho) + w^-2 * profile
+    gradient moment), w the width of the kernel the state is built from
+    (see :func:`kinetic_term`).  ``quadrature`` integrates the squared
+    gradient of each localized orbital sqrt(rho) amp(. - z) against the
+    (atom, z) measure: the gradient is the product rule with the analytic
+    kernel derivative and finite-difference slopes of sqrt(rho), and the
+    spatial integral is done cell by cell with Gauss quadrature (sqrt(rho)
+    taken piecewise linear).  The two sides agree up to second-order
     discretization error.  One-dimensional grids only.
     """
     rp = K.rp
@@ -274,8 +252,8 @@ def kinetic_trace(K: MixedStateKernel) -> tuple:
     if grid.dim != 1:
         raise ValidationError("kinetic_trace implemented for 1-d grids")
     cell = grid.cell_volume
-    analytic = rp.n * (h1_seminorm_sqrt(rp.rho)
-                       + rp.m.base.moments()[0] / rp.eps**2)
+    analytic = kinetic_term(1.0, rp.n, h1_seminorm_sqrt(rp.rho),
+                            rp.m.base.moments()[0], rp.eps, grid.h)
 
     g = np.sqrt(rp.rho.values)
     axis = grid.axis()

@@ -19,26 +19,24 @@ one-node kernel and P_eps = P on the grid (see :func:`build_regularized`).
 
 from __future__ import annotations
 
-import itertools
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import signal
 
 from .errors import ValidationError
 from .grids import (
     AtomicPlan,
     Grid,
     GridDensity,
-    h1_seminorm_sqrt,
     is_symmetric,
     l1_gradient,
     marginal,
     separation,
     snap_to_grid,
 )
-from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq
+from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq, offset_sum
 
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
@@ -171,45 +169,28 @@ class SmoothedPlan:
 
     def evaluate(self, config) -> float:
         config = np.asarray(config, dtype=float).reshape(self.source.n, self.source.dim)
-        total = 0.0
-        for atom, w in zip(self.source.configs, self.source.weights):
-            prod = w
-            for k in range(self.source.n):
-                node = self.grid.node(self.grid.index_of(config[k]))
-                prod *= float(self.kernel.amp_at(node - atom[k]) ** 2)
-                if prod == 0.0:
-                    break
-            total += prod
-        return total
+        nodes = self.grid.origin + self.grid.h * self.grid.indices_of(config)
+        sq = self.kernel.amp_at(nodes[None] - self.source.configs) ** 2
+        return float(self.source.weights @ sq.prod(axis=1))
 
     def density(self) -> GridDensity:
-        values = np.zeros(self.grid.shape)
-        cube_idx = self.kernel.offsets
-        for atom, w in zip(self.source.configs, self.source.weights):
-            for k in range(self.source.n):
-                c = np.array(self.grid.index_of(atom[k]))
-                for o, v in zip(cube_idx, self.kernel.sq):
-                    z = tuple(c + o)
-                    if self.grid.contains_index(z):
-                        values[z] += w / self.source.n * v
-        return GridDensity(self.grid, values)
+        smoothed = convolve_sq(marginal(self.source, self.grid), self.m)
+        return GridDensity(self.grid, smoothed.values)
 
 
 class RegularizedPlan:
     """Evaluator for the marginal-pinned smoothing of an atomic plan."""
 
-    def __init__(self, source: AtomicPlan, rho: GridDensity,
-                 m: ScaledMollifier, kernel: GridKernel, denom: GridDensity,
-                 alpha: float, centers: list, center_of: np.ndarray,
-                 transfer: np.ndarray, windows: list):
-        self.source = source
-        self.rho = rho
+    def __init__(self, prep: "PreparedPlan", m: ScaledMollifier, kernel: GridKernel,
+                 denom: GridDensity, transfer: np.ndarray, windows: list):
+        self.source = prep.source
+        self.rho = prep.rho
+        self.alpha = prep.alpha
+        self.centers = prep.centers      # list of multi-index tuples
+        self.center_of = prep.center_of  # (n_atoms, n) -> row of `transfer`
         self.m = m
         self.kernel = kernel
         self.denom = denom
-        self.alpha = alpha
-        self.centers = centers          # list of multi-index tuples
-        self.center_of = center_of      # (n_atoms, n) -> row of `transfer`
         self.transfer = transfer        # (n_centers, n_sites) flat T vectors
         self.windows = windows          # per center: (flat z idx, kappa, q)
 
@@ -233,104 +214,131 @@ class RegularizedPlan:
     def evaluate(self, config) -> float:
         """P_eps at a configuration (coordinates snapped to nearest nodes)."""
         config = np.asarray(config, dtype=float).reshape(self.n, self.source.dim)
-        sites = [self.grid.flat_index_of(config[k]) for k in range(self.n)]
-        total = 0.0
-        for a in range(self.source.n_atoms):
-            prod = self.source.weights[a]
-            for k in range(self.n):
-                prod *= self.transfer[self.center_of[a, k], sites[k]]
-                if prod == 0.0:
-                    break
-            total += prod
-        return float(total)
+        sites = [self.grid.flat_index_of(x) for x in config]
+        values = self.transfer[self.center_of, sites]  # (n_atoms, n)
+        return float(self.source.weights @ values.prod(axis=1))
 
     def tensor(self, max_entries: int = MAX_TENSOR_ENTRIES) -> np.ndarray:
-        """Dense density on the n-fold tensor grid, shape grid.shape * n."""
+        """Dense density on the n-fold tensor grid, shape grid.shape * n.
+
+        One contraction over atoms, ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` with
+        the first n-1 factors as an outer product per atom; atoms are taken
+        in chunks so that no intermediate exceeds ``max_entries``.
+        """
         s = self.grid.n_sites
         if s**self.n > max_entries:
             raise ValidationError(
                 f"tensor grid of {s}^{self.n} = {s**self.n} entries exceeds "
                 f"the {max_entries} limit"
             )
-        flat = np.zeros((s,) * self.n)
-        for a in range(self.source.n_atoms):
-            vecs = [self.transfer[self.center_of[a, k]] for k in range(self.n)]
-            term = self.source.weights[a]
-            for k, v in enumerate(vecs):
-                shape = [1] * self.n
-                shape[k] = s
-                term = term * v.reshape(shape)
-            flat += term
+        step = max(1, max_entries // s ** max(self.n - 1, 1))
+        flat = np.zeros((s ** (self.n - 1), s))
+        for lo in range(0, self.source.n_atoms, step):
+            rows = slice(lo, lo + step)
+            left = self.source.weights[rows, None]
+            for k in range(self.n - 1):
+                t = self.transfer[self.center_of[rows, k]]
+                left = (left[:, :, None] * t[:, None, :]).reshape(left.shape[0], -1)
+            flat += left.T @ self.transfer[self.center_of[rows, self.n - 1]]
         return flat.reshape(self.grid.shape * self.n)
 
+    def coordinate_masses(self) -> np.ndarray:
+        """(n_atoms, n) quadrature mass of each atom's transfer vectors."""
+        return (self.transfer.sum(axis=1) * self.grid.cell_volume)[self.center_of]
+
     def mass(self) -> float:
-        cell = self.grid.cell_volume
-        total = 0.0
-        for a in range(self.source.n_atoms):
-            prod = self.source.weights[a]
-            for k in range(self.n):
-                prod *= self.transfer[self.center_of[a, k]].sum() * cell
-            total += prod
-        return float(total)
+        return float(self.source.weights @ self.coordinate_masses().prod(axis=1))
 
     def density(self) -> GridDensity:
         """One-particle marginal of P_eps (coordinate-averaged)."""
-        cell = self.grid.cell_volume
-        acc = np.zeros(self.grid.n_sites)
-        for a in range(self.source.n_atoms):
-            w = self.source.weights[a]
-            masses = [self.transfer[self.center_of[a, k]].sum() * cell
-                      for k in range(self.n)]
-            for k in range(self.n):
-                others = 1.0
-                for l in range(self.n):
-                    if l != k:
-                        others *= masses[l]
-                acc += (w / self.n) * others * self.transfer[self.center_of[a, k]]
-        return GridDensity(self.grid, acc.reshape(self.grid.shape))
+        masses = self.coordinate_masses()
+        others = np.stack([np.delete(masses, k, axis=1).prod(axis=1)
+                           for k in range(self.n)], axis=1)
+        coef = np.bincount(self.center_of.ravel(),
+                           (self.source.weights[:, None] / self.n * others).ravel(),
+                           minlength=len(self.centers))
+        return GridDensity(self.grid, (coef @ self.transfer).reshape(self.grid.shape))
 
 
-def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
-                      profile: Optional[BumpProfile] = None,
-                      marginal_tol: float = 1e-8) -> RegularizedPlan:
-    """Construct the marginal-pinned smoothing evaluator.
+def kernel_width(eps: float, h: float) -> float:
+    """Width of the grid kernel at ``eps``: ``eps``, or ``h`` at or below h.
 
-    Validates that the plan is symmetric and node-supported, that ``eps`` is
-    below a quarter of the plan separation, that ``rho`` is the binned
-    marginal of the plan, and that the support keeps a kernel radius of
-    margin from the grid boundary (required for the exact identities).
-
-    A width ``0 < eps < h`` is the grid's eps -> 0 limit.  The offset rule
-    ``|o*h| < eps`` leaves only the zero offset for every eps <= h, so such a
-    width gets the one-node kernel, built as the width-h kernel, for both the
-    transfer vectors and the denominator: every ``T_c`` is ``delta_c / h^d``
-    and ``P_eps = P`` on the grid.  Marginal pinning, unit trace and the
-    kernel diagonal stay exact; ``RegularizedPlan.one_node_kernel`` flags it.
+    Every width ``eps <= h`` resolves only the zero offset; the one-node
+    kernel is built as the width-h kernel (see :func:`smooth_plan`).
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValidationError(f"mollifier width must be positive and finite, got {eps!r}")
+    return float(max(eps, h))
+
+
+def kinetic_term(eta: float, n: int, h1: float, grad_moment: float,
+                 eps: float, h: float) -> float:
+    """``eta * n * (H1(sqrt rho) + G / w^2)``, the kinetic part of the bound.
+
+    ``w = kernel_width(eps, h)`` is the width of the kernel that the state
+    at ``eps`` is built from, ``G`` the profile's gradient moment.
+    """
+    return eta * n * (h1 + grad_moment / kernel_width(eps, h) ** 2)
+
+
+@dataclass
+class PreparedPlan:
+    """The eps-independent half of the smoothing of ``source`` over ``rho``."""
+
+    source: AtomicPlan      # node-snapped, symmetric, marginal ``rho``
+    rho: GridDensity
+    alpha: float            # separation; inf for one particle
+    centers: list           # distinct atom-coordinate nodes, multi-index tuples
+    center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
+
+
+def prepare_plan(plan: AtomicPlan, rho: GridDensity,
+                 marginal_tol: float = 1e-8) -> PreparedPlan:
+    """Snap ``plan`` to the grid of ``rho`` and validate it for smoothing.
+
+    Checks that the snapped plan is symmetric and that ``rho`` is its binned
+    marginal, and finds its separation and the distinct coordinate nodes.
+    """
     grid = rho.grid
     plan = snap_to_grid(plan, grid, max_shift=grid.h)
     if not is_symmetric(plan, tol=1e-9):
         raise ValidationError("plan is not permutation symmetric; symmetrize it first")
-    if plan.n >= 2:
-        alpha = separation(plan).alpha
-        if not eps < alpha / 4.0:
-            raise ValidationError(
-                f"mollifier too wide for separation {alpha:.6g}: "
-                f"eps must be below {alpha / 4.0:.6g}, got {eps:.6g}"
-            )
-    else:
-        alpha = math.inf
+    alpha = separation(plan).alpha if plan.n >= 2 else math.inf
     binned = marginal(plan, grid)
     if binned.l1_distance(rho) > marginal_tol:
         raise ValidationError(
             f"rho differs from the binned plan marginal by "
             f"{binned.l1_distance(rho):.3g} in L1 (tolerance {marginal_tol:g})"
         )
+    idx = grid.indices_of(plan.configs)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
+    nodes, center_of = np.unique(flat, return_inverse=True)
+    centers = [tuple(int(i) for i in c)
+               for c in np.stack(np.unravel_index(nodes, grid.shape), axis=-1)]
+    return PreparedPlan(plan, rho, alpha, centers,
+                        center_of.reshape(plan.n_atoms, plan.n))
+
+
+def smooth_plan(prep: PreparedPlan, eps: float,
+                profile: Optional[BumpProfile] = None) -> RegularizedPlan:
+    """The marginal-pinned smoothing of a prepared plan at width ``eps``.
+
+    Requires ``eps`` below a quarter of the plan separation and a kernel
+    radius of margin between the support and the grid boundary (required
+    for the exact identities).  The transfer vectors are
+    ``rho * offset_sum(U, kappa) * h^d``, where row c of ``U`` holds
+    ``kappa / (rho * kappa)`` on the window ``c + offsets``.
+    """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValidationError(f"mollifier width must be positive and finite, got {eps!r}")
+    if not eps < prep.alpha / 4.0:
+        raise ValidationError(
+            f"mollifier too wide for separation {prep.alpha:.6g}: "
+            f"eps must be below {prep.alpha / 4.0:.6g}, got {eps:.6g}"
+        )
+    rho = prep.rho
+    grid = rho.grid
     profile = profile or BumpProfile(grid.dim)
     m = ScaledMollifier(profile, float(eps))
-    kernel_m = m if eps >= grid.h else ScaledMollifier(profile, grid.h)
+    kernel_m = ScaledMollifier(profile, kernel_width(eps, grid.h))
     kernel = GridKernel(kernel_m, grid.h)
 
     support_idx = np.argwhere(rho.values > 0)
@@ -344,48 +352,44 @@ def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
 
     denom = convolve_sq(rho, kernel_m)
 
-    centers: list = []
-    center_index: dict = {}
-    center_of = np.empty((plan.n_atoms, plan.n), dtype=int)
-    for a in range(plan.n_atoms):
-        for k in range(plan.n):
-            c = grid.index_of(plan.configs[a, k])
-            if c not in center_index:
-                center_index[c] = len(centers)
-                centers.append(c)
-            center_of[a, k] = center_index[c]
+    z = np.array(prep.centers)[:, None, :] + kernel.offsets[None, :, :]
+    if np.any(z < 0) or np.any(z >= grid.npts):
+        raise ValidationError(
+            "density support too close to the grid boundary for this eps")
+    flat_z = np.ravel_multi_index(tuple(np.moveaxis(z, -1, 0)), grid.shape)
+    dz = denom.values.ravel()[flat_z]
+    live = dz > DENOM_FLOOR
+    if np.any(~live & (kernel.sq > 0)):
+        raise ValidationError("density vanishes near plan support")
+    q = np.where(live, kernel.sq / np.where(live, dz, 1.0), 0.0)
+    n_centers = len(prep.centers)
+    u = np.zeros((n_centers, grid.n_sites))
+    u[np.arange(n_centers)[:, None], flat_z] = q
+    spread = offset_sum(u.reshape((n_centers,) + grid.shape), kernel.offsets, kernel.sq)
+    transfer = (rho.values * spread * grid.cell_volume).reshape(n_centers, -1)
+    windows = [(flat_z[c][live[c]], kernel.sq[live[c]], q[c][live[c]])
+               for c in range(n_centers)]
+    return RegularizedPlan(prep, m, kernel, denom, transfer, windows)
 
-    cell = grid.cell_volume
-    cube = kernel.sq_cube()
-    denom_vals = denom.values
-    transfer = np.empty((len(centers), grid.n_sites))
-    windows = []
-    for ci, c in enumerate(centers):
-        u = np.zeros(grid.shape)
-        flat_idx = []
-        kap = []
-        q = []
-        for o, v in zip(kernel.offsets, kernel.sq):
-            z = tuple(np.array(c) + o)
-            if not grid.contains_index(z):
-                raise ValidationError(
-                    "density support too close to the grid boundary for this eps"
-                )
-            dz = denom_vals[z]
-            if dz <= DENOM_FLOOR:
-                if v > 0:
-                    raise ValidationError("density vanishes near plan support")
-                continue
-            u[z] = v / dz
-            flat_idx.append(np.ravel_multi_index(z, grid.shape))
-            kap.append(v)
-            q.append(v / dz)
-        spread = signal.convolve(u, cube, mode="same", method="direct")
-        transfer[ci] = (rho.values * spread * cell).ravel()
-        windows.append((np.array(flat_idx, dtype=int), np.array(kap), np.array(q)))
 
-    return RegularizedPlan(plan, rho, m, kernel, denom, alpha,
-                           centers, center_of, transfer, windows)
+def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
+                      profile: Optional[BumpProfile] = None,
+                      marginal_tol: float = 1e-8) -> RegularizedPlan:
+    """Construct the marginal-pinned smoothing evaluator.
+
+    The composition of :func:`prepare_plan` (snap, symmetry, separation and
+    binned-marginal checks; independent of eps) and :func:`smooth_plan`
+    (eps bounds, boundary margin, kernel, denominator, transfer vectors).
+    A caller that smooths one plan at many widths prepares it once.
+
+    A width ``0 < eps < h`` is the grid's eps -> 0 limit.  The offset rule
+    ``|o*h| < eps`` leaves only the zero offset for every eps <= h, so such a
+    width gets the one-node kernel, built as the width-h kernel, for both the
+    transfer vectors and the denominator: every ``T_c`` is ``delta_c / h^d``
+    and ``P_eps = P`` on the grid.  Marginal pinning, unit trace and the
+    kernel diagonal stay exact; ``RegularizedPlan.one_node_kernel`` flags it.
+    """
+    return smooth_plan(prepare_plan(plan, rho, marginal_tol), eps, profile)
 
 
 def density_of(rp: RegularizedPlan) -> GridDensity:

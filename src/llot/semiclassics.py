@@ -4,10 +4,12 @@ For a pinned density rho with transport optimum E_OT and optimizer plan, the
 smoothed-plan trial state gives, for each effective semiclassical parameter
 eta, the upper bound
 
-    total(eps) = eta * n * (H1(sqrt rho) + eps^-2 * grad moment)
-                 + integral of the Coulomb cost against P_eps,
+    total(eps) = eta * n * (H1(sqrt rho) + w^-2 * grad moment) + V(eps),
 
-whose minimum over eps exceeds E_OT by O(sqrt(eta) + eta).  The sweep
+with w = max(eps, h) the width of the grid kernel and V(eps) the integral of
+the Coulomb cost against P_eps; its minimum over eps exceeds E_OT by
+O(sqrt(eta) + eta).  V does not depend on eta, so one :class:`TrialCurve`
+per (rho, plan) smooths each width once and serves every eta.  The sweep
 optimizes eps per eta, records the gap, and fits the log-log rate.
 """
 
@@ -15,15 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient, separation
 from .mollifier import BumpProfile
 from .mmot import TransportProblem, plan_separation, solve_lp
-from .regularizer import CoulombPair, build_regularized, integrate_observable
+from .regularizer import CoulombPair, PreparedPlan, integrate_observable, kinetic_term
+from .regularizer import prepare_plan, smooth_plan
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -66,13 +70,7 @@ def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float,
     """Assemble the two-term upper bound at one (eps, eta)."""
     if eta < 0:
         raise ValidationError("eta must be nonnegative")
-    profile = profile or BumpProfile(rho.grid.dim)
-    rp = build_regularized(plan, rho, eps, profile=profile)
-    grad_moment = profile.moments()[0]
-    kinetic = eta * plan.n * (h1_seminorm_sqrt(rho) + grad_moment / eps**2)
-    potential = integrate_observable(rp, CoulombPair())
-    return TrialEnergy(eta=eta, eps=eps, kinetic_term=float(kinetic),
-                       potential_term=float(potential))
+    return TrialCurve(rho, plan, profile).energy(eps, eta)
 
 
 def golden_minimize(f, lo: float, hi: float, rel_tol: float = 1e-7,
@@ -108,6 +106,73 @@ def _is_unimodal(values: np.ndarray, tol: float) -> bool:
     return switches == 1 and signs[0] == -1
 
 
+class TrialCurve:
+    """The trial bound of one (rho, plan) as a function of (eps, eta).
+
+    ``V(eps)`` is memoized per exact float eps and shared by every eta; the
+    plan is prepared for smoothing once, on first use.  The kinetic part is
+    closed form from ``H1(sqrt rho)`` and the gradient moment, both
+    evaluated once.
+    """
+
+    def __init__(self, rho: GridDensity, plan: AtomicPlan,
+                 profile: Optional[BumpProfile] = None):
+        self.rho = rho
+        self.plan = plan
+        self.profile = profile or BumpProfile(rho.grid.dim)
+        self.h1 = h1_seminorm_sqrt(rho)
+        self.grad_moment = self.profile.moments()[0]
+        self._potential: dict = {}
+
+    @cached_property
+    def prepared(self) -> PreparedPlan:
+        return prepare_plan(self.plan, self.rho)
+
+    def potential(self, eps: float) -> float:
+        """``V(eps)``: the Coulomb cost integrated against ``P_eps``."""
+        eps = float(eps)
+        if eps not in self._potential:
+            rp = smooth_plan(self.prepared, eps, profile=self.profile)
+            self._potential[eps] = integrate_observable(rp, CoulombPair())
+        return self._potential[eps]
+
+    def energy(self, eps: float, eta: float) -> TrialEnergy:
+        kinetic = kinetic_term(eta, self.plan.n, self.h1, self.grad_moment,
+                               eps, self.rho.grid.h)
+        return TrialEnergy(eta=eta, eps=eps, kinetic_term=float(kinetic),
+                           potential_term=float(self.potential(eps)))
+
+    def optimize(self, eta: float, eps_min: Optional[float] = None,
+                 n_scan: int = 32):
+        """``(eps_opt, energy, scan_fallback)``; see :func:`optimize_eps`."""
+        if eta <= 0:
+            raise ValidationError("eta must be positive")
+        alpha = separation(self.plan).alpha
+        hi = alpha / 4.0 * (1.0 - 1e-3)
+        lo = eps_min if eps_min is not None else 2.0 * self.rho.grid.h
+        if lo >= hi:
+            raise ValidationError(
+                f"empty feasible eps interval: [{lo:.4g}, {hi:.4g}]"
+            )
+
+        def total(eps: float) -> float:
+            return self.energy(eps, eta).total
+
+        xs = np.geomspace(lo, hi, n_scan)
+        vals = np.array([total(x) for x in xs])
+        best = int(np.argmin(vals))
+        fallback = not _is_unimodal(vals, tol=1e-12 * max(1.0, float(np.abs(vals).max())))
+        if fallback:
+            eps_opt = float(xs[best])
+        else:
+            a = xs[max(best - 1, 0)]
+            b = xs[min(best + 1, n_scan - 1)]
+            eps_opt, _ = golden_minimize(total, a, b)
+            if total(eps_opt) > vals[best]:
+                eps_opt = float(xs[best])
+        return eps_opt, self.energy(eps_opt, eta), fallback
+
+
 def optimize_eps(rho: GridDensity, plan: AtomicPlan, eta: float,
                  eps_min: Optional[float] = None, n_scan: int = 32,
                  profile: Optional[BumpProfile] = None):
@@ -118,39 +183,7 @@ def optimize_eps(rho: GridDensity, plan: AtomicPlan, eta: float,
     otherwise the best scan point is returned (``scan_fallback`` is flagged
     on the sweep record).
     """
-    if eta <= 0:
-        raise ValidationError("eta must be positive")
-    profile = profile or BumpProfile(rho.grid.dim)
-    alpha = separation(plan).alpha
-    hi = alpha / 4.0 * (1.0 - 1e-3)
-    lo = eps_min if eps_min is not None else 2.0 * rho.grid.h
-    if lo >= hi:
-        raise ValidationError(
-            f"empty feasible eps interval: [{lo:.4g}, {hi:.4g}]"
-        )
-
-    cache: dict = {}
-
-    def total(eps: float) -> float:
-        if eps not in cache:
-            cache[eps] = trial_energy(rho, plan, eps, eta, profile=profile)
-        return cache[eps].total
-
-    xs = np.geomspace(lo, hi, n_scan)
-    vals = np.array([total(x) for x in xs])
-    best = int(np.argmin(vals))
-    fallback = not _is_unimodal(vals, tol=1e-12 * max(1.0, float(np.abs(vals).max())))
-    if fallback:
-        eps_opt = float(xs[best])
-    else:
-        a = xs[max(best - 1, 0)]
-        b = xs[min(best + 1, n_scan - 1)]
-        eps_opt, _ = golden_minimize(total, a, b)
-        if total(eps_opt) > vals[best]:
-            eps_opt = float(xs[best])
-    energy = cache[eps_opt] if eps_opt in cache else trial_energy(
-        rho, plan, eps_opt, eta, profile=profile)
-    return eps_opt, energy, fallback
+    return TrialCurve(rho, plan, profile).optimize(eta, eps_min, n_scan)
 
 
 def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,
@@ -185,9 +218,10 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None,
           profile: Optional[BumpProfile] = None) -> SweepResult:
     """Solve the transport problem once, then rate-study the trial bound.
 
-    Each eta gets its own eps optimization; failures are recorded and the
-    sweep continues.  Records are ordered by eta ascending and share the
-    fitted log-log slope of the gap.
+    Every eta optimizes eps over one shared :class:`TrialCurve`, so each
+    width is smoothed once per sweep.  A validation or numerical failure for
+    one eta is recorded and the sweep continues.  Records are ordered by eta
+    ascending and share the fitted log-log slope of the gap.
     """
     eta_list = sorted(float(e) for e in eta_list)
     if len(eta_list) < 1:
@@ -195,23 +229,21 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None,
     problem = TransportProblem(n=n, marginal=rho)
     sol = solve_lp(problem)
     alpha = plan_separation(sol).alpha
-    profile = profile or BumpProfile(rho.grid.dim)
-    h1 = h1_seminorm_sqrt(rho)
-    grad_moment, second_moment = profile.moments()
+    curve = TrialCurve(rho, sol.plan, profile)
+    second_moment = curve.profile.moments()[1]
     l1g = l1_gradient(rho)
 
     records = []
     for eta in eta_list:
         try:
-            eps_opt, energy, fallback = optimize_eps(
-                rho, sol.plan, eta, eps_min=eps_min, profile=profile)
-            c = assembled_constant(n, alpha, h1, grad_moment, l1g,
+            eps_opt, energy, fallback = curve.optimize(eta, eps_min=eps_min)
+            c = assembled_constant(n, alpha, curve.h1, curve.grad_moment, l1g,
                                    second_moment, eps_opt)
             records.append(SweepRecord(
                 eta=eta, eps_opt=eps_opt, total=energy.total, e_ot=sol.value,
                 gap=energy.total - sol.value, assembled_c=c,
                 scan_fallback=fallback))
-        except Exception as exc:  # per-eta isolation: record and continue
+        except (ValidationError, NumericalError) as exc:
             records.append(SweepRecord(
                 eta=eta, eps_opt=math.nan, total=math.nan, e_ot=sol.value,
                 gap=math.nan, assembled_c=math.nan, error=str(exc)))

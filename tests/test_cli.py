@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import llot
 from llot import cli, fileio
 from llot.grids import marginal
-from llot.presets import fixture_paired_smooth
+from llot.presets import fixture_paired_smooth, sixteen_site_density
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +46,26 @@ def test_regularize_flags_sub_grid_width(paired_files, tmp_path):
     assert sub["one_node_kernel"] is True
     assert "P_eps = P" in sub["kernel_note"]
     assert sub["checks"]["marginal_l1_error"] <= 1e-10
+
+
+@pytest.mark.parametrize("convention", ["probability", "auto"])
+def test_mmot_rejects_nan_density(tmp_path, convention):
+    density = tmp_path / "density.csv"
+    fileio.write_density(density, sixteen_site_density())
+    lines = density.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    density.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.json"
+    argv = ["mmot", "--density", str(density), "--n", "2",
+            "--mass-convention", convention, "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert not out.exists()
+
+
+def test_import_does_not_load_scipy_signal():
+    src = str(Path(llot.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, llot; print('scipy.signal' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -43,6 +43,22 @@ def test_density_mass_validation():
         GridDensity(g, -vals)
 
 
+def test_non_finite_inputs_rejected():
+    with pytest.raises(ValidationError, match="finite"):
+        Grid.line(0.0, float("nan"), 8)
+    with pytest.raises(ValidationError, match="finite"):
+        Grid.line(float("inf"), 0.1, 8)
+    g = Grid.line(0.0, 0.5, 4)
+    with pytest.raises(ValidationError, match="finite"):
+        GridDensity(g, np.array([0.5, np.nan, 0.5, 1.0]))
+    with pytest.raises(ValidationError, match="finite"):
+        GridDensity(g, np.array([0.5, np.inf, 0.5, 1.0]), "free")
+    with pytest.raises(ValidationError, match="finite"):
+        plan_1d([((0.0, np.nan), 0.5), ((np.nan, 0.0), 0.5)])
+    with pytest.raises(ValidationError, match="finite"):
+        plan_1d([((0.0, 1.0), np.nan), ((1.0, 0.0), 0.5)])
+
+
 def test_marginal_two_site_symmetric():
     g = Grid.line(0.0, 1.0, 2)
     plan = plan_1d([((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5)])

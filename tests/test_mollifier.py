@@ -10,6 +10,7 @@ from llot.mollifier import (
     ScaledMollifier,
     convolve_sq,
     eval_chi,
+    offset_sum,
 )
 
 
@@ -137,3 +138,52 @@ def test_convolve_l1_error_order_eps_squared(bump):
         errs.append(out.l1_distance(rho))
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2
+
+
+def brute_offset_sum(values, offsets, weights):
+    """Double loop over nodes and offsets, ``out[x] += w_o * values[x - o]``."""
+    dim = offsets.shape[1]
+    shape = values.shape[-dim:]
+    out = np.zeros_like(values)
+    for x in np.ndindex(*shape):
+        for o, w in zip(offsets, weights):
+            src = tuple(int(xi - oi) for xi, oi in zip(x, o))
+            if all(0 <= i < n for i, n in zip(src, shape)):
+                out[(Ellipsis,) + x] += w * values[(Ellipsis,) + src]
+    return out
+
+
+def test_offset_sum_matches_brute_force_double_loop():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 1.0, size=(2, 5, 5))
+    offsets = np.array([(0, 0), (1, 0), (-2, 1), (0, -3), (4, 4), (-6, 0), (2, 2)])
+    weights = rng.uniform(0.1, 1.0, size=len(offsets))
+    got = offset_sum(values, offsets, weights)
+    assert np.allclose(got, brute_offset_sum(values, offsets, weights),
+                       rtol=1e-15, atol=0.0)
+
+
+def test_convolve_sq_matches_brute_force_double_loop(bump):
+    g = Grid.line(0.0, 0.05, 24)
+    rng = np.random.default_rng(5)
+    vals = np.zeros(24)
+    vals[6:18] = rng.uniform(0.0, 1.0, size=12)
+    rho = density_from_values(g, vals, normalize=True)
+    m = ScaledMollifier(bump, 0.2)
+    k = GridKernel(m, g.h)
+    expected = brute_offset_sum(rho.values, k.offsets, k.sq * g.h)
+    assert np.allclose(convolve_sq(rho, m).values, expected, rtol=1e-15, atol=0.0)
+
+
+def test_convolve_sq_keeps_denormal_tails(bump):
+    g = Grid.line(0.0, 0.05, 64)
+    vals = np.zeros(64)
+    vals[30] = 1e-310
+    rho = GridDensity(g, vals, "free")
+    m = ScaledMollifier(bump, 0.2)
+    k = GridKernel(m, g.h)
+    out = convolve_sq(rho, m).values
+    window = 30 + k.offsets[:, 0]
+    assert np.all(out[window] > 0.0)
+    assert out.max() < np.finfo(float).tiny
+    assert np.array_equal(out, brute_offset_sum(rho.values, k.offsets, k.sq * g.h))

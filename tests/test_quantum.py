@@ -225,6 +225,14 @@ def test_kinetic_trace_eps_halving_shift(smooth_state):
     assert analytic_2 - analytic_1 == pytest.approx(expected_shift, rel=1e-10)
 
 
+def test_kinetic_trace_sub_grid_width_is_the_one_node_state(smooth_state):
+    grid, rp, _ = smooth_state
+    at_h = kinetic_trace(MixedStateKernel(build_regularized(rp.source, rp.rho, grid.h)))
+    sub = kinetic_trace(MixedStateKernel(
+        build_regularized(rp.source, rp.rho, 0.5 * grid.h)))
+    assert sub == at_h
+
+
 def test_kinetic_trace_refinement_order_two():
     rels = []
     hs = []

@@ -230,3 +230,34 @@ def test_smoothed_plan_density_is_denominator(two_site_fixture):
     q = SmoothedPlan(plan, ScaledMollifier(BumpProfile(1), eps), grid)
     rp = build_regularized(plan, rho, eps)
     assert np.allclose(q.density().values, rp.denom.values, rtol=1e-12, atol=1e-14)
+
+
+def outer_product_tensor(rp):
+    """Per-atom sum of the weighted outer products of the transfer vectors."""
+    s = rp.grid.n_sites
+    out = np.zeros((s,) * rp.n)
+    for a in range(rp.source.n_atoms):
+        term = np.array(rp.source.weights[a])
+        for k in range(rp.n):
+            term = np.multiply.outer(term, rp.transfer[rp.center_of[a, k]])
+        out += term
+    return out.reshape(rp.grid.shape * rp.n)
+
+
+def test_tensor_contraction_matches_outer_product_sum(all_identity_fixtures):
+    assert {plan.n for _, _, plan, _, _ in all_identity_fixtures} == {1, 2, 3}
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        rp = build_regularized(plan, rho, eps_list[0])
+        ref = outer_product_tensor(rp)
+        got = rp.tensor()
+        assert np.abs(got - ref).max() <= 1e-13 * ref.max(), name
+        assert np.array_equal(got == 0.0, ref == 0.0), name
+
+
+def test_tensor_chunked_over_atoms_matches_one_contraction(all_identity_fixtures):
+    name, grid, plan, rho, eps_list = all_identity_fixtures[0]
+    rp = build_regularized(plan, rho, eps_list[0])
+    assert rp.n == 1 and rp.source.n_atoms > 1
+    # max_entries = n_sites forces one atom per chunk
+    chunked = rp.tensor(max_entries=grid.n_sites)
+    assert np.abs(chunked - rp.tensor()).max() <= 1e-13 * chunked.max()

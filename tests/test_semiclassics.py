@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from llot import semiclassics
 from llot.errors import ValidationError
 from llot.grids import Grid, density_from_values, h1_seminorm_sqrt, separation
 from llot.mmot import TransportProblem, solve_lp
@@ -143,3 +144,70 @@ def test_assembled_constant_positive_and_monotone_in_n():
     c2 = assembled_constant(2, 4.0, 1.0, 3.0, 0.5, 0.1, 0.4)
     c3 = assembled_constant(3, 4.0, 1.0, 3.0, 0.5, 0.1, 0.4)
     assert 0.0 < c2 < c3
+
+
+# Preset-sweep totals of the code before the shared trial curve, which built
+# the smoothed plan anew for every (eta, eps) evaluation.
+PER_EVALUATION_TOTALS = (
+    0.001364336183207661, 0.0013644867444384404, 0.0013648111187770054,
+    0.0013655099621045661, 0.001366756255550848, 0.0013692358219952476,
+    0.0013722922882542141, 0.0013775990652904525, 0.001389032169829589,
+    0.0014136640468634658,
+)
+
+
+def test_preset_sweep_smooths_each_width_once(monkeypatch):
+    widths = []
+    smooth = semiclassics.smooth_plan
+
+    def counting_smooth(prep, eps, profile=None):
+        widths.append(eps)
+        return smooth(prep, eps, profile)
+
+    monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
+    rho = sweep_density()
+    result = sweep(rho, 2, SWEEP_ETAS)
+    assert len(widths) == len(set(widths)) <= 130
+    plan = solve_lp(TransportProblem(2, rho)).plan
+    assert len(result.records) == len(PER_EVALUATION_TOTALS)
+    for r, before in zip(result.records, PER_EVALUATION_TOTALS):
+        assert r.error is None
+        single = trial_energy(rho, plan, r.eps_opt, r.eta).total
+        assert r.total == pytest.approx(single, rel=1e-12)
+        assert r.total <= before + 1e-9 * before
+
+
+def _failing_at(eta_bad, exc_type):
+    optimize = semiclassics.TrialCurve.optimize
+
+    def optimize_or_fail(self, eta, *args, **kwargs):
+        if eta == eta_bad:
+            raise exc_type("injected failure")
+        return optimize(self, eta, *args, **kwargs)
+    return optimize_or_fail
+
+
+def test_sweep_records_validation_error_and_continues(monkeypatch):
+    etas = [1e-3, 1e-2, 1e-1]
+    monkeypatch.setattr(semiclassics.TrialCurve, "optimize",
+                        _failing_at(1e-2, ValidationError))
+    result = sweep(sweep_density(), 2, etas)
+    assert [r.error for r in result.records] == [None, "injected failure", None]
+    assert math.isnan(result.records[1].total)
+    assert all(math.isfinite(r.total) for r in (result.records[0], result.records[2]))
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    monkeypatch.setattr(semiclassics.TrialCurve, "optimize",
+                        _failing_at(1e-2, TypeError))
+    with pytest.raises(TypeError, match="injected failure"):
+        sweep(sweep_density(), 2, [1e-3, 1e-2, 1e-1])
+
+
+def test_trial_energy_kinetic_uses_kernel_width(solved_instance):
+    rho, sol = solved_instance
+    h = rho.grid.h
+    at_h = trial_energy(rho, sol.plan, h, 0.01)
+    sub = trial_energy(rho, sol.plan, 0.5 * h, 0.01)
+    assert sub.kinetic_term == at_h.kinetic_term
+    assert sub.potential_term == at_h.potential_term
