@@ -134,8 +134,8 @@ def _cmd_regularize(args) -> dict:
         result["marginal_l1_error"] = density_of(rp).l1_distance(rho)
     if "kinetic" in checks:
         lhs = kinetic_of_sqrt(rp)
-        rhs = kinetic_term(1.0, plan.n, h1_seminorm_sqrt(rho),
-                           BumpProfile(rho.grid.dim).moments()[0], args.eps, rho.grid.h)
+        rhs = kinetic_term(plan.n, h1_seminorm_sqrt(rho),
+                           BumpProfile(rho.grid.dim).moments()[0], rp.kernel.m.eps)
         result["kinetic"] = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
     if "potential" in checks:
         lhs, bound = potential_error(rp, CoulombPair())

@@ -88,6 +88,10 @@ class Grid:
     def node(self, idx) -> np.ndarray:
         return self.origin + self.h * np.asarray(idx, dtype=float)
 
+    def contains_index(self, idx) -> bool:
+        idx = np.asarray(idx)
+        return bool(np.all(idx >= 0) and np.all(idx < self.npts))
+
 
 @dataclass
 class GridDensity:
@@ -128,6 +132,11 @@ class GridDensity:
 
     def flat(self) -> np.ndarray:
         return self.values.ravel()
+
+    def to_probability(self) -> "GridDensity":
+        if self.mass_convention == "probability":
+            return self
+        return GridDensity(self.grid, self.values / self.n_particles, "probability")
 
     def l1_distance(self, other: "GridDensity") -> float:
         return float(np.abs(self.values - other.values).sum() * self.grid.cell_volume)
@@ -282,8 +291,14 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
     The exact marginal and trace identities of the smoothing constructions
     hold only for node-supported plans, so plans are snapped on entry.
     """
-    snapped = grid.origin + grid.h * grid.indices_of(plan.configs)
-    shift = float(np.abs(snapped - plan.configs).max())
+    snapped = np.empty_like(plan.configs)
+    shift = 0.0
+    for a in range(plan.n_atoms):
+        for k in range(plan.n):
+            idx = grid.index_of(plan.configs[a, k])
+            node = grid.node(idx)
+            shift = max(shift, float(np.max(np.abs(node - plan.configs[a, k]))))
+            snapped[a, k] = node
     if max_shift is not None and shift > max_shift:
         raise ValidationError(
             f"atom coordinates are {shift:.3g} away from the nearest node, "
@@ -302,19 +317,30 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
     return AtomicPlan(plan.n, plan.dim, configs, weights)
 
 
-def marginal(plan: AtomicPlan, grid: Grid) -> GridDensity:
+def marginal(plan: AtomicPlan, grid: Grid, bandwidth: float = 0.0) -> GridDensity:
     """One-particle marginal of a symmetric plan, binned to grid nodes.
 
     Each atom spreads weight ``w / n`` onto the nearest node of each of its
-    ``n`` coordinates.
+    ``n`` coordinates.  With ``bandwidth > 0`` the binned marginal is
+    convolved with the squared mollifier kernel of that width (plotting aid
+    only; the exact identities use the raw binned marginal).
     """
     if plan.n_atoms == 0:
         raise ValidationError("empty measure")
+    if bandwidth < 0:
+        raise ValidationError("bandwidth must be nonnegative")
     values = np.zeros(grid.shape)
-    idx = grid.indices_of(plan.configs).reshape(-1, grid.dim)
-    weights = np.repeat(plan.weights, plan.n) / (plan.n * grid.cell_volume)
-    np.add.at(values, tuple(idx.T), weights)
-    return GridDensity(grid, values)
+    cell = grid.cell_volume
+    for config, w in zip(plan.configs, plan.weights):
+        for k in range(plan.n):
+            values[grid.index_of(config[k])] += w / (plan.n * cell)
+    rho = GridDensity(grid, values)
+    if bandwidth > 0:
+        from .mollifier import BumpProfile, ScaledMollifier, convolve_sq
+
+        m = ScaledMollifier(BumpProfile(grid.dim), bandwidth)
+        rho = convolve_sq(rho, m)
+    return rho
 
 
 def h1_seminorm_sqrt(rho: GridDensity) -> float:

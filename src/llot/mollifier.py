@@ -146,6 +146,12 @@ class ScaledMollifier:
         scale = self.eps ** (-self.dim / 2.0 - 1.0)
         return scale * self.base.radial_deriv(np.asarray(r, dtype=float) / self.eps)
 
+    def grad_sq_moment(self) -> float:
+        return self.base.moments()[0] / self.eps**2
+
+    def second_moment(self) -> float:
+        return self.base.moments()[1] * self.eps**2
+
 
 def eval_chi(m: ScaledMollifier, x):
     """Pointwise chi_eps; exactly zero for |x| >= eps."""

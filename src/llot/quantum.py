@@ -31,28 +31,45 @@ from .regularizer import RegularizedPlan, kinetic_term
 MAX_DENSE_ENTRIES = 1 << 24
 
 
-def _parity(perm) -> int:
-    """Sign of a permutation given as the sequence of images of 0..n-1."""
-    sign, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        j, length = start, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length and length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _permutations_with_sign(n: int):
-    return [(perm, _parity(perm)) for perm in itertools.permutations(range(n))]
+    perms = []
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        perms.append((perm, sign))
+    return perms
 
 
 def _sort_block(config: np.ndarray):
     """Lexicographic sort of particle rows; returns (sorted, permutation sign)."""
-    order = np.lexsort(tuple(config[:, d] for d in reversed(range(config.shape[1]))))
-    return config[order], _parity(list(order))
+    keys = tuple(config[:, d] for d in reversed(range(config.shape[1])))
+    order = np.lexsort(keys)
+    sign = 1
+    seen = [False] * len(order)
+    perm = list(order)
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return config[order], sign
 
 
 class OrbitalSet:
@@ -226,9 +243,15 @@ def trace(K: MixedStateKernel) -> float:
 def one_particle_density(K: MixedStateKernel) -> GridDensity:
     """Partial diagonal trace over coordinates 2..n."""
     rp = K.rp
-    tails = rp.source.weights * rp.coordinate_masses()[:, 1:].prod(axis=1)
-    coef = np.bincount(rp.center_of[:, 0], tails, minlength=len(rp.centers))
-    return GridDensity(rp.grid, (coef @ rp.transfer).reshape(rp.grid.shape))
+    cell = rp.grid.cell_volume
+    acc = np.zeros(rp.grid.n_sites)
+    for a in range(rp.source.n_atoms):
+        w = rp.source.weights[a]
+        tail = 1.0
+        for k in range(1, rp.n):
+            tail *= rp.transfer[rp.center_of[a, k]].sum() * cell
+        acc += w * tail * rp.transfer[rp.center_of[a, 0]]
+    return GridDensity(rp.grid, acc.reshape(rp.grid.shape))
 
 
 _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(16)
@@ -252,8 +275,8 @@ def kinetic_trace(K: MixedStateKernel) -> tuple:
     if grid.dim != 1:
         raise ValidationError("kinetic_trace implemented for 1-d grids")
     cell = grid.cell_volume
-    analytic = kinetic_term(1.0, rp.n, h1_seminorm_sqrt(rp.rho),
-                            rp.m.base.moments()[0], rp.eps, grid.h)
+    analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho),
+                            rp.m.base.moments()[0], rp.kernel.m.eps)
 
     g = np.sqrt(rp.rho.values)
     axis = grid.axis()

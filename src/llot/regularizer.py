@@ -169,13 +169,28 @@ class SmoothedPlan:
 
     def evaluate(self, config) -> float:
         config = np.asarray(config, dtype=float).reshape(self.source.n, self.source.dim)
-        nodes = self.grid.origin + self.grid.h * self.grid.indices_of(config)
-        sq = self.kernel.amp_at(nodes[None] - self.source.configs) ** 2
-        return float(self.source.weights @ sq.prod(axis=1))
+        total = 0.0
+        for atom, w in zip(self.source.configs, self.source.weights):
+            prod = w
+            for k in range(self.source.n):
+                node = self.grid.node(self.grid.index_of(config[k]))
+                prod *= float(self.kernel.amp_at(node - atom[k]) ** 2)
+                if prod == 0.0:
+                    break
+            total += prod
+        return total
 
     def density(self) -> GridDensity:
-        smoothed = convolve_sq(marginal(self.source, self.grid), self.m)
-        return GridDensity(self.grid, smoothed.values)
+        values = np.zeros(self.grid.shape)
+        cube_idx = self.kernel.offsets
+        for atom, w in zip(self.source.configs, self.source.weights):
+            for k in range(self.source.n):
+                c = np.array(self.grid.index_of(atom[k]))
+                for o, v in zip(cube_idx, self.kernel.sq):
+                    z = tuple(c + o)
+                    if self.grid.contains_index(z):
+                        values[z] += w / self.source.n * v
+        return GridDensity(self.grid, values)
 
 
 class RegularizedPlan:
@@ -214,9 +229,16 @@ class RegularizedPlan:
     def evaluate(self, config) -> float:
         """P_eps at a configuration (coordinates snapped to nearest nodes)."""
         config = np.asarray(config, dtype=float).reshape(self.n, self.source.dim)
-        sites = [self.grid.flat_index_of(x) for x in config]
-        values = self.transfer[self.center_of, sites]  # (n_atoms, n)
-        return float(self.source.weights @ values.prod(axis=1))
+        sites = [self.grid.flat_index_of(config[k]) for k in range(self.n)]
+        total = 0.0
+        for a in range(self.source.n_atoms):
+            prod = self.source.weights[a]
+            for k in range(self.n):
+                prod *= self.transfer[self.center_of[a, k], sites[k]]
+                if prod == 0.0:
+                    break
+            total += prod
+        return float(total)
 
     def tensor(self, max_entries: int = MAX_TENSOR_ENTRIES) -> np.ndarray:
         """Dense density on the n-fold tensor grid, shape grid.shape * n.
@@ -242,41 +264,42 @@ class RegularizedPlan:
             flat += left.T @ self.transfer[self.center_of[rows, self.n - 1]]
         return flat.reshape(self.grid.shape * self.n)
 
-    def coordinate_masses(self) -> np.ndarray:
-        """(n_atoms, n) quadrature mass of each atom's transfer vectors."""
-        return (self.transfer.sum(axis=1) * self.grid.cell_volume)[self.center_of]
-
     def mass(self) -> float:
-        return float(self.source.weights @ self.coordinate_masses().prod(axis=1))
+        cell = self.grid.cell_volume
+        total = 0.0
+        for a in range(self.source.n_atoms):
+            prod = self.source.weights[a]
+            for k in range(self.n):
+                prod *= self.transfer[self.center_of[a, k]].sum() * cell
+            total += prod
+        return float(total)
 
     def density(self) -> GridDensity:
         """One-particle marginal of P_eps (coordinate-averaged)."""
-        masses = self.coordinate_masses()
-        others = np.stack([np.delete(masses, k, axis=1).prod(axis=1)
-                           for k in range(self.n)], axis=1)
-        coef = np.bincount(self.center_of.ravel(),
-                           (self.source.weights[:, None] / self.n * others).ravel(),
-                           minlength=len(self.centers))
-        return GridDensity(self.grid, (coef @ self.transfer).reshape(self.grid.shape))
+        cell = self.grid.cell_volume
+        acc = np.zeros(self.grid.n_sites)
+        for a in range(self.source.n_atoms):
+            w = self.source.weights[a]
+            masses = [self.transfer[self.center_of[a, k]].sum() * cell
+                      for k in range(self.n)]
+            for k in range(self.n):
+                others = 1.0
+                for l in range(self.n):
+                    if l != k:
+                        others *= masses[l]
+                acc += (w / self.n) * others * self.transfer[self.center_of[a, k]]
+        return GridDensity(self.grid, acc.reshape(self.grid.shape))
 
 
-def kernel_width(eps: float, h: float) -> float:
-    """Width of the grid kernel at ``eps``: ``eps``, or ``h`` at or below h.
+def kinetic_term(n: int, h1: float, grad_moment: float, width: float) -> float:
+    """``n * (H1(sqrt rho) + G / width^2)``, the kinetic part of the bound at
+    eta = 1.
 
-    Every width ``eps <= h`` resolves only the zero offset; the one-node
-    kernel is built as the width-h kernel (see :func:`smooth_plan`).
+    ``width`` is that of the kernel the state is built from,
+    ``rp.kernel.m.eps``: ``max(eps, h)`` (see :func:`build_regularized`);
+    ``G`` is the profile's gradient moment.
     """
-    return float(max(eps, h))
-
-
-def kinetic_term(eta: float, n: int, h1: float, grad_moment: float,
-                 eps: float, h: float) -> float:
-    """``eta * n * (H1(sqrt rho) + G / w^2)``, the kinetic part of the bound.
-
-    ``w = kernel_width(eps, h)`` is the width of the kernel that the state
-    at ``eps`` is built from, ``G`` the profile's gradient moment.
-    """
-    return eta * n * (h1 + grad_moment / kernel_width(eps, h) ** 2)
+    return n * (h1 + grad_moment / width**2)
 
 
 @dataclass
@@ -338,7 +361,7 @@ def smooth_plan(prep: PreparedPlan, eps: float,
     grid = rho.grid
     profile = profile or BumpProfile(grid.dim)
     m = ScaledMollifier(profile, float(eps))
-    kernel_m = ScaledMollifier(profile, kernel_width(eps, grid.h))
+    kernel_m = m if eps >= grid.h else ScaledMollifier(profile, grid.h)
     kernel = GridKernel(kernel_m, grid.h)
 
     support_idx = np.argwhere(rho.values > 0)

@@ -109,10 +109,10 @@ def _is_unimodal(values: np.ndarray, tol: float) -> bool:
 class TrialCurve:
     """The trial bound of one (rho, plan) as a function of (eps, eta).
 
-    ``V(eps)`` is memoized per exact float eps and shared by every eta; the
-    plan is prepared for smoothing once, on first use.  The kinetic part is
-    closed form from ``H1(sqrt rho)`` and the gradient moment, both
-    evaluated once.
+    ``V(eps)`` and the kernel width are memoized per exact float eps and
+    shared by every eta; the plan is prepared for smoothing once, on first
+    use.  The kinetic part is closed form from ``H1(sqrt rho)`` and the
+    gradient moment, both evaluated once, at the kernel's width.
     """
 
     def __init__(self, rho: GridDensity, plan: AtomicPlan,
@@ -122,25 +122,27 @@ class TrialCurve:
         self.profile = profile or BumpProfile(rho.grid.dim)
         self.h1 = h1_seminorm_sqrt(rho)
         self.grad_moment = self.profile.moments()[0]
-        self._potential: dict = {}
+        self._smoothed_at: dict = {}
 
     @cached_property
     def prepared(self) -> PreparedPlan:
         return prepare_plan(self.plan, self.rho)
 
-    def potential(self, eps: float) -> float:
-        """``V(eps)``: the Coulomb cost integrated against ``P_eps``."""
+    def _smoothed(self, eps: float) -> tuple:
+        """``(V(eps), kernel width)`` of the plan smoothed at ``eps``; ``V`` is
+        the Coulomb cost integrated against ``P_eps``."""
         eps = float(eps)
-        if eps not in self._potential:
+        if eps not in self._smoothed_at:
             rp = smooth_plan(self.prepared, eps, profile=self.profile)
-            self._potential[eps] = integrate_observable(rp, CoulombPair())
-        return self._potential[eps]
+            self._smoothed_at[eps] = (integrate_observable(rp, CoulombPair()),
+                                      rp.kernel.m.eps)
+        return self._smoothed_at[eps]
 
     def energy(self, eps: float, eta: float) -> TrialEnergy:
-        kinetic = kinetic_term(eta, self.plan.n, self.h1, self.grad_moment,
-                               eps, self.rho.grid.h)
+        potential, width = self._smoothed(eps)
+        kinetic = eta * kinetic_term(self.plan.n, self.h1, self.grad_moment, width)
         return TrialEnergy(eta=eta, eps=eps, kinetic_term=float(kinetic),
-                           potential_term=float(self.potential(eps)))
+                           potential_term=float(potential))
 
     def optimize(self, eta: float, eps_min: Optional[float] = None,
                  n_scan: int = 32):
