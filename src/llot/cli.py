@@ -37,8 +37,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism cap (echoed; evaluation is serial)")
 
     p = sub.add_parser("regularize", help="build the pinned smoothing and verify it")
     p.add_argument("--plan", required=True)
@@ -144,7 +142,7 @@ def _cmd_regularize(args) -> dict:
     return {
         "command": "regularize",
         "config": {"plan": args.plan, "density": args.density, "eps": args.eps,
-                   "checks": checks, "threads": args.threads},
+                   "checks": checks},
         "separation": rp.alpha if np.isfinite(rp.alpha) else "inf",
         "checks": result,
         **_kernel_flag(rp),
@@ -184,8 +182,7 @@ def _cmd_quantum_check(args) -> dict:
     return {
         "command": "quantum-check",
         "config": {"plan": args.plan, "density": args.density, "eps": args.eps,
-                   "samples": args.samples, "seed": args.seed,
-                   "threads": args.threads},
+                   "samples": args.samples, "seed": args.seed},
         "trace": tr,
         "density_l1_error": dens_err,
         "diagonal_max_abs_error": max_abs,
@@ -205,16 +202,18 @@ def _cmd_mmot(args) -> dict:
         dual = check_dual(sol, problem, tol=args.tol)
         extra = {"duality_gap": sol.duality_gap,
                  "dual_feasible": bool(dual.ok),
-                 "complementary_residual": dual.complementary_residual}
+                 "complementary_residual": dual.complementary_residual,
+                 "iterations": sol.iterations}
     else:
         sol = solve_sinkhorn(problem, beta=args.beta, tol=args.tol)
-        extra = {"beta": args.beta, "iterations": sol.iterations}
+        extra = {"beta": args.beta, "iterations": sol.iterations,
+                 "converged": sol.converged}
     if args.plan_out:
         fileio.write_plan(args.plan_out, sol.plan)
     report = {
         "command": "mmot",
         "config": {"density": args.density, "n": args.n, "solver": args.solver,
-                   "beta": args.beta, "tol": args.tol, "threads": args.threads},
+                   "beta": args.beta, "tol": args.tol},
         "value": sol.value,
         "marginal_residual": sol.marginal_residual,
         "separation": plan_separation(sol).alpha,
@@ -238,7 +237,7 @@ def _cmd_sweep(args) -> dict:
     return {
         "command": "sweep",
         "config": {"density": args.density, "n": args.n, "etas": args.etas,
-                   "eps_min": args.eps_min, "threads": args.threads},
+                   "eps_min": args.eps_min},
         "e_ot": result.e_ot,
         "separation": result.alpha,
         "fitted_slope": result.fitted_slope,
@@ -282,7 +281,6 @@ def _cmd_selftest(args) -> dict:
     ok = all(c["passed"] for c in checks)
     return {
         "command": "selftest",
-        "config": {"threads": args.threads},
         "all_passed": ok,
         "checks": checks,
     }

@@ -3,9 +3,10 @@
 Two solvers share one problem description: an exact linear program over
 repeat-free multisets of support sites (the symmetric, infinite-diagonal
 structure shrinks the variable set by n! and removes the singular
-configurations), and an entropic fixed-point iteration with one shared
-scaling potential.  The LP returns Kantorovich dual certificates; the
-entropic path converges to the LP value as the inverse temperature grows.
+configurations), solved by scipy's HiGHS, and an entropic fixed-point
+iteration with one shared scaling potential.  The LP returns Kantorovich dual
+certificates; the entropic path converges to the LP value as the inverse
+temperature grows and reports whether its final stage met its tolerance.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import csc_array
 from scipy.special import logsumexp
 
 from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, SeparationReport, marginal, separation
 from .regularizer import CoulombPair, Observable
-from .simplex import solve_standard_form
 
 MAX_LP_VARIABLES = 200_000
 MAX_GIBBS_ENTRIES = 2_000_000
@@ -63,6 +65,7 @@ class TransportSolution:
     duality_gap: Optional[float] = None
     beta: Optional[float] = None
     iterations: int = 0
+    converged: bool = True  # Sinkhorn's final stage met tol; the LP raises if not
 
 
 @dataclass
@@ -78,16 +81,6 @@ def _feasibility_check(n: int, masses: np.ndarray):
         raise ValidationError("no finite-cost feasible plan")
 
 
-def _expand_multiset(positions: np.ndarray, combo, weight: float):
-    """All orderings of a repeat-free multiset, each with weight / n!."""
-    n = len(combo)
-    share = weight / math.factorial(n)
-    out = []
-    for perm in itertools.permutations(combo):
-        out.append((positions[list(perm)], share))
-    return out
-
-
 def _marginal_residual(plan: AtomicPlan, problem: TransportProblem) -> float:
     binned = marginal(plan, problem.marginal.grid)
     return binned.l1_distance(problem.marginal)
@@ -97,49 +90,53 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     """Exact minimizer over symmetric plans via the multiset linear program.
 
     Variables are repeat-free multisets of support sites; the marginal
-    constraint row for site i collects count_i(multiset)/n.  Dual row values
-    over n give a Kantorovich potential v with sum_j v(x_j) <= cost(X).
+    constraint row for site i collects count_i(multiset)/n.  HiGHS solves the
+    program; its equality-row duals over n give a Kantorovich potential v with
+    sum_j v(x_j) <= cost(X).  Each optimal multiset is spread evenly over its
+    n! orderings.
     """
-    positions, masses, flat_idx = p.support()
+    positions, masses, _ = p.support()
     _feasibility_check(p.n, masses)
-    s = positions.shape[0]
+    s, dim = positions.shape
     n_vars = math.comb(s, p.n)
     if n_vars > MAX_LP_VARIABLES:
         raise ValidationError(
             f"{n_vars} multiset variables exceed the exact-LP limit "
             f"({MAX_LP_VARIABLES}); use the sinkhorn solver"
         )
-    combos = list(itertools.combinations(range(s), p.n))
-    configs = np.stack([positions[list(c)] for c in combos])
-    costs = p.cost.value_many(configs)
+    combos = np.array(list(itertools.combinations(range(s), p.n)))  # (n_vars, n)
+    costs = p.cost.value_many(positions[combos])
     if not np.all(np.isfinite(costs)):
         raise ValidationError("cost is singular on a repeat-free configuration")
 
-    a = np.zeros((s, len(combos)))
-    for col, combo in enumerate(combos):
-        for i in combo:
-            a[i, col] = 1.0 / p.n
-    res = solve_standard_form(costs, a, masses)
+    # column j holds 1/n at the sites of multiset j; sparse, since a dense
+    # matrix at the variable cap would take about a gigabyte
+    a = csc_array((np.full(combos.size, 1.0 / p.n), combos.ravel(),
+                   np.arange(0, combos.size + 1, p.n)), shape=(s, n_vars))
+    res = linprog(costs, A_eq=a, b_eq=masses, bounds=(0, None), method="highs")
+    if res.status == 2:
+        raise ValidationError("linear program infeasible")
+    if res.status != 0:
+        raise NumericalError(f"linear program not solved: {res.message}")
+    x = np.maximum(res.x, 0.0)
+    y = res.eqlin.marginals
+    value = float(costs @ x)
 
-    atoms = []
-    for q, combo in zip(res.x, combos):
-        if q > 1e-15:
-            atoms.extend(_expand_multiset(positions, combo, q))
-    total = sum(w for _, w in atoms)
-    atoms = [(cfg, w / total) for cfg, w in atoms]
-    plan = AtomicPlan.from_atoms(atoms, dim=positions.shape[1]).sorted_copy()
+    kept = np.nonzero(x > 1e-15)[0]
+    perms = np.array(list(itertools.permutations(range(p.n))))
+    configs = positions[combos[kept][:, perms]].reshape(-1, p.n, dim)
+    weights = np.repeat(x[kept], len(perms))
+    plan = AtomicPlan(p.n, dim, configs, weights / weights.sum()).sorted_copy()
 
-    v = res.y / p.n
-    gap = res.objective - float(res.y @ masses)
     return TransportSolution(
         plan=plan,
-        value=res.objective,
+        value=value,
         solver="lp",
         marginal_residual=_marginal_residual(plan, p),
-        dual_potential=v,
+        dual_potential=y / p.n,
         dual_sites=positions,
-        duality_gap=gap,
-        iterations=res.iterations,
+        duality_gap=value - float(y @ masses),
+        iterations=int(res.nit),
     )
 
 
@@ -175,7 +172,9 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     Coincident-site configurations carry zero weight (the singular diagonal
     is excluded, not clipped).  Above beta = 50 the log-domain path is
     mandatory; an annealing schedule (beta doubling from 25, warm-started
-    potential) is used by default for large beta.
+    potential) is used by default for large beta.  A stage stops at
+    ``max_iter`` iterations without raising; ``converged`` records whether the
+    final stage's iteration residual (before pruning) reached ``tol``.
     """
     if beta <= 0:
         raise ValidationError("inverse temperature must be positive")
@@ -279,6 +278,7 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
         marginal_residual=_marginal_residual(plan, p),
         beta=beta,
         iterations=iterations,
+        converged=bool(residual <= tol),
     )
 
 

@@ -69,3 +69,26 @@ def test_import_does_not_load_scipy_signal():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def sixteen_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sixteen") / "density.csv"
+    fileio.write_density(path, sixteen_site_density())
+    return path
+
+
+def test_mmot_reports_solver_progress(sixteen_csv, tmp_path):
+    base = ["mmot", "--density", str(sixteen_csv), "--n", "2"]
+    lp = run(base, tmp_path / "lp.json")
+    assert lp["iterations"] > 0 and "converged" not in lp
+    sk = run(base + ["--solver", "sinkhorn", "--beta", "50"], tmp_path / "sk.json")
+    assert sk["converged"] is True and sk["iterations"] > 0
+
+
+def test_threads_option_is_gone(sixteen_csv, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--threads", "2",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert not out.exists()

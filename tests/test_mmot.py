@@ -1,10 +1,12 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from llot import mmot
 from llot.errors import NumericalError, ValidationError
 from llot.grids import Grid, density_from_values, marginal, symmetrize
 from llot.mmot import (
@@ -120,6 +122,14 @@ def test_sinkhorn_two_site(p_two):
 def test_sinkhorn_marginal_residual_meets_tol(p_sixteen):
     sol = solve_sinkhorn(p_sixteen, beta=50.0, tol=1e-8, max_iter=50000)
     assert sol.marginal_residual <= 1e-8
+    assert sol.converged is True
+
+
+def test_sinkhorn_reports_iteration_cap(p_sixteen):
+    sol = solve_sinkhorn(p_sixteen, beta=200.0, max_iter=5)
+    assert sol.converged is False
+    assert sol.marginal_residual > 1.0
+    assert sol.iterations == 20  # four annealing stages of five iterations
 
 
 def test_sinkhorn_beta_sweep_monotone_toward_lp(p_sixteen):
@@ -170,3 +180,66 @@ def test_smoothed_plan_cost_respects_lp_lower_bound(p_sixteen):
     rp = build_regularized(sol.plan, rho, alpha / 8.0)
     value = integrate_observable(rp, CoulombPair())
     assert value >= sol.value - 1e-8
+
+
+def two_bump(sites):
+    """``sixteen_site_density``'s two-bump profile on ``sites`` nodes of [0, 1]."""
+    grid = Grid.line(0.0, 1.0 / (sites - 1), sites)
+    x = grid.axis()
+    raw = np.exp(-((x - 0.25) / 0.12) ** 2) + np.exp(-((x - 0.75) / 0.12) ** 2)
+    return density_from_values(grid, raw, normalize=True)
+
+
+def comotion_cost(p):
+    """Cost of the 1-D quantile-shift coupling u -> (F^-1(u + k/n mod 1))_k.
+
+    For the Coulomb cost in one dimension this co-motion coupling is optimal
+    (Seidl 1999; Colombo, De Pascale, Di Marino, Canad. J. Math. 2015), so its
+    cost is the transport value, independent of any LP solver.  The integrand
+    is constant between the points where some u + k/n crosses a jump of F.
+    """
+    positions, masses, _ = p.support()  # a line grid lists sites in order
+    cum = np.cumsum(masses)
+    shifts = np.arange(p.n) / p.n
+    jumps = ((cum[:, None] - shifts) % 1.0).ravel()
+    breaks = np.unique(np.concatenate([[0.0, 1.0], jumps]))
+    u = (0.5 * (breaks[1:] + breaks[:-1]))[:, None] + shifts
+    sites = np.minimum(np.searchsorted(cum, u % 1.0), len(masses) - 1)
+    return float(np.diff(breaks) @ p.cost.value_many(positions[sites]))
+
+
+@pytest.mark.parametrize("n, density", [
+    (2, sixteen_site_density()),
+    (3, sixteen_site_density()),
+    (2, two_bump(64)),
+    (3, two_bump(24)),
+], ids=["16-sites-n2", "16-sites-n3", "64-sites-n2", "24-sites-n3"])
+def test_lp_matches_comotion_oracle(n, density):
+    p = TransportProblem(n, density)
+    assert solve_lp(p).value == pytest.approx(comotion_cost(p), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, masses, value", [
+    (2, [0.5, 0.2, 0.2, 0.1], 2.0 / 3.0),
+    (3, [1 / 3, 1 / 3, 0.1, 0.1, 2 / 15], 0.3 * 5 / 2 + 0.3 * 11 / 6 + 0.4 * 19 / 12),
+], ids=["n2", "n3"])
+def test_lp_boundary_feasible_degenerate_marginal(n, masses, value):
+    # one site (two for n = 3) holds exactly 1/n, so it sits in every atom
+    grid = Grid.line(0.0, 1.0, len(masses))
+    p = TransportProblem(n, density_from_values(grid, np.array(masses), normalize=True))
+    sol = solve_lp(p)
+    assert sol.value == pytest.approx(value, rel=1e-12)
+    assert abs(sol.duality_gap) <= 1e-8
+    assert check_dual(sol, p).ok
+    assert sol.marginal_residual <= 1e-10
+
+
+@pytest.mark.parametrize("status, error, match", [
+    (2, ValidationError, "infeasible"),
+    (4, NumericalError, "solver stopped"),
+])
+def test_lp_solver_failure_raises(monkeypatch, p_two, status, error, match):
+    failed = SimpleNamespace(status=status, message="solver stopped")
+    monkeypatch.setattr(mmot, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(error, match=match):
+        solve_lp(p_two)
