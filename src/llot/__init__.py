@@ -16,7 +16,7 @@ from .grids import (
     snap_to_grid,
     symmetrize,
 )
-from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq, eval_chi
+from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq
 from .regularizer import (
     Constant,
     CoulombPair,

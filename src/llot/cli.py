@@ -2,7 +2,8 @@
 
 All reports are deterministic JSON (sorted keys, no timestamps); identical
 inputs produce byte-identical output.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure.
+error, 2 numerical failure.  A ``selftest`` with a failed check and a
+Sinkhorn ``mmot`` that did not converge write their report and exit 2.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def _cmd_regularize(args) -> dict:
 
 
 def _cmd_quantum_check(args) -> dict:
+    if args.samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {args.samples}")
     plan = fileio.read_plan(args.plan)
     rho = fileio.read_density(args.density, convention=args.mass_convention,
                               n_particles=plan.n)
@@ -172,13 +175,12 @@ def _cmd_quantum_check(args) -> dict:
         max_abs = max(max_abs, abs(diag - direct))
         max_val = max(max_val, abs(direct))
     analytic, quadrature = kinetic_trace(kernel)
-    # positivity on random tensor-grid vectors
-    worst = 0.0
+    # positivity: the least Rayleigh quotient over random tensor-grid vectors
+    quotients = []
     shape = (rp.grid.n_sites,) * rp.n
     for _ in range(min(100, args.samples)):
         psi = rng.standard_normal(shape)
-        val = quadratic_form(kernel, psi)
-        worst = min(worst, val / float((psi * psi).sum()))
+        quotients.append(quadratic_form(kernel, psi) / float((psi * psi).sum()))
     return {
         "command": "quantum-check",
         "config": {"plan": args.plan, "density": args.density, "eps": args.eps,
@@ -189,7 +191,7 @@ def _cmd_quantum_check(args) -> dict:
         "diagonal_max_value": max_val,
         "kinetic": {"analytic": analytic, "quadrature": quadrature,
                     "rel_mismatch": abs(analytic - quadrature) / analytic},
-        "positivity_min": worst,
+        "positivity_min": min(quotients),
         **_kernel_flag(rp),
     }
 
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
     _emit(report, args.out)
-    if args.command == "selftest" and not report["all_passed"]:
+    if report.get("all_passed") is False or report.get("converged") is False:
         return 2
     return 0
 

@@ -133,11 +133,6 @@ class GridDensity:
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 
-    def to_probability(self) -> "GridDensity":
-        if self.mass_convention == "probability":
-            return self
-        return GridDensity(self.grid, self.values / self.n_particles, "probability")
-
     def l1_distance(self, other: "GridDensity") -> float:
         return float(np.abs(self.values - other.values).sum() * self.grid.cell_volume)
 
@@ -317,30 +312,20 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
     return AtomicPlan(plan.n, plan.dim, configs, weights)
 
 
-def marginal(plan: AtomicPlan, grid: Grid, bandwidth: float = 0.0) -> GridDensity:
+def marginal(plan: AtomicPlan, grid: Grid) -> GridDensity:
     """One-particle marginal of a symmetric plan, binned to grid nodes.
 
     Each atom spreads weight ``w / n`` onto the nearest node of each of its
-    ``n`` coordinates.  With ``bandwidth > 0`` the binned marginal is
-    convolved with the squared mollifier kernel of that width (plotting aid
-    only; the exact identities use the raw binned marginal).
+    ``n`` coordinates.
     """
     if plan.n_atoms == 0:
         raise ValidationError("empty measure")
-    if bandwidth < 0:
-        raise ValidationError("bandwidth must be nonnegative")
     values = np.zeros(grid.shape)
     cell = grid.cell_volume
     for config, w in zip(plan.configs, plan.weights):
         for k in range(plan.n):
             values[grid.index_of(config[k])] += w / (plan.n * cell)
-    rho = GridDensity(grid, values)
-    if bandwidth > 0:
-        from .mollifier import BumpProfile, ScaledMollifier, convolve_sq
-
-        m = ScaledMollifier(BumpProfile(grid.dim), bandwidth)
-        rho = convolve_sq(rho, m)
-    return rho
+    return GridDensity(grid, values)
 
 
 def h1_seminorm_sqrt(rho: GridDensity) -> float:

@@ -146,17 +146,6 @@ class ScaledMollifier:
         scale = self.eps ** (-self.dim / 2.0 - 1.0)
         return scale * self.base.radial_deriv(np.asarray(r, dtype=float) / self.eps)
 
-    def grad_sq_moment(self) -> float:
-        return self.base.moments()[0] / self.eps**2
-
-    def second_moment(self) -> float:
-        return self.base.moments()[1] * self.eps**2
-
-
-def eval_chi(m: ScaledMollifier, x):
-    """Pointwise chi_eps; exactly zero for |x| >= eps."""
-    return m(x)
-
 
 class GridKernel:
     """``chi_eps`` resampled on the offset lattice of a grid and renormalized.
@@ -164,6 +153,8 @@ class GridKernel:
     ``offsets`` are the integer lattice vectors ``o`` with ``|o*h| < eps``;
     ``amp[o]`` is the renormalized amplitude with ``sum(amp**2) * h**d == 1``
     and ``sq = amp**2`` the unit-mass squared kernel used for smoothing.
+    This table is the package's one discrete kernel; :meth:`amp_of` looks it
+    up at integer node differences.
     """
 
     def __init__(self, m: ScaledMollifier, h: float):
@@ -182,6 +173,10 @@ class GridKernel:
         ]
         self.offsets = np.array(offsets, dtype=int)
         self.halfwidth = int(np.abs(self.offsets).max())
+        # C-order keys of the offsets in their (2*halfwidth + 1)^dim cube;
+        # itertools.product yields them sorted, as amp_of's search needs
+        self._keys = np.ravel_multi_index(tuple((self.offsets + self.halfwidth).T),
+                                          (2 * self.halfwidth + 1,) * self.dim)
         radii = np.sqrt((self.offsets.astype(float) ** 2).sum(axis=1)) * h
         raw = m.radial(radii)
         norm = (raw**2).sum() * h**self.dim
@@ -191,14 +186,17 @@ class GridKernel:
         self.amp = raw / math.sqrt(norm)
         self.sq = self.amp**2
 
-    def amp_at(self, u):
-        """Renormalized amplitude at arbitrary displacements ``u``."""
-        u = np.asarray(u, dtype=float)
-        if self.dim == 1 and (u.ndim == 0 or u.shape[-1] != 1):
-            r = np.abs(u)
-        else:
-            r = np.sqrt((u * u).sum(axis=-1))
-        return self.m.radial(r) / math.sqrt(self.norm)
+    def amp_of(self, o) -> np.ndarray:
+        """``amp`` at integer lattice offsets ``o`` of shape (..., dim); 0 for
+        offsets not in the table."""
+        o = np.asarray(o, dtype=int)
+        r = self.halfwidth
+        inside = np.all(np.abs(o) <= r, axis=-1)
+        key = np.ravel_multi_index(tuple(np.moveaxis(np.clip(o, -r, r) + r, -1, 0)),
+                                   (2 * r + 1,) * self.dim)
+        pos = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        return np.where(inside & (self._keys[pos] == key), self.amp[pos], 0.0)
+
 
 def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
     """``out[x] = sum_o w_o * values[x - o]`` over the trailing ``dim`` axes.

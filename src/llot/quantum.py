@@ -2,74 +2,66 @@
 
 The state is an integral of rank-one projections onto Slater determinants of
 the localized orbitals ``f_z(x) = sqrt(rho(x)) * amp(x - z)``, weighted by the
-same (atom, z)-quadrature measure that defines the smoothed plan.  Its kernel
-on configuration pairs is
+same (atom, z)-quadrature measure that defines the smoothed plan.  The
+orbitals live in index space: ``x`` and ``z`` are grid nodes and ``amp`` is
+the kernel's table at the integer offset ``x - z`` (``GridKernel.amp_of``).
+With ``A(X, Z)_{ij} = amp(x_j - z_i)`` the kernel on configuration pairs is
 
-    K(X; X') = 1/n! * sum_atoms w * sum_Z det(amp(x_j - z_i))
-               * det(amp(x'_j - z_i)) * prod_k sqrt(rho(x_k) rho(x'_k))
-               * prod_k kappa(z_k - y_k) / (rho*kappa)(z_k) * h^{d n}.
+    K(X; X') = 1/n! * sum_atoms w * sum_Z prod_i q_i(z_i)
+               * det A(X, Z) * det A(X', Z)
+               * prod_k sqrt(rho(x_k) rho(x'_k)) * h^{d n},
+
+where ``z_i`` runs over the window of the atom's i-th coordinate and
+``q_i = kappa / (rho * kappa)`` there.  The weights are a product over
+particles, so the sum over Z factorizes into one n x n matrix per
+atom-coordinate center c, ``M_c = A_c^T diag(q_c) A'_c``:
+
+    sum_Z prod_i q_i(z_i) det A(X, Z) det A(X', Z)
+        = sum_{sigma, tau} sgn(sigma) sgn(tau) prod_i M_i[sigma(i), tau(i)].
 
 Because the z windows of distinct atom coordinates are disjoint (the plan
 separation exceeds 4 eps), the determinant square collapses to a permutation
 sum and the diagonal of the kernel equals the smoothed plan density exactly.
-All traces reduce to one-dimensional sums; nothing dense is ever required.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
 from .grids import GridDensity, h1_seminorm_sqrt
-from .mollifier import GridKernel
+from .mollifier import GridKernel, offset_sum
 from .regularizer import RegularizedPlan, kinetic_term
 
 MAX_DENSE_ENTRIES = 1 << 24
 
 
-def _permutations_with_sign(n: int):
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        perms.append((perm, sign))
-    return perms
-
-
-def _sort_block(config: np.ndarray):
-    """Lexicographic sort of particle rows; returns (sorted, permutation sign)."""
-    keys = tuple(config[:, d] for d in reversed(range(config.shape[1])))
-    order = np.lexsort(keys)
+def _parity(perm) -> int:
+    """Sign of the permutation ``i -> perm[i]``: -1 to the number of
+    even-length cycles."""
+    seen = [False] * len(perm)
     sign = 1
-    seen = [False] * len(order)
-    perm = list(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
+    for start in range(len(perm)):
         length = 0
         j = start
         while not seen[j]:
             seen[j] = True
             j = perm[j]
             length += 1
-        if length % 2 == 0:
+        if length and length % 2 == 0:
             sign = -sign
-    return config[order], sign
+    return sign
+
+
+def _signed_permutations(n: int) -> tuple:
+    """All permutations of range(n) as rows of an array, and their signs."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    return perms, np.array([_parity(p) for p in perms])
 
 
 class OrbitalSet:
@@ -101,16 +93,18 @@ class OrbitalSet:
         return float(dist[iu].min())
 
     def matrix(self, config) -> np.ndarray:
-        """Orbital values phi_i(x_j), shape (n, n)."""
+        """Orbital values phi_i(x_j), shape (n, n).
+
+        Index-space orbitals: ``phi_i(x) = amp(rint((x - z_i) / h))`` from the
+        kernel's table, times ``sqrt(rho)`` at the node nearest to ``x`` when
+        a density is given.
+        """
         config = np.asarray(config, dtype=float).reshape(self.n, -1)
-        disp = config[None, :, :] - self.centers[:, None, :]
-        vals = self.kernel.amp_at(disp)
+        steps = np.rint((config[None, :, :] - self.centers[:, None, :]) / self.kernel.h)
+        vals = self.kernel.amp_of(steps.astype(int))
         if self.rho is not None:
-            g = self.rho.grid
-            root = np.array([
-                math.sqrt(self.rho.values[g.index_of(x)]) for x in config
-            ])
-            vals = vals * root[None, :]
+            idx = self.rho.grid.indices_of(config)
+            vals = vals * np.sqrt(self.rho.values[tuple(idx.T)])[None, :]
         return vals
 
 
@@ -131,12 +125,8 @@ def det_square_identity(orbitals: OrbitalSet, config) -> tuple:
         raise ValidationError("identity requires disjoint supports")
     mat = orbitals.matrix(config)
     lhs = float(np.linalg.det(mat) ** 2)
-    rhs = 0.0
-    for perm, _ in _permutations_with_sign(orbitals.n):
-        prod = 1.0
-        for k in range(orbitals.n):
-            prod *= mat[perm[k], k] ** 2
-        rhs += prod
+    perms, _ = _signed_permutations(orbitals.n)
+    rhs = sum(float(np.prod(mat[perm, np.arange(orbitals.n)] ** 2)) for perm in perms)
     return lhs, float(rhs)
 
 
@@ -146,15 +136,14 @@ class MixedStateKernel:
     def __init__(self, rp: RegularizedPlan):
         self.rp = rp
         self.sqrt_rho = np.sqrt(rp.rho.values).ravel()
-        self.points = rp.grid.points()
-        # per atom and coordinate: window node positions, kappa/denom weights
-        self._atom_windows = []
-        for a in range(rp.source.n_atoms):
-            wins = []
-            for k in range(rp.n):
-                flat_idx, kap, q = rp.windows[rp.center_of[a, k]]
-                wins.append((flat_idx, self.points[flat_idx], q))
-            self._atom_windows.append(wins)
+        # per center: window node multi-indices and weights q, padded with q = 0
+        width = max(q.size for _, _, q in rp.windows)
+        self._z = np.zeros((len(rp.windows), width, rp.grid.dim), dtype=int)
+        self._q = np.zeros((len(rp.windows), width))
+        for c, (flat_z, _, q) in enumerate(rp.windows):
+            self._z[c, :q.size] = np.stack(np.unravel_index(flat_z, rp.grid.shape), -1)
+            self._q[c, :q.size] = q
+        self._perms = _signed_permutations(rp.n)
 
     @property
     def n(self) -> int:
@@ -164,49 +153,47 @@ class MixedStateKernel:
     def grid(self):
         return self.rp.grid
 
-    def _block_eval(self, x_sorted: np.ndarray, xp_sorted: np.ndarray) -> float:
-        """Kernel value for canonically ordered blocks of node coordinates."""
+    @cached_property
+    def window_tuples(self) -> tuple:
+        """Every atom's window node tuples ``(m, n)`` as flat node indices, and
+        their weights ``w * prod_i q_i(z_i) * h^{d n}``."""
         rp = self.rp
-        grid = rp.grid
-        n = rp.n
-        cell = grid.cell_volume
-        root_x = np.array([self.sqrt_rho[grid.flat_index_of(x)] for x in x_sorted])
-        root_xp = np.array([self.sqrt_rho[grid.flat_index_of(x)] for x in xp_sorted])
-        amp_scale = float(np.prod(root_x) * np.prod(root_xp))
-        if amp_scale == 0.0:
-            return 0.0
-        total = 0.0
+        tuples, weights = [], []
         for a in range(rp.source.n_atoms):
-            wins = self._atom_windows[a]
-            mats = []
-            matps = []
-            skip = False
-            for i in range(n):
-                _, zpos, _ = wins[i]
-                vi = rp.kernel.amp_at(x_sorted[None, :, :] - zpos[:, None, :])
-                vpi = rp.kernel.amp_at(xp_sorted[None, :, :] - zpos[:, None, :])
-                mats.append(vi)     # (w_i, n): columns are x_j
-                matps.append(vpi)
-            for j in range(n):
-                if all(m[:, j].max() == 0.0 for m in mats) or \
-                   all(m[:, j].max() == 0.0 for m in matps):
-                    skip = True
-                    break
-            if skip:
-                continue
-            sizes = [w[0].size for w in wins]
-            idx = np.stack([g.ravel() for g in np.meshgrid(
-                *[np.arange(s) for s in sizes], indexing="ij")], axis=1)
-            m_batch = np.empty((idx.shape[0], n, n))
-            mp_batch = np.empty((idx.shape[0], n, n))
-            weight = np.ones(idx.shape[0])
-            for i in range(n):
-                m_batch[:, i, :] = mats[i][idx[:, i]]
-                mp_batch[:, i, :] = matps[i][idx[:, i]]
-                weight *= wins[i][2][idx[:, i]]
-            dets = np.linalg.det(m_batch) * np.linalg.det(mp_batch)
-            total += rp.source.weights[a] * float((dets * weight).sum())
-        return total * amp_scale * cell**n / math.factorial(n)
+            wins = [rp.windows[c] for c in rp.center_of[a]]
+            nodes = np.meshgrid(*[flat_z for flat_z, _, _ in wins], indexing="ij")
+            qs = np.meshgrid(*[q for _, _, q in wins], indexing="ij")
+            tuples.append(np.stack([g.ravel() for g in nodes], axis=1))
+            weight = rp.source.weights[a] * np.ones(qs[0].size)
+            for g in qs:
+                weight *= g.ravel()
+            weights.append(weight * rp.grid.cell_volume**rp.n)
+        return np.concatenate(tuples), np.concatenate(weights)
+
+    def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> float:
+        """Kernel value for sorted blocks of flat node indices, through the
+        factorized sum over window tuples (see the module docstring)."""
+        rp = self.rp
+        n = rp.n
+        root = float(np.prod(self.sqrt_rho[x]) * np.prod(self.sqrt_rho[xp]))
+        if root == 0.0:
+            return 0.0
+        amps = []
+        for block in (x, xp):
+            nodes = np.stack(np.unravel_index(block, rp.grid.shape), axis=-1)
+            amps.append(rp.kernel.amp_of(nodes[None, None] - self._z[:, :, None]))
+        # only atoms whose centers reach every coordinate of both blocks
+        reach = [a.any(axis=1)[rp.center_of].any(axis=1).all(axis=1) for a in amps]
+        atoms = np.flatnonzero(reach[0] & reach[1])
+        if atoms.size == 0:
+            return 0.0
+        m = np.einsum("czj,cz,czk->cjk", amps[0], self._q, amps[1])[rp.center_of[atoms]]
+        perms, signs = self._perms
+        terms = np.ones((atoms.size, len(perms), len(perms)))
+        for i in range(n):
+            terms *= m[:, i][:, perms[:, i][:, None], perms[:, i][None, :]]
+        total = np.einsum("a,ast,s,t->", rp.source.weights[atoms], terms, signs, signs)
+        return float(total) * root * rp.grid.cell_volume**n / math.factorial(n)
 
 
 def kernel_eval(K: MixedStateKernel, config, config_p) -> float:
@@ -214,21 +201,23 @@ def kernel_eval(K: MixedStateKernel, config, config_p) -> float:
 
     Coordinates are snapped to their nearest nodes, as
     :meth:`RegularizedPlan.evaluate` does, so the diagonal equals the
-    smoothed plan density exactly.  Argument blocks are then brought to a
-    canonical particle order and the permutation parities applied afterwards,
-    so antisymmetry under particle exchange holds exactly, not just to
-    rounding.
+    smoothed plan density exactly.  Each block's flat node indices are then
+    sorted and the parities of the sorts applied afterwards, so antisymmetry
+    under particle exchange holds exactly, not just to rounding; a block that
+    repeats a node gives exactly 0 (Pauli).
     """
-    n, dim, grid = K.n, K.rp.source.dim, K.grid
-
-    def snapped(c):
-        c = np.asarray(c, dtype=float).reshape(n, dim)
-        return np.array([grid.node(grid.index_of(x)) for x in c])
-
-    x, xp = snapped(config), snapped(config_p)
-    xs, sign_x = _sort_block(x)
-    xps, sign_xp = _sort_block(xp)
-    return sign_x * sign_xp * K._block_eval(xs, xps)
+    grid = K.grid
+    sign = 1
+    blocks = []
+    for c in (config, config_p):
+        idx = grid.indices_of(np.asarray(c, dtype=float).reshape(K.n, grid.dim))
+        flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+        order = np.argsort(flat)
+        if np.any(np.diff(flat[order]) == 0):
+            return 0.0
+        sign *= _parity(order)
+        blocks.append(flat[order])
+    return sign * K._block_eval(*blocks)
 
 
 def trace(K: MixedStateKernel) -> float:
@@ -315,95 +304,66 @@ def kinetic_trace(K: MixedStateKernel) -> tuple:
     return float(analytic), float(quad)
 
 
-def _atom_tuple_vectors(K: MixedStateKernel, a: int):
-    """Orbital column matrix, tuple index array and weights for one atom."""
-    rp = K.rp
-    wins = K._atom_windows[a]
-    sizes = [w[0].size for w in wins]
-    idx = np.stack([g.ravel() for g in np.meshgrid(
-        *[np.arange(s) for s in sizes], indexing="ij")], axis=1)
-    weight = rp.source.weights[a] * np.ones(idx.shape[0])
-    for i in range(rp.n):
-        weight *= wins[i][2][idx[:, i]]
-    weight *= rp.grid.cell_volume**rp.n
-    return wins, idx, weight
-
-
-def _orbital_columns(K: MixedStateKernel, flat_idx: np.ndarray) -> np.ndarray:
-    """f_z vectors (n_sites, n_windows) for the window nodes ``flat_idx``."""
-    rp = K.rp
-    s = rp.grid.n_sites
-    cols = np.zeros((s, flat_idx.size))
-    base_shape = rp.grid.shape
-    for w, fz in enumerate(flat_idx):
-        z_idx = np.array(np.unravel_index(int(fz), base_shape))
-        field = np.zeros(base_shape)
-        for o, v in zip(rp.kernel.offsets, rp.kernel.amp):
-            field[tuple(z_idx + o)] = v
-        cols[:, w] = field.ravel() * K.sqrt_rho
-    return cols
-
-
 def quadratic_form(K: MixedStateKernel, psi: np.ndarray) -> float:
     """<psi, Gamma psi> for a test vector on the n-fold tensor grid.
 
-    Evaluated through the rank-one structure: the overlap of psi with each
-    Slater determinant in the mixture, squared and weighted.
+    Evaluated through the rank-one structure.  ``psi * sqrt(rho)`` correlated
+    with ``amp`` along each particle axis (:func:`offset_sum`; off-grid nodes
+    count as zero) holds the overlap of psi with every product orbital
+    ``f_{z_1} x ... x f_{z_n}``; the overlap with a Slater determinant is its
+    signed sum over the orderings of the window tuple, squared and weighted.
     """
     rp = K.rp
-    n = rp.n
-    s = rp.grid.n_sites
-    psi = np.asarray(psi, dtype=float).reshape((s,) * n)
-    cell = rp.grid.cell_volume
-    perms = _permutations_with_sign(n)
-    total = 0.0
-    for a in range(rp.source.n_atoms):
-        wins, idx, weight = _atom_tuple_vectors(K, a)
-        mats = [_orbital_columns(K, w[0]) for w in wins]
-        overlaps = np.zeros(idx.shape[0])
-        for perm, sign in perms:
-            # axis j of psi contracted against the orbital of slot perm(j)
-            c = psi
-            for j in range(n):
-                c = np.tensordot(c, mats[perm[j]], axes=([0], [0]))
-            gathered = c[tuple(idx[:, perm[j]] for j in range(n))]
-            overlaps += sign * gathered
-        overlaps *= cell**n / math.sqrt(math.factorial(n))
-        total += float((weight * overlaps**2).sum())
-    return total
+    n, grid = rp.n, rp.grid
+    c = np.asarray(psi, dtype=float).reshape(grid.shape * n)
+    root = K.sqrt_rho.reshape(grid.shape)
+    for _ in range(n):
+        # correlate the last particle's axes, then rotate them to the front
+        c = offset_sum(c * root, -rp.kernel.offsets, rp.kernel.amp)
+        c = np.moveaxis(c, range(c.ndim - grid.dim, c.ndim), range(grid.dim))
+    c = c.ravel()
+    tuples, weights = K.window_tuples
+    perms, signs = K._perms
+    overlaps = np.zeros(tuples.shape[0])
+    for perm, sign in zip(perms, signs):
+        flat = np.ravel_multi_index(tuples[:, perm].T, (grid.n_sites,) * n)
+        overlaps += sign * c[flat]
+    overlaps *= grid.cell_volume**n / math.sqrt(math.factorial(n))
+    return float((weights * overlaps**2).sum())
 
 
 def dense_kernel_matrix(K: MixedStateKernel,
                         max_entries: int = MAX_DENSE_ENTRIES) -> np.ndarray:
-    """Dense (n_sites^n, n_sites^n) kernel matrix, for desk-size checks."""
+    """Dense (n_sites^n, n_sites^n) kernel matrix, for desk-size checks.
+
+    The reference the tests compare :func:`kernel_eval` and
+    :func:`quadratic_form` against: one explicit Slater vector per window
+    tuple, from orbital columns ``f_z(x) = sqrt(rho(x)) * amp(x - z)`` over
+    every node x.
+    """
     rp = K.rp
     n = rp.n
     s = rp.grid.n_sites
     dim_total = s**n
-    rows = sum(int(np.prod([w[0].size for w in K._atom_windows[a]]))
-               for a in range(rp.source.n_atoms))
+    tuples, weights = K.window_tuples
+    rows = tuples.shape[0]
     if rows * dim_total > max_entries:
         raise ValidationError(
             f"dense kernel of {rows} x {dim_total} entries exceeds the "
             f"{max_entries} limit"
         )
-    perms = _permutations_with_sign(n)
-    blocks = []
-    weights = []
-    for a in range(rp.source.n_atoms):
-        wins, idx, weight = _atom_tuple_vectors(K, a)
-        mats = [_orbital_columns(K, w[0]) for w in wins]
-        b = np.zeros((idx.shape[0], dim_total))
-        for perm, sign in perms:
-            # per tuple: the product state prod_j f_{z_perm(j)}(x_j), flattened
-            term = mats[perm[0]][:, idx[:, perm[0]]].T
-            for j in range(1, n):
-                nxt = mats[perm[j]][:, idx[:, perm[j]]].T
-                term = (term[:, :, None] * nxt[:, None, :]).reshape(idx.shape[0], -1)
-            b += sign * term
-        b /= math.sqrt(math.factorial(n))
-        blocks.append(b)
-        weights.append(weight)
-    b_all = np.concatenate(blocks, axis=0)
-    w_all = np.concatenate(weights)
-    return (b_all * w_all[:, None]).T @ b_all
+    zs, col_of = np.unique(tuples, return_inverse=True)
+    col_of = col_of.reshape(tuples.shape)
+    nodes = np.stack(np.unravel_index(np.arange(s), rp.grid.shape), axis=-1)
+    cols = K.sqrt_rho[:, None] * rp.kernel.amp_of(nodes[:, None] - nodes[None, zs])
+    perms, signs = K._perms
+    b = np.zeros((rows, dim_total))
+    for perm, sign in zip(perms, signs):
+        # per tuple: the product state prod_j f_{z_perm(j)}(x_j), flattened
+        term = cols[:, col_of[:, perm[0]]].T
+        for j in range(1, n):
+            nxt = cols[:, col_of[:, perm[j]]].T
+            term = (term[:, :, None] * nxt[:, None, :]).reshape(rows, -1)
+        b += sign * term
+    b /= math.sqrt(math.factorial(n))
+    return (b * weights[:, None]).T @ b

@@ -168,17 +168,11 @@ class SmoothedPlan:
         self.kernel = GridKernel(m, grid.h)
 
     def evaluate(self, config) -> float:
+        """Q_eps at a configuration (coordinates snapped to nearest nodes)."""
         config = np.asarray(config, dtype=float).reshape(self.source.n, self.source.dim)
-        total = 0.0
-        for atom, w in zip(self.source.configs, self.source.weights):
-            prod = w
-            for k in range(self.source.n):
-                node = self.grid.node(self.grid.index_of(config[k]))
-                prod *= float(self.kernel.amp_at(node - atom[k]) ** 2)
-                if prod == 0.0:
-                    break
-            total += prod
-        return total
+        diff = self.grid.indices_of(config) - self.grid.indices_of(self.source.configs)
+        kappa = self.kernel.amp_of(diff) ** 2    # (n_atoms, n)
+        return float((self.source.weights * kappa.prod(axis=1)).sum())
 
     def density(self) -> GridDensity:
         values = np.zeros(self.grid.shape)

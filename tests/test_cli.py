@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import llot
 from llot import cli, fileio
-from llot.grids import marginal
+from llot.grids import marginal, symmetrize
 from llot.presets import fixture_paired_smooth, sixteen_site_density
+from llot.quantum import MixedStateKernel, quadratic_form
+from llot.regularizer import build_regularized
 
 
 @pytest.fixture(scope="module")
@@ -90,5 +93,50 @@ def test_threads_option_is_gone(sixteen_csv, tmp_path):
     out = tmp_path / "report.json"
     argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--threads", "2",
             "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert not out.exists()
+
+
+def test_mmot_sinkhorn_exits_2_when_not_converged(sixteen_csv, tmp_path, monkeypatch):
+    from llot.mmot import solve_sinkhorn
+
+    monkeypatch.setattr(cli, "solve_sinkhorn",
+                        lambda p, **kw: solve_sinkhorn(p, max_iter=5, **kw))
+    out = tmp_path / "report.json"
+    argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--solver", "sinkhorn",
+            "--beta", "50", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert json.loads(out.read_text())["converged"] is False
+
+
+def test_quantum_check_reports_the_least_rayleigh_quotient(paired_files, tmp_path):
+    grid, plan_path, density_path, eps = paired_files
+    argv = ["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
+            "--eps", repr(eps), "--samples", "20", "--seed", "4"]
+    rep = run(argv, tmp_path / "a.json")
+    run(argv, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    # replay the report's random stream: 20 diagonal samples, then 20 vectors
+    plan = symmetrize(fileio.read_plan(plan_path))
+    rp = build_regularized(plan, fileio.read_density(density_path, n_particles=2), eps)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        rng.integers(rp.source.n_atoms)
+        rng.uniform(-2 * rp.eps, 2 * rp.eps, size=(rp.n, rp.source.dim))
+    K = MixedStateKernel(rp)
+    quotients = []
+    for _ in range(20):
+        psi = rng.standard_normal((grid.n_sites,) * 2)
+        quotients.append(quadratic_form(K, psi) / float((psi * psi).sum()))
+    assert rep["positivity_min"] > 0.0
+    assert rep["positivity_min"] == min(quotients)
+
+
+def test_quantum_check_rejects_zero_samples(paired_files, tmp_path):
+    grid, plan_path, density_path, eps = paired_files
+    out = tmp_path / "report.json"
+    argv = ["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
+            "--eps", repr(eps), "--samples", "0", "--out", str(out)]
     assert cli.main(argv) == 1
     assert not out.exists()

@@ -113,6 +113,30 @@ def test_dual_certificate_and_perturbation(p_three):
     assert rep_bad.worst_config is not None
 
 
+def test_dual_check_against_per_configuration_loop(p_sixteen):
+    sol = solve_lp(p_sixteen)
+    positions, _, _ = p_sixteen.support()
+    v, cost = sol.dual_potential, p_sixteen.cost
+    slack = [v[list(c)].sum() - cost.value(positions[list(c)])
+             for c in itertools.combinations(range(len(positions)), 2)]
+    site_of = {tuple(x): i for i, x in enumerate(positions)}
+    cs = sum(w * abs(cost.value(config) - sum(v[site_of[tuple(x)]] for x in config))
+             for config, w in zip(sol.plan.configs, sol.plan.weights))
+    rep = check_dual(sol, p_sixteen)
+    assert rep.max_violation == max(slack)
+    assert rep.complementary_residual == pytest.approx(cs, rel=1e-12, abs=1e-15)
+
+
+def test_dual_check_rejects_a_plan_off_the_support(p_sixteen):
+    sol = solve_lp(p_sixteen)
+    rho = p_sixteen.marginal
+    values = rho.values.copy()
+    values[np.flatnonzero(values)[0]] = 0.0
+    thinned = TransportProblem(2, density_from_values(rho.grid, values, normalize=True))
+    with pytest.raises(ValidationError, match="off the marginal support"):
+        check_dual(sol, thinned)
+
+
 def test_sinkhorn_two_site(p_two):
     sol = solve_sinkhorn(p_two, beta=100.0, tol=1e-8)
     assert abs(sol.value - 1.0) <= 1e-3

@@ -9,7 +9,6 @@ from llot.mollifier import (
     GridKernel,
     ScaledMollifier,
     convolve_sq,
-    eval_chi,
     offset_sum,
 )
 
@@ -40,21 +39,21 @@ def test_scaled_mass_is_one_across_widths(bump):
 
 def test_eval_chi_support_boundary(bump):
     m = ScaledMollifier(bump, 0.25)
-    assert eval_chi(m, 0.25) == 0.0
-    assert eval_chi(m, -0.25) == 0.0
-    assert eval_chi(m, 0.24) > 0.0
+    assert m(0.25) == 0.0
+    assert m(-0.25) == 0.0
+    assert m(0.24) > 0.0
 
 
 def test_eval_chi_center_value(bump):
     m = ScaledMollifier(bump, 1.0)
-    assert eval_chi(m, 0.0) == pytest.approx(bump.c * np.exp(-1.0), rel=1e-14)
+    assert m(0.0) == pytest.approx(bump.c * np.exp(-1.0), rel=1e-14)
 
 
 def test_eval_chi_even_symmetry(bump):
     m = ScaledMollifier(bump, 0.37)
     rng = np.random.default_rng(7)
     xs = rng.uniform(-0.5, 0.5, size=1000)
-    assert np.array_equal(eval_chi(m, xs), eval_chi(m, -xs))
+    assert np.array_equal(m(xs), m(-xs))
 
 
 def test_moments_second_moment_below_one(bump):
@@ -90,6 +89,16 @@ def test_grid_kernel_unit_mass_and_unresolved(bump):
     assert k.sq.sum() * 0.05 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError, match="kernel unresolved"):
         GridKernel(m, 0.3)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_amp_of_reads_the_table_and_zero_off_it(dim):
+    k = GridKernel(ScaledMollifier(BumpProfile(dim), 0.2), 0.05)
+    assert np.array_equal(k.amp_of(k.offsets), k.amp)
+    r = k.halfwidth
+    off_table = [o for o in np.ndindex(*(2 * r + 3,) * dim)
+                 if not (np.array(o) - r - 1 == k.offsets).all(axis=1).any()]
+    assert np.all(k.amp_of(np.array(off_table) - r - 1) == 0.0)
 
 
 def test_convolve_point_mass_gives_kernel_copy(bump):

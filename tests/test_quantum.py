@@ -7,7 +7,7 @@ import pytest
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal
 from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
-from llot.presets import kinetic_instance
+from llot.presets import kinetic_instance, permutation_plan
 from llot.quantum import (
     MixedStateKernel,
     OrbitalSet,
@@ -89,7 +89,7 @@ def test_det_square_identity_at_centers():
     g = Grid.line(0.0, 1 / 16, 32)
     orbs = orbital_set(g, [0.5, 1.25], 0.2)
     lhs, rhs = det_square_identity(orbs, np.array([[0.5], [1.25]]))
-    amp0 = orbs.kernel.amp_at(np.array([0.0]))
+    amp0 = orbs.kernel.amp_of(np.array([0]))
     assert lhs == pytest.approx(amp0**4, rel=1e-13)
     assert rhs == pytest.approx(amp0**4, rel=1e-13)
 
@@ -151,6 +151,30 @@ def test_kernel_hermitian(smooth_state):
         worst = max(worst, abs(v1 - v2))
         scale = max(scale, abs(v1))
     assert worst <= 1e-14 * max(scale, 1e-300)
+
+
+def test_kernel_matches_dense_matrix_off_diagonal(small_state):
+    grid, rp, K = small_state
+    mat = dense_kernel_matrix(K)
+    s = grid.n_sites
+    support = np.flatnonzero(rp.rho.values)
+    rng = np.random.default_rng(31)
+
+    def block():
+        # half the blocks order the support nodes, so that entries are nonzero
+        if rng.random() < 0.5:
+            return rng.permutation(support)
+        return rng.integers(s, size=2)
+
+    axis = grid.axis()
+    nonzero = 0
+    for _ in range(200):
+        i, j = block(), block()
+        entry = mat[i[0] * s + i[1], j[0] * s + j[1]]
+        val = kernel_eval(K, axis[i][:, None], axis[j][:, None])
+        assert abs(val - entry) <= 1e-12 * np.abs(mat).max()
+        nonzero += entry != 0.0
+    assert nonzero >= 20
 
 
 def test_kernel_antisymmetry_is_exact(small_state):
@@ -271,6 +295,40 @@ def test_quadratic_form_matches_dense(small_state):
         psi = rng.standard_normal((grid.n_sites,) * 2)
         direct = psi.ravel() @ mat @ psi.ravel() * grid.h**4
         assert quadratic_form(K, psi) == pytest.approx(direct, rel=1e-12)
+
+
+def test_quadratic_form_near_upper_grid_edge():
+    # the support sits one kernel halfwidth below the last node, so window
+    # orbitals reach past the grid
+    grid = Grid.line(0.0, 1 / 16, 32)
+    plan = permutation_plan([14 * grid.h, 28 * grid.h])
+    rp = build_regularized(plan, marginal(plan, grid), 0.2)
+    assert 28 + rp.kernel.halfwidth == grid.npts - 1
+    K = MixedStateKernel(rp)
+    mat = dense_kernel_matrix(K)
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        psi = rng.standard_normal((grid.n_sites,) * 2)
+        direct = psi.ravel() @ mat @ psi.ravel() * grid.h**4
+        assert quadratic_form(K, psi) == pytest.approx(direct, rel=1e-12)
+
+
+def test_quadratic_form_and_kernel_match_dense_in_two_dimensions():
+    grid = Grid(dim=2, origin=np.zeros(2), h=0.25, npts=7)
+    plan = permutation_plan([np.array([1, 1]) * grid.h, np.array([5, 4]) * grid.h])
+    rp = build_regularized(plan, marginal(plan, grid), 1.1 * grid.h)
+    assert len(rp.kernel.offsets) == 5
+    K = MixedStateKernel(rp)
+    mat = dense_kernel_matrix(K)
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        psi = rng.standard_normal((grid.n_sites,) * 2)
+        direct = psi.ravel() @ mat @ psi.ravel() * grid.h**8
+        assert quadratic_form(K, psi) == pytest.approx(direct, rel=1e-12)
+    pts, s = grid.points(), grid.n_sites
+    for r, c in np.argwhere(mat != 0.0):
+        val = kernel_eval(K, pts[[r // s, r % s]], pts[[c // s, c % s]])
+        assert val == pytest.approx(mat[r, c], rel=1e-12)
 
 
 def test_dense_matrix_antisymmetry(small_state):

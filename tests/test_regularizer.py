@@ -232,6 +232,16 @@ def test_smoothed_plan_density_is_denominator(two_site_fixture):
     assert np.allclose(q.density().values, rp.denom.values, rtol=1e-12, atol=1e-14)
 
 
+def test_smoothed_plan_evaluate_marginal_is_its_density(two_site_fixture):
+    grid, plan, rho, eps_list = two_site_fixture
+    q = SmoothedPlan(plan, ScaledMollifier(BumpProfile(1), eps_list[0]), grid)
+    axis = grid.axis()
+    vals = np.array([[q.evaluate(np.array([[x], [y]])) for y in axis] for x in axis])
+    assert vals.sum() * grid.h**2 == pytest.approx(1.0, abs=1e-12)
+    marg = 0.5 * (vals.sum(axis=0) + vals.sum(axis=1)) * grid.h
+    assert np.abs(marg - q.density().values).max() <= 1e-12 * marg.max()
+
+
 def outer_product_tensor(rp):
     """Per-atom sum of the weighted outer products of the transfer vectors."""
     s = rp.grid.n_sites
