@@ -165,8 +165,8 @@ def _cmd_quantum_check(args) -> dict:
     # diagonal identity on sampled support configurations
     max_abs = 0.0
     max_val = 0.0
-    n_samples = min(args.samples, 2000)
-    for _ in range(n_samples):
+    diagonal_samples = min(args.samples, 2000)
+    for _ in range(diagonal_samples):
         a = rng.integers(rp.source.n_atoms)
         config = rp.source.configs[a] + rng.uniform(-2 * rp.eps, 2 * rp.eps,
                                                     size=(rp.n, rp.source.dim))
@@ -178,7 +178,8 @@ def _cmd_quantum_check(args) -> dict:
     # positivity: the least Rayleigh quotient over random tensor-grid vectors
     quotients = []
     shape = (rp.grid.n_sites,) * rp.n
-    for _ in range(min(100, args.samples)):
+    positivity_samples = min(100, args.samples)
+    for _ in range(positivity_samples):
         psi = rng.standard_normal(shape)
         quotients.append(quadratic_form(kernel, psi) / float((psi * psi).sum()))
     return {
@@ -189,9 +190,11 @@ def _cmd_quantum_check(args) -> dict:
         "density_l1_error": dens_err,
         "diagonal_max_abs_error": max_abs,
         "diagonal_max_value": max_val,
+        "diagonal_samples": diagonal_samples,
         "kinetic": {"analytic": analytic, "quadrature": quadrature,
                     "rel_mismatch": abs(analytic - quadrature) / analytic},
         "positivity_min": min(quotients),
+        "positivity_samples": positivity_samples,
         **_kernel_flag(rp),
     }
 

@@ -264,19 +264,15 @@ def separation(plan: AtomicPlan) -> SeparationReport:
     """Exact minimum pairwise distance |x_i - x_j| over atoms and pairs i != j."""
     if plan.n < 2:
         raise ValidationError("separation undefined for single particle")
-    best = np.inf
-    worst_atom = None
-    for config in plan.configs:
-        diff = config[:, None, :] - config[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        iu = np.triu_indices(plan.n, k=1)
-        m = dist[iu].min()
-        if m < best:
-            best = m
-            worst_atom = config
+    diff = plan.configs[:, :, None, :] - plan.configs[:, None, :, :]
+    dist = np.sqrt((diff**2).sum(-1))
+    iu = np.triu_indices(plan.n, k=1)
+    per_atom = dist[:, iu[0], iu[1]].min(axis=1)
+    worst = int(np.argmin(per_atom))
+    best = per_atom[worst]
     report = SeparationReport(alpha=float(best))
     if best == 0.0:
-        report.violating_atom = worst_atom
+        report.violating_atom = plan.configs[worst]
     return report
 
 
@@ -286,14 +282,8 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
     The exact marginal and trace identities of the smoothing constructions
     hold only for node-supported plans, so plans are snapped on entry.
     """
-    snapped = np.empty_like(plan.configs)
-    shift = 0.0
-    for a in range(plan.n_atoms):
-        for k in range(plan.n):
-            idx = grid.index_of(plan.configs[a, k])
-            node = grid.node(idx)
-            shift = max(shift, float(np.max(np.abs(node - plan.configs[a, k]))))
-            snapped[a, k] = node
+    snapped = grid.node(grid.indices_of(plan.configs))
+    shift = float(np.max(np.abs(snapped - plan.configs)))
     if max_shift is not None and shift > max_shift:
         raise ValidationError(
             f"atom coordinates are {shift:.3g} away from the nearest node, "
@@ -320,12 +310,12 @@ def marginal(plan: AtomicPlan, grid: Grid) -> GridDensity:
     """
     if plan.n_atoms == 0:
         raise ValidationError("empty measure")
-    values = np.zeros(grid.shape)
-    cell = grid.cell_volume
-    for config, w in zip(plan.configs, plan.weights):
-        for k in range(plan.n):
-            values[grid.index_of(config[k])] += w / (plan.n * cell)
-    return GridDensity(grid, values)
+    idx = grid.indices_of(plan.configs)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
+    # bincount adds in C order over (atom, coordinate), as a loop would
+    share = np.repeat(plan.weights / (plan.n * grid.cell_volume), plan.n)
+    values = np.bincount(flat.ravel(), weights=share, minlength=grid.n_sites)
+    return GridDensity(grid, values.reshape(grid.shape))
 
 
 def h1_seminorm_sqrt(rho: GridDensity) -> float:

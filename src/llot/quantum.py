@@ -143,6 +143,13 @@ class MixedStateKernel:
         for c, (flat_z, _, q) in enumerate(rp.windows):
             self._z[c, :q.size] = np.stack(np.unravel_index(flat_z, rp.grid.shape), -1)
             self._q[c, :q.size] = q
+        # per center: the nodes x its window reaches, amp(x - z) != 0 for some z
+        marks = np.zeros((len(rp.windows), rp.grid.n_sites))
+        for c, (flat_z, _, _) in enumerate(rp.windows):
+            marks[c, flat_z] = 1.0
+        support = rp.kernel.offsets[rp.kernel.amp != 0.0]
+        self._reaches = offset_sum(marks.reshape((-1,) + rp.grid.shape), support,
+                                   np.ones(len(support))).reshape(len(marks), -1) > 0
         self._perms = _signed_permutations(rp.n)
 
     @property
@@ -178,16 +185,18 @@ class MixedStateKernel:
         root = float(np.prod(self.sqrt_rho[x]) * np.prod(self.sqrt_rho[xp]))
         if root == 0.0:
             return 0.0
-        amps = []
-        for block in (x, xp):
-            nodes = np.stack(np.unravel_index(block, rp.grid.shape), axis=-1)
-            amps.append(rp.kernel.amp_of(nodes[None, None] - self._z[:, :, None]))
-        # only atoms whose centers reach every coordinate of both blocks
-        reach = [a.any(axis=1)[rp.center_of].any(axis=1).all(axis=1) for a in amps]
-        atoms = np.flatnonzero(reach[0] & reach[1])
+        # the atoms whose centers reach every coordinate of both blocks, and
+        # the amplitudes and M_c of their centers only
+        both = np.concatenate((x, xp))
+        hits = self._reaches[:, both][rp.center_of]        # (n_atoms, n, 2n)
+        atoms = np.flatnonzero(hits.any(axis=1).all(axis=1))
         if atoms.size == 0:
             return 0.0
-        m = np.einsum("czj,cz,czk->cjk", amps[0], self._q, amps[1])[rp.center_of[atoms]]
+        centers = rp.center_of[atoms]
+        nodes = np.stack(np.unravel_index(both, rp.grid.shape), axis=-1)
+        amps = rp.kernel.amp_of(nodes - self._z[centers][..., None, :])
+        m = np.einsum("akzj,akz,akzl->akjl",
+                      amps[..., :n], self._q[centers], amps[..., n:])
         perms, signs = self._perms
         terms = np.ones((atoms.size, len(perms), len(perms)))
         for i in range(n):
@@ -230,17 +239,16 @@ def trace(K: MixedStateKernel) -> float:
 
 
 def one_particle_density(K: MixedStateKernel) -> GridDensity:
-    """Partial diagonal trace over coordinates 2..n."""
+    """Partial diagonal trace over coordinates 2..n.
+
+    Atom a adds ``w * prod_{k >= 2} m_k * T_{c(a,1)}`` (``m_k`` the masses of
+    its other transfer vectors); the coefficients are summed per center.
+    """
     rp = K.rp
-    cell = rp.grid.cell_volume
-    acc = np.zeros(rp.grid.n_sites)
-    for a in range(rp.source.n_atoms):
-        w = rp.source.weights[a]
-        tail = 1.0
-        for k in range(1, rp.n):
-            tail *= rp.transfer[rp.center_of[a, k]].sum() * cell
-        acc += w * tail * rp.transfer[rp.center_of[a, 0]]
-    return GridDensity(rp.grid, acc.reshape(rp.grid.shape))
+    masses = rp.center_masses()[rp.center_of]
+    coef = rp.source.weights * masses[:, 1:].prod(axis=1)
+    per_center = np.bincount(rp.center_of[:, 0], weights=coef, minlength=len(rp.centers))
+    return GridDensity(rp.grid, (per_center @ rp.transfer).reshape(rp.grid.shape))
 
 
 _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(16)

@@ -202,6 +202,7 @@ class RegularizedPlan:
         self.denom = denom
         self.transfer = transfer        # (n_centers, n_sites) flat T vectors
         self.windows = windows          # per center: (flat z idx, kappa, q)
+        self._tensors = {}              # max_entries -> read-only dense tensor
 
     @property
     def grid(self) -> Grid:
@@ -239,8 +240,17 @@ class RegularizedPlan:
 
         One contraction over atoms, ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` with
         the first n-1 factors as an outer product per atom; atoms are taken
-        in chunks so that no intermediate exceeds ``max_entries``.
+        in chunks so that no intermediate exceeds ``max_entries``.  Built once
+        per ``max_entries`` and returned read-only, so the kinetic and the
+        potential checks share one build.
         """
+        if max_entries not in self._tensors:
+            t = self._build_tensor(max_entries)
+            t.flags.writeable = False
+            self._tensors[max_entries] = t
+        return self._tensors[max_entries]
+
+    def _build_tensor(self, max_entries: int) -> np.ndarray:
         s = self.grid.n_sites
         if s**self.n > max_entries:
             raise ValidationError(
@@ -258,31 +268,30 @@ class RegularizedPlan:
             flat += left.T @ self.transfer[self.center_of[rows, self.n - 1]]
         return flat.reshape(self.grid.shape * self.n)
 
+    def center_masses(self) -> np.ndarray:
+        """Quadrature mass of each transfer vector ``T_c``."""
+        return self.transfer.sum(axis=1) * self.grid.cell_volume
+
     def mass(self) -> float:
-        cell = self.grid.cell_volume
-        total = 0.0
-        for a in range(self.source.n_atoms):
-            prod = self.source.weights[a]
-            for k in range(self.n):
-                prod *= self.transfer[self.center_of[a, k]].sum() * cell
-            total += prod
-        return float(total)
+        masses = self.center_masses()[self.center_of]   # (n_atoms, n)
+        return float((self.source.weights * masses.prod(axis=1)).sum())
 
     def density(self) -> GridDensity:
-        """One-particle marginal of P_eps (coordinate-averaged)."""
-        cell = self.grid.cell_volume
-        acc = np.zeros(self.grid.n_sites)
-        for a in range(self.source.n_atoms):
-            w = self.source.weights[a]
-            masses = [self.transfer[self.center_of[a, k]].sum() * cell
-                      for k in range(self.n)]
-            for k in range(self.n):
-                others = 1.0
-                for l in range(self.n):
-                    if l != k:
-                        others *= masses[l]
-                acc += (w / self.n) * others * self.transfer[self.center_of[a, k]]
-        return GridDensity(self.grid, acc.reshape(self.grid.shape))
+        """One-particle marginal of P_eps (coordinate-averaged).
+
+        Coordinate k of atom a adds ``w / n * prod_{l != k} m_l * T_{c(a,k)}``
+        (``m_l`` the masses of the atom's other transfer vectors); the
+        coefficients are summed per center and applied in one product.
+        """
+        masses = self.center_masses()[self.center_of]
+        coef = np.empty_like(masses)
+        for k in range(self.n):
+            others = np.delete(masses, k, axis=1).prod(axis=1)
+            coef[:, k] = self.source.weights / self.n * others
+        per_center = np.bincount(self.center_of.ravel(), weights=coef.ravel(),
+                                 minlength=len(self.centers))
+        values = (per_center @ self.transfer).reshape(self.grid.shape)
+        return GridDensity(self.grid, values)
 
 
 def kinetic_term(n: int, h1: float, grad_moment: float, width: float) -> float:
@@ -455,37 +464,45 @@ def _support_region_configs(rp: RegularizedPlan, reach: float,
     """Grid configurations within ``reach`` of some atom, intersected with
     the separated region (pairwise distances >= alpha - 4 eps).
 
-    Boxes around distinct atoms are sampled with a per-axis stride keeping
-    about ``max_axis_samples`` nodes per coordinate, deduplicated across
-    atoms; the atom configurations themselves are always included.
+    Each coordinate's box of radius ``reach`` around its center, clipped to
+    the grid, is sampled per axis at a stride keeping about
+    ``max_axis_samples`` nodes, always including the box's upper corner.  An
+    atom's candidates are the tuples of its coordinates' box nodes; each
+    tuple of flat node indices is one integer key ``(..(i_1 s + i_2) s ..) s
+    + i_n`` (``s`` the number of sites), and one sort of the keys
+    deduplicates across atoms and gives the tuples in lexicographic order.
+    The atom configurations themselves are always included.
     """
     grid = rp.grid
-    pts = grid.points()
+    s = grid.n_sites
+    if s**rp.n > np.iinfo(np.int64).max:
+        raise ValidationError(f"{s}^{rp.n} configuration keys exceed int64")
     span = int(math.ceil(reach / grid.h))
     stride = max(1, int(math.ceil((2 * span + 1) / max_axis_samples)))
     lower = max(rp.alpha - 4.0 * rp.eps, 0.0) if np.isfinite(rp.alpha) else 0.0
-    seen_boxes = set()
-    blocks = []
-    for a in range(rp.source.n_atoms):
-        key = tuple(rp.center_of[a])
-        if key in seen_boxes:
-            continue
-        seen_boxes.add(key)
-        axes = []
-        for k in range(rp.n):
-            c = np.array(rp.centers[rp.center_of[a, k]])
-            lo = np.maximum(c - span, 0)
-            hi = np.minimum(c + span, grid.npts - 1)
-            ranges = [np.unique(np.concatenate([np.arange(l, hh + 1, stride), [hh]]))
-                      for l, hh in zip(lo, hi)]
-            mesh = np.meshgrid(*ranges, indexing="ij")
-            flat = np.ravel_multi_index([mm.ravel() for mm in mesh], grid.shape)
-            axes.append(flat)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        tuples = np.stack([mm.ravel() for mm in mesh], axis=1)
-        blocks.append(tuples)
-    tuples = np.unique(np.concatenate(blocks, axis=0), axis=0)
-    configs = pts[tuples]  # (m, n, dim)
+    # per center and axis: lo, lo + stride, ... clipped to hi; the steps run one
+    # past the box so that hi itself is always sampled
+    centers = np.array(rp.centers)
+    n_centers = len(centers)
+    lo = np.maximum(centers - span, 0)
+    hi = np.minimum(centers + span, grid.npts - 1)
+    steps = np.arange((2 * span) // stride + 2) * stride
+    axis_nodes = np.minimum(lo[:, :, None] + steps, hi[:, :, None])  # (centers, dim, j)
+    box = np.zeros((n_centers, 1), dtype=np.int64)   # flat node indices per center
+    for k in range(grid.dim):
+        box = box[:, :, None] * grid.npts + axis_nodes[:, None, k]
+        box = box.reshape(n_centers, -1)
+    # snapping merged equal atoms, so every atom has its own tuple of boxes
+    n_atoms = rp.source.n_atoms
+    keys = np.zeros((n_atoms, 1), dtype=np.int64)
+    for k in range(rp.n):
+        nodes = box[rp.center_of[:, k]]
+        keys = (keys[:, :, None] * s + nodes[:, None, :]).reshape(n_atoms, -1)
+    keys = np.unique(keys)
+    tuples = np.empty((keys.size, rp.n), dtype=np.int64)
+    for k in range(rp.n - 1, -1, -1):
+        keys, tuples[:, k] = np.divmod(keys, s)
+    configs = grid.points()[tuples]  # (m, n, dim)
     atom_cfgs = rp.source.configs
     configs = np.concatenate([configs, atom_cfgs], axis=0)
     if rp.n >= 2 and configs.size:
@@ -507,9 +524,12 @@ def potential_error(rp: RegularizedPlan, obs: Observable,
         bound = eps^2 * ( sum_j sup|grad_j obs| * int|grad rho| * M2
                           + 2 * sum_{j,k} sup|hess_{jk} obs| ),
 
-    where M2 is the second moment of the squared profile and the sup norms
-    are taken over a dense sample of the separated region near the plan
-    support (the observable need not be bounded globally).
+    where M2 is the second moment of the squared profile.  The sup norms are
+    taken over the grid configurations of :func:`_support_region_configs`
+    with reach 4 eps, in the separated region (the observable need not be
+    bounded globally): per atom, the tuples of its coordinates' strided
+    boxes of radius 4 eps, deduplicated across atoms by flat key, plus the
+    atoms themselves.  A 1 x 1 Hessian block's spectral norm is ``|h|``.
     """
     lhs = abs(integrate_observable(rp, obs, max_entries=max_entries)
               - integrate_plan(rp.source, obs))
@@ -525,7 +545,10 @@ def potential_error(rp: RegularizedPlan, obs: Observable,
         grad_sum += float(np.sqrt((g * g).sum(-1)).max())
         for k in range(rp.n):
             hmat = obs.hess_many(region, j, k)
-            norms = np.linalg.norm(hmat, ord=2, axis=(1, 2))
+            if hmat.shape[1:] == (1, 1):
+                norms = np.abs(hmat[:, 0, 0])
+            else:
+                norms = np.linalg.norm(hmat, ord=2, axis=(1, 2))
             hess_sum += float(norms.max())
     bound = rp.eps**2 * (grad_sum * l1g * m2 + 2.0 * hess_sum)
     return float(lhs), float(bound)

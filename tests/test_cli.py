@@ -140,3 +140,13 @@ def test_quantum_check_rejects_zero_samples(paired_files, tmp_path):
             "--eps", repr(eps), "--samples", "0", "--out", str(out)]
     assert cli.main(argv) == 1
     assert not out.exists()
+
+
+def test_quantum_check_reports_the_sample_counts_that_ran(paired_files, tmp_path):
+    grid, plan_path, density_path, eps = paired_files
+    argv = ["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
+            "--eps", repr(eps), "--samples", "150"]
+    rep = run(argv, tmp_path / "report.json")
+    assert rep["config"]["samples"] == 150
+    assert rep["diagonal_samples"] == 150
+    assert rep["positivity_samples"] == 100

@@ -207,3 +207,72 @@ def test_h1_order_two_convergence():
         hs.append(g.h)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2
+
+
+def loop_marginal(plan, grid):
+    """Per-atom, per-coordinate binning of ``w / n`` to the nearest node."""
+    values = np.zeros(grid.shape)
+    for config, w in zip(plan.configs, plan.weights):
+        for k in range(plan.n):
+            values[grid.index_of(config[k])] += w / (plan.n * grid.cell_volume)
+    return values
+
+
+def loop_separation(plan):
+    """Per-atom minimum pairwise distance; the first atom attaining it."""
+    best, worst = np.inf, None
+    for config in plan.configs:
+        dist = np.sqrt(((config[:, None, :] - config[None, :, :]) ** 2).sum(-1))
+        m = dist[np.triu_indices(plan.n, k=1)].min()
+        if m < best:
+            best, worst = m, config
+    return best, worst
+
+
+def loop_snapped_nodes(plan, grid):
+    """Per-coordinate nearest nodes and the largest coordinate shift."""
+    snapped = np.empty_like(plan.configs)
+    shift = 0.0
+    for a in range(plan.n_atoms):
+        for k in range(plan.n):
+            snapped[a, k] = grid.node(grid.index_of(plan.configs[a, k]))
+            moved = np.abs(snapped[a, k] - plan.configs[a, k])
+            shift = max(shift, float(np.max(moved)))
+    return snapped, shift
+
+
+def vectorization_cases():
+    from llot.presets import identity_fixtures, potential_instance
+
+    for name, grid, plan, _ in identity_fixtures():
+        yield name, grid, plan
+    grid, plan, _ = potential_instance()
+    yield "potential", grid, plan
+    rng = np.random.default_rng(3)
+    g2 = Grid(dim=2, origin=np.array([-0.3, 0.2]), h=0.1, npts=12)
+    configs = rng.uniform(-0.3, 0.8, size=(7, 3, 2))
+    yield "2d-off-node", g2, AtomicPlan(3, 2, configs, np.full(7, 1.0 / 7.0))
+    yield "diagonal", Grid.line(0.0, 0.25, 8), plan_1d([((0.3, 1.0), 0.5),
+                                                         ((0.7, 0.7), 0.5)])
+
+
+def test_marginal_separation_and_snap_match_per_atom_loops():
+    for name, grid, plan in vectorization_cases():
+        assert np.array_equal(marginal(plan, grid).values, loop_marginal(plan, grid)), name
+        if plan.n >= 2:
+            rep = separation(plan)
+            best, worst = loop_separation(plan)
+            assert rep.alpha == best, name
+            if best == 0.0:
+                assert np.array_equal(rep.violating_atom, worst), name
+            else:
+                assert rep.violating_atom is None, name
+        nodes, shift = loop_snapped_nodes(plan, grid)
+        snapped = snap_to_grid(plan, grid)
+        # the snapped nodes of the loop, merged as snap_to_grid merges them
+        assert np.array_equal(snapped.configs, snap_to_grid(
+            AtomicPlan(plan.n, plan.dim, nodes, plan.weights), grid).configs), name
+        snap_to_grid(plan, grid, max_shift=shift)
+        if shift > 0.0:
+            with pytest.raises(ValidationError, match="away from the nearest node"):
+                snap_to_grid(plan, grid, max_shift=np.nextafter(shift, 0.0))

@@ -343,3 +343,80 @@ def test_dense_matrix_positive_semidefinite(small_state):
     mat = dense_kernel_matrix(K)
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() >= -1e-12 * max(eigs.max(), 1.0)
+
+
+def loop_one_particle_density(rp):
+    """Per-atom accumulation of the partial trace over coordinates 2..n."""
+    cell = rp.grid.cell_volume
+    acc = np.zeros(rp.grid.n_sites)
+    for a in range(rp.source.n_atoms):
+        tail = 1.0
+        for k in range(1, rp.n):
+            tail *= rp.transfer[rp.center_of[a, k]].sum() * cell
+        acc += rp.source.weights[a] * tail * rp.transfer[rp.center_of[a, 0]]
+    return acc.reshape(rp.grid.shape)
+
+
+def test_one_particle_density_matches_per_atom_loop(all_identity_fixtures):
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        for eps in eps_list:
+            rp = build_regularized(plan, rho, eps)
+            ref = loop_one_particle_density(rp)
+            got = one_particle_density(MixedStateKernel(rp)).values
+            assert np.abs(got - ref).max() <= 1e-14 * ref.max(), (name, eps)
+            assert np.array_equal(got == 0.0, ref == 0.0), (name, eps)
+
+
+def all_centers_block_eval(K, x, xp):
+    """The factorized kernel with ``amp_of`` looked up over every center's
+    window and ``M_c`` formed for every center, before choosing the atoms."""
+    rp, n = K.rp, K.n
+    root = float(np.prod(K.sqrt_rho[x]) * np.prod(K.sqrt_rho[xp]))
+    if root == 0.0:
+        return 0.0
+    amps = []
+    for block in (x, xp):
+        nodes = np.stack(np.unravel_index(block, rp.grid.shape), axis=-1)
+        amps.append(rp.kernel.amp_of(nodes[None, None] - K._z[:, :, None]))
+    reach = [a.any(axis=1)[rp.center_of].any(axis=1).all(axis=1) for a in amps]
+    atoms = np.flatnonzero(reach[0] & reach[1])
+    if atoms.size == 0:
+        return 0.0
+    m = np.einsum("czj,cz,czk->cjk", amps[0], K._q, amps[1])[rp.center_of[atoms]]
+    perms, signs = K._perms
+    terms = np.ones((atoms.size, len(perms), len(perms)))
+    for i in range(n):
+        terms *= m[:, i][:, perms[:, i][:, None], perms[:, i][None, :]]
+    total = np.einsum("a,ast,s,t->", rp.source.weights[atoms], terms, signs, signs)
+    return float(total) * root * rp.grid.cell_volume**n / math.factorial(n)
+
+
+def test_block_eval_matches_all_centers_oracle(all_identity_fixtures):
+    rng = np.random.default_rng(11)
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        rp = build_regularized(plan, rho, eps_list[0])
+        K = MixedStateKernel(rp)
+        support = np.flatnonzero(rho.values.ravel() > 0)
+        r = rp.kernel.halfwidth
+        nonzero = 0
+        for i in range(150):
+            if i % 3 == 0:      # nodes of the support of rho
+                flat = np.stack([rng.choice(support, size=rp.n, replace=False)
+                                 for _ in range(2)])
+            else:               # near one or two atoms, or anywhere
+                a, b = rng.integers(rp.source.n_atoms, size=2)
+                base = grid.indices_of(rp.source.configs[[a, b]])
+                idx = np.clip(base + rng.integers(-r, r + 1, size=base.shape),
+                              0, grid.npts - 1)
+                if i % 3 == 2:
+                    idx = rng.integers(grid.npts, size=base.shape)
+                flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
+            flat = np.sort(flat, axis=1)
+            if np.any(np.diff(flat, axis=1) == 0):
+                continue
+            got = K._block_eval(*flat)
+            ref = all_centers_block_eval(K, *flat)
+            assert abs(got - ref) <= 1e-15 * abs(ref), (name, flat)
+            assert (got == 0.0) == (ref == 0.0), (name, flat)
+            nonzero += ref != 0.0
+        assert nonzero >= 10, (name, nonzero)

@@ -1,10 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from llot import regularizer
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, GridDensity, h1_seminorm_sqrt, marginal
 from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
-from llot.presets import kinetic_instance, paired_plan, potential_instance
+from llot.presets import (
+    fixture_paired_smooth,
+    fixture_three_particle,
+    kinetic_instance,
+    paired_plan,
+    potential_instance,
+)
 from llot.regularizer import (
     Constant,
     CoulombPair,
@@ -16,6 +25,7 @@ from llot.regularizer import (
     integrate_plan,
     kinetic_of_sqrt,
     potential_error,
+    _support_region_configs,
 )
 
 EPS_TINY = 0.22
@@ -217,6 +227,89 @@ def test_potential_error_coulomb_sweep_order_two():
     assert slope >= 1.8
 
 
+# (lhs, bound) of potential_error at the four widths above, as computed by the
+# per-atom sampling loop and the SVD Hessian norms before either was vectorized
+POTENTIAL_SWEEP_PINNED = {
+    0.1: (0.008204460804051239, 3.854323865687661),
+    0.05: (0.002507543865699402, 0.25245040131820395),
+    0.025: (0.0006641342376554338, 0.03932612959035564),
+    0.0125: (0.00017324366830862026, 0.007906130980400713),
+}
+
+
+def test_potential_error_coulomb_sweep_pinned_values():
+    grid, plan, rho = potential_instance()
+    prep = regularizer.prepare_plan(plan, rho)
+    for eps, pinned in POTENTIAL_SWEEP_PINNED.items():
+        assert potential_error(regularizer.smooth_plan(prep, eps), CoulombPair()) == pinned
+
+
+def loop_support_region_configs(rp, reach, max_axis_samples=25):
+    """The per-atom sampling loop: one strided box mesh per atom, all rows
+    deduplicated at once with ``np.unique(axis=0)``."""
+    grid = rp.grid
+    pts = grid.points()
+    span = int(math.ceil(reach / grid.h))
+    stride = max(1, int(math.ceil((2 * span + 1) / max_axis_samples)))
+    lower = max(rp.alpha - 4.0 * rp.eps, 0.0) if np.isfinite(rp.alpha) else 0.0
+    seen_boxes = set()
+    blocks = []
+    for a in range(rp.source.n_atoms):
+        key = tuple(rp.center_of[a])
+        if key in seen_boxes:
+            continue
+        seen_boxes.add(key)
+        axes = []
+        for k in range(rp.n):
+            c = np.array(rp.centers[rp.center_of[a, k]])
+            lo = np.maximum(c - span, 0)
+            hi = np.minimum(c + span, grid.npts - 1)
+            ranges = [np.unique(np.concatenate([np.arange(l, hh + 1, stride), [hh]]))
+                      for l, hh in zip(lo, hi)]
+            mesh = np.meshgrid(*ranges, indexing="ij")
+            axes.append(np.ravel_multi_index([mm.ravel() for mm in mesh], grid.shape))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        blocks.append(np.stack([mm.ravel() for mm in mesh], axis=1))
+    tuples = np.unique(np.concatenate(blocks, axis=0), axis=0)
+    configs = np.concatenate([pts[tuples], rp.source.configs], axis=0)
+    if rp.n >= 2:
+        keep = np.ones(configs.shape[0], dtype=bool)
+        for j in range(rp.n):
+            for k in range(j + 1, rp.n):
+                r = np.sqrt(((configs[:, j] - configs[:, k]) ** 2).sum(-1))
+                keep &= r >= lower - 1e-12
+        configs = configs[keep]
+    return configs
+
+
+def two_dim_instance():
+    """A symmetric pair on a 32 x 32 grid, near its lower corner."""
+    grid = Grid(dim=2, origin=np.zeros(2), h=1.0 / 16.0, npts=32)
+    plan = AtomicPlan.from_atoms([(np.array([[0.25, 0.375], [1.0, 1.25]]), 0.5),
+                                  (np.array([[1.0, 1.25], [0.25, 0.375]]), 0.5)], dim=2)
+    return grid, plan, marginal(plan, grid)
+
+
+def region_cases():
+    _, grid, plan, eps_list = fixture_paired_smooth()
+    yield "paired", build_regularized(plan, marginal(plan, grid), eps_list[0])
+    _, grid, plan, eps_list = fixture_three_particle()
+    yield "n3", build_regularized(plan, marginal(plan, grid), eps_list[0])
+    grid, plan, rho = two_dim_instance()
+    yield "2d", build_regularized(plan, rho, 0.2)
+
+
+def test_support_region_matches_loop_oracle():
+    for name, rp in region_cases():
+        # the default reach, and a narrower sampling whose stride does not
+        # divide the box width
+        for reach, samples in ((4 * rp.eps, 25), (4 * rp.eps, 7), (2.5 * rp.eps, 4)):
+            got = _support_region_configs(rp, reach, max_axis_samples=samples)
+            ref = loop_support_region_configs(rp, reach, max_axis_samples=samples)
+            assert got.shape[0] > rp.source.n_atoms, (name, reach, samples)
+            assert np.array_equal(got, ref), (name, reach, samples)
+
+
 def test_feasibility_of_smoothed_cost(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
     rp = build_regularized(plan, rho, eps_list[0])
@@ -271,3 +364,59 @@ def test_tensor_chunked_over_atoms_matches_one_contraction(all_identity_fixtures
     # max_entries = n_sites forces one atom per chunk
     chunked = rp.tensor(max_entries=grid.n_sites)
     assert np.abs(chunked - rp.tensor()).max() <= 1e-13 * chunked.max()
+
+
+def test_tensor_built_once_and_read_only(monkeypatch):
+    grid, plan, rho = tiny_instance()
+    rp = build_regularized(plan, rho, EPS_TINY)
+    builds = []
+    build = rp._build_tensor
+    monkeypatch.setattr(rp, "_build_tensor", lambda m: builds.append(m) or build(m))
+    kinetic_of_sqrt(rp)
+    integrate_observable(rp, CoulombPair())
+    potential_error(rp, CoulombPair())
+    assert builds == [regularizer.MAX_TENSOR_ENTRIES]
+    t = rp.tensor()
+    assert t is rp.tensor() and not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = 1.0
+
+
+def loop_mass(rp):
+    """Per-atom product of the transfer vectors' masses."""
+    cell = rp.grid.cell_volume
+    total = 0.0
+    for a in range(rp.source.n_atoms):
+        prod = rp.source.weights[a]
+        for k in range(rp.n):
+            prod *= rp.transfer[rp.center_of[a, k]].sum() * cell
+        total += prod
+    return total
+
+
+def loop_density(rp):
+    """Per-atom, per-coordinate accumulation of the coordinate-averaged
+    marginal."""
+    cell = rp.grid.cell_volume
+    acc = np.zeros(rp.grid.n_sites)
+    for a in range(rp.source.n_atoms):
+        w = rp.source.weights[a]
+        masses = [rp.transfer[rp.center_of[a, k]].sum() * cell for k in range(rp.n)]
+        for k in range(rp.n):
+            others = 1.0
+            for l in range(rp.n):
+                if l != k:
+                    others *= masses[l]
+            acc += (w / rp.n) * others * rp.transfer[rp.center_of[a, k]]
+    return acc.reshape(rp.grid.shape)
+
+
+def test_mass_and_density_match_per_atom_loops(all_identity_fixtures):
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        for eps in eps_list:
+            rp = build_regularized(plan, rho, eps)
+            assert abs(rp.mass() - loop_mass(rp)) <= 1e-14 * loop_mass(rp), (name, eps)
+            ref = loop_density(rp)
+            got = rp.density().values
+            assert np.abs(got - ref).max() <= 1e-14 * ref.max(), (name, eps)
+            assert np.array_equal(got == 0.0, ref == 0.0), (name, eps)
