@@ -208,11 +208,14 @@ def _cmd_mmot(args) -> dict:
         extra = {"duality_gap": sol.duality_gap,
                  "dual_feasible": bool(dual.ok),
                  "complementary_residual": dual.complementary_residual,
-                 "iterations": sol.iterations}
+                 "iterations": sol.iterations,
+                 "status": sol.status,
+                 "primal_residual": sol.residual}
     else:
         sol = solve_sinkhorn(problem, beta=args.beta, tol=args.tol)
         extra = {"beta": args.beta, "iterations": sol.iterations,
-                 "converged": sol.converged}
+                 "converged": sol.converged,
+                 "residual": sol.residual}
     if args.plan_out:
         fileio.write_plan(args.plan_out, sol.plan)
     report = {

@@ -76,7 +76,7 @@ class Grid:
         """Multi-indices of the nodes nearest to points ``x`` of shape
         ``(..., dim)``, clipped to the grid."""
         idx = np.rint((np.asarray(x, dtype=float) - self.origin) / self.h).astype(int)
-        return np.clip(idx, 0, self.npts - 1)
+        return np.minimum(np.maximum(idx, 0), self.npts - 1)
 
     def index_of(self, x) -> tuple:
         """Multi-index of the node nearest to ``x`` (clipped to the grid)."""

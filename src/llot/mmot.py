@@ -7,6 +7,12 @@ configurations), solved by scipy's HiGHS, and an entropic fixed-point
 iteration with one shared scaling potential.  The LP returns Kantorovich dual
 certificates; the entropic path converges to the LP value as the inverse
 temperature grows and reports whether its final stage met its tolerance.
+
+The entropic iteration works on scalings against an absorbed kernel: the
+Gibbs tensor is re-based on a reference potential and shifted by its row
+maxima, so each step is n - 1 matrix-vector contractions with no exponential
+of the s^n tensor, and the kernel is rebuilt only when the potential has
+moved by more than ``ABSORB_RANGE`` from its reference.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
-from scipy.special import logsumexp
 
 from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, SeparationReport, marginal, separation
@@ -29,6 +34,7 @@ MAX_LP_VARIABLES = 200_000
 MAX_GIBBS_ENTRIES = 2_000_000
 PRUNE_THRESHOLD = 1e-9
 LOG_DOMAIN_BETA = 50.0
+ABSORB_RANGE = 50.0  # max |f - f0| before the Sinkhorn kernel is re-based
 
 
 @dataclass
@@ -66,6 +72,10 @@ class TransportSolution:
     beta: Optional[float] = None
     iterations: int = 0
     converged: bool = True  # Sinkhorn's final stage met tol; the LP raises if not
+    # LP: max |A x - b| over the marginal rows; Sinkhorn: the final stage's
+    # L1 iteration residual, before pruning
+    residual: Optional[float] = None
+    status: Optional[int] = None  # HiGHS status of the LP
 
 
 @dataclass
@@ -137,6 +147,8 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
         dual_sites=positions,
         duality_gap=value - float(y @ masses),
         iterations=int(res.nit),
+        residual=float(np.abs(a @ x - masses).max()),
+        status=int(res.status),
     )
 
 
@@ -163,6 +175,33 @@ def _gibbs_cost_tensor(p: TransportProblem):
     return positions, masses, costs, distinct, site_idx
 
 
+def _potential_sum(base: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``base[i_1, ..., i_n] + f[i_1] + ... + f[i_n]``, shape ``(s, s^(n-1))``."""
+    g = base
+    for k in range(base.ndim):
+        shape = [1] * base.ndim
+        shape[k] = f.size
+        g = g + f.reshape(shape)
+    return g.reshape(f.size, -1)
+
+
+def _absorb(base: np.ndarray, f0: np.ndarray):
+    """Scaling kernel re-based on the potential ``f0``.
+
+    Returns ``K = exp(g - r)`` and the row maxima ``r`` of
+    ``g = base + f0 + ... + f0``; every row of ``K`` has a largest entry of
+    exactly 1.
+    """
+    g = _potential_sum(base, f0)
+    r = g.max(axis=1)
+    return np.exp(g - r[:, None]), r
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    top = x.max()
+    return float(top + np.log(np.exp(x - top).sum()))
+
+
 def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
                    tol: float = 1e-8, damping: float = 0.5,
                    log_domain: Optional[bool] = None, anneal: bool = True,
@@ -170,11 +209,21 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     """Entropic proportional fitting with a single shared scaling potential.
 
     Coincident-site configurations carry zero weight (the singular diagonal
-    is excluded, not clipped).  Above beta = 50 the log-domain path is
-    mandatory; an annealing schedule (beta doubling from 25, warm-started
-    potential) is used by default for large beta.  A stage stops at
-    ``max_iter`` iterations without raising; ``converged`` records whether the
-    final stage's iteration residual (before pruning) reached ``tol``.
+    is excluded, not clipped).  The iteration runs on scalings against an
+    absorbed kernel (Schmitzer, SIAM J. Sci. Comput. 2019): with
+    ``g = -beta c + f0 + ... + f0`` over ``(s, s^(n-1))`` and its row maxima
+    ``r``, ``K = exp(g - r)`` is built once per absorption, and each step
+    contracts ``K`` with ``u = exp(f - f0)`` along the n - 1 trailing axes to
+    ``t``, so that the log-marginal is ``(f - f0) + r + log t``.  In
+    log-domain mode (the default above beta = 50) ``f0`` is reset to ``f`` at
+    the start of each stage and whenever ``max|f - f0|`` exceeds
+    ``ABSORB_RANGE``; since every row of ``K`` holds an entry equal to 1,
+    ``t_i >= exp(-(n - 1) ABSORB_RANGE) > 0`` and ``log t`` stays finite.
+    The plain mode keeps ``f0 = 0``, overflows for large beta and is
+    refused above beta = 50.  An annealing schedule (beta doubling from 25,
+    warm-started potential) is used by default for large beta.  A stage stops
+    at ``max_iter`` iterations without raising; ``converged`` records whether
+    the final stage's iteration residual (before pruning) reached ``tol``.
     """
     if beta <= 0:
         raise ValidationError("inverse temperature must be positive")
@@ -202,68 +251,40 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     f = np.zeros(s)
     iterations = 0
     residual = np.inf
-    neg_inf_mask = np.where(distinct, 0.0, -np.inf)
 
     for stage_i, b in enumerate(stages):
         stage_tol = tol if stage_i == len(stages) - 1 else max(tol, 1e-6)
-        if log_domain:
-            base = -b * np.where(distinct, costs, 0.0) + neg_inf_mask
-            for _ in range(max_iter):
-                iterations += 1
-                g = base.copy()
-                for k in range(p.n):
-                    shape = [1] * p.n
-                    shape[k] = s
-                    g = g + f.reshape(shape)
-                logm = logsumexp(g.reshape(s, -1), axis=1)
-                log_total = logsumexp(logm)
-                residual = float(np.abs(np.exp(logm - log_total) - masses).sum())
-                if residual <= stage_tol:
-                    break
-                f = f + damping * (log_mass - (logm - log_total))
-        else:
-            kernel = np.where(distinct, np.exp(-b * costs), 0.0)
-            scale = np.exp(f)
-            for _ in range(max_iter):
-                iterations += 1
-                weights = kernel.copy()
-                for k in range(p.n):
-                    shape = [1] * p.n
-                    shape[k] = s
-                    weights = weights * scale.reshape(shape)
-                if not np.all(np.isfinite(weights)):
+        base = np.where(distinct, -b * costs, -np.inf)
+        f0 = f if log_domain else np.zeros(s)
+        kernel, r = _absorb(base, f0)
+        for _ in range(max_iter):
+            iterations += 1
+            df = f - f0
+            if log_domain and np.abs(df).max() > ABSORB_RANGE:
+                f0, df = f, np.zeros(s)
+                kernel, r = _absorb(base, f0)
+            u = np.exp(df)
+            t = kernel
+            for _ in range(p.n - 1):
+                t = t.reshape(-1, s) @ u
+            if not log_domain:
+                if not np.all(np.isfinite(t)):
                     raise NumericalError(
                         f"numerical overflow at beta={b:g}; use log-domain mode"
                     )
-                m = weights.reshape(s, -1).sum(axis=1)
-                total = m.sum()
-                if total <= 0 or not np.isfinite(total):
+                if not np.all(t > 0):
                     raise NumericalError(
                         f"numerical underflow at beta={b:g}; use log-domain mode"
                     )
-                residual = float(np.abs(m / total - masses).sum())
-                if residual <= stage_tol:
-                    break
-                scale = scale * (masses / (m / total)) ** damping
-            f = np.log(scale)
+            logm = df + r + np.log(t)
+            log_total = _logsumexp(logm)
+            residual = float(np.abs(np.exp(logm - log_total) - masses).sum())
+            if residual <= stage_tol:
+                break
+            f = f + damping * (log_mass - (logm - log_total))
 
-    if log_domain:
-        g = -beta * np.where(distinct, costs, 0.0) + neg_inf_mask
-        for k in range(p.n):
-            shape = [1] * p.n
-            shape[k] = s
-            g = g + f.reshape(shape)
-        weights = np.exp(g - logsumexp(g))
-    else:
-        scale = np.exp(f)
-        weights = np.where(distinct, np.exp(-beta * costs), 0.0)
-        for k in range(p.n):
-            shape = [1] * p.n
-            shape[k] = s
-            weights = weights * scale.reshape(shape)
-        weights = weights / weights.sum()
-
-    flat_w = weights.ravel()
+    g = _potential_sum(base, f)  # the last stage runs at beta
+    flat_w = np.exp(g - g.max()).ravel()
     keep = flat_w >= prune_threshold * flat_w.sum()
     kept_idx = np.nonzero(keep)[0]
     kept_w = flat_w[kept_idx]
@@ -279,6 +300,7 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
         beta=beta,
         iterations=iterations,
         converged=bool(residual <= tol),
+        residual=residual,
     )
 
 

@@ -192,7 +192,8 @@ class GridKernel:
         o = np.asarray(o, dtype=int)
         r = self.halfwidth
         inside = np.all(np.abs(o) <= r, axis=-1)
-        key = np.ravel_multi_index(tuple(np.moveaxis(np.clip(o, -r, r) + r, -1, 0)),
+        shifted = np.minimum(np.maximum(o, -r), r) + r
+        key = np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)),
                                    (2 * r + 1,) * self.dim)
         pos = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
         return np.where(inside & (self._keys[pos] == key), self.amp[pos], 0.0)

@@ -224,16 +224,10 @@ class RegularizedPlan:
     def evaluate(self, config) -> float:
         """P_eps at a configuration (coordinates snapped to nearest nodes)."""
         config = np.asarray(config, dtype=float).reshape(self.n, self.source.dim)
-        sites = [self.grid.flat_index_of(config[k]) for k in range(self.n)]
-        total = 0.0
-        for a in range(self.source.n_atoms):
-            prod = self.source.weights[a]
-            for k in range(self.n):
-                prod *= self.transfer[self.center_of[a, k], sites[k]]
-                if prod == 0.0:
-                    break
-            total += prod
-        return float(total)
+        idx = self.grid.indices_of(config)
+        sites = np.ravel_multi_index(tuple(idx.T), self.grid.shape)
+        factors = self.transfer[self.center_of, sites]     # (n_atoms, n)
+        return float((self.source.weights * factors.prod(axis=1)).sum())
 
     def tensor(self, max_entries: int = MAX_TENSOR_ENTRIES) -> np.ndarray:
         """Dense density on the n-fold tensor grid, shape grid.shape * n.

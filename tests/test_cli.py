@@ -89,6 +89,17 @@ def test_mmot_reports_solver_progress(sixteen_csv, tmp_path):
     assert sk["converged"] is True and sk["iterations"] > 0
 
 
+def test_mmot_reports_solver_status_and_residuals(sixteen_csv, tmp_path):
+    base = ["mmot", "--density", str(sixteen_csv), "--n", "2"]
+    lp = run(base, tmp_path / "lp.json")
+    assert lp["status"] == 0
+    assert 0.0 <= lp["primal_residual"] <= 1e-10
+    sk = run(base + ["--solver", "sinkhorn", "--beta", "50", "--tol", "1e-8"],
+             tmp_path / "sk.json")
+    assert "status" not in sk and "primal_residual" not in sk
+    assert 0.0 <= sk["residual"] <= 1e-8 and sk["converged"] is True
+
+
 def test_threads_option_is_gone(sixteen_csv, tmp_path):
     out = tmp_path / "report.json"
     argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--threads", "2",
@@ -106,7 +117,9 @@ def test_mmot_sinkhorn_exits_2_when_not_converged(sixteen_csv, tmp_path, monkeyp
     argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--solver", "sinkhorn",
             "--beta", "50", "--out", str(out)]
     assert cli.main(argv) == 2
-    assert json.loads(out.read_text())["converged"] is False
+    rep = json.loads(out.read_text())
+    assert rep["converged"] is False
+    assert rep["residual"] > rep["config"]["tol"]
 
 
 def test_quantum_check_reports_the_least_rayleigh_quotient(paired_files, tmp_path):

@@ -59,6 +59,19 @@ def test_non_finite_inputs_rejected():
         plan_1d([((0.0, 1.0), np.nan), ((1.0, 0.0), 0.5)])
 
 
+def test_indices_of_clips_exactly_at_the_grid_edges():
+    grid = Grid(dim=2, origin=np.array([-0.3, 0.7]), h=0.25, npts=9)
+    steps = [-1e6, -100.0, -0.6, -0.4, 0.0, 0.5, 3.0, 7.5, 8.0, 8.4, 8.6, 100.0, 1e6]
+    x = np.array([[grid.origin[0] + a * grid.h, grid.origin[1] + b * grid.h]
+                  for a in steps for b in steps])
+    ref = [[min(max(int(round((xk - ok) / grid.h)), 0), grid.npts - 1)
+            for xk, ok in zip(point, grid.origin)] for point in x]
+    got = grid.indices_of(x)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, np.array(ref))
+    assert grid.index_of(x[0]) == tuple(ref[0])
+
+
 def test_marginal_two_site_symmetric():
     g = Grid.line(0.0, 1.0, 2)
     plan = plan_1d([((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5)])

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from llot import mmot
 from llot.errors import NumericalError, ValidationError
-from llot.grids import Grid, density_from_values, marginal, symmetrize
+from llot.grids import AtomicPlan, Grid, density_from_values, marginal, symmetrize
 from llot.mmot import (
     TransportProblem,
     check_dual,
@@ -156,15 +156,25 @@ def test_sinkhorn_reports_iteration_cap(p_sixteen):
     assert sol.iterations == 20  # four annealing stages of five iterations
 
 
-def test_sinkhorn_beta_sweep_monotone_toward_lp(p_sixteen):
-    lp = solve_lp(p_sixteen)
+def assert_beta_sweep_toward_lp(p):
+    """Sinkhorn values at beta = 25..200 stay above the LP value, do not
+    increase with beta and end within 1e-3 of it."""
+    lp = solve_lp(p)
     values = []
     for beta in (25.0, 50.0, 100.0, 200.0):
-        sol = solve_sinkhorn(p_sixteen, beta=beta, tol=1e-9, max_iter=50000)
+        sol = solve_sinkhorn(p, beta=beta, tol=1e-9, max_iter=50000)
         values.append(sol.value)
         assert sol.value >= lp.value - 1e-8
     assert all(values[i + 1] <= values[i] + 1e-9 for i in range(len(values) - 1))
     assert abs(values[-1] - lp.value) <= 1e-3
+
+
+def test_sinkhorn_beta_sweep_monotone_toward_lp(p_sixteen):
+    assert_beta_sweep_toward_lp(p_sixteen)
+
+
+def test_sinkhorn_beta_sweep_monotone_toward_lp_three_particles():
+    assert_beta_sweep_toward_lp(TransportProblem(3, sixteen_site_density()))
 
 
 def test_sinkhorn_plain_mode_rejected_at_large_beta(p_sixteen):
@@ -267,3 +277,73 @@ def test_lp_solver_failure_raises(monkeypatch, p_two, status, error, match):
     monkeypatch.setattr(mmot, "linprog", lambda *args, **kwargs: failed)
     with pytest.raises(error, match=match):
         solve_lp(p_two)
+
+
+def dense_sinkhorn(p, beta, max_iter=20000, tol=1e-8, damping=0.5):
+    """Log-domain Sinkhorn on the dense log-weight tensor, no absorption.
+
+    Every step adds the potential to all s^n log-weights and takes the row
+    log-sum-exp of the full tensor, with ``solve_sinkhorn``'s annealing,
+    stopping rule and pruning.  Returns (iterations, value, sorted plan).
+    """
+    positions, masses, costs, distinct, site_idx = mmot._gibbs_cost_tensor(p)
+    s = len(masses)
+
+    def log_weights(base, f):
+        g = base
+        for k in range(p.n):
+            shape = [1] * p.n
+            shape[k] = s
+            g = g + f.reshape(shape)
+        return g
+
+    def logsumexp(x, axis=None):
+        top = x.max(axis=axis, keepdims=True)
+        out = top + np.log(np.exp(x - top).sum(axis=axis, keepdims=True))
+        return out.ravel() if axis is not None else float(out.item())
+
+    stages, b = [], 25.0
+    while b < beta:
+        stages.append(b)
+        b *= 2.0
+    stages.append(beta)
+    f = np.zeros(s)
+    iterations = 0
+    for stage_i, b in enumerate(stages):
+        stage_tol = tol if stage_i == len(stages) - 1 else max(tol, 1e-6)
+        base = -b * np.where(distinct, costs, 0.0) + np.where(distinct, 0.0, -np.inf)
+        for _ in range(max_iter):
+            iterations += 1
+            logm = logsumexp(log_weights(base, f).reshape(s, -1), axis=1)
+            log_total = logsumexp(logm)
+            residual = np.abs(np.exp(logm - log_total) - masses).sum()
+            if residual <= stage_tol:
+                break
+            f = f + damping * (np.log(masses) - (logm - log_total))
+    g = log_weights(base, f)
+    w = np.exp(g - logsumexp(g)).ravel()
+    kept = np.nonzero(w >= mmot.PRUNE_THRESHOLD * w.sum())[0]
+    configs = positions[site_idx[kept]]
+    weights = w[kept] / w[kept].sum()
+    value = float((p.cost.value_many(configs) * weights).sum())
+    plan = AtomicPlan(p.n, positions.shape[1], configs, weights).sorted_copy()
+    return iterations, value, plan
+
+
+@pytest.mark.parametrize("n, density", [
+    (2, sixteen_site_density()),
+    (3, sixteen_site_density()),
+    (2, two_bump(64)),
+], ids=["16-sites-n2", "16-sites-n3", "64-sites-n2"])
+def test_sinkhorn_absorbed_kernel_matches_dense_iteration(monkeypatch, n, density):
+    p = TransportProblem(n, density)
+    absorbed = []
+    absorb = mmot._absorb
+    monkeypatch.setattr(mmot, "_absorb",
+                        lambda base, f0: absorbed.append(1) or absorb(base, f0))
+    sol = solve_sinkhorn(p, beta=200.0)
+    iterations, value, plan = dense_sinkhorn(p, beta=200.0)
+    assert sol.iterations == iterations
+    assert sol.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert np.array_equal(sol.plan.configs, plan.configs)
+    assert len(absorbed) > 4  # one per annealing stage, plus re-absorptions

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -99,6 +101,18 @@ def test_amp_of_reads_the_table_and_zero_off_it(dim):
     off_table = [o for o in np.ndindex(*(2 * r + 3,) * dim)
                  if not (np.array(o) - r - 1 == k.offsets).all(axis=1).any()]
     assert np.all(k.amp_of(np.array(off_table) - r - 1) == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_amp_of_is_exact_at_and_beyond_the_table_edge(dim):
+    k = GridKernel(ScaledMollifier(BumpProfile(dim), 0.2), 0.05)
+    r = k.halfwidth
+    table = {tuple(o): a for o, a in zip(k.offsets.tolist(), k.amp)}
+    steps = [-10**9, -10 * r, -r - 1, -r, -r + 1, 0, r - 1, r, r + 1, 10 * r, 10**9]
+    offsets = np.array(list(itertools.product(steps, repeat=dim)))
+    ref = np.array([table.get(tuple(o), 0.0) for o in offsets.tolist()])
+    assert np.array_equal(k.amp_of(offsets), ref)
+    assert np.array_equal(k.amp_of(offsets.reshape(-1, 1, dim))[:, 0], ref)
 
 
 def test_convolve_point_mass_gives_kernel_copy(bump):

@@ -420,3 +420,39 @@ def test_mass_and_density_match_per_atom_loops(all_identity_fixtures):
             got = rp.density().values
             assert np.abs(got - ref).max() <= 1e-14 * ref.max(), (name, eps)
             assert np.array_equal(got == 0.0, ref == 0.0), (name, eps)
+
+
+def loop_evaluate(rp, config):
+    """Per-atom product of the transfer entries at the snapped configuration."""
+    config = np.asarray(config, dtype=float).reshape(rp.n, rp.source.dim)
+    sites = [rp.grid.flat_index_of(config[k]) for k in range(rp.n)]
+    total = 0.0
+    for a in range(rp.source.n_atoms):
+        prod = rp.source.weights[a]
+        for k in range(rp.n):
+            prod *= rp.transfer[rp.center_of[a, k], sites[k]]
+            if prod == 0.0:
+                break
+        total += prod
+    return float(total)
+
+
+def test_evaluate_matches_per_atom_loop(all_identity_fixtures):
+    rng = np.random.default_rng(5)
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        lo, hi = grid.origin - 2 * grid.h, grid.origin + (grid.npts + 1) * grid.h
+        for eps in eps_list:
+            rp = build_regularized(plan, rho, eps)
+            near = plan.configs[rng.integers(plan.n_atoms, size=40)]
+            near = near + rng.uniform(-2 * eps, 2 * eps, near.shape)
+            # P_eps vanishes off the marginal's support, so draw tuples on it
+            support = grid.points()[rho.flat() > 0]
+            on_support = support[rng.integers(len(support), size=(40, plan.n))]
+            # points past the grid's edges snap to the edge nodes
+            anywhere = rng.uniform(lo, hi, (20,) + plan.configs.shape[1:])
+            configs = np.concatenate([plan.configs, near, on_support, anywhere])
+            ref = np.array([loop_evaluate(rp, x) for x in configs])
+            got = np.array([rp.evaluate(x) for x in configs])
+            assert ref.max() > 0.0, (name, eps)
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref), (name, eps)
+            assert np.array_equal(got == 0.0, ref == 0.0), (name, eps)
