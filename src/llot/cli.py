@@ -9,6 +9,7 @@ Sinkhorn ``mmot`` that did not converge write their report and exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -97,7 +98,13 @@ def _parse_etas(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError("etas must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValidationError(
+            f"etas {spec!r}: lo and hi must be numbers, count an integer")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"etas {spec!r}: lo and hi must be finite")
     if lo <= 0 or hi <= lo or count < 2:
         raise ValidationError("etas range must satisfy 0 < lo < hi, count >= 2")
     return np.geomspace(lo, hi, count)

@@ -1,7 +1,7 @@
 """Plain-text file formats: CSV densities, JSON plans, JSON reports.
 
-Density CSV: header ``x,value`` (one coordinate column per dimension, named
-``x`` for 1-d and ``x1..xd`` otherwise), one node per row, uniform spacing.
+Density CSV: one-dimensional only, header ``x,value``, one node per row,
+uniform spacing (a multi-d format is ROADMAP item 3).
 Plan JSON: ``{"n": N, "dim": d, "atoms": [{"x": [[...], ...], "w": w}]}``.
 Reports are JSON with sorted keys so identical runs are byte-identical.
 """
@@ -99,19 +99,28 @@ def read_plan(path) -> AtomicPlan:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})")
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: top level must be an object")
     for key in ("n", "dim", "atoms"):
         if key not in data:
             raise ValidationError(f"{path}: missing key {key!r}")
+    if not isinstance(data["atoms"], list):
+        raise ValidationError(f"{path}: 'atoms' must be a list")
     atoms = []
     for i, atom in enumerate(data["atoms"]):
-        if "x" not in atom or "w" not in atom:
-            raise ValidationError(f"{path}: atom {i}: needs 'x' and 'w'")
-        x = np.asarray(atom["x"], dtype=float)
+        if not isinstance(atom, dict) or "x" not in atom or "w" not in atom:
+            raise ValidationError(f"{path}: atom {i}: must be an object with 'x' and 'w'")
+        try:
+            x = np.asarray(atom["x"], dtype=float)
+            w = float(atom["w"])
+        except (TypeError, ValueError):
+            raise ValidationError(f"{path}: atom {i}: x must be a numeric array "
+                                  "and w a number")
         if x.shape != (data["n"], data["dim"]):
             raise ValidationError(
                 f"{path}: atom {i}: x must be shape ({data['n']}, {data['dim']})"
             )
-        atoms.append((x, float(atom["w"])))
+        atoms.append((x, w))
     try:
         return AtomicPlan.from_atoms(atoms, dim=int(data["dim"]))
     except ValidationError as exc:

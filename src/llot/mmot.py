@@ -6,7 +6,7 @@ structure shrinks the variable set by n! and removes the singular
 configurations), solved by scipy's HiGHS, and an entropic fixed-point
 iteration with one shared scaling potential.  The LP returns Kantorovich dual
 certificates; the entropic path converges to the LP value as the inverse
-temperature grows and reports whether its final stage met its tolerance.
+temperature grows and reports whether it met its tolerance.
 
 The entropic iteration works on scalings against an absorbed kernel: the
 Gibbs tensor is re-based on a reference potential and shifted by its row
@@ -32,8 +32,8 @@ from .regularizer import CoulombPair, Observable
 
 MAX_LP_VARIABLES = 200_000
 MAX_GIBBS_ENTRIES = 2_000_000
-PRUNE_THRESHOLD = 1e-9
-LOG_DOMAIN_BETA = 50.0
+PRUNE_THRESHOLD = 1e-9  # atoms below this share of the total weight are dropped
+DAMPING = 0.5  # share of the log-marginal correction applied per Sinkhorn step
 ABSORB_RANGE = 50.0  # max |f - f0| before the Sinkhorn kernel is re-based
 
 
@@ -71,9 +71,9 @@ class TransportSolution:
     duality_gap: Optional[float] = None
     beta: Optional[float] = None
     iterations: int = 0
-    converged: bool = True  # Sinkhorn's final stage met tol; the LP raises if not
-    # LP: max |A x - b| over the marginal rows; Sinkhorn: the final stage's
-    # L1 iteration residual, before pruning
+    converged: bool = True  # Sinkhorn met tol; the LP raises if not
+    # LP: max |A x - b| over the marginal rows; Sinkhorn: the last L1
+    # iteration residual, before pruning
     residual: Optional[float] = None
     status: Optional[int] = None  # HiGHS status of the LP
 
@@ -202,91 +202,61 @@ def _logsumexp(x: np.ndarray) -> float:
     return float(top + np.log(np.exp(x - top).sum()))
 
 
+def _require_finite_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+
+
 def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
-                   tol: float = 1e-8, damping: float = 0.5,
-                   log_domain: Optional[bool] = None, anneal: bool = True,
-                   prune_threshold: float = PRUNE_THRESHOLD) -> TransportSolution:
+                   tol: float = 1e-8) -> TransportSolution:
     """Entropic proportional fitting with a single shared scaling potential.
 
     Coincident-site configurations carry zero weight (the singular diagonal
-    is excluded, not clipped).  The iteration runs on scalings against an
-    absorbed kernel (Schmitzer, SIAM J. Sci. Comput. 2019): with
-    ``g = -beta c + f0 + ... + f0`` over ``(s, s^(n-1))`` and its row maxima
-    ``r``, ``K = exp(g - r)`` is built once per absorption, and each step
-    contracts ``K`` with ``u = exp(f - f0)`` along the n - 1 trailing axes to
-    ``t``, so that the log-marginal is ``(f - f0) + r + log t``.  In
-    log-domain mode (the default above beta = 50) ``f0`` is reset to ``f`` at
-    the start of each stage and whenever ``max|f - f0|`` exceeds
-    ``ABSORB_RANGE``; since every row of ``K`` holds an entry equal to 1,
-    ``t_i >= exp(-(n - 1) ABSORB_RANGE) > 0`` and ``log t`` stays finite.
-    The plain mode keeps ``f0 = 0``, overflows for large beta and is
-    refused above beta = 50.  An annealing schedule (beta doubling from 25,
-    warm-started potential) is used by default for large beta.  A stage stops
-    at ``max_iter`` iterations without raising; ``converged`` records whether
-    the final stage's iteration residual (before pruning) reached ``tol``.
+    is excluded, not clipped).  The iteration runs cold from ``f = 0`` at the
+    requested ``beta`` on scalings against an absorbed kernel (Schmitzer,
+    SIAM J. Sci. Comput. 2019): with ``g = -beta c + f0 + ... + f0`` over
+    ``(s, s^(n-1))`` and its row maxima ``r``, ``K = exp(g - r)`` is built
+    once per absorption, and each step contracts ``K`` with ``u = exp(f - f0)``
+    along the n - 1 trailing axes to ``t``, so that the log-marginal is
+    ``(f - f0) + r + log t``.  ``f0`` starts at 0 and is reset to ``f``
+    whenever ``max|f - f0|`` exceeds ``ABSORB_RANGE``; since every row of
+    ``K`` holds an entry equal to 1, ``t_i >= exp(-(n - 1) ABSORB_RANGE) > 0``
+    and ``log t`` stays finite at any beta.  ``max_iter`` caps the whole run;
+    at the cap the solver returns without raising, and ``converged`` records
+    whether the iteration residual (before pruning) reached ``tol``.
     """
-    if beta <= 0:
-        raise ValidationError("inverse temperature must be positive")
-    if log_domain is None:
-        log_domain = beta > LOG_DOMAIN_BETA
-    if not log_domain and beta > LOG_DOMAIN_BETA:
-        raise NumericalError(
-            f"beta={beta:g} overflows the plain scaling iteration; "
-            "log-domain mode is mandatory above beta=50"
-        )
+    _require_finite_positive("inverse temperature beta", beta)
+    _require_finite_positive("tolerance", tol)
     positions, masses, costs, distinct, site_idx = _gibbs_cost_tensor(p)
     _feasibility_check(p.n, masses)
     s = positions.shape[0]
     log_mass = np.log(masses)
 
-    stages = [beta]
-    if anneal and beta > 25.0:
-        b = 25.0
-        stages = []
-        while b < beta:
-            stages.append(b)
-            b *= 2.0
-        stages.append(beta)
-
-    f = np.zeros(s)
+    base = np.where(distinct, -beta * costs, -np.inf)
+    f = f0 = np.zeros(s)
+    kernel, r = _absorb(base, f0)
     iterations = 0
     residual = np.inf
+    while iterations < max_iter:
+        iterations += 1
+        df = f - f0
+        if np.abs(df).max() > ABSORB_RANGE:
+            f0, df = f, np.zeros(s)
+            kernel, r = _absorb(base, f0)
+        u = np.exp(df)
+        t = kernel
+        for _ in range(p.n - 1):
+            t = t.reshape(-1, s) @ u
+        logm = df + r + np.log(t)
+        log_total = _logsumexp(logm)
+        residual = float(np.abs(np.exp(logm - log_total) - masses).sum())
+        if residual <= tol:
+            break
+        f = f + DAMPING * (log_mass - (logm - log_total))
 
-    for stage_i, b in enumerate(stages):
-        stage_tol = tol if stage_i == len(stages) - 1 else max(tol, 1e-6)
-        base = np.where(distinct, -b * costs, -np.inf)
-        f0 = f if log_domain else np.zeros(s)
-        kernel, r = _absorb(base, f0)
-        for _ in range(max_iter):
-            iterations += 1
-            df = f - f0
-            if log_domain and np.abs(df).max() > ABSORB_RANGE:
-                f0, df = f, np.zeros(s)
-                kernel, r = _absorb(base, f0)
-            u = np.exp(df)
-            t = kernel
-            for _ in range(p.n - 1):
-                t = t.reshape(-1, s) @ u
-            if not log_domain:
-                if not np.all(np.isfinite(t)):
-                    raise NumericalError(
-                        f"numerical overflow at beta={b:g}; use log-domain mode"
-                    )
-                if not np.all(t > 0):
-                    raise NumericalError(
-                        f"numerical underflow at beta={b:g}; use log-domain mode"
-                    )
-            logm = df + r + np.log(t)
-            log_total = _logsumexp(logm)
-            residual = float(np.abs(np.exp(logm - log_total) - masses).sum())
-            if residual <= stage_tol:
-                break
-            f = f + damping * (log_mass - (logm - log_total))
-
-    g = _potential_sum(base, f)  # the last stage runs at beta
+    g = _potential_sum(base, f)
     flat_w = np.exp(g - g.max()).ravel()
-    keep = flat_w >= prune_threshold * flat_w.sum()
-    kept_idx = np.nonzero(keep)[0]
+    kept_idx = np.nonzero(flat_w >= PRUNE_THRESHOLD * flat_w.sum())[0]
     kept_w = flat_w[kept_idx]
     kept_w = kept_w / kept_w.sum()
     configs = positions[site_idx[kept_idx]]
@@ -313,6 +283,7 @@ def check_dual(sol: TransportSolution, p: TransportProblem,
     repeat-free configurations and reports the complementary-slackness
     residual on the plan support.
     """
+    _require_finite_positive("tolerance", tol)
     if sol.dual_potential is None:
         raise ValidationError("solution carries no dual potential")
     positions, _, support = p.support()
@@ -346,10 +317,9 @@ def check_dual(sol: TransportSolution, p: TransportProblem,
     )
 
 
-def plan_separation(sol: TransportSolution,
-                    prune_threshold: float = PRUNE_THRESHOLD) -> SeparationReport:
+def plan_separation(sol: TransportSolution) -> SeparationReport:
     """Separation of the solved plan after pruning negligible atoms."""
-    keep = sol.plan.weights >= prune_threshold * sol.plan.weights.sum()
+    keep = sol.plan.weights >= PRUNE_THRESHOLD * sol.plan.weights.sum()
     if not keep.any():
         raise ValidationError("plan empty after pruning")
     configs = sol.plan.configs[keep]

@@ -254,62 +254,62 @@ def one_particle_density(K: MixedStateKernel) -> GridDensity:
 _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(16)
 
 
+def _orbital_energy(rp: RegularizedPlan, flat_z: int) -> float:
+    """Integral of |grad(sqrt(rho) amp(. - z))|^2 for z the node ``flat_z``.
+
+    The gradient is the product rule with the analytic kernel derivative and
+    finite-difference slopes of sqrt(rho); the integral is done cell by cell
+    with Gauss quadrature, sqrt(rho) taken piecewise linear.
+    """
+    grid = rp.grid
+    h = grid.h
+    g = np.sqrt(rp.rho.values)
+    # the kernel's own profile: wider than rp.m for the one-node kernel
+    m = rp.kernel.m
+    scale = 1.0 / math.sqrt(rp.kernel.norm)
+    axis = grid.axis()
+    zpos = axis[flat_z]
+    i0 = max(int(math.floor((zpos - m.eps - grid.origin[0]) / h)), 0)
+    i1 = min(int(math.ceil((zpos + m.eps - grid.origin[0]) / h)), grid.npts - 1)
+    cells = axis[i0:i1]
+    slopes = (g[i0 + 1:i1 + 1] - g[i0:i1]) / h
+    xq = cells[:, None] + 0.5 * h * (_GAUSS_PTS + 1.0)[None, :]
+    gq = g[i0:i1][:, None] + slopes[:, None] * (xq - cells[:, None])
+    u = xq - zpos
+    amp = m.radial(np.abs(u)) * scale
+    amp_d = m.radial_deriv(np.abs(u)) * np.sign(u) * scale
+    integrand = (slopes[:, None] * amp + gq * amp_d) ** 2
+    return float((integrand * (0.5 * h * _GAUSS_WTS)[None, :]).sum())
+
+
 def kinetic_trace(K: MixedStateKernel) -> tuple:
     """Kinetic energy of the state, two independent ways.
 
     ``analytic`` assembles n * (H1 seminorm of sqrt(rho) + w^-2 * profile
     gradient moment), w the width of the kernel the state is built from
     (see :func:`kinetic_term`).  ``quadrature`` integrates the squared
-    gradient of each localized orbital sqrt(rho) amp(. - z) against the
-    (atom, z) measure: the gradient is the product rule with the analytic
-    kernel derivative and finite-difference slopes of sqrt(rho), and the
-    spatial integral is done cell by cell with Gauss quadrature (sqrt(rho)
-    taken piecewise linear).  The two sides agree up to second-order
+    gradient of each localized orbital sqrt(rho) amp(. - z) (see
+    :func:`_orbital_energy`) against the (atom, z) measure, summed per
+    center: the atom weights binned over ``center_of`` times each center's
+    ``sum_z E(z) q_z``.  The two sides agree up to second-order
     discretization error.  One-dimensional grids only.
     """
     rp = K.rp
     grid = rp.grid
     if grid.dim != 1:
         raise ValidationError("kinetic_trace implemented for 1-d grids")
-    cell = grid.cell_volume
     analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho),
                             rp.m.base.moments()[0], rp.kernel.m.eps)
 
-    g = np.sqrt(rp.rho.values)
-    axis = grid.axis()
-    h = grid.h
-    # the kernel's own profile: wider than rp.m for the one-node kernel
-    m = rp.kernel.m
-    eps = m.eps
-    scale = 1.0 / math.sqrt(rp.kernel.norm)
-    g_cache: dict = {}
-
-    def orbital_energy(flat_z: int) -> float:
-        if flat_z in g_cache:
-            return g_cache[flat_z]
-        zpos = axis[flat_z]
-        i0 = max(int(math.floor((zpos - eps - grid.origin[0]) / h)), 0)
-        i1 = min(int(math.ceil((zpos + eps - grid.origin[0]) / h)), grid.npts - 1)
-        cells = axis[i0:i1]
-        slopes = (g[i0 + 1:i1 + 1] - g[i0:i1]) / h
-        xq = cells[:, None] + 0.5 * h * (_GAUSS_PTS + 1.0)[None, :]
-        gq = g[i0:i1][:, None] + slopes[:, None] * (xq - cells[:, None])
-        u = xq - zpos
-        amp = m.radial(np.abs(u)) * scale
-        amp_d = m.radial_deriv(np.abs(u)) * np.sign(u) * scale
-        integrand = (slopes[:, None] * amp + gq * amp_d) ** 2
-        val = float((integrand * (0.5 * h * _GAUSS_WTS)[None, :]).sum())
-        g_cache[flat_z] = val
-        return val
-
-    quad = 0.0
-    for a in range(rp.source.n_atoms):
-        w = rp.source.weights[a]
-        for k in range(rp.n):
-            flat_idx, _, q = rp.windows[rp.center_of[a, k]]
-            for fz, qz in zip(flat_idx, q):
-                quad += w * orbital_energy(int(fz)) * qz * cell
-    return float(analytic), float(quad)
+    nodes = np.unique(np.concatenate([flat_idx for flat_idx, _, _ in rp.windows]))
+    energy = np.zeros(grid.n_sites)
+    energy[nodes] = [_orbital_energy(rp, int(z)) for z in nodes]
+    per_center = np.array([energy[flat_idx] @ q for flat_idx, _, q in rp.windows])
+    center_weight = np.bincount(rp.center_of.ravel(),
+                                weights=np.repeat(rp.source.weights, rp.n),
+                                minlength=len(rp.windows))
+    quad = float(center_weight @ per_center) * grid.cell_volume
+    return float(analytic), quad
 
 
 def quadratic_form(K: MixedStateKernel, psi: np.ndarray) -> float:

@@ -108,11 +108,15 @@ def test_threads_option_is_gone(sixteen_csv, tmp_path):
     assert not out.exists()
 
 
-def test_mmot_sinkhorn_exits_2_when_not_converged(sixteen_csv, tmp_path, monkeypatch):
+def cap_sinkhorn(monkeypatch):
     from llot.mmot import solve_sinkhorn
 
     monkeypatch.setattr(cli, "solve_sinkhorn",
                         lambda p, **kw: solve_sinkhorn(p, max_iter=5, **kw))
+
+
+def test_mmot_sinkhorn_exits_2_when_not_converged(sixteen_csv, tmp_path, monkeypatch):
+    cap_sinkhorn(monkeypatch)
     out = tmp_path / "report.json"
     argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--solver", "sinkhorn",
             "--beta", "50", "--out", str(out)]
@@ -163,3 +167,106 @@ def test_quantum_check_reports_the_sample_counts_that_ran(paired_files, tmp_path
     assert rep["config"]["samples"] == 150
     assert rep["diagonal_samples"] == 150
     assert rep["positivity_samples"] == 100
+
+
+@pytest.mark.parametrize("extra", [
+    ["--solver", "sinkhorn", "--beta", "nan"],
+    ["--solver", "sinkhorn", "--beta", "inf"],
+    ["--solver", "sinkhorn", "--beta", "0"],
+    ["--solver", "sinkhorn", "--beta=-1"],
+    ["--solver", "sinkhorn", "--tol", "nan"],
+    ["--solver", "sinkhorn", "--tol", "0"],
+    ["--tol", "nan"],
+    ["--tol", "0"],
+], ids=["beta-nan", "beta-inf", "beta-0", "beta-neg", "tol-nan", "tol-0",
+        "lp-tol-nan", "lp-tol-0"])
+def test_mmot_rejects_a_bad_beta_or_tol(sixteen_csv, tmp_path, capsys, extra):
+    out = tmp_path / "report.json"
+    argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", *extra, "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("3", "top level"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0}, 3]}', "atom 1"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0},'
+     ' {"x": [[0], [1, 2]], "w": 1.0}]}', "atom 1"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0},'
+     ' {"x": [[1.0], [0.0]], "w": "abc"}]}', "atom 1"),
+], ids=["not-an-object", "atom-not-an-object", "ragged-x", "non-numeric-w"])
+def test_regularize_rejects_a_malformed_plan(paired_files, tmp_path, capsys, text, where):
+    grid, _, density_path, eps = paired_files
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(text)
+    argv = ["regularize", "--plan", str(plan_path), "--density", str(density_path),
+            "--eps", repr(eps), "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan_path}: {where}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("etas", ["a:b:3", "1e-3:1e-1:x", "nan:1e-1:3", "1e-3:inf:3"])
+def test_sweep_rejects_bad_etas(sixteen_csv, tmp_path, capsys, etas):
+    argv = ["sweep", "--density", str(sixteen_csv), "--n", "2", "--etas", etas,
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: etas {etas!r}")
+
+
+@pytest.fixture(scope="module")
+def cli_files(paired_files, sixteen_csv, tmp_path_factory):
+    _, plan_path, density_path, eps = paired_files
+    root = tmp_path_factory.mktemp("malformed")
+    (root / "plan.json").write_text("3")
+    (root / "ragged.json").write_text(
+        '{"n": 2, "dim": 1, "atoms": [{"x": [[0], [1, 2]], "w": 1.0}]}')
+    (root / "density.csv").write_text("x,value\n0.0,abc\n1.0,1.0\n")
+    return {"plan": plan_path, "density": density_path, "eps": repr(eps),
+            "sixteen": sixteen_csv, "bad_plan": root / "plan.json",
+            "ragged_plan": root / "ragged.json", "bad_density": root / "density.csv"}
+
+
+def fail_trace(monkeypatch):
+    monkeypatch.setattr(cli, "trace", lambda kernel: 0.5)
+
+
+REGULARIZE = ["regularize", "--density", "{density}", "--eps", "{eps}"]
+QUANTUM = ["quantum-check", "--density", "{density}", "--eps", "{eps}", "--samples", "20"]
+MMOT = ["mmot", "--n", "2"]
+SWEEP = ["sweep", "--density", "{sixteen}", "--n", "2"]
+
+EXIT_CODES = [
+    ("regularize-valid", REGULARIZE + ["--plan", "{plan}"], None, 0),
+    ("regularize-malformed", REGULARIZE + ["--plan", "{bad_plan}"], None, 1),
+    ("quantum-check-valid", QUANTUM + ["--plan", "{plan}"], None, 0),
+    ("quantum-check-malformed", QUANTUM + ["--plan", "{ragged_plan}"], None, 1),
+    ("mmot-valid", MMOT + ["--density", "{sixteen}"], None, 0),
+    ("mmot-malformed", MMOT + ["--density", "{bad_density}"], None, 1),
+    ("mmot-sinkhorn-not-converged",
+     MMOT + ["--density", "{sixteen}", "--solver", "sinkhorn", "--beta", "50"],
+     cap_sinkhorn, 2),
+    ("sweep-valid", SWEEP + ["--etas", "1e-3:1e-1:3"], None, 0),
+    ("sweep-malformed", SWEEP + ["--etas", "a:b:3"], None, 1),
+    ("selftest-valid", ["selftest"], None, 0),
+    ("selftest-failed-check", ["selftest"], fail_trace, 2),
+]
+
+
+@pytest.mark.parametrize("argv, patch, code", [case[1:] for case in EXIT_CODES],
+                         ids=[case[0] for case in EXIT_CODES])
+def test_exit_codes(cli_files, tmp_path, monkeypatch, capsys, argv, patch, code):
+    if patch is not None:
+        patch(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = [arg.format(**cli_files) for arg in argv] + ["--out", str(out)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("error: ")
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert out.exists()

@@ -8,6 +8,7 @@ from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal
 from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
 from llot.presets import kinetic_instance, permutation_plan
+from llot import quantum
 from llot.quantum import (
     MixedStateKernel,
     OrbitalSet,
@@ -269,6 +270,31 @@ def test_kinetic_trace_refinement_order_two():
     slope = np.polyfit(np.log(hs), np.log(rels), 1)[0]
     assert 1.8 <= slope <= 2.2
     assert rels[-1] <= 1e-3
+
+
+def per_atom_kinetic_quadrature(K):
+    """``kinetic_trace``'s quadrature as a loop over atom x coordinate x window node."""
+    rp = K.rp
+    energy = {}
+    quad = 0.0
+    for a in range(rp.source.n_atoms):
+        w = rp.source.weights[a]
+        for k in range(rp.n):
+            flat_idx, _, q = rp.windows[rp.center_of[a, k]]
+            for fz, qz in zip(flat_idx, q):
+                if fz not in energy:
+                    energy[fz] = quantum._orbital_energy(rp, int(fz))
+                quad += w * energy[fz] * qz * rp.grid.cell_volume
+    return quad
+
+
+def test_kinetic_trace_matches_per_atom_loop(all_identity_fixtures):
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        for eps in eps_list:
+            K = MixedStateKernel(build_regularized(plan, rho, eps))
+            _, quad = kinetic_trace(K)
+            expected = per_atom_kinetic_quadrature(K)
+            assert quad == pytest.approx(expected, rel=1e-14, abs=0.0), (name, eps)
 
 
 def test_cauchy_schwarz_direction(all_identity_fixtures):
