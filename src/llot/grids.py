@@ -204,8 +204,7 @@ class AtomicPlan:
 
     def sorted_copy(self) -> "AtomicPlan":
         """Atoms reordered by lexicographic configuration; for determinism."""
-        keys = [tuple(c.ravel()) for c in self.configs]
-        order = sorted(range(self.n_atoms), key=lambda i: keys[i])
+        order = np.lexsort(self.configs.reshape(self.n_atoms, -1).T[::-1])
         return AtomicPlan(self.n, self.dim, self.configs[order], self.weights[order])
 
 
@@ -217,8 +216,26 @@ class SeparationReport:
     violating_atom: Optional[np.ndarray] = None
 
 
-def _config_key(config: np.ndarray) -> bytes:
-    return np.ascontiguousarray(config).tobytes()
+def _row_keys(configs: np.ndarray) -> np.ndarray:
+    """One ``np.void`` key per configuration: its contiguous row bytes.
+
+    Keys sort as ``bytes`` do and are equal exactly when the bytes are, so
+    ``-0.0`` and ``0.0`` are distinct coordinates.
+    """
+    rows = np.ascontiguousarray(configs).reshape(len(configs), -1)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _merge_atoms(configs: np.ndarray, weights: np.ndarray) -> tuple:
+    """Atoms with equal configurations merged: the distinct configurations in
+    key order and their weights, each summed in input order."""
+    _, first, inverse = np.unique(_row_keys(configs), return_index=True,
+                                  return_inverse=True)
+    return configs[first], np.bincount(inverse, weights=weights)
+
+
+def _permutations(n: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(n))))
 
 
 def symmetrize(plan: AtomicPlan) -> AtomicPlan:
@@ -228,36 +245,22 @@ def symmetrize(plan: AtomicPlan) -> AtomicPlan:
     its n! permuted copies, so the output is permutation invariant and total
     mass is preserved exactly.  Idempotent.
     """
-    perms = list(itertools.permutations(range(plan.n)))
-    merged: dict = {}
-    for config, w in zip(plan.configs, plan.weights):
-        share = w / len(perms)
-        for perm in perms:
-            permuted = config[list(perm)]
-            key = _config_key(permuted)
-            if key in merged:
-                merged[key][1] += share
-            else:
-                merged[key] = [permuted, share]
-    items = sorted(merged.items(), key=lambda kv: kv[0])
-    configs = np.stack([v[0] for _, v in items])
-    weights = np.array([v[1] for _, v in items])
-    weights = weights / weights.sum()
-    return AtomicPlan(plan.n, plan.dim, configs, weights)
+    perms = _permutations(plan.n)
+    permuted = plan.configs[:, perms].reshape(-1, plan.n, plan.dim)
+    configs, weights = _merge_atoms(permuted, np.repeat(plan.weights / len(perms),
+                                                        len(perms)))
+    return AtomicPlan(plan.n, plan.dim, configs, weights / weights.sum())
 
 
 def is_symmetric(plan: AtomicPlan, tol: float = 1e-12) -> bool:
     """Whether every permutation of every atom carries the same weight."""
-    table = {}
-    for config, w in zip(plan.configs, plan.weights):
-        table[_config_key(config)] = table.get(_config_key(config), 0.0) + w
-    for config, w in zip(plan.configs, plan.weights):
-        total = table[_config_key(config)]
-        for perm in itertools.permutations(range(plan.n)):
-            key = _config_key(config[list(perm)])
-            if key not in table or abs(table[key] - total) > tol:
-                return False
-    return True
+    configs, weights = _merge_atoms(plan.configs, plan.weights)
+    keys = _row_keys(configs)
+    perms = _permutations(plan.n)
+    permuted = _row_keys(configs[:, perms].reshape(-1, plan.n, plan.dim))
+    pos = np.minimum(np.searchsorted(keys, permuted), len(keys) - 1)
+    return bool(np.all(keys[pos] == permuted) and np.all(
+        np.abs(weights[pos] - np.repeat(weights, len(perms))) <= tol))
 
 
 def separation(plan: AtomicPlan) -> SeparationReport:
@@ -289,16 +292,7 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
             f"atom coordinates are {shift:.3g} away from the nearest node, "
             f"more than the allowed {max_shift:.3g}"
         )
-    merged: dict = {}
-    for config, w in zip(snapped, plan.weights):
-        key = _config_key(config)
-        if key in merged:
-            merged[key][1] += w
-        else:
-            merged[key] = [config, float(w)]
-    items = sorted(merged.items(), key=lambda kv: kv[0])
-    configs = np.stack([v[0] for _, v in items])
-    weights = np.array([v[1] for _, v in items])
+    configs, weights = _merge_atoms(snapped, plan.weights)
     return AtomicPlan(plan.n, plan.dim, configs, weights)
 
 

@@ -46,17 +46,11 @@ def paired_plan(grid: Grid, s_lo: float, s_hi: float, delta: float,
                       np.array([a[1] for a in atoms]))
 
 
-def permutation_plan(sites, weights=None) -> AtomicPlan:
-    """Symmetric plan spreading each weight over all orderings of ``sites``."""
+def permutation_plan(sites) -> AtomicPlan:
+    """Symmetric plan with weight 1/n! on each ordering of ``sites``."""
     sites = [np.atleast_1d(np.asarray(s, dtype=float)) for s in sites]
-    n = len(sites)
-    perms = list(itertools.permutations(range(n)))
-    atoms = []
-    total = 1.0 if weights is None else float(np.sum(weights))
-    share = (1.0 / total) / len(perms)
-    for perm in perms:
-        config = np.stack([sites[i] for i in perm])
-        atoms.append((config, share * total))
+    perms = list(itertools.permutations(range(len(sites))))
+    atoms = [(np.stack([sites[i] for i in perm]), 1.0 / len(perms)) for perm in perms]
     return AtomicPlan.from_atoms(atoms, dim=sites[0].size)
 
 

@@ -136,17 +136,11 @@ class MixedStateKernel:
     def __init__(self, rp: RegularizedPlan):
         self.rp = rp
         self.sqrt_rho = np.sqrt(rp.rho.values).ravel()
-        # per center: window node multi-indices and weights q, padded with q = 0
-        width = max(q.size for _, _, q in rp.windows)
-        self._z = np.zeros((len(rp.windows), width, rp.grid.dim), dtype=int)
-        self._q = np.zeros((len(rp.windows), width))
-        for c, (flat_z, _, q) in enumerate(rp.windows):
-            self._z[c, :q.size] = np.stack(np.unravel_index(flat_z, rp.grid.shape), -1)
-            self._q[c, :q.size] = q
+        # the window table's nodes as multi-indices, (n_centers, n_offsets, dim)
+        self._window_idx = np.stack(np.unravel_index(rp.window, rp.grid.shape), axis=-1)
         # per center: the nodes x its window reaches, amp(x - z) != 0 for some z
-        marks = np.zeros((len(rp.windows), rp.grid.n_sites))
-        for c, (flat_z, _, _) in enumerate(rp.windows):
-            marks[c, flat_z] = 1.0
+        marks = np.zeros((len(rp.window), rp.grid.n_sites))
+        marks[np.arange(len(rp.window))[:, None], rp.window] = 1.0
         support = rp.kernel.offsets[rp.kernel.amp != 0.0]
         self._reaches = offset_sum(marks.reshape((-1,) + rp.grid.shape), support,
                                    np.ones(len(support))).reshape(len(marks), -1) > 0
@@ -163,19 +157,26 @@ class MixedStateKernel:
     @cached_property
     def window_tuples(self) -> tuple:
         """Every atom's window node tuples ``(m, n)`` as flat node indices, and
-        their weights ``w * prod_i q_i(z_i) * h^{d n}``."""
+        their weights ``w * prod_i q_i(z_i) * h^{d n}``.
+
+        Atom by atom, each in the C order of its tuple grid; particle axis i
+        broadcasts the window row of the atom's i-th center.
+        """
         rp = self.rp
-        tuples, weights = [], []
-        for a in range(rp.source.n_atoms):
-            wins = [rp.windows[c] for c in rp.center_of[a]]
-            nodes = np.meshgrid(*[flat_z for flat_z, _, _ in wins], indexing="ij")
-            qs = np.meshgrid(*[q for _, _, q in wins], indexing="ij")
-            tuples.append(np.stack([g.ravel() for g in nodes], axis=1))
-            weight = rp.source.weights[a] * np.ones(qs[0].size)
-            for g in qs:
-                weight *= g.ravel()
-            weights.append(weight * rp.grid.cell_volume**rp.n)
-        return np.concatenate(tuples), np.concatenate(weights)
+        n, n_atoms = rp.n, rp.source.n_atoms
+        full = (n_atoms,) + rp.window.shape[1:] * n
+
+        def along(table, i):
+            shape = [n_atoms] + [1] * n
+            shape[1 + i] = -1
+            return table[rp.center_of[:, i]].reshape(shape)
+
+        tuples = np.stack([np.broadcast_to(along(rp.window, i), full).ravel()
+                           for i in range(n)], axis=1)
+        weights = rp.source.weights.reshape((n_atoms,) + (1,) * n)
+        for i in range(n):
+            weights = weights * along(rp.q, i)
+        return tuples, (weights * rp.grid.cell_volume**n).ravel()
 
     def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> float:
         """Kernel value for sorted blocks of flat node indices, through the
@@ -194,9 +195,9 @@ class MixedStateKernel:
             return 0.0
         centers = rp.center_of[atoms]
         nodes = np.stack(np.unravel_index(both, rp.grid.shape), axis=-1)
-        amps = rp.kernel.amp_of(nodes - self._z[centers][..., None, :])
+        amps = rp.kernel.amp_of(nodes - self._window_idx[centers][..., None, :])
         m = np.einsum("akzj,akz,akzl->akjl",
-                      amps[..., :n], self._q[centers], amps[..., n:])
+                      amps[..., :n], rp.q[centers], amps[..., n:])
         perms, signs = self._perms
         terms = np.ones((atoms.size, len(perms), len(perms)))
         for i in range(n):
@@ -301,13 +302,14 @@ def kinetic_trace(K: MixedStateKernel) -> tuple:
     analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho),
                             rp.m.base.moments()[0], rp.kernel.m.eps)
 
-    nodes = np.unique(np.concatenate([flat_idx for flat_idx, _, _ in rp.windows]))
+    nodes = np.unique(rp.window)
     energy = np.zeros(grid.n_sites)
     energy[nodes] = [_orbital_energy(rp, int(z)) for z in nodes]
-    per_center = np.array([energy[flat_idx] @ q for flat_idx, _, q in rp.windows])
+    # one dot product per window row
+    per_center = (energy[rp.window][:, None, :] @ rp.q[:, :, None]).ravel()
     center_weight = np.bincount(rp.center_of.ravel(),
                                 weights=np.repeat(rp.source.weights, rp.n),
-                                minlength=len(rp.windows))
+                                minlength=len(rp.window))
     quad = float(center_weight @ per_center) * grid.cell_volume
     return float(analytic), quad
 

@@ -10,7 +10,12 @@ squared mollifier kernel on the grid.  The smoothed plan is then
 
     P_eps(x_1, ..., x_n) = sum_atoms w * prod_k T_{c(atom,k)}(x_k),
 
-a probability density on the n-fold tensor grid.  Because kappa has unit
+a probability density on the n-fold tensor grid.  Each center's window is
+the nodes ``z = c + o`` over the kernel offsets ``o``, with the weights
+``q(z) = kappa(z - c) / (rho * kappa)(z)``; one table of shape
+``(n_centers, n_offsets)`` holds each, ``RegularizedPlan.window`` (flat node
+indices) and ``RegularizedPlan.q``, and both the transfer vectors and the
+mixed state of :mod:`llot.quantum` are built from it.  Because kappa has unit
 discrete mass and atoms sit on nodes, the one-particle marginal of P_eps
 equals rho exactly (up to float rounding), for every eps.  A width at or
 below the grid spacing h resolves only the zero offset, so kappa is the
@@ -191,17 +196,19 @@ class RegularizedPlan:
     """Evaluator for the marginal-pinned smoothing of an atomic plan."""
 
     def __init__(self, prep: "PreparedPlan", m: ScaledMollifier, kernel: GridKernel,
-                 denom: GridDensity, transfer: np.ndarray, windows: list):
+                 denom: GridDensity, transfer: np.ndarray, window: np.ndarray,
+                 q: np.ndarray):
         self.source = prep.source
         self.rho = prep.rho
         self.alpha = prep.alpha
-        self.centers = prep.centers      # list of multi-index tuples
+        self.centers = prep.centers      # (n_centers, dim) multi-indices
         self.center_of = prep.center_of  # (n_atoms, n) -> row of `transfer`
         self.m = m
         self.kernel = kernel
         self.denom = denom
         self.transfer = transfer        # (n_centers, n_sites) flat T vectors
-        self.windows = windows          # per center: (flat z idx, kappa, q)
+        self.window = window            # (n_centers, n_offsets) flat nodes c + o
+        self.q = q                      # kappa / (rho * kappa) there, 0 where kappa = 0
         self._tensors = {}              # max_entries -> read-only dense tensor
 
     @property
@@ -306,7 +313,7 @@ class PreparedPlan:
     source: AtomicPlan      # node-snapped, symmetric, marginal ``rho``
     rho: GridDensity
     alpha: float            # separation; inf for one particle
-    centers: list           # distinct atom-coordinate nodes, multi-index tuples
+    centers: np.ndarray     # (n_centers, dim) distinct atom-coordinate nodes
     center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
 
 
@@ -331,8 +338,7 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity,
     idx = grid.indices_of(plan.configs)
     flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
     nodes, center_of = np.unique(flat, return_inverse=True)
-    centers = [tuple(int(i) for i in c)
-               for c in np.stack(np.unravel_index(nodes, grid.shape), axis=-1)]
+    centers = np.stack(np.unravel_index(nodes, grid.shape), axis=-1)
     return PreparedPlan(plan, rho, alpha, centers,
                         center_of.reshape(plan.n_atoms, plan.n))
 
@@ -372,24 +378,22 @@ def smooth_plan(prep: PreparedPlan, eps: float,
 
     denom = convolve_sq(rho, kernel_m)
 
-    z = np.array(prep.centers)[:, None, :] + kernel.offsets[None, :, :]
+    z = prep.centers[:, None, :] + kernel.offsets[None, :, :]
     if np.any(z < 0) or np.any(z >= grid.npts):
         raise ValidationError(
             "density support too close to the grid boundary for this eps")
-    flat_z = np.ravel_multi_index(tuple(np.moveaxis(z, -1, 0)), grid.shape)
-    dz = denom.values.ravel()[flat_z]
+    window = np.ravel_multi_index(tuple(np.moveaxis(z, -1, 0)), grid.shape)
+    dz = denom.values.ravel()[window]
     live = dz > DENOM_FLOOR
     if np.any(~live & (kernel.sq > 0)):
         raise ValidationError("density vanishes near plan support")
     q = np.where(live, kernel.sq / np.where(live, dz, 1.0), 0.0)
     n_centers = len(prep.centers)
     u = np.zeros((n_centers, grid.n_sites))
-    u[np.arange(n_centers)[:, None], flat_z] = q
+    u[np.arange(n_centers)[:, None], window] = q
     spread = offset_sum(u.reshape((n_centers,) + grid.shape), kernel.offsets, kernel.sq)
     transfer = (rho.values * spread * grid.cell_volume).reshape(n_centers, -1)
-    windows = [(flat_z[c][live[c]], kernel.sq[live[c]], q[c][live[c]])
-               for c in range(n_centers)]
-    return RegularizedPlan(prep, m, kernel, denom, transfer, windows)
+    return RegularizedPlan(prep, m, kernel, denom, transfer, window, q)
 
 
 def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
@@ -476,10 +480,9 @@ def _support_region_configs(rp: RegularizedPlan, reach: float,
     lower = max(rp.alpha - 4.0 * rp.eps, 0.0) if np.isfinite(rp.alpha) else 0.0
     # per center and axis: lo, lo + stride, ... clipped to hi; the steps run one
     # past the box so that hi itself is always sampled
-    centers = np.array(rp.centers)
-    n_centers = len(centers)
-    lo = np.maximum(centers - span, 0)
-    hi = np.minimum(centers + span, grid.npts - 1)
+    n_centers = len(rp.centers)
+    lo = np.maximum(rp.centers - span, 0)
+    hi = np.minimum(rp.centers + span, grid.npts - 1)
     steps = np.arange((2 * span) // stride + 2) * stride
     axis_nodes = np.minimum(lo[:, :, None] + steps, hi[:, :, None])  # (centers, dim, j)
     box = np.zeros((n_centers, 1), dtype=np.int64)   # flat node indices per center

@@ -52,7 +52,6 @@ class SweepRecord:
     e_ot: float
     gap: float
     assembled_c: float
-    fitted_slope: float = math.nan
     scan_fallback: bool = False
     error: Optional[str] = None
 
@@ -223,11 +222,15 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None,
     Every eta optimizes eps over one shared :class:`TrialCurve`, so each
     width is smoothed once per sweep.  A validation or numerical failure for
     one eta is recorded and the sweep continues.  Records are ordered by eta
-    ascending and share the fitted log-log slope of the gap.
+    ascending; the result carries the fitted log-log slope of the gap.
+    ``eps_min`` is checked before any eta runs: inside the loop its error
+    would be recorded as a failed eta instead of rejecting the call.
     """
     eta_list = sorted(float(e) for e in eta_list)
     if len(eta_list) < 1:
         raise ValidationError("eta list is empty")
+    if eps_min is not None and not (math.isfinite(eps_min) and eps_min > 0):
+        raise ValidationError(f"eps_min must be positive and finite, got {eps_min!r}")
     problem = TransportProblem(n=n, marginal=rho)
     sol = solve_lp(problem)
     alpha = plan_separation(sol).alpha
@@ -251,7 +254,5 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None,
                 gap=math.nan, assembled_c=math.nan, error=str(exc)))
     slope = fit_log_slope([r.eta for r in records if r.error is None],
                           [r.gap for r in records if r.error is None])
-    for r in records:
-        r.fitted_slope = slope
     return SweepResult(records=records, e_ot=sol.value, alpha=alpha,
                        fitted_slope=slope)

@@ -250,6 +250,9 @@ EXIT_CODES = [
      cap_sinkhorn, 2),
     ("sweep-valid", SWEEP + ["--etas", "1e-3:1e-1:3"], None, 0),
     ("sweep-malformed", SWEEP + ["--etas", "a:b:3"], None, 1),
+    ("sweep-eps-min-nan", SWEEP + ["--eps-min", "nan"], None, 1),
+    ("sweep-eps-min-inf", SWEEP + ["--eps-min", "inf"], None, 1),
+    ("sweep-eps-min-negative", SWEEP + ["--eps-min=-1"], None, 1),
     ("selftest-valid", ["selftest"], None, 0),
     ("selftest-failed-check", ["selftest"], fail_trace, 2),
 ]

@@ -1,7 +1,12 @@
 import csv
 import math
 
+import numpy as np
+import pytest
+
 from llot import fileio
+from llot.grids import AtomicPlan, Grid, GridDensity, density_from_values
+from llot.presets import fixture_three_particle, sweep_density
 from llot.semiclassics import SweepRecord
 
 
@@ -21,3 +26,38 @@ def test_sweep_csv_round_trip(tmp_path):
     for row, r in zip(rows[1:], records):
         assert [float(v) for v in row] == [r.eta, r.eps_opt, r.e_ot, r.total, r.gap,
                                            r.assembled_c]
+
+
+def test_plan_round_trip_is_exact(tmp_path):
+    rng = np.random.default_rng(8)
+    configs = rng.uniform(-3.0, 3.0, size=(5, 3, 2))
+    configs[0, 0, 0] = -0.0
+    weights = rng.uniform(0.1, 1.0, size=5)
+    _, _, three, _ = fixture_three_particle()
+    for plan in (three, AtomicPlan(3, 2, configs, weights / weights.sum())):
+        path = tmp_path / "plan.json"
+        fileio.write_plan(path, plan)
+        back = fileio.read_plan(path)
+        assert (back.n, back.dim) == (plan.n, plan.dim)
+        assert back.configs.tobytes() == plan.configs.tobytes()
+        assert back.weights.tobytes() == plan.weights.tobytes()
+
+
+@pytest.mark.parametrize("convention", ["probability", "particle-number"])
+def test_density_round_trip(tmp_path, convention):
+    rho = sweep_density()
+    grid = Grid.line(-1.3, rho.grid.h, rho.grid.npts)
+    n = 3
+    if convention == "probability":
+        written = density_from_values(grid, rho.values)
+    else:
+        written = GridDensity(grid, n * rho.values, "particle_number", n)
+    path = tmp_path / "density.csv"
+    fileio.write_density(path, written)
+    back = fileio.read_density(path, convention=convention, n_particles=n)
+    assert back.mass_convention == "probability"
+    assert back.grid.npts == grid.npts and back.grid.dim == 1
+    assert back.grid.origin[0] == grid.origin[0]
+    assert back.grid.h == pytest.approx(grid.h, rel=1e-12, abs=0.0)
+    expected = written.values if convention == "probability" else written.values / n
+    assert np.array_equal(back.values, expected)

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llot.errors import ValidationError
 from llot.grids import (
@@ -289,3 +293,149 @@ def test_marginal_separation_and_snap_match_per_atom_loops():
         if shift > 0.0:
             with pytest.raises(ValidationError, match="away from the nearest node"):
                 snap_to_grid(plan, grid, max_shift=np.nextafter(shift, 0.0))
+
+
+def dict_merge(configs, weights):
+    """Atoms merged through a dict keyed by each configuration's bytes: the
+    distinct configurations in key order, weights summed in input order."""
+    merged = {}
+    for config, w in zip(configs, weights):
+        key = np.ascontiguousarray(config).tobytes()
+        if key in merged:
+            merged[key][1] += w
+        else:
+            merged[key] = [config, float(w)]
+    items = sorted(merged.items(), key=lambda kv: kv[0])
+    return np.stack([v[0] for _, v in items]), np.array([v[1] for _, v in items])
+
+
+def dict_symmetrize(plan):
+    """Each atom's n! permuted copies with shares w / n!, merged by dict."""
+    perms = list(itertools.permutations(range(plan.n)))
+    configs, weights = dict_merge(
+        [config[list(perm)] for config in plan.configs for perm in perms],
+        [w / len(perms) for w in plan.weights for _ in perms])
+    return configs, weights / weights.sum()
+
+
+def dict_is_symmetric(plan, tol):
+    """Per atom and permutation, the dict-merged weight of the permuted copy."""
+    table = {}
+    for config, w in zip(plan.configs, plan.weights):
+        key = np.ascontiguousarray(config).tobytes()
+        table[key] = table.get(key, 0.0) + w
+    for config in plan.configs:
+        total = table[np.ascontiguousarray(config).tobytes()]
+        for perm in itertools.permutations(range(plan.n)):
+            key = np.ascontiguousarray(config[list(perm)]).tobytes()
+            if key not in table or abs(table[key] - total) > tol:
+                return False
+    return True
+
+
+def merge_cases():
+    """Plans with duplicate atoms, signed zeros and a 2-D n = 3 plan, each
+    as given, symmetrized, and symmetrized with two orbits' weights moved by
+    +-1e-10 (symmetric at tol 1e-9, not at 1e-12)."""
+    rng = np.random.default_rng(5)
+    values = np.array([-0.5, -0.0, 0.0, 0.25, 1.0, 1.75])
+    raw = [("signed-zero", plan_1d([((0.0, 1.0), 0.25), ((1.0, -0.0), 0.25),
+                                    ((1.0, 0.0), 0.25), ((-0.0, 1.0), 0.25)]))]
+    for i, (n, dim, m) in enumerate([(2, 1, 40), (3, 1, 60), (2, 2, 30), (3, 2, 50)]):
+        configs = rng.choice(values, size=(m, n, dim))
+        configs[m // 2:] = configs[:m - m // 2]          # duplicate atoms
+        weights = rng.uniform(0.1, 1.0, size=m)
+        raw.append((f"random-{i}", AtomicPlan(n, dim, configs, weights / weights.sum())))
+    g2 = Grid(dim=2, origin=np.array([-0.3, 0.2]), h=0.1, npts=12)
+    raw.append(("2d-n3", snap_to_grid(AtomicPlan(3, 2, rng.uniform(-0.3, 0.8, size=(9, 3, 2)),
+                                                 np.full(9, 1.0 / 9.0)), g2)))
+    for name, plan in raw:
+        yield name, plan
+        sym = symmetrize(plan)
+        yield name + "-sym", sym
+        if sym.n_atoms > 2 * len(list(itertools.permutations(range(sym.n)))):
+            weights = sym.weights.copy()
+            weights[0] += 1e-10
+            weights[-1] -= 1e-10
+            yield name + "-nudged", AtomicPlan(sym.n, sym.dim, sym.configs, weights)
+
+
+def test_merges_match_dict_loops():
+    nudged = 0
+    for name, plan in merge_cases():
+        sym = symmetrize(plan)
+        configs, weights = dict_symmetrize(plan)
+        # byte-equal, so -0.0 and 0.0 stay apart as in the dict keys
+        assert sym.configs.tobytes() == configs.tobytes(), name
+        assert np.array_equal(sym.weights, weights), name
+        for tol in (1e-12, 1e-9):
+            assert is_symmetric(plan, tol) == dict_is_symmetric(plan, tol), (name, tol)
+        if name.endswith("-nudged"):
+            nudged += 1
+            assert is_symmetric(plan, 1e-9) and not is_symmetric(plan, 1e-12), name
+    assert nudged >= 4
+    assert not is_symmetric(plan_1d([((0.0, 1.0), 0.5), ((1.0, -0.0), 0.5)]))
+
+
+def test_snap_to_grid_and_sorted_copy_match_loops():
+    cases = [(name, grid, plan) for name, grid, plan in vectorization_cases()]
+    g = Grid.line(-0.5, 0.25, 12)
+    cases += [(name, g, plan) for name, plan in merge_cases() if plan.dim == 1]
+    for name, grid, plan in cases:
+        nodes, _ = loop_snapped_nodes(plan, grid)
+        configs, weights = dict_merge(nodes, plan.weights)
+        snapped = snap_to_grid(plan, grid)
+        assert snapped.configs.tobytes() == configs.tobytes(), name
+        assert np.array_equal(snapped.weights, weights), name
+        keys = [tuple(c.ravel()) for c in plan.configs]
+        order = sorted(range(plan.n_atoms), key=lambda i: keys[i])
+        ordered = plan.sorted_copy()
+        assert ordered.configs.tobytes() == plan.configs[order].tobytes(), name
+        assert np.array_equal(ordered.weights, plan.weights[order]), name
+
+
+PROPERTY_GRID = Grid.line(-0.5, 0.25, 12)
+
+
+@st.composite
+def small_plans(draw):
+    """Plans on up to three particles whose coordinates repeat often: half
+    of them on nodes of ``PROPERTY_GRID``, the rest anywhere inside it."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    on_node = st.integers(0, 11).map(lambda i: -0.5 + 0.25 * i)
+    coord = st.one_of(on_node, st.floats(-0.5, 2.25, allow_subnormal=False))
+    configs = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                     min_size=m, max_size=m)))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    return AtomicPlan(n, 1, configs[:, :, None], weights / weights.sum())
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
+                             database=None)
+
+
+@PROPERTY_SETTINGS
+@given(small_plans())
+def test_symmetrize_is_idempotent_and_symmetric(plan):
+    once = symmetrize(plan)
+    twice = symmetrize(once)
+    assert is_symmetric(once)
+    assert once.configs.tobytes() == twice.configs.tobytes()
+    assert np.allclose(twice.weights, once.weights, rtol=1e-14, atol=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(small_plans())
+def test_snap_and_symmetrize_preserve_mass(plan):
+    assert symmetrize(plan).weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
+    snapped = snap_to_grid(plan, PROPERTY_GRID)
+    assert snapped.weights.sum() == pytest.approx(plan.weights.sum(), rel=0.0, abs=1e-14)
+
+
+@PROPERTY_SETTINGS
+@given(small_plans())
+def test_marginal_is_invariant_under_symmetrize(plan):
+    before = marginal(plan, PROPERTY_GRID).values
+    after = marginal(symmetrize(plan), PROPERTY_GRID).values
+    assert np.abs(after - before).max() <= 1e-14 * before.max()

@@ -107,7 +107,7 @@ def test_dual_certificate_and_perturbation(p_three):
     from llot.mmot import TransportSolution
     perturbed = TransportSolution(plan=sol.plan, value=sol.value, solver="lp",
                                   marginal_residual=sol.marginal_residual,
-                                  dual_potential=bad, dual_sites=sol.dual_sites)
+                                  dual_potential=bad)
     rep_bad = check_dual(perturbed, p_three)
     assert not rep_bad.ok
     assert rep_bad.worst_config is not None
@@ -116,7 +116,7 @@ def test_dual_certificate_and_perturbation(p_three):
 def test_dual_check_against_per_configuration_loop(p_sixteen):
     sol = solve_lp(p_sixteen)
     positions, _, _ = p_sixteen.support()
-    v, cost = sol.dual_potential, p_sixteen.cost
+    v, cost = sol.dual_potential, CoulombPair()
     slack = [v[list(c)].sum() - cost.value(positions[list(c)])
              for c in itertools.combinations(range(len(positions)), 2)]
     site_of = {tuple(x): i for i, x in enumerate(positions)}
@@ -244,7 +244,7 @@ def comotion_cost(p):
     breaks = np.unique(np.concatenate([[0.0, 1.0], jumps]))
     u = (0.5 * (breaks[1:] + breaks[:-1]))[:, None] + shifts
     sites = np.minimum(np.searchsorted(cum, u % 1.0), len(masses) - 1)
-    return float(np.diff(breaks) @ p.cost.value_many(positions[sites]))
+    return float(np.diff(breaks) @ CoulombPair().value_many(positions[sites]))
 
 
 @pytest.mark.parametrize("n, density", [
@@ -323,7 +323,7 @@ def dense_sinkhorn(p, beta, max_iter=20000, tol=1e-8, damping=0.5):
     kept = np.nonzero(w >= mmot.PRUNE_THRESHOLD * w.sum())[0]
     configs = positions[site_idx[kept]]
     weights = w[kept] / w[kept].sum()
-    value = float((p.cost.value_many(configs) * weights).sum())
+    value = float((CoulombPair().value_many(configs) * weights).sum())
     plan = AtomicPlan(p.n, positions.shape[1], configs, weights).sorted_copy()
     return iterations, value, plan
 

@@ -280,7 +280,8 @@ def per_atom_kinetic_quadrature(K):
     for a in range(rp.source.n_atoms):
         w = rp.source.weights[a]
         for k in range(rp.n):
-            flat_idx, _, q = rp.windows[rp.center_of[a, k]]
+            c = rp.center_of[a, k]
+            flat_idx, q = rp.window[c], rp.q[c]
             for fz, qz in zip(flat_idx, q):
                 if fz not in energy:
                     energy[fz] = quantum._orbital_energy(rp, int(fz))
@@ -295,6 +296,39 @@ def test_kinetic_trace_matches_per_atom_loop(all_identity_fixtures):
             _, quad = kinetic_trace(K)
             expected = per_atom_kinetic_quadrature(K)
             assert quad == pytest.approx(expected, rel=1e-14, abs=0.0), (name, eps)
+
+
+def per_atom_window_tuples(rp):
+    """``window_tuples`` as a loop over atoms: a meshgrid of the window rows
+    of the atom's centers."""
+    tuples, weights = [], []
+    for a in range(rp.source.n_atoms):
+        rows = rp.center_of[a]
+        nodes = np.meshgrid(*rp.window[rows], indexing="ij")
+        qs = np.meshgrid(*rp.q[rows], indexing="ij")
+        tuples.append(np.stack([g.ravel() for g in nodes], axis=1))
+        weight = rp.source.weights[a] * np.ones(qs[0].size)
+        for g in qs:
+            weight *= g.ravel()
+        weights.append(weight * rp.grid.cell_volume**rp.n)
+    return np.concatenate(tuples), np.concatenate(weights)
+
+
+def test_window_tuples_match_per_atom_meshgrid(all_identity_fixtures):
+    cases = [(grid, plan, rho, eps_list + [0.5 * grid.h])
+             for _, grid, plan, rho, eps_list in all_identity_fixtures]
+    grid = Grid(dim=2, origin=np.zeros(2), h=0.25, npts=7)
+    plan = permutation_plan([np.array([1, 1]) * grid.h, np.array([5, 4]) * grid.h])
+    cases.append((grid, plan, marginal(plan, grid), [1.1 * grid.h]))
+    for grid, plan, rho, widths in cases:
+        for eps in widths:
+            rp = build_regularized(plan, rho, eps)
+            # no empty window slots, so each row is the whole window
+            assert np.all(rp.q > 0.0)
+            tuples, weights = MixedStateKernel(rp).window_tuples
+            ref_tuples, ref_weights = per_atom_window_tuples(rp)
+            assert np.array_equal(tuples, ref_tuples), (plan.n, eps)
+            assert np.array_equal(weights, ref_weights), (plan.n, eps)
 
 
 def test_cauchy_schwarz_direction(all_identity_fixtures):
@@ -403,12 +437,12 @@ def all_centers_block_eval(K, x, xp):
     amps = []
     for block in (x, xp):
         nodes = np.stack(np.unravel_index(block, rp.grid.shape), axis=-1)
-        amps.append(rp.kernel.amp_of(nodes[None, None] - K._z[:, :, None]))
+        amps.append(rp.kernel.amp_of(nodes[None, None] - K._window_idx[:, :, None]))
     reach = [a.any(axis=1)[rp.center_of].any(axis=1).all(axis=1) for a in amps]
     atoms = np.flatnonzero(reach[0] & reach[1])
     if atoms.size == 0:
         return 0.0
-    m = np.einsum("czj,cz,czk->cjk", amps[0], K._q, amps[1])[rp.center_of[atoms]]
+    m = np.einsum("czj,cz,czk->cjk", amps[0], rp.q, amps[1])[rp.center_of[atoms]]
     perms, signs = K._perms
     terms = np.ones((atoms.size, len(perms), len(perms)))
     for i in range(n):

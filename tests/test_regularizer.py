@@ -142,7 +142,7 @@ def test_sub_grid_width_gives_one_node_kernel(paired_smooth_fixture):
     assert rp.eps == eps
     for c, t in zip(rp.centers, rp.transfer):
         delta = np.zeros(grid.shape)
-        delta[c] = 1.0 / grid.cell_volume
+        delta[tuple(c)] = 1.0 / grid.cell_volume
         assert np.allclose(t, delta.ravel(), rtol=1e-12, atol=0.0)
     assert density_of(rp).l1_distance(rho) <= 1e-10
     assert abs(rp.mass() - 1.0) <= 1e-10
