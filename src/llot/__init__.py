@@ -23,9 +23,7 @@ from .regularizer import (
     Observable,
     RegularizedPlan,
     SingleParticleSum,
-    SmoothedPlan,
     build_regularized,
-    density_of,
     integrate_observable,
     integrate_plan,
     kinetic_of_sqrt,
@@ -41,7 +39,6 @@ from .quantum import (
     one_particle_density,
     quadratic_form,
     slater,
-    trace,
 )
 from .mmot import (
     DualCheckReport,

@@ -20,8 +20,8 @@ from .grids import h1_seminorm_sqrt, marginal, separation, symmetrize
 from .mmot import TransportProblem, check_dual, plan_separation, solve_lp, solve_sinkhorn
 from .mollifier import BumpProfile
 from .quantum import MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density
-from .quantum import quadratic_form, trace
-from .regularizer import CoulombPair, build_regularized, density_of
+from .quantum import quadratic_form
+from .regularizer import CoulombPair, build_regularized
 from .regularizer import kinetic_of_sqrt, kinetic_term, potential_error
 from .semiclassics import sweep as run_sweep
 
@@ -137,7 +137,7 @@ def _cmd_regularize(args) -> dict:
         raise ValidationError(f"unknown checks: {sorted(unknown)}")
     result = {}
     if "marginal" in checks:
-        result["marginal_l1_error"] = density_of(rp).l1_distance(rho)
+        result["marginal_l1_error"] = rp.density().l1_distance(rho)
     if "kinetic" in checks:
         lhs = kinetic_of_sqrt(rp)
         rhs = kinetic_term(plan.n, h1_seminorm_sqrt(rho),
@@ -166,7 +166,7 @@ def _cmd_quantum_check(args) -> dict:
     plan = symmetrize(plan)
     rp = build_regularized(plan, rho, args.eps)
     kernel = MixedStateKernel(rp)
-    tr = trace(kernel)
+    tr = rp.mass()
     dens_err = one_particle_density(kernel).l1_distance(rho)
     rng = np.random.default_rng(args.seed)
     # diagonal identity on sampled support configurations
@@ -275,11 +275,10 @@ def _cmd_selftest(args) -> dict:
         rho = marginal(plan, grid)
         for eps in eps_list:
             rp = build_regularized(plan, rho, eps)
-            err = density_of(rp).l1_distance(rho)
+            err = rp.density().l1_distance(rho)
             record(f"marginal-pinning:{name}:eps={eps:.6g}", err <= 1e-10,
                    {"l1_error": err})
-            kernel = MixedStateKernel(rp)
-            tr = trace(kernel)
+            tr = rp.mass()
             record(f"trace-one:{name}:eps={eps:.6g}", abs(tr - 1.0) <= 1e-10,
                    {"trace": tr})
 

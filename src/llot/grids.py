@@ -78,19 +78,8 @@ class Grid:
         idx = np.rint((np.asarray(x, dtype=float) - self.origin) / self.h).astype(int)
         return np.minimum(np.maximum(idx, 0), self.npts - 1)
 
-    def index_of(self, x) -> tuple:
-        """Multi-index of the node nearest to ``x`` (clipped to the grid)."""
-        return tuple(int(i) for i in self.indices_of(np.atleast_1d(x)))
-
-    def flat_index_of(self, x) -> int:
-        return int(np.ravel_multi_index(self.index_of(x), self.shape))
-
     def node(self, idx) -> np.ndarray:
         return self.origin + self.h * np.asarray(idx, dtype=float)
-
-    def contains_index(self, idx) -> bool:
-        idx = np.asarray(idx)
-        return bool(np.all(idx >= 0) and np.all(idx < self.npts))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -26,6 +26,8 @@ from .errors import NumericalError, ValidationError
 from .grids import GridDensity
 
 QUAD_TOL = 1e-9
+# squared kernel weights below this fraction of the peak are dropped
+TAIL_CUT = 1e-200
 
 
 def unit_sphere_area(dim: int) -> float:
@@ -150,7 +152,8 @@ class ScaledMollifier:
 class GridKernel:
     """``chi_eps`` resampled on the offset lattice of a grid and renormalized.
 
-    ``offsets`` are the integer lattice vectors ``o`` with ``|o*h| < eps``;
+    ``offsets`` are the integer lattice vectors ``o`` with ``|o*h| < eps``,
+    less those whose squared weight is below ``TAIL_CUT`` times the peak's;
     ``amp[o]`` is the renormalized amplitude with ``sum(amp**2) * h**d == 1``
     and ``sq = amp**2`` the unit-mass squared kernel used for smoothing.
     This table is the package's one discrete kernel; :meth:`amp_of` looks it
@@ -171,20 +174,38 @@ class GridKernel:
             o for o in itertools.product(rng, repeat=self.dim)
             if math.sqrt(sum(v * v for v in o)) * h < m.eps
         ]
-        self.offsets = np.array(offsets, dtype=int)
+        offsets = np.array(offsets, dtype=int)
+        raw = m.radial(np.sqrt((offsets.astype(float) ** 2).sum(axis=1)) * h)
+        # an edge offset whose squared weight is negligible against the peak
+        # would only push rho * kappa under DENOM_FLOOR; it is dropped
+        sq = raw**2
+        keep = sq >= TAIL_CUT * sq.max()
+        self.offsets, raw = offsets[keep], raw[keep]
         self.halfwidth = int(np.abs(self.offsets).max())
         # C-order keys of the offsets in their (2*halfwidth + 1)^dim cube;
         # itertools.product yields them sorted, as amp_of's search needs
         self._keys = np.ravel_multi_index(tuple((self.offsets + self.halfwidth).T),
                                           (2 * self.halfwidth + 1,) * self.dim)
-        radii = np.sqrt((self.offsets.astype(float) ** 2).sum(axis=1)) * h
-        raw = m.radial(radii)
         norm = (raw**2).sum() * h**self.dim
         if norm <= 0:
             raise ValidationError("kernel unresolved")
         self.norm = float(norm)
         self.amp = raw / math.sqrt(norm)
         self.sq = self.amp**2
+        # the box |b_k| <= 2 halfwidth holds the support of kappa * kappa
+        self.box_shape = (4 * self.halfwidth + 1,) * self.dim
+        self._box_strides = self.box_shape[0] ** np.arange(self.dim - 1, -1, -1)
+
+    @cached_property
+    def box(self) -> np.ndarray:
+        """The box offsets ``b``, shape (n_box, dim), in C order."""
+        return np.indices(self.box_shape).reshape(self.dim, -1).T - 2 * self.halfwidth
+
+    def box_slot(self, diff) -> tuple:
+        """Slots in :attr:`box` of integer offsets ``diff`` (..., dim), and
+        whether each lies in the box; the slot of an offset outside is junk."""
+        r = 2 * self.halfwidth
+        return (diff + r) @ self._box_strides, np.all(np.abs(diff) <= r, axis=-1)
 
     def amp_of(self, o) -> np.ndarray:
         """``amp`` at integer lattice offsets ``o`` of shape (..., dim); 0 for
@@ -209,8 +230,9 @@ def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     shape = values.shape[values.ndim - offsets.shape[1]:]
     out = np.zeros_like(values)
-    for o, w in zip(offsets, weights):
-        if any(abs(int(ok)) >= npts for ok, npts in zip(o, shape)):
+    # Python numbers: the slice arithmetic below costs less than on numpy scalars
+    for o, w in zip(np.asarray(offsets).tolist(), np.asarray(weights).tolist()):
+        if any(abs(ok) >= npts for ok, npts in zip(o, shape)):
             continue
         dst = tuple(slice(max(ok, 0), npts + min(ok, 0)) for ok, npts in zip(o, shape))
         src = tuple(slice(max(-ok, 0), npts - max(ok, 0)) for ok, npts in zip(o, shape))

@@ -22,6 +22,11 @@ atom-coordinate center c, ``M_c = A_c^T diag(q_c) A'_c``:
 Because the z windows of distinct atom coordinates are disjoint (the plan
 separation exceeds 4 eps), the determinant square collapses to a permutation
 sum and the diagonal of the kernel equals the smoothed plan density exactly.
+
+A window node is ``z = c + o``, so ``amp(x - z)`` vanishes unless ``x`` is
+in the box ``c + b`` (``GridKernel.box``) that also holds ``T_c``;
+:class:`MixedStateKernel` reads it at ``b = x - c`` from one table
+``amp(b - o)`` over box slots ``b`` and kernel offsets ``o``.
 """
 
 from __future__ import annotations
@@ -136,14 +141,12 @@ class MixedStateKernel:
     def __init__(self, rp: RegularizedPlan):
         self.rp = rp
         self.sqrt_rho = np.sqrt(rp.rho.values).ravel()
-        # the window table's nodes as multi-indices, (n_centers, n_offsets, dim)
-        self._window_idx = np.stack(np.unravel_index(rp.window, rp.grid.shape), axis=-1)
-        # per center: the nodes x its window reaches, amp(x - z) != 0 for some z
-        marks = np.zeros((len(rp.window), rp.grid.n_sites))
-        marks[np.arange(len(rp.window))[:, None], rp.window] = 1.0
-        support = rp.kernel.offsets[rp.kernel.amp != 0.0]
-        self._reaches = offset_sum(marks.reshape((-1,) + rp.grid.shape), support,
-                                   np.ones(len(support))).reshape(len(marks), -1) > 0
+        # amp(b - o) per box slot b and kernel offset o, plus a last row of
+        # zeros for nodes off the box; a slot's row is nonzero where some
+        # window node's orbital reaches it
+        kernel = rp.kernel
+        amp = kernel.amp_of(kernel.box[:, None, :] - kernel.offsets[None, :, :])
+        self._amp = np.vstack([amp, np.zeros(len(kernel.offsets))])
         self._perms = _signed_permutations(rp.n)
 
     @property
@@ -186,18 +189,21 @@ class MixedStateKernel:
         root = float(np.prod(self.sqrt_rho[x]) * np.prod(self.sqrt_rho[xp]))
         if root == 0.0:
             return 0.0
-        # the atoms whose centers reach every coordinate of both blocks, and
-        # the amplitudes and M_c of their centers only
+        # per center and node: amp(x - c - o) over the window, read from the
+        # box table; then the atoms whose centers reach every coordinate of
+        # both blocks, and M_c of their centers only
         both = np.concatenate((x, xp))
-        hits = self._reaches[:, both][rp.center_of]        # (n_atoms, n, 2n)
+        nodes = np.stack(np.unravel_index(both, rp.grid.shape), axis=-1)
+        slot, inside = rp.kernel.box_slot(nodes[None, :, :] - rp.centers[:, None, :])
+        rows = self._amp[np.where(inside, slot, -1)]        # (n_centers, 2n, n_offsets)
+        hits = rows.any(axis=2)[rp.center_of]               # (n_atoms, n, 2n)
         atoms = np.flatnonzero(hits.any(axis=1).all(axis=1))
         if atoms.size == 0:
             return 0.0
         centers = rp.center_of[atoms]
-        nodes = np.stack(np.unravel_index(both, rp.grid.shape), axis=-1)
-        amps = rp.kernel.amp_of(nodes - self._window_idx[centers][..., None, :])
-        m = np.einsum("akzj,akz,akzl->akjl",
-                      amps[..., :n], rp.q[centers], amps[..., n:])
+        amps = rows[centers]                                 # (atoms, n, 2n, n_offsets)
+        m = np.einsum("akjz,akz,aklz->akjl",
+                      amps[:, :, :n], rp.q[centers], amps[:, :, n:])
         perms, signs = self._perms
         terms = np.ones((atoms.size, len(perms), len(perms)))
         for i in range(n):
@@ -230,26 +236,20 @@ def kernel_eval(K: MixedStateKernel, config, config_p) -> float:
     return sign * K._block_eval(*blocks)
 
 
-def trace(K: MixedStateKernel) -> float:
-    """Tensor-grid quadrature of the kernel diagonal.
-
-    The diagonal equals the smoothed plan density, whose tensor sum
-    factorizes over coordinates; the factorized form is summed here.
-    """
-    return K.rp.mass()
-
-
 def one_particle_density(K: MixedStateKernel) -> GridDensity:
     """Partial diagonal trace over coordinates 2..n.
 
     Atom a adds ``w * prod_{k >= 2} m_k * T_{c(a,1)}`` (``m_k`` the masses of
-    its other transfer vectors); the coefficients are summed per center.
+    its other transfer vectors); the coefficients are summed per center and
+    spread with :meth:`RegularizedPlan.spread`.  The trace itself is
+    :meth:`RegularizedPlan.mass`: the kernel diagonal is the smoothed plan
+    density, whose tensor sum factorizes over coordinates.
     """
     rp = K.rp
     masses = rp.center_masses()[rp.center_of]
     coef = rp.source.weights * masses[:, 1:].prod(axis=1)
-    per_center = np.bincount(rp.center_of[:, 0], weights=coef, minlength=len(rp.centers))
-    return GridDensity(rp.grid, (per_center @ rp.transfer).reshape(rp.grid.shape))
+    return rp.spread(np.bincount(rp.center_of[:, 0], weights=coef,
+                                 minlength=len(rp.centers)))
 
 
 _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(16)

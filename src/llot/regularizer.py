@@ -15,11 +15,15 @@ the nodes ``z = c + o`` over the kernel offsets ``o``, with the weights
 ``q(z) = kappa(z - c) / (rho * kappa)(z)``; one table of shape
 ``(n_centers, n_offsets)`` holds each, ``RegularizedPlan.window`` (flat node
 indices) and ``RegularizedPlan.q``, and both the transfer vectors and the
-mixed state of :mod:`llot.quantum` are built from it.  Because kappa has unit
-discrete mass and atoms sit on nodes, the one-particle marginal of P_eps
-equals rho exactly (up to float rounding), for every eps.  A width at or
-below the grid spacing h resolves only the zero offset, so kappa is the
-one-node kernel and P_eps = P on the grid (see :func:`build_regularized`).
+mixed state of :mod:`llot.quantum` are built from it.  ``T_c`` vanishes off
+the box ``c + b``, ``|b_k| <= 2 halfwidth`` (``GridKernel.box``), and is
+stored there only, one row per center: ``RegularizedPlan.nodes`` (flat node
+indices, -1 off the grid) and ``RegularizedPlan.transfer`` (its values).
+Because kappa has unit discrete mass and atoms sit on nodes, the
+one-particle marginal of P_eps equals rho exactly (up to float rounding),
+for every eps.  A width at or below the grid spacing h resolves only the
+zero offset, so kappa is the one-node kernel and P_eps = P on the grid (see
+:func:`build_regularized`).
 """
 
 from __future__ import annotations
@@ -159,54 +163,22 @@ class Constant(Observable):
         return np.zeros((m, d, d))
 
 
-class SmoothedPlan:
-    """Plain mollification Q_eps of an atomic plan (no marginal correction).
-
-    Q_eps(z_1,...,z_n) = sum_atoms w * prod_k kappa(z_k - y_k); its marginal
-    is rho * kappa, the denominator of the pinned construction.
-    """
-
-    def __init__(self, source: AtomicPlan, m: ScaledMollifier, grid: Grid):
-        self.source = snap_to_grid(source, grid)
-        self.m = m
-        self.grid = grid
-        self.kernel = GridKernel(m, grid.h)
-
-    def evaluate(self, config) -> float:
-        """Q_eps at a configuration (coordinates snapped to nearest nodes)."""
-        config = np.asarray(config, dtype=float).reshape(self.source.n, self.source.dim)
-        diff = self.grid.indices_of(config) - self.grid.indices_of(self.source.configs)
-        kappa = self.kernel.amp_of(diff) ** 2    # (n_atoms, n)
-        return float((self.source.weights * kappa.prod(axis=1)).sum())
-
-    def density(self) -> GridDensity:
-        values = np.zeros(self.grid.shape)
-        cube_idx = self.kernel.offsets
-        for atom, w in zip(self.source.configs, self.source.weights):
-            for k in range(self.source.n):
-                c = np.array(self.grid.index_of(atom[k]))
-                for o, v in zip(cube_idx, self.kernel.sq):
-                    z = tuple(c + o)
-                    if self.grid.contains_index(z):
-                        values[z] += w / self.source.n * v
-        return GridDensity(self.grid, values)
-
-
 class RegularizedPlan:
     """Evaluator for the marginal-pinned smoothing of an atomic plan."""
 
     def __init__(self, prep: "PreparedPlan", m: ScaledMollifier, kernel: GridKernel,
-                 denom: GridDensity, transfer: np.ndarray, window: np.ndarray,
-                 q: np.ndarray):
+                 denom: GridDensity, nodes: np.ndarray, transfer: np.ndarray,
+                 window: np.ndarray, q: np.ndarray):
         self.source = prep.source
         self.rho = prep.rho
         self.alpha = prep.alpha
         self.centers = prep.centers      # (n_centers, dim) multi-indices
-        self.center_of = prep.center_of  # (n_atoms, n) -> row of `transfer`
+        self.center_of = prep.center_of  # (n_atoms, n) -> row of the tables
         self.m = m
         self.kernel = kernel
         self.denom = denom
-        self.transfer = transfer        # (n_centers, n_sites) flat T vectors
+        self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
+        self.transfer = transfer        # (n_centers, n_box) T_c there, 0 off the grid
         self.window = window            # (n_centers, n_offsets) flat nodes c + o
         self.q = q                      # kappa / (rho * kappa) there, 0 where kappa = 0
         self._tensors = {}              # max_entries -> read-only dense tensor
@@ -231,9 +203,10 @@ class RegularizedPlan:
     def evaluate(self, config) -> float:
         """P_eps at a configuration (coordinates snapped to nearest nodes)."""
         config = np.asarray(config, dtype=float).reshape(self.n, self.source.dim)
-        idx = self.grid.indices_of(config)
-        sites = np.ravel_multi_index(tuple(idx.T), self.grid.shape)
-        factors = self.transfer[self.center_of, sites]     # (n_atoms, n)
+        diff = self.grid.indices_of(config) - self.centers[self.center_of]
+        slot, inside = self.kernel.box_slot(diff)          # (n_atoms, n)
+        factors = np.where(inside, self.transfer[self.center_of, np.where(inside, slot, 0)],
+                           0.0)
         return float((self.source.weights * factors.prod(axis=1)).sum())
 
     def tensor(self, max_entries: int = MAX_TENSOR_ENTRIES) -> np.ndarray:
@@ -262,12 +235,21 @@ class RegularizedPlan:
         flat = np.zeros((s ** (self.n - 1), s))
         for lo in range(0, self.source.n_atoms, step):
             rows = slice(lo, lo + step)
+            t = self._grid_rows(self.center_of[rows])     # (atoms, n, n_sites)
             left = self.source.weights[rows, None]
             for k in range(self.n - 1):
-                t = self.transfer[self.center_of[rows, k]]
-                left = (left[:, :, None] * t[:, None, :]).reshape(left.shape[0], -1)
-            flat += left.T @ self.transfer[self.center_of[rows, self.n - 1]]
+                left = (left[:, :, None] * t[:, k, None, :]).reshape(left.shape[0], -1)
+            flat += left.T @ t[:, -1]
         return flat.reshape(self.grid.shape * self.n)
+
+    def _grid_rows(self, centers: np.ndarray) -> np.ndarray:
+        """The transfer vectors of an array of centers as whole-grid rows; an
+        extra last column takes the box slots off the grid (node -1)."""
+        rows = np.zeros(centers.shape + (self.grid.n_sites + 1,))
+        flat = rows.reshape(-1, rows.shape[-1])
+        flat[np.arange(len(flat))[:, None], self.nodes[centers.ravel()]] = \
+            self.transfer[centers.ravel()]
+        return rows[..., :-1]
 
     def center_masses(self) -> np.ndarray:
         """Quadrature mass of each transfer vector ``T_c``."""
@@ -277,22 +259,27 @@ class RegularizedPlan:
         masses = self.center_masses()[self.center_of]   # (n_atoms, n)
         return float((self.source.weights * masses.prod(axis=1)).sum())
 
+    def spread(self, per_center: np.ndarray) -> GridDensity:
+        """``sum_c per_center[c] * T_c`` on the grid: one scatter of the table."""
+        on = self.nodes >= 0
+        values = np.bincount(self.nodes[on], weights=(per_center[:, None] * self.transfer)[on],
+                             minlength=self.grid.n_sites)
+        return GridDensity(self.grid, values.reshape(self.grid.shape))
+
     def density(self) -> GridDensity:
         """One-particle marginal of P_eps (coordinate-averaged).
 
         Coordinate k of atom a adds ``w / n * prod_{l != k} m_l * T_{c(a,k)}``
         (``m_l`` the masses of the atom's other transfer vectors); the
-        coefficients are summed per center and applied in one product.
+        coefficients are summed per center and spread in one scatter.
         """
         masses = self.center_masses()[self.center_of]
         coef = np.empty_like(masses)
         for k in range(self.n):
             others = np.delete(masses, k, axis=1).prod(axis=1)
             coef[:, k] = self.source.weights / self.n * others
-        per_center = np.bincount(self.center_of.ravel(), weights=coef.ravel(),
-                                 minlength=len(self.centers))
-        values = (per_center @ self.transfer).reshape(self.grid.shape)
-        return GridDensity(self.grid, values)
+        return self.spread(np.bincount(self.center_of.ravel(), weights=coef.ravel(),
+                                       minlength=len(self.centers)))
 
 
 def kinetic_term(n: int, h1: float, grad_moment: float, width: float) -> float:
@@ -350,8 +337,10 @@ def smooth_plan(prep: PreparedPlan, eps: float,
     Requires ``eps`` below a quarter of the plan separation and a kernel
     radius of margin between the support and the grid boundary (required
     for the exact identities).  The transfer vectors are
-    ``rho * offset_sum(U, kappa) * h^d``, where row c of ``U`` holds
-    ``kappa / (rho * kappa)`` on the window ``c + offsets``.
+    ``rho * offset_sum(U, kappa) * h^d`` on each center's box, where row c
+    of ``U`` holds ``kappa / (rho * kappa)`` on the window ``c + offsets``
+    and 0 elsewhere in the box; per node, the additions run in the order
+    they would on the whole grid.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValidationError(f"mollifier width must be positive and finite, got {eps!r}")
@@ -378,22 +367,25 @@ def smooth_plan(prep: PreparedPlan, eps: float,
 
     denom = convolve_sq(rho, kernel_m)
 
-    z = prep.centers[:, None, :] + kernel.offsets[None, :, :]
-    if np.any(z < 0) or np.any(z >= grid.npts):
+    z = prep.centers[:, None, :] + kernel.box[None, :, :]
+    on = np.all((z >= 0) & (z < grid.npts), axis=-1)
+    nodes = np.where(on, z @ grid.npts ** np.arange(grid.dim - 1, -1, -1), -1)
+    slots, _ = kernel.box_slot(kernel.offsets)
+    window = np.take(nodes, slots, axis=1)
+    if np.any(window < 0):
         raise ValidationError(
             "density support too close to the grid boundary for this eps")
-    window = np.ravel_multi_index(tuple(np.moveaxis(z, -1, 0)), grid.shape)
     dz = denom.values.ravel()[window]
     live = dz > DENOM_FLOOR
     if np.any(~live & (kernel.sq > 0)):
         raise ValidationError("density vanishes near plan support")
     q = np.where(live, kernel.sq / np.where(live, dz, 1.0), 0.0)
-    n_centers = len(prep.centers)
-    u = np.zeros((n_centers, grid.n_sites))
-    u[np.arange(n_centers)[:, None], window] = q
-    spread = offset_sum(u.reshape((n_centers,) + grid.shape), kernel.offsets, kernel.sq)
-    transfer = (rho.values * spread * grid.cell_volume).reshape(n_centers, -1)
-    return RegularizedPlan(prep, m, kernel, denom, transfer, window, q)
+    u = np.zeros(nodes.shape)
+    u[:, slots] = q
+    spread = offset_sum(u.reshape((-1,) + kernel.box_shape), kernel.offsets, kernel.sq)
+    rho_at = np.append(rho.values.ravel(), 0.0)[nodes]   # 0 at node -1
+    transfer = rho_at * spread.reshape(nodes.shape) * grid.cell_volume
+    return RegularizedPlan(prep, m, kernel, denom, nodes, transfer, window, q)
 
 
 def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
@@ -414,11 +406,6 @@ def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
     kernel diagonal stay exact; ``RegularizedPlan.one_node_kernel`` flags it.
     """
     return smooth_plan(prepare_plan(plan, rho, marginal_tol), eps, profile)
-
-
-def density_of(rp: RegularizedPlan) -> GridDensity:
-    """One-particle marginal of the smoothed plan; equals rho to rounding."""
-    return rp.density()
 
 
 def kinetic_of_sqrt(rp: RegularizedPlan, max_entries: int = MAX_TENSOR_ENTRIES) -> float:

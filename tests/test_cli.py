@@ -12,7 +12,7 @@ from llot import cli, fileio
 from llot.grids import marginal, symmetrize
 from llot.presets import fixture_paired_smooth, sixteen_site_density
 from llot.quantum import MixedStateKernel, quadratic_form
-from llot.regularizer import build_regularized
+from llot.regularizer import RegularizedPlan, build_regularized
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +230,7 @@ def cli_files(paired_files, sixteen_csv, tmp_path_factory):
 
 
 def fail_trace(monkeypatch):
-    monkeypatch.setattr(cli, "trace", lambda kernel: 0.5)
+    monkeypatch.setattr(RegularizedPlan, "mass", lambda rp: 0.5)
 
 
 REGULARIZE = ["regularize", "--density", "{density}", "--eps", "{eps}"]
@@ -273,3 +273,16 @@ def test_exit_codes(cli_files, tmp_path, monkeypatch, capsys, argv, patch, code)
     else:
         assert err == ""
         assert out.exists()
+
+
+VALID = [case for case in EXIT_CODES if case[0].endswith("-valid")]
+
+
+@pytest.mark.parametrize("argv", [case[1] for case in VALID], ids=[case[0] for case in VALID])
+def test_reports_are_byte_identical_across_runs(cli_files, tmp_path, argv):
+    argv = [arg.format(**cli_files) for arg in argv]
+    reports = []
+    for name in ("a.json", "b.json"):
+        assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name).read_bytes())
+    assert reports[0] == reports[1]

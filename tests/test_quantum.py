@@ -19,9 +19,9 @@ from llot.quantum import (
     one_particle_density,
     quadratic_form,
     slater,
-    trace,
 )
-from llot.regularizer import build_regularized, density_of, kinetic_of_sqrt
+from llot.regularizer import build_regularized, kinetic_of_sqrt
+from oracles import dense_transfer
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ def test_trace_is_one(all_identity_fixtures):
     for name, grid, plan, rho, eps_list in all_identity_fixtures:
         for eps in eps_list:
             rp = build_regularized(plan, rho, eps)
-            assert abs(trace(MixedStateKernel(rp)) - 1.0) <= 1e-10, (name, eps)
+            assert abs(rp.mass() - 1.0) <= 1e-10, (name, eps)
 
 
 def test_trace_single_particle():
@@ -200,13 +200,13 @@ def test_trace_single_particle():
     plan = AtomicPlan.from_atoms([((0.5,), 0.5), ((1.0,), 0.5)], dim=1)
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
-    assert trace(MixedStateKernel(rp)) == pytest.approx(rho.mass(), abs=1e-12)
+    assert rp.mass() == pytest.approx(rho.mass(), abs=1e-12)
 
 
 def test_trace_against_dense_diagonal(small_state):
     grid, rp, K = small_state
     t = rp.tensor()
-    assert trace(K) == pytest.approx(t.sum() * grid.h**2, abs=1e-12)
+    assert K.rp.mass() == pytest.approx(t.sum() * grid.h**2, abs=1e-12)
 
 
 def test_density_matches_pinned_marginal(all_identity_fixtures):
@@ -219,7 +219,7 @@ def test_density_matches_pinned_marginal(all_identity_fixtures):
 def test_density_matches_classical_marginal_nodewise(smooth_state):
     grid, rp, K = smooth_state
     dq = one_particle_density(K).values
-    dc = density_of(rp).values
+    dc = rp.density().values
     scale = dc.max()
     assert np.abs(dq - dc).max() <= 1e-12 * scale
 
@@ -314,12 +314,10 @@ def per_atom_window_tuples(rp):
     return np.concatenate(tuples), np.concatenate(weights)
 
 
-def test_window_tuples_match_per_atom_meshgrid(all_identity_fixtures):
+def test_window_tuples_match_per_atom_meshgrid(all_identity_fixtures, two_dim_fixture):
     cases = [(grid, plan, rho, eps_list + [0.5 * grid.h])
              for _, grid, plan, rho, eps_list in all_identity_fixtures]
-    grid = Grid(dim=2, origin=np.zeros(2), h=0.25, npts=7)
-    plan = permutation_plan([np.array([1, 1]) * grid.h, np.array([5, 4]) * grid.h])
-    cases.append((grid, plan, marginal(plan, grid), [1.1 * grid.h]))
+    cases.append(two_dim_fixture[1:])
     for grid, plan, rho, widths in cases:
         for eps in widths:
             rp = build_regularized(plan, rho, eps)
@@ -373,10 +371,9 @@ def test_quadratic_form_near_upper_grid_edge():
         assert quadratic_form(K, psi) == pytest.approx(direct, rel=1e-12)
 
 
-def test_quadratic_form_and_kernel_match_dense_in_two_dimensions():
-    grid = Grid(dim=2, origin=np.zeros(2), h=0.25, npts=7)
-    plan = permutation_plan([np.array([1, 1]) * grid.h, np.array([5, 4]) * grid.h])
-    rp = build_regularized(plan, marginal(plan, grid), 1.1 * grid.h)
+def test_quadratic_form_and_kernel_match_dense_in_two_dimensions(two_dim_fixture):
+    _, grid, plan, rho, (eps,) = two_dim_fixture
+    rp = build_regularized(plan, rho, eps)
     assert len(rp.kernel.offsets) == 5
     K = MixedStateKernel(rp)
     mat = dense_kernel_matrix(K)
@@ -406,14 +403,16 @@ def test_dense_matrix_positive_semidefinite(small_state):
 
 
 def loop_one_particle_density(rp):
-    """Per-atom accumulation of the partial trace over coordinates 2..n."""
+    """Per-atom accumulation of the partial trace over coordinates 2..n, on
+    the whole-grid transfer rows."""
     cell = rp.grid.cell_volume
+    transfer = dense_transfer(rp)
     acc = np.zeros(rp.grid.n_sites)
     for a in range(rp.source.n_atoms):
         tail = 1.0
         for k in range(1, rp.n):
-            tail *= rp.transfer[rp.center_of[a, k]].sum() * cell
-        acc += rp.source.weights[a] * tail * rp.transfer[rp.center_of[a, 0]]
+            tail *= transfer[rp.center_of[a, k]].sum() * cell
+        acc += rp.source.weights[a] * tail * transfer[rp.center_of[a, 0]]
     return acc.reshape(rp.grid.shape)
 
 
@@ -434,10 +433,11 @@ def all_centers_block_eval(K, x, xp):
     root = float(np.prod(K.sqrt_rho[x]) * np.prod(K.sqrt_rho[xp]))
     if root == 0.0:
         return 0.0
+    window = np.stack(np.unravel_index(rp.window, rp.grid.shape), axis=-1)
     amps = []
     for block in (x, xp):
         nodes = np.stack(np.unravel_index(block, rp.grid.shape), axis=-1)
-        amps.append(rp.kernel.amp_of(nodes[None, None] - K._window_idx[:, :, None]))
+        amps.append(rp.kernel.amp_of(nodes[None, None] - window[:, :, None]))
     reach = [a.any(axis=1)[rp.center_of].any(axis=1).all(axis=1) for a in amps]
     atoms = np.flatnonzero(reach[0] & reach[1])
     if atoms.size == 0:
@@ -451,9 +451,9 @@ def all_centers_block_eval(K, x, xp):
     return float(total) * root * rp.grid.cell_volume**n / math.factorial(n)
 
 
-def test_block_eval_matches_all_centers_oracle(all_identity_fixtures):
+def test_block_eval_matches_all_centers_oracle(fixtures_with_2d):
     rng = np.random.default_rng(11)
-    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
         rp = build_regularized(plan, rho, eps_list[0])
         K = MixedStateKernel(rp)
         support = np.flatnonzero(rho.values.ravel() > 0)

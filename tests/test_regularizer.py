@@ -5,7 +5,14 @@ import pytest
 
 from llot import regularizer
 from llot.errors import ValidationError
-from llot.grids import AtomicPlan, Grid, GridDensity, h1_seminorm_sqrt, marginal
+from llot.grids import (
+    AtomicPlan,
+    Grid,
+    GridDensity,
+    h1_seminorm_sqrt,
+    marginal,
+    snap_to_grid,
+)
 from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
 from llot.presets import (
     fixture_paired_smooth,
@@ -18,15 +25,14 @@ from llot.regularizer import (
     Constant,
     CoulombPair,
     SingleParticleSum,
-    SmoothedPlan,
     build_regularized,
-    density_of,
     integrate_observable,
     integrate_plan,
     kinetic_of_sqrt,
     potential_error,
     _support_region_configs,
 )
+from oracles import dense_transfer, scattered_transfer
 
 EPS_TINY = 0.22
 
@@ -91,7 +97,7 @@ def test_single_particle_plan_reproduces_density():
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
     assert np.allclose(rp.tensor(), rho.values, rtol=1e-12, atol=1e-300)
-    assert np.allclose(density_of(rp).values, rho.values, rtol=1e-12, atol=1e-300)
+    assert np.allclose(rp.density().values, rho.values, rtol=1e-12, atol=1e-300)
 
 
 def test_support_separation(two_site_fixture):
@@ -125,11 +131,11 @@ def test_wrong_density_rejected(two_site_fixture):
         build_regularized(plan, other, eps_list[0])
 
 
-def test_marginal_pinning_all_fixtures(all_identity_fixtures):
-    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+def test_marginal_pinning_all_fixtures(fixtures_with_2d):
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
         for eps in eps_list:
             rp = build_regularized(plan, rho, eps)
-            assert density_of(rp).l1_distance(rho) <= 1e-10, (name, eps)
+            assert rp.density().l1_distance(rho) <= 1e-10, (name, eps)
 
 
 def test_sub_grid_width_gives_one_node_kernel(paired_smooth_fixture):
@@ -140,18 +146,18 @@ def test_sub_grid_width_gives_one_node_kernel(paired_smooth_fixture):
     rp = build_regularized(plan, rho, eps)
     assert rp.one_node_kernel
     assert rp.eps == eps
-    for c, t in zip(rp.centers, rp.transfer):
+    for c, t in zip(rp.centers, dense_transfer(rp)):
         delta = np.zeros(grid.shape)
         delta[tuple(c)] = 1.0 / grid.cell_volume
         assert np.allclose(t, delta.ravel(), rtol=1e-12, atol=0.0)
-    assert density_of(rp).l1_distance(rho) <= 1e-10
+    assert rp.density().l1_distance(rho) <= 1e-10
     assert abs(rp.mass() - 1.0) <= 1e-10
 
 
 def test_marginal_unchanged_when_eps_halved(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
-    d1 = density_of(build_regularized(plan, rho, eps_list[0]))
-    d2 = density_of(build_regularized(plan, rho, eps_list[0] / 2.0))
+    d1 = build_regularized(plan, rho, eps_list[0]).density()
+    d2 = build_regularized(plan, rho, eps_list[0] / 2.0).density()
     assert d1.l1_distance(rho) <= 1e-10
     assert d2.l1_distance(rho) <= 1e-10
 
@@ -317,6 +323,38 @@ def test_feasibility_of_smoothed_cost(two_site_fixture):
     assert integrate_observable(rp, cou) >= integrate_plan(plan, cou) - 1e-8
 
 
+class SmoothedPlan:
+    """Plain mollification Q_eps of an atomic plan (no marginal correction).
+
+    Q_eps(z_1,...,z_n) = sum_atoms w * prod_k kappa(z_k - y_k); its marginal
+    is rho * kappa, the denominator of the pinned construction.
+    """
+
+    def __init__(self, source, m, grid):
+        self.source = snap_to_grid(source, grid)
+        self.grid = grid
+        self.kernel = GridKernel(m, grid.h)
+
+    def evaluate(self, config) -> float:
+        """Q_eps at a configuration (coordinates snapped to nearest nodes)."""
+        config = np.asarray(config, dtype=float).reshape(self.source.n, self.source.dim)
+        diff = self.grid.indices_of(config) - self.grid.indices_of(self.source.configs)
+        kappa = self.kernel.amp_of(diff) ** 2    # (n_atoms, n)
+        return float((self.source.weights * kappa.prod(axis=1)).sum())
+
+    def density(self) -> GridDensity:
+        """Per atom and coordinate, ``w / n`` times the kernel at its node."""
+        values = np.zeros(self.grid.shape)
+        for atom, w in zip(self.source.configs, self.source.weights):
+            for k in range(self.source.n):
+                c = self.grid.indices_of(atom[k])
+                for o, v in zip(self.kernel.offsets, self.kernel.sq):
+                    z = c + o
+                    if np.all((z >= 0) & (z < self.grid.npts)):
+                        values[tuple(z)] += w / self.source.n * v
+        return GridDensity(self.grid, values)
+
+
 def test_smoothed_plan_density_is_denominator(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
     eps = eps_list[0]
@@ -335,14 +373,41 @@ def test_smoothed_plan_evaluate_marginal_is_its_density(two_site_fixture):
     assert np.abs(marg - q.density().values).max() <= 1e-12 * marg.max()
 
 
+def test_transfer_table_scatters_to_the_dense_oracle(fixtures_with_2d):
+    off_grid = 0
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
+        for eps in eps_list + [0.5 * grid.h]:
+            rp = build_regularized(plan, rho, eps)
+            side = 4 * rp.kernel.halfwidth + 1
+            assert rp.transfer.shape == (len(rp.centers), side**grid.dim), (name, eps)
+            assert rp.nodes.shape == rp.transfer.shape, (name, eps)
+            assert np.all(rp.transfer[rp.nodes < 0] == 0.0), (name, eps)
+            assert np.array_equal(scattered_transfer(rp), dense_transfer(rp)), (name, eps)
+            off_grid += np.count_nonzero(rp.nodes < 0)
+    assert off_grid > 0   # some boxes reach past the grid
+
+
+def test_smooth_plan_spreads_on_the_box_only(monkeypatch, fixtures_with_2d):
+    shapes = []
+    offset_sum = regularizer.offset_sum
+    monkeypatch.setattr(regularizer, "offset_sum",
+                        lambda v, *args: shapes.append(v.shape) or offset_sum(v, *args))
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
+        shapes.clear()
+        rp = build_regularized(plan, rho, eps_list[0])
+        assert shapes == [(len(rp.centers),) + rp.kernel.box_shape], name
+
+
 def outer_product_tensor(rp):
-    """Per-atom sum of the weighted outer products of the transfer vectors."""
+    """Per-atom sum of the weighted outer products of the whole-grid
+    transfer rows."""
     s = rp.grid.n_sites
+    transfer = dense_transfer(rp)
     out = np.zeros((s,) * rp.n)
     for a in range(rp.source.n_atoms):
         term = np.array(rp.source.weights[a])
         for k in range(rp.n):
-            term = np.multiply.outer(term, rp.transfer[rp.center_of[a, k]])
+            term = np.multiply.outer(term, transfer[rp.center_of[a, k]])
         out += term
     return out.reshape(rp.grid.shape * rp.n)
 
@@ -383,31 +448,33 @@ def test_tensor_built_once_and_read_only(monkeypatch):
 
 
 def loop_mass(rp):
-    """Per-atom product of the transfer vectors' masses."""
+    """Per-atom product of the whole-grid transfer rows' masses."""
     cell = rp.grid.cell_volume
+    transfer = dense_transfer(rp)
     total = 0.0
     for a in range(rp.source.n_atoms):
         prod = rp.source.weights[a]
         for k in range(rp.n):
-            prod *= rp.transfer[rp.center_of[a, k]].sum() * cell
+            prod *= transfer[rp.center_of[a, k]].sum() * cell
         total += prod
     return total
 
 
 def loop_density(rp):
     """Per-atom, per-coordinate accumulation of the coordinate-averaged
-    marginal."""
+    marginal, on the whole-grid transfer rows."""
     cell = rp.grid.cell_volume
+    transfer = dense_transfer(rp)
     acc = np.zeros(rp.grid.n_sites)
     for a in range(rp.source.n_atoms):
         w = rp.source.weights[a]
-        masses = [rp.transfer[rp.center_of[a, k]].sum() * cell for k in range(rp.n)]
+        masses = [transfer[rp.center_of[a, k]].sum() * cell for k in range(rp.n)]
         for k in range(rp.n):
             others = 1.0
             for l in range(rp.n):
                 if l != k:
                     others *= masses[l]
-            acc += (w / rp.n) * others * rp.transfer[rp.center_of[a, k]]
+            acc += (w / rp.n) * others * transfer[rp.center_of[a, k]]
     return acc.reshape(rp.grid.shape)
 
 
@@ -422,24 +489,26 @@ def test_mass_and_density_match_per_atom_loops(all_identity_fixtures):
             assert np.array_equal(got == 0.0, ref == 0.0), (name, eps)
 
 
-def loop_evaluate(rp, config):
-    """Per-atom product of the transfer entries at the snapped configuration."""
+def loop_evaluate(rp, transfer, config):
+    """Per-atom product of the whole-grid transfer entries at the snapped
+    configuration."""
     config = np.asarray(config, dtype=float).reshape(rp.n, rp.source.dim)
-    sites = [rp.grid.flat_index_of(config[k]) for k in range(rp.n)]
+    idx = rp.grid.indices_of(config)
+    sites = [np.ravel_multi_index(tuple(idx[k]), rp.grid.shape) for k in range(rp.n)]
     total = 0.0
     for a in range(rp.source.n_atoms):
         prod = rp.source.weights[a]
         for k in range(rp.n):
-            prod *= rp.transfer[rp.center_of[a, k], sites[k]]
+            prod *= transfer[rp.center_of[a, k], sites[k]]
             if prod == 0.0:
                 break
         total += prod
     return float(total)
 
 
-def test_evaluate_matches_per_atom_loop(all_identity_fixtures):
+def test_evaluate_matches_per_atom_loop(fixtures_with_2d):
     rng = np.random.default_rng(5)
-    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
         lo, hi = grid.origin - 2 * grid.h, grid.origin + (grid.npts + 1) * grid.h
         for eps in eps_list:
             rp = build_regularized(plan, rho, eps)
@@ -451,7 +520,8 @@ def test_evaluate_matches_per_atom_loop(all_identity_fixtures):
             # points past the grid's edges snap to the edge nodes
             anywhere = rng.uniform(lo, hi, (20,) + plan.configs.shape[1:])
             configs = np.concatenate([plan.configs, near, on_support, anywhere])
-            ref = np.array([loop_evaluate(rp, x) for x in configs])
+            transfer = dense_transfer(rp)
+            ref = np.array([loop_evaluate(rp, transfer, x) for x in configs])
             got = np.array([rp.evaluate(x) for x in configs])
             assert ref.max() > 0.0, (name, eps)
             assert np.all(np.abs(got - ref) <= 1e-14 * ref), (name, eps)

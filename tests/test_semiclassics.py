@@ -133,6 +133,14 @@ def test_sweep_end_to_end():
         assert r.gap <= r.assembled_c * (math.sqrt(r.eta) + r.eta)
 
 
+def test_sweep_survives_a_negligible_kernel_tail():
+    # at 10x refinement an edge kernel offset has a squared weight near
+    # 1e-299, which once pushed rho * kappa under DENOM_FLOOR at every eta
+    result = sweep(refined_sweep_density(10, 40), 2, np.geomspace(1e-4, 1e-1, 3))
+    assert [r.error for r in result.records] == [None, None, None]
+    assert all(r.gap >= -1e-8 for r in result.records)
+
+
 def test_sweep_continues_past_per_eta_failure():
     rho = sweep_density()
     # eps_min above alpha/4 makes every eta infeasible but must not raise
