@@ -18,11 +18,9 @@ from .grids import (
 )
 from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq
 from .regularizer import (
-    Constant,
     CoulombPair,
     Observable,
     RegularizedPlan,
-    SingleParticleSum,
     build_regularized,
     integrate_observable,
     integrate_plan,
@@ -31,14 +29,11 @@ from .regularizer import (
 )
 from .quantum import (
     MixedStateKernel,
-    OrbitalSet,
     dense_kernel_matrix,
-    det_square_identity,
     kernel_eval,
     kinetic_trace,
     one_particle_density,
     quadratic_form,
-    slater,
 )
 from .mmot import (
     DualCheckReport,

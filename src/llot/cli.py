@@ -2,8 +2,9 @@
 
 All reports are deterministic JSON (sorted keys, no timestamps); identical
 inputs produce byte-identical output.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure.  A ``selftest`` with a failed check and a
-Sinkhorn ``mmot`` that did not converge write their report and exit 2.
+error or a file that cannot be read or written, 2 numerical failure.  A
+``selftest`` with a failed check and a Sinkhorn ``mmot`` that did not
+converge write their report and exit 2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import fileio, presets
 from .errors import NumericalError, ValidationError
 from .grids import h1_seminorm_sqrt, marginal, separation, symmetrize
 from .mmot import TransportProblem, check_dual, plan_separation, solve_lp, solve_sinkhorn
-from .mollifier import BumpProfile
 from .quantum import MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density
 from .quantum import quadratic_form
 from .regularizer import CoulombPair, build_regularized
@@ -140,8 +140,7 @@ def _cmd_regularize(args) -> dict:
         result["marginal_l1_error"] = rp.density().l1_distance(rho)
     if "kinetic" in checks:
         lhs = kinetic_of_sqrt(rp)
-        rhs = kinetic_term(plan.n, h1_seminorm_sqrt(rho),
-                           BumpProfile(rho.grid.dim).moments()[0], rp.kernel.m.eps)
+        rhs = kinetic_term(plan.n, h1_seminorm_sqrt(rho), rp.kernel)
         result["kinetic"] = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
     if "potential" in checks:
         lhs, bound = potential_error(rp, CoulombPair())
@@ -160,6 +159,8 @@ def _cmd_regularize(args) -> dict:
 def _cmd_quantum_check(args) -> dict:
     if args.samples < 1:
         raise ValidationError(f"samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {args.seed}")
     plan = fileio.read_plan(args.plan)
     rho = fileio.read_density(args.density, convention=args.mass_convention,
                               n_particles=plan.n)
@@ -317,16 +318,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report = _COMMANDS[args.command](args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
+        _emit(report, args.out)
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
-    _emit(report, args.out)
     if report.get("all_passed") is False or report.get("converged") is False:
         return 2
     return 0

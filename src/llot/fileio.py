@@ -1,7 +1,7 @@
 """Plain-text file formats: CSV densities, JSON plans, JSON reports.
 
 Density CSV: one-dimensional only, header ``x,value``, one node per row,
-uniform spacing (a multi-d format is ROADMAP item 3).
+uniform spacing (a multi-d format is ROADMAP item 6).
 Plan JSON: ``{"n": N, "dim": d, "atoms": [{"x": [[...], ...], "w": w}]}``.
 Reports are JSON with sorted keys so identical runs are byte-identical.
 """

@@ -223,7 +223,9 @@ def _merge_atoms(configs: np.ndarray, weights: np.ndarray) -> tuple:
     return configs[first], np.bincount(inverse, weights=weights)
 
 
-def _permutations(n: int) -> np.ndarray:
+def permutations(n: int) -> np.ndarray:
+    """All permutations of range(n) as the rows of an (n!, n) array, in
+    lexicographic order."""
     return np.array(list(itertools.permutations(range(n))))
 
 
@@ -234,7 +236,7 @@ def symmetrize(plan: AtomicPlan) -> AtomicPlan:
     its n! permuted copies, so the output is permutation invariant and total
     mass is preserved exactly.  Idempotent.
     """
-    perms = _permutations(plan.n)
+    perms = permutations(plan.n)
     permuted = plan.configs[:, perms].reshape(-1, plan.n, plan.dim)
     configs, weights = _merge_atoms(permuted, np.repeat(plan.weights / len(perms),
                                                         len(perms)))
@@ -245,7 +247,7 @@ def is_symmetric(plan: AtomicPlan, tol: float = 1e-12) -> bool:
     """Whether every permutation of every atom carries the same weight."""
     configs, weights = _merge_atoms(plan.configs, plan.weights)
     keys = _row_keys(configs)
-    perms = _permutations(plan.n)
+    perms = permutations(plan.n)
     permuted = _row_keys(configs[:, perms].reshape(-1, plan.n, plan.dim))
     pos = np.minimum(np.searchsorted(keys, permuted), len(keys) - 1)
     return bool(np.all(keys[pos] == permuted) and np.all(

@@ -27,7 +27,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from .errors import NumericalError, ValidationError
-from .grids import AtomicPlan, GridDensity, SeparationReport, marginal, separation
+from .grids import AtomicPlan, GridDensity, SeparationReport, marginal, permutations
+from .grids import separation
 from .regularizer import CoulombPair
 
 MAX_LP_VARIABLES = 200_000
@@ -131,7 +132,7 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     value = float(costs @ x)
 
     kept = np.nonzero(x > 1e-15)[0]
-    perms = np.array(list(itertools.permutations(range(p.n))))
+    perms = permutations(p.n)
     configs = positions[combos[kept][:, perms]].reshape(-1, p.n, dim)
     weights = np.repeat(x[kept], len(perms))
     plan = AtomicPlan(p.n, dim, configs, weights / weights.sum()).sorted_copy()

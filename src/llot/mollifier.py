@@ -240,14 +240,18 @@ def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def convolve_sq(rho: GridDensity, m: ScaledMollifier) -> GridDensity:
-    """``rho`` convolved with the renormalized squared kernel of ``m``.
+def convolve_sq(rho: GridDensity, kernel: GridKernel) -> GridDensity:
+    """``rho`` convolved with the squared kernel ``kernel.sq``.
 
-    Mass is preserved to machine precision whenever the support of ``rho``
-    keeps a kernel radius of margin from the grid boundary.  Summed directly
-    by :func:`offset_sum`, so the denormal-size tails that the smoothing
+    ``kernel`` is built for the spacing of ``rho``'s grid; the caller decides
+    its width (see :func:`llot.regularizer.smooth_plan`).  Mass is preserved
+    to machine precision whenever the support of ``rho`` keeps a kernel
+    radius of margin from the grid boundary.  Summed directly by
+    :func:`offset_sum`, so the denormal-size tails that the smoothing
     denominators depend on are kept, not flushed or lost to FFT rounding.
     """
-    kernel = GridKernel(m, rho.grid.h)
+    if kernel.h != rho.grid.h:
+        raise ValidationError(
+            f"kernel built for spacing {kernel.h:g}, grid spacing is {rho.grid.h:g}")
     out = offset_sum(rho.values, kernel.offsets, kernel.sq * rho.grid.cell_volume)
     return GridDensity(rho.grid, out, "free")

@@ -7,11 +7,10 @@ mollifier widths, domain scales) is what the acceptance suite runs on.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .grids import AtomicPlan, Grid, GridDensity, density_from_values, marginal
+from .grids import permutations
 
 
 def cos4_window(t):
@@ -49,7 +48,7 @@ def paired_plan(grid: Grid, s_lo: float, s_hi: float, delta: float,
 def permutation_plan(sites) -> AtomicPlan:
     """Symmetric plan with weight 1/n! on each ordering of ``sites``."""
     sites = [np.atleast_1d(np.asarray(s, dtype=float)) for s in sites]
-    perms = list(itertools.permutations(range(len(sites))))
+    perms = permutations(len(sites))
     atoms = [(np.stack([sites[i] for i in perm]), 1.0 / len(perms)) for perm in perms]
     return AtomicPlan.from_atoms(atoms, dim=sites[0].size)
 

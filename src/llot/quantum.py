@@ -31,16 +31,14 @@ in the box ``c + b`` (``GridKernel.box``) that also holds ``T_c``;
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .grids import GridDensity, h1_seminorm_sqrt
-from .mollifier import GridKernel, offset_sum
+from .grids import GridDensity, h1_seminorm_sqrt, permutations
+from .mollifier import offset_sum
 from .regularizer import RegularizedPlan, kinetic_term
 
 MAX_DENSE_ENTRIES = 1 << 24
@@ -65,74 +63,8 @@ def _parity(perm) -> int:
 
 def _signed_permutations(n: int) -> tuple:
     """All permutations of range(n) as rows of an array, and their signs."""
-    perms = np.array(list(itertools.permutations(range(n))))
+    perms = permutations(n)
     return perms, np.array([_parity(p) for p in perms])
-
-
-class OrbitalSet:
-    """Localized orbitals amp(x - z_k), optionally weighted by sqrt(rho)."""
-
-    def __init__(self, centers: np.ndarray, kernel: GridKernel,
-                 rho: Optional[GridDensity] = None):
-        centers = np.asarray(centers, dtype=float)
-        if centers.ndim == 1:
-            centers = centers[:, None]
-        self.centers = centers
-        self.kernel = kernel
-        self.rho = rho
-
-    @property
-    def n(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def eps(self) -> float:
-        return self.kernel.m.eps
-
-    def min_center_distance(self) -> float:
-        if self.n < 2:
-            return math.inf
-        diff = self.centers[:, None, :] - self.centers[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        iu = np.triu_indices(self.n, k=1)
-        return float(dist[iu].min())
-
-    def matrix(self, config) -> np.ndarray:
-        """Orbital values phi_i(x_j), shape (n, n).
-
-        Index-space orbitals: ``phi_i(x) = amp(rint((x - z_i) / h))`` from the
-        kernel's table, times ``sqrt(rho)`` at the node nearest to ``x`` when
-        a density is given.
-        """
-        config = np.asarray(config, dtype=float).reshape(self.n, -1)
-        steps = np.rint((config[None, :, :] - self.centers[:, None, :]) / self.kernel.h)
-        vals = self.kernel.amp_of(steps.astype(int))
-        if self.rho is not None:
-            idx = self.rho.grid.indices_of(config)
-            vals = vals * np.sqrt(self.rho.values[tuple(idx.T)])[None, :]
-        return vals
-
-
-def slater(orbitals: OrbitalSet, config) -> float:
-    """Normalized Slater determinant (1/sqrt(n!)) det(phi_i(x_j))."""
-    mat = orbitals.matrix(config)
-    return float(np.linalg.det(mat) / math.sqrt(math.factorial(orbitals.n)))
-
-
-def det_square_identity(orbitals: OrbitalSet, config) -> tuple:
-    """Both sides of the disjoint-support determinant-square collapse.
-
-    Returns ``(lhs, rhs)`` with ``lhs = det(phi_i(x_j))**2`` and
-    ``rhs = sum_sigma prod_k phi_{sigma(k)}(x_k)**2``; they agree to rounding
-    whenever the orbital centers are at least 2 eps apart.
-    """
-    if orbitals.min_center_distance() < 2.0 * orbitals.eps:
-        raise ValidationError("identity requires disjoint supports")
-    mat = orbitals.matrix(config)
-    lhs = float(np.linalg.det(mat) ** 2)
-    perms, _ = _signed_permutations(orbitals.n)
-    rhs = sum(float(np.prod(mat[perm, np.arange(orbitals.n)] ** 2)) for perm in perms)
-    return lhs, float(rhs)
 
 
 class MixedStateKernel:
@@ -265,7 +197,7 @@ def _orbital_energy(rp: RegularizedPlan, flat_z: int) -> float:
     grid = rp.grid
     h = grid.h
     g = np.sqrt(rp.rho.values)
-    # the kernel's own profile: wider than rp.m for the one-node kernel
+    # the kernel's own width: h, not rp.eps, for the one-node kernel
     m = rp.kernel.m
     scale = 1.0 / math.sqrt(rp.kernel.norm)
     axis = grid.axis()
@@ -299,8 +231,7 @@ def kinetic_trace(K: MixedStateKernel) -> tuple:
     grid = rp.grid
     if grid.dim != 1:
         raise ValidationError("kinetic_trace implemented for 1-d grids")
-    analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho),
-                            rp.m.base.moments()[0], rp.kernel.m.eps)
+    analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho), rp.kernel)
 
     nodes = np.unique(rp.window)
     energy = np.zeros(grid.n_sites)
@@ -342,8 +273,7 @@ def quadratic_form(K: MixedStateKernel, psi: np.ndarray) -> float:
     return float((weights * overlaps**2).sum())
 
 
-def dense_kernel_matrix(K: MixedStateKernel,
-                        max_entries: int = MAX_DENSE_ENTRIES) -> np.ndarray:
+def dense_kernel_matrix(K: MixedStateKernel) -> np.ndarray:
     """Dense (n_sites^n, n_sites^n) kernel matrix, for desk-size checks.
 
     The reference the tests compare :func:`kernel_eval` and
@@ -357,10 +287,10 @@ def dense_kernel_matrix(K: MixedStateKernel,
     dim_total = s**n
     tuples, weights = K.window_tuples
     rows = tuples.shape[0]
-    if rows * dim_total > max_entries:
+    if rows * dim_total > MAX_DENSE_ENTRIES:
         raise ValidationError(
             f"dense kernel of {rows} x {dim_total} entries exceeds the "
-            f"{max_entries} limit"
+            f"{MAX_DENSE_ENTRIES} limit"
         )
     zs, col_of = np.unique(tuples, return_inverse=True)
     col_of = col_of.reshape(tuples.shape)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq, of
 
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
+MARGINAL_TOL = 1e-8   # L1 distance allowed between rho and the binned plan marginal
 
 
 class Observable:
@@ -117,56 +117,10 @@ class CoulombPair(Observable):
         return out
 
 
-class SingleParticleSum(Observable):
-    """sum_j phi(x_j) for a scalar phi with supplied derivatives.
-
-    ``phi``, ``dphi``, ``d2phi`` act on coordinate arrays of shape (m, dim).
-    """
-
-    def __init__(self, phi: Callable, dphi: Callable, d2phi: Callable):
-        self.phi = phi
-        self.dphi = dphi
-        self.d2phi = d2phi
-
-    def value_many(self, configs):
-        configs = np.asarray(configs, dtype=float)
-        return sum(np.asarray(self.phi(configs[:, j]), dtype=float)
-                   for j in range(configs.shape[1]))
-
-    def grad_many(self, configs, j):
-        configs = np.asarray(configs, dtype=float)
-        g = np.asarray(self.dphi(configs[:, j]), dtype=float)
-        return g.reshape(configs.shape[0], configs.shape[2])
-
-    def hess_many(self, configs, j, k):
-        configs = np.asarray(configs, dtype=float)
-        m, _, d = configs.shape
-        if j != k:
-            return np.zeros((m, d, d))
-        hs = np.asarray(self.d2phi(configs[:, j]), dtype=float)
-        return hs.reshape(m, d, d)
-
-
-class Constant(Observable):
-    def __init__(self, c: float = 1.0):
-        self.c = float(c)
-
-    def value_many(self, configs):
-        return np.full(np.asarray(configs).shape[0], self.c)
-
-    def grad_many(self, configs, j):
-        m, _, d = np.asarray(configs).shape
-        return np.zeros((m, d))
-
-    def hess_many(self, configs, j, k):
-        m, _, d = np.asarray(configs).shape
-        return np.zeros((m, d, d))
-
-
 class RegularizedPlan:
     """Evaluator for the marginal-pinned smoothing of an atomic plan."""
 
-    def __init__(self, prep: "PreparedPlan", m: ScaledMollifier, kernel: GridKernel,
+    def __init__(self, prep: "PreparedPlan", eps: float, kernel: GridKernel,
                  denom: GridDensity, nodes: np.ndarray, transfer: np.ndarray,
                  window: np.ndarray, q: np.ndarray):
         self.source = prep.source
@@ -174,14 +128,14 @@ class RegularizedPlan:
         self.alpha = prep.alpha
         self.centers = prep.centers      # (n_centers, dim) multi-indices
         self.center_of = prep.center_of  # (n_atoms, n) -> row of the tables
-        self.m = m
+        self.eps = eps                  # the requested width; the kernel's is max(eps, h)
         self.kernel = kernel
         self.denom = denom
         self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
         self.transfer = transfer        # (n_centers, n_box) T_c there, 0 off the grid
         self.window = window            # (n_centers, n_offsets) flat nodes c + o
         self.q = q                      # kappa / (rho * kappa) there, 0 where kappa = 0
-        self._tensors = {}              # max_entries -> read-only dense tensor
+        self._tensor = None             # read-only dense tensor, built on first use
 
     @property
     def grid(self) -> Grid:
@@ -190,10 +144,6 @@ class RegularizedPlan:
     @property
     def n(self) -> int:
         return self.source.n
-
-    @property
-    def eps(self) -> float:
-        return self.m.eps
 
     @property
     def one_node_kernel(self) -> bool:
@@ -209,20 +159,20 @@ class RegularizedPlan:
                            0.0)
         return float((self.source.weights * factors.prod(axis=1)).sum())
 
-    def tensor(self, max_entries: int = MAX_TENSOR_ENTRIES) -> np.ndarray:
+    def tensor(self) -> np.ndarray:
         """Dense density on the n-fold tensor grid, shape grid.shape * n.
 
         One contraction over atoms, ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` with
         the first n-1 factors as an outer product per atom; atoms are taken
-        in chunks so that no intermediate exceeds ``max_entries``.  Built once
-        per ``max_entries`` and returned read-only, so the kinetic and the
-        potential checks share one build.
+        in chunks so that no intermediate exceeds ``MAX_TENSOR_ENTRIES``,
+        which also caps the tensor itself.  Built once and returned
+        read-only, so the kinetic and the potential checks share one build.
         """
-        if max_entries not in self._tensors:
-            t = self._build_tensor(max_entries)
+        if self._tensor is None:
+            t = self._build_tensor(MAX_TENSOR_ENTRIES)
             t.flags.writeable = False
-            self._tensors[max_entries] = t
-        return self._tensors[max_entries]
+            self._tensor = t
+        return self._tensor
 
     def _build_tensor(self, max_entries: int) -> np.ndarray:
         s = self.grid.n_sites
@@ -282,15 +232,15 @@ class RegularizedPlan:
                                        minlength=len(self.centers)))
 
 
-def kinetic_term(n: int, h1: float, grad_moment: float, width: float) -> float:
-    """``n * (H1(sqrt rho) + G / width^2)``, the kinetic part of the bound at
-    eta = 1.
+def kinetic_term(n: int, h1: float, kernel: GridKernel) -> float:
+    """``n * (H1(sqrt rho) + G / w^2)``, the kinetic part of the bound at
+    eta = 1, for the state built from ``kernel`` (``rp.kernel``).
 
-    ``width`` is that of the kernel the state is built from,
-    ``rp.kernel.m.eps``: ``max(eps, h)`` (see :func:`build_regularized`);
-    ``G`` is the profile's gradient moment.
+    ``w = kernel.m.eps`` is the kernel's width, ``max(eps, h)`` (see
+    :func:`smooth_plan`), and ``G`` its profile's gradient moment.
     """
-    return n * (h1 + grad_moment / width**2)
+    m = kernel.m
+    return n * (h1 + m.base.moments()[0] / m.eps**2)
 
 
 @dataclass
@@ -304,12 +254,12 @@ class PreparedPlan:
     center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
 
 
-def prepare_plan(plan: AtomicPlan, rho: GridDensity,
-                 marginal_tol: float = 1e-8) -> PreparedPlan:
+def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
     """Snap ``plan`` to the grid of ``rho`` and validate it for smoothing.
 
     Checks that the snapped plan is symmetric and that ``rho`` is its binned
-    marginal, and finds its separation and the distinct coordinate nodes.
+    marginal to ``MARGINAL_TOL`` in L1, and finds its separation and the
+    distinct coordinate nodes.
     """
     grid = rho.grid
     plan = snap_to_grid(plan, grid, max_shift=grid.h)
@@ -317,10 +267,10 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity,
         raise ValidationError("plan is not permutation symmetric; symmetrize it first")
     alpha = separation(plan).alpha if plan.n >= 2 else math.inf
     binned = marginal(plan, grid)
-    if binned.l1_distance(rho) > marginal_tol:
+    if binned.l1_distance(rho) > MARGINAL_TOL:
         raise ValidationError(
             f"rho differs from the binned plan marginal by "
-            f"{binned.l1_distance(rho):.3g} in L1 (tolerance {marginal_tol:g})"
+            f"{binned.l1_distance(rho):.3g} in L1 (tolerance {MARGINAL_TOL:g})"
         )
     idx = grid.indices_of(plan.configs)
     flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
@@ -330,13 +280,16 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity,
                         center_of.reshape(plan.n_atoms, plan.n))
 
 
-def smooth_plan(prep: PreparedPlan, eps: float,
-                profile: Optional[BumpProfile] = None) -> RegularizedPlan:
+def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
     """The marginal-pinned smoothing of a prepared plan at width ``eps``.
 
-    Requires ``eps`` below a quarter of the plan separation and a kernel
-    radius of margin between the support and the grid boundary (required
-    for the exact identities).  The transfer vectors are
+    The one place that decides the kernel for a width: the grid's
+    dimension fixes the profile, and one :class:`GridKernel` of width
+    ``max(eps, h)`` serves the denominator, the windows and the transfer
+    vectors (see :func:`build_regularized` for ``eps < h``).  Requires
+    ``eps`` below a quarter of the plan separation and a kernel radius of
+    margin between the support and the grid boundary (required for the
+    exact identities).  The transfer vectors are
     ``rho * offset_sum(U, kappa) * h^d`` on each center's box, where row c
     of ``U`` holds ``kappa / (rho * kappa)`` on the window ``c + offsets``
     and 0 elsewhere in the box; per node, the additions run in the order
@@ -351,10 +304,8 @@ def smooth_plan(prep: PreparedPlan, eps: float,
         )
     rho = prep.rho
     grid = rho.grid
-    profile = profile or BumpProfile(grid.dim)
-    m = ScaledMollifier(profile, float(eps))
-    kernel_m = m if eps >= grid.h else ScaledMollifier(profile, grid.h)
-    kernel = GridKernel(kernel_m, grid.h)
+    eps = float(eps)
+    kernel = GridKernel(ScaledMollifier(BumpProfile(grid.dim), max(eps, grid.h)), grid.h)
 
     support_idx = np.argwhere(rho.values > 0)
     lo = support_idx.min(axis=0)
@@ -365,7 +316,7 @@ def smooth_plan(prep: PreparedPlan, eps: float,
             "enlarge the grid or shrink eps"
         )
 
-    denom = convolve_sq(rho, kernel_m)
+    denom = convolve_sq(rho, kernel)
 
     z = prep.centers[:, None, :] + kernel.box[None, :, :]
     on = np.all((z >= 0) & (z < grid.npts), axis=-1)
@@ -385,12 +336,10 @@ def smooth_plan(prep: PreparedPlan, eps: float,
     spread = offset_sum(u.reshape((-1,) + kernel.box_shape), kernel.offsets, kernel.sq)
     rho_at = np.append(rho.values.ravel(), 0.0)[nodes]   # 0 at node -1
     transfer = rho_at * spread.reshape(nodes.shape) * grid.cell_volume
-    return RegularizedPlan(prep, m, kernel, denom, nodes, transfer, window, q)
+    return RegularizedPlan(prep, eps, kernel, denom, nodes, transfer, window, q)
 
 
-def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
-                      profile: Optional[BumpProfile] = None,
-                      marginal_tol: float = 1e-8) -> RegularizedPlan:
+def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float) -> RegularizedPlan:
     """Construct the marginal-pinned smoothing evaluator.
 
     The composition of :func:`prepare_plan` (snap, symmetry, separation and
@@ -400,17 +349,19 @@ def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float,
 
     A width ``0 < eps < h`` is the grid's eps -> 0 limit.  The offset rule
     ``|o*h| < eps`` leaves only the zero offset for every eps <= h, so such a
-    width gets the one-node kernel, built as the width-h kernel, for both the
-    transfer vectors and the denominator: every ``T_c`` is ``delta_c / h^d``
-    and ``P_eps = P`` on the grid.  Marginal pinning, unit trace and the
-    kernel diagonal stay exact; ``RegularizedPlan.one_node_kernel`` flags it.
+    width gets the one-node kernel, built as the width-h kernel
+    (``rp.kernel.m.eps == h``; ``rp.eps`` keeps the requested width), for
+    both the transfer vectors and the denominator: every ``T_c`` is
+    ``delta_c / h^d`` and ``P_eps = P`` on the grid.  Marginal pinning, unit
+    trace and the kernel diagonal stay exact;
+    ``RegularizedPlan.one_node_kernel`` flags it.
     """
-    return smooth_plan(prepare_plan(plan, rho, marginal_tol), eps, profile)
+    return smooth_plan(prepare_plan(plan, rho), eps)
 
 
-def kinetic_of_sqrt(rp: RegularizedPlan, max_entries: int = MAX_TENSOR_ENTRIES) -> float:
+def kinetic_of_sqrt(rp: RegularizedPlan) -> float:
     """Dirichlet energy of sqrt(P_eps) on the n-fold tensor grid."""
-    t = rp.tensor(max_entries=max_entries)
+    t = rp.tensor()
     g = np.sqrt(t)
     h = rp.grid.h
     total = 0.0
@@ -420,14 +371,13 @@ def kinetic_of_sqrt(rp: RegularizedPlan, max_entries: int = MAX_TENSOR_ENTRIES) 
     return float(total * rp.grid.cell_volume**rp.n)
 
 
-def integrate_observable(rp: RegularizedPlan, obs: Observable,
-                         max_entries: int = MAX_TENSOR_ENTRIES) -> float:
+def integrate_observable(rp: RegularizedPlan, obs: Observable) -> float:
     """Integral of a symmetric observable against the smoothed plan.
 
     Evaluated on the support of the tensor density only, so costs that blow
     up on coincidence points (Coulomb) are never touched where P_eps = 0.
     """
-    t = rp.tensor(max_entries=max_entries).ravel()
+    t = rp.tensor().ravel()
     s = rp.grid.n_sites
     nz = np.nonzero(t)[0]
     if nz.size == 0:
@@ -499,8 +449,7 @@ def _support_region_configs(rp: RegularizedPlan, reach: float,
     return configs
 
 
-def potential_error(rp: RegularizedPlan, obs: Observable,
-                    max_entries: int = MAX_TENSOR_ENTRIES) -> tuple:
+def potential_error(rp: RegularizedPlan, obs: Observable) -> tuple:
     """Measured smoothing error of an observable and its a priori bound.
 
     Returns ``(lhs, bound)`` with ``lhs = |int obs dP_eps - int obs dP|`` and
@@ -515,13 +464,12 @@ def potential_error(rp: RegularizedPlan, obs: Observable,
     boxes of radius 4 eps, deduplicated across atoms by flat key, plus the
     atoms themselves.  A 1 x 1 Hessian block's spectral norm is ``|h|``.
     """
-    lhs = abs(integrate_observable(rp, obs, max_entries=max_entries)
-              - integrate_plan(rp.source, obs))
+    lhs = abs(integrate_observable(rp, obs) - integrate_plan(rp.source, obs))
     region = _support_region_configs(rp, reach=4.0 * rp.eps)
     if region.size == 0:
         region = rp.source.configs
     l1g = l1_gradient(rp.rho)
-    m2 = rp.m.base.moments()[1]
+    m2 = rp.kernel.m.base.moments()[1]
     grad_sum = 0.0
     hess_sum = 0.0
     for j in range(rp.n):

@@ -30,6 +30,7 @@ from .regularizer import CoulombPair, PreparedPlan, integrate_observable, kineti
 from .regularizer import prepare_plan, smooth_plan
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+N_SCAN = 32   # geometric pre-scan points of the eps optimization
 
 
 @dataclass
@@ -64,12 +65,11 @@ class SweepResult:
     fitted_slope: float
 
 
-def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float,
-                 profile: Optional[BumpProfile] = None) -> TrialEnergy:
+def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float) -> TrialEnergy:
     """Assemble the two-term upper bound at one (eps, eta)."""
     if eta < 0:
         raise ValidationError("eta must be nonnegative")
-    return TrialCurve(rho, plan, profile).energy(eps, eta)
+    return TrialCurve(rho, plan).energy(eps, eta)
 
 
 def golden_minimize(f, lo: float, hi: float, rel_tol: float = 1e-7,
@@ -108,19 +108,17 @@ def _is_unimodal(values: np.ndarray, tol: float) -> bool:
 class TrialCurve:
     """The trial bound of one (rho, plan) as a function of (eps, eta).
 
-    ``V(eps)`` and the kernel width are memoized per exact float eps and
-    shared by every eta; the plan is prepared for smoothing once, on first
-    use.  The kinetic part is closed form from ``H1(sqrt rho)`` and the
-    gradient moment, both evaluated once, at the kernel's width.
+    ``V(eps)`` and the kinetic term at eta = 1 are memoized per exact float
+    eps and shared by every eta; the plan is prepared for smoothing once, on
+    first use.  The kinetic term is closed form (:func:`kinetic_term`) from
+    ``H1(sqrt rho)``, computed once per curve, and the width and gradient
+    moment of each smoothing's kernel.
     """
 
-    def __init__(self, rho: GridDensity, plan: AtomicPlan,
-                 profile: Optional[BumpProfile] = None):
+    def __init__(self, rho: GridDensity, plan: AtomicPlan):
         self.rho = rho
         self.plan = plan
-        self.profile = profile or BumpProfile(rho.grid.dim)
         self.h1 = h1_seminorm_sqrt(rho)
-        self.grad_moment = self.profile.moments()[0]
         self._smoothed_at: dict = {}
 
     @cached_property
@@ -128,23 +126,22 @@ class TrialCurve:
         return prepare_plan(self.plan, self.rho)
 
     def _smoothed(self, eps: float) -> tuple:
-        """``(V(eps), kernel width)`` of the plan smoothed at ``eps``; ``V`` is
-        the Coulomb cost integrated against ``P_eps``."""
+        """``(V(eps), kinetic term at eta = 1)`` of the plan smoothed at
+        ``eps``; ``V`` is the Coulomb cost integrated against ``P_eps``."""
         eps = float(eps)
         if eps not in self._smoothed_at:
-            rp = smooth_plan(self.prepared, eps, profile=self.profile)
+            rp = smooth_plan(self.prepared, eps)
             self._smoothed_at[eps] = (integrate_observable(rp, CoulombPair()),
-                                      rp.kernel.m.eps)
+                                      kinetic_term(self.plan.n, self.h1, rp.kernel))
         return self._smoothed_at[eps]
 
     def energy(self, eps: float, eta: float) -> TrialEnergy:
-        potential, width = self._smoothed(eps)
-        kinetic = eta * kinetic_term(self.plan.n, self.h1, self.grad_moment, width)
+        potential, kinetic_at_one = self._smoothed(eps)
+        kinetic = eta * kinetic_at_one
         return TrialEnergy(eta=eta, eps=eps, kinetic_term=float(kinetic),
                            potential_term=float(potential))
 
-    def optimize(self, eta: float, eps_min: Optional[float] = None,
-                 n_scan: int = 32):
+    def optimize(self, eta: float, eps_min: Optional[float] = None):
         """``(eps_opt, energy, scan_fallback)``; see :func:`optimize_eps`."""
         if eta <= 0:
             raise ValidationError("eta must be positive")
@@ -159,7 +156,7 @@ class TrialCurve:
         def total(eps: float) -> float:
             return self.energy(eps, eta).total
 
-        xs = np.geomspace(lo, hi, n_scan)
+        xs = np.geomspace(lo, hi, N_SCAN)
         vals = np.array([total(x) for x in xs])
         best = int(np.argmin(vals))
         fallback = not _is_unimodal(vals, tol=1e-12 * max(1.0, float(np.abs(vals).max())))
@@ -167,7 +164,7 @@ class TrialCurve:
             eps_opt = float(xs[best])
         else:
             a = xs[max(best - 1, 0)]
-            b = xs[min(best + 1, n_scan - 1)]
+            b = xs[min(best + 1, N_SCAN - 1)]
             eps_opt, _ = golden_minimize(total, a, b)
             if total(eps_opt) > vals[best]:
                 eps_opt = float(xs[best])
@@ -175,16 +172,15 @@ class TrialCurve:
 
 
 def optimize_eps(rho: GridDensity, plan: AtomicPlan, eta: float,
-                 eps_min: Optional[float] = None, n_scan: int = 32,
-                 profile: Optional[BumpProfile] = None):
+                 eps_min: Optional[float] = None):
     """Minimize the trial total over the feasible mollifier widths.
 
-    A coarse geometric pre-scan of ``n_scan`` points tests unimodality; if it
+    A coarse geometric pre-scan of ``N_SCAN`` points tests unimodality; if it
     holds, golden-section search refines inside the bracketing scan interval,
     otherwise the best scan point is returned (``scan_fallback`` is flagged
     on the sweep record).
     """
-    return TrialCurve(rho, plan, profile).optimize(eta, eps_min, n_scan)
+    return TrialCurve(rho, plan).optimize(eta, eps_min)
 
 
 def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,
@@ -215,8 +211,7 @@ def fit_log_slope(xs, ys) -> float:
     return float(coeff[0])
 
 
-def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None,
-          profile: Optional[BumpProfile] = None) -> SweepResult:
+def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -> SweepResult:
     """Solve the transport problem once, then rate-study the trial bound.
 
     Every eta optimizes eps over one shared :class:`TrialCurve`, so each
@@ -234,15 +229,15 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None,
     problem = TransportProblem(n=n, marginal=rho)
     sol = solve_lp(problem)
     alpha = plan_separation(sol).alpha
-    curve = TrialCurve(rho, sol.plan, profile)
-    second_moment = curve.profile.moments()[1]
+    curve = TrialCurve(rho, sol.plan)
+    grad_moment, second_moment = BumpProfile(rho.grid.dim).moments()
     l1g = l1_gradient(rho)
 
     records = []
     for eta in eta_list:
         try:
             eps_opt, energy, fallback = curve.optimize(eta, eps_min=eps_min)
-            c = assembled_constant(n, alpha, curve.h1, curve.grad_moment, l1g,
+            c = assembled_constant(n, alpha, curve.h1, grad_moment, l1g,
                                    second_moment, eps_opt)
             records.append(SweepRecord(
                 eta=eta, eps_opt=eps_opt, total=energy.total, e_ot=sol.value,

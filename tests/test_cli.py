@@ -226,11 +226,26 @@ def cli_files(paired_files, sixteen_csv, tmp_path_factory):
     (root / "density.csv").write_text("x,value\n0.0,abc\n1.0,1.0\n")
     return {"plan": plan_path, "density": density_path, "eps": repr(eps),
             "sixteen": sixteen_csv, "bad_plan": root / "plan.json",
-            "ragged_plan": root / "ragged.json", "bad_density": root / "density.csv"}
+            "ragged_plan": root / "ragged.json", "bad_density": root / "density.csv",
+            "missing_dir": root / "missing" / "plan.json"}
 
 
 def fail_trace(monkeypatch):
     monkeypatch.setattr(RegularizedPlan, "mass", lambda rp: 0.5)
+
+
+def out_in_missing_dir(monkeypatch):
+    """The report goes to a directory that does not exist."""
+    write = fileio.write_report
+    monkeypatch.setattr(fileio, "write_report", lambda path, report: write(
+        Path(path).parent / "missing" / "report.json", report))
+
+
+def out_is_a_directory(monkeypatch):
+    """The report path names an existing directory."""
+    write = fileio.write_report
+    monkeypatch.setattr(fileio, "write_report",
+                        lambda path, report: write(Path(path).parent, report))
 
 
 REGULARIZE = ["regularize", "--density", "{density}", "--eps", "{eps}"]
@@ -241,20 +256,30 @@ SWEEP = ["sweep", "--density", "{sixteen}", "--n", "2"]
 EXIT_CODES = [
     ("regularize-valid", REGULARIZE + ["--plan", "{plan}"], None, 0),
     ("regularize-malformed", REGULARIZE + ["--plan", "{bad_plan}"], None, 1),
+    ("regularize-out-in-missing-dir", REGULARIZE + ["--plan", "{plan}"],
+     out_in_missing_dir, 1),
     ("quantum-check-valid", QUANTUM + ["--plan", "{plan}"], None, 0),
     ("quantum-check-malformed", QUANTUM + ["--plan", "{ragged_plan}"], None, 1),
+    ("quantum-check-negative-seed", QUANTUM + ["--plan", "{plan}", "--seed=-1"], None, 1),
+    ("quantum-check-out-is-a-directory", QUANTUM + ["--plan", "{plan}"],
+     out_is_a_directory, 1),
     ("mmot-valid", MMOT + ["--density", "{sixteen}"], None, 0),
     ("mmot-malformed", MMOT + ["--density", "{bad_density}"], None, 1),
+    ("mmot-out-is-a-directory", MMOT + ["--density", "{sixteen}"], out_is_a_directory, 1),
+    ("mmot-plan-out-in-missing-dir",
+     MMOT + ["--density", "{sixteen}", "--plan-out", "{missing_dir}"], None, 1),
     ("mmot-sinkhorn-not-converged",
      MMOT + ["--density", "{sixteen}", "--solver", "sinkhorn", "--beta", "50"],
      cap_sinkhorn, 2),
     ("sweep-valid", SWEEP + ["--etas", "1e-3:1e-1:3"], None, 0),
     ("sweep-malformed", SWEEP + ["--etas", "a:b:3"], None, 1),
+    ("sweep-out-in-missing-dir", SWEEP + ["--etas", "1e-3:1e-1:3"], out_in_missing_dir, 1),
     ("sweep-eps-min-nan", SWEEP + ["--eps-min", "nan"], None, 1),
     ("sweep-eps-min-inf", SWEEP + ["--eps-min", "inf"], None, 1),
     ("sweep-eps-min-negative", SWEEP + ["--eps-min=-1"], None, 1),
     ("selftest-valid", ["selftest"], None, 0),
     ("selftest-failed-check", ["selftest"], fail_trace, 2),
+    ("selftest-out-in-missing-dir", ["selftest"], out_in_missing_dir, 1),
 ]
 
 

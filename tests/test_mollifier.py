@@ -121,7 +121,7 @@ def test_convolve_point_mass_gives_kernel_copy(bump):
     vals[30] = 1.0 / g.h
     rho = GridDensity(g, vals)
     m = ScaledMollifier(bump, 0.2)
-    out = convolve_sq(rho, m)
+    out = convolve_sq(rho, GridKernel(m, g.h))
     k = GridKernel(m, g.h)
     expected = np.zeros(64)
     for o, v in zip(k.offsets, k.sq):
@@ -133,7 +133,7 @@ def test_convolve_constant_density_interior_unchanged(bump):
     g = Grid.line(0.0, 0.05, 200)
     rho = GridDensity(g, np.full(200, 1.0 / (200 * 0.05)))
     m = ScaledMollifier(bump, 0.2)
-    out = convolve_sq(rho, m)
+    out = convolve_sq(rho, GridKernel(m, g.h))
     k = GridKernel(m, g.h)
     inner = slice(k.halfwidth, 200 - k.halfwidth)
     assert np.allclose(out.values[inner], rho.values[inner], rtol=1e-12)
@@ -146,7 +146,7 @@ def test_convolve_mass_preserved_exactly(bump):
     vals = np.exp(-((x - 2.5) / 0.4) ** 2)
     vals[vals < 1e-4 * vals.max()] = 0.0
     rho = density_from_values(g, vals, normalize=True)
-    out = convolve_sq(rho, ScaledMollifier(bump, 0.2))
+    out = convolve_sq(rho, GridKernel(ScaledMollifier(bump, 0.2), g.h))
     assert out.mass() == pytest.approx(rho.mass(), abs=1e-13)
 
 
@@ -157,7 +157,7 @@ def test_convolve_l1_error_order_eps_squared(bump):
     errs = []
     eps_list = (0.4, 0.2, 0.1)
     for eps in eps_list:
-        out = convolve_sq(rho, ScaledMollifier(bump, eps))
+        out = convolve_sq(rho, GridKernel(ScaledMollifier(bump, eps), g.h))
         errs.append(out.l1_distance(rho))
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2
@@ -195,7 +195,8 @@ def test_convolve_sq_matches_brute_force_double_loop(bump):
     m = ScaledMollifier(bump, 0.2)
     k = GridKernel(m, g.h)
     expected = brute_offset_sum(rho.values, k.offsets, k.sq * g.h)
-    assert np.allclose(convolve_sq(rho, m).values, expected, rtol=1e-15, atol=0.0)
+    assert np.allclose(convolve_sq(rho, GridKernel(m, g.h)).values, expected,
+                       rtol=1e-15, atol=0.0)
 
 
 def test_convolve_sq_keeps_denormal_tails(bump):
@@ -205,8 +206,15 @@ def test_convolve_sq_keeps_denormal_tails(bump):
     rho = GridDensity(g, vals, "free")
     m = ScaledMollifier(bump, 0.2)
     k = GridKernel(m, g.h)
-    out = convolve_sq(rho, m).values
+    out = convolve_sq(rho, GridKernel(m, g.h)).values
     window = 30 + k.offsets[:, 0]
     assert np.all(out[window] > 0.0)
     assert out.max() < np.finfo(float).tiny
     assert np.array_equal(out, brute_offset_sum(rho.values, k.offsets, k.sq * g.h))
+
+
+def test_convolve_sq_rejects_a_kernel_of_another_spacing(bump):
+    g = Grid.line(0.0, 0.05, 24)
+    rho = density_from_values(g, np.ones(24), normalize=True)
+    with pytest.raises(ValidationError, match="spacing"):
+        convolve_sq(rho, GridKernel(ScaledMollifier(bump, 0.2), 0.04))

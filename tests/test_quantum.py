@@ -3,25 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llot.errors import ValidationError
-from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal
+from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal, symmetrize
 from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
 from llot.presets import kinetic_instance, permutation_plan
 from llot import quantum
 from llot.quantum import (
     MixedStateKernel,
-    OrbitalSet,
     dense_kernel_matrix,
-    det_square_identity,
     kernel_eval,
     kinetic_trace,
     one_particle_density,
     quadratic_form,
-    slater,
 )
 from llot.regularizer import build_regularized, kinetic_of_sqrt
-from oracles import dense_transfer
+from oracles import OrbitalSet, dense_transfer, det_square_identity, slater
 
 
 @pytest.fixture(scope="module")
@@ -480,3 +479,52 @@ def test_block_eval_matches_all_centers_oracle(fixtures_with_2d):
             assert (got == 0.0) == (ref == 0.0), (name, flat)
             nonzero += ref != 0.0
         assert nonzero >= 10, (name, nonzero)
+
+
+PROPERTY_H = 1.0 / 16.0
+
+
+@st.composite
+def smoothed_plans(draw):
+    """A symmetrized random 1-D plan on n = 2 or 3 particles at grid nodes,
+    smoothed at a width below a quarter of its separation, on a grid padded
+    by a kernel radius on both sides of the support."""
+    n = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 3))
+    starts = draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))
+    gap = st.integers(draw(st.integers(2, 12)), 14)
+    gaps = draw(st.lists(st.lists(gap, min_size=n - 1, max_size=n - 1),
+                         min_size=m, max_size=m))
+    nodes = np.cumsum(np.column_stack([starts, gaps]), axis=1)       # (m, n)
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+    alpha = PROPERTY_H * np.diff(nodes, axis=1).min()
+    eps = draw(st.floats(0.05, 0.999)) * alpha / 4.0
+    pad = math.ceil(eps / PROPERTY_H) + 1
+    grid = Grid.line(-pad * PROPERTY_H, PROPERTY_H, int(nodes.max()) + 1 + 2 * pad)
+    plan = symmetrize(AtomicPlan(n, 1, nodes[:, :, None] * PROPERTY_H,
+                                 weights / weights.sum()))
+    rho = marginal(plan, grid)
+    rp = build_regularized(plan, rho, eps)
+    # two configurations of support nodes (elsewhere the kernel is 0) within
+    # the reach of one atom's transfer vectors
+    reach = 2 * rp.kernel.halfwidth
+    support = np.flatnonzero(rho.values > 0)
+    atom = grid.indices_of(plan.configs[draw(st.integers(0, plan.n_atoms - 1))])[:, 0]
+    near = [st.sampled_from(support[np.abs(support - a) <= reach].tolist()) for a in atom]
+    x, xp = (grid.axis()[draw(st.tuples(*near)), None] for _ in range(2))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return rho, rp, x, xp, (i, j)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(smoothed_plans())
+def test_random_plans_pin_the_marginal_and_give_an_antisymmetric_state(case):
+    rho, rp, x, xp, (i, j) = case
+    assert rp.density().l1_distance(rho) <= 1e-10
+    assert abs(rp.mass() - 1.0) <= 1e-10
+    K = MixedStateKernel(rp)
+    value = kernel_eval(K, x, xp)
+    swap = np.arange(rp.n)
+    swap[[i, j]] = swap[[j, i]]
+    assert kernel_eval(K, x[swap], xp) == -value
+    assert kernel_eval(K, x, xp[swap]) == -value

@@ -22,9 +22,7 @@ from llot.presets import (
     potential_instance,
 )
 from llot.regularizer import (
-    Constant,
     CoulombPair,
-    SingleParticleSum,
     build_regularized,
     integrate_observable,
     integrate_plan,
@@ -32,7 +30,7 @@ from llot.regularizer import (
     potential_error,
     _support_region_configs,
 )
-from oracles import dense_transfer, scattered_transfer
+from oracles import Constant, SingleParticleSum, dense_transfer, scattered_transfer
 
 EPS_TINY = 0.22
 
@@ -191,11 +189,12 @@ def test_kinetic_refinement_order_two():
     assert 1.6 <= slope <= 2.4
 
 
-def test_tensor_size_guard():
+def test_tensor_size_guard(monkeypatch):
     grid, plan, rho = tiny_instance()
     rp = build_regularized(plan, rho, EPS_TINY)
+    monkeypatch.setattr(regularizer, "MAX_TENSOR_ENTRIES", 10)
     with pytest.raises(ValidationError, match="exceeds"):
-        rp.tensor(max_entries=10)
+        rp.tensor()
 
 
 def test_potential_error_constant_observable(two_site_fixture):
@@ -422,13 +421,16 @@ def test_tensor_contraction_matches_outer_product_sum(all_identity_fixtures):
         assert np.array_equal(got == 0.0, ref == 0.0), name
 
 
-def test_tensor_chunked_over_atoms_matches_one_contraction(all_identity_fixtures):
+def test_tensor_chunked_over_atoms_matches_one_contraction(all_identity_fixtures,
+                                                           monkeypatch):
     name, grid, plan, rho, eps_list = all_identity_fixtures[0]
     rp = build_regularized(plan, rho, eps_list[0])
     assert rp.n == 1 and rp.source.n_atoms > 1
-    # max_entries = n_sites forces one atom per chunk
-    chunked = rp.tensor(max_entries=grid.n_sites)
-    assert np.abs(chunked - rp.tensor()).max() <= 1e-13 * chunked.max()
+    whole = rp.tensor()
+    # a cap of n_sites forces one atom per chunk
+    monkeypatch.setattr(regularizer, "MAX_TENSOR_ENTRIES", grid.n_sites)
+    chunked = build_regularized(plan, rho, eps_list[0]).tensor()
+    assert np.abs(chunked - whole).max() <= 1e-13 * chunked.max()
 
 
 def test_tensor_built_once_and_read_only(monkeypatch):

@@ -168,9 +168,9 @@ def test_preset_sweep_smooths_each_width_once(monkeypatch):
     widths = []
     smooth = semiclassics.smooth_plan
 
-    def counting_smooth(prep, eps, profile=None):
+    def counting_smooth(prep, eps):
         widths.append(eps)
-        return smooth(prep, eps, profile)
+        return smooth(prep, eps)
 
     monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
     rho = sweep_density()
