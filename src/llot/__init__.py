@@ -8,6 +8,7 @@ from .grids import (
     Grid,
     GridDensity,
     SeparationReport,
+    coulomb,
     density_from_values,
     h1_seminorm_sqrt,
     l1_gradient,
@@ -18,18 +19,14 @@ from .grids import (
 )
 from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq
 from .regularizer import (
-    CoulombPair,
-    Observable,
     RegularizedPlan,
     build_regularized,
     integrate_observable,
-    integrate_plan,
     kinetic_of_sqrt,
     potential_error,
 )
 from .quantum import (
     MixedStateKernel,
-    dense_kernel_matrix,
     kernel_eval,
     kinetic_trace,
     one_particle_density,
@@ -51,7 +48,6 @@ from .semiclassics import (
     assembled_constant,
     fit_log_slope,
     golden_minimize,
-    optimize_eps,
     sweep,
     trial_energy,
 )

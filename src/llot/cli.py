@@ -4,7 +4,8 @@ All reports are deterministic JSON (sorted keys, no timestamps); identical
 inputs produce byte-identical output.  Exit codes: 0 success, 1 validation
 error or a file that cannot be read or written, 2 numerical failure.  A
 ``selftest`` with a failed check and a Sinkhorn ``mmot`` that did not
-converge write their report and exit 2.
+converge write their report and exit 2.  Output paths are checked before
+any computation, so a bad one writes no file at all.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +23,7 @@ from .grids import h1_seminorm_sqrt, marginal, separation, symmetrize
 from .mmot import TransportProblem, check_dual, plan_separation, solve_lp, solve_sinkhorn
 from .quantum import MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density
 from .quantum import quadratic_form
-from .regularizer import CoulombPair, build_regularized
-from .regularizer import kinetic_of_sqrt, kinetic_term, potential_error
+from .regularizer import build_regularized, kinetic_of_sqrt, kinetic_term, potential_error
 from .semiclassics import sweep as run_sweep
 
 
@@ -110,6 +111,20 @@ def _parse_etas(spec: str):
     return np.geomspace(lo, hi, count)
 
 
+def _check_outputs(args):
+    """Reject an output path that names a directory or lies in a directory
+    that does not exist."""
+    for flag in ("out", "plan_out", "csv"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        path = Path(path)
+        if path.is_dir():
+            raise ValidationError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ValidationError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def _load(args):
     rho = fileio.read_density(args.density, convention=args.mass_convention,
                               n_particles=getattr(args, "n", None))
@@ -143,7 +158,7 @@ def _cmd_regularize(args) -> dict:
         rhs = kinetic_term(plan.n, h1_seminorm_sqrt(rho), rp.kernel)
         result["kinetic"] = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
     if "potential" in checks:
-        lhs, bound = potential_error(rp, CoulombPair())
+        lhs, bound = potential_error(rp)
         result["potential"] = {"lhs": lhs, "bound": bound,
                                "satisfied": bool(lhs <= bound)}
     return {
@@ -224,7 +239,7 @@ def _cmd_mmot(args) -> dict:
         extra = {"beta": args.beta, "iterations": sol.iterations,
                  "converged": sol.converged,
                  "residual": sol.residual}
-    if args.plan_out:
+    if args.plan_out is not None:
         fileio.write_plan(args.plan_out, sol.plan)
     report = {
         "command": "mmot",
@@ -248,7 +263,7 @@ def _cmd_sweep(args) -> dict:
     rho = _load(args)
     etas = _parse_etas(args.etas)
     result = run_sweep(rho, args.n, etas, eps_min=args.eps_min)
-    if args.csv:
+    if args.csv is not None:
         fileio.write_sweep_csv(args.csv, result.records)
     return {
         "command": "sweep",
@@ -317,6 +332,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_outputs(args)
         report = _COMMANDS[args.command](args)
         _emit(report, args.out)
     except (ValidationError, OSError) as exc:

@@ -1,4 +1,5 @@
-"""Uniform grids, discrete densities, and atomic symmetric plans.
+"""Uniform grids, discrete densities, atomic symmetric plans, and the Coulomb
+cost of their configurations.
 
 Conventions used throughout the package:
 
@@ -268,6 +269,20 @@ def separation(plan: AtomicPlan) -> SeparationReport:
     if best == 0.0:
         report.violating_atom = plan.configs[worst]
     return report
+
+
+def coulomb(configs) -> np.ndarray:
+    """Pairwise repulsion ``sum_{j<k} 1/|x_j - x_k|`` of configurations of
+    shape (m, n, dim); +inf on coincidence."""
+    configs = np.asarray(configs, dtype=float)
+    m, n, _ = configs.shape
+    out = np.zeros(m)
+    for j in range(n):
+        for k in range(j + 1, n):
+            r = np.sqrt(((configs[:, j] - configs[:, k]) ** 2).sum(-1))
+            with np.errstate(divide="ignore"):
+                out += np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), np.inf)
+    return out
 
 
 def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None) -> AtomicPlan:

@@ -28,8 +28,7 @@ from scipy.sparse import csc_array
 
 from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, SeparationReport, marginal, permutations
-from .grids import separation
-from .regularizer import CoulombPair
+from .grids import coulomb, separation
 
 MAX_LP_VARIABLES = 200_000
 MAX_GIBBS_ENTRIES = 2_000_000
@@ -114,7 +113,7 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
             f"({MAX_LP_VARIABLES}); use the sinkhorn solver"
         )
     combos = np.array(list(itertools.combinations(range(s), p.n)))  # (n_vars, n)
-    costs = CoulombPair().value_many(positions[combos])
+    costs = coulomb(positions[combos])
     if not np.all(np.isfinite(costs)):
         raise ValidationError("cost is singular on a repeat-free configuration")
 
@@ -160,7 +159,7 @@ def _gibbs_cost_tensor(p: TransportProblem):
     grids = np.meshgrid(*[np.arange(s)] * p.n, indexing="ij")
     site_idx = np.stack([g.ravel() for g in grids], axis=1)  # (s^n, n)
     configs = positions[site_idx]
-    costs = CoulombPair().value_many(configs).reshape((s,) * p.n)
+    costs = coulomb(configs).reshape((s,) * p.n)
     distinct = np.ones((s,) * p.n, dtype=bool)
     for j in range(p.n):
         for k in range(j + 1, p.n):
@@ -259,7 +258,7 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     kept_w = kept_w / kept_w.sum()
     configs = positions[site_idx[kept_idx]]
     plan = AtomicPlan(p.n, positions.shape[1], configs, kept_w).sorted_copy()
-    value = float((CoulombPair().value_many(configs) * kept_w).sum())
+    value = float((coulomb(configs) * kept_w).sum())
     return TransportSolution(
         plan=plan,
         value=value,
@@ -294,7 +293,7 @@ def check_dual(sol: TransportSolution, p: TransportProblem,
         combos = np.sort([rng.choice(s, size=p.n, replace=False)
                           for _ in range(samples or 10000)], axis=1)
     configs = positions[combos]
-    slack = v[combos].sum(axis=1) - CoulombPair().value_many(configs)
+    slack = v[combos].sum(axis=1) - coulomb(configs)
     worst = int(np.argmax(slack))
     max_violation = float(slack[worst])
 
@@ -305,7 +304,7 @@ def check_dual(sol: TransportSolution, p: TransportProblem,
     sites = site_of[np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)]
     if np.any(sites < 0):
         raise ValidationError("plan has an atom off the marginal support")
-    plan_costs = CoulombPair().value_many(sol.plan.configs)
+    plan_costs = coulomb(sol.plan.configs)
     cs = (sol.plan.weights * np.abs(plan_costs - v[sites].sum(axis=1))).sum()
     return DualCheckReport(
         ok=max_violation <= tol,

@@ -111,19 +111,12 @@ def identity_fixtures():
 
 # -- convergence-study fixtures ----------------------------------------------
 
-KINETIC_EPS = 0.15
-KINETIC_GRIDS = ((32, 1.0 / 16.0), (64, 1.0 / 32.0), (128, 1.0 / 64.0))
-
-
 def kinetic_instance(npts: int, h: float):
     """Paired-plan instance for the kinetic identity refinement study."""
     grid = Grid.line(0.0, h, npts)
     plan = paired_plan(grid, 0.25, 0.76, 0.75)
     rho = marginal(plan, grid)
     return grid, plan, rho
-
-
-POTENTIAL_EPS_SWEEP = (0.1, 0.05, 0.025, 0.0125)
 
 
 def potential_instance():

@@ -41,8 +41,6 @@ from .grids import GridDensity, h1_seminorm_sqrt, permutations
 from .mollifier import offset_sum
 from .regularizer import RegularizedPlan, kinetic_term
 
-MAX_DENSE_ENTRIES = 1 << 24
-
 
 def _parity(perm) -> int:
     """Sign of the permutation ``i -> perm[i]``: -1 to the number of
@@ -271,39 +269,3 @@ def quadratic_form(K: MixedStateKernel, psi: np.ndarray) -> float:
         overlaps += sign * c[flat]
     overlaps *= grid.cell_volume**n / math.sqrt(math.factorial(n))
     return float((weights * overlaps**2).sum())
-
-
-def dense_kernel_matrix(K: MixedStateKernel) -> np.ndarray:
-    """Dense (n_sites^n, n_sites^n) kernel matrix, for desk-size checks.
-
-    The reference the tests compare :func:`kernel_eval` and
-    :func:`quadratic_form` against: one explicit Slater vector per window
-    tuple, from orbital columns ``f_z(x) = sqrt(rho(x)) * amp(x - z)`` over
-    every node x.
-    """
-    rp = K.rp
-    n = rp.n
-    s = rp.grid.n_sites
-    dim_total = s**n
-    tuples, weights = K.window_tuples
-    rows = tuples.shape[0]
-    if rows * dim_total > MAX_DENSE_ENTRIES:
-        raise ValidationError(
-            f"dense kernel of {rows} x {dim_total} entries exceeds the "
-            f"{MAX_DENSE_ENTRIES} limit"
-        )
-    zs, col_of = np.unique(tuples, return_inverse=True)
-    col_of = col_of.reshape(tuples.shape)
-    nodes = np.stack(np.unravel_index(np.arange(s), rp.grid.shape), axis=-1)
-    cols = K.sqrt_rho[:, None] * rp.kernel.amp_of(nodes[:, None] - nodes[None, zs])
-    perms, signs = K._perms
-    b = np.zeros((rows, dim_total))
-    for perm, sign in zip(perms, signs):
-        # per tuple: the product state prod_j f_{z_perm(j)}(x_j), flattened
-        term = cols[:, col_of[:, perm[0]]].T
-        for j in range(1, n):
-            nxt = cols[:, col_of[:, perm[j]]].T
-            term = (term[:, :, None] * nxt[:, None, :]).reshape(rows, -1)
-        b += sign * term
-    b /= math.sqrt(math.factorial(n))
-    return (b * weights[:, None]).T @ b

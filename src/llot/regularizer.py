@@ -38,6 +38,7 @@ from .grids import (
     AtomicPlan,
     Grid,
     GridDensity,
+    coulomb,
     is_symmetric,
     l1_gradient,
     marginal,
@@ -49,72 +50,6 @@ from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq, of
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
 MARGINAL_TOL = 1e-8   # L1 distance allowed between rho and the binned plan marginal
-
-
-class Observable:
-    """Symmetric configuration functional with first and second derivatives.
-
-    Subclasses evaluate on batches of configurations of shape (m, n, dim).
-    """
-
-    def value_many(self, configs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_many(self, configs: np.ndarray, j: int) -> np.ndarray:
-        """Gradient block d/dx_j, shape (m, dim)."""
-        raise NotImplementedError
-
-    def hess_many(self, configs: np.ndarray, j: int, k: int) -> np.ndarray:
-        """Second-derivative block d^2/dx_j dx_k, shape (m, dim, dim)."""
-        raise NotImplementedError
-
-    def value(self, config) -> float:
-        return float(self.value_many(np.asarray(config, dtype=float)[None])[0])
-
-
-class CoulombPair(Observable):
-    """Pairwise repulsion sum_{j<k} 1/|x_j - x_k|; +inf on coincidence."""
-
-    def value_many(self, configs):
-        configs = np.asarray(configs, dtype=float)
-        m, n, _ = configs.shape
-        out = np.zeros(m)
-        for j in range(n):
-            for k in range(j + 1, n):
-                r = np.sqrt(((configs[:, j] - configs[:, k]) ** 2).sum(-1))
-                with np.errstate(divide="ignore"):
-                    out += np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), np.inf)
-        return out
-
-    def grad_many(self, configs, j):
-        configs = np.asarray(configs, dtype=float)
-        m, n, d = configs.shape
-        out = np.zeros((m, d))
-        for k in range(n):
-            if k == j:
-                continue
-            u = configs[:, j] - configs[:, k]
-            r = np.sqrt((u * u).sum(-1))
-            out -= u / r[:, None] ** 3
-        return out
-
-    def hess_many(self, configs, j, k):
-        configs = np.asarray(configs, dtype=float)
-        m, n, d = configs.shape
-        eye = np.eye(d)
-        out = np.zeros((m, d, d))
-        if j == k:
-            for l in range(n):
-                if l == j:
-                    continue
-                u = configs[:, j] - configs[:, l]
-                r = np.sqrt((u * u).sum(-1))[:, None, None]
-                out += -eye / r**3 + 3.0 * u[:, :, None] * u[:, None, :] / r**5
-        else:
-            u = configs[:, j] - configs[:, k]
-            r = np.sqrt((u * u).sum(-1))[:, None, None]
-            out = eye / r**3 - 3.0 * u[:, :, None] * u[:, None, :] / r**5
-        return out
 
 
 class RegularizedPlan:
@@ -371,11 +306,12 @@ def kinetic_of_sqrt(rp: RegularizedPlan) -> float:
     return float(total * rp.grid.cell_volume**rp.n)
 
 
-def integrate_observable(rp: RegularizedPlan, obs: Observable) -> float:
-    """Integral of a symmetric observable against the smoothed plan.
+def integrate_observable(rp: RegularizedPlan) -> float:
+    """Integral of the Coulomb cost :func:`~llot.grids.coulomb` against the
+    smoothed plan.
 
-    Evaluated on the support of the tensor density only, so costs that blow
-    up on coincidence points (Coulomb) are never touched where P_eps = 0.
+    Evaluated on the support of the tensor density only, so the cost is
+    never touched on coincidence points, where it is infinite and P_eps = 0.
     """
     t = rp.tensor().ravel()
     s = rp.grid.n_sites
@@ -385,102 +321,35 @@ def integrate_observable(rp: RegularizedPlan, obs: Observable) -> float:
     pts = rp.grid.points()
     site_idx = np.unravel_index(nz, (s,) * rp.n)
     configs = np.stack([pts[i] for i in site_idx], axis=1)
-    vals = obs.value_many(configs)
-    return float((vals * t[nz]).sum() * rp.grid.cell_volume**rp.n)
+    return float((coulomb(configs) * t[nz]).sum() * rp.grid.cell_volume**rp.n)
 
 
-def integrate_plan(plan: AtomicPlan, obs: Observable) -> float:
-    """Integral of an observable against an atomic plan (finite sum)."""
-    return float((obs.value_many(plan.configs) * plan.weights).sum())
+def potential_error(rp: RegularizedPlan) -> tuple:
+    """Measured smoothing error of the Coulomb cost c and its a priori bound.
 
+    Returns ``(lhs, bound)`` with ``lhs = |int c dP_eps - int c dP|`` and
 
-def _support_region_configs(rp: RegularizedPlan, reach: float,
-                            max_axis_samples: int = 25) -> np.ndarray:
-    """Grid configurations within ``reach`` of some atom, intersected with
-    the separated region (pairwise distances >= alpha - 4 eps).
+        bound = eps^2 * ( sum_j sup|grad_j c| * int|grad rho| * M2
+                          + 2 * sum_{j,k} sup||hess_{jk} c|| ),
 
-    Each coordinate's box of radius ``reach`` around its center, clipped to
-    the grid, is sampled per axis at a stride keeping about
-    ``max_axis_samples`` nodes, always including the box's upper corner.  An
-    atom's candidates are the tuples of its coordinates' box nodes; each
-    tuple of flat node indices is one integer key ``(..(i_1 s + i_2) s ..) s
-    + i_n`` (``s`` the number of sites), and one sort of the keys
-    deduplicates across atoms and gives the tuples in lexicographic order.
-    The atom configurations themselves are always included.
+    where M2 is the second moment of the squared profile and the sups run
+    over the configurations whose pairwise distances are all at least
+    ``r0 = alpha - 4 eps``: every transfer vector lives within 2 eps of its
+    center, and an atom's centers are at least alpha apart.  Each pair term
+    ``1/|u|`` has gradient norm ``1/|u|^2`` and a Hessian of spectral norm
+    ``2/|u|^3``; the mixed block ``hess_{jk}``, j != k, is minus that pair's
+    Hessian.  Block j of the gradient, and the diagonal block ``hess_{jj}``,
+    each sum n - 1 pair terms, so the triangle inequality gives the closed forms
+
+        sum_j sup|grad_j c| <= n(n-1) / r0^2,
+        sum_{j,k} sup||hess_{jk} c|| <= 4 n(n-1) / r0^3,
+
+    attained for n = 2 by a pair at distance r0, and 0 for n = 1.
     """
-    grid = rp.grid
-    s = grid.n_sites
-    if s**rp.n > np.iinfo(np.int64).max:
-        raise ValidationError(f"{s}^{rp.n} configuration keys exceed int64")
-    span = int(math.ceil(reach / grid.h))
-    stride = max(1, int(math.ceil((2 * span + 1) / max_axis_samples)))
-    lower = max(rp.alpha - 4.0 * rp.eps, 0.0) if np.isfinite(rp.alpha) else 0.0
-    # per center and axis: lo, lo + stride, ... clipped to hi; the steps run one
-    # past the box so that hi itself is always sampled
-    n_centers = len(rp.centers)
-    lo = np.maximum(rp.centers - span, 0)
-    hi = np.minimum(rp.centers + span, grid.npts - 1)
-    steps = np.arange((2 * span) // stride + 2) * stride
-    axis_nodes = np.minimum(lo[:, :, None] + steps, hi[:, :, None])  # (centers, dim, j)
-    box = np.zeros((n_centers, 1), dtype=np.int64)   # flat node indices per center
-    for k in range(grid.dim):
-        box = box[:, :, None] * grid.npts + axis_nodes[:, None, k]
-        box = box.reshape(n_centers, -1)
-    # snapping merged equal atoms, so every atom has its own tuple of boxes
-    n_atoms = rp.source.n_atoms
-    keys = np.zeros((n_atoms, 1), dtype=np.int64)
-    for k in range(rp.n):
-        nodes = box[rp.center_of[:, k]]
-        keys = (keys[:, :, None] * s + nodes[:, None, :]).reshape(n_atoms, -1)
-    keys = np.unique(keys)
-    tuples = np.empty((keys.size, rp.n), dtype=np.int64)
-    for k in range(rp.n - 1, -1, -1):
-        keys, tuples[:, k] = np.divmod(keys, s)
-    configs = grid.points()[tuples]  # (m, n, dim)
-    atom_cfgs = rp.source.configs
-    configs = np.concatenate([configs, atom_cfgs], axis=0)
-    if rp.n >= 2 and configs.size:
-        keep = np.ones(configs.shape[0], dtype=bool)
-        for j in range(rp.n):
-            for k in range(j + 1, rp.n):
-                r = np.sqrt(((configs[:, j] - configs[:, k]) ** 2).sum(-1))
-                keep &= r >= lower - 1e-12
-        configs = configs[keep]
-    return configs
-
-
-def potential_error(rp: RegularizedPlan, obs: Observable) -> tuple:
-    """Measured smoothing error of an observable and its a priori bound.
-
-    Returns ``(lhs, bound)`` with ``lhs = |int obs dP_eps - int obs dP|`` and
-
-        bound = eps^2 * ( sum_j sup|grad_j obs| * int|grad rho| * M2
-                          + 2 * sum_{j,k} sup|hess_{jk} obs| ),
-
-    where M2 is the second moment of the squared profile.  The sup norms are
-    taken over the grid configurations of :func:`_support_region_configs`
-    with reach 4 eps, in the separated region (the observable need not be
-    bounded globally): per atom, the tuples of its coordinates' strided
-    boxes of radius 4 eps, deduplicated across atoms by flat key, plus the
-    atoms themselves.  A 1 x 1 Hessian block's spectral norm is ``|h|``.
-    """
-    lhs = abs(integrate_observable(rp, obs) - integrate_plan(rp.source, obs))
-    region = _support_region_configs(rp, reach=4.0 * rp.eps)
-    if region.size == 0:
-        region = rp.source.configs
-    l1g = l1_gradient(rp.rho)
+    plan = rp.source
+    lhs = abs(integrate_observable(rp) - float((coulomb(plan.configs) * plan.weights).sum()))
+    pairs = rp.n * (rp.n - 1)
+    r0 = rp.alpha - 4.0 * rp.eps
     m2 = rp.kernel.m.base.moments()[1]
-    grad_sum = 0.0
-    hess_sum = 0.0
-    for j in range(rp.n):
-        g = obs.grad_many(region, j)
-        grad_sum += float(np.sqrt((g * g).sum(-1)).max())
-        for k in range(rp.n):
-            hmat = obs.hess_many(region, j, k)
-            if hmat.shape[1:] == (1, 1):
-                norms = np.abs(hmat[:, 0, 0])
-            else:
-                norms = np.linalg.norm(hmat, ord=2, axis=(1, 2))
-            hess_sum += float(norms.max())
-    bound = rp.eps**2 * (grad_sum * l1g * m2 + 2.0 * hess_sum)
+    bound = rp.eps**2 * (pairs / r0**2 * l1_gradient(rp.rho) * m2 + 8.0 * pairs / r0**3)
     return float(lhs), float(bound)

@@ -26,7 +26,7 @@ from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient, separation
 from .mollifier import BumpProfile
 from .mmot import TransportProblem, plan_separation, solve_lp
-from .regularizer import CoulombPair, PreparedPlan, integrate_observable, kinetic_term
+from .regularizer import PreparedPlan, integrate_observable, kinetic_term
 from .regularizer import prepare_plan, smooth_plan
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -131,7 +131,7 @@ class TrialCurve:
         eps = float(eps)
         if eps not in self._smoothed_at:
             rp = smooth_plan(self.prepared, eps)
-            self._smoothed_at[eps] = (integrate_observable(rp, CoulombPair()),
+            self._smoothed_at[eps] = (integrate_observable(rp),
                                       kinetic_term(self.plan.n, self.h1, rp.kernel))
         return self._smoothed_at[eps]
 
@@ -142,7 +142,14 @@ class TrialCurve:
                            potential_term=float(potential))
 
     def optimize(self, eta: float, eps_min: Optional[float] = None):
-        """``(eps_opt, energy, scan_fallback)``; see :func:`optimize_eps`."""
+        """Minimize the trial total over the feasible mollifier widths.
+
+        Returns ``(eps_opt, energy, scan_fallback)``.  A coarse geometric
+        pre-scan of ``N_SCAN`` points tests unimodality; if it holds,
+        golden-section search refines inside the bracketing scan interval,
+        otherwise the best scan point is returned (``scan_fallback`` is
+        flagged on the sweep record).
+        """
         if eta <= 0:
             raise ValidationError("eta must be positive")
         alpha = separation(self.plan).alpha
@@ -169,18 +176,6 @@ class TrialCurve:
             if total(eps_opt) > vals[best]:
                 eps_opt = float(xs[best])
         return eps_opt, self.energy(eps_opt, eta), fallback
-
-
-def optimize_eps(rho: GridDensity, plan: AtomicPlan, eta: float,
-                 eps_min: Optional[float] = None):
-    """Minimize the trial total over the feasible mollifier widths.
-
-    A coarse geometric pre-scan of ``N_SCAN`` points tests unimodality; if it
-    holds, golden-section search refines inside the bracketing scan interval,
-    otherwise the best scan point is returned (``scan_fallback`` is flagged
-    on the sweep record).
-    """
-    return TrialCurve(rho, plan).optimize(eta, eps_min)
 
 
 def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,

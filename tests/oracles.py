@@ -1,16 +1,16 @@
 """Test-only reference code: whole-grid forms of the smoothed plan's
-per-center tables, explicit orbitals and Slater determinants, and simple
-observables, shared by the regularizer and the quantum tests as oracles."""
+per-center tables, explicit orbitals and Slater determinants, the dense
+mixed-state kernel, and the Coulomb cost's derivative blocks, shared by the
+regularizer and the quantum tests as oracles."""
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from llot.errors import ValidationError
 from llot.grids import GridDensity, permutations
 from llot.mollifier import GridKernel, offset_sum
-from llot.regularizer import Observable
 
 
 def dense_transfer(rp):
@@ -100,47 +100,76 @@ def det_square_identity(orbitals: OrbitalSet, config) -> tuple:
     return lhs, float(rhs)
 
 
-class SingleParticleSum(Observable):
-    """sum_j phi(x_j) for a scalar phi with supplied derivatives.
+def coulomb_grad(configs, j):
+    """Gradient block d/dx_j of :func:`llot.grids.coulomb`, shape (m, dim)."""
+    configs = np.asarray(configs, dtype=float)
+    m, n, d = configs.shape
+    out = np.zeros((m, d))
+    for k in range(n):
+        if k == j:
+            continue
+        u = configs[:, j] - configs[:, k]
+        r = np.sqrt((u * u).sum(-1))
+        out -= u / r[:, None] ** 3
+    return out
 
-    ``phi``, ``dphi``, ``d2phi`` act on coordinate arrays of shape (m, dim).
+
+def coulomb_hess(configs, j, k):
+    """Second-derivative block d^2/dx_j dx_k of :func:`llot.grids.coulomb`,
+    shape (m, dim, dim)."""
+    configs = np.asarray(configs, dtype=float)
+    m, n, d = configs.shape
+    eye = np.eye(d)
+    out = np.zeros((m, d, d))
+    if j == k:
+        for l in range(n):
+            if l == j:
+                continue
+            u = configs[:, j] - configs[:, l]
+            r = np.sqrt((u * u).sum(-1))[:, None, None]
+            out += -eye / r**3 + 3.0 * u[:, :, None] * u[:, None, :] / r**5
+    else:
+        u = configs[:, j] - configs[:, k]
+        r = np.sqrt((u * u).sum(-1))[:, None, None]
+        out = eye / r**3 - 3.0 * u[:, :, None] * u[:, None, :] / r**5
+    return out
+
+
+MAX_DENSE_ENTRIES = 1 << 24
+
+
+def dense_kernel_matrix(K) -> np.ndarray:
+    """Dense (n_sites^n, n_sites^n) matrix of a :class:`MixedStateKernel`
+    ``K``, for desk-size checks.
+
+    The reference the tests compare :func:`llot.quantum.kernel_eval` and
+    :func:`llot.quantum.quadratic_form` against: one explicit Slater vector per window
+    tuple, from orbital columns ``f_z(x) = sqrt(rho(x)) * amp(x - z)`` over
+    every node x.
     """
-
-    def __init__(self, phi: Callable, dphi: Callable, d2phi: Callable):
-        self.phi = phi
-        self.dphi = dphi
-        self.d2phi = d2phi
-
-    def value_many(self, configs):
-        configs = np.asarray(configs, dtype=float)
-        return sum(np.asarray(self.phi(configs[:, j]), dtype=float)
-                   for j in range(configs.shape[1]))
-
-    def grad_many(self, configs, j):
-        configs = np.asarray(configs, dtype=float)
-        g = np.asarray(self.dphi(configs[:, j]), dtype=float)
-        return g.reshape(configs.shape[0], configs.shape[2])
-
-    def hess_many(self, configs, j, k):
-        configs = np.asarray(configs, dtype=float)
-        m, _, d = configs.shape
-        if j != k:
-            return np.zeros((m, d, d))
-        hs = np.asarray(self.d2phi(configs[:, j]), dtype=float)
-        return hs.reshape(m, d, d)
-
-
-class Constant(Observable):
-    def __init__(self, c: float = 1.0):
-        self.c = float(c)
-
-    def value_many(self, configs):
-        return np.full(np.asarray(configs).shape[0], self.c)
-
-    def grad_many(self, configs, j):
-        m, _, d = np.asarray(configs).shape
-        return np.zeros((m, d))
-
-    def hess_many(self, configs, j, k):
-        m, _, d = np.asarray(configs).shape
-        return np.zeros((m, d, d))
+    rp = K.rp
+    n = rp.n
+    s = rp.grid.n_sites
+    dim_total = s**n
+    tuples, weights = K.window_tuples
+    rows = tuples.shape[0]
+    if rows * dim_total > MAX_DENSE_ENTRIES:
+        raise ValidationError(
+            f"dense kernel of {rows} x {dim_total} entries exceeds the "
+            f"{MAX_DENSE_ENTRIES} limit"
+        )
+    zs, col_of = np.unique(tuples, return_inverse=True)
+    col_of = col_of.reshape(tuples.shape)
+    nodes = np.stack(np.unravel_index(np.arange(s), rp.grid.shape), axis=-1)
+    cols = K.sqrt_rho[:, None] * rp.kernel.amp_of(nodes[:, None] - nodes[None, zs])
+    perms, signs = K._perms
+    b = np.zeros((rows, dim_total))
+    for perm, sign in zip(perms, signs):
+        # per tuple: the product state prod_j f_{z_perm(j)}(x_j), flattened
+        term = cols[:, col_of[:, perm[0]]].T
+        for j in range(1, n):
+            nxt = cols[:, col_of[:, perm[j]]].T
+            term = (term[:, :, None] * nxt[:, None, :]).reshape(rows, -1)
+        b += sign * term
+    b /= math.sqrt(math.factorial(n))
+    return (b * weights[:, None]).T @ b

@@ -65,13 +65,22 @@ def test_mmot_rejects_nan_density(tmp_path, convention):
     assert not out.exists()
 
 
-def test_import_does_not_load_scipy_signal():
+def loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import llot`` puts ``module`` in ``sys.modules``."""
     src = str(Path(llot.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, llot; print('scipy.signal' in sys.modules)"
+    code = f"import sys, llot; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    return res.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_signal():
+    assert not loaded_by_import("scipy.signal")
+
+
+def test_import_does_not_load_scipy_integrate():
+    assert not loaded_by_import("scipy.integrate")
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +267,8 @@ EXIT_CODES = [
     ("regularize-malformed", REGULARIZE + ["--plan", "{bad_plan}"], None, 1),
     ("regularize-out-in-missing-dir", REGULARIZE + ["--plan", "{plan}"],
      out_in_missing_dir, 1),
+    ("regularize-out-names-a-directory",
+     REGULARIZE + ["--plan", "{plan}", "--out", "{tmp}"], None, 1),
     ("quantum-check-valid", QUANTUM + ["--plan", "{plan}"], None, 0),
     ("quantum-check-malformed", QUANTUM + ["--plan", "{ragged_plan}"], None, 1),
     ("quantum-check-negative-seed", QUANTUM + ["--plan", "{plan}", "--seed=-1"], None, 1),
@@ -268,18 +279,29 @@ EXIT_CODES = [
     ("mmot-out-is-a-directory", MMOT + ["--density", "{sixteen}"], out_is_a_directory, 1),
     ("mmot-plan-out-in-missing-dir",
      MMOT + ["--density", "{sixteen}", "--plan-out", "{missing_dir}"], None, 1),
+    ("mmot-plan-out-names-a-directory",
+     MMOT + ["--density", "{sixteen}", "--plan-out", "{tmp}"], None, 1),
+    ("mmot-out-in-missing-dir-writes-no-plan",
+     MMOT + ["--density", "{sixteen}", "--plan-out", "{tmp}/plan.json",
+             "--out", "{tmp}/missing/report.json"], None, 1),
     ("mmot-sinkhorn-not-converged",
      MMOT + ["--density", "{sixteen}", "--solver", "sinkhorn", "--beta", "50"],
      cap_sinkhorn, 2),
     ("sweep-valid", SWEEP + ["--etas", "1e-3:1e-1:3"], None, 0),
     ("sweep-malformed", SWEEP + ["--etas", "a:b:3"], None, 1),
     ("sweep-out-in-missing-dir", SWEEP + ["--etas", "1e-3:1e-1:3"], out_in_missing_dir, 1),
+    ("sweep-csv-in-missing-dir",
+     SWEEP + ["--etas", "1e-3:1e-1:3", "--csv", "{tmp}/missing/records.csv"], None, 1),
+    ("sweep-out-in-missing-dir-writes-no-csv",
+     SWEEP + ["--etas", "1e-3:1e-1:3", "--csv", "{tmp}/records.csv",
+              "--out", "{tmp}/missing/report.json"], None, 1),
     ("sweep-eps-min-nan", SWEEP + ["--eps-min", "nan"], None, 1),
     ("sweep-eps-min-inf", SWEEP + ["--eps-min", "inf"], None, 1),
     ("sweep-eps-min-negative", SWEEP + ["--eps-min=-1"], None, 1),
     ("selftest-valid", ["selftest"], None, 0),
     ("selftest-failed-check", ["selftest"], fail_trace, 2),
     ("selftest-out-in-missing-dir", ["selftest"], out_in_missing_dir, 1),
+    ("selftest-out-names-a-directory", ["selftest", "--out", "{tmp}"], None, 1),
 ]
 
 
@@ -289,12 +311,15 @@ def test_exit_codes(cli_files, tmp_path, monkeypatch, capsys, argv, patch, code)
     if patch is not None:
         patch(monkeypatch)
     out = tmp_path / "report.json"
-    argv = [arg.format(**cli_files) for arg in argv] + ["--out", str(out)]
+    argv = [arg.format(tmp=tmp_path, **cli_files) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     if code == 1:
         assert err.startswith("error: ")
-        assert not out.exists()
+        # no report, and no side file from --plan-out or --csv
+        assert list(tmp_path.iterdir()) == []
     else:
         assert err == ""
         assert out.exists()

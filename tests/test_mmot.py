@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from llot import mmot
 from llot.errors import NumericalError, ValidationError
-from llot.grids import AtomicPlan, Grid, density_from_values, marginal, symmetrize
+from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, marginal, symmetrize
 from llot.mmot import (
     TransportProblem,
     check_dual,
@@ -17,7 +17,6 @@ from llot.mmot import (
     solve_sinkhorn,
 )
 from llot.presets import sixteen_site_density, three_site_density, two_site_density
-from llot.regularizer import CoulombPair
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +72,9 @@ def test_lp_against_generic_oracle(p_sixteen):
 
 def test_lp_value_invariant_under_plan_symmetrization(p_sixteen):
     sol = solve_lp(p_sixteen)
-    cou = CoulombPair()
     sym = symmetrize(sol.plan)
-    v1 = float((cou.value_many(sol.plan.configs) * sol.plan.weights).sum())
-    v2 = float((cou.value_many(sym.configs) * sym.weights).sum())
+    v1 = float((coulomb(sol.plan.configs) * sol.plan.weights).sum())
+    v2 = float((coulomb(sym.configs) * sym.weights).sum())
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -116,11 +114,11 @@ def test_dual_certificate_and_perturbation(p_three):
 def test_dual_check_against_per_configuration_loop(p_sixteen):
     sol = solve_lp(p_sixteen)
     positions, _, _ = p_sixteen.support()
-    v, cost = sol.dual_potential, CoulombPair()
-    slack = [v[list(c)].sum() - cost.value(positions[list(c)])
+    v = sol.dual_potential
+    slack = [v[list(c)].sum() - coulomb(positions[list(c)][None])[0]
              for c in itertools.combinations(range(len(positions)), 2)]
     site_of = {tuple(x): i for i, x in enumerate(positions)}
-    cs = sum(w * abs(cost.value(config) - sum(v[site_of[tuple(x)]] for x in config))
+    cs = sum(w * abs(coulomb(config[None])[0] - sum(v[site_of[tuple(x)]] for x in config))
              for config, w in zip(sol.plan.configs, sol.plan.weights))
     rep = check_dual(sol, p_sixteen)
     assert rep.max_violation == max(slack)
@@ -217,7 +215,7 @@ def test_smoothed_plan_cost_respects_lp_lower_bound(p_sixteen):
     alpha = plan_separation(sol).alpha
     rho = p_sixteen.marginal
     rp = build_regularized(sol.plan, rho, alpha / 8.0)
-    value = integrate_observable(rp, CoulombPair())
+    value = integrate_observable(rp)
     assert value >= sol.value - 1e-8
 
 
@@ -244,7 +242,7 @@ def comotion_cost(p):
     breaks = np.unique(np.concatenate([[0.0, 1.0], jumps]))
     u = (0.5 * (breaks[1:] + breaks[:-1]))[:, None] + shifts
     sites = np.minimum(np.searchsorted(cum, u % 1.0), len(masses) - 1)
-    return float(np.diff(breaks) @ CoulombPair().value_many(positions[sites]))
+    return float(np.diff(breaks) @ coulomb(positions[sites]))
 
 
 @pytest.mark.parametrize("n, density", [
@@ -323,7 +321,7 @@ def dense_sinkhorn(p, beta, max_iter=20000, tol=1e-8, damping=0.5):
     kept = np.nonzero(w >= mmot.PRUNE_THRESHOLD * w.sum())[0]
     configs = positions[site_idx[kept]]
     weights = w[kept] / w[kept].sum()
-    value = float((CoulombPair().value_many(configs) * weights).sum())
+    value = float((coulomb(configs) * weights).sum())
     plan = AtomicPlan(p.n, positions.shape[1], configs, weights).sorted_copy()
     return iterations, value, plan
 

@@ -10,8 +10,10 @@ from llot.mollifier import (
     BumpProfile,
     GridKernel,
     ScaledMollifier,
+    _raw_profile,
     convolve_sq,
     offset_sum,
+    unit_sphere_area,
 )
 
 
@@ -56,6 +58,23 @@ def test_eval_chi_even_symmetry(bump):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-0.5, 0.5, size=1000)
     assert np.array_equal(m(xs), m(-xs))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_rule_matches_adaptive_quadrature(dim):
+    """The fixed Gauss-Legendre rule against ``quad`` on the normalization
+    and both moments."""
+    profile = BumpProfile(dim)
+    area = unit_sphere_area(dim)
+
+    def quad(f):
+        return integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    c = 1.0 / np.sqrt(area * quad(lambda r: _raw_profile(r) ** 2 * r ** (dim - 1)))
+    grad_sq = area * quad(lambda r: profile.radial_deriv(r) ** 2 * r ** (dim - 1))
+    second = area * quad(lambda r: r ** (dim + 1) * profile.radial(r) ** 2)
+    assert profile.c == pytest.approx(c, rel=1e-13)
+    assert profile.moments() == pytest.approx((grad_sq, second), rel=1e-13)
 
 
 def test_moments_second_moment_below_one(bump):

@@ -13,14 +13,14 @@ from llot.presets import kinetic_instance, permutation_plan
 from llot import quantum
 from llot.quantum import (
     MixedStateKernel,
-    dense_kernel_matrix,
     kernel_eval,
     kinetic_trace,
     one_particle_density,
     quadratic_form,
 )
 from llot.regularizer import build_regularized, kinetic_of_sqrt
-from oracles import OrbitalSet, dense_transfer, det_square_identity, slater
+from oracles import (OrbitalSet, dense_kernel_matrix, dense_transfer, det_square_identity,
+                     slater)
 
 
 @pytest.fixture(scope="module")

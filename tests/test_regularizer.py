@@ -1,36 +1,31 @@
-import math
-
 import numpy as np
 import pytest
 
-from llot import regularizer
+from llot import mollifier, regularizer
 from llot.errors import ValidationError
 from llot.grids import (
     AtomicPlan,
     Grid,
     GridDensity,
+    coulomb,
     h1_seminorm_sqrt,
+    l1_gradient,
     marginal,
     snap_to_grid,
 )
 from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
 from llot.presets import (
-    fixture_paired_smooth,
-    fixture_three_particle,
     kinetic_instance,
     paired_plan,
     potential_instance,
 )
 from llot.regularizer import (
-    CoulombPair,
     build_regularized,
     integrate_observable,
-    integrate_plan,
     kinetic_of_sqrt,
     potential_error,
-    _support_region_configs,
 )
-from oracles import Constant, SingleParticleSum, dense_transfer, scattered_transfer
+from oracles import coulomb_grad, coulomb_hess, dense_transfer, scattered_transfer
 
 EPS_TINY = 0.22
 
@@ -197,35 +192,25 @@ def test_tensor_size_guard(monkeypatch):
         rp.tensor()
 
 
-def test_potential_error_constant_observable(two_site_fixture):
-    grid, plan, rho, eps_list = two_site_fixture
-    rp = build_regularized(plan, rho, eps_list[0])
-    lhs, bound = potential_error(rp, Constant(3.0))
-    assert lhs <= 1e-12
-    assert bound == 0.0
-
-
-def test_potential_error_single_particle_sum(paired_smooth_fixture):
+def test_tensor_integrates_single_particle_sum(paired_smooth_fixture):
+    """A one-body observable sees only the marginal, which the smoothing
+    pins: ``sum_j sin(x_j)`` integrates to the plan's sum."""
     grid, plan, rho, eps_list = paired_smooth_fixture
     rp = build_regularized(plan, rho, eps_list[0])
-    obs = SingleParticleSum(
-        lambda x: np.sin(x[:, 0]),
-        lambda x: np.cos(x[:, 0]).reshape(-1, 1),
-        lambda x: -np.sin(x[:, 0]).reshape(-1, 1, 1),
-    )
-    lhs, bound = potential_error(rp, obs)
-    assert lhs <= 1e-10
-    assert bound > 0.0
+    x = grid.axis()
+    phi = np.sin(x)[:, None] + np.sin(x)[None, :]
+    smoothed = float((phi * rp.tensor()).sum() * grid.cell_volume**2)
+    exact = float((np.sin(plan.configs[..., 0]).sum(axis=1) * plan.weights).sum())
+    assert abs(smoothed - exact) <= 1e-10
 
 
 def test_potential_error_coulomb_sweep_order_two():
     grid, plan, rho = potential_instance()
-    cou = CoulombPair()
     eps_list = (0.1, 0.05, 0.025, 0.0125)
     lhss = []
     for eps in eps_list:
         rp = build_regularized(plan, rho, eps)
-        lhs, bound = potential_error(rp, cou)
+        lhs, bound = potential_error(rp)
         assert lhs <= bound
         lhss.append(lhs)
     slope = np.polyfit(np.log(eps_list), np.log(lhss), 1)[0]
@@ -233,58 +218,39 @@ def test_potential_error_coulomb_sweep_order_two():
 
 
 # (lhs, bound) of potential_error at the four widths above, as computed by the
-# per-atom sampling loop and the SVD Hessian norms before either was vectorized
+# per-atom sampling loop and the SVD Hessian norms before either was
+# vectorized; the bound's derivative sups were then sampled on a strided grid
+# of the separated region
 POTENTIAL_SWEEP_PINNED = {
     0.1: (0.008204460804051239, 3.854323865687661),
     0.05: (0.002507543865699402, 0.25245040131820395),
     0.025: (0.0006641342376554338, 0.03932612959035564),
     0.0125: (0.00017324366830862026, 0.007906130980400713),
 }
+# the profile normalization c in d = 1 from adaptive quadrature, which the pins
+# were computed with; the Gauss-Legendre value is one ulp away, and the grid
+# kernel's amplitudes are rounded from c * profile
+QUAD_NORMALIZATION_1D = 2.7411551457069723
 
 
-def test_potential_error_coulomb_sweep_pinned_values():
+def test_potential_error_coulomb_sweep_pinned_values(monkeypatch):
+    assert abs(BumpProfile(1).c / QUAD_NORMALIZATION_1D - 1.0) <= 1e-15
+    BumpProfile(1).moments()   # cache the moments of the unpatched profile
+    monkeypatch.setattr(mollifier, "_normalization", lambda dim: QUAD_NORMALIZATION_1D)
     grid, plan, rho = potential_instance()
     prep = regularizer.prepare_plan(plan, rho)
-    for eps, pinned in POTENTIAL_SWEEP_PINNED.items():
-        assert potential_error(regularizer.smooth_plan(prep, eps), CoulombPair()) == pinned
+    for eps, (pinned_lhs, sampled_bound) in POTENTIAL_SWEEP_PINNED.items():
+        lhs, bound = potential_error(regularizer.smooth_plan(prep, eps))
+        assert lhs == pinned_lhs
+        # the closed-form sups cover the sampled region, so the bound can only grow
+        assert sampled_bound <= bound <= 1.03 * sampled_bound
 
 
-def loop_support_region_configs(rp, reach, max_axis_samples=25):
-    """The per-atom sampling loop: one strided box mesh per atom, all rows
-    deduplicated at once with ``np.unique(axis=0)``."""
-    grid = rp.grid
-    pts = grid.points()
-    span = int(math.ceil(reach / grid.h))
-    stride = max(1, int(math.ceil((2 * span + 1) / max_axis_samples)))
-    lower = max(rp.alpha - 4.0 * rp.eps, 0.0) if np.isfinite(rp.alpha) else 0.0
-    seen_boxes = set()
-    blocks = []
-    for a in range(rp.source.n_atoms):
-        key = tuple(rp.center_of[a])
-        if key in seen_boxes:
-            continue
-        seen_boxes.add(key)
-        axes = []
-        for k in range(rp.n):
-            c = np.array(rp.centers[rp.center_of[a, k]])
-            lo = np.maximum(c - span, 0)
-            hi = np.minimum(c + span, grid.npts - 1)
-            ranges = [np.unique(np.concatenate([np.arange(l, hh + 1, stride), [hh]]))
-                      for l, hh in zip(lo, hi)]
-            mesh = np.meshgrid(*ranges, indexing="ij")
-            axes.append(np.ravel_multi_index([mm.ravel() for mm in mesh], grid.shape))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        blocks.append(np.stack([mm.ravel() for mm in mesh], axis=1))
-    tuples = np.unique(np.concatenate(blocks, axis=0), axis=0)
-    configs = np.concatenate([pts[tuples], rp.source.configs], axis=0)
-    if rp.n >= 2:
-        keep = np.ones(configs.shape[0], dtype=bool)
-        for j in range(rp.n):
-            for k in range(j + 1, rp.n):
-                r = np.sqrt(((configs[:, j] - configs[:, k]) ** 2).sum(-1))
-                keep &= r >= lower - 1e-12
-        configs = configs[keep]
-    return configs
+def test_potential_error_bound_pinned_on_paired_fixture(paired_smooth_fixture):
+    grid, plan, rho, eps_list = paired_smooth_fixture
+    _, bound = potential_error(build_regularized(plan, rho, eps_list[0]))
+    # the sampled sups of n = 2 reach the closed forms: a pair at distance r0
+    assert bound == pytest.approx(2.8129123218844114, rel=1e-12)
 
 
 def two_dim_instance():
@@ -295,31 +261,41 @@ def two_dim_instance():
     return grid, plan, marginal(plan, grid)
 
 
-def region_cases():
-    _, grid, plan, eps_list = fixture_paired_smooth()
-    yield "paired", build_regularized(plan, marginal(plan, grid), eps_list[0])
-    _, grid, plan, eps_list = fixture_three_particle()
-    yield "n3", build_regularized(plan, marginal(plan, grid), eps_list[0])
+def derivative_cases(all_identity_fixtures):
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        if plan.n >= 2:
+            for eps in eps_list:
+                yield name, build_regularized(plan, rho, eps)
     grid, plan, rho = two_dim_instance()
-    yield "2d", build_regularized(plan, rho, 0.2)
+    yield "n2-2d-pair", build_regularized(plan, rho, 0.2)
 
 
-def test_support_region_matches_loop_oracle():
-    for name, rp in region_cases():
-        # the default reach, and a narrower sampling whose stride does not
-        # divide the box width
-        for reach, samples in ((4 * rp.eps, 25), (4 * rp.eps, 7), (2.5 * rp.eps, 4)):
-            got = _support_region_configs(rp, reach, max_axis_samples=samples)
-            ref = loop_support_region_configs(rp, reach, max_axis_samples=samples)
-            assert got.shape[0] > rp.source.n_atoms, (name, reach, samples)
-            assert np.array_equal(got, ref), (name, reach, samples)
+def test_closed_form_derivative_sups_cover_the_support(all_identity_fixtures):
+    """``n(n-1)/r0^2`` and ``4n(n-1)/r0^3`` bound the brute-force sums of the
+    Coulomb cost's largest gradient and Hessian blocks over the
+    configurations where the tensor density is nonzero."""
+    for name, rp in derivative_cases(all_identity_fixtures):
+        t = rp.tensor().ravel()
+        sites = np.unravel_index(np.nonzero(t)[0], (rp.grid.n_sites,) * rp.n)
+        configs = np.stack([rp.grid.points()[i] for i in sites], axis=1)
+        grad_sum = sum(np.sqrt((coulomb_grad(configs, j) ** 2).sum(-1)).max()
+                       for j in range(rp.n))
+        hess_sum = sum(np.linalg.norm(coulomb_hess(configs, j, k), ord=2, axis=(1, 2)).max()
+                       for j in range(rp.n) for k in range(rp.n))
+        pairs = rp.n * (rp.n - 1)
+        r0 = rp.alpha - 4.0 * rp.eps
+        assert grad_sum <= pairs / r0**2 * (1 + 1e-12), name
+        assert hess_sum <= 4.0 * pairs / r0**3 * (1 + 1e-12), name
+        m2 = rp.kernel.m.base.moments()[1]
+        brute = rp.eps**2 * (grad_sum * l1_gradient(rp.rho) * m2 + 2.0 * hess_sum)
+        assert potential_error(rp)[1] >= brute, name
 
 
 def test_feasibility_of_smoothed_cost(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
     rp = build_regularized(plan, rho, eps_list[0])
-    cou = CoulombPair()
-    assert integrate_observable(rp, cou) >= integrate_plan(plan, cou) - 1e-8
+    plan_cost = float((coulomb(plan.configs) * plan.weights).sum())
+    assert integrate_observable(rp) >= plan_cost - 1e-8
 
 
 class SmoothedPlan:
@@ -440,8 +416,8 @@ def test_tensor_built_once_and_read_only(monkeypatch):
     build = rp._build_tensor
     monkeypatch.setattr(rp, "_build_tensor", lambda m: builds.append(m) or build(m))
     kinetic_of_sqrt(rp)
-    integrate_observable(rp, CoulombPair())
-    potential_error(rp, CoulombPair())
+    integrate_observable(rp)
+    potential_error(rp)
     assert builds == [regularizer.MAX_TENSOR_ENTRIES]
     t = rp.tensor()
     assert t is rp.tensor() and not t.flags.writeable

@@ -9,12 +9,12 @@ from llot.grids import Grid, density_from_values, h1_seminorm_sqrt, separation
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile
 from llot.presets import SWEEP_ETAS, SWEEP_SCALE, cos4_window, sweep_density
-from llot.regularizer import CoulombPair, build_regularized, integrate_observable
+from llot.regularizer import build_regularized, integrate_observable
 from llot.semiclassics import (
+    TrialCurve,
     assembled_constant,
     fit_log_slope,
     golden_minimize,
-    optimize_eps,
     sweep,
     trial_energy,
 )
@@ -60,7 +60,7 @@ def test_trial_energy_matches_hand_assembly(solved_instance):
     te = trial_energy(rho, sol.plan, eps, eta)
     rp = build_regularized(sol.plan, rho, eps)
     kin = eta * 2 * (h1_seminorm_sqrt(rho) + BumpProfile(1).moments()[0] / eps**2)
-    pot = integrate_observable(rp, CoulombPair())
+    pot = integrate_observable(rp)
     assert te.total == pytest.approx(kin + pot, rel=1e-12)
 
 
@@ -85,8 +85,9 @@ def test_golden_minimize_closed_form():
 
 def test_optimize_eps_moves_with_eta(solved_instance):
     rho, sol = solved_instance
-    eps_small, _, _ = optimize_eps(rho, sol.plan, 1e-4)
-    eps_large, _, _ = optimize_eps(rho, sol.plan, 1e-1)
+    curve = TrialCurve(rho, sol.plan)
+    eps_small, _, _ = curve.optimize(1e-4)
+    eps_large, _, _ = curve.optimize(1e-1)
     assert eps_small <= eps_large + 1e-12
 
 
@@ -94,7 +95,7 @@ def test_optimize_eps_empty_interval(solved_instance):
     rho, sol = solved_instance
     alpha = separation(sol.plan).alpha
     with pytest.raises(ValidationError, match="empty feasible eps interval"):
-        optimize_eps(rho, sol.plan, 1e-2, eps_min=alpha)
+        TrialCurve(rho, sol.plan).optimize(1e-2, eps_min=alpha)
 
 
 def test_fit_log_slope_exact_sqrt():
