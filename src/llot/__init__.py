@@ -17,7 +17,7 @@ from .grids import (
     snap_to_grid,
     symmetrize,
 )
-from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq
+from .mollifier import BumpProfile, GridKernel, convolve_sq
 from .regularizer import (
     RegularizedPlan,
     build_regularized,

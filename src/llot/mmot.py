@@ -156,20 +156,10 @@ def _gibbs_cost_tensor(p: TransportProblem):
         raise ValidationError(
             f"Gibbs tensor of {s}^{p.n} entries exceeds the sinkhorn limit"
         )
-    grids = np.meshgrid(*[np.arange(s)] * p.n, indexing="ij")
-    site_idx = np.stack([g.ravel() for g in grids], axis=1)  # (s^n, n)
-    configs = positions[site_idx]
-    costs = coulomb(configs).reshape((s,) * p.n)
-    distinct = np.ones((s,) * p.n, dtype=bool)
-    for j in range(p.n):
-        for k in range(j + 1, p.n):
-            shape_j = [1] * p.n
-            shape_j[j] = s
-            shape_k = [1] * p.n
-            shape_k[k] = s
-            eq = (np.arange(s).reshape(shape_j) == np.arange(s).reshape(shape_k))
-            distinct &= ~eq
-    return positions, masses, costs, distinct, site_idx
+    site_idx = np.indices((s,) * p.n).reshape(p.n, -1).T  # (s^n, n)
+    # +inf exactly where two sites coincide
+    costs = coulomb(positions[site_idx]).reshape((s,) * p.n)
+    return positions, masses, costs, site_idx
 
 
 def _potential_sum(base: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -224,12 +214,12 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     """
     _require_finite_positive("inverse temperature beta", beta)
     _require_finite_positive("tolerance", tol)
-    positions, masses, costs, distinct, site_idx = _gibbs_cost_tensor(p)
+    positions, masses, costs, site_idx = _gibbs_cost_tensor(p)
     _feasibility_check(p.n, masses)
     s = positions.shape[0]
     log_mass = np.log(masses)
 
-    base = np.where(distinct, -beta * costs, -np.inf)
+    base = -beta * costs   # -inf on coincident sites: beta > 0
     f = f0 = np.zeros(s)
     kernel, r = _absorb(base, f0)
     iterations = 0
@@ -272,13 +262,13 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
 
 
 def check_dual(sol: TransportSolution, p: TransportProblem,
-               samples: Optional[int] = None, tol: float = 1e-8,
-               seed: int = 0) -> DualCheckReport:
+               tol: float = 1e-8) -> DualCheckReport:
     """Verify the Kantorovich certificate of a solved problem.
 
-    Checks sum_j v(x_j) <= cost(X) + tol over enumerated (or sampled)
-    repeat-free configurations and reports the complementary-slackness
-    residual on the plan support.
+    Checks sum_j v(x_j) <= cost(X) + tol over every repeat-free
+    configuration, the multisets :func:`solve_lp` enumerates (only its
+    solutions carry a dual, and it refuses more than ``MAX_LP_VARIABLES``),
+    and reports the complementary-slackness residual on the plan support.
     """
     _require_finite_positive("tolerance", tol)
     if sol.dual_potential is None:
@@ -286,12 +276,7 @@ def check_dual(sol: TransportSolution, p: TransportProblem,
     positions, _, support = p.support()
     v = sol.dual_potential
     s = positions.shape[0]
-    if samples is None and math.comb(s, p.n) <= MAX_LP_VARIABLES:
-        combos = np.array(list(itertools.combinations(range(s), p.n)))
-    else:
-        rng = np.random.default_rng(seed)
-        combos = np.sort([rng.choice(s, size=p.n, replace=False)
-                          for _ in range(samples or 10000)], axis=1)
+    combos = np.array(list(itertools.combinations(range(s), p.n)))
     configs = positions[combos]
     slack = v[combos].sum(axis=1) - coulomb(configs)
     worst = int(np.argmax(slack))

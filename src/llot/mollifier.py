@@ -1,15 +1,16 @@
-"""The radial bump profile, its scaled family, and grid convolution.
+"""The radial bump profile, the grid kernel, and grid convolution.
 
 The continuum profile is ``chi(x) = c * exp(-1/(1-|x|^2))`` inside the unit
 ball and 0 outside, with ``c`` fixed once per dimension so that the squared
-profile integrates to one.  The scaled family is
-``chi_eps(x) = eps**(-d/2) * chi(x/eps)``, supported in the ball of radius
-``eps`` and still normalized in the squared sense.
+profile integrates to one.  At width ``w`` it is scaled to
+``w**(-d/2) * chi(x/w)``, supported in the ball of radius ``w`` and still
+normalized in the squared sense.
 
-For grid work the squared kernel is *resampled and renormalized*: the values
-of ``chi_eps**2`` on the offset lattice are divided by their own quadrature
-sum, so the discrete kernel has unit mass exactly.  Every downstream identity
-(marginal pinning, unit trace) is exact in floating point because of this.
+For grid work the scaled profile is *resampled and renormalized* once, by
+:class:`GridKernel`: its values on the integer offset lattice are divided by
+the square root of their own quadrature sum, so the squared kernel has unit
+discrete mass exactly.  Every downstream identity (marginal pinning, unit
+trace) is exact in floating point because of this.
 """
 
 from __future__ import annotations
@@ -93,15 +94,6 @@ class BumpProfile:
     def radial_deriv(self, r):
         return self.c * _raw_profile_deriv(r)
 
-    def __call__(self, x):
-        """Evaluate at points; ``x`` is (..., dim) or scalar radii for dim 1."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-            r = np.abs(x)
-        else:
-            r = np.sqrt((x * x).sum(axis=-1))
-        return self.radial(r)
-
     def moments(self) -> tuple:
         """(integral of |grad chi|^2, integral of |u|^2 chi(u)^2).
 
@@ -113,103 +105,75 @@ class BumpProfile:
         return _moments(self.dim)
 
 
-@dataclass(frozen=True)
-class ScaledMollifier:
-    """``chi_eps(x) = eps**(-d/2) chi(x/eps)``, support radius eps."""
-
-    base: BumpProfile
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValidationError("mollifier width must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def __call__(self, x):
-        scale = self.eps ** (-self.dim / 2.0)
-        return scale * self.base(np.asarray(x, dtype=float) / self.eps)
-
-    def radial(self, r):
-        scale = self.eps ** (-self.dim / 2.0)
-        return scale * self.base.radial(np.asarray(r, dtype=float) / self.eps)
-
-    def radial_deriv(self, r):
-        scale = self.eps ** (-self.dim / 2.0 - 1.0)
-        return scale * self.base.radial_deriv(np.asarray(r, dtype=float) / self.eps)
-
-
 class GridKernel:
-    """``chi_eps`` resampled on the offset lattice of a grid and renormalized.
+    """The scaled profile of width ``width`` resampled on the offset lattice
+    of a grid of spacing ``h`` and renormalized.
 
-    ``offsets`` are the integer lattice vectors ``o`` with ``|o*h| < eps``,
+    ``offsets`` are the integer lattice vectors ``o`` with ``|o*h| < width``,
     less those whose squared weight is below ``TAIL_CUT`` times the peak's;
-    ``amp[o]`` is the renormalized amplitude with ``sum(amp**2) * h**d == 1``
-    and ``sq = amp**2`` the unit-mass squared kernel used for smoothing.
-    This table is the package's one discrete kernel; :meth:`amp_of` looks it
-    up at integer node differences.
+    ``amp[o]`` is the renormalized amplitude with ``sum(amp**2) * h**d == 1``,
+    ``norm`` the quadrature sum it was divided by, and ``sq = amp**2`` the
+    unit-mass squared kernel used for smoothing.  This table is the
+    package's one discrete kernel; ``profile`` keeps the continuum profile
+    for the closed-form moments and the continuum orbitals.
     """
 
-    def __init__(self, m: ScaledMollifier, h: float):
+    def __init__(self, dim: int, width: float, h: float):
         if h <= 0:
             raise ValidationError("grid spacing must be positive")
-        if m.eps < h:
+        if not width >= h:
             raise ValidationError("kernel unresolved")
-        self.m = m
+        self.profile = BumpProfile(dim)
+        self.width = width
         self.h = float(h)
-        self.dim = m.dim
-        reach = int(math.ceil(m.eps / h))
+        self.dim = dim
+        reach = int(math.ceil(width / h))
         rng = range(-reach, reach + 1)
         offsets = [
-            o for o in itertools.product(rng, repeat=self.dim)
-            if math.sqrt(sum(v * v for v in o)) * h < m.eps
+            o for o in itertools.product(rng, repeat=dim)
+            if math.sqrt(sum(v * v for v in o)) * h < width
         ]
         offsets = np.array(offsets, dtype=int)
-        raw = m.radial(np.sqrt((offsets.astype(float) ** 2).sum(axis=1)) * h)
+        r = np.sqrt((offsets.astype(float) ** 2).sum(axis=1)) * h
+        raw = width ** (-dim / 2.0) * self.profile.radial(r / width)
         # an edge offset whose squared weight is negligible against the peak
         # would only push rho * kappa under DENOM_FLOOR; it is dropped
         sq = raw**2
         keep = sq >= TAIL_CUT * sq.max()
         self.offsets, raw = offsets[keep], raw[keep]
         self.halfwidth = int(np.abs(self.offsets).max())
-        # C-order keys of the offsets in their (2*halfwidth + 1)^dim cube;
-        # itertools.product yields them sorted, as amp_of's search needs
-        self._keys = np.ravel_multi_index(tuple((self.offsets + self.halfwidth).T),
-                                          (2 * self.halfwidth + 1,) * self.dim)
-        norm = (raw**2).sum() * h**self.dim
+        norm = (raw**2).sum() * h**dim
         if norm <= 0:
             raise ValidationError("kernel unresolved")
         self.norm = float(norm)
         self.amp = raw / math.sqrt(norm)
         self.sq = self.amp**2
         # the box |b_k| <= 2 halfwidth holds the support of kappa * kappa
-        self.box_shape = (4 * self.halfwidth + 1,) * self.dim
-        self._box_strides = self.box_shape[0] ** np.arange(self.dim - 1, -1, -1)
+        self.box_shape = (4 * self.halfwidth + 1,) * dim
+        self._box_strides = self.box_shape[0] ** np.arange(dim - 1, -1, -1)
 
     @cached_property
     def box(self) -> np.ndarray:
         """The box offsets ``b``, shape (n_box, dim), in C order."""
         return np.indices(self.box_shape).reshape(self.dim, -1).T - 2 * self.halfwidth
 
+    @cached_property
+    def box_amp(self) -> np.ndarray:
+        """``amp(b - o)`` per box slot ``b`` (rows) and kernel offset ``o``
+        (columns), 0 where ``b - o`` is not a kernel offset, and a last row
+        of zeros for slot -1: nodes off the box."""
+        n_offsets = len(self.offsets)
+        table = np.zeros((len(self.box) + 1, n_offsets))
+        # b - o is the offset o' exactly at b = o + o', which lies in the box
+        slot, _ = self.box_slot(self.offsets[:, None, :] + self.offsets[None, :, :])
+        table[slot, np.arange(n_offsets)] = self.amp[:, None]
+        return table
+
     def box_slot(self, diff) -> tuple:
         """Slots in :attr:`box` of integer offsets ``diff`` (..., dim), and
         whether each lies in the box; the slot of an offset outside is junk."""
         r = 2 * self.halfwidth
         return (diff + r) @ self._box_strides, np.all(np.abs(diff) <= r, axis=-1)
-
-    def amp_of(self, o) -> np.ndarray:
-        """``amp`` at integer lattice offsets ``o`` of shape (..., dim); 0 for
-        offsets not in the table."""
-        o = np.asarray(o, dtype=int)
-        r = self.halfwidth
-        inside = np.all(np.abs(o) <= r, axis=-1)
-        shifted = np.minimum(np.maximum(o, -r), r) + r
-        key = np.ravel_multi_index(tuple(np.moveaxis(shifted, -1, 0)),
-                                   (2 * r + 1,) * self.dim)
-        pos = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
-        return np.where(inside & (self._keys[pos] == key), self.amp[pos], 0.0)
 
 
 def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:

@@ -4,7 +4,7 @@ The state is an integral of rank-one projections onto Slater determinants of
 the localized orbitals ``f_z(x) = sqrt(rho(x)) * amp(x - z)``, weighted by the
 same (atom, z)-quadrature measure that defines the smoothed plan.  The
 orbitals live in index space: ``x`` and ``z`` are grid nodes and ``amp`` is
-the kernel's table at the integer offset ``x - z`` (``GridKernel.amp_of``).
+the kernel's table ``GridKernel.amp`` at the integer offset ``x - z``.
 With ``A(X, Z)_{ij} = amp(x_j - z_i)`` the kernel on configuration pairs is
 
     K(X; X') = 1/n! * sum_atoms w * sum_Z prod_i q_i(z_i)
@@ -25,8 +25,9 @@ sum and the diagonal of the kernel equals the smoothed plan density exactly.
 
 A window node is ``z = c + o``, so ``amp(x - z)`` vanishes unless ``x`` is
 in the box ``c + b`` (``GridKernel.box``) that also holds ``T_c``;
-:class:`MixedStateKernel` reads it at ``b = x - c`` from one table
-``amp(b - o)`` over box slots ``b`` and kernel offsets ``o``.
+:class:`MixedStateKernel` reads it at ``b = x - c`` from the kernel's table
+``amp(b - o)`` over box slots ``b`` and kernel offsets ``o``
+(``GridKernel.box_amp``).
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ class MixedStateKernel:
     def __init__(self, rp: RegularizedPlan):
         self.rp = rp
         self.sqrt_rho = np.sqrt(rp.rho.values).ravel()
-        # amp(b - o) per box slot b and kernel offset o, plus a last row of
-        # zeros for nodes off the box; a slot's row is nonzero where some
-        # window node's orbital reaches it
-        kernel = rp.kernel
-        amp = kernel.amp_of(kernel.box[:, None, :] - kernel.offsets[None, :, :])
-        self._amp = np.vstack([amp, np.zeros(len(kernel.offsets))])
         self._perms = _signed_permutations(rp.n)
 
     @property
@@ -120,12 +115,13 @@ class MixedStateKernel:
         if root == 0.0:
             return 0.0
         # per center and node: amp(x - c - o) over the window, read from the
-        # box table; then the atoms whose centers reach every coordinate of
-        # both blocks, and M_c of their centers only
+        # box table, whose row is nonzero where some window node's orbital
+        # reaches the slot; then the atoms whose centers reach every
+        # coordinate of both blocks, and M_c of their centers only
         both = np.concatenate((x, xp))
         nodes = np.stack(np.unravel_index(both, rp.grid.shape), axis=-1)
         slot, inside = rp.kernel.box_slot(nodes[None, :, :] - rp.centers[:, None, :])
-        rows = self._amp[np.where(inside, slot, -1)]        # (n_centers, 2n, n_offsets)
+        rows = rp.kernel.box_amp[np.where(inside, slot, -1)]  # (n_centers, 2n, n_offsets)
         hits = rows.any(axis=2)[rp.center_of]               # (n_atoms, n, 2n)
         atoms = np.flatnonzero(hits.any(axis=1).all(axis=1))
         if atoms.size == 0:
@@ -196,19 +192,20 @@ def _orbital_energy(rp: RegularizedPlan, flat_z: int) -> float:
     h = grid.h
     g = np.sqrt(rp.rho.values)
     # the kernel's own width: h, not rp.eps, for the one-node kernel
-    m = rp.kernel.m
+    w, profile = rp.kernel.width, rp.kernel.profile
     scale = 1.0 / math.sqrt(rp.kernel.norm)
     axis = grid.axis()
     zpos = axis[flat_z]
-    i0 = max(int(math.floor((zpos - m.eps - grid.origin[0]) / h)), 0)
-    i1 = min(int(math.ceil((zpos + m.eps - grid.origin[0]) / h)), grid.npts - 1)
+    i0 = max(int(math.floor((zpos - w - grid.origin[0]) / h)), 0)
+    i1 = min(int(math.ceil((zpos + w - grid.origin[0]) / h)), grid.npts - 1)
     cells = axis[i0:i1]
     slopes = (g[i0 + 1:i1 + 1] - g[i0:i1]) / h
     xq = cells[:, None] + 0.5 * h * (_GAUSS_PTS + 1.0)[None, :]
     gq = g[i0:i1][:, None] + slopes[:, None] * (xq - cells[:, None])
     u = xq - zpos
-    amp = m.radial(np.abs(u)) * scale
-    amp_d = m.radial_deriv(np.abs(u)) * np.sign(u) * scale
+    # the continuum amplitude w^(-1/2) chi(|u| / w) / sqrt(norm) in d = 1
+    amp = w ** -0.5 * profile.radial(np.abs(u) / w) * scale
+    amp_d = w ** -1.5 * profile.radial_deriv(np.abs(u) / w) * np.sign(u) * scale
     integrand = (slopes[:, None] * amp + gq * amp_d) ** 2
     return float((integrand * (0.5 * h * _GAUSS_WTS)[None, :]).sum())
 

@@ -45,7 +45,7 @@ from .grids import (
     separation,
     snap_to_grid,
 )
-from .mollifier import BumpProfile, GridKernel, ScaledMollifier, convolve_sq, offset_sum
+from .mollifier import GridKernel, convolve_sq, offset_sum
 
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
@@ -56,8 +56,8 @@ class RegularizedPlan:
     """Evaluator for the marginal-pinned smoothing of an atomic plan."""
 
     def __init__(self, prep: "PreparedPlan", eps: float, kernel: GridKernel,
-                 denom: GridDensity, nodes: np.ndarray, transfer: np.ndarray,
-                 window: np.ndarray, q: np.ndarray):
+                 nodes: np.ndarray, transfer: np.ndarray, window: np.ndarray,
+                 q: np.ndarray):
         self.source = prep.source
         self.rho = prep.rho
         self.alpha = prep.alpha
@@ -65,7 +65,6 @@ class RegularizedPlan:
         self.center_of = prep.center_of  # (n_atoms, n) -> row of the tables
         self.eps = eps                  # the requested width; the kernel's is max(eps, h)
         self.kernel = kernel
-        self.denom = denom
         self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
         self.transfer = transfer        # (n_centers, n_box) T_c there, 0 off the grid
         self.window = window            # (n_centers, n_offsets) flat nodes c + o
@@ -171,11 +170,10 @@ def kinetic_term(n: int, h1: float, kernel: GridKernel) -> float:
     """``n * (H1(sqrt rho) + G / w^2)``, the kinetic part of the bound at
     eta = 1, for the state built from ``kernel`` (``rp.kernel``).
 
-    ``w = kernel.m.eps`` is the kernel's width, ``max(eps, h)`` (see
+    ``w = kernel.width`` is the kernel's width, ``max(eps, h)`` (see
     :func:`smooth_plan`), and ``G`` its profile's gradient moment.
     """
-    m = kernel.m
-    return n * (h1 + m.base.moments()[0] / m.eps**2)
+    return n * (h1 + kernel.profile.moments()[0] / kernel.width**2)
 
 
 @dataclass
@@ -240,7 +238,7 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
     rho = prep.rho
     grid = rho.grid
     eps = float(eps)
-    kernel = GridKernel(ScaledMollifier(BumpProfile(grid.dim), max(eps, grid.h)), grid.h)
+    kernel = GridKernel(grid.dim, max(eps, grid.h), grid.h)
 
     support_idx = np.argwhere(rho.values > 0)
     lo = support_idx.min(axis=0)
@@ -271,7 +269,7 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
     spread = offset_sum(u.reshape((-1,) + kernel.box_shape), kernel.offsets, kernel.sq)
     rho_at = np.append(rho.values.ravel(), 0.0)[nodes]   # 0 at node -1
     transfer = rho_at * spread.reshape(nodes.shape) * grid.cell_volume
-    return RegularizedPlan(prep, eps, kernel, denom, nodes, transfer, window, q)
+    return RegularizedPlan(prep, eps, kernel, nodes, transfer, window, q)
 
 
 def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float) -> RegularizedPlan:
@@ -285,7 +283,7 @@ def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float) -> Regular
     A width ``0 < eps < h`` is the grid's eps -> 0 limit.  The offset rule
     ``|o*h| < eps`` leaves only the zero offset for every eps <= h, so such a
     width gets the one-node kernel, built as the width-h kernel
-    (``rp.kernel.m.eps == h``; ``rp.eps`` keeps the requested width), for
+    (``rp.kernel.width == h``; ``rp.eps`` keeps the requested width), for
     both the transfer vectors and the denominator: every ``T_c`` is
     ``delta_c / h^d`` and ``P_eps = P`` on the grid.  Marginal pinning, unit
     trace and the kernel diagonal stay exact;
@@ -348,8 +346,16 @@ def potential_error(rp: RegularizedPlan) -> tuple:
     """
     plan = rp.source
     lhs = abs(integrate_observable(rp) - float((coulomb(plan.configs) * plan.weights).sum()))
-    pairs = rp.n * (rp.n - 1)
     r0 = rp.alpha - 4.0 * rp.eps
-    m2 = rp.kernel.m.base.moments()[1]
-    bound = rp.eps**2 * (pairs / r0**2 * l1_gradient(rp.rho) * m2 + 8.0 * pairs / r0**3)
+    m2 = rp.kernel.profile.moments()[1]
+    bound = rp.eps**2 * coulomb_smoothing_rate(rp.n, r0, l1_gradient(rp.rho), m2)
     return float(lhs), float(bound)
+
+
+def coulomb_smoothing_rate(n: int, r0: float, l1_grad_rho: float,
+                           second_moment: float) -> float:
+    """``n(n-1)/r0^2 * int|grad rho| * M2 + 8 n(n-1)/r0^3``: the bound of
+    :func:`potential_error` over ``eps^2``, from the closed-form Coulomb
+    derivative sups at pairwise distances of at least ``r0``."""
+    pairs = n * (n - 1)
+    return pairs / r0**2 * l1_grad_rho * second_moment + 8.0 * pairs / r0**3

@@ -26,8 +26,8 @@ from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient, separation
 from .mollifier import BumpProfile
 from .mmot import TransportProblem, plan_separation, solve_lp
-from .regularizer import PreparedPlan, integrate_observable, kinetic_term
-from .regularizer import prepare_plan, smooth_plan
+from .regularizer import PreparedPlan, coulomb_smoothing_rate, integrate_observable
+from .regularizer import kinetic_term, prepare_plan, smooth_plan
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 N_SCAN = 32   # geometric pre-scan points of the eps optimization
@@ -183,14 +183,15 @@ def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,
                        eps_opt: float) -> float:
     """Rate constant from the explicit ingredients of the upper bound.
 
-    Uses the Coulomb derivative bounds n^3/(alpha-4 eps)^2 and
-    n^4/(alpha-4 eps)^3 on the separated region, evaluated at eps_opt.
+    The potential part is the bound of
+    :func:`~llot.regularizer.potential_error` over eps^2
+    (:func:`~llot.regularizer.coulomb_smoothing_rate`), with the pairwise
+    distance margin ``alpha - 4 eps`` evaluated at eps_opt.
     """
     margin = alpha - 4.0 * eps_opt
     if margin <= 0:
         return math.inf
-    d_eps = (n**3 / margin**2 * l1_grad_rho * second_moment
-             + n**4 / margin**3)
+    d_eps = coulomb_smoothing_rate(n, margin, l1_grad_rho, second_moment)
     return (n * h1 + n * grad_moment * (8.0 / alpha) ** 2
             + 2.0 * math.sqrt(n * grad_moment * d_eps))
 

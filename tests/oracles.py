@@ -1,7 +1,8 @@
-"""Test-only reference code: whole-grid forms of the smoothed plan's
-per-center tables, explicit orbitals and Slater determinants, the dense
-mixed-state kernel, and the Coulomb cost's derivative blocks, shared by the
-regularizer and the quantum tests as oracles."""
+"""Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
+forms of the smoothed plan's per-center tables, explicit orbitals and Slater
+determinants, the dense mixed-state kernel, and the Coulomb cost's
+derivative blocks, shared by the mollifier, regularizer and quantum tests as
+oracles."""
 
 import math
 from typing import Optional
@@ -11,6 +12,15 @@ import numpy as np
 from llot.errors import ValidationError
 from llot.grids import GridDensity, permutations
 from llot.mollifier import GridKernel, offset_sum
+
+
+def amp_at(kernel: GridKernel, o) -> np.ndarray:
+    """``kernel.amp`` at integer lattice offsets ``o`` of shape (..., dim), 0
+    for offsets not in the table; one dictionary lookup per entry."""
+    o = np.asarray(o, dtype=int)
+    table = dict(zip(map(tuple, kernel.offsets.tolist()), kernel.amp.tolist()))
+    flat = [table.get(tuple(x), 0.0) for x in o.reshape(-1, o.shape[-1]).tolist()]
+    return np.array(flat).reshape(o.shape[:-1])
 
 
 def dense_transfer(rp):
@@ -52,7 +62,7 @@ class OrbitalSet:
 
     @property
     def eps(self) -> float:
-        return self.kernel.m.eps
+        return self.kernel.width
 
     def min_center_distance(self) -> float:
         if self.n < 2:
@@ -71,7 +81,7 @@ class OrbitalSet:
         """
         config = np.asarray(config, dtype=float).reshape(self.n, -1)
         steps = np.rint((config[None, :, :] - self.centers[:, None, :]) / self.kernel.h)
-        vals = self.kernel.amp_of(steps.astype(int))
+        vals = amp_at(self.kernel, steps.astype(int))
         if self.rho is not None:
             idx = self.rho.grid.indices_of(config)
             vals = vals * np.sqrt(self.rho.values[tuple(idx.T)])[None, :]
@@ -161,7 +171,7 @@ def dense_kernel_matrix(K) -> np.ndarray:
     zs, col_of = np.unique(tuples, return_inverse=True)
     col_of = col_of.reshape(tuples.shape)
     nodes = np.stack(np.unravel_index(np.arange(s), rp.grid.shape), axis=-1)
-    cols = K.sqrt_rho[:, None] * rp.kernel.amp_of(nodes[:, None] - nodes[None, zs])
+    cols = K.sqrt_rho[:, None] * amp_at(rp.kernel, nodes[:, None] - nodes[None, zs])
     perms, signs = K._perms
     b = np.zeros((rows, dim_total))
     for perm, sign in zip(perms, signs):

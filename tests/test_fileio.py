@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llot import fileio
 from llot.grids import AtomicPlan, Grid, GridDensity, density_from_values
@@ -61,3 +63,55 @@ def test_density_round_trip(tmp_path, convention):
     assert back.grid.h == pytest.approx(grid.h, rel=1e-12, abs=0.0)
     expected = written.values if convention == "probability" else written.values / n
     assert np.array_equal(back.values, expected)
+
+
+ROUND_TRIP_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None,
+                               database=None)
+
+
+@st.composite
+def line_plans(draw):
+    """1-d plans of 1-3 particles and 1-5 atoms, coordinates anywhere in the
+    finite floats (signed zeros and subnormals included)."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    configs = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=m, max_size=m))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    return AtomicPlan(n, 1, np.array(configs)[:, :, None], weights / weights.sum())
+
+
+@ROUND_TRIP_SETTINGS
+@given(line_plans())
+def test_plan_round_trip_property(tmp_path_factory, plan):
+    path = tmp_path_factory.getbasetemp() / "plan.json"
+    fileio.write_plan(path, plan)
+    back = fileio.read_plan(path)
+    assert (back.n, back.dim) == (plan.n, plan.dim)
+    assert back.configs.tobytes() == plan.configs.tobytes()
+    assert back.weights.tobytes() == plan.weights.tobytes()
+
+
+@st.composite
+def line_densities(draw):
+    """Unit-mass 1-d densities on 2-40 nodes with any origin in [-1e3, 1e3],
+    a spacing in [1e-3, 10] and values that may vanish or be subnormal."""
+    npts = draw(st.integers(2, 40))
+    origin = draw(st.floats(-1e3, 1e3))
+    h = draw(st.floats(1e-3, 10.0))
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                        min_size=npts, max_size=npts))
+    raw[draw(st.integers(0, npts - 1))] = 1.0   # some mass
+    return density_from_values(Grid.line(origin, h, npts), raw, normalize=True)
+
+
+@ROUND_TRIP_SETTINGS
+@given(line_densities())
+def test_density_round_trip_property(tmp_path_factory, rho):
+    path = tmp_path_factory.getbasetemp() / "density.csv"
+    fileio.write_density(path, rho)
+    back = fileio.read_density(path, convention="probability")
+    assert back.grid.npts == rho.grid.npts and back.grid.dim == 1
+    assert back.grid.origin[0] == rho.grid.origin[0]
+    # the reader takes the mean of the written node spacings
+    assert back.grid.h == pytest.approx(rho.grid.h, rel=1e-12, abs=0.0)
+    assert back.values.tobytes() == rho.values.tobytes()

@@ -289,8 +289,10 @@ def dense_sinkhorn(p, beta, max_iter=20000, tol=1e-8, damping=0.5):
     log-sum-exp of the full tensor, with ``solve_sinkhorn``'s cold start,
     stopping rule and pruning.  Returns (iterations, value, sorted plan).
     """
-    positions, masses, costs, distinct, site_idx = mmot._gibbs_cost_tensor(p)
+    positions, masses, costs, site_idx = mmot._gibbs_cost_tensor(p)
     s = len(masses)
+    ordered = np.sort(site_idx, axis=1)
+    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1).reshape(costs.shape)
 
     def log_weights(base, f):
         g = base

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal, symmetrize
-from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
+from llot.mollifier import BumpProfile, GridKernel
 from llot.presets import kinetic_instance, permutation_plan
 from llot import quantum
 from llot.quantum import (
@@ -19,8 +19,8 @@ from llot.quantum import (
     quadratic_form,
 )
 from llot.regularizer import build_regularized, kinetic_of_sqrt
-from oracles import (OrbitalSet, dense_kernel_matrix, dense_transfer, det_square_identity,
-                     slater)
+from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_transfer,
+                     det_square_identity, slater)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def smooth_state():
 
 
 def orbital_set(grid, centers, eps, rho=None):
-    kernel = GridKernel(ScaledMollifier(BumpProfile(1), eps), grid.h)
+    kernel = GridKernel(1, eps, grid.h)
     return OrbitalSet(np.asarray(centers, dtype=float)[:, None], kernel, rho)
 
 
@@ -89,7 +89,7 @@ def test_det_square_identity_at_centers():
     g = Grid.line(0.0, 1 / 16, 32)
     orbs = orbital_set(g, [0.5, 1.25], 0.2)
     lhs, rhs = det_square_identity(orbs, np.array([[0.5], [1.25]]))
-    amp0 = orbs.kernel.amp_of(np.array([0]))
+    amp0 = amp_at(orbs.kernel, np.array([0]))
     assert lhs == pytest.approx(amp0**4, rel=1e-13)
     assert rhs == pytest.approx(amp0**4, rel=1e-13)
 
@@ -426,7 +426,7 @@ def test_one_particle_density_matches_per_atom_loop(all_identity_fixtures):
 
 
 def all_centers_block_eval(K, x, xp):
-    """The factorized kernel with ``amp_of`` looked up over every center's
+    """The factorized kernel with ``amp`` looked up over every center's
     window and ``M_c`` formed for every center, before choosing the atoms."""
     rp, n = K.rp, K.n
     root = float(np.prod(K.sqrt_rho[x]) * np.prod(K.sqrt_rho[xp]))
@@ -436,7 +436,7 @@ def all_centers_block_eval(K, x, xp):
     amps = []
     for block in (x, xp):
         nodes = np.stack(np.unravel_index(block, rp.grid.shape), axis=-1)
-        amps.append(rp.kernel.amp_of(nodes[None, None] - window[:, :, None]))
+        amps.append(amp_at(rp.kernel, nodes[None, None] - window[:, :, None]))
     reach = [a.any(axis=1)[rp.center_of].any(axis=1).all(axis=1) for a in amps]
     atoms = np.flatnonzero(reach[0] & reach[1])
     if atoms.size == 0:

@@ -13,7 +13,7 @@ from llot.grids import (
     marginal,
     snap_to_grid,
 )
-from llot.mollifier import BumpProfile, GridKernel, ScaledMollifier
+from llot.mollifier import BumpProfile, GridKernel, convolve_sq
 from llot.presets import (
     kinetic_instance,
     paired_plan,
@@ -25,7 +25,7 @@ from llot.regularizer import (
     kinetic_of_sqrt,
     potential_error,
 )
-from oracles import coulomb_grad, coulomb_hess, dense_transfer, scattered_transfer
+from oracles import amp_at, coulomb_grad, coulomb_hess, dense_transfer, scattered_transfer
 
 EPS_TINY = 0.22
 
@@ -45,11 +45,11 @@ def brute_force_tensor(grid, plan, rho, eps):
     h = grid.h
     # lattice-renormalized squared kernel: sum over offsets of kappa * h = 1
     offs = np.arange(-15, 16) * h
-    vals = profile(np.abs(offs) / eps) ** 2 / eps
+    vals = profile.radial(np.abs(offs) / eps) ** 2 / eps
     norm = vals.sum() * h
 
     def kap(u):
-        return (profile(np.abs(u) / eps) ** 2 / eps) / norm
+        return (profile.radial(np.abs(u) / eps) ** 2 / eps) / norm
     denom = np.zeros(16)
     for zi in range(16):
         denom[zi] = sum(rho.values[xi] * kap(axis[zi] - axis[xi]) * h
@@ -135,7 +135,7 @@ def test_sub_grid_width_gives_one_node_kernel(paired_smooth_fixture):
     grid, plan, rho, _ = paired_smooth_fixture
     eps = 0.5 * grid.h
     with pytest.raises(ValidationError, match="kernel unresolved"):
-        GridKernel(ScaledMollifier(BumpProfile(1), eps), grid.h)
+        GridKernel(1, eps, grid.h)
     rp = build_regularized(plan, rho, eps)
     assert rp.one_node_kernel
     assert rp.eps == eps
@@ -286,7 +286,7 @@ def test_closed_form_derivative_sups_cover_the_support(all_identity_fixtures):
         r0 = rp.alpha - 4.0 * rp.eps
         assert grad_sum <= pairs / r0**2 * (1 + 1e-12), name
         assert hess_sum <= 4.0 * pairs / r0**3 * (1 + 1e-12), name
-        m2 = rp.kernel.m.base.moments()[1]
+        m2 = rp.kernel.profile.moments()[1]
         brute = rp.eps**2 * (grad_sum * l1_gradient(rp.rho) * m2 + 2.0 * hess_sum)
         assert potential_error(rp)[1] >= brute, name
 
@@ -305,16 +305,16 @@ class SmoothedPlan:
     is rho * kappa, the denominator of the pinned construction.
     """
 
-    def __init__(self, source, m, grid):
+    def __init__(self, source, eps, grid):
         self.source = snap_to_grid(source, grid)
         self.grid = grid
-        self.kernel = GridKernel(m, grid.h)
+        self.kernel = GridKernel(grid.dim, eps, grid.h)
 
     def evaluate(self, config) -> float:
         """Q_eps at a configuration (coordinates snapped to nearest nodes)."""
         config = np.asarray(config, dtype=float).reshape(self.source.n, self.source.dim)
         diff = self.grid.indices_of(config) - self.grid.indices_of(self.source.configs)
-        kappa = self.kernel.amp_of(diff) ** 2    # (n_atoms, n)
+        kappa = amp_at(self.kernel, diff) ** 2    # (n_atoms, n)
         return float((self.source.weights * kappa.prod(axis=1)).sum())
 
     def density(self) -> GridDensity:
@@ -333,14 +333,14 @@ class SmoothedPlan:
 def test_smoothed_plan_density_is_denominator(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
     eps = eps_list[0]
-    q = SmoothedPlan(plan, ScaledMollifier(BumpProfile(1), eps), grid)
-    rp = build_regularized(plan, rho, eps)
-    assert np.allclose(q.density().values, rp.denom.values, rtol=1e-12, atol=1e-14)
+    q = SmoothedPlan(plan, eps, grid)
+    denom = convolve_sq(rho, build_regularized(plan, rho, eps).kernel)
+    assert np.allclose(q.density().values, denom.values, rtol=1e-12, atol=1e-14)
 
 
 def test_smoothed_plan_evaluate_marginal_is_its_density(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
-    q = SmoothedPlan(plan, ScaledMollifier(BumpProfile(1), eps_list[0]), grid)
+    q = SmoothedPlan(plan, eps_list[0], grid)
     axis = grid.axis()
     vals = np.array([[q.evaluate(np.array([[x], [y]])) for y in axis] for x in axis])
     assert vals.sum() * grid.h**2 == pytest.approx(1.0, abs=1e-12)

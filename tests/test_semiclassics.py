@@ -155,6 +155,18 @@ def test_assembled_constant_positive_and_monotone_in_n():
     assert 0.0 < c2 < c3
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_assembled_constant_matches_hand_formula(n):
+    # alpha = 1 and eps_opt = 1/8 leave the margin r0 = 1/2; the potential
+    # part is potential_error's bound over eps^2:
+    # n(n-1)/r0^2 * int|grad rho| * M2 + 8 n(n-1)/r0^3
+    h1, grad_moment, l1_grad_rho, second_moment = 0.7, 0.3, 3.0, 0.5
+    d_eps = n * (n - 1) * (4.0 * l1_grad_rho * second_moment + 64.0)
+    expected = n * h1 + n * grad_moment * 64.0 + 2.0 * math.sqrt(n * grad_moment * d_eps)
+    got = assembled_constant(n, 1.0, h1, grad_moment, l1_grad_rho, second_moment, 0.125)
+    assert got == pytest.approx(expected, rel=1e-14)
+
+
 # Preset-sweep totals of the code before the shared trial curve, which built
 # the smoothed plan anew for every (eta, eps) evaluation.
 PER_EVALUATION_TOTALS = (
