@@ -5,7 +5,8 @@ inputs produce byte-identical output.  Exit codes: 0 success, 1 validation
 error or a file that cannot be read or written, 2 numerical failure.  A
 ``selftest`` with a failed check and a Sinkhorn ``mmot`` that did not
 converge write their report and exit 2.  Output paths are checked before
-any computation, so a bad one writes no file at all.
+any computation, so a bad one writes no file at all.  A ``--density`` file
+has mass 1, or mass n (the plan's or ``--n``'s) and is divided by n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import fileio, presets
 from .errors import NumericalError, ValidationError
-from .grids import h1_seminorm_sqrt, marginal, separation, symmetrize
+from .grids import h1_seminorm_sqrt, marginal, symmetrize
 from .mmot import TransportProblem, check_dual, plan_separation, solve_lp, solve_sinkhorn
 from .quantum import MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density
 from .quantum import quadratic_form
@@ -47,8 +48,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--checks", default="marginal",
                    help="comma list from {marginal,kinetic,potential}")
-    p.add_argument("--mass-convention", default="auto",
-                   choices=["auto", "probability", "particle-number"])
     common(p)
 
     p = sub.add_parser("quantum-check", help="verify the fermionic mixed state")
@@ -57,8 +56,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mass-convention", default="auto",
-                   choices=["auto", "probability", "particle-number"])
     common(p)
 
     p = sub.add_parser("mmot", help="solve the pinned-marginal transport problem")
@@ -69,8 +66,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--plan-out", dest="plan_out", default=None,
                    help="write the optimal plan JSON here")
-    p.add_argument("--mass-convention", default="auto",
-                   choices=["auto", "probability", "particle-number"])
     common(p)
 
     p = sub.add_parser("sweep", help="rate study of the trial upper bound")
@@ -80,8 +75,6 @@ def _build_parser() -> _Parser:
                    help="log-spaced range lo:hi:count")
     p.add_argument("--eps-min", type=float, default=None)
     p.add_argument("--csv", default=None, help="write per-eta records CSV here")
-    p.add_argument("--mass-convention", default="auto",
-                   choices=["auto", "probability", "particle-number"])
     common(p)
 
     p = sub.add_parser("selftest", help="run the built-in desk instances")
@@ -125,12 +118,6 @@ def _check_outputs(args):
             raise ValidationError(f"cannot write {path}: {path.parent} is not a directory")
 
 
-def _load(args):
-    rho = fileio.read_density(args.density, convention=args.mass_convention,
-                              n_particles=getattr(args, "n", None))
-    return rho
-
-
 def _kernel_flag(rp) -> dict:
     """Report keys that mark a width at or below the grid spacing."""
     if not rp.one_node_kernel:
@@ -142,8 +129,7 @@ def _kernel_flag(rp) -> dict:
 
 def _cmd_regularize(args) -> dict:
     plan = fileio.read_plan(args.plan)
-    rho = fileio.read_density(args.density, convention=args.mass_convention,
-                              n_particles=plan.n)
+    rho = fileio.read_density(args.density, n_particles=plan.n)
     plan = symmetrize(plan)
     rp = build_regularized(plan, rho, args.eps)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -177,8 +163,7 @@ def _cmd_quantum_check(args) -> dict:
     if args.seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {args.seed}")
     plan = fileio.read_plan(args.plan)
-    rho = fileio.read_density(args.density, convention=args.mass_convention,
-                              n_particles=plan.n)
+    rho = fileio.read_density(args.density, n_particles=plan.n)
     plan = symmetrize(plan)
     rp = build_regularized(plan, rho, args.eps)
     kernel = MixedStateKernel(rp)
@@ -223,7 +208,7 @@ def _cmd_quantum_check(args) -> dict:
 
 
 def _cmd_mmot(args) -> dict:
-    rho = _load(args)
+    rho = fileio.read_density(args.density, n_particles=args.n)
     problem = TransportProblem(n=args.n, marginal=rho)
     if args.solver == "lp":
         sol = solve_lp(problem)
@@ -260,7 +245,7 @@ def _cmd_mmot(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
-    rho = _load(args)
+    rho = fileio.read_density(args.density, n_particles=args.n)
     etas = _parse_etas(args.etas)
     result = run_sweep(rho, args.n, etas, eps_min=args.eps_min)
     if args.csv is not None:

@@ -1,7 +1,9 @@
 """Plain-text file formats: CSV densities, JSON plans, JSON reports.
 
 Density CSV: one-dimensional only, header ``x,value``, one node per row,
-uniform spacing (a multi-d format is ROADMAP item 6).
+uniform spacing (a multi-d format is ROADMAP item 6).  A file holds either a
+probability (mass 1) or a particle-number density (mass N); the reader
+returns both as the probability :class:`~llot.grids.GridDensity`.
 Plan JSON: ``{"n": N, "dim": d, "atoms": [{"x": [[...], ...], "w": w}]}``.
 Reports are JSON with sorted keys so identical runs are byte-identical.
 """
@@ -21,65 +23,48 @@ from .grids import AtomicPlan, Grid, GridDensity
 SCHEMA_VERSION = 1
 
 
-def read_density(path, convention: str = "auto",
-                 n_particles: Optional[int] = None) -> GridDensity:
-    """Load a 1-d density CSV; rescales particle-number inputs to mass one.
+def read_density(path, n_particles: Optional[int] = None) -> GridDensity:
+    """Load a 1-d density CSV as a probability density.
 
-    ``convention``: ``probability`` (expect mass 1), ``particle-number``
-    (divide by ``n_particles``), or ``auto`` (mass close to 1 passes
-    through, mass close to ``n_particles`` is rescaled).
+    A mass within 1e-6 of 1 passes through; a mass within ``1e-6 * n`` of
+    ``n = n_particles`` is a particle-number density and is divided by
+    ``n``.  Any other mass is rejected.
     """
-    xs = []
-    vals = []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[-1].strip() != "value":
             raise ValidationError(f"{path}: line 1: expected header ending in 'value'")
-        ncols = len(header)
-        if ncols != 2:
+        if len(header) != 2:
             raise ValidationError(f"{path}: only 1-d densities are supported in CSV")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != ncols:
-                raise ValidationError(f"{path}: line {lineno}: expected {ncols} fields")
+            if len(row) != 2:
+                raise ValidationError(f"{path}: line {lineno}: expected 2 fields")
             try:
-                x, v = float(row[0]), float(row[1])
+                rows.append((float(row[0]), float(row[1])))
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: non-numeric field")
-            if not (math.isfinite(x) and math.isfinite(v)):
+            if not all(map(math.isfinite, rows[-1])):
                 raise ValidationError(f"{path}: line {lineno}: non-finite field")
-            xs.append(x)
-            vals.append(v)
-    if len(xs) < 2:
+    if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 rows")
-    xs = np.asarray(xs)
-    vals = np.asarray(vals)
-    order = np.argsort(xs)
-    xs, vals = xs[order], vals[order]
+    rows = np.asarray(rows)
+    order = np.argsort(rows[:, 0])
+    xs, vals = rows[order, 0], rows[order, 1]
     spacings = np.diff(xs)
     h = spacings.mean()
     if h <= 0 or np.abs(spacings - h).max() > 1e-9 * max(abs(xs[-1]), abs(xs[0]), 1.0):
         raise ValidationError(f"{path}: grid spacing is not uniform")
     grid = Grid.line(float(xs[0]), float(h), len(xs))
     mass = vals.sum() * h
-    if convention == "particle-number":
-        if not n_particles:
-            raise ValidationError("particle-number convention needs n_particles")
-        vals = vals / n_particles
-    elif convention == "auto":
-        if abs(mass - 1.0) <= 1e-6:
-            pass
-        elif n_particles and abs(mass - n_particles) <= 1e-6 * n_particles:
-            vals = vals / n_particles
-        else:
+    if abs(mass - 1.0) > 1e-6:
+        if not (n_particles and abs(mass - n_particles) <= 1e-6 * n_particles):
             raise ValidationError(
-                f"{path}: mass {mass:.6g} is neither 1 nor n; pass an explicit "
-                "mass convention"
-            )
-    elif convention != "probability":
-        raise ValidationError(f"unknown mass convention {convention!r}")
+                f"{path}: mass {mass:.6g} is neither 1 nor n_particles = {n_particles}")
+        vals = vals / n_particles
     return GridDensity(grid, vals)
 
 

@@ -6,7 +6,7 @@ Conventions used throughout the package:
 * A grid node is ``origin + i * h`` componentwise, ``i`` a multi-index with
   ``0 <= i_k < npts``.  All axes share the same spacing and point count.
 * A :class:`GridDensity` stores *density values* (not masses); the quadrature
-  mass of a region is ``sum(values) * h**dim``.
+  mass of a region is ``sum(values) * h**dim``, and of the whole grid 1.
 * An :class:`AtomicPlan` is a finitely supported symmetric probability on
   configuration space: a list of ``(X, w)`` with ``X`` an ``(n, dim)`` array
   of particle positions and ``w > 0`` summing to one.
@@ -85,19 +85,16 @@ class Grid:
 
 @dataclass
 class GridDensity:
-    """Nonnegative density sampled on a grid.
+    """Nonnegative probability density sampled on a grid: unit quadrature
+    mass to ``MASS_TOL``.
 
-    ``mass_convention`` is ``"probability"`` (mass 1) or ``"particle_number"``
-    (mass equal to ``n_particles``).  All internal computations use the
-    probability convention; mass-N inputs are rescaled at the file boundary.
-    Derived grid fields (smoothed denominators, boundary-truncated
-    convolutions) use ``"free"``, which skips the mass check.
+    A mass-N particle-number density is divided by N where it is read
+    (:func:`llot.fileio.read_density`); grid fields of other mass, such as
+    the smoothing denominator, are plain arrays.
     """
 
     grid: Grid
     values: np.ndarray
-    mass_convention: str = "probability"
-    n_particles: int = 1
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
@@ -106,29 +103,19 @@ class GridDensity:
         if np.any(values < 0):
             raise ValidationError("density values must be nonnegative")
         self.values = values
-        if self.mass_convention not in ("probability", "particle_number", "free"):
-            raise ValidationError(f"unknown mass convention {self.mass_convention!r}")
-        if self.mass_convention == "free":
-            return
-        target = 1.0 if self.mass_convention == "probability" else float(self.n_particles)
-        if abs(self.mass() - target) > MASS_TOL * max(1.0, target):
+        if abs(self.mass() - 1.0) > MASS_TOL:
             raise ValidationError(
-                f"density mass {self.mass():.12g} differs from {target} "
-                f"beyond {MASS_TOL:g}"
+                f"density mass {self.mass():.12g} differs from 1 beyond {MASS_TOL:g}"
             )
 
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
 
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
     def l1_distance(self, other: "GridDensity") -> float:
         return float(np.abs(self.values - other.values).sum() * self.grid.cell_volume)
 
 
-def density_from_values(grid: Grid, raw, convention: str = "probability",
-                        n_particles: int = 1, normalize: bool = False) -> GridDensity:
+def density_from_values(grid: Grid, raw, normalize: bool = False) -> GridDensity:
     """Build a density, optionally rescaling ``raw`` to unit mass first."""
     raw = np.asarray(raw, dtype=float).reshape(grid.shape)
     if normalize:
@@ -136,7 +123,7 @@ def density_from_values(grid: Grid, raw, convention: str = "probability",
         if total <= 0:
             raise ValidationError("cannot normalize a density with zero mass")
         raw = raw / total
-    return GridDensity(grid, raw, convention, n_particles)
+    return GridDensity(grid, raw)
 
 
 @dataclass

@@ -47,12 +47,10 @@ class TransportProblem:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("transport needs at least two particles")
-        if self.marginal.mass_convention != "probability":
-            raise ValidationError("marginal must use the probability convention")
 
     def support(self):
         """(site positions (s, dim), site masses (s,), flat site indices)."""
-        flat = self.marginal.flat()
+        flat = self.marginal.values.ravel()
         idx = np.nonzero(flat > 0)[0]
         pts = self.marginal.grid.points()[idx]
         masses = flat[idx] * self.marginal.grid.cell_volume
@@ -276,6 +274,9 @@ def check_dual(sol: TransportSolution, p: TransportProblem,
     positions, _, support = p.support()
     v = sol.dual_potential
     s = positions.shape[0]
+    if len(v) != s or sol.plan.n != p.n:
+        raise ValidationError("solution is of another problem: "
+                              f"{sol.plan.n} particles on {len(v)} sites, not {p.n} on {s}")
     combos = np.array(list(itertools.combinations(range(s), p.n)))
     configs = positions[combos]
     slack = v[combos].sum(axis=1) - coulomb(configs)

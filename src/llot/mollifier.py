@@ -196,8 +196,9 @@ def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def convolve_sq(rho: GridDensity, kernel: GridKernel) -> GridDensity:
-    """``rho`` convolved with the squared kernel ``kernel.sq``.
+def convolve_sq(rho: GridDensity, kernel: GridKernel) -> np.ndarray:
+    """``rho`` convolved with the squared kernel ``kernel.sq``: values on
+    ``rho``'s grid, not a density, since the grid boundary may truncate them.
 
     ``kernel`` is built for the spacing of ``rho``'s grid; the caller decides
     its width (see :func:`llot.regularizer.smooth_plan`).  Mass is preserved
@@ -209,5 +210,4 @@ def convolve_sq(rho: GridDensity, kernel: GridKernel) -> GridDensity:
     if kernel.h != rho.grid.h:
         raise ValidationError(
             f"kernel built for spacing {kernel.h:g}, grid spacing is {rho.grid.h:g}")
-    out = offset_sum(rho.values, kernel.offsets, kernel.sq * rho.grid.cell_volume)
-    return GridDensity(rho.grid, out, "free")
+    return offset_sum(rho.values, kernel.offsets, kernel.sq * rho.grid.cell_volume)

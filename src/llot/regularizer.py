@@ -103,19 +103,19 @@ class RegularizedPlan:
         read-only, so the kinetic and the potential checks share one build.
         """
         if self._tensor is None:
-            t = self._build_tensor(MAX_TENSOR_ENTRIES)
+            t = self._build_tensor()
             t.flags.writeable = False
             self._tensor = t
         return self._tensor
 
-    def _build_tensor(self, max_entries: int) -> np.ndarray:
+    def _build_tensor(self) -> np.ndarray:
         s = self.grid.n_sites
-        if s**self.n > max_entries:
+        if s**self.n > MAX_TENSOR_ENTRIES:
             raise ValidationError(
                 f"tensor grid of {s}^{self.n} = {s**self.n} entries exceeds "
-                f"the {max_entries} limit"
+                f"the {MAX_TENSOR_ENTRIES} limit"
             )
-        step = max(1, max_entries // s ** max(self.n - 1, 1))
+        step = max(1, MAX_TENSOR_ENTRIES // s ** max(self.n - 1, 1))
         flat = np.zeros((s ** (self.n - 1), s))
         for lo in range(0, self.source.n_atoms, step):
             rows = slice(lo, lo + step)
@@ -259,7 +259,7 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
     if np.any(window < 0):
         raise ValidationError(
             "density support too close to the grid boundary for this eps")
-    dz = denom.values.ravel()[window]
+    dz = denom.ravel()[window]
     live = dz > DENOM_FLOOR
     if np.any(~live & (kernel.sq > 0)):
         raise ValidationError("density vanishes near plan support")

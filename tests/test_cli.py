@@ -51,16 +51,14 @@ def test_regularize_flags_sub_grid_width(paired_files, tmp_path):
     assert sub["checks"]["marginal_l1_error"] <= 1e-10
 
 
-@pytest.mark.parametrize("convention", ["probability", "auto"])
-def test_mmot_rejects_nan_density(tmp_path, convention):
+def test_mmot_rejects_nan_density(tmp_path):
     density = tmp_path / "density.csv"
     fileio.write_density(density, sixteen_site_density())
     lines = density.read_text().splitlines()
     lines[5] = lines[5].split(",")[0] + ",nan"
     density.write_text("\n".join(lines) + "\n")
     out = tmp_path / "report.json"
-    argv = ["mmot", "--density", str(density), "--n", "2",
-            "--mass-convention", convention, "--out", str(out)]
+    argv = ["mmot", "--density", str(density), "--n", "2", "--out", str(out)]
     assert cli.main(argv) == 1
     assert not out.exists()
 
@@ -233,9 +231,11 @@ def cli_files(paired_files, sixteen_csv, tmp_path_factory):
     (root / "ragged.json").write_text(
         '{"n": 2, "dim": 1, "atoms": [{"x": [[0], [1, 2]], "w": 1.0}]}')
     (root / "density.csv").write_text("x,value\n0.0,abc\n1.0,1.0\n")
+    (root / "mass_2.5.csv").write_text("x,value\n0.0,1.25\n1.0,1.25\n")
     return {"plan": plan_path, "density": density_path, "eps": repr(eps),
             "sixteen": sixteen_csv, "bad_plan": root / "plan.json",
             "ragged_plan": root / "ragged.json", "bad_density": root / "density.csv",
+            "mass_2_5_density": root / "mass_2.5.csv",
             "missing_dir": root / "missing" / "plan.json"}
 
 
@@ -276,6 +276,7 @@ EXIT_CODES = [
      out_is_a_directory, 1),
     ("mmot-valid", MMOT + ["--density", "{sixteen}"], None, 0),
     ("mmot-malformed", MMOT + ["--density", "{bad_density}"], None, 1),
+    ("mmot-mass-neither-1-nor-n", MMOT + ["--density", "{mass_2_5_density}"], None, 1),
     ("mmot-out-is-a-directory", MMOT + ["--density", "{sixteen}"], out_is_a_directory, 1),
     ("mmot-plan-out-in-missing-dir",
      MMOT + ["--density", "{sixteen}", "--plan-out", "{missing_dir}"], None, 1),

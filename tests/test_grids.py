@@ -55,7 +55,7 @@ def test_non_finite_inputs_rejected():
     with pytest.raises(ValidationError, match="finite"):
         GridDensity(g, np.array([0.5, np.nan, 0.5, 1.0]))
     with pytest.raises(ValidationError, match="finite"):
-        GridDensity(g, np.array([0.5, np.inf, 0.5, 1.0]), "free")
+        GridDensity(g, np.array([0.5, np.inf, 0.5, 1.0]))
     with pytest.raises(ValidationError, match="finite"):
         plan_1d([((0.0, np.nan), 0.5), ((np.nan, 0.0), 0.5)])
     with pytest.raises(ValidationError, match="finite"):

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from llot import mmot
 from llot.errors import NumericalError, ValidationError
-from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, marginal, symmetrize
+from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, symmetrize
 from llot.mmot import (
     TransportProblem,
     check_dual,
@@ -128,11 +128,28 @@ def test_dual_check_against_per_configuration_loop(p_sixteen):
 def test_dual_check_rejects_a_plan_off_the_support(p_sixteen):
     sol = solve_lp(p_sixteen)
     rho = p_sixteen.marginal
-    values = rho.values.copy()
-    values[np.flatnonzero(values)[0]] = 0.0
-    thinned = TransportProblem(2, density_from_values(rho.grid, values, normalize=True))
+    # the first node's mass moved to a new last node: as many support sites,
+    # and the plan's atoms at the first node off the support
+    values = np.append(rho.values, rho.values[0])
+    values[0] = 0.0
+    grid = Grid.line(rho.grid.origin[0], rho.grid.h, rho.grid.npts + 1)
+    moved = TransportProblem(2, density_from_values(grid, values, normalize=True))
     with pytest.raises(ValidationError, match="off the marginal support"):
-        check_dual(sol, thinned)
+        check_dual(sol, moved)
+
+
+def uniform_problem(n, sites):
+    grid = Grid.line(0.0, 1.0, sites)
+    return TransportProblem(n, density_from_values(grid, np.ones(sites), normalize=True))
+
+
+@pytest.mark.parametrize("solved, checked", [((2, 16), (2, 20)), ((2, 20), (2, 16)),
+                                             ((3, 8), (2, 8))],
+                         ids=["more-sites", "fewer-sites", "fewer-particles"])
+def test_dual_check_rejects_a_solution_of_another_problem(solved, checked):
+    sol = solve_lp(uniform_problem(*solved))
+    with pytest.raises(ValidationError, match="another problem"):
+        check_dual(sol, uniform_problem(*checked))
 
 
 def test_sinkhorn_two_site(p_two):

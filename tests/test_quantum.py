@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np

@@ -16,7 +16,6 @@ from llot.grids import (
 from llot.mollifier import BumpProfile, GridKernel, convolve_sq
 from llot.presets import (
     kinetic_instance,
-    paired_plan,
     potential_instance,
 )
 from llot.regularizer import (
@@ -335,7 +334,7 @@ def test_smoothed_plan_density_is_denominator(two_site_fixture):
     eps = eps_list[0]
     q = SmoothedPlan(plan, eps, grid)
     denom = convolve_sq(rho, build_regularized(plan, rho, eps).kernel)
-    assert np.allclose(q.density().values, denom.values, rtol=1e-12, atol=1e-14)
+    assert np.allclose(q.density().values, denom, rtol=1e-12, atol=1e-14)
 
 
 def test_smoothed_plan_evaluate_marginal_is_its_density(two_site_fixture):
@@ -414,11 +413,11 @@ def test_tensor_built_once_and_read_only(monkeypatch):
     rp = build_regularized(plan, rho, EPS_TINY)
     builds = []
     build = rp._build_tensor
-    monkeypatch.setattr(rp, "_build_tensor", lambda m: builds.append(m) or build(m))
+    monkeypatch.setattr(rp, "_build_tensor", lambda: builds.append(1) or build())
     kinetic_of_sqrt(rp)
     integrate_observable(rp)
     potential_error(rp)
-    assert builds == [regularizer.MAX_TENSOR_ENTRIES]
+    assert len(builds) == 1
     t = rp.tensor()
     assert t is rp.tensor() and not t.flags.writeable
     with pytest.raises(ValueError):
@@ -493,7 +492,7 @@ def test_evaluate_matches_per_atom_loop(fixtures_with_2d):
             near = plan.configs[rng.integers(plan.n_atoms, size=40)]
             near = near + rng.uniform(-2 * eps, 2 * eps, near.shape)
             # P_eps vanishes off the marginal's support, so draw tuples on it
-            support = grid.points()[rho.flat() > 0]
+            support = grid.points()[rho.values.ravel() > 0]
             on_support = support[rng.integers(len(support), size=(40, plan.n))]
             # points past the grid's edges snap to the edge nodes
             anywhere = rng.uniform(lo, hi, (20,) + plan.configs.shape[1:])
