@@ -25,7 +25,7 @@ from .mmot import TransportProblem, check_dual, plan_separation, solve_lp, solve
 from .quantum import MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density
 from .quantum import quadratic_form
 from .regularizer import build_regularized, kinetic_of_sqrt, kinetic_term, potential_error
-from .semiclassics import sweep as run_sweep
+from .semiclassics import EPS_REL_TOL, sweep as run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,7 +253,7 @@ def _cmd_sweep(args) -> dict:
     return {
         "command": "sweep",
         "config": {"density": args.density, "n": args.n, "etas": args.etas,
-                   "eps_min": args.eps_min},
+                   "eps_min": args.eps_min, "eps_rel_tol": EPS_REL_TOL},
         "e_ot": result.e_ot,
         "separation": result.alpha,
         "fitted_slope": result.fitted_slope,

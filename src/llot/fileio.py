@@ -18,17 +18,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .grids import AtomicPlan, Grid, GridDensity
+from .grids import MASS_TOL, AtomicPlan, Grid, GridDensity
 
 SCHEMA_VERSION = 1
+MASS_WINDOW = 1e-6  # relative mass error a density file may carry
 
 
 def read_density(path, n_particles: Optional[int] = None) -> GridDensity:
     """Load a 1-d density CSV as a probability density.
 
-    A mass within 1e-6 of 1 passes through; a mass within ``1e-6 * n`` of
-    ``n = n_particles`` is a particle-number density and is divided by
-    ``n``.  Any other mass is rejected.
+    A mass within ``MASS_WINDOW`` of 1 passes through; a mass within
+    ``MASS_WINDOW * n`` of ``n = n_particles`` is a particle-number density
+    and is divided by ``n``.  Any other mass is rejected.  A result whose
+    mass is still off 1 by more than ``MASS_TOL``, as in a file printed to
+    8 digits, is divided by that mass; values already within ``MASS_TOL``
+    are kept bit for bit.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -59,12 +63,15 @@ def read_density(path, n_particles: Optional[int] = None) -> GridDensity:
     if h <= 0 or np.abs(spacings - h).max() > 1e-9 * max(abs(xs[-1]), abs(xs[0]), 1.0):
         raise ValidationError(f"{path}: grid spacing is not uniform")
     grid = Grid.line(float(xs[0]), float(h), len(xs))
-    mass = vals.sum() * h
-    if abs(mass - 1.0) > 1e-6:
-        if not (n_particles and abs(mass - n_particles) <= 1e-6 * n_particles):
+    mass = vals.sum() * grid.cell_volume
+    if abs(mass - 1.0) > MASS_WINDOW:
+        if not (n_particles and abs(mass - n_particles) <= MASS_WINDOW * n_particles):
             raise ValidationError(
                 f"{path}: mass {mass:.6g} is neither 1 nor n_particles = {n_particles}")
         vals = vals / n_particles
+        mass = vals.sum() * grid.cell_volume
+    if abs(mass - 1.0) > MASS_TOL:
+        vals = vals / mass
     return GridDensity(grid, vals)
 
 

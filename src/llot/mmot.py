@@ -6,7 +6,9 @@ structure shrinks the variable set by n! and removes the singular
 configurations), solved by scipy's HiGHS, and an entropic fixed-point
 iteration with one shared scaling potential.  The LP returns Kantorovich dual
 certificates; the entropic path converges to the LP value as the inverse
-temperature grows and reports whether it met its tolerance.
+temperature grows and reports whether it met its tolerance.  scipy (HiGHS
+and its sparse matrices) is imported on the first LP solve, not with this
+module, so code that never solves an LP never loads it.
 
 The entropic iteration works on scalings against an absorbed kernel: the
 Gibbs tensor is re-based on a reference potential and shifted by its row
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
 from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, SeparationReport, marginal, permutations
@@ -99,8 +99,11 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     constraint row for site i collects count_i(multiset)/n.  HiGHS solves the
     program; its equality-row duals over n give a Kantorovich potential v with
     sum_j v(x_j) <= cost(X).  Each optimal multiset is spread evenly over its
-    n! orderings.
+    n! orderings.  scipy's HiGHS loads on the first call, not at import.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+
     positions, masses, _ = p.support()
     _feasibility_check(p.n, masses)
     s, dim = positions.shape

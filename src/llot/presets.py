@@ -12,6 +12,8 @@ import numpy as np
 from .grids import AtomicPlan, Grid, GridDensity, density_from_values, marginal
 from .grids import permutations
 
+PAIRED_WEIGHT_FLOOR = 1e-8  # relative weight below which paired_plan drops a node
+
 
 def cos4_window(t):
     """Smooth compact weight profile cos^4(pi t / 2) on |t| < 1."""
@@ -22,19 +24,19 @@ def cos4_window(t):
     return out
 
 
-def paired_plan(grid: Grid, s_lo: float, s_hi: float, delta: float,
-                weight_floor: float = 1e-8) -> AtomicPlan:
+def paired_plan(grid: Grid, s_lo: float, s_hi: float, delta: float) -> AtomicPlan:
     """Two-particle plan pairing each node s in [s_lo, s_hi] with s + delta.
 
     Weights follow the cos^4 window over the range, so the one-particle
     marginal is a smooth two-hump density and every atom has internal
-    separation exactly delta.
+    separation exactly delta.  Nodes whose weight is below ``PAIRED_WEIGHT_FLOOR``
+    times the largest are dropped.
     """
     axis = grid.axis()
     nodes = axis[(axis >= s_lo - 1e-12) & (axis <= s_hi + 1e-12)]
     center, halfwidth = 0.5 * (s_lo + s_hi), 0.5 * (s_hi - s_lo)
     w = cos4_window((nodes - center) / halfwidth)
-    keep = w > weight_floor * w.max()
+    keep = w > PAIRED_WEIGHT_FLOOR * w.max()
     nodes, w = nodes[keep], w[keep]
     w = w / w.sum()
     atoms = []

@@ -31,6 +31,9 @@ from .regularizer import kinetic_term, prepare_plan, smooth_plan
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 N_SCAN = 32   # geometric pre-scan points of the eps optimization
+# relative bracket width at which the golden-section search for eps_opt stops,
+# so eps_opt is determined to about this relative precision and no finer
+EPS_REL_TOL = 1e-7
 
 
 @dataclass
@@ -172,7 +175,7 @@ class TrialCurve:
         else:
             a = xs[max(best - 1, 0)]
             b = xs[min(best + 1, N_SCAN - 1)]
-            eps_opt, _ = golden_minimize(total, a, b)
+            eps_opt, _ = golden_minimize(total, a, b, rel_tol=EPS_REL_TOL)
             if total(eps_opt) > vals[best]:
                 eps_opt = float(xs[best])
         return eps_opt, self.energy(eps_opt, eta), fallback

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import llot
-from llot import cli, fileio
+from llot import cli, fileio, semiclassics
 from llot.grids import marginal, symmetrize
-from llot.presets import fixture_paired_smooth, sixteen_site_density
+from llot.presets import fixture_paired_smooth, sixteen_site_density, sweep_density
 from llot.quantum import MixedStateKernel, quadratic_form
 from llot.regularizer import RegularizedPlan, build_regularized
 
@@ -63,14 +63,30 @@ def test_mmot_rejects_nan_density(tmp_path):
     assert not out.exists()
 
 
-def loaded_by_import(module: str) -> bool:
-    """Whether a fresh ``import llot`` puts ``module`` in ``sys.modules``."""
+@pytest.fixture(scope="module")
+def sixteen_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sixteen") / "density.csv"
+    fileio.write_density(path, sixteen_site_density())
+    return path
+
+
+def modules_after(code: str) -> list:
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
     src = str(Path(llot.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, llot; print({module!r} in sys.modules)"
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    return res.stdout.strip() == "True"
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def scipy_modules(names: list) -> list:
+    return [m for m in names if m == "scipy" or m.startswith("scipy.")]
+
+
+def loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import llot`` puts ``module`` in ``sys.modules``."""
+    return module in modules_after("import llot")
 
 
 def test_import_does_not_load_scipy_signal():
@@ -81,11 +97,33 @@ def test_import_does_not_load_scipy_integrate():
     assert not loaded_by_import("scipy.integrate")
 
 
-@pytest.fixture(scope="module")
-def sixteen_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("sixteen") / "density.csv"
-    fileio.write_density(path, sixteen_site_density())
-    return path
+@pytest.mark.parametrize("module", ["llot", "llot.cli"])
+def test_import_loads_no_scipy(module):
+    assert scipy_modules(modules_after(f"import {module}")) == []
+
+
+def scipy_after_command(argv: list) -> list:
+    """The ``scipy`` modules loaded by a fresh interpreter that imports
+    ``llot.cli`` and runs ``argv``, which must exit 0."""
+    code = f"from llot import cli; assert cli.main({argv!r}) == 0"
+    return scipy_modules(modules_after(code))
+
+
+def test_commands_without_an_lp_load_no_scipy(paired_files, sixteen_csv, tmp_path):
+    grid, plan_path, density_path, eps = paired_files
+    inputs = ["--plan", str(plan_path), "--density", str(density_path), "--eps", repr(eps)]
+    for argv in (["regularize"] + inputs,
+                 ["quantum-check"] + inputs + ["--samples", "20"],
+                 ["mmot", "--density", str(sixteen_csv), "--n", "2",
+                  "--solver", "sinkhorn", "--beta", "50"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert scipy_after_command(argv + ["--out", str(out)]) == [], argv[0]
+
+
+def test_an_lp_solve_loads_scipy_optimize(sixteen_csv, tmp_path):
+    argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--solver", "lp",
+            "--out", str(tmp_path / "lp.json")]
+    assert "scipy.optimize" in scipy_after_command(argv)
 
 
 def test_mmot_reports_solver_progress(sixteen_csv, tmp_path):
@@ -221,6 +259,23 @@ def test_sweep_rejects_bad_etas(sixteen_csv, tmp_path, capsys, etas):
             "--out", str(tmp_path / "report.json")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: etas {etas!r}")
+
+
+def test_sweep_report_states_the_eps_precision(tmp_path, monkeypatch):
+    density = tmp_path / "density.csv"
+    fileio.write_density(density, sweep_density())
+    tolerances = []
+    golden_minimize = semiclassics.golden_minimize
+
+    def recording(f, lo, hi, rel_tol, **kwargs):
+        tolerances.append(rel_tol)
+        return golden_minimize(f, lo, hi, rel_tol, **kwargs)
+
+    monkeypatch.setattr(semiclassics, "golden_minimize", recording)
+    rep = run(["sweep", "--density", str(density), "--n", "2", "--etas", "1e-3:1e-1:3"],
+              tmp_path / "sweep.json")
+    assert rep["config"]["eps_rel_tol"] == semiclassics.EPS_REL_TOL
+    assert tolerances and set(tolerances) == {rep["config"]["eps_rel_tol"]}
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from llot import fileio
 from llot.errors import ValidationError
-from llot.grids import AtomicPlan, Grid, density_from_values
+from llot.grids import MASS_TOL, AtomicPlan, Grid, density_from_values
 from llot.presets import fixture_three_particle, sweep_density
 from llot.semiclassics import SweepRecord
 
@@ -74,7 +74,21 @@ def test_density_round_trip(tmp_path, mass):
     assert np.array_equal(back.values, expected)
 
 
-@pytest.mark.parametrize("mass, n", [(2.5, 2), (2.0, None)])
+@pytest.mark.parametrize("mass, n", [(1.0 + 5e-9, None), (2.0 + 1e-8, 2)])
+def test_read_density_renormalizes_inside_the_mass_window(tmp_path, mass, n):
+    # a density printed to 8 digits: inside the reader's 1e-6 window, but off
+    # 1 (or n) by more than a GridDensity's MASS_TOL
+    grid = Grid.line(0.0, 0.25, 8)
+    raw = np.linspace(1.0, 2.0, 8)
+    raw *= mass / (raw.sum() * grid.h)
+    path = tmp_path / "density.csv"
+    write_rows(path, grid.axis(), raw)
+    back = fileio.read_density(path, n_particles=n)
+    assert abs(back.mass() - 1.0) <= MASS_TOL
+    np.testing.assert_allclose(back.values, raw / mass, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("mass, n", [(2.5, 2), (2.0, None), (1.0 + 2e-6, None)])
 def test_read_density_rejects_a_mass_neither_one_nor_n(tmp_path, mass, n):
     grid = Grid.line(0.0, 0.25, 8)
     path = tmp_path / "density.csv"

@@ -294,7 +294,8 @@ def test_lp_boundary_feasible_degenerate_marginal(n, masses, value):
 ])
 def test_lp_solver_failure_raises(monkeypatch, p_two, status, error, match):
     failed = SimpleNamespace(status=status, message="solver stopped")
-    monkeypatch.setattr(mmot, "linprog", lambda *args, **kwargs: failed)
+    # solve_lp imports linprog on each call, so the patch reaches it
+    monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: failed)
     with pytest.raises(error, match=match):
         solve_lp(p_two)
 
