@@ -30,7 +30,7 @@ from .quantum import (
     kernel_eval,
     kinetic_trace,
     one_particle_density,
-    quadratic_form,
+    rdm_max_eigenvalue,
 )
 from .mmot import (
     DualCheckReport,

@@ -109,9 +109,11 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     s, dim = positions.shape
     n_vars = math.comb(s, p.n)
     if n_vars > MAX_LP_VARIABLES:
+        advice = ("use the sinkhorn solver" if s**p.n <= MAX_GIBBS_ENTRIES
+                  else "use fewer support sites")
         raise ValidationError(
             f"{n_vars} multiset variables exceed the exact-LP limit "
-            f"({MAX_LP_VARIABLES}); use the sinkhorn solver"
+            f"({MAX_LP_VARIABLES}); {advice}"
         )
     combos = np.array(list(itertools.combinations(range(s), p.n)))  # (n_vars, n)
     costs = coulomb(positions[combos])

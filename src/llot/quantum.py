@@ -28,6 +28,13 @@ in the box ``c + b`` (``GridKernel.box``) that also holds ``T_c``;
 :class:`MixedStateKernel` reads it at ``b = x - c`` from the kernel's table
 ``amp(b - o)`` over box slots ``b`` and kernel offsets ``o``
 (``GridKernel.box_amp``).
+
+Within an atom the orbitals have disjoint supports, so the one-body density
+matrix is ``gamma = sum_z W_z |f_z><f_z|`` over the state's table of distinct
+orbitals (:attr:`MixedStateKernel.orbitals`), with ``Tr(gamma) h^d = n``.
+Pauli bounds the spectrum of ``gamma * h^d`` by 1 (Coleman's ensemble
+N-representability condition; :func:`rdm_max_eigenvalue`), and the same
+table gives the kinetic energy on the grid (:func:`kinetic_trace`).
 """
 
 from __future__ import annotations
@@ -37,9 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
 from .grids import GridDensity, h1_seminorm_sqrt, permutations
-from .mollifier import offset_sum
 from .regularizer import RegularizedPlan, kinetic_term
 
 
@@ -83,28 +88,50 @@ class MixedStateKernel:
         return self.rp.grid
 
     @cached_property
-    def window_tuples(self) -> tuple:
-        """Every atom's window node tuples ``(m, n)`` as flat node indices, and
-        their weights ``w * prod_i q_i(z_i) * h^{d n}``.
+    def orbitals(self) -> tuple:
+        """The state's distinct orbitals and their weights, ``(nodes, values,
+        weights)``, one row per distinct window node z (ascending).
 
-        Atom by atom, each in the C order of its tuple grid; particle axis i
-        broadcasts the window row of the atom's i-th center.
+        ``nodes[k, j]`` is the flat index of ``z + o_j`` over the kernel
+        offsets ``o_j`` (-1 off the grid) and ``values[k, j]`` the orbital
+        there, ``f_z(z + o_j) = sqrt(rho)(z + o_j) * amp(o_j)`` (0 off the
+        grid).  ``weights[k]`` is ``W_z = h^d * sum_{c + o = z} coef_c *
+        q_c(o)``, where ``coef_c`` sums, over the atom coordinates at center
+        c, the atom weight times the masses of the atom's other transfer
+        vectors (as in :func:`one_particle_density`); then
+        ``gamma = sum_z W_z |f_z><f_z|``.
         """
         rp = self.rp
-        n, n_atoms = rp.n, rp.source.n_atoms
-        full = (n_atoms,) + rp.window.shape[1:] * n
+        grid = rp.grid
+        masses = rp.center_masses()[rp.center_of]          # (n_atoms, n)
+        others = np.stack([np.delete(masses, k, axis=1).prod(axis=1)
+                           for k in range(rp.n)], axis=1)
+        coef = np.bincount(rp.center_of.ravel(),
+                           weights=(rp.source.weights[:, None] * others).ravel(),
+                           minlength=len(rp.centers))
+        per_node = np.bincount(rp.window.ravel(), weights=(coef[:, None] * rp.q).ravel(),
+                               minlength=grid.n_sites)
+        zs = np.unique(rp.window)
+        x = (np.stack(np.unravel_index(zs, grid.shape), axis=-1)[:, None, :]
+             + rp.kernel.offsets[None, :, :])
+        on = np.all((x >= 0) & (x < grid.npts), axis=-1)
+        nodes = np.where(on, x @ grid.npts ** np.arange(grid.dim - 1, -1, -1), -1)
+        values = np.append(self.sqrt_rho, 0.0)[nodes] * rp.kernel.amp
+        return nodes, values, per_node[zs] * grid.cell_volume
 
-        def along(table, i):
-            shape = [n_atoms] + [1] * n
-            shape[1 + i] = -1
-            return table[rp.center_of[:, i]].reshape(shape)
-
-        tuples = np.stack([np.broadcast_to(along(rp.window, i), full).ravel()
-                           for i in range(n)], axis=1)
-        weights = rp.source.weights.reshape((n_atoms,) + (1,) * n)
-        for i in range(n):
-            weights = weights * along(rp.q, i)
-        return tuples, (weights * rp.grid.cell_volume**n).ravel()
+    @cached_property
+    def one_body_matrix(self) -> np.ndarray:
+        """``gamma(x, y) = sum_z W_z f_z(x) f_z(y)`` over all grid nodes,
+        read-only: n times the partial trace of the kernel over coordinates
+        2..n.  Its diagonal is n times :func:`one_particle_density`."""
+        nodes, values, weights = self.orbitals
+        # F scatters the table onto the grid; node -1 lands in a dropped row
+        f = np.zeros((self.grid.n_sites + 1, len(values)))
+        f[nodes, np.arange(len(values))[:, None]] = values
+        f = f[:-1]
+        gamma = (f * weights) @ f.T
+        gamma.flags.writeable = False
+        return gamma
 
     def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> float:
         """Kernel value for sorted blocks of flat node indices, through the
@@ -178,91 +205,38 @@ def one_particle_density(K: MixedStateKernel) -> GridDensity:
                                  minlength=len(rp.centers)))
 
 
-_GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(16)
-
-
-def _orbital_energy(rp: RegularizedPlan, flat_z: int) -> float:
-    """Integral of |grad(sqrt(rho) amp(. - z))|^2 for z the node ``flat_z``.
-
-    The gradient is the product rule with the analytic kernel derivative and
-    finite-difference slopes of sqrt(rho); the integral is done cell by cell
-    with Gauss quadrature, sqrt(rho) taken piecewise linear.
-    """
-    grid = rp.grid
-    h = grid.h
-    g = np.sqrt(rp.rho.values)
-    # the kernel's own width: h, not rp.eps, for the one-node kernel
-    w, profile = rp.kernel.width, rp.kernel.profile
-    scale = 1.0 / math.sqrt(rp.kernel.norm)
-    axis = grid.axis()
-    zpos = axis[flat_z]
-    i0 = max(int(math.floor((zpos - w - grid.origin[0]) / h)), 0)
-    i1 = min(int(math.ceil((zpos + w - grid.origin[0]) / h)), grid.npts - 1)
-    cells = axis[i0:i1]
-    slopes = (g[i0 + 1:i1 + 1] - g[i0:i1]) / h
-    xq = cells[:, None] + 0.5 * h * (_GAUSS_PTS + 1.0)[None, :]
-    gq = g[i0:i1][:, None] + slopes[:, None] * (xq - cells[:, None])
-    u = xq - zpos
-    # the continuum amplitude w^(-1/2) chi(|u| / w) / sqrt(norm) in d = 1
-    amp = w ** -0.5 * profile.radial(np.abs(u) / w) * scale
-    amp_d = w ** -1.5 * profile.radial_deriv(np.abs(u) / w) * np.sign(u) * scale
-    integrand = (slopes[:, None] * amp + gq * amp_d) ** 2
-    return float((integrand * (0.5 * h * _GAUSS_WTS)[None, :]).sum())
-
-
 def kinetic_trace(K: MixedStateKernel) -> tuple:
-    """Kinetic energy of the state, two independent ways.
+    """Kinetic energy of the state: ``(analytic, grid)``.
 
-    ``analytic`` assembles n * (H1 seminorm of sqrt(rho) + w^-2 * profile
-    gradient moment), w the width of the kernel the state is built from
-    (see :func:`kinetic_term`).  ``quadrature`` integrates the squared
-    gradient of each localized orbital sqrt(rho) amp(. - z) (see
-    :func:`_orbital_energy`) against the (atom, z) measure, summed per
-    center: the atom weights binned over ``center_of`` times each center's
-    ``sum_z E(z) q_z``.  The two sides agree up to second-order
-    discretization error.  One-dimensional grids only.
+    ``analytic`` is the continuum formula n * (H1 seminorm of sqrt(rho) +
+    w^-2 * profile gradient moment), w the width of the kernel the state is
+    built from (see :func:`kinetic_term`).  ``grid`` is ``Tr(-Delta_h gamma)``,
+    the energy of the state on the grid: ``sum_z W_z E_h(z)`` over the
+    orbital table (:attr:`MixedStateKernel.orbitals`), where ``E_h(z)``
+    sums ``|f_z(x + h e_k) - f_z(x)|^2 h^(d-2)`` over every grid edge, the
+    orbital taken as 0 off its kernel box (and off the grid).  The two
+    differ by O((h/w)^2) discretization.  Any dimension.
     """
     rp = K.rp
     grid = rp.grid
-    if grid.dim != 1:
-        raise ValidationError("kinetic_trace implemented for 1-d grids")
     analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho), rp.kernel)
-
-    nodes = np.unique(rp.window)
-    energy = np.zeros(grid.n_sites)
-    energy[nodes] = [_orbital_energy(rp, int(z)) for z in nodes]
-    # one dot product per window row
-    per_center = (energy[rp.window][:, None, :] @ rp.q[:, :, None]).ravel()
-    center_weight = np.bincount(rp.center_of.ravel(),
-                                weights=np.repeat(rp.source.weights, rp.n),
-                                minlength=len(rp.window))
-    quad = float(center_weight @ per_center) * grid.cell_volume
-    return float(analytic), quad
+    _, values, weights = K.orbitals
+    # each orbital on its kernel box padded by one node of zeros
+    r = rp.kernel.halfwidth
+    box = np.zeros((len(values),) + (2 * r + 3,) * grid.dim)
+    box[(slice(None),) + tuple((rp.kernel.offsets + r + 1).T)] = values
+    energy = sum((np.diff(box, axis=1 + k) ** 2).reshape(len(values), -1).sum(axis=1)
+                 for k in range(grid.dim))
+    return float(analytic), float(weights @ energy) * grid.h ** (grid.dim - 2)
 
 
-def quadratic_form(K: MixedStateKernel, psi: np.ndarray) -> float:
-    """<psi, Gamma psi> for a test vector on the n-fold tensor grid.
+def rdm_max_eigenvalue(K: MixedStateKernel) -> float:
+    """Largest eigenvalue of the one-body density matrix, as an operator on
+    the grid (``gamma * h^d``).
 
-    Evaluated through the rank-one structure.  ``psi * sqrt(rho)`` correlated
-    with ``amp`` along each particle axis (:func:`offset_sum`; off-grid nodes
-    count as zero) holds the overlap of psi with every product orbital
-    ``f_{z_1} x ... x f_{z_n}``; the overlap with a Slater determinant is its
-    signed sum over the orderings of the window tuple, squared and weighted.
+    A fermionic state has it at most 1 (Pauli).  ``gamma`` vanishes off the
+    support of rho, so the dense eigenproblem is taken on that block only.
     """
-    rp = K.rp
-    n, grid = rp.n, rp.grid
-    c = np.asarray(psi, dtype=float).reshape(grid.shape * n)
-    root = K.sqrt_rho.reshape(grid.shape)
-    for _ in range(n):
-        # correlate the last particle's axes, then rotate them to the front
-        c = offset_sum(c * root, -rp.kernel.offsets, rp.kernel.amp)
-        c = np.moveaxis(c, range(c.ndim - grid.dim, c.ndim), range(grid.dim))
-    c = c.ravel()
-    tuples, weights = K.window_tuples
-    perms, signs = K._perms
-    overlaps = np.zeros(tuples.shape[0])
-    for perm, sign in zip(perms, signs):
-        flat = np.ravel_multi_index(tuples[:, perm].T, (grid.n_sites,) * n)
-        overlaps += sign * c[flat]
-    overlaps *= grid.cell_volume**n / math.sqrt(math.factorial(n))
-    return float((weights * overlaps**2).sum())
+    support = np.flatnonzero(K.sqrt_rho)
+    block = K.one_body_matrix[np.ix_(support, support)] * K.grid.cell_volume
+    return float(np.linalg.eigvalsh(block)[-1])

@@ -1,8 +1,8 @@
 """Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
 forms of the smoothed plan's per-center tables, explicit orbitals and Slater
-determinants, the dense mixed-state kernel, and the Coulomb cost's
-derivative blocks, shared by the mollifier, regularizer and quantum tests as
-oracles."""
+determinants, the window tuples of the mixed state, its dense kernel and
+one-body matrices, and the Coulomb cost's derivative blocks, shared by the
+mollifier, regularizer and quantum tests as oracles."""
 
 import math
 from typing import Optional
@@ -145,23 +145,47 @@ def coulomb_hess(configs, j, k):
     return out
 
 
+def window_tuples(K) -> tuple:
+    """Every atom's window node tuples ``(m, n)`` as flat node indices, and
+    their weights ``w * prod_i q_i(z_i) * h^{d n}``, for a
+    :class:`~llot.quantum.MixedStateKernel` ``K``.
+
+    Atom by atom, each in the C order of its tuple grid; particle axis i
+    broadcasts the window row of the atom's i-th center.
+    """
+    rp = K.rp
+    n, n_atoms = rp.n, rp.source.n_atoms
+    full = (n_atoms,) + rp.window.shape[1:] * n
+
+    def along(table, i):
+        shape = [n_atoms] + [1] * n
+        shape[1 + i] = -1
+        return table[rp.center_of[:, i]].reshape(shape)
+
+    tuples = np.stack([np.broadcast_to(along(rp.window, i), full).ravel()
+                       for i in range(n)], axis=1)
+    weights = rp.source.weights.reshape((n_atoms,) + (1,) * n)
+    for i in range(n):
+        weights = weights * along(rp.q, i)
+    return tuples, (weights * rp.grid.cell_volume**n).ravel()
+
+
 MAX_DENSE_ENTRIES = 1 << 24
 
 
-def dense_kernel_matrix(K) -> np.ndarray:
-    """Dense (n_sites^n, n_sites^n) matrix of a :class:`MixedStateKernel`
-    ``K``, for desk-size checks.
+def slater_rows(K) -> tuple:
+    """One explicit Slater vector per window tuple of a
+    :class:`~llot.quantum.MixedStateKernel` ``K``, as the rows of an
+    ``(n_tuples, n_sites^n)`` array, and the tuple weights.
 
-    The reference the tests compare :func:`llot.quantum.kernel_eval` and
-    :func:`llot.quantum.quadratic_form` against: one explicit Slater vector per window
-    tuple, from orbital columns ``f_z(x) = sqrt(rho(x)) * amp(x - z)`` over
+    The orbital columns are ``f_z(x) = sqrt(rho(x)) * amp(x - z)`` over
     every node x.
     """
     rp = K.rp
     n = rp.n
     s = rp.grid.n_sites
     dim_total = s**n
-    tuples, weights = K.window_tuples
+    tuples, weights = window_tuples(K)
     rows = tuples.shape[0]
     if rows * dim_total > MAX_DENSE_ENTRIES:
         raise ValidationError(
@@ -181,5 +205,23 @@ def dense_kernel_matrix(K) -> np.ndarray:
             nxt = cols[:, col_of[:, perm[j]]].T
             term = (term[:, :, None] * nxt[:, None, :]).reshape(rows, -1)
         b += sign * term
-    b /= math.sqrt(math.factorial(n))
+    return b / math.sqrt(math.factorial(n)), weights
+
+
+def dense_kernel_matrix(K) -> np.ndarray:
+    """Dense (n_sites^n, n_sites^n) matrix of a :class:`MixedStateKernel`
+    ``K``, for desk-size checks: the weighted sum of the outer products of
+    :func:`slater_rows`.  The reference the tests compare
+    :func:`llot.quantum.kernel_eval` against."""
+    b, weights = slater_rows(K)
     return (b * weights[:, None]).T @ b
+
+
+def dense_one_body_matrix(K) -> np.ndarray:
+    """n times the partial trace of :func:`dense_kernel_matrix` over
+    coordinates 2..n (a sum over their nodes times ``h^{d(n-1)}``), summed
+    row by row from :func:`slater_rows` without forming the matrix."""
+    b, weights = slater_rows(K)
+    b = b.reshape(len(b), K.grid.n_sites, -1)
+    trace = np.tensordot(b * weights[:, None, None], b, axes=([0, 2], [0, 2]))
+    return K.n * trace * K.grid.cell_volume ** (K.n - 1)

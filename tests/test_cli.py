@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +12,11 @@ import pytest
 import llot
 from llot import cli, fileio, semiclassics
 from llot.grids import marginal, symmetrize
-from llot.presets import fixture_paired_smooth, sixteen_site_density, sweep_density
-from llot.quantum import MixedStateKernel, quadratic_form
-from llot.regularizer import RegularizedPlan, build_regularized
+from llot.grids import Grid
+from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_density,
+                          sweep_density)
+from llot.quantum import MixedStateKernel
+from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +175,7 @@ def test_mmot_sinkhorn_exits_2_when_not_converged(sixteen_csv, tmp_path, monkeyp
     assert rep["residual"] > rep["config"]["tol"]
 
 
-def test_quantum_check_reports_the_least_rayleigh_quotient(paired_files, tmp_path):
+def test_quantum_check_reports_the_largest_rdm_eigenvalue(paired_files, tmp_path):
     grid, plan_path, density_path, eps = paired_files
     argv = ["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
             "--eps", repr(eps), "--samples", "20", "--seed", "4"]
@@ -179,20 +183,50 @@ def test_quantum_check_reports_the_least_rayleigh_quotient(paired_files, tmp_pat
     run(argv, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    # replay the report's random stream: 20 diagonal samples, then 20 vectors
     plan = symmetrize(fileio.read_plan(plan_path))
     rp = build_regularized(plan, fileio.read_density(density_path, n_particles=2), eps)
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        rng.integers(rp.source.n_atoms)
-        rng.uniform(-2 * rp.eps, 2 * rp.eps, size=(rp.n, rp.source.dim))
-    K = MixedStateKernel(rp)
-    quotients = []
-    for _ in range(20):
-        psi = rng.standard_normal((grid.n_sites,) * 2)
-        quotients.append(quadratic_form(K, psi) / float((psi * psi).sum()))
-    assert rep["positivity_min"] > 0.0
-    assert rep["positivity_min"] == min(quotients)
+    gamma = MixedStateKernel(rp).one_body_matrix
+    support = np.flatnonzero(rp.rho.values)
+    lam = np.linalg.eigvalsh(gamma[np.ix_(support, support)] * grid.h)[-1]
+    assert rep["rdm_max_eigenvalue"] == lam
+    assert 0.0 < lam < 1.0
+    assert rep["all_passed"] is True
+    assert [(c["name"], c["passed"], c["tolerance"]) for c in rep["checks"]] == [
+        (name, True, cli.IDENTITY_TOL)
+        for name in ("trace_one", "density_l1_error", "diagonal_equals_plan", "pauli")]
+    assert set(rep["kinetic"]) == {"analytic", "grid", "ratio"}
+
+
+def test_quantum_check_fails_the_pauli_verdict_of_overlapping_orbitals(
+        tmp_path, monkeypatch):
+    # two particles two nodes apart, smoothed past the eps < alpha/4 guard
+    grid = Grid.line(0.0, 1 / 16, 32)
+    plan = permutation_plan([16 * grid.h, 18 * grid.h])
+    plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
+    fileio.write_plan(plan_path, plan)
+    fileio.write_density(density_path, marginal(plan, grid))
+    monkeypatch.setattr(cli, "build_regularized", lambda plan, rho, eps: smooth_plan(
+        dataclasses.replace(prepare_plan(plan, rho), alpha=math.inf), eps))
+    out = tmp_path / "report.json"
+    argv = ["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
+            "--eps", "0.2", "--samples", "20", "--out", str(out)]
+    assert cli.main(argv) == 2
+    rep = json.loads(out.read_text())
+    assert rep["all_passed"] is False
+    assert rep["rdm_max_eigenvalue"] > 1.0 + cli.IDENTITY_TOL
+    assert {c["name"]: c["passed"] for c in rep["checks"]}["pauli"] is False
+
+
+def test_regularize_rejects_unknown_checks_before_reading_input(paired_files, tmp_path,
+                                                                  capsys):
+    grid, _, density_path, eps = paired_files
+    out = tmp_path / "report.json"
+    argv = ["regularize", "--plan", str(tmp_path / "missing.json"), "--density",
+            str(density_path), "--eps", repr(eps), "--checks", "marginal,bogus",
+            "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "unknown checks: ['bogus']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quantum_check_rejects_zero_samples(paired_files, tmp_path):
@@ -211,7 +245,6 @@ def test_quantum_check_reports_the_sample_counts_that_ran(paired_files, tmp_path
     rep = run(argv, tmp_path / "report.json")
     assert rep["config"]["samples"] == 150
     assert rep["diagonal_samples"] == 150
-    assert rep["positivity_samples"] == 100
 
 
 @pytest.mark.parametrize("extra", [

@@ -86,11 +86,22 @@ def test_lp_infeasible_marginal():
 
 
 def test_lp_size_limit_directs_to_sinkhorn():
-    grid = Grid.line(0.0, 0.01, 300)
-    vals = np.ones(300)
-    rho = density_from_values(grid, vals, normalize=True)
-    with pytest.raises(ValidationError, match="sinkhorn"):
+    # C(640, 2) = 204,480 multisets, past the LP cap; 640^2 = 409,600 Gibbs
+    # entries, within Sinkhorn's
+    grid = Grid.line(0.0, 0.01, 640)
+    rho = density_from_values(grid, np.ones(640), normalize=True)
+    with pytest.raises(ValidationError, match="use the sinkhorn solver"):
+        solve_lp(TransportProblem(2, rho))
+
+
+def test_lp_size_limit_names_no_solver_that_refuses_too():
+    # C(49, 4) = 211,876 multisets, past the LP cap; 49^4 = 5.76M Gibbs
+    # entries, past Sinkhorn's as well
+    grid = Grid.line(0.0, 0.01, 49)
+    rho = density_from_values(grid, np.ones(49), normalize=True)
+    with pytest.raises(ValidationError, match="exact-LP limit") as err:
         solve_lp(TransportProblem(4, rho))
+    assert "sinkhorn" not in str(err.value)
 
 
 def test_dual_certificate_and_perturbation(p_three):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,17 +10,16 @@ from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal, symmetrize
 from llot.mollifier import BumpProfile, GridKernel
 from llot.presets import kinetic_instance, permutation_plan
-from llot import quantum
 from llot.quantum import (
     MixedStateKernel,
     kernel_eval,
     kinetic_trace,
     one_particle_density,
-    quadratic_form,
+    rdm_max_eigenvalue,
 )
-from llot.regularizer import build_regularized, kinetic_of_sqrt
-from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_transfer,
-                     det_square_identity, slater)
+from llot.regularizer import build_regularized, kinetic_of_sqrt, prepare_plan, smooth_plan
+from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
+                     dense_transfer, det_square_identity, slater, window_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -231,10 +231,9 @@ def test_kinetic_trace_single_particle():
     plan = AtomicPlan.from_atoms([((s,), ws) for s, ws in zip(nodes, w)], dim=1)
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
-    analytic, quad = kinetic_trace(MixedStateKernel(rp))
+    analytic, _ = kinetic_trace(MixedStateKernel(rp))
     formula = h1_seminorm_sqrt(rho) + BumpProfile(1).moments()[0] / 0.2**2
     assert analytic == pytest.approx(formula, rel=1e-13)
-    assert quad == pytest.approx(analytic, rel=2e-2)
 
 
 def test_kinetic_trace_eps_halving_shift(smooth_state):
@@ -257,43 +256,54 @@ def test_kinetic_trace_sub_grid_width_is_the_one_node_state(smooth_state):
 
 
 def test_kinetic_trace_refinement_order_two():
+    # the grid energy closes on the continuum one as O((h/eps)^2) only once
+    # eps/h is about 10: these grids run from eps/h = 19 to 77
     rels = []
     hs = []
-    for npts, h in ((32, 1 / 16), (64, 1 / 32), (128, 1 / 64)):
+    for npts in (256, 512, 1024):
+        h = 2.0 / npts
         grid, plan, rho = kinetic_instance(npts, h)
         rp = build_regularized(plan, rho, 0.15)
-        analytic, quad = kinetic_trace(MixedStateKernel(rp))
-        rels.append(abs(analytic - quad) / analytic)
+        analytic, on_grid = kinetic_trace(MixedStateKernel(rp))
+        rels.append(abs(analytic - on_grid) / analytic)
         hs.append(h)
     slope = np.polyfit(np.log(hs), np.log(rels), 1)[0]
     assert 1.8 <= slope <= 2.2
     assert rels[-1] <= 1e-3
 
 
-def per_atom_kinetic_quadrature(K):
-    """``kinetic_trace``'s quadrature as a loop over atom x coordinate x window node."""
+def per_atom_grid_kinetic(K):
+    """``kinetic_trace``'s grid energy as a loop over atom x coordinate x
+    window node, each orbital written out over the whole grid and its
+    forward differences taken with one node of zeros around the grid."""
     rp = K.rp
+    grid = rp.grid
+    cell = grid.cell_volume
+    masses = dense_transfer(rp).sum(axis=1) * cell
+    nodes = np.stack(np.unravel_index(np.arange(grid.n_sites), grid.shape), axis=-1)
     energy = {}
-    quad = 0.0
+    total = 0.0
     for a in range(rp.source.n_atoms):
-        w = rp.source.weights[a]
         for k in range(rp.n):
+            others = np.prod([masses[rp.center_of[a, l]] for l in range(rp.n) if l != k])
             c = rp.center_of[a, k]
-            flat_idx, q = rp.window[c], rp.q[c]
-            for fz, qz in zip(flat_idx, q):
-                if fz not in energy:
-                    energy[fz] = quantum._orbital_energy(rp, int(fz))
-                quad += w * energy[fz] * qz * rp.grid.cell_volume
-    return quad
+            for z, qz in zip(rp.window[c], rp.q[c]):
+                if z not in energy:
+                    f = K.sqrt_rho * amp_at(rp.kernel, nodes - nodes[z])
+                    f = np.pad(f.reshape(grid.shape), 1)
+                    energy[z] = sum((np.diff(f, axis=j) ** 2).sum()
+                                    for j in range(grid.dim)) * grid.h ** (grid.dim - 2)
+                total += rp.source.weights[a] * others * qz * cell * energy[z]
+    return total
 
 
-def test_kinetic_trace_matches_per_atom_loop(all_identity_fixtures):
-    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+def test_kinetic_trace_matches_per_atom_loop(fixtures_with_2d):
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
         for eps in eps_list:
             K = MixedStateKernel(build_regularized(plan, rho, eps))
-            _, quad = kinetic_trace(K)
-            expected = per_atom_kinetic_quadrature(K)
-            assert quad == pytest.approx(expected, rel=1e-14, abs=0.0), (name, eps)
+            _, on_grid = kinetic_trace(K)
+            expected = per_atom_grid_kinetic(K)
+            assert on_grid == pytest.approx(expected, rel=1e-14, abs=0.0), (name, eps)
 
 
 def per_atom_window_tuples(rp):
@@ -321,7 +331,7 @@ def test_window_tuples_match_per_atom_meshgrid(all_identity_fixtures, two_dim_fi
             rp = build_regularized(plan, rho, eps)
             # no empty window slots, so each row is the whole window
             assert np.all(rp.q > 0.0)
-            tuples, weights = MixedStateKernel(rp).window_tuples
+            tuples, weights = window_tuples(MixedStateKernel(rp))
             ref_tuples, ref_weights = per_atom_window_tuples(rp)
             assert np.array_equal(tuples, ref_tuples), (plan.n, eps)
             assert np.array_equal(weights, ref_weights), (plan.n, eps)
@@ -330,60 +340,86 @@ def test_window_tuples_match_per_atom_meshgrid(all_identity_fixtures, two_dim_fi
 def test_cauchy_schwarz_direction(all_identity_fixtures):
     for name, grid, plan, rho, eps_list in all_identity_fixtures:
         rp = build_regularized(plan, rho, eps_list[0])
-        _, quad = kinetic_trace(MixedStateKernel(rp))
-        assert kinetic_of_sqrt(rp) <= quad * 1.05, name
+        _, on_grid = kinetic_trace(MixedStateKernel(rp))
+        assert kinetic_of_sqrt(rp) <= on_grid, name
 
 
-def test_positivity_random_vectors(small_state):
-    grid, rp, K = small_state
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        psi = rng.standard_normal((grid.n_sites,) * 2)
-        val = quadratic_form(K, psi)
-        assert val >= -1e-12 * float((psi * psi).sum())
-
-
-def test_quadratic_form_matches_dense(small_state):
-    grid, rp, K = small_state
-    mat = dense_kernel_matrix(K)
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        psi = rng.standard_normal((grid.n_sites,) * 2)
-        direct = psi.ravel() @ mat @ psi.ravel() * grid.h**4
-        assert quadratic_form(K, psi) == pytest.approx(direct, rel=1e-12)
-
-
-def test_quadratic_form_near_upper_grid_edge():
-    # the support sits one kernel halfwidth below the last node, so window
-    # orbitals reach past the grid
-    grid = Grid.line(0.0, 1 / 16, 32)
-    plan = permutation_plan([14 * grid.h, 28 * grid.h])
-    rp = build_regularized(plan, marginal(plan, grid), 0.2)
-    assert 28 + rp.kernel.halfwidth == grid.npts - 1
-    K = MixedStateKernel(rp)
-    mat = dense_kernel_matrix(K)
-    rng = np.random.default_rng(29)
-    for _ in range(5):
-        psi = rng.standard_normal((grid.n_sites,) * 2)
-        direct = psi.ravel() @ mat @ psi.ravel() * grid.h**4
-        assert quadratic_form(K, psi) == pytest.approx(direct, rel=1e-12)
-
-
-def test_quadratic_form_and_kernel_match_dense_in_two_dimensions(two_dim_fixture):
+def test_kernel_matches_dense_in_two_dimensions(two_dim_fixture):
     _, grid, plan, rho, (eps,) = two_dim_fixture
     rp = build_regularized(plan, rho, eps)
     assert len(rp.kernel.offsets) == 5
     K = MixedStateKernel(rp)
     mat = dense_kernel_matrix(K)
-    rng = np.random.default_rng(37)
-    for _ in range(3):
-        psi = rng.standard_normal((grid.n_sites,) * 2)
-        direct = psi.ravel() @ mat @ psi.ravel() * grid.h**8
-        assert quadratic_form(K, psi) == pytest.approx(direct, rel=1e-12)
     pts, s = grid.points(), grid.n_sites
     for r, c in np.argwhere(mat != 0.0):
         val = kernel_eval(K, pts[[r // s, r % s]], pts[[c // s, c % s]])
         assert val == pytest.approx(mat[r, c], rel=1e-12)
+
+
+def upper_grid_edge_case():
+    """A plan whose support sits one kernel halfwidth below the last node,
+    so that window orbitals reach past the grid."""
+    grid = Grid.line(0.0, 1 / 16, 32)
+    plan = permutation_plan([14 * grid.h, 28 * grid.h])
+    rp = build_regularized(plan, marginal(plan, grid), 0.2)
+    assert 28 + rp.kernel.halfwidth == grid.npts - 1
+    return rp
+
+
+@pytest.mark.parametrize("case", ["n2-two-site", "n2-four-atom", "n2-paired-smooth",
+                                  "upper-grid-edge", "n2-2d-permutation"])
+def test_one_body_matrix_is_n_times_the_dense_partial_trace(
+        case, all_identity_fixtures, two_dim_fixture):
+    if case == "upper-grid-edge":
+        rp = upper_grid_edge_case()
+    else:
+        fixtures = {f[0]: f for f in all_identity_fixtures + [two_dim_fixture]}
+        _, grid, plan, rho, eps_list = fixtures[case]
+        rp = build_regularized(plan, rho, eps_list[0])
+    K = MixedStateKernel(rp)
+    ref = dense_one_body_matrix(K)
+    assert np.abs(K.one_body_matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_one_body_matrix_trace_and_diagonal(all_identity_fixtures):
+    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+        for eps in eps_list:
+            rp = build_regularized(plan, rho, eps)
+            K = MixedStateKernel(rp)
+            gamma = K.one_body_matrix
+            assert not gamma.flags.writeable
+            assert abs(np.trace(gamma) * grid.cell_volume - rp.n * rp.mass()) <= 1e-12
+            density = rp.n * one_particle_density(K).values.ravel()
+            assert np.abs(np.diag(gamma) - density).max() <= 1e-12 * density.max(), \
+                (name, eps)
+
+
+def test_rdm_max_eigenvalue_is_one_for_delta_plans(all_identity_fixtures):
+    # each site of these plans is one node, whose one orbital a particle fills
+    fixtures = {f[0]: f for f in all_identity_fixtures}
+    for name in ("n2-two-site", "n3-permutation"):
+        _, grid, plan, rho, eps_list = fixtures[name]
+        for eps in eps_list:
+            lam = rdm_max_eigenvalue(MixedStateKernel(build_regularized(plan, rho, eps)))
+            assert abs(lam - 1.0) <= 1e-12, (name, eps)
+
+
+def test_rdm_max_eigenvalue_below_one_on_a_smooth_plan(smooth_state):
+    grid, rp, K = smooth_state
+    assert 0.0 < rdm_max_eigenvalue(K) < 1.0
+
+
+@pytest.mark.parametrize("gap", [2, 1, 0])
+def test_rdm_max_eigenvalue_exceeds_one_without_the_separation_guard(gap):
+    # two particles gap nodes apart, smoothed at a width of 3.2 h: their
+    # orbitals overlap, which the eps < alpha/4 guard of smooth_plan forbids
+    grid = Grid.line(0.0, 1 / 16, 32)
+    plan = permutation_plan([16 * grid.h, (16 + gap) * grid.h]) if gap else \
+        AtomicPlan.from_atoms([(np.array([[1.0], [1.0]]), 1.0)], dim=1)
+    prep = dataclasses.replace(prepare_plan(plan, marginal(plan, grid)), alpha=math.inf)
+    rp = smooth_plan(prep, 0.2)
+    assert abs(rp.mass() - 1.0) <= 1e-10
+    assert rdm_max_eigenvalue(MixedStateKernel(rp)) > 1.0 + 1e-10
 
 
 def test_dense_matrix_antisymmetry(small_state):
