@@ -73,6 +73,14 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def require_gradient_nodes(self):
+        """Raise unless every axis has the 3 nodes that the second-order
+        one-sided differences of ``np.gradient(..., edge_order=2)`` read."""
+        if self.npts < 3:
+            raise ValidationError(
+                f"grid of {self.npts} nodes per axis: second-order finite "
+                f"differences need at least 3 nodes per axis")
+
     def indices_of(self, x) -> np.ndarray:
         """Multi-indices of the nodes nearest to points ``x`` of shape
         ``(..., dim)``, clipped to the grid."""
@@ -312,6 +320,7 @@ def h1_seminorm_sqrt(rho: GridDensity) -> float:
     interior, second-order one-sided at array edges.  Second-order accurate
     for smooth densities bounded away from zero on their support interior.
     """
+    rho.grid.require_gradient_nodes()
     g = np.sqrt(rho.values)
     h = rho.grid.h
     total = np.zeros_like(g)
@@ -323,6 +332,7 @@ def h1_seminorm_sqrt(rho: GridDensity) -> float:
 
 def l1_gradient(rho: GridDensity) -> float:
     """Quadrature of |grad rho| (sum of finite-difference gradient norms)."""
+    rho.grid.require_gradient_nodes()
     h = rho.grid.h
     sq = np.zeros_like(rho.values)
     for axis in range(rho.grid.dim):

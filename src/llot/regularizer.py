@@ -50,6 +50,7 @@ from .mollifier import GridKernel, convolve_sq, offset_sum
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
 MARGINAL_TOL = 1e-8   # L1 distance allowed between rho and the binned plan marginal
+SUPPORT_PAD = 3       # zero nodes around the support: the one-sided stencil's reach
 
 
 class RegularizedPlan:
@@ -101,6 +102,8 @@ class RegularizedPlan:
         in chunks so that no intermediate exceeds ``MAX_TENSOR_ENTRIES``,
         which also caps the tensor itself.  Built once and returned
         read-only, so the kinetic and the potential checks share one build.
+        No zeroed scratch tensor is allocated; the build's working set is
+        the tensor and one chunk's factors (see :meth:`_build_tensor`).
         """
         if self._tensor is None:
             t = self._build_tensor()
@@ -109,6 +112,17 @@ class RegularizedPlan:
         return self._tensor
 
     def _build_tensor(self) -> np.ndarray:
+        """The chunked contraction of :meth:`tensor`.
+
+        The first chunk's product is the tensor itself and later chunks add
+        into it, so no zeroed tensor is allocated: every entry is ``>= +0``,
+        and ``0.0 + x == x`` for those, so the sum is the one a zeroed start
+        gives, bit for bit.  A chunk's whole-grid rows ``(atoms, n, s)`` and
+        its left factor ``(atoms, s^(n-1))`` are freed before the next
+        chunk's are built, so the working set is the tensor, one product and
+        one chunk's two factors: about 2.5 tensors on the 1024-node paired
+        plan, where 518 atoms make one chunk.
+        """
         s = self.grid.n_sites
         if s**self.n > MAX_TENSOR_ENTRIES:
             raise ValidationError(
@@ -116,14 +130,20 @@ class RegularizedPlan:
                 f"the {MAX_TENSOR_ENTRIES} limit"
             )
         step = max(1, MAX_TENSOR_ENTRIES // s ** max(self.n - 1, 1))
-        flat = np.zeros((s ** (self.n - 1), s))
+        flat = None
         for lo in range(0, self.source.n_atoms, step):
             rows = slice(lo, lo + step)
             t = self._grid_rows(self.center_of[rows])     # (atoms, n, n_sites)
             left = self.source.weights[rows, None]
             for k in range(self.n - 1):
                 left = (left[:, :, None] * t[:, k, None, :]).reshape(left.shape[0], -1)
-            flat += left.T @ t[:, -1]
+            product = left.T @ t[:, -1]
+            del t, left
+            if flat is None:
+                flat = product
+            else:
+                flat += product
+            del product
         return flat.reshape(self.grid.shape * self.n)
 
     def _grid_rows(self, centers: np.ndarray) -> np.ndarray:
@@ -293,14 +313,33 @@ def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float) -> Regular
 
 
 def kinetic_of_sqrt(rp: RegularizedPlan) -> float:
-    """Dirichlet energy of sqrt(P_eps) on the n-fold tensor grid."""
+    """Dirichlet energy of sqrt(P_eps) on the n-fold tensor grid.
+
+    ``sqrt`` and ``np.gradient`` (second order, one-sided at array edges) run
+    on the tensor's support box only: per axis, the bounding box of the
+    nodes where some ``T_c > 0`` (read from the transfer table, not from the
+    tensor), widened by ``SUPPORT_PAD = 3`` nodes and clipped to the grid.
+    The one-sided stencil at a box edge reads 3 nodes; with 3 zero nodes of
+    padding it reads zeros only, so every derivative in the box equals the
+    whole-grid one and every derivative outside it is exactly 0.  Where the
+    box is clipped, its edge is the grid's, with the same stencil.  The
+    working set is the tensor plus a few box-sized arrays (the sqrt, one
+    derivative, squared in place, and ``np.gradient``'s temporaries); on the
+    1024-node paired plan the box is 649 of the 1024 nodes per axis.  Needs
+    at least 3 nodes per axis.
+    """
+    rp.grid.require_gradient_nodes()
     t = rp.tensor()
-    g = np.sqrt(t)
+    live = np.unravel_index(rp.nodes[rp.transfer > 0], rp.grid.shape)
+    lo = [max(int(i.min()) - SUPPORT_PAD, 0) for i in live]
+    hi = [min(int(i.max()) + SUPPORT_PAD + 1, rp.grid.npts) for i in live]
+    g = np.sqrt(t[tuple(map(slice, lo, hi)) * rp.n])
     h = rp.grid.h
     total = 0.0
     for axis in range(g.ndim):
         d = np.gradient(g, h, axis=axis, edge_order=2)
-        total += (d * d).sum()
+        d *= d
+        total += d.sum()
     return float(total * rp.grid.cell_volume**rp.n)
 
 
@@ -310,16 +349,18 @@ def integrate_observable(rp: RegularizedPlan) -> float:
 
     Evaluated on the support of the tensor density only, so the cost is
     never touched on coincidence points, where it is infinite and P_eps = 0.
+    Each coordinate is read from the grid axis at its unravelled index.
     """
     t = rp.tensor().ravel()
-    s = rp.grid.n_sites
     nz = np.nonzero(t)[0]
     if nz.size == 0:
         return 0.0
-    pts = rp.grid.points()
-    site_idx = np.unravel_index(nz, (s,) * rp.n)
-    configs = np.stack([pts[i] for i in site_idx], axis=1)
-    return float((coulomb(configs) * t[nz]).sum() * rp.grid.cell_volume**rp.n)
+    grid = rp.grid
+    idx = np.unravel_index(nz, grid.shape * rp.n)
+    axes = [grid.axis(k) for k in range(grid.dim)]
+    configs = np.stack([axes[j % grid.dim][i] for j, i in enumerate(idx)], axis=-1)
+    configs = configs.reshape(nz.size, rp.n, grid.dim)
+    return float((coulomb(configs) * t[nz]).sum() * grid.cell_volume**rp.n)
 
 
 def potential_error(rp: RegularizedPlan) -> tuple:

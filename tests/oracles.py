@@ -1,8 +1,9 @@
 """Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
-forms of the smoothed plan's per-center tables, explicit orbitals and Slater
-determinants, the window tuples of the mixed state, its dense kernel and
-one-body matrices, and the Coulomb cost's derivative blocks, shared by the
-mollifier, regularizer and quantum tests as oracles."""
+forms of the smoothed plan's per-center tables and of its kinetic check,
+explicit orbitals and Slater determinants, the window tuples of the mixed
+state, its dense kernel and one-body matrices, and the Coulomb cost's
+derivative blocks, shared by the mollifier, regularizer and quantum tests as
+oracles; and a plan whose support reaches the grid's upper edge."""
 
 import math
 from typing import Optional
@@ -10,8 +11,10 @@ from typing import Optional
 import numpy as np
 
 from llot.errors import ValidationError
-from llot.grids import GridDensity, permutations
+from llot.grids import Grid, GridDensity, marginal, permutations
 from llot.mollifier import GridKernel, offset_sum
+from llot.presets import permutation_plan
+from llot.regularizer import build_regularized
 
 
 def amp_at(kernel: GridKernel, o) -> np.ndarray:
@@ -42,6 +45,30 @@ def scattered_transfer(rp):
     for row, nodes, values in zip(rows, rp.nodes, rp.transfer):
         row[nodes[nodes >= 0]] = values[nodes >= 0]
     return rows
+
+
+def whole_grid_kinetic_of_sqrt(rp) -> float:
+    """Dirichlet energy of sqrt(P_eps): ``sqrt`` and ``np.gradient`` over the
+    whole n-fold tensor grid, the reference for the support-box form of
+    :func:`llot.regularizer.kinetic_of_sqrt`."""
+    t = rp.tensor()
+    g = np.sqrt(t)
+    h = rp.grid.h
+    total = 0.0
+    for axis in range(g.ndim):
+        d = np.gradient(g, h, axis=axis, edge_order=2)
+        total += (d * d).sum()
+    return float(total * rp.grid.cell_volume**rp.n)
+
+
+def upper_grid_edge_case():
+    """A plan whose support sits one kernel halfwidth below the last node,
+    so that window orbitals reach past the grid."""
+    grid = Grid.line(0.0, 1 / 16, 32)
+    plan = permutation_plan([14 * grid.h, 28 * grid.h])
+    rp = build_regularized(plan, marginal(plan, grid), 0.2)
+    assert 28 + rp.kernel.halfwidth == grid.npts - 1
+    return rp
 
 
 class OrbitalSet:

@@ -229,6 +229,26 @@ def test_regularize_rejects_unknown_checks_before_reading_input(paired_files, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["regularize", "--checks", "kinetic"],
+                                     ["regularize", "--checks", "potential"],
+                                     ["quantum-check", "--samples", "5"]])
+def test_a_grid_of_two_nodes_is_rejected(tmp_path, capsys, command):
+    """The kinetic and potential checks take second-order differences, which
+    read 3 nodes per axis: one particle on atoms at 0 and 1 with h = 1 is a
+    clean exit 1."""
+    grid = Grid.line(0.0, 1.0, 2)
+    plan = llot.AtomicPlan.from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
+    plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
+    fileio.write_plan(plan_path, plan)
+    fileio.write_density(density_path, marginal(plan, grid))
+    out = tmp_path / "report.json"
+    argv = command + ["--plan", str(plan_path), "--density", str(density_path),
+                      "--eps", "0.5", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "at least 3 nodes per axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quantum_check_rejects_zero_samples(paired_files, tmp_path):
     grid, plan_path, density_path, eps = paired_files
     out = tmp_path / "report.json"

@@ -19,7 +19,8 @@ from llot.quantum import (
 )
 from llot.regularizer import build_regularized, kinetic_of_sqrt, prepare_plan, smooth_plan
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
-                     dense_transfer, det_square_identity, slater, window_tuples)
+                     dense_transfer, det_square_identity, slater, upper_grid_edge_case,
+                     window_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -354,16 +355,6 @@ def test_kernel_matches_dense_in_two_dimensions(two_dim_fixture):
     for r, c in np.argwhere(mat != 0.0):
         val = kernel_eval(K, pts[[r // s, r % s]], pts[[c // s, c % s]])
         assert val == pytest.approx(mat[r, c], rel=1e-12)
-
-
-def upper_grid_edge_case():
-    """A plan whose support sits one kernel halfwidth below the last node,
-    so that window orbitals reach past the grid."""
-    grid = Grid.line(0.0, 1 / 16, 32)
-    plan = permutation_plan([14 * grid.h, 28 * grid.h])
-    rp = build_regularized(plan, marginal(plan, grid), 0.2)
-    assert 28 + rp.kernel.halfwidth == grid.npts - 1
-    return rp
 
 
 @pytest.mark.parametrize("case", ["n2-two-site", "n2-four-atom", "n2-paired-smooth",

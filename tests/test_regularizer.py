@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from llot.grids import (
 from llot.mollifier import BumpProfile, GridKernel, convolve_sq
 from llot.presets import (
     kinetic_instance,
+    paired_plan,
+    permutation_plan,
     potential_instance,
 )
 from llot.regularizer import (
@@ -24,7 +28,8 @@ from llot.regularizer import (
     kinetic_of_sqrt,
     potential_error,
 )
-from oracles import amp_at, coulomb_grad, coulomb_hess, dense_transfer, scattered_transfer
+from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_transfer, scattered_transfer,
+                     upper_grid_edge_case, whole_grid_kinetic_of_sqrt)
 
 EPS_TINY = 0.22
 
@@ -181,6 +186,76 @@ def test_kinetic_refinement_order_two():
     errs = [abs(vals[n] - ref) for n in (32, 64, 128)]
     slope = np.polyfit(np.log([1 / 16, 1 / 32, 1 / 64]), np.log(errs), 1)[0]
     assert 1.6 <= slope <= 2.4
+
+
+def support_box(rp):
+    """Per-axis ``(lo, hi)`` of the nodes where the tensor is nonzero."""
+    t = rp.tensor().reshape((rp.grid.n_sites,) * rp.n)
+    nodes = np.unique(np.nonzero(t)[0])
+    idx = np.unravel_index(nodes, rp.grid.shape)
+    return [(int(i.min()), int(i.max())) for i in idx]
+
+
+def kinetic_oracle_cases(fixtures_with_2d):
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
+        for eps in eps_list + [0.5 * grid.h]:
+            yield f"{name}@{eps:g}", build_regularized(plan, rho, eps)
+    yield "upper-grid-edge", upper_grid_edge_case()
+    # support one node below the last node, with a kernel of halfwidth 1: the
+    # padded box is clipped to the grid
+    grid = Grid.line(0.0, 1 / 16, 32)
+    plan = permutation_plan([14 * grid.h, 30 * grid.h])
+    yield "clipped-box", build_regularized(plan, marginal(plan, grid), 0.1)
+
+
+def test_kinetic_of_sqrt_on_the_support_box_matches_the_whole_grid(fixtures_with_2d):
+    clipped = inside = one_node = 0
+    for name, rp in kinetic_oracle_cases(fixtures_with_2d):
+        ref = whole_grid_kinetic_of_sqrt(rp)
+        assert abs(kinetic_of_sqrt(rp) - ref) <= 1e-14 * ref, name
+        box = support_box(rp)
+        clipped += any(lo < 3 or hi + 3 > rp.grid.npts - 1 for lo, hi in box)
+        inside += all(lo >= 3 and hi + 3 <= rp.grid.npts - 1 for lo, hi in box)
+        one_node += rp.one_node_kernel
+    assert clipped and inside and one_node   # every regime ran
+
+
+def test_kinetic_of_sqrt_needs_three_nodes_per_axis(monkeypatch):
+    grid = Grid.line(0.0, 1.0, 2)
+    plan = AtomicPlan.from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
+    rp = build_regularized(plan, marginal(plan, grid), 0.5)
+    monkeypatch.setattr(rp, "_build_tensor", lambda: pytest.fail("tensor built"))
+    with pytest.raises(ValidationError, match="at least 3 nodes per axis"):
+        kinetic_of_sqrt(rp)
+
+
+def fine_paired_plan():
+    """The 1024-node paired plan at width 0.05: 518 atoms, an 8 MB tensor."""
+    grid = Grid.line(0.0, 2.0 / 1023, 1024)
+    plan = paired_plan(grid, 0.25, 0.76, 0.75)
+    return build_regularized(plan, marginal(plan, grid), 0.05)
+
+
+def traced_peak(call):
+    """Peak bytes traced by ``tracemalloc`` while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_build_holds_at_most_three_tensors():
+    rp = fine_paired_plan()
+    peak = traced_peak(rp.tensor)
+    assert peak <= 3 * rp.tensor().nbytes
+
+
+def test_kinetic_of_sqrt_holds_at_most_three_tensors():
+    rp = fine_paired_plan()
+    peak = traced_peak(lambda: kinetic_of_sqrt(rp))   # the tensor build included
+    assert peak <= 3 * rp.tensor().nbytes
 
 
 def test_tensor_size_guard(monkeypatch):
