@@ -84,8 +84,24 @@ class Grid:
     def indices_of(self, x) -> np.ndarray:
         """Multi-indices of the nodes nearest to points ``x`` of shape
         ``(..., dim)``, clipped to the grid."""
-        idx = np.rint((np.asarray(x, dtype=float) - self.origin) / self.h).astype(int)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape[-1] != self.dim:
+            raise ValidationError(
+                f"points of dimension {x.shape[-1]} on a grid of dimension {self.dim}")
+        idx = np.rint((x - self.origin) / self.h).astype(int)
         return np.minimum(np.maximum(idx, 0), self.npts - 1)
+
+    def flat_index(self, idx) -> np.ndarray:
+        """C-order flat indices of multi-indices ``idx`` of shape
+        ``(..., dim)``; -1 for a multi-index off the grid."""
+        idx = np.asarray(idx)
+        on = np.all((idx >= 0) & (idx < self.npts), axis=-1)
+        return np.where(on, idx @ self.npts ** np.arange(self.dim - 1, -1, -1), -1)
+
+    def multi_index(self, flat) -> np.ndarray:
+        """Multi-indices ``(..., dim)`` of C-order flat indices: the inverse
+        of :meth:`flat_index` on the grid."""
+        return np.stack(np.unravel_index(flat, self.shape), axis=-1)
 
     def node(self, idx) -> np.ndarray:
         return self.origin + self.h * np.asarray(idx, dtype=float)
@@ -146,6 +162,9 @@ class AtomicPlan:
     def __post_init__(self):
         configs = np.asarray(self.configs, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
+        if self.n < 1 or self.dim < 1:
+            raise ValidationError(f"a plan needs at least one particle and one "
+                                  f"dimension, got n = {self.n}, dim = {self.dim}")
         if configs.ndim != 3 or configs.shape[1:] != (self.n, self.dim):
             raise ValidationError(f"configs must have shape (m, {self.n}, {self.dim})")
         if weights.shape != (configs.shape[0],):
@@ -305,29 +324,32 @@ def marginal(plan: AtomicPlan, grid: Grid) -> GridDensity:
     """
     if plan.n_atoms == 0:
         raise ValidationError("empty measure")
-    idx = grid.indices_of(plan.configs)
-    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
+    flat = grid.flat_index(grid.indices_of(plan.configs))
     # bincount adds in C order over (atom, coordinate), as a loop would
     share = np.repeat(plan.weights / (plan.n * grid.cell_volume), plan.n)
     values = np.bincount(flat.ravel(), weights=share, minlength=grid.n_sites)
     return GridDensity(grid, values.reshape(grid.shape))
 
 
-def h1_seminorm_sqrt(rho: GridDensity) -> float:
-    """Dirichlet energy of sqrt(rho): quadrature of |grad sqrt(rho)|^2.
-
-    The square root is taken before differencing; central differences in the
-    interior, second-order one-sided at array edges.  Second-order accurate
-    for smooth densities bounded away from zero on their support interior.
-    """
-    rho.grid.require_gradient_nodes()
-    g = np.sqrt(rho.values)
-    h = rho.grid.h
-    total = np.zeros_like(g)
-    for axis in range(rho.grid.dim):
+def dirichlet_sum_sqrt(values: np.ndarray, h: float) -> float:
+    """``sum |grad sqrt(values)|^2`` over the nodes of an array of any rank,
+    without the cell volume: ``np.gradient`` of the square root, spacing
+    ``h``, second order and one-sided at array edges, summed axis by axis."""
+    g = np.sqrt(values)
+    total = 0.0
+    for axis in range(g.ndim):
         d = np.gradient(g, h, axis=axis, edge_order=2)
-        total += d * d
-    return float(total.sum() * rho.grid.cell_volume)
+        d *= d
+        total += d.sum()
+    return total
+
+
+def h1_seminorm_sqrt(rho: GridDensity) -> float:
+    """Dirichlet energy of sqrt(rho), :func:`dirichlet_sum_sqrt` times the
+    cell volume.  Second-order accurate for smooth densities bounded away
+    from zero on their support interior."""
+    rho.grid.require_gradient_nodes()
+    return float(dirichlet_sum_sqrt(rho.values, rho.grid.h) * rho.grid.cell_volume)
 
 
 def l1_gradient(rho: GridDensity) -> float:

@@ -291,8 +291,7 @@ def check_dual(sol: TransportSolution, p: TransportProblem,
     grid = p.marginal.grid
     site_of = np.full(grid.n_sites, -1)
     site_of[support] = np.arange(s)
-    idx = grid.indices_of(sol.plan.configs)
-    sites = site_of[np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)]
+    sites = site_of[grid.flat_index(grid.indices_of(sol.plan.configs))]
     if np.any(sites < 0):
         raise ValidationError("plan has an atom off the marginal support")
     plan_costs = coulomb(sol.plan.configs)

@@ -34,7 +34,8 @@ matrix is ``gamma = sum_z W_z |f_z><f_z|`` over the state's table of distinct
 orbitals (:attr:`MixedStateKernel.orbitals`), with ``Tr(gamma) h^d = n``.
 Pauli bounds the spectrum of ``gamma * h^d`` by 1 (Coleman's ensemble
 N-representability condition; :func:`rdm_max_eigenvalue`), and the same
-table gives the kinetic energy on the grid (:func:`kinetic_trace`).
+table gives the density ``diag(gamma) / n`` (:func:`one_particle_density`)
+and the kinetic energy on the grid (:func:`kinetic_trace`).
 """
 
 from __future__ import annotations
@@ -96,26 +97,17 @@ class MixedStateKernel:
         offsets ``o_j`` (-1 off the grid) and ``values[k, j]`` the orbital
         there, ``f_z(z + o_j) = sqrt(rho)(z + o_j) * amp(o_j)`` (0 off the
         grid).  ``weights[k]`` is ``W_z = h^d * sum_{c + o = z} coef_c *
-        q_c(o)``, where ``coef_c`` sums, over the atom coordinates at center
-        c, the atom weight times the masses of the atom's other transfer
-        vectors (as in :func:`one_particle_density`); then
-        ``gamma = sum_z W_z |f_z><f_z|``.
+        q_c(o)``, ``coef_c`` the plan's ``center_weights``; then ``gamma =
+        sum_z W_z |f_z><f_z|``.
         """
         rp = self.rp
         grid = rp.grid
-        masses = rp.center_masses()[rp.center_of]          # (n_atoms, n)
-        others = np.stack([np.delete(masses, k, axis=1).prod(axis=1)
-                           for k in range(rp.n)], axis=1)
-        coef = np.bincount(rp.center_of.ravel(),
-                           weights=(rp.source.weights[:, None] * others).ravel(),
-                           minlength=len(rp.centers))
-        per_node = np.bincount(rp.window.ravel(), weights=(coef[:, None] * rp.q).ravel(),
+        per_node = np.bincount(rp.window.ravel(),
+                               weights=(rp.center_weights[:, None] * rp.q).ravel(),
                                minlength=grid.n_sites)
         zs = np.unique(rp.window)
-        x = (np.stack(np.unravel_index(zs, grid.shape), axis=-1)[:, None, :]
-             + rp.kernel.offsets[None, :, :])
-        on = np.all((x >= 0) & (x < grid.npts), axis=-1)
-        nodes = np.where(on, x @ grid.npts ** np.arange(grid.dim - 1, -1, -1), -1)
+        nodes = grid.flat_index(grid.multi_index(zs)[:, None, :]
+                                + rp.kernel.offsets[None, :, :])
         values = np.append(self.sqrt_rho, 0.0)[nodes] * rp.kernel.amp
         return nodes, values, per_node[zs] * grid.cell_volume
 
@@ -123,7 +115,7 @@ class MixedStateKernel:
     def one_body_matrix(self) -> np.ndarray:
         """``gamma(x, y) = sum_z W_z f_z(x) f_z(y)`` over all grid nodes,
         read-only: n times the partial trace of the kernel over coordinates
-        2..n.  Its diagonal is n times :func:`one_particle_density`."""
+        2..n.  Its diagonal over n is :func:`one_particle_density`."""
         nodes, values, weights = self.orbitals
         # F scatters the table onto the grid; node -1 lands in a dropped row
         f = np.zeros((self.grid.n_sites + 1, len(values)))
@@ -145,8 +137,7 @@ class MixedStateKernel:
         # box table, whose row is nonzero where some window node's orbital
         # reaches the slot; then the atoms whose centers reach every
         # coordinate of both blocks, and M_c of their centers only
-        both = np.concatenate((x, xp))
-        nodes = np.stack(np.unravel_index(both, rp.grid.shape), axis=-1)
+        nodes = rp.grid.multi_index(np.concatenate((x, xp)))
         slot, inside = rp.kernel.box_slot(nodes[None, :, :] - rp.centers[:, None, :])
         rows = rp.kernel.box_amp[np.where(inside, slot, -1)]  # (n_centers, 2n, n_offsets)
         hits = rows.any(axis=2)[rp.center_of]               # (n_atoms, n, 2n)
@@ -179,8 +170,7 @@ def kernel_eval(K: MixedStateKernel, config, config_p) -> float:
     sign = 1
     blocks = []
     for c in (config, config_p):
-        idx = grid.indices_of(np.asarray(c, dtype=float).reshape(K.n, grid.dim))
-        flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+        flat = grid.flat_index(grid.indices_of(np.reshape(c, (K.n, grid.dim))))
         order = np.argsort(flat)
         if np.any(np.diff(flat[order]) == 0):
             return 0.0
@@ -190,19 +180,17 @@ def kernel_eval(K: MixedStateKernel, config, config_p) -> float:
 
 
 def one_particle_density(K: MixedStateKernel) -> GridDensity:
-    """Partial diagonal trace over coordinates 2..n.
+    """Partial diagonal trace over coordinates 2..n, ``diag(gamma) / n``,
+    read off the orbital table as ``sum_z W_z f_z(x)^2 / n`` in one scatter.
 
-    Atom a adds ``w * prod_{k >= 2} m_k * T_{c(a,1)}`` (``m_k`` the masses of
-    its other transfer vectors); the coefficients are summed per center and
-    spread with :meth:`RegularizedPlan.spread`.  The trace itself is
-    :meth:`RegularizedPlan.mass`: the kernel diagonal is the smoothed plan
-    density, whose tensor sum factorizes over coordinates.
+    For a symmetric plan it is ``sum_c coef_c T_c / n``, the smoothed plan's
+    marginal (:meth:`RegularizedPlan.density`), and so ``rho``.
     """
-    rp = K.rp
-    masses = rp.center_masses()[rp.center_of]
-    coef = rp.source.weights * masses[:, 1:].prod(axis=1)
-    return rp.spread(np.bincount(rp.center_of[:, 0], weights=coef,
-                                 minlength=len(rp.centers)))
+    nodes, values, weights = K.orbitals
+    on = nodes >= 0
+    diag = np.bincount(nodes[on], weights=(weights[:, None] * values * values)[on],
+                       minlength=K.grid.n_sites)
+    return GridDensity(K.grid, (diag / K.n).reshape(K.grid.shape))
 
 
 def kinetic_trace(K: MixedStateKernel) -> tuple:

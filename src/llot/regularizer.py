@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .grids import (
     Grid,
     GridDensity,
     coulomb,
+    dirichlet_sum_sqrt,
     is_symmetric,
     l1_gradient,
     marginal,
@@ -163,27 +165,26 @@ class RegularizedPlan:
         masses = self.center_masses()[self.center_of]   # (n_atoms, n)
         return float((self.source.weights * masses.prod(axis=1)).sum())
 
-    def spread(self, per_center: np.ndarray) -> GridDensity:
-        """``sum_c per_center[c] * T_c`` on the grid: one scatter of the table."""
-        on = self.nodes >= 0
-        values = np.bincount(self.nodes[on], weights=(per_center[:, None] * self.transfer)[on],
-                             minlength=self.grid.n_sites)
-        return GridDensity(self.grid, values.reshape(self.grid.shape))
+    @cached_property
+    def center_weights(self) -> np.ndarray:
+        """Per-center weight ``(n_centers,)``: over the atom coordinates at
+        center c, the sum of the atom weight times the masses of the atom's
+        other transfer vectors.  :meth:`density` is ``sum_c center_weights[c]
+        T_c / n``, and ``MixedStateKernel.orbitals`` weighs windows by it."""
+        masses = self.center_masses()[self.center_of]          # (n_atoms, n)
+        others = np.stack([np.delete(masses, k, axis=1).prod(axis=1)
+                           for k in range(self.n)], axis=1)
+        return np.bincount(self.center_of.ravel(),
+                           weights=(self.source.weights[:, None] * others).ravel(),
+                           minlength=len(self.centers))
 
     def density(self) -> GridDensity:
-        """One-particle marginal of P_eps (coordinate-averaged).
-
-        Coordinate k of atom a adds ``w / n * prod_{l != k} m_l * T_{c(a,k)}``
-        (``m_l`` the masses of the atom's other transfer vectors); the
-        coefficients are summed per center and spread in one scatter.
-        """
-        masses = self.center_masses()[self.center_of]
-        coef = np.empty_like(masses)
-        for k in range(self.n):
-            others = np.delete(masses, k, axis=1).prod(axis=1)
-            coef[:, k] = self.source.weights / self.n * others
-        return self.spread(np.bincount(self.center_of.ravel(), weights=coef.ravel(),
-                                       minlength=len(self.centers)))
+        """One-particle marginal of P_eps: one scatter of the table."""
+        on = self.nodes >= 0
+        coef = self.center_weights / self.n
+        values = np.bincount(self.nodes[on], weights=(coef[:, None] * self.transfer)[on],
+                             minlength=self.grid.n_sites)
+        return GridDensity(self.grid, values.reshape(self.grid.shape))
 
 
 def kinetic_term(n: int, h1: float, kernel: GridKernel) -> float:
@@ -225,11 +226,9 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
             f"rho differs from the binned plan marginal by "
             f"{binned.l1_distance(rho):.3g} in L1 (tolerance {MARGINAL_TOL:g})"
         )
-    idx = grid.indices_of(plan.configs)
-    flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
-    nodes, center_of = np.unique(flat, return_inverse=True)
-    centers = np.stack(np.unravel_index(nodes, grid.shape), axis=-1)
-    return PreparedPlan(plan, rho, alpha, centers,
+    nodes, center_of = np.unique(grid.flat_index(grid.indices_of(plan.configs)),
+                                 return_inverse=True)
+    return PreparedPlan(plan, rho, alpha, grid.multi_index(nodes),
                         center_of.reshape(plan.n_atoms, plan.n))
 
 
@@ -271,9 +270,7 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
 
     denom = convolve_sq(rho, kernel)
 
-    z = prep.centers[:, None, :] + kernel.box[None, :, :]
-    on = np.all((z >= 0) & (z < grid.npts), axis=-1)
-    nodes = np.where(on, z @ grid.npts ** np.arange(grid.dim - 1, -1, -1), -1)
+    nodes = grid.flat_index(prep.centers[:, None, :] + kernel.box[None, :, :])
     slots, _ = kernel.box_slot(kernel.offsets)
     window = np.take(nodes, slots, axis=1)
     if np.any(window < 0):
@@ -315,8 +312,8 @@ def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float) -> Regular
 def kinetic_of_sqrt(rp: RegularizedPlan) -> float:
     """Dirichlet energy of sqrt(P_eps) on the n-fold tensor grid.
 
-    ``sqrt`` and ``np.gradient`` (second order, one-sided at array edges) run
-    on the tensor's support box only: per axis, the bounding box of the
+    :func:`~llot.grids.dirichlet_sum_sqrt` runs on the tensor's support box
+    only: per axis, the bounding box of the
     nodes where some ``T_c > 0`` (read from the transfer table, not from the
     tensor), widened by ``SUPPORT_PAD = 3`` nodes and clipped to the grid.
     The one-sided stencil at a box edge reads 3 nodes; with 3 zero nodes of
@@ -333,13 +330,7 @@ def kinetic_of_sqrt(rp: RegularizedPlan) -> float:
     live = np.unravel_index(rp.nodes[rp.transfer > 0], rp.grid.shape)
     lo = [max(int(i.min()) - SUPPORT_PAD, 0) for i in live]
     hi = [min(int(i.max()) + SUPPORT_PAD + 1, rp.grid.npts) for i in live]
-    g = np.sqrt(t[tuple(map(slice, lo, hi)) * rp.n])
-    h = rp.grid.h
-    total = 0.0
-    for axis in range(g.ndim):
-        d = np.gradient(g, h, axis=axis, edge_order=2)
-        d *= d
-        total += d.sum()
+    total = dirichlet_sum_sqrt(t[tuple(map(slice, lo, hi)) * rp.n], rp.grid.h)
     return float(total * rp.grid.cell_volume**rp.n)
 
 

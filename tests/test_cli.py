@@ -338,11 +338,16 @@ def cli_files(paired_files, sixteen_csv, tmp_path_factory):
     (root / "plan.json").write_text("3")
     (root / "ragged.json").write_text(
         '{"n": 2, "dim": 1, "atoms": [{"x": [[0], [1, 2]], "w": 1.0}]}')
+    (root / "plan_2d.json").write_text(
+        '{"n": 2, "dim": 2, "atoms": [{"x": [[0.3, 0.3], [1.0, 1.0]], "w": 1.0}]}')
+    (root / "plan_0d.json").write_text(
+        '{"n": 2, "dim": 0, "atoms": [{"x": [[], []], "w": 1.0}]}')
     (root / "density.csv").write_text("x,value\n0.0,abc\n1.0,1.0\n")
     (root / "mass_2.5.csv").write_text("x,value\n0.0,1.25\n1.0,1.25\n")
     return {"plan": plan_path, "density": density_path, "eps": repr(eps),
             "sixteen": sixteen_csv, "bad_plan": root / "plan.json",
-            "ragged_plan": root / "ragged.json", "bad_density": root / "density.csv",
+            "ragged_plan": root / "ragged.json", "plan_2d": root / "plan_2d.json",
+            "plan_0d": root / "plan_0d.json", "bad_density": root / "density.csv",
             "mass_2_5_density": root / "mass_2.5.csv",
             "missing_dir": root / "missing" / "plan.json"}
 
@@ -377,8 +382,12 @@ EXIT_CODES = [
      out_in_missing_dir, 1),
     ("regularize-out-names-a-directory",
      REGULARIZE + ["--plan", "{plan}", "--out", "{tmp}"], None, 1),
+    ("regularize-plan-of-another-dimension", REGULARIZE + ["--plan", "{plan_2d}"], None, 1),
+    ("regularize-plan-of-dimension-0", REGULARIZE + ["--plan", "{plan_0d}"], None, 1),
     ("quantum-check-valid", QUANTUM + ["--plan", "{plan}"], None, 0),
     ("quantum-check-malformed", QUANTUM + ["--plan", "{ragged_plan}"], None, 1),
+    ("quantum-check-plan-of-another-dimension", QUANTUM + ["--plan", "{plan_2d}"],
+     None, 1),
     ("quantum-check-negative-seed", QUANTUM + ["--plan", "{plan}", "--seed=-1"], None, 1),
     ("quantum-check-out-is-a-directory", QUANTUM + ["--plan", "{plan}"],
      out_is_a_directory, 1),

@@ -46,6 +46,13 @@ def test_plan_round_trip_is_exact(tmp_path):
         assert back.weights.tobytes() == plan.weights.tobytes()
 
 
+def test_read_plan_rejects_a_plan_of_dimension_zero(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text('{"n": 2, "dim": 0, "atoms": [{"x": [[], []], "w": 1.0}]}')
+    with pytest.raises(ValidationError, match=f"{path}: .*dim = 0"):
+        fileio.read_plan(path)
+
+
 def write_rows(path, xs, values):
     """A density CSV of any mass, which no ``GridDensity`` can hold."""
     with open(path, "w", newline="") as fh:

@@ -75,6 +75,41 @@ def test_indices_of_clips_exactly_at_the_grid_edges():
     assert grid.indices_of(x[0]).tolist() == ref[0]
 
 
+@pytest.mark.parametrize("n, dim", [(0, 1), (2, 0)])
+def test_plan_needs_a_particle_and_a_dimension(n, dim):
+    with pytest.raises(ValidationError, match="at least one particle and one dimension"):
+        AtomicPlan(n, dim, np.zeros((1, n, dim)), np.ones(1))
+
+
+def test_indices_of_rejects_points_of_another_dimension():
+    line = Grid.line(0.0, 0.25, 9)
+    plane = Grid(dim=2, origin=np.zeros(2), h=0.25, npts=9)
+    with pytest.raises(ValidationError, match="dimension 2 on a grid of dimension 1"):
+        line.indices_of(np.zeros((3, 2, 2)))
+    with pytest.raises(ValidationError, match="dimension 1 on a grid of dimension 2"):
+        plane.indices_of(np.zeros((3, 1)))
+    with pytest.raises(ValidationError, match="dimension 1 on a grid of dimension 2"):
+        plane.indices_of(0.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flat_index_is_c_order_with_minus_one_off_the_grid(dim):
+    grid = Grid(dim=dim, origin=np.zeros(dim), h=0.25, npts=5)
+    idx = np.stack(np.meshgrid(*[np.arange(-2, 7)] * dim, indexing="ij"), axis=-1)
+    flat = grid.flat_index(idx)
+    on = np.all((idx >= 0) & (idx < grid.npts), axis=-1)
+    assert np.array_equal(flat[on], np.ravel_multi_index(tuple(idx[on].T), grid.shape))
+    for k in range(dim):
+        for edge in (-1, grid.npts):
+            past = np.zeros(dim, dtype=int)
+            past[k] = edge
+            assert grid.flat_index(past) == -1
+    assert np.all(flat[~on] == -1)
+    assert np.array_equal(grid.multi_index(flat[on]), idx[on])
+    assert np.array_equal(grid.flat_index(grid.multi_index(np.arange(grid.n_sites))),
+                          np.arange(grid.n_sites))
+
+
 def test_marginal_two_site_symmetric():
     g = Grid.line(0.0, 1.0, 2)
     plan = plan_1d([((0.0, 1.0), 0.5), ((1.0, 0.0), 0.5)])

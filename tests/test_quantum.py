@@ -383,6 +383,27 @@ def test_one_body_matrix_trace_and_diagonal(all_identity_fixtures):
             density = rp.n * one_particle_density(K).values.ravel()
             assert np.abs(np.diag(gamma) - density).max() <= 1e-12 * density.max(), \
                 (name, eps)
+            marginal_n = rp.n * rp.density().values.ravel()
+            assert np.abs(np.diag(gamma) - marginal_n).max() <= 1e-12 * marginal_n.max(), \
+                (name, eps)
+
+
+def test_one_particle_density_reads_the_orbital_table(smooth_state):
+    # W_z of the orbital with the widest reach, scaled by 1 + 1e-9: the
+    # density moves at that orbital's nodes only, and by W_z f_z^2 / n there
+    grid, rp, _ = smooth_state
+    K = MixedStateKernel(rp)
+    before = one_particle_density(K).values.ravel()
+    nodes, values, weights = K.orbitals
+    k = int(np.argmax((values != 0).sum(axis=1)))
+    scaled = weights.copy()
+    scaled[k] *= 1.0 + 1e-9
+    K.orbitals = (nodes, values, scaled)
+    after = one_particle_density(K).values.ravel()
+    reach = values[k] != 0
+    assert np.array_equal(np.flatnonzero(after != before), np.sort(nodes[k][reach]))
+    expected = 1e-9 * weights[k] * values[k][reach] ** 2 / rp.n
+    assert np.allclose((after - before)[nodes[k][reach]], expected, rtol=1e-5, atol=0.0)
 
 
 def test_rdm_max_eigenvalue_is_one_for_delta_plans(all_identity_fixtures):
