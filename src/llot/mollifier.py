@@ -184,16 +184,30 @@ def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
     one slice-add per lattice offset, so denormal-size products survive.
     """
     values = np.asarray(values, dtype=float)
+    offsets = np.asarray(offsets, dtype=int)
     shape = values.shape[values.ndim - offsets.shape[1]:]
     out = np.zeros_like(values)
-    # Python numbers: the slice arithmetic below costs less than on numpy scalars
-    for o, w in zip(np.asarray(offsets).tolist(), np.asarray(weights).tolist()):
+    # Python numbers: numpy scalars would cost more per slice-add
+    w = np.asarray(weights).tolist()
+    for i, dst, src in _slice_pairs(offsets.tobytes(), shape):
+        out[dst] += w[i] * values[src]
+    return out
+
+
+@lru_cache(maxsize=128)
+def _slice_pairs(offsets: bytes, shape: tuple) -> tuple:
+    """``(i, dst, src)`` per offset ``o_i`` that overlaps a grid of ``shape``:
+    ``out[dst] += w_i * values[src]`` is its term of :func:`offset_sum`.
+    ``offsets`` are the int array's bytes, so that one smoothing's kernel
+    offsets and grid shape key the slices for every call."""
+    pairs = []
+    for i, o in enumerate(np.frombuffer(offsets, dtype=int).reshape(-1, len(shape)).tolist()):
         if any(abs(ok) >= npts for ok, npts in zip(o, shape)):
             continue
         dst = tuple(slice(max(ok, 0), npts + min(ok, 0)) for ok, npts in zip(o, shape))
         src = tuple(slice(max(-ok, 0), npts - max(ok, 0)) for ok, npts in zip(o, shape))
-        out[(Ellipsis,) + dst] += w * values[(Ellipsis,) + src]
-    return out
+        pairs.append((i, (Ellipsis,) + dst, (Ellipsis,) + src))
+    return tuple(pairs)
 
 
 def convolve_sq(rho: GridDensity, kernel: GridKernel) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
-forms of the smoothed plan's per-center tables and of its kinetic check,
-explicit orbitals and Slater determinants, the window tuples of the mixed
-state, its dense kernel and one-body matrices, and the Coulomb cost's
-derivative blocks, shared by the mollifier, regularizer and quantum tests as
-oracles; and a plan whose support reaches the grid's upper edge."""
+forms of the smoothed plan's per-center tables, of its tensor and of its
+kinetic check, explicit orbitals and Slater determinants, the window tuples
+of the mixed state, its dense kernel and one-body matrices, and the Coulomb
+cost's derivative blocks, shared by the mollifier, regularizer and quantum
+tests as oracles; and a plan whose support reaches the grid's upper edge."""
 
 import math
 from typing import Optional
@@ -45,6 +45,17 @@ def scattered_transfer(rp):
     for row, nodes, values in zip(rows, rp.nodes, rp.transfer):
         row[nodes[nodes >= 0]] = values[nodes >= 0]
     return rows
+
+
+def whole_grid_tensor(rp) -> np.ndarray:
+    """The tensor density as one contraction over all atoms on whole-grid
+    rows, ``(w T_0 ... T_{n-2})^T @ T_{n-1}``: the reference for the
+    block-sparse build of :meth:`llot.regularizer.RegularizedPlan.tensor`."""
+    rows = scattered_transfer(rp)[rp.center_of]             # (n_atoms, n, n_sites)
+    left = rp.source.weights[:, None]
+    for k in range(rp.n - 1):
+        left = (left[:, :, None] * rows[:, k, None, :]).reshape(len(left), -1)
+    return (left.T @ rows[:, -1]).reshape(rp.grid.shape * rp.n)
 
 
 def whole_grid_kinetic_of_sqrt(rp) -> float:

@@ -215,6 +215,20 @@ def test_offset_sum_matches_brute_force_double_loop():
                        rtol=1e-15, atol=0.0)
 
 
+def test_offset_sum_slices_follow_the_offsets_and_the_shape():
+    """The slices of a call are reused per (offsets, shape): offsets with one
+    byte string in two dimensions, one set of offsets on two shapes, and
+    int32 offsets each give the double loop's sums."""
+    rng = np.random.default_rng(4)
+    cases = [(np.array([[1], [0]]), (3, 5)), (np.array([[1, 0]]), (5, 5)),
+             (np.array([[1], [0]]), (3, 2)), (np.array([[1], [-1]], dtype=np.int32), (2, 4))]
+    for offsets, shape in cases:
+        values = rng.uniform(0.0, 1.0, size=shape)
+        weights = rng.uniform(0.1, 1.0, size=len(offsets))
+        got = offset_sum(values, offsets, weights)
+        assert np.array_equal(got, brute_offset_sum(values, offsets, weights)), offsets
+
+
 def test_convolve_sq_matches_brute_force_double_loop():
     g = Grid.line(0.0, 0.05, 24)
     rng = np.random.default_rng(5)

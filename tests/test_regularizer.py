@@ -29,7 +29,7 @@ from llot.regularizer import (
     potential_error,
 )
 from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_transfer, scattered_transfer,
-                     upper_grid_edge_case, whole_grid_kinetic_of_sqrt)
+                     upper_grid_edge_case, whole_grid_kinetic_of_sqrt, whole_grid_tensor)
 
 EPS_TINY = 0.22
 
@@ -258,6 +258,21 @@ def test_kinetic_of_sqrt_holds_at_most_three_tensors():
     assert peak <= 3 * rp.tensor().nbytes
 
 
+def test_tensor_build_holds_the_tensor_and_one_chunk():
+    rp = fine_paired_plan()
+    peak = traced_peak(rp.tensor)
+    assert peak <= 1.5 * rp.tensor().nbytes
+
+
+def test_block_tensor_matches_the_whole_grid_contraction():
+    rp = fine_paired_plan()
+    assert rp.source.n_atoms > regularizer.ATOM_CHUNK
+    ref = whole_grid_tensor(rp)
+    got = rp.tensor()
+    assert np.abs(got - ref).max() <= 1e-15 * ref.max()
+    assert np.array_equal(got == 0.0, ref == 0.0)
+
+
 def test_tensor_size_guard(monkeypatch):
     grid, plan, rho = tiny_instance()
     rp = build_regularized(plan, rho, EPS_TINY)
@@ -481,6 +496,19 @@ def test_tensor_chunked_over_atoms_matches_one_contraction(all_identity_fixtures
     monkeypatch.setattr(regularizer, "MAX_TENSOR_ENTRIES", grid.n_sites)
     chunked = build_regularized(plan, rho, eps_list[0]).tensor()
     assert np.abs(chunked - whole).max() <= 1e-13 * chunked.max()
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_block_tensor_per_chunk_matches_outer_product_sum(fixtures_with_2d, chunk,
+                                                          monkeypatch):
+    monkeypatch.setattr(regularizer, "ATOM_CHUNK", chunk)
+    cases = [(name, build_regularized(plan, rho, eps_list[0]))
+             for name, grid, plan, rho, eps_list in fixtures_with_2d]
+    for name, rp in cases + [("upper-grid-edge", upper_grid_edge_case())]:
+        ref = outer_product_tensor(rp)
+        got = rp.tensor()
+        assert np.abs(got - ref).max() <= 1e-13 * ref.max(), name
+        assert np.array_equal(got == 0.0, ref == 0.0), name
 
 
 def test_tensor_built_once_and_read_only(monkeypatch):
