@@ -33,11 +33,8 @@ from .quantum import (
     rdm_max_eigenvalue,
 )
 from .mmot import (
-    DualCheckReport,
     TransportProblem,
     TransportSolution,
-    check_dual,
-    plan_separation,
     solve_lp,
     solve_sinkhorn,
 )

@@ -4,8 +4,9 @@ Two solvers share one problem description: an exact linear program over
 repeat-free multisets of support sites (the symmetric, infinite-diagonal
 structure shrinks the variable set by n! and removes the singular
 configurations), solved by scipy's HiGHS, and an entropic fixed-point
-iteration with one shared scaling potential.  The LP returns Kantorovich dual
-certificates; the entropic path converges to the LP value as the inverse
+iteration with one shared scaling potential.  The LP runs on the costs over
+their mean and checks its Kantorovich certificate on every multiset, raising
+on a failure; the entropic path converges to the LP value as the inverse
 temperature grows and reports whether it met its tolerance.  scipy (HiGHS
 and its sparse matrices) is imported on the first LP solve, not with this
 module, so code that never solves an LP never loads it.
@@ -27,14 +28,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grids import AtomicPlan, GridDensity, SeparationReport, marginal, permutations
-from .grids import coulomb, separation
+from .grids import AtomicPlan, GridDensity, coulomb, marginal, permutations
 
 MAX_LP_VARIABLES = 200_000
 MAX_GIBBS_ENTRIES = 2_000_000
 PRUNE_THRESHOLD = 1e-9  # atoms below this share of the total weight are dropped
 DAMPING = 0.5  # share of the log-marginal correction applied per Sinkhorn step
 ABSORB_RANGE = 50.0  # max |f - f0| before the Sinkhorn kernel is re-based
+DUAL_TOL = 1e-9  # largest dual violation of the LP, as a share of its value
 
 
 @dataclass
@@ -49,12 +50,12 @@ class TransportProblem:
             raise ValidationError("transport needs at least two particles")
 
     def support(self):
-        """(site positions (s, dim), site masses (s,), flat site indices)."""
+        """(site positions (s, dim), site masses (s,))."""
         flat = self.marginal.values.ravel()
         idx = np.nonzero(flat > 0)[0]
         pts = self.marginal.grid.points()[idx]
         masses = flat[idx] * self.marginal.grid.cell_volume
-        return pts, masses, idx
+        return pts, masses
 
 
 @dataclass
@@ -72,14 +73,10 @@ class TransportSolution:
     # iteration residual, before pruning
     residual: Optional[float] = None
     status: Optional[int] = None  # HiGHS status of the LP
-
-
-@dataclass
-class DualCheckReport:
-    ok: bool
-    max_violation: float
-    worst_config: Optional[np.ndarray]
-    complementary_residual: float
+    # LP certificate over every multiset X: max of sum_j v(x_j) - cost(X),
+    # and the plan's mean |cost(X) - sum_j v(x_j)|
+    max_violation: Optional[float] = None
+    complementary_residual: Optional[float] = None
 
 
 def _feasibility_check(n: int, masses: np.ndarray):
@@ -97,14 +94,19 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
 
     Variables are repeat-free multisets of support sites; the marginal
     constraint row for site i collects count_i(multiset)/n.  HiGHS solves the
-    program; its equality-row duals over n give a Kantorovich potential v with
-    sum_j v(x_j) <= cost(X).  Each optimal multiset is spread evenly over its
+    program on the costs over their mean; its equality-row duals, times the
+    mean, over n give a Kantorovich potential v with sum_j v(x_j) <= cost(X).
+    The reduced costs ``cost(X) - sum_j v(x_j)`` over every multiset are the
+    certificate: lowering v by ``max_violation / n`` makes it feasible, so
+    the value exceeds the optimum by at most ``duality_gap + max_violation``,
+    and a violation above ``DUAL_TOL`` times the value raises
+    :class:`NumericalError`.  Each optimal multiset is spread evenly over its
     n! orderings.  scipy's HiGHS loads on the first call, not at import.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csc_array
 
-    positions, masses, _ = p.support()
+    positions, masses = p.support()
     _feasibility_check(p.n, masses)
     s, dim = positions.shape
     n_vars = math.comb(s, p.n)
@@ -124,14 +126,24 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     # matrix at the variable cap would take about a gigabyte
     a = csc_array((np.full(combos.size, 1.0 / p.n), combos.ravel(),
                    np.arange(0, combos.size + 1, p.n)), shape=(s, n_vars))
-    res = linprog(costs, A_eq=a, b_eq=masses, bounds=(0, None), method="highs")
+    # HiGHS's dual feasibility tolerance is absolute: on costs far below 1
+    # it stops at a suboptimal vertex
+    scale = float(costs.mean())
+    res = linprog(costs / scale, A_eq=a, b_eq=masses, bounds=(0, None), method="highs")
     if res.status == 2:
         raise ValidationError("linear program infeasible")
     if res.status != 0:
         raise NumericalError(f"linear program not solved: {res.message}")
     x = np.maximum(res.x, 0.0)
-    y = res.eqlin.marginals
+    y = res.eqlin.marginals * scale
+    v = y / p.n
+    reduced = costs - v[combos].sum(axis=1)
+    max_violation = float(-reduced.min())
     value = float(costs @ x)
+    if max_violation > DUAL_TOL * value:
+        raise NumericalError(
+            f"linear program not optimal: dual violation {max_violation:.3g} "
+            f"exceeds {DUAL_TOL:g} of the value {value:.3g}")
 
     kept = np.nonzero(x > 1e-15)[0]
     perms = permutations(p.n)
@@ -144,16 +156,18 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
         value=value,
         solver="lp",
         marginal_residual=_marginal_residual(plan, p),
-        dual_potential=y / p.n,
+        dual_potential=v,
         duality_gap=value - float(y @ masses),
         iterations=int(res.nit),
         residual=float(np.abs(a @ x - masses).max()),
         status=int(res.status),
+        max_violation=max_violation,
+        complementary_residual=float(x @ np.abs(reduced) / x.sum()),
     )
 
 
 def _gibbs_cost_tensor(p: TransportProblem):
-    positions, masses, _ = p.support()
+    positions, masses = p.support()
     s = positions.shape[0]
     if s**p.n > MAX_GIBBS_ENTRIES:
         raise ValidationError(
@@ -192,7 +206,7 @@ def _logsumexp(x: np.ndarray) -> float:
     return float(top + np.log(np.exp(x - top).sum()))
 
 
-def _require_finite_positive(name: str, value: float):
+def require_finite_positive(name: str, value: float):
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
@@ -215,8 +229,8 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     at the cap the solver returns without raising, and ``converged`` records
     whether the iteration residual (before pruning) reached ``tol``.
     """
-    _require_finite_positive("inverse temperature beta", beta)
-    _require_finite_positive("tolerance", tol)
+    require_finite_positive("inverse temperature beta", beta)
+    require_finite_positive("tolerance", tol)
     positions, masses, costs, site_idx = _gibbs_cost_tensor(p)
     _feasibility_check(p.n, masses)
     s = positions.shape[0]
@@ -262,54 +276,3 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
         converged=bool(residual <= tol),
         residual=residual,
     )
-
-
-def check_dual(sol: TransportSolution, p: TransportProblem,
-               tol: float = 1e-8) -> DualCheckReport:
-    """Verify the Kantorovich certificate of a solved problem.
-
-    Checks sum_j v(x_j) <= cost(X) + tol over every repeat-free
-    configuration, the multisets :func:`solve_lp` enumerates (only its
-    solutions carry a dual, and it refuses more than ``MAX_LP_VARIABLES``),
-    and reports the complementary-slackness residual on the plan support.
-    """
-    _require_finite_positive("tolerance", tol)
-    if sol.dual_potential is None:
-        raise ValidationError("solution carries no dual potential")
-    positions, _, support = p.support()
-    v = sol.dual_potential
-    s = positions.shape[0]
-    if len(v) != s or sol.plan.n != p.n:
-        raise ValidationError("solution is of another problem: "
-                              f"{sol.plan.n} particles on {len(v)} sites, not {p.n} on {s}")
-    combos = np.array(list(itertools.combinations(range(s), p.n)))
-    configs = positions[combos]
-    slack = v[combos].sum(axis=1) - coulomb(configs)
-    worst = int(np.argmax(slack))
-    max_violation = float(slack[worst])
-
-    grid = p.marginal.grid
-    site_of = np.full(grid.n_sites, -1)
-    site_of[support] = np.arange(s)
-    sites = site_of[grid.flat_index(grid.indices_of(sol.plan.configs))]
-    if np.any(sites < 0):
-        raise ValidationError("plan has an atom off the marginal support")
-    plan_costs = coulomb(sol.plan.configs)
-    cs = (sol.plan.weights * np.abs(plan_costs - v[sites].sum(axis=1))).sum()
-    return DualCheckReport(
-        ok=max_violation <= tol,
-        max_violation=max_violation,
-        worst_config=configs[worst] if max_violation > tol else None,
-        complementary_residual=float(cs),
-    )
-
-
-def plan_separation(sol: TransportSolution) -> SeparationReport:
-    """Separation of the solved plan after pruning negligible atoms."""
-    keep = sol.plan.weights >= PRUNE_THRESHOLD * sol.plan.weights.sum()
-    if not keep.any():
-        raise ValidationError("plan empty after pruning")
-    configs = sol.plan.configs[keep]
-    weights = sol.plan.weights[keep]
-    plan = AtomicPlan(sol.plan.n, sol.plan.dim, configs, weights / weights.sum())
-    return separation(plan)

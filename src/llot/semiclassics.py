@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient, separation
+from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient
 from .mollifier import BumpProfile
-from .mmot import TransportProblem, plan_separation, solve_lp
+from .mmot import TransportProblem, solve_lp
 from .regularizer import PreparedPlan, coulomb_smoothing_rate, integrate_observable
 from .regularizer import kinetic_term, prepare_plan, smooth_plan
 
@@ -155,8 +155,7 @@ class TrialCurve:
         """
         if eta <= 0:
             raise ValidationError("eta must be positive")
-        alpha = separation(self.plan).alpha
-        hi = alpha / 4.0 * (1.0 - 1e-3)
+        hi = self.prepared.alpha / 4.0 * (1.0 - 1e-3)
         lo = eps_min if eps_min is not None else 2.0 * self.rho.grid.h
         if lo >= hi:
             raise ValidationError(
@@ -227,8 +226,8 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
         raise ValidationError(f"eps_min must be positive and finite, got {eps_min!r}")
     problem = TransportProblem(n=n, marginal=rho)
     sol = solve_lp(problem)
-    alpha = plan_separation(sol).alpha
     curve = TrialCurve(rho, sol.plan)
+    alpha = curve.prepared.alpha
     grad_moment, second_moment = BumpProfile(rho.grid.dim).moments()
     l1g = l1_gradient(rho)
 

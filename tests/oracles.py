@@ -3,7 +3,8 @@ forms of the smoothed plan's per-center tables, of its tensor and of its
 kinetic check, explicit orbitals and Slater determinants, the window tuples
 of the mixed state, its dense kernel and one-body matrices, and the Coulomb
 cost's derivative blocks, shared by the mollifier, regularizer and quantum
-tests as oracles; and a plan whose support reaches the grid's upper edge."""
+tests as oracles; a plan whose support reaches the grid's upper edge; the
+sweep preset's geometry on finer grids; and an LP solver with wrong duals."""
 
 import math
 from typing import Optional
@@ -11,9 +12,9 @@ from typing import Optional
 import numpy as np
 
 from llot.errors import ValidationError
-from llot.grids import Grid, GridDensity, marginal, permutations
+from llot.grids import Grid, GridDensity, density_from_values, marginal, permutations
 from llot.mollifier import GridKernel, offset_sum
-from llot.presets import permutation_plan
+from llot.presets import SWEEP_SCALE, cos4_window, permutation_plan
 from llot.regularizer import build_regularized
 
 
@@ -263,3 +264,35 @@ def dense_one_body_matrix(K) -> np.ndarray:
     b = b.reshape(len(b), K.grid.n_sites, -1)
     trace = np.tensordot(b * weights[:, None, None], b, axes=([0, 2], [0, 2]))
     return K.n * trace * K.grid.cell_volume ** (K.n - 1)
+
+
+def refined_sweep_density(refine: int, pad: int):
+    """``sweep_density``'s geometry on a grid ``refine`` times finer.
+
+    Same domain scale, clusters at coarse nodes 6 and 25 and the same cos^4
+    profile, sampled at every fine node within two coarse spacings of a
+    center; ``pad`` empty nodes on each side keep the support a kernel
+    radius of alpha/4 from the boundary.  ``refine=1, pad=0`` is the preset.
+    """
+    npts = 32 * refine + 2 * pad
+    h = SWEEP_SCALE / 31.0 / refine
+    offsets = np.arange(-2 * refine, 2 * refine + 1)
+    profile = cos4_window(offsets / (4.0 * refine))
+    raw = np.zeros(npts)
+    for c in (6, 25):
+        raw[pad + refine * c + offsets] += profile
+    return density_from_values(Grid.line(-pad * h, h, npts), raw, normalize=True)
+
+
+def raise_lp_duals(monkeypatch):
+    """Make scipy's ``linprog`` return its row duals raised by 0.5 at the
+    first site; ``solve_lp`` imports ``linprog`` on each call, so the patch
+    reaches it."""
+    from scipy.optimize import linprog
+
+    def raised(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.eqlin.marginals[0] += 0.5
+        return res
+
+    monkeypatch.setattr("scipy.optimize.linprog", raised)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_
                           sweep_density)
 from llot.quantum import MixedStateKernel
 from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
+from oracles import raise_lp_duals
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +175,41 @@ def test_mmot_sinkhorn_exits_2_when_not_converged(sixteen_csv, tmp_path, monkeyp
     rep = json.loads(out.read_text())
     assert rep["converged"] is False
     assert rep["residual"] > rep["config"]["tol"]
+
+
+def test_mmot_exits_2_on_a_failed_dual_certificate(sixteen_csv, tmp_path, monkeypatch,
+                                                   capsys):
+    raise_lp_duals(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = ["mmot", "--density", str(sixteen_csv), "--n", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("workload", ["rate-sweep", "regularize-fine", "transport"])
+def test_reports_hold_every_key_the_benchmark_reads(tmp_path, bench_workloads, workload):
+    # a report key the benchmark reads and the program no longer writes makes
+    # the benchmark's checks raise, and fails every check of the workload
+    workloads = bench_workloads
+    inputs = workloads.WORKLOADS[workload][0](1, tmp_path)
+    for call in inputs.calls:
+        assert cli.main(call) == 0
+    reports = [json.loads(Path(r).read_text()) for r in inputs.reports]
+    _, error = workloads.run_checks(workload, reports, inputs, workloads.load_reference())
+    assert error is None
 
 
 def test_quantum_check_reports_the_largest_rdm_eigenvalue(paired_files, tmp_path):

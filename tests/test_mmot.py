@@ -8,15 +8,10 @@ from scipy.optimize import linprog
 
 from llot import mmot
 from llot.errors import NumericalError, ValidationError
-from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, symmetrize
-from llot.mmot import (
-    TransportProblem,
-    check_dual,
-    plan_separation,
-    solve_lp,
-    solve_sinkhorn,
-)
+from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, separation, symmetrize
+from llot.mmot import TransportProblem, solve_lp, solve_sinkhorn
 from llot.presets import sixteen_site_density, three_site_density, two_site_density
+from oracles import raise_lp_duals, refined_sweep_density
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +41,7 @@ def test_three_site_forced_permutations(p_three):
     sol = solve_lp(p_three)
     assert sol.value == pytest.approx(2.5, abs=1e-10)
     assert sol.plan.n_atoms == 6
-    assert plan_separation(sol).alpha == pytest.approx(1.0)
+    assert separation(sol.plan).alpha == pytest.approx(1.0)
 
 
 def test_lp_duality_gap(p_two, p_three, p_sixteen):
@@ -57,7 +52,7 @@ def test_lp_duality_gap(p_two, p_three, p_sixteen):
 
 def test_lp_against_generic_oracle(p_sixteen):
     sol = solve_lp(p_sixteen)
-    positions, masses, _ = p_sixteen.support()
+    positions, masses = p_sixteen.support()
     s = len(masses)
     combos = list(itertools.combinations(range(s), 2))
     costs = np.array([1.0 / abs(positions[i, 0] - positions[j, 0])
@@ -104,63 +99,26 @@ def test_lp_size_limit_names_no_solver_that_refuses_too():
     assert "sinkhorn" not in str(err.value)
 
 
-def test_dual_certificate_and_perturbation(p_three):
+def test_dual_certificate_and_perturbation(monkeypatch, p_three):
     sol = solve_lp(p_three)
-    rep = check_dual(sol, p_three)
-    assert rep.ok
-    assert rep.max_violation <= 1e-8
-    assert rep.complementary_residual <= 1e-8
-    # pushing one potential value up must create a detectable violation
-    bad = sol.dual_potential.copy()
-    bad[0] += 0.5
-    from llot.mmot import TransportSolution
-    perturbed = TransportSolution(plan=sol.plan, value=sol.value, solver="lp",
-                                  marginal_residual=sol.marginal_residual,
-                                  dual_potential=bad)
-    rep_bad = check_dual(perturbed, p_three)
-    assert not rep_bad.ok
-    assert rep_bad.worst_config is not None
+    assert sol.max_violation <= 1e-8
+    assert sol.complementary_residual <= 1e-8
+    raise_lp_duals(monkeypatch)
+    with pytest.raises(NumericalError, match="dual violation"):
+        solve_lp(p_three)
 
 
 def test_dual_check_against_per_configuration_loop(p_sixteen):
     sol = solve_lp(p_sixteen)
-    positions, _, _ = p_sixteen.support()
+    positions, _ = p_sixteen.support()
     v = sol.dual_potential
     slack = [v[list(c)].sum() - coulomb(positions[list(c)][None])[0]
              for c in itertools.combinations(range(len(positions)), 2)]
     site_of = {tuple(x): i for i, x in enumerate(positions)}
     cs = sum(w * abs(coulomb(config[None])[0] - sum(v[site_of[tuple(x)]] for x in config))
              for config, w in zip(sol.plan.configs, sol.plan.weights))
-    rep = check_dual(sol, p_sixteen)
-    assert rep.max_violation == max(slack)
-    assert rep.complementary_residual == pytest.approx(cs, rel=1e-12, abs=1e-15)
-
-
-def test_dual_check_rejects_a_plan_off_the_support(p_sixteen):
-    sol = solve_lp(p_sixteen)
-    rho = p_sixteen.marginal
-    # the first node's mass moved to a new last node: as many support sites,
-    # and the plan's atoms at the first node off the support
-    values = np.append(rho.values, rho.values[0])
-    values[0] = 0.0
-    grid = Grid.line(rho.grid.origin[0], rho.grid.h, rho.grid.npts + 1)
-    moved = TransportProblem(2, density_from_values(grid, values, normalize=True))
-    with pytest.raises(ValidationError, match="off the marginal support"):
-        check_dual(sol, moved)
-
-
-def uniform_problem(n, sites):
-    grid = Grid.line(0.0, 1.0, sites)
-    return TransportProblem(n, density_from_values(grid, np.ones(sites), normalize=True))
-
-
-@pytest.mark.parametrize("solved, checked", [((2, 16), (2, 20)), ((2, 20), (2, 16)),
-                                             ((3, 8), (2, 8))],
-                         ids=["more-sites", "fewer-sites", "fewer-particles"])
-def test_dual_check_rejects_a_solution_of_another_problem(solved, checked):
-    sol = solve_lp(uniform_problem(*solved))
-    with pytest.raises(ValidationError, match="another problem"):
-        check_dual(sol, uniform_problem(*checked))
+    assert sol.max_violation == max(slack)
+    assert sol.complementary_residual == pytest.approx(cs, rel=1e-12, abs=1e-15)
 
 
 def test_sinkhorn_two_site(p_two):
@@ -191,13 +149,6 @@ def test_sinkhorn_rejects_a_bad_beta_or_tol(p_sixteen, beta, tol):
         solve_sinkhorn(p_sixteen, beta=beta, tol=tol)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0])
-def test_dual_check_rejects_a_bad_tol(p_two, tol):
-    sol = solve_lp(p_two)
-    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
-        check_dual(sol, p_two, tol=tol)
-
-
 def assert_beta_sweep_toward_lp(p):
     """Sinkhorn values at beta = 25..200 stay above the LP value, do not
     increase with beta and end within 1e-3 of it."""
@@ -220,9 +171,10 @@ def test_sinkhorn_beta_sweep_monotone_toward_lp_three_particles():
 
 
 def test_plan_separation_prunes(p_sixteen):
+    # the Sinkhorn plan comes pruned, so no coincident-site atom survives
     sol = solve_sinkhorn(p_sixteen, beta=200.0, tol=1e-9, max_iter=50000)
-    rep = plan_separation(sol)
-    assert rep.alpha > 0.0
+    assert sol.plan.weights.min() >= mmot.PRUNE_THRESHOLD
+    assert separation(sol.plan).alpha > 0.0
 
 
 def test_lp_plan_separation_positive_on_smooth_density():
@@ -232,7 +184,7 @@ def test_lp_plan_separation_positive_on_smooth_density():
     raw[raw < 1e-9 * raw.max()] = 0.0
     rho = density_from_values(grid, raw, normalize=True)
     sol = solve_lp(TransportProblem(2, rho))
-    assert plan_separation(sol).alpha > 0.0
+    assert separation(sol.plan).alpha > 0.0
     assert sol.marginal_residual <= 1e-10
 
 
@@ -240,7 +192,7 @@ def test_smoothed_plan_cost_respects_lp_lower_bound(p_sixteen):
     from llot.regularizer import build_regularized, integrate_observable
 
     sol = solve_lp(p_sixteen)
-    alpha = plan_separation(sol).alpha
+    alpha = separation(sol.plan).alpha
     rho = p_sixteen.marginal
     rp = build_regularized(sol.plan, rho, alpha / 8.0)
     value = integrate_observable(rp)
@@ -263,7 +215,7 @@ def comotion_cost(p):
     cost is the transport value, independent of any LP solver.  The integrand
     is constant between the points where some u + k/n crosses a jump of F.
     """
-    positions, masses, _ = p.support()  # a line grid lists sites in order
+    positions, masses = p.support()  # a line grid lists sites in order
     cum = np.cumsum(masses)
     shifts = np.arange(p.n) / p.n
     jumps = ((cum[:, None] - shifts) % 1.0).ravel()
@@ -278,7 +230,12 @@ def comotion_cost(p):
     (3, sixteen_site_density()),
     (2, two_bump(64)),
     (3, two_bump(24)),
-], ids=["16-sites-n2", "16-sites-n3", "64-sites-n2", "24-sites-n3"])
+    # costs of about 1e-3 to 0.5: HiGHS once stopped at a vertex about 1e-5
+    # above the optimum here
+    (2, refined_sweep_density(10, 0)),
+    (2, refined_sweep_density(20, 0)),
+], ids=["16-sites-n2", "16-sites-n3", "64-sites-n2", "24-sites-n3",
+        "sweep-refined-10x-n2", "sweep-refined-20x-n2"])
 def test_lp_matches_comotion_oracle(n, density):
     p = TransportProblem(n, density)
     assert solve_lp(p).value == pytest.approx(comotion_cost(p), rel=1e-12, abs=0.0)
@@ -295,7 +252,7 @@ def test_lp_boundary_feasible_degenerate_marginal(n, masses, value):
     sol = solve_lp(p)
     assert sol.value == pytest.approx(value, rel=1e-12)
     assert abs(sol.duality_gap) <= 1e-8
-    assert check_dual(sol, p).ok
+    assert sol.max_violation <= 1e-8
     assert sol.marginal_residual <= 1e-10
 
 

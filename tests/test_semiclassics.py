@@ -5,10 +5,10 @@ import pytest
 
 from llot import semiclassics
 from llot.errors import ValidationError
-from llot.grids import Grid, density_from_values, h1_seminorm_sqrt, separation
+from llot.grids import h1_seminorm_sqrt, separation
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile
-from llot.presets import SWEEP_ETAS, SWEEP_SCALE, cos4_window, sweep_density
+from llot.presets import SWEEP_ETAS, sweep_density
 from llot.regularizer import build_regularized, integrate_observable
 from llot.semiclassics import (
     TrialCurve,
@@ -18,24 +18,7 @@ from llot.semiclassics import (
     sweep,
     trial_energy,
 )
-
-
-def refined_sweep_density(refine: int, pad: int):
-    """``sweep_density``'s geometry on a grid ``refine`` times finer.
-
-    Same domain scale, clusters at coarse nodes 6 and 25 and the same cos^4
-    profile, sampled at every fine node within two coarse spacings of a
-    center; ``pad`` empty nodes on each side keep the support a kernel
-    radius of alpha/4 from the boundary.  ``refine=1, pad=0`` is the preset.
-    """
-    npts = 32 * refine + 2 * pad
-    h = SWEEP_SCALE / 31.0 / refine
-    offsets = np.arange(-2 * refine, 2 * refine + 1)
-    profile = cos4_window(offsets / (4.0 * refine))
-    raw = np.zeros(npts)
-    for c in (6, 25):
-        raw[pad + refine * c + offsets] += profile
-    return density_from_values(Grid.line(-pad * h, h, npts), raw, normalize=True)
+from oracles import refined_sweep_density
 
 
 @pytest.fixture(scope="module")
