@@ -7,7 +7,6 @@ from .grids import (
     AtomicPlan,
     Grid,
     GridDensity,
-    SeparationReport,
     coulomb,
     density_from_values,
     h1_seminorm_sqrt,

@@ -212,14 +212,6 @@ class AtomicPlan:
         return AtomicPlan(self.n, self.dim, self.configs[order], self.weights[order])
 
 
-@dataclass
-class SeparationReport:
-    """Minimum pairwise particle distance over all atoms of a plan."""
-
-    alpha: float
-    violating_atom: Optional[np.ndarray] = None
-
-
 def _row_keys(configs: np.ndarray) -> np.ndarray:
     """One ``np.void`` key per configuration: its contiguous row bytes.
 
@@ -269,20 +261,14 @@ def is_symmetric(plan: AtomicPlan, tol: float = 1e-12) -> bool:
         np.abs(weights[pos] - np.repeat(weights, len(perms))) <= tol))
 
 
-def separation(plan: AtomicPlan) -> SeparationReport:
+def separation(plan: AtomicPlan) -> float:
     """Exact minimum pairwise distance |x_i - x_j| over atoms and pairs i != j."""
     if plan.n < 2:
         raise ValidationError("separation undefined for single particle")
     diff = plan.configs[:, :, None, :] - plan.configs[:, None, :, :]
     dist = np.sqrt((diff**2).sum(-1))
     iu = np.triu_indices(plan.n, k=1)
-    per_atom = dist[:, iu[0], iu[1]].min(axis=1)
-    worst = int(np.argmin(per_atom))
-    best = per_atom[worst]
-    report = SeparationReport(alpha=float(best))
-    if best == 0.0:
-        report.violating_atom = plan.configs[worst]
-    return report
+    return float(dist[:, iu[0], iu[1]].min())
 
 
 def coulomb(configs) -> np.ndarray:

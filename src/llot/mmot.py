@@ -5,7 +5,7 @@ repeat-free multisets of support sites (the symmetric, infinite-diagonal
 structure shrinks the variable set by n! and removes the singular
 configurations), solved by scipy's HiGHS, and an entropic fixed-point
 iteration with one shared scaling potential.  The LP runs on the costs over
-their mean and checks its Kantorovich certificate on every multiset, raising
+their smallest one and checks its Kantorovich certificate on every multiset, raising
 on a failure; the entropic path converges to the LP value as the inverse
 temperature grows and reports whether it met its tolerance.  scipy (HiGHS
 and its sparse matrices) is imported on the first LP solve, not with this
@@ -94,8 +94,9 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
 
     Variables are repeat-free multisets of support sites; the marginal
     constraint row for site i collects count_i(multiset)/n.  HiGHS solves the
-    program on the costs over their mean; its equality-row duals, times the
-    mean, over n give a Kantorovich potential v with sum_j v(x_j) <= cost(X).
+    program on the costs over their smallest one, at a dual feasibility
+    tolerance of ``DUAL_TOL``; its equality-row duals, times that cost, over
+    n give a Kantorovich potential v with sum_j v(x_j) <= cost(X).
     The reduced costs ``cost(X) - sum_j v(x_j)`` over every multiset are the
     certificate: lowering v by ``max_violation / n`` makes it feasible, so
     the value exceeds the optimum by at most ``duality_gap + max_violation``,
@@ -126,10 +127,11 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     # matrix at the variable cap would take about a gigabyte
     a = csc_array((np.full(combos.size, 1.0 / p.n), combos.ravel(),
                    np.arange(0, combos.size + 1, p.n)), shape=(s, n_vars))
-    # HiGHS's dual feasibility tolerance is absolute: on costs far below 1
-    # it stops at a suboptimal vertex
-    scale = float(costs.mean())
-    res = linprog(costs / scale, A_eq=a, b_eq=masses, bounds=(0, None), method="highs")
+    # HiGHS's dual feasibility tolerance is absolute: on costs far below 1,
+    # or spanning many decades, it stops at a suboptimal vertex
+    scale = float(costs.min())
+    res = linprog(costs / scale, A_eq=a, b_eq=masses, bounds=(0, None), method="highs",
+                  options={"dual_feasibility_tolerance": DUAL_TOL})
     if res.status == 2:
         raise ValidationError("linear program infeasible")
     if res.status != 0:

@@ -29,6 +29,11 @@ in the box ``c + b`` (``GridKernel.box``) that also holds ``T_c``;
 ``amp(b - o)`` over box slots ``b`` and kernel offsets ``o``
 (``GridKernel.box_amp``).
 
+Configurations come in batches: :func:`kernel_eval` maps two arrays of m
+configurations, shape ``(m, n, dim)``, to the m values ``K(X; X')``.  A
+row's sign is the inversion parity of its snapped nodes; a row that repeats
+a node, or has ``sqrt(rho) = 0`` at one, is exactly 0 (Pauli).
+
 Within an atom the orbitals have disjoint supports, so the one-body density
 matrix is ``gamma = sum_z W_z |f_z><f_z|`` over the state's table of distinct
 orbitals (:attr:`MixedStateKernel.orbitals`), with ``Tr(gamma) h^d = n``.
@@ -46,30 +51,22 @@ from functools import cached_property
 import numpy as np
 
 from .grids import GridDensity, h1_seminorm_sqrt, permutations
-from .regularizer import RegularizedPlan, kinetic_term
+from .regularizer import BATCH_ENTRIES, RegularizedPlan, kinetic_term
 
 
-def _parity(perm) -> int:
-    """Sign of the permutation ``i -> perm[i]``: -1 to the number of
-    even-length cycles."""
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length and length % 2 == 0:
-            sign = -sign
-    return sign
+def _parity(rows) -> np.ndarray:
+    """Sign of each row of ``rows`` (m, k): -1 to the number of its
+    inversions, pairs i < j with ``row[i] > row[j]``.  For a row of
+    distinct entries it is the sign of the permutation that sorts the row,
+    and for a permutation of range(k) its sign."""
+    i, j = np.triu_indices(rows.shape[1], k=1)
+    return 1 - 2 * ((rows[:, i] > rows[:, j]).sum(axis=1) % 2)
 
 
 def _signed_permutations(n: int) -> tuple:
     """All permutations of range(n) as rows of an array, and their signs."""
     perms = permutations(n)
-    return perms, np.array([_parity(p) for p in perms])
+    return perms, _parity(perms)
 
 
 class MixedStateKernel:
@@ -125,58 +122,62 @@ class MixedStateKernel:
         gamma.flags.writeable = False
         return gamma
 
-    def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> float:
-        """Kernel value for sorted blocks of flat node indices, through the
-        factorized sum over window tuples (see the module docstring)."""
+    def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
+        """The factorized sum over window tuples (module docstring) without
+        its factor ``root h^{dn} / n!``, for rows (m, n) of sorted distinct
+        flat node indices ``x`` and ``xp``; shape (m,)."""
         rp = self.rp
         n = rp.n
-        root = float(np.prod(self.sqrt_rho[x]) * np.prod(self.sqrt_rho[xp]))
-        if root == 0.0:
-            return 0.0
-        # per center and node: amp(x - c - o) over the window, read from the
-        # box table, whose row is nonzero where some window node's orbital
-        # reaches the slot; then the atoms whose centers reach every
-        # coordinate of both blocks, and M_c of their centers only
-        nodes = rp.grid.multi_index(np.concatenate((x, xp)))
-        slot, inside = rp.kernel.box_slot(nodes[None, :, :] - rp.centers[:, None, :])
-        rows = rp.kernel.box_amp[np.where(inside, slot, -1)]  # (n_centers, 2n, n_offsets)
-        hits = rows.any(axis=2)[rp.center_of]               # (n_atoms, n, 2n)
-        atoms = np.flatnonzero(hits.any(axis=1).all(axis=1))
-        if atoms.size == 0:
-            return 0.0
-        centers = rp.center_of[atoms]
-        amps = rows[centers]                                 # (atoms, n, 2n, n_offsets)
-        m = np.einsum("akjz,akz,aklz->akjl",
+        # per row, center and node: the slot of x - c in the center's box,
+        # -1 off it; the box table's row there is amp(x - c - o) over the
+        # window, nonzero where some window node's orbital reaches the slot
+        nodes = rp.grid.multi_index(np.concatenate((x, xp), axis=1))
+        slot, inside = rp.kernel.box_slot(nodes[:, None, :, :] - rp.centers[None, :, None, :])
+        slot = np.where(inside, slot, -1)                        # (m, n_centers, 2n)
+        hits = rp.kernel.box_amp.any(axis=1)[slot][:, rp.center_of]  # (m, n_atoms, n, 2n)
+        # the (row, atom) pairs whose centers reach every node of both
+        # blocks, and M_c of their centers only
+        row, atom = np.nonzero(hits.any(axis=2).all(axis=2))
+        centers = rp.center_of[atom]                             # (pairs, n)
+        amps = rp.kernel.box_amp[slot[row[:, None], centers]]    # (pairs, n, 2n, n_offsets)
+        m = np.einsum("pkjz,pkz,pklz->pkjl",
                       amps[:, :, :n], rp.q[centers], amps[:, :, n:])
         perms, signs = self._perms
-        terms = np.ones((atoms.size, len(perms), len(perms)))
+        terms = np.ones((atom.size, len(perms), len(perms)))
         for i in range(n):
             terms *= m[:, i][:, perms[:, i][:, None], perms[:, i][None, :]]
-        total = np.einsum("a,ast,s,t->", rp.source.weights[atoms], terms, signs, signs)
-        return float(total) * root * rp.grid.cell_volume**n / math.factorial(n)
+        pairs = np.einsum("p,pst,s,t->p", rp.source.weights[atom], terms, signs, signs)
+        return np.bincount(row, weights=pairs, minlength=len(x))
 
 
-def kernel_eval(K: MixedStateKernel, config, config_p) -> float:
-    """Kernel value K(X; X') of the state on the grid.
+def kernel_eval(K: MixedStateKernel, configs, configs_p) -> np.ndarray:
+    """Kernel values ``K(X; X')`` of the state on the grid for two batches
+    of m configurations, shape (m, n, dim); returns shape (m,).
 
     Coordinates are snapped to their nearest nodes, as
     :meth:`RegularizedPlan.evaluate` does, so the diagonal equals the
-    smoothed plan density exactly.  Each block's flat node indices are then
-    sorted and the parities of the sorts applied afterwards, so antisymmetry
-    under particle exchange holds exactly, not just to rounding; a block that
-    repeats a node gives exactly 0 (Pauli).
+    smoothed plan density exactly.  Each row's flat node indices are then
+    sorted and the rows' inversion parities applied afterwards, so
+    antisymmetry under particle exchange holds exactly, not just to
+    rounding.  A row that repeats a node, or has ``sqrt(rho) = 0`` at one,
+    gives exactly 0 (Pauli).  The other rows run in chunks of
+    ``BATCH_ENTRIES`` (row, center, node, axis) index entries, so the
+    working set does not grow with m.
     """
     grid = K.grid
-    sign = 1
-    blocks = []
-    for c in (config, config_p):
-        flat = grid.flat_index(grid.indices_of(np.reshape(c, (K.n, grid.dim))))
-        order = np.argsort(flat)
-        if np.any(np.diff(flat[order]) == 0):
-            return 0.0
-        sign *= _parity(order)
-        blocks.append(flat[order])
-    return sign * K._block_eval(*blocks)
+    x, xp = (grid.flat_index(grid.indices_of(np.reshape(c, (-1, K.n, grid.dim))))
+             for c in (configs, configs_p))
+    sign = _parity(x) * _parity(xp)
+    x, xp = np.sort(x, axis=1), np.sort(xp, axis=1)
+    root = np.prod(K.sqrt_rho[x], axis=1) * np.prod(K.sqrt_rho[xp], axis=1)
+    distinct = np.all(np.diff(x, axis=1) > 0, axis=1) & np.all(np.diff(xp, axis=1) > 0, axis=1)
+    live = np.flatnonzero(distinct & (root != 0.0))
+    total = np.zeros(len(x))
+    step = max(1, BATCH_ENTRIES // (len(K.rp.centers) * 2 * K.n * grid.dim))
+    for lo in range(0, live.size, step):
+        rows = live[lo:lo + step]
+        total[rows] = K._block_eval(x[rows], xp[rows])
+    return sign * (total * root * grid.cell_volume**K.n / math.factorial(K.n))
 
 
 def one_particle_density(K: MixedStateKernel) -> GridDensity:

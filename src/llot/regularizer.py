@@ -52,6 +52,7 @@ from .mollifier import GridKernel, convolve_sq, offset_sum
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
 ATOM_CHUNK = 32        # atoms per block of the tensor build
+BATCH_ENTRIES = 1 << 14  # index entries per chunk of a configuration batch
 MARGINAL_TOL = 1e-8   # L1 distance allowed between rho and the binned plan marginal
 SUPPORT_PAD = 3       # zero nodes around the support: the one-sided stencil's reach
 
@@ -88,14 +89,19 @@ class RegularizedPlan:
         """True when kappa is the one-node kernel, so that P_eps = P."""
         return len(self.kernel.offsets) == 1
 
-    def evaluate(self, config) -> float:
-        """P_eps at a configuration (coordinates snapped to nearest nodes)."""
-        config = np.asarray(config, dtype=float).reshape(self.n, self.source.dim)
-        diff = self.grid.indices_of(config) - self.centers[self.center_of]
-        slot, inside = self.kernel.box_slot(diff)          # (n_atoms, n)
-        factors = np.where(inside, self.transfer[self.center_of, np.where(inside, slot, 0)],
-                           0.0)
-        return float((self.source.weights * factors.prod(axis=1)).sum())
+    def evaluate(self, configs) -> np.ndarray:
+        """P_eps at each configuration of a batch (m, n, dim), snapped to
+        nearest nodes, in chunks of ``BATCH_ENTRIES`` index entries; (m,)."""
+        idx = self.grid.indices_of(np.reshape(configs, (-1, self.n, self.source.dim)))
+        atoms = self.centers[self.center_of]                # (n_atoms, n, dim)
+        out = np.empty(len(idx))
+        step = max(1, BATCH_ENTRIES // atoms.size)
+        for lo in range(0, len(idx), step):
+            slot, inside = self.kernel.box_slot(idx[lo:lo + step, None] - atoms)
+            factors = np.where(inside, self.transfer[self.center_of, np.where(inside, slot, 0)],
+                               0.0)                         # (rows, n_atoms, n)
+            out[lo:lo + step] = (self.source.weights * factors.prod(axis=2)).sum(axis=1)
+        return out
 
     def tensor(self) -> np.ndarray:
         """Dense density on the n-fold tensor grid, shape grid.shape * n.
@@ -226,7 +232,7 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
     plan = snap_to_grid(plan, grid, max_shift=grid.h)
     if not is_symmetric(plan, tol=1e-9):
         raise ValidationError("plan is not permutation symmetric; symmetrize it first")
-    alpha = separation(plan).alpha if plan.n >= 2 else math.inf
+    alpha = separation(plan) if plan.n >= 2 else math.inf
     binned = marginal(plan, grid)
     if binned.l1_distance(rho) > MARGINAL_TOL:
         raise ValidationError(

@@ -4,9 +4,11 @@ kinetic check, explicit orbitals and Slater determinants, the window tuples
 of the mixed state, its dense kernel and one-body matrices, and the Coulomb
 cost's derivative blocks, shared by the mollifier, regularizer and quantum
 tests as oracles; a plan whose support reaches the grid's upper edge; the
-sweep preset's geometry on finer grids; and an LP solver with wrong duals."""
+sweep preset's geometry on finer grids; the 1024-node paired plan and a
+traced-memory probe; and an LP solver with wrong duals."""
 
 import math
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from llot.errors import ValidationError
 from llot.grids import Grid, GridDensity, density_from_values, marginal, permutations
 from llot.mollifier import GridKernel, offset_sum
-from llot.presets import SWEEP_SCALE, cos4_window, permutation_plan
+from llot.presets import SWEEP_SCALE, cos4_window, paired_plan, permutation_plan
 from llot.regularizer import build_regularized
 
 
@@ -282,6 +284,23 @@ def refined_sweep_density(refine: int, pad: int):
     for c in (6, 25):
         raw[pad + refine * c + offsets] += profile
     return density_from_values(Grid.line(-pad * h, h, npts), raw, normalize=True)
+
+
+def fine_paired_plan():
+    """The 1024-node paired plan at width 0.05: 518 atoms, an 8 MB tensor."""
+    grid = Grid.line(0.0, 2.0 / 1023, 1024)
+    plan = paired_plan(grid, 0.25, 0.76, 0.75)
+    return build_regularized(plan, marginal(plan, grid), 0.05)
+
+
+def traced_peak(call):
+    """Peak bytes traced by ``tracemalloc`` while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def raise_lp_duals(monkeypatch):

@@ -295,13 +295,21 @@ def test_quantum_check_rejects_zero_samples(paired_files, tmp_path):
     assert not out.exists()
 
 
-def test_quantum_check_reports_the_sample_counts_that_ran(paired_files, tmp_path):
+def test_quantum_check_reports_the_sample_counts_that_ran(paired_files, tmp_path, monkeypatch):
     grid, plan_path, density_path, eps = paired_files
+    rows = []
+    kernel_eval = cli.kernel_eval
+
+    def counted(K, configs, configs_p):
+        rows.append(len(configs))
+        return kernel_eval(K, configs, configs_p)
+
+    monkeypatch.setattr(cli, "kernel_eval", counted)
     argv = ["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
-            "--eps", repr(eps), "--samples", "150"]
+            "--eps", repr(eps), "--samples", "2500"]
     rep = run(argv, tmp_path / "report.json")
-    assert rep["config"]["samples"] == 150
-    assert rep["diagonal_samples"] == 150
+    assert rep["config"]["samples"] == 2500
+    assert sum(rows) == 2500
 
 
 @pytest.mark.parametrize("extra", [

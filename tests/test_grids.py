@@ -178,19 +178,17 @@ def test_separation_permutation_plan():
     import itertools
     atoms = [(perm, 1.0 / 6.0) for perm in itertools.permutations((0.0, 1.0, 2.0))]
     plan = plan_1d(atoms)
-    assert separation(plan).alpha == pytest.approx(1.0, abs=0)
+    assert separation(plan) == pytest.approx(1.0, abs=0)
 
 
 def test_separation_small_pair():
     plan = plan_1d([((0.0, 0.3), 1.0)])
-    assert separation(plan).alpha == pytest.approx(0.3)
+    assert separation(plan) == pytest.approx(0.3)
 
 
 def test_separation_diagonal_flags_atom():
     plan = plan_1d([((0.7, 0.7), 1.0)])
-    rep = separation(plan)
-    assert rep.alpha == 0.0
-    assert rep.violating_atom is not None
+    assert separation(plan) == 0.0
 
 
 def test_separation_single_particle_error():
@@ -270,14 +268,12 @@ def loop_marginal(plan, grid):
 
 
 def loop_separation(plan):
-    """Per-atom minimum pairwise distance; the first atom attaining it."""
-    best, worst = np.inf, None
+    """Per-atom minimum pairwise distance, the least over the atoms."""
+    best = np.inf
     for config in plan.configs:
         dist = np.sqrt(((config[:, None, :] - config[None, :, :]) ** 2).sum(-1))
-        m = dist[np.triu_indices(plan.n, k=1)].min()
-        if m < best:
-            best, worst = m, config
-    return best, worst
+        best = min(best, dist[np.triu_indices(plan.n, k=1)].min())
+    return best
 
 
 def loop_snapped_nodes(plan, grid):
@@ -311,13 +307,7 @@ def test_marginal_separation_and_snap_match_per_atom_loops():
     for name, grid, plan in vectorization_cases():
         assert np.array_equal(marginal(plan, grid).values, loop_marginal(plan, grid)), name
         if plan.n >= 2:
-            rep = separation(plan)
-            best, worst = loop_separation(plan)
-            assert rep.alpha == best, name
-            if best == 0.0:
-                assert np.array_equal(rep.violating_atom, worst), name
-            else:
-                assert rep.violating_atom is None, name
+            assert separation(plan) == loop_separation(plan), name
         nodes, shift = loop_snapped_nodes(plan, grid)
         snapped = snap_to_grid(plan, grid)
         # the snapped nodes of the loop, merged as snap_to_grid merges them

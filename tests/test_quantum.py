@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llot import quantum, regularizer
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal, symmetrize
 from llot.mollifier import BumpProfile, GridKernel
@@ -19,8 +20,8 @@ from llot.quantum import (
 )
 from llot.regularizer import build_regularized, kinetic_of_sqrt, prepare_plan, smooth_plan
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
-                     dense_transfer, det_square_identity, slater, upper_grid_edge_case,
-                     window_tuples)
+                     dense_transfer, det_square_identity, fine_paired_plan, slater,
+                     traced_peak, upper_grid_edge_case, window_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -118,39 +119,28 @@ def test_det_square_identity_requires_disjoint_supports():
 def test_kernel_diagonal_equals_smoothed_plan(smooth_state):
     grid, rp, K = smooth_state
     rng = np.random.default_rng(11)
-    worst = 0.0
-    scale = 0.0
-    for _ in range(200):
-        a = rng.integers(rp.source.n_atoms)
-        x = rp.source.configs[a] + rng.uniform(-2 * rp.eps, 2 * rp.eps, (2, 1))
-        diag = kernel_eval(K, x, x)
-        direct = rp.evaluate(x)
-        worst = max(worst, abs(diag - direct))
-        scale = max(scale, abs(direct))
-    assert worst <= 1e-12 * scale
+    a = rng.integers(rp.source.n_atoms, size=200)
+    x = rp.source.configs[a] + rng.uniform(-2 * rp.eps, 2 * rp.eps, (200, 2, 1))
+    direct = rp.evaluate(x)
+    assert np.abs(kernel_eval(K, x, x) - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_kernel_vanishes_on_coincident_coordinates(small_state):
     grid, rp, K = small_state
-    x = np.array([[0.25], [0.25]])
-    xp = np.array([[0.25], [1.5]])
-    assert kernel_eval(K, x, xp) == 0.0
+    x = np.array([[[0.25], [0.25]]])
+    xp = np.array([[[0.25], [1.5]]])
+    assert kernel_eval(K, x, xp) == [0.0]
 
 
 def test_kernel_hermitian(smooth_state):
     grid, rp, K = smooth_state
     rng = np.random.default_rng(5)
-    worst = 0.0
-    scale = 0.0
-    for _ in range(100):
-        a, b = rng.integers(rp.source.n_atoms, size=2)
-        x = rp.source.configs[a] + rng.uniform(-rp.eps, rp.eps, (2, 1))
-        xp = rp.source.configs[b] + rng.uniform(-rp.eps, rp.eps, (2, 1))
-        v1 = kernel_eval(K, x, xp)
-        v2 = kernel_eval(K, xp, x)
-        worst = max(worst, abs(v1 - v2))
-        scale = max(scale, abs(v1))
-    assert worst <= 1e-14 * max(scale, 1e-300)
+    a, b = rng.integers(rp.source.n_atoms, size=(2, 100))
+    x = rp.source.configs[a] + rng.uniform(-rp.eps, rp.eps, (100, 2, 1))
+    xp = rp.source.configs[b] + rng.uniform(-rp.eps, rp.eps, (100, 2, 1))
+    v1 = kernel_eval(K, x, xp)
+    v2 = kernel_eval(K, xp, x)
+    assert np.abs(v1 - v2).max() <= 1e-14 * max(np.abs(v1).max(), 1e-300)
 
 
 def test_kernel_matches_dense_matrix_off_diagonal(small_state):
@@ -166,25 +156,24 @@ def test_kernel_matches_dense_matrix_off_diagonal(small_state):
             return rng.permutation(support)
         return rng.integers(s, size=2)
 
+    i, j = np.array([[block(), block()] for _ in range(200)]).transpose(1, 0, 2)
+    entries = mat[i[:, 0] * s + i[:, 1], j[:, 0] * s + j[:, 1]]
     axis = grid.axis()
-    nonzero = 0
-    for _ in range(200):
-        i, j = block(), block()
-        entry = mat[i[0] * s + i[1], j[0] * s + j[1]]
-        val = kernel_eval(K, axis[i][:, None], axis[j][:, None])
-        assert abs(val - entry) <= 1e-12 * np.abs(mat).max()
-        nonzero += entry != 0.0
-    assert nonzero >= 20
+    vals = kernel_eval(K, axis[i][..., None], axis[j][..., None])
+    assert np.abs(vals - entries).max() <= 1e-12 * np.abs(mat).max()
+    assert np.count_nonzero(entries) >= 20
 
 
 def test_kernel_antisymmetry_is_exact(small_state):
     grid, rp, K = small_state
+    # rho lives on the two atom nodes only, so the kernel is nonzero on
+    # orderings of them and nowhere else
     x = np.array([[0.25], [1.5]])
-    xp = np.array([[0.3125], [1.4375]])
-    v = kernel_eval(K, x, xp)
-    assert kernel_eval(K, x[::-1], xp) == -v
-    assert kernel_eval(K, x, xp[::-1]) == -v
-    assert kernel_eval(K, x[::-1], xp[::-1]) == v
+    xp = np.array([[1.5], [0.25]])
+    v, *swapped = kernel_eval(K, np.stack([x, x[::-1], x, x[::-1]]),
+                              np.stack([xp, xp, xp[::-1], xp[::-1]]))
+    assert v != 0.0
+    assert swapped == [-v, -v, v]
 
 
 def test_trace_is_one(all_identity_fixtures):
@@ -352,9 +341,10 @@ def test_kernel_matches_dense_in_two_dimensions(two_dim_fixture):
     K = MixedStateKernel(rp)
     mat = dense_kernel_matrix(K)
     pts, s = grid.points(), grid.n_sites
-    for r, c in np.argwhere(mat != 0.0):
-        val = kernel_eval(K, pts[[r // s, r % s]], pts[[c // s, c % s]])
-        assert val == pytest.approx(mat[r, c], rel=1e-12)
+    r, c = np.nonzero(mat)
+    vals = kernel_eval(K, pts[np.stack([r // s, r % s], axis=1)],
+                       pts[np.stack([c // s, c % s], axis=1)])
+    assert np.all(np.abs(vals - mat[r, c]) <= 1e-12 * np.abs(mat[r, c]))
 
 
 @pytest.mark.parametrize("case", ["n2-two-site", "n2-four-atom", "n2-paired-smooth",
@@ -504,7 +494,7 @@ def test_block_eval_matches_all_centers_oracle(fixtures_with_2d):
         K = MixedStateKernel(rp)
         support = np.flatnonzero(rho.values.ravel() > 0)
         r = rp.kernel.halfwidth
-        nonzero = 0
+        rows = []
         for i in range(150):
             if i % 3 == 0:      # nodes of the support of rho
                 flat = np.stack([rng.choice(support, size=rp.n, replace=False)
@@ -518,14 +508,67 @@ def test_block_eval_matches_all_centers_oracle(fixtures_with_2d):
                     idx = rng.integers(grid.npts, size=base.shape)
                 flat = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), grid.shape)
             flat = np.sort(flat, axis=1)
-            if np.any(np.diff(flat, axis=1) == 0):
-                continue
-            got = K._block_eval(*flat)
-            ref = all_centers_block_eval(K, *flat)
-            assert abs(got - ref) <= 1e-15 * abs(ref), (name, flat)
-            assert (got == 0.0) == (ref == 0.0), (name, flat)
-            nonzero += ref != 0.0
-        assert nonzero >= 10, (name, nonzero)
+            if np.all(np.diff(flat, axis=1) > 0):
+                rows.append(flat)
+        rows = np.array(rows)                          # (m, 2, n), sorted blocks
+        got = kernel_eval(K, *grid.points()[rows.transpose(1, 0, 2)])
+        ref = np.array([all_centers_block_eval(K, *flat) for flat in rows])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), name
+        assert np.array_equal(got == 0.0, ref == 0.0), name
+        assert np.count_nonzero(ref) >= 10, name
+
+
+def batch_cases(grid, plan, rho, eps, rng):
+    """Row pairs of every kind: diagonal and off-diagonal near the atoms,
+    reversed rows, rows that repeat a node, rows with a node where rho = 0,
+    and rows anywhere on the grid."""
+    m = 60
+    near = plan.configs[rng.integers(plan.n_atoms, size=(2, m))]
+    # every other row on an atom: the delta plans' rho lives there only
+    near[:, 1::2] += rng.uniform(-2 * eps, 2 * eps, near[:, 1::2].shape)
+    x, xp = near
+    repeat = x.copy()
+    repeat[:, -1] = repeat[:, 0]
+    empty = x.copy()
+    empty[:, 0] = grid.points()[rng.choice(np.flatnonzero(rho.values.ravel() == 0), m)]
+    anywhere = grid.points()[rng.integers(grid.n_sites, size=(2, m, plan.n))]
+    configs = np.concatenate([x, x, x[:, ::-1], repeat, x, empty, anywhere[0]])
+    configs_p = np.concatenate([x, xp, xp, x, repeat, x, anywhere[1]])
+    # the rows the kernel must give exactly 0 (one particle repeats no node)
+    zero = slice(3 * m if plan.n >= 2 else 5 * m, 6 * m)
+    return configs, configs_p, zero
+
+
+@pytest.mark.parametrize("entries", [None, 200], ids=["one-chunk", "small-chunks"])
+def test_batches_equal_their_rows_bit_for_bit(fixtures_with_2d, monkeypatch, entries):
+    if entries is not None:
+        monkeypatch.setattr(quantum, "BATCH_ENTRIES", entries)
+        monkeypatch.setattr(regularizer, "BATCH_ENTRIES", entries)
+    rng = np.random.default_rng(17)
+    for name, grid, plan, rho, eps_list in fixtures_with_2d:
+        for eps in eps_list:
+            rp = build_regularized(plan, rho, eps)
+            K = MixedStateKernel(rp)
+            configs, configs_p, zero = batch_cases(grid, plan, rho, eps, rng)
+            got = kernel_eval(K, configs, configs_p)
+            rows = np.array([kernel_eval(K, c[None], cp[None])[0]
+                             for c, cp in zip(configs, configs_p)])
+            assert np.array_equal(got, rows), (name, eps)
+            assert np.count_nonzero(got) >= 20, (name, eps)
+            assert not np.any(got[zero]), (name, eps)
+            direct = rp.evaluate(configs)
+            assert np.array_equal(direct, [rp.evaluate(c[None])[0] for c in configs])
+            assert np.count_nonzero(direct) >= 20, (name, eps)
+
+
+def test_diagonal_check_holds_at_most_three_one_body_matrices():
+    rp = fine_paired_plan()
+    K = MixedStateKernel(rp)
+    rng = np.random.default_rng(1)
+    configs = rp.source.configs[rng.integers(rp.source.n_atoms, size=2000)]
+    configs = configs + rng.uniform(-2 * rp.eps, 2 * rp.eps, configs.shape)
+    peak = traced_peak(lambda: kernel_eval(K, configs, configs) - rp.evaluate(configs))
+    assert peak <= 3 * K.one_body_matrix.nbytes
 
 
 PROPERTY_H = 1.0 / 16.0
@@ -570,8 +613,7 @@ def test_random_plans_pin_the_marginal_and_give_an_antisymmetric_state(case):
     assert rp.density().l1_distance(rho) <= 1e-10
     assert abs(rp.mass() - 1.0) <= 1e-10
     K = MixedStateKernel(rp)
-    value = kernel_eval(K, x, xp)
     swap = np.arange(rp.n)
     swap[[i, j]] = swap[[j, i]]
-    assert kernel_eval(K, x[swap], xp) == -value
-    assert kernel_eval(K, x, xp[swap]) == -value
+    value, *swapped = kernel_eval(K, np.stack([x, x[swap], x]), np.stack([xp, xp, xp[swap]]))
+    assert swapped == [-value, -value]

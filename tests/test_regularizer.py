@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -28,8 +26,9 @@ from llot.regularizer import (
     kinetic_of_sqrt,
     potential_error,
 )
-from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_transfer, scattered_transfer,
-                     upper_grid_edge_case, whole_grid_kinetic_of_sqrt, whole_grid_tensor)
+from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_transfer, fine_paired_plan,
+                     scattered_transfer, traced_peak, upper_grid_edge_case,
+                     whole_grid_kinetic_of_sqrt, whole_grid_tensor)
 
 EPS_TINY = 0.22
 
@@ -229,23 +228,6 @@ def test_kinetic_of_sqrt_needs_three_nodes_per_axis(monkeypatch):
         kinetic_of_sqrt(rp)
 
 
-def fine_paired_plan():
-    """The 1024-node paired plan at width 0.05: 518 atoms, an 8 MB tensor."""
-    grid = Grid.line(0.0, 2.0 / 1023, 1024)
-    plan = paired_plan(grid, 0.25, 0.76, 0.75)
-    return build_regularized(plan, marginal(plan, grid), 0.05)
-
-
-def traced_peak(call):
-    """Peak bytes traced by ``tracemalloc`` while ``call()`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_tensor_build_holds_at_most_three_tensors():
     rp = fine_paired_plan()
     peak = traced_peak(rp.tensor)
@@ -399,12 +381,13 @@ class SmoothedPlan:
         self.grid = grid
         self.kernel = GridKernel(grid.dim, eps, grid.h)
 
-    def evaluate(self, config) -> float:
-        """Q_eps at a configuration (coordinates snapped to nearest nodes)."""
-        config = np.asarray(config, dtype=float).reshape(self.source.n, self.source.dim)
-        diff = self.grid.indices_of(config) - self.grid.indices_of(self.source.configs)
-        kappa = amp_at(self.kernel, diff) ** 2    # (n_atoms, n)
-        return float((self.source.weights * kappa.prod(axis=1)).sum())
+    def evaluate(self, configs) -> np.ndarray:
+        """Q_eps at each of the configurations (m, n, dim), coordinates
+        snapped to nearest nodes."""
+        diff = (self.grid.indices_of(configs)[:, None]
+                - self.grid.indices_of(self.source.configs))
+        kappa = amp_at(self.kernel, diff) ** 2    # (m, n_atoms, n)
+        return (self.source.weights * kappa.prod(axis=2)).sum(axis=1)
 
     def density(self) -> GridDensity:
         """Per atom and coordinate, ``w / n`` times the kernel at its node."""
@@ -431,7 +414,8 @@ def test_smoothed_plan_evaluate_marginal_is_its_density(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
     q = SmoothedPlan(plan, eps_list[0], grid)
     axis = grid.axis()
-    vals = np.array([[q.evaluate(np.array([[x], [y]])) for y in axis] for x in axis])
+    pairs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)   # (x, y) per entry
+    vals = q.evaluate(pairs.reshape(-1, 2, 1)).reshape(len(axis), len(axis))
     assert vals.sum() * grid.h**2 == pytest.approx(1.0, abs=1e-12)
     marg = 0.5 * (vals.sum(axis=0) + vals.sum(axis=1)) * grid.h
     assert np.abs(marg - q.density().values).max() <= 1e-12 * marg.max()
@@ -602,7 +586,7 @@ def test_evaluate_matches_per_atom_loop(fixtures_with_2d):
             configs = np.concatenate([plan.configs, near, on_support, anywhere])
             transfer = dense_transfer(rp)
             ref = np.array([loop_evaluate(rp, transfer, x) for x in configs])
-            got = np.array([rp.evaluate(x) for x in configs])
+            got = rp.evaluate(configs)
             assert ref.max() > 0.0, (name, eps)
             assert np.all(np.abs(got - ref) <= 1e-14 * ref), (name, eps)
             assert np.array_equal(got == 0.0, ref == 0.0), (name, eps)

@@ -30,7 +30,7 @@ def solved_instance():
 
 def test_trial_energy_zero_eta_is_feasible_potential(solved_instance):
     rho, sol = solved_instance
-    alpha = separation(sol.plan).alpha
+    alpha = separation(sol.plan)
     te = trial_energy(rho, sol.plan, alpha / 8.0, 0.0)
     assert te.kinetic_term == 0.0
     assert te.total >= sol.value - 1e-8
@@ -38,7 +38,7 @@ def test_trial_energy_zero_eta_is_feasible_potential(solved_instance):
 
 def test_trial_energy_matches_hand_assembly(solved_instance):
     rho, sol = solved_instance
-    alpha = separation(sol.plan).alpha
+    alpha = separation(sol.plan)
     eps, eta = alpha / 10.0, 0.01
     te = trial_energy(rho, sol.plan, eps, eta)
     rp = build_regularized(sol.plan, rho, eps)
@@ -49,7 +49,7 @@ def test_trial_energy_matches_hand_assembly(solved_instance):
 
 def test_trial_energy_potential_approaches_transport_value(solved_instance):
     rho, sol = solved_instance
-    alpha = separation(sol.plan).alpha
+    alpha = separation(sol.plan)
     gaps = []
     for eps in (alpha / 8.0, alpha / 16.0, alpha / 32.0):
         te = trial_energy(rho, sol.plan, eps, 0.0)
@@ -76,7 +76,7 @@ def test_optimize_eps_moves_with_eta(solved_instance):
 
 def test_optimize_eps_empty_interval(solved_instance):
     rho, sol = solved_instance
-    alpha = separation(sol.plan).alpha
+    alpha = separation(sol.plan)
     with pytest.raises(ValidationError, match="empty feasible eps interval"):
         TrialCurve(rho, sol.plan).optimize(1e-2, eps_min=alpha)
 
