@@ -82,14 +82,16 @@ class Grid:
                 f"differences need at least 3 nodes per axis")
 
     def indices_of(self, x) -> np.ndarray:
-        """Multi-indices of the nodes nearest to points ``x`` of shape
-        ``(..., dim)``, clipped to the grid."""
+        """Multi-indices of the nodes nearest to finite points ``x`` of shape
+        ``(..., dim)``, clipped to the grid in floats, so the int cast cannot overflow."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.dim:
             raise ValidationError(
                 f"points of dimension {x.shape[-1]} on a grid of dimension {self.dim}")
-        idx = np.rint((x - self.origin) / self.h).astype(int)
-        return np.minimum(np.maximum(idx, 0), self.npts - 1)
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("points must be finite")
+        idx = np.rint((x - self.origin) / self.h)
+        return np.minimum(np.maximum(idx, 0), self.npts - 1).astype(int)
 
     def flat_index(self, idx) -> np.ndarray:
         """C-order flat indices of multi-indices ``idx`` of shape

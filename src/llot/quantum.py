@@ -19,9 +19,13 @@ atom-coordinate center c, ``M_c = A_c^T diag(q_c) A'_c``:
     sum_Z prod_i q_i(z_i) det A(X, Z) det A(X', Z)
         = sum_{sigma, tau} sgn(sigma) sgn(tau) prod_i M_i[sigma(i), tau(i)].
 
-Because the z windows of distinct atom coordinates are disjoint (the plan
-separation exceeds 4 eps), the determinant square collapses to a permutation
-sum and the diagonal of the kernel equals the smoothed plan density exactly.
+Center i's orbitals reach only nodes within 2 eps of it, and the guard
+``eps < alpha/4`` of ``smooth_plan`` keeps an atom's centers more than 4 eps
+apart.  So one term at most survives, where each center i reaches exactly
+one node ``x_{sigma(i)}`` of X and one ``x'_{tau(i)}`` of X' (none if a node
+repeats), and the kernel takes it alone: n dot products per (row, atom)
+pair.  Its diagonal equals the smoothed plan density exactly.  Past the
+guard other terms survive and the one-term formula is not the state's kernel.
 
 A window node is ``z = c + o``, so ``amp(x - z)`` vanishes unless ``x`` is
 in the box ``c + b`` (``GridKernel.box``) that also holds ``T_c``;
@@ -50,23 +54,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import GridDensity, h1_seminorm_sqrt, permutations
+from .grids import GridDensity, h1_seminorm_sqrt
 from .regularizer import BATCH_ENTRIES, RegularizedPlan, kinetic_term
 
 
 def _parity(rows) -> np.ndarray:
     """Sign of each row of ``rows`` (m, k): -1 to the number of its
-    inversions, pairs i < j with ``row[i] > row[j]``.  For a row of
-    distinct entries it is the sign of the permutation that sorts the row,
-    and for a permutation of range(k) its sign."""
+    inversions, pairs i < j with ``row[i] > row[j]``: the sign of the sort
+    of each configuration's nodes in :func:`kernel_eval`, and of the
+    surviving term's sigma and tau in :meth:`MixedStateKernel._block_eval`."""
     i, j = np.triu_indices(rows.shape[1], k=1)
     return 1 - 2 * ((rows[:, i] > rows[:, j]).sum(axis=1) % 2)
-
-
-def _signed_permutations(n: int) -> tuple:
-    """All permutations of range(n) as rows of an array, and their signs."""
-    perms = permutations(n)
-    return perms, _parity(perms)
 
 
 class MixedStateKernel:
@@ -75,7 +73,6 @@ class MixedStateKernel:
     def __init__(self, rp: RegularizedPlan):
         self.rp = rp
         self.sqrt_rho = np.sqrt(rp.rho.values).ravel()
-        self._perms = _signed_permutations(rp.n)
 
     @property
     def n(self) -> int:
@@ -123,9 +120,11 @@ class MixedStateKernel:
         return gamma
 
     def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
-        """The factorized sum over window tuples (module docstring) without
-        its factor ``root h^{dn} / n!``, for rows (m, n) of sorted distinct
-        flat node indices ``x`` and ``xp``; shape (m,)."""
+        """The surviving term (module docstring) summed over the atoms,
+        without its factor ``root h^{dn} / n!``, for rows (m, n) of sorted
+        flat node indices ``x`` and ``xp``; shape (m,).  A (row, atom) pair
+        has it where each center reaches one node of each block and every
+        node is reached, so that sigma and tau are permutations."""
         rp = self.rp
         n = rp.n
         # per row, center and node: the slot of x - c in the center's box,
@@ -135,18 +134,16 @@ class MixedStateKernel:
         slot, inside = rp.kernel.box_slot(nodes[:, None, :, :] - rp.centers[None, :, None, :])
         slot = np.where(inside, slot, -1)                        # (m, n_centers, 2n)
         hits = rp.kernel.box_amp.any(axis=1)[slot][:, rp.center_of]  # (m, n_atoms, n, 2n)
-        # the (row, atom) pairs whose centers reach every node of both
-        # blocks, and M_c of their centers only
         row, atom = np.nonzero(hits.any(axis=2).all(axis=2))
+        reach = hits[row, atom]                                  # (pairs, n, 2n)
+        one = np.all(reach.reshape(-1, n, 2, n).sum(axis=3) == 1, axis=(1, 2))
+        row, atom, reach = row[one], atom[one], reach[one]
+        sigma, tau = reach[:, :, :n].argmax(axis=2), reach[:, :, n:].argmax(axis=2)
         centers = rp.center_of[atom]                             # (pairs, n)
-        amps = rp.kernel.box_amp[slot[row[:, None], centers]]    # (pairs, n, 2n, n_offsets)
-        m = np.einsum("pkjz,pkz,pklz->pkjl",
-                      amps[:, :, :n], rp.q[centers], amps[:, :, n:])
-        perms, signs = self._perms
-        terms = np.ones((atom.size, len(perms), len(perms)))
-        for i in range(n):
-            terms *= m[:, i][:, perms[:, i][:, None], perms[:, i][None, :]]
-        pairs = np.einsum("p,pst,s,t->p", rp.source.weights[atom], terms, signs, signs)
+        box = rp.kernel.box_amp
+        m = np.einsum("pkz,pkz,pkz->pk", box[slot[row[:, None], centers, sigma]],
+                      rp.q[centers], box[slot[row[:, None], centers, n + tau]])
+        pairs = rp.source.weights[atom] * (_parity(sigma) * _parity(tau) * np.prod(m, axis=1))
         return np.bincount(row, weights=pairs, minlength=len(x))
 
 
@@ -159,10 +156,11 @@ def kernel_eval(K: MixedStateKernel, configs, configs_p) -> np.ndarray:
     smoothed plan density exactly.  Each row's flat node indices are then
     sorted and the rows' inversion parities applied afterwards, so
     antisymmetry under particle exchange holds exactly, not just to
-    rounding.  A row that repeats a node, or has ``sqrt(rho) = 0`` at one,
-    gives exactly 0 (Pauli).  The other rows run in chunks of
-    ``BATCH_ENTRIES`` (row, center, node, axis) index entries, so the
-    working set does not grow with m.
+    rounding.  A (row, atom) pair adds one term at most, exact under the
+    guard ``eps < alpha/4`` (module docstring).  A row that repeats a node,
+    or has ``sqrt(rho) = 0`` at one, gives exactly 0 (Pauli).  The other
+    rows run in chunks of ``BATCH_ENTRIES`` (row, center, node, axis) index
+    entries, so the working set does not grow with m.
     """
     grid = K.grid
     x, xp = (grid.flat_index(grid.indices_of(np.reshape(c, (-1, K.n, grid.dim))))
@@ -170,8 +168,7 @@ def kernel_eval(K: MixedStateKernel, configs, configs_p) -> np.ndarray:
     sign = _parity(x) * _parity(xp)
     x, xp = np.sort(x, axis=1), np.sort(xp, axis=1)
     root = np.prod(K.sqrt_rho[x], axis=1) * np.prod(K.sqrt_rho[xp], axis=1)
-    distinct = np.all(np.diff(x, axis=1) > 0, axis=1) & np.all(np.diff(xp, axis=1) > 0, axis=1)
-    live = np.flatnonzero(distinct & (root != 0.0))
+    live = np.flatnonzero(root != 0.0)
     total = np.zeros(len(x))
     step = max(1, BATCH_ENTRIES // (len(K.rp.centers) * 2 * K.n * grid.dim))
     for lo in range(0, live.size, step):

@@ -1,9 +1,10 @@
 """Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
 forms of the smoothed plan's per-center tables, of its tensor and of its
 kinetic check, explicit orbitals and Slater determinants, the window tuples
-of the mixed state, its dense kernel and one-body matrices, and the Coulomb
-cost's derivative blocks, shared by the mollifier, regularizer and quantum
-tests as oracles; a plan whose support reaches the grid's upper edge; the
+of the mixed state with the signs of its permutations, its dense kernel
+and one-body matrices, and the Coulomb cost's derivative blocks, shared by
+the mollifier, regularizer and quantum tests as oracles; a plan whose
+support reaches the grid's upper edge; a smooth three-particle plan; the
 sweep preset's geometry on finer grids; the 1024-node paired plan and a
 traced-memory probe; and an LP solver with wrong duals."""
 
@@ -14,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from llot.errors import ValidationError
-from llot.grids import Grid, GridDensity, density_from_values, marginal, permutations
+from llot.grids import (AtomicPlan, Grid, GridDensity, density_from_values, marginal,
+                        permutations)
 from llot.mollifier import GridKernel, offset_sum
 from llot.presets import SWEEP_SCALE, cos4_window, paired_plan, permutation_plan
 from llot.regularizer import build_regularized
@@ -85,6 +87,20 @@ def upper_grid_edge_case():
     return rp
 
 
+def three_cluster_plan():
+    """n = 3 plan on a 128-node line: each node s of a cos^4-weighted cluster
+    at 12 h..32 h with s + 40 h and s + 80 h, in every order, to smooth at
+    eps = 6 h; its marginal is three smooth humps.  Returns ``(grid, plan,
+    eps)``."""
+    grid = Grid.line(0.0, 1 / 128, 128)
+    s = np.arange(12, 33)
+    w = cos4_window((s - 22) / 11)
+    perms = permutations(3)
+    atoms = [((np.array([si, si + 40, si + 80]) * grid.h)[perm, None], wi / w.sum() / len(perms))
+             for si, wi in zip(s, w) for perm in perms]
+    return grid, AtomicPlan.from_atoms(atoms, dim=1), 6 * grid.h
+
+
 class OrbitalSet:
     """Localized orbitals amp(x - z_k), optionally weighted by sqrt(rho)."""
 
@@ -127,6 +143,13 @@ class OrbitalSet:
             idx = self.rho.grid.indices_of(config)
             vals = vals * np.sqrt(self.rho.values[tuple(idx.T)])[None, :]
         return vals
+
+
+def signed_permutations(n: int) -> tuple:
+    """All permutations of range(n) as rows of an array, and their signs:
+    the determinants of their permutation matrices."""
+    perms = permutations(n)
+    return perms, np.rint(np.linalg.det(np.eye(n)[perms])).astype(int)
 
 
 def slater(orbitals: OrbitalSet, config) -> float:
@@ -237,7 +260,7 @@ def slater_rows(K) -> tuple:
     col_of = col_of.reshape(tuples.shape)
     nodes = np.stack(np.unravel_index(np.arange(s), rp.grid.shape), axis=-1)
     cols = K.sqrt_rho[:, None] * amp_at(rp.kernel, nodes[:, None] - nodes[None, zs])
-    perms, signs = K._perms
+    perms, signs = signed_permutations(n)
     b = np.zeros((rows, dim_total))
     for perm, sign in zip(perms, signs):
         # per tuple: the product state prod_j f_{z_perm(j)}(x_j), flattened

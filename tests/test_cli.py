@@ -18,7 +18,7 @@ from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_
                           sweep_density)
 from llot.quantum import MixedStateKernel
 from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
-from oracles import raise_lp_duals
+from oracles import raise_lp_duals, three_cluster_plan
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,18 @@ def test_quantum_check_diagonal_equals_plan(paired_files, tmp_path):
     assert rep["diagonal_max_value"] > 0.0
     assert rep["diagonal_max_abs_error"] <= 1e-12 * rep["diagonal_max_value"]
     assert "one_node_kernel" not in rep
+
+
+def test_quantum_check_passes_at_three_particles(tmp_path):
+    grid, plan, eps = three_cluster_plan()
+    plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
+    fileio.write_plan(plan_path, plan)
+    fileio.write_density(density_path, marginal(plan, grid))
+    rep = run(["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
+               "--eps", repr(eps), "--samples", "1000"], tmp_path / "quantum.json")
+    assert rep["all_passed"] is True
+    assert all(c["passed"] for c in rep["checks"])
+    assert rep["diagonal_max_value"] > 0.0
 
 
 def test_regularize_flags_sub_grid_width(paired_files, tmp_path):

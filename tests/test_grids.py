@@ -19,6 +19,8 @@ from llot.grids import (
     symmetrize,
 )
 from llot.mollifier import BumpProfile
+from llot.quantum import MixedStateKernel, kernel_eval
+from llot.regularizer import build_regularized
 
 
 def plan_1d(atoms):
@@ -60,11 +62,30 @@ def test_non_finite_inputs_rejected():
         plan_1d([((0.0, np.nan), 0.5), ((np.nan, 0.0), 0.5)])
     with pytest.raises(ValidationError, match="finite"):
         plan_1d([((0.0, 1.0), np.nan), ((1.0, 0.0), 0.5)])
+    line = Grid.line(0.0, 0.1, 10)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            line.indices_of([[0.3], [bad]])
+    # a non-finite coordinate reaches no node of the state or the plan
+    plan = plan_1d([((0.2, 0.7), 0.5), ((0.7, 0.2), 0.5)])
+    rp = build_regularized(plan, marginal(plan, line), 0.1)
+    K = MixedStateKernel(rp)
+    configs = np.array([[[0.2], [0.7]]])
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = configs.copy()
+        broken[0, 1, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            kernel_eval(K, broken, configs)
+        with pytest.raises(ValidationError, match="finite"):
+            kernel_eval(K, configs, broken)
+        with pytest.raises(ValidationError, match="finite"):
+            rp.evaluate(broken)
 
 
 def test_indices_of_clips_exactly_at_the_grid_edges():
     grid = Grid(dim=2, origin=np.array([-0.3, 0.7]), h=0.25, npts=9)
-    steps = [-1e6, -100.0, -0.6, -0.4, 0.0, 0.5, 3.0, 7.5, 8.0, 8.4, 8.6, 100.0, 1e6]
+    steps = [-1e300, -1e6, -100.0, -0.6, -0.4, 0.0, 0.5, 3.0, 7.5, 8.0, 8.4, 8.6, 100.0, 1e6,
+             1e300]
     x = np.array([[grid.origin[0] + a * grid.h, grid.origin[1] + b * grid.h]
                   for a in steps for b in steps])
     ref = [[min(max(int(round((xk - ok) / grid.h)), 0), grid.npts - 1)

@@ -20,8 +20,9 @@ from llot.quantum import (
 )
 from llot.regularizer import build_regularized, kinetic_of_sqrt, prepare_plan, smooth_plan
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
-                     dense_transfer, det_square_identity, fine_paired_plan, slater,
-                     traced_peak, upper_grid_edge_case, window_tuples)
+                     dense_transfer, det_square_identity, fine_paired_plan,
+                     signed_permutations, slater, three_cluster_plan, traced_peak,
+                     upper_grid_edge_case, window_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +423,13 @@ def test_rdm_max_eigenvalue_exceeds_one_without_the_separation_guard(gap):
     rp = smooth_plan(prep, 0.2)
     assert abs(rp.mass() - 1.0) <= 1e-10
     assert rdm_max_eigenvalue(MixedStateKernel(rp)) > 1.0 + 1e-10
+    # past the guard too, a row that repeats a node is exactly 0: the node
+    # is reached twice by some center, or by none
+    x = plan.configs[0]
+    repeat = x[[0, 0]]
+    got = kernel_eval(MixedStateKernel(rp), np.stack([repeat, repeat, x]),
+                      np.stack([repeat, x, repeat]))
+    assert not np.any(got)
 
 
 def test_dense_matrix_antisymmetry(small_state):
@@ -479,7 +487,7 @@ def all_centers_block_eval(K, x, xp):
     if atoms.size == 0:
         return 0.0
     m = np.einsum("czj,cz,czk->cjk", amps[0], rp.q, amps[1])[rp.center_of[atoms]]
-    perms, signs = K._perms
+    perms, signs = signed_permutations(n)
     terms = np.ones((atoms.size, len(perms), len(perms)))
     for i in range(n):
         terms *= m[:, i][:, perms[:, i][:, None], perms[:, i][None, :]]
@@ -487,9 +495,31 @@ def all_centers_block_eval(K, x, xp):
     return float(total) * root * rp.grid.cell_volume**n / math.factorial(n)
 
 
+def edge_rows(grid, rp):
+    """Rows of sorted flat blocks (m, 2, n) that pair each atom's nodes with
+    a block where one of its centers reaches two nodes and another none,
+    and at n = 3 with a block that repeats a node; both orders."""
+    out = []
+    for idx in grid.indices_of(rp.source.configs):
+        step = np.eye(grid.dim, dtype=int)[0] * (1 if idx[0, 0] < grid.npts - 1 else -1)
+        blocks = [np.concatenate(([idx[0], idx[0] + step], idx[2:]))]
+        if rp.n == 3:
+            blocks.append(np.concatenate(([idx[0], idx[0]], idx[2:])))
+        for bad in blocks:
+            pair = np.sort(grid.flat_index(np.stack([bad, idx])), axis=1)
+            out += [pair, pair[::-1]]
+    return np.array(out)
+
+
 def test_block_eval_matches_all_centers_oracle(fixtures_with_2d):
     rng = np.random.default_rng(11)
-    for name, grid, plan, rho, eps_list in fixtures_with_2d:
+    line = Grid.line(0.0, 2 / 63, 64)
+    four = permutation_plan([8 * line.h, 24 * line.h, 40 * line.h, 56 * line.h])
+    grid3, three, eps3 = three_cluster_plan()
+    fixtures = fixtures_with_2d + [
+        ("n4-permutation", line, four, marginal(four, line), [2 * line.h]),
+        ("n3-three-cluster", grid3, three, marginal(three, grid3), [eps3])]
+    for name, grid, plan, rho, eps_list in fixtures:
         rp = build_regularized(plan, rho, eps_list[0])
         K = MixedStateKernel(rp)
         support = np.flatnonzero(rho.values.ravel() > 0)
@@ -510,6 +540,8 @@ def test_block_eval_matches_all_centers_oracle(fixtures_with_2d):
             flat = np.sort(flat, axis=1)
             if np.all(np.diff(flat, axis=1) > 0):
                 rows.append(flat)
+        if rp.n >= 2:
+            rows += list(edge_rows(grid, rp))
         rows = np.array(rows)                          # (m, 2, n), sorted blocks
         got = kernel_eval(K, *grid.points()[rows.transpose(1, 0, 2)])
         ref = np.array([all_centers_block_eval(K, *flat) for flat in rows])
