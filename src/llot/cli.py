@@ -5,10 +5,11 @@ inputs produce byte-identical output.  Exit codes: 0 success, 1 validation
 error or a file that cannot be read or written, 2 numerical failure, such
 as an LP whose dual certificate fails, with no report written.  A
 ``selftest`` or ``quantum-check`` with a failed check and a Sinkhorn
-``mmot`` that did not converge write their report and exit 2; the two
-kinetic energies of ``quantum-check`` get no verdict, since they differ by
-O((h/eps)^2) discretization.  Output paths are checked before any
-computation, so a bad one writes no file at all.  A ``--density`` file
+``mmot`` that did not converge write their report and exit 2.  The two
+kinetic energies of ``quantum-check``, the continuum ``kinetic_term`` (as in
+``regularize``'s ``rhs``) and the state's ``Tr(-Delta_h gamma)``, get no
+verdict, since they differ by O((h/eps)^2) discretization.  Output paths
+are checked before any computation, so a bad one writes no file at all.  A ``--density`` file
 has mass 1, or mass n (the plan's or ``--n``'s) and is divided by n.
 """
 
@@ -188,7 +189,8 @@ def _cmd_quantum_check(args) -> dict:
     direct = rp.evaluate(configs)
     max_abs = float(np.abs(kernel_eval(kernel, configs, configs) - direct).max())
     max_val = float(np.abs(direct).max())
-    analytic, on_grid = kinetic_trace(kernel)
+    analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rho), rp.kernel)
+    on_grid = kinetic_trace(kernel)
     rdm_max = rdm_max_eigenvalue(kernel)
     checks = [
         {"name": name, "passed": bool(passed), "tolerance": IDENTITY_TOL}

@@ -77,7 +77,7 @@ def read_density(path, n_particles: Optional[int] = None) -> GridDensity:
 
 def write_density(path, rho: GridDensity):
     if rho.grid.dim != 1:
-        raise ValidationError("only 1-d densities are written to CSV")
+        raise ValidationError(f"{path}: only 1-d densities are written to CSV")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "value"])
@@ -172,11 +172,14 @@ def write_report(path, report: dict):
 
 
 def write_sweep_csv(path, records):
+    """One row per sweep record, floats in ``repr``; ``scan_fallback`` is
+    ``true`` or ``false`` and ``error`` is empty on a record without one."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eta", "eps_opt", "e_ot", "trial_total", "gap",
-                         "assembled_C"])
+                         "assembled_C", "scan_fallback", "error"])
         for r in records:
             writer.writerow([repr(float(r.eta)), repr(float(r.eps_opt)),
                              repr(float(r.e_ot)), repr(float(r.total)),
-                             repr(float(r.gap)), repr(float(r.assembled_c))])
+                             repr(float(r.gap)), repr(float(r.assembled_c)),
+                             "true" if r.scan_fallback else "false", r.error or ""])

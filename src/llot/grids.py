@@ -83,13 +83,15 @@ class Grid:
 
     def indices_of(self, x) -> np.ndarray:
         """Multi-indices of the nodes nearest to finite points ``x`` of shape
-        ``(..., dim)``, clipped to the grid in floats, so the int cast cannot overflow."""
+        ``(..., dim)``.  Points are clipped to the grid's extent before the
+        division, so neither it nor the int cast can overflow."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.dim:
             raise ValidationError(
                 f"points of dimension {x.shape[-1]} on a grid of dimension {self.dim}")
         if not np.all(np.isfinite(x)):
             raise ValidationError("points must be finite")
+        x = np.clip(x, self.origin, self.origin + self.h * (self.npts - 1))
         idx = np.rint((x - self.origin) / self.h)
         return np.minimum(np.maximum(idx, 0), self.npts - 1).astype(int)
 

@@ -41,10 +41,13 @@ a node, or has ``sqrt(rho) = 0`` at one, is exactly 0 (Pauli).
 Within an atom the orbitals have disjoint supports, so the one-body density
 matrix is ``gamma = sum_z W_z |f_z><f_z|`` over the state's table of distinct
 orbitals (:attr:`MixedStateKernel.orbitals`), with ``Tr(gamma) h^d = n``.
-Pauli bounds the spectrum of ``gamma * h^d`` by 1 (Coleman's ensemble
-N-representability condition; :func:`rdm_max_eigenvalue`), and the same
-table gives the density ``diag(gamma) / n`` (:func:`one_particle_density`)
-and the kinetic energy on the grid (:func:`kinetic_trace`).
+The table is gamma's only representation: it gives the density
+``diag(gamma) / n`` (:func:`one_particle_density`) and the kinetic energy on
+the grid (:func:`kinetic_trace`).  Pauli bounds the spectrum of
+``gamma * h^d`` by 1 (Coleman's ensemble N-representability condition), and
+:func:`rdm_max_eigenvalue` certifies it on the block of gamma over the support
+of rho, formed from the table: every orbital carries the factor sqrt(rho),
+so gamma vanishes off that block.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import GridDensity, h1_seminorm_sqrt
-from .regularizer import BATCH_ENTRIES, RegularizedPlan, kinetic_term
+from .grids import GridDensity
+from .regularizer import BATCH_ENTRIES, RegularizedPlan
 
 
 def _parity(rows) -> np.ndarray:
@@ -105,20 +108,6 @@ class MixedStateKernel:
         values = np.append(self.sqrt_rho, 0.0)[nodes] * rp.kernel.amp
         return nodes, values, per_node[zs] * grid.cell_volume
 
-    @cached_property
-    def one_body_matrix(self) -> np.ndarray:
-        """``gamma(x, y) = sum_z W_z f_z(x) f_z(y)`` over all grid nodes,
-        read-only: n times the partial trace of the kernel over coordinates
-        2..n.  Its diagonal over n is :func:`one_particle_density`."""
-        nodes, values, weights = self.orbitals
-        # F scatters the table onto the grid; node -1 lands in a dropped row
-        f = np.zeros((self.grid.n_sites + 1, len(values)))
-        f[nodes, np.arange(len(values))[:, None]] = values
-        f = f[:-1]
-        gamma = (f * weights) @ f.T
-        gamma.flags.writeable = False
-        return gamma
-
     def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
         """The surviving term (module docstring) summed over the atoms,
         without its factor ``root h^{dn} / n!``, for rows (m, n) of sorted
@@ -151,8 +140,9 @@ def kernel_eval(K: MixedStateKernel, configs, configs_p) -> np.ndarray:
     """Kernel values ``K(X; X')`` of the state on the grid for two batches
     of m configurations, shape (m, n, dim); returns shape (m,).
 
-    Coordinates are snapped to their nearest nodes, as
-    :meth:`RegularizedPlan.evaluate` does, so the diagonal equals the
+    Coordinates are snapped to their nearest nodes by
+    :meth:`RegularizedPlan.config_nodes`, as in
+    :meth:`RegularizedPlan.evaluate`, so the diagonal equals the
     smoothed plan density exactly.  Each row's flat node indices are then
     sorted and the rows' inversion parities applied afterwards, so
     antisymmetry under particle exchange holds exactly, not just to
@@ -163,8 +153,7 @@ def kernel_eval(K: MixedStateKernel, configs, configs_p) -> np.ndarray:
     entries, so the working set does not grow with m.
     """
     grid = K.grid
-    x, xp = (grid.flat_index(grid.indices_of(np.reshape(c, (-1, K.n, grid.dim))))
-             for c in (configs, configs_p))
+    x, xp = (grid.flat_index(idx) for idx in K.rp.config_nodes(configs, configs_p))
     sign = _parity(x) * _parity(xp)
     x, xp = np.sort(x, axis=1), np.sort(xp, axis=1)
     root = np.prod(K.sqrt_rho[x], axis=1) * np.prod(K.sqrt_rho[xp], axis=1)
@@ -191,21 +180,18 @@ def one_particle_density(K: MixedStateKernel) -> GridDensity:
     return GridDensity(K.grid, (diag / K.n).reshape(K.grid.shape))
 
 
-def kinetic_trace(K: MixedStateKernel) -> tuple:
-    """Kinetic energy of the state: ``(analytic, grid)``.
+def kinetic_trace(K: MixedStateKernel) -> float:
+    """Kinetic energy of the state on the grid, ``Tr(-Delta_h gamma)``.
 
-    ``analytic`` is the continuum formula n * (H1 seminorm of sqrt(rho) +
-    w^-2 * profile gradient moment), w the width of the kernel the state is
-    built from (see :func:`kinetic_term`).  ``grid`` is ``Tr(-Delta_h gamma)``,
-    the energy of the state on the grid: ``sum_z W_z E_h(z)`` over the
-    orbital table (:attr:`MixedStateKernel.orbitals`), where ``E_h(z)``
-    sums ``|f_z(x + h e_k) - f_z(x)|^2 h^(d-2)`` over every grid edge, the
-    orbital taken as 0 off its kernel box (and off the grid).  The two
-    differ by O((h/w)^2) discretization.  Any dimension.
+    It is ``sum_z W_z E_h(z)`` over the orbital table
+    (:attr:`MixedStateKernel.orbitals`), where ``E_h(z)`` sums
+    ``|f_z(x + h e_k) - f_z(x)|^2 h^(d-2)`` over every grid edge, the orbital
+    taken as 0 off its kernel box (and off the grid).  It differs from the
+    continuum formula :func:`~llot.regularizer.kinetic_term` by O((h/w)^2)
+    discretization, w the kernel width.  Any dimension.
     """
     rp = K.rp
     grid = rp.grid
-    analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho), rp.kernel)
     _, values, weights = K.orbitals
     # each orbital on its kernel box padded by one node of zeros
     r = rp.kernel.halfwidth
@@ -213,7 +199,7 @@ def kinetic_trace(K: MixedStateKernel) -> tuple:
     box[(slice(None),) + tuple((rp.kernel.offsets + r + 1).T)] = values
     energy = sum((np.diff(box, axis=1 + k) ** 2).reshape(len(values), -1).sum(axis=1)
                  for k in range(grid.dim))
-    return float(analytic), float(weights @ energy) * grid.h ** (grid.dim - 2)
+    return float(weights @ energy) * grid.h ** (grid.dim - 2)
 
 
 def rdm_max_eigenvalue(K: MixedStateKernel) -> float:
@@ -221,8 +207,15 @@ def rdm_max_eigenvalue(K: MixedStateKernel) -> float:
     the grid (``gamma * h^d``).
 
     A fermionic state has it at most 1 (Pauli).  ``gamma`` vanishes off the
-    support of rho, so the dense eigenproblem is taken on that block only.
+    support S of rho, so the dense eigenproblem is taken on its S x S block,
+    formed from the orbital table: the table is scattered onto one row per
+    node of S, and off-support nodes and node -1 land in a dropped last row.
     """
+    nodes, values, weights = K.orbitals
     support = np.flatnonzero(K.sqrt_rho)
-    block = K.one_body_matrix[np.ix_(support, support)] * K.grid.cell_volume
-    return float(np.linalg.eigvalsh(block)[-1])
+    row = np.full(K.grid.n_sites + 1, len(support))
+    row[support] = np.arange(len(support))
+    f = np.zeros((len(support) + 1, len(values)))
+    f[row[nodes], np.arange(len(values))[:, None]] = values
+    f = f[:-1]
+    return float(np.linalg.eigvalsh((f * weights) @ f.T * K.grid.cell_volume)[-1])

@@ -89,10 +89,22 @@ class RegularizedPlan:
         """True when kappa is the one-node kernel, so that P_eps = P."""
         return len(self.kernel.offsets) == 1
 
+    def config_nodes(self, *batches) -> list:
+        """Multi-indices (m, n, dim) of the nodes nearest to each batch of m
+        configurations, of shape (m, n, dim), or (n, dim) for m = 1; every
+        batch has the same m, or ``ValidationError`` is raised."""
+        shape = (self.n, self.grid.dim)
+        shapes = [np.shape(c) for c in batches]
+        if any(s[-2:] != shape or len(s) > 3 for s in shapes) or \
+                len({s[0] if len(s) == 3 else 1 for s in shapes}) > 1:
+            raise ValidationError(f"configuration batches of shapes {shapes}: expected "
+                                  f"(m, {self.n}, {self.grid.dim}) with the same m, or {shape}")
+        return [self.grid.indices_of(np.reshape(c, (-1,) + shape)) for c in batches]
+
     def evaluate(self, configs) -> np.ndarray:
         """P_eps at each configuration of a batch (m, n, dim), snapped to
         nearest nodes, in chunks of ``BATCH_ENTRIES`` index entries; (m,)."""
-        idx = self.grid.indices_of(np.reshape(configs, (-1, self.n, self.source.dim)))
+        idx, = self.config_nodes(configs)
         atoms = self.centers[self.center_of]                # (n_atoms, n, dim)
         out = np.empty(len(idx))
         step = max(1, BATCH_ENTRIES // atoms.size)

@@ -16,9 +16,9 @@ from llot.grids import marginal, symmetrize
 from llot.grids import Grid
 from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_density,
                           sweep_density)
-from llot.quantum import MixedStateKernel
+from llot.quantum import MixedStateKernel, rdm_max_eigenvalue
 from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
-from oracles import raise_lp_duals, three_cluster_plan
+from oracles import dense_one_body_matrix, raise_lp_duals, three_cluster_plan
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +234,13 @@ def test_quantum_check_reports_the_largest_rdm_eigenvalue(paired_files, tmp_path
 
     plan = symmetrize(fileio.read_plan(plan_path))
     rp = build_regularized(plan, fileio.read_density(density_path, n_particles=2), eps)
-    gamma = MixedStateKernel(rp).one_body_matrix
-    support = np.flatnonzero(rp.rho.values)
-    lam = np.linalg.eigvalsh(gamma[np.ix_(support, support)] * grid.h)[-1]
+    K = MixedStateKernel(rp)
+    lam = rdm_max_eigenvalue(K)
     assert rep["rdm_max_eigenvalue"] == lam
+    gamma = dense_one_body_matrix(K)
+    support = np.flatnonzero(rp.rho.values)
+    assert abs(lam - np.linalg.eigvalsh(gamma[np.ix_(support, support)] * grid.h)[-1]) \
+        <= 1e-12 * lam
     assert 0.0 < lam < 1.0
     assert rep["all_passed"] is True
     assert [(c["name"], c["passed"], c["tolerance"]) for c in rep["checks"]] == [

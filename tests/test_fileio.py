@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -19,16 +20,76 @@ def test_sweep_csv_round_trip(tmp_path):
                     e_ot=2.008975871119536, gap=1.1e-16, assembled_c=0.0031),
         SweepRecord(eta=0.1, eps_opt=1.0 / 3.0, total=math.pi, e_ot=2.0,
                     gap=math.pi - 2.0, assembled_c=31.5, scan_fallback=True),
+        SweepRecord(eta=1e-2, eps_opt=math.nan, total=math.nan, e_ot=2.0, gap=math.nan,
+                    assembled_c=math.nan,
+                    error="empty feasible eps interval: [1e+06, 183.7]"),
     ]
     path = tmp_path / "sweep.csv"
     fileio.write_sweep_csv(path, records)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["eta", "eps_opt", "e_ot", "trial_total", "gap", "assembled_C"]
+    assert rows[0] == ["eta", "eps_opt", "e_ot", "trial_total", "gap", "assembled_C",
+                       "scan_fallback", "error"]
     assert len(rows) == 1 + len(records)
     for row, r in zip(rows[1:], records):
-        assert [float(v) for v in row] == [r.eta, r.eps_opt, r.e_ot, r.total, r.gap,
-                                           r.assembled_c]
+        floats = [r.eta, r.eps_opt, r.e_ot, r.total, r.gap, r.assembled_c]
+        assert np.array_equal([float(v) for v in row[:6]], floats, equal_nan=True)
+        assert row[6:] == [str(r.scan_fallback).lower(), r.error or ""]
+    assert rows[3][7] == "empty feasible eps interval: [1e+06, 183.7]"
+
+
+def plan_json(x, weights) -> str:
+    return json.dumps({"n": 2, "dim": 1, "atoms": [{"x": x, "w": w} for w in weights]})
+
+
+def read_text(reader, text):
+    def call(path):
+        path.write_text(text)
+        reader(path)
+    return call
+
+
+def write_2d_density(path):
+    grid = Grid(dim=2, origin=np.zeros(2), h=0.5, npts=2)
+    fileio.write_density(path, density_from_values(grid, np.ones((2, 2)), normalize=True))
+
+
+@pytest.mark.parametrize("call, message, line", [
+    pytest.param(read_text(fileio.read_density, "x,y\n0.0,1.0\n1.0,1.0\n"),
+                 "expected header ending in 'value'", 1, id="header-without-value"),
+    pytest.param(read_text(fileio.read_density, "x,y,value\n0.0,0.0,1.0\n1.0,0.0,1.0\n"),
+                 "only 1-d densities are supported", None, id="three-columns"),
+    # the blank line 3 is skipped, and still counted
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n\n1.0\n"),
+                 "expected 2 fields", 4, id="blank-line-skipped"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n1.0,0.5,0.0\n"),
+                 "expected 2 fields", 3, id="wrong-field-count"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,1.0\n"),
+                 "need at least 2 rows", None, id="one-row"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n1.0,0.25\n3.0,0.25\n"),
+                 "grid spacing is not uniform", None, id="non-uniform-spacing"),
+    pytest.param(write_2d_density, "only 1-d densities are written", None,
+                 id="write-2d-density"),
+    pytest.param(read_text(fileio.read_plan, '{"n": 2,\n "dim": 1,,}'),
+                 "invalid JSON", 2, id="invalid-json"),
+    pytest.param(read_text(fileio.read_plan, '{"n": 2, "dim": 1}'),
+                 "missing key 'atoms'", None, id="missing-key"),
+    pytest.param(read_text(fileio.read_plan, '{"n": 2, "dim": 1, "atoms": {}}'),
+                 "'atoms' must be a list", None, id="atoms-not-a-list"),
+    pytest.param(read_text(fileio.read_plan, plan_json([[0.0, 1.0]], [1.0])),
+                 r"atom 0: x must be shape \(2, 1\)", None, id="atom-x-shape"),
+    pytest.param(read_text(fileio.read_plan, plan_json([[0.0], [1.0]], [1.5, -0.5])),
+                 "atom weights must be positive", None, id="negative-weight"),
+    pytest.param(read_text(fileio.read_plan, plan_json([[0.0], [1.0]], [0.5, 0.4])),
+                 "atom weights sum to 0.9,", None, id="weights-sum-to-0.9"),
+])
+def test_malformed_files_name_the_path_and_line(tmp_path, call, message, line):
+    path = tmp_path / "input"
+    with pytest.raises(ValidationError, match=message) as exc:
+        call(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    if line is not None:
+        assert str(exc.value).startswith(f"{path}: line {line}: ")
 
 
 def test_plan_round_trip_is_exact(tmp_path):

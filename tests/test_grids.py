@@ -19,6 +19,7 @@ from llot.grids import (
     symmetrize,
 )
 from llot.mollifier import BumpProfile
+from llot.presets import fixture_paired_smooth
 from llot.quantum import MixedStateKernel, kernel_eval
 from llot.regularizer import build_regularized
 
@@ -84,8 +85,8 @@ def test_non_finite_inputs_rejected():
 
 def test_indices_of_clips_exactly_at_the_grid_edges():
     grid = Grid(dim=2, origin=np.array([-0.3, 0.7]), h=0.25, npts=9)
-    steps = [-1e300, -1e6, -100.0, -0.6, -0.4, 0.0, 0.5, 3.0, 7.5, 8.0, 8.4, 8.6, 100.0, 1e6,
-             1e300]
+    steps = [-1.7e308, -1e300, -1e6, -100.0, -0.6, -0.4, 0.0, 0.5, 3.0, 7.5, 8.0, 8.4, 8.6,
+             100.0, 1e6, 1e300, 1.7e308]
     x = np.array([[grid.origin[0] + a * grid.h, grid.origin[1] + b * grid.h]
                   for a in steps for b in steps])
     ref = [[min(max(int(round((xk - ok) / grid.h)), 0), grid.npts - 1)
@@ -94,6 +95,10 @@ def test_indices_of_clips_exactly_at_the_grid_edges():
     assert got.dtype.kind == "i"
     assert np.array_equal(got, np.array(ref))
     assert grid.indices_of(x[0]).tolist() == ref[0]
+    # points whose offset over h overflows a float clip like any other
+    huge = np.array([[-1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    assert grid.indices_of(huge).tolist() == [[0, grid.npts - 1], [grid.npts - 1, 0]]
+    assert Grid.line(0.0, 0.1, 10).indices_of(huge[:, :1]).tolist() == [[0], [9]]
 
 
 @pytest.mark.parametrize("n, dim", [(0, 1), (2, 0)])
@@ -111,6 +116,21 @@ def test_indices_of_rejects_points_of_another_dimension():
         plane.indices_of(np.zeros((3, 1)))
     with pytest.raises(ValidationError, match="dimension 1 on a grid of dimension 2"):
         plane.indices_of(0.5)
+    # a batch of another shape is not regrouped into (m, n, dim) rows
+    _, grid, plan, eps_list = fixture_paired_smooth()
+    rp = build_regularized(plan, marginal(plan, grid), eps_list[0])
+    K = MixedStateKernel(rp)
+    configs = np.zeros((4, 2, 1))
+    for bad in (np.zeros((4, 3, 1)), np.zeros((4, 2, 2)), np.zeros((4, 2)), np.zeros(2),
+                np.zeros((1, 4, 2, 1))):
+        with pytest.raises(ValidationError, match="configuration batches of shapes"):
+            rp.evaluate(bad)
+        with pytest.raises(ValidationError, match="configuration batches of shapes"):
+            kernel_eval(K, bad, configs)
+        with pytest.raises(ValidationError, match="configuration batches of shapes"):
+            kernel_eval(K, configs, bad)
+    with pytest.raises(ValidationError, match=r"shapes \[\(4, 2, 1\), \(3, 2, 1\)\]: expected"):
+        kernel_eval(K, configs, configs[:3])
 
 
 @pytest.mark.parametrize("dim", [1, 2])

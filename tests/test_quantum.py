@@ -10,7 +10,7 @@ from llot import quantum, regularizer
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal, symmetrize
 from llot.mollifier import BumpProfile, GridKernel
-from llot.presets import kinetic_instance, permutation_plan
+from llot.presets import cos4_window, kinetic_instance, permutation_plan
 from llot.quantum import (
     MixedStateKernel,
     kernel_eval,
@@ -18,7 +18,8 @@ from llot.quantum import (
     one_particle_density,
     rdm_max_eigenvalue,
 )
-from llot.regularizer import build_regularized, kinetic_of_sqrt, prepare_plan, smooth_plan
+from llot.regularizer import (build_regularized, kinetic_of_sqrt, kinetic_term, prepare_plan,
+                              smooth_plan)
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
                      dense_transfer, det_square_identity, fine_paired_plan,
                      signed_permutations, slater, three_cluster_plan, traced_peak,
@@ -213,6 +214,12 @@ def test_density_matches_classical_marginal_nodewise(smooth_state):
     assert np.abs(dq - dc).max() <= 1e-12 * scale
 
 
+def continuum_kinetic(rp):
+    """The continuum kinetic energy that ``quantum-check`` reports beside
+    :func:`kinetic_trace`: :func:`kinetic_term` of sqrt(rho) at the width."""
+    return kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho), rp.kernel)
+
+
 def test_kinetic_trace_single_particle():
     grid = Grid.line(0.0, 1 / 32, 64)
     axis = grid.axis()
@@ -222,17 +229,17 @@ def test_kinetic_trace_single_particle():
     plan = AtomicPlan.from_atoms([((s,), ws) for s, ws in zip(nodes, w)], dim=1)
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
-    analytic, _ = kinetic_trace(MixedStateKernel(rp))
+    analytic = continuum_kinetic(rp)
     formula = h1_seminorm_sqrt(rho) + BumpProfile(1).moments()[0] / 0.2**2
     assert analytic == pytest.approx(formula, rel=1e-13)
 
 
 def test_kinetic_trace_eps_halving_shift(smooth_state):
-    grid, rp, K = smooth_state
+    grid, rp, _ = smooth_state
     eps = rp.eps
-    analytic_1, _ = kinetic_trace(K)
+    analytic_1 = continuum_kinetic(rp)
     rp2 = build_regularized(rp.source, rp.rho, eps / 2.0)
-    analytic_2, _ = kinetic_trace(MixedStateKernel(rp2))
+    analytic_2 = continuum_kinetic(rp2)
     grad_moment = BumpProfile(1).moments()[0]
     expected_shift = rp.n * 3.0 * grad_moment / eps**2
     assert analytic_2 - analytic_1 == pytest.approx(expected_shift, rel=1e-10)
@@ -240,10 +247,9 @@ def test_kinetic_trace_eps_halving_shift(smooth_state):
 
 def test_kinetic_trace_sub_grid_width_is_the_one_node_state(smooth_state):
     grid, rp, _ = smooth_state
-    at_h = kinetic_trace(MixedStateKernel(build_regularized(rp.source, rp.rho, grid.h)))
-    sub = kinetic_trace(MixedStateKernel(
-        build_regularized(rp.source, rp.rho, 0.5 * grid.h)))
-    assert sub == at_h
+    at_h, sub = (build_regularized(rp.source, rp.rho, eps) for eps in (grid.h, 0.5 * grid.h))
+    assert (continuum_kinetic(sub), kinetic_trace(MixedStateKernel(sub))) == \
+        (continuum_kinetic(at_h), kinetic_trace(MixedStateKernel(at_h)))
 
 
 def test_kinetic_trace_refinement_order_two():
@@ -255,7 +261,7 @@ def test_kinetic_trace_refinement_order_two():
         h = 2.0 / npts
         grid, plan, rho = kinetic_instance(npts, h)
         rp = build_regularized(plan, rho, 0.15)
-        analytic, on_grid = kinetic_trace(MixedStateKernel(rp))
+        analytic, on_grid = continuum_kinetic(rp), kinetic_trace(MixedStateKernel(rp))
         rels.append(abs(analytic - on_grid) / analytic)
         hs.append(h)
     slope = np.polyfit(np.log(hs), np.log(rels), 1)[0]
@@ -292,7 +298,7 @@ def test_kinetic_trace_matches_per_atom_loop(fixtures_with_2d):
     for name, grid, plan, rho, eps_list in fixtures_with_2d:
         for eps in eps_list:
             K = MixedStateKernel(build_regularized(plan, rho, eps))
-            _, on_grid = kinetic_trace(K)
+            on_grid = kinetic_trace(K)
             expected = per_atom_grid_kinetic(K)
             assert on_grid == pytest.approx(expected, rel=1e-14, abs=0.0), (name, eps)
 
@@ -331,7 +337,7 @@ def test_window_tuples_match_per_atom_meshgrid(all_identity_fixtures, two_dim_fi
 def test_cauchy_schwarz_direction(all_identity_fixtures):
     for name, grid, plan, rho, eps_list in all_identity_fixtures:
         rp = build_regularized(plan, rho, eps_list[0])
-        _, on_grid = kinetic_trace(MixedStateKernel(rp))
+        on_grid = kinetic_trace(MixedStateKernel(rp))
         assert kinetic_of_sqrt(rp) <= on_grid, name
 
 
@@ -360,7 +366,10 @@ def test_one_body_matrix_is_n_times_the_dense_partial_trace(
         rp = build_regularized(plan, rho, eps_list[0])
     K = MixedStateKernel(rp)
     ref = dense_one_body_matrix(K)
-    assert np.abs(K.one_body_matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    on = rp.rho.values.ravel() > 0
+    assert not np.any(ref[~on]) and not np.any(ref[:, ~on])
+    lam = np.linalg.eigvalsh(ref[np.ix_(on, on)] * rp.grid.cell_volume)[-1]
+    assert abs(rdm_max_eigenvalue(K) - lam) <= 1e-12 * lam
 
 
 def test_one_body_matrix_trace_and_diagonal(all_identity_fixtures):
@@ -368,13 +377,17 @@ def test_one_body_matrix_trace_and_diagonal(all_identity_fixtures):
         for eps in eps_list:
             rp = build_regularized(plan, rho, eps)
             K = MixedStateKernel(rp)
-            gamma = K.one_body_matrix
-            assert not gamma.flags.writeable
-            assert abs(np.trace(gamma) * grid.cell_volume - rp.n * rp.mass()) <= 1e-12
             density = rp.n * one_particle_density(K).values.ravel()
+            marginal_n = rp.n * rp.density().values.ravel()
+            assert abs(density.sum() * grid.cell_volume - rp.n * rp.mass()) <= 1e-12
+            assert np.abs(density - marginal_n).max() <= 1e-12 * marginal_n.max(), \
+                (name, eps)
+            if rp.n > 2:
+                continue  # the dense oracle's s^3 columns exceed MAX_DENSE_ENTRIES
+            gamma = dense_one_body_matrix(K)
+            assert abs(np.trace(gamma) * grid.cell_volume - rp.n * rp.mass()) <= 1e-12
             assert np.abs(np.diag(gamma) - density).max() <= 1e-12 * density.max(), \
                 (name, eps)
-            marginal_n = rp.n * rp.density().values.ravel()
             assert np.abs(np.diag(gamma) - marginal_n).max() <= 1e-12 * marginal_n.max(), \
                 (name, eps)
 
@@ -410,6 +423,32 @@ def test_rdm_max_eigenvalue_is_one_for_delta_plans(all_identity_fixtures):
 def test_rdm_max_eigenvalue_below_one_on_a_smooth_plan(smooth_state):
     grid, rp, K = smooth_state
     assert 0.0 < rdm_max_eigenvalue(K) < 1.0
+
+
+def test_rdm_max_eigenvalue_forms_gamma_on_the_support_only():
+    # two 10 x 10 cos^4 clusters (nodes 8..17 per axis) on a 64 x 64 grid,
+    # each node paired with its (1, 1) translate: 200 of the 4096 nodes carry
+    # rho, so the whole-grid gamma (134 MB) is about 400 times the support block
+    grid = Grid(dim=2, origin=np.zeros(2), h=1 / 32, npts=64)
+    idx = np.arange(8, 18)
+    profile = cos4_window((idx - 12.5) / 6.0)
+    weights = np.outer(profile, profile).ravel()
+    weights /= weights.sum()
+    nodes = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
+    atoms = []
+    for node, w in zip(nodes, weights):
+        x = node * grid.h
+        atoms += [(np.stack([x, x + 1.0]), w / 2.0), (np.stack([x + 1.0, x]), w / 2.0)]
+    plan = AtomicPlan.from_atoms(atoms, dim=2)
+    rp = build_regularized(plan, marginal(plan, grid), 0.1)
+    assert np.count_nonzero(rp.rho.values) == 200
+    K = MixedStateKernel(rp)
+    K.orbitals  # the table is built outside the traced call
+    lam = []
+    peak = traced_peak(lambda: lam.append(rdm_max_eigenvalue(K)))
+    assert peak <= 8e6
+    # the value of the whole-grid matrix's support block
+    assert abs(lam[0] - 0.3892084834826849) <= 1e-12
 
 
 @pytest.mark.parametrize("gap", [2, 1, 0])
@@ -600,7 +639,8 @@ def test_diagonal_check_holds_at_most_three_one_body_matrices():
     configs = rp.source.configs[rng.integers(rp.source.n_atoms, size=2000)]
     configs = configs + rng.uniform(-2 * rp.eps, 2 * rp.eps, configs.shape)
     peak = traced_peak(lambda: kernel_eval(K, configs, configs) - rp.evaluate(configs))
-    assert peak <= 3 * K.one_body_matrix.nbytes
+    # three whole-grid float64 one-body matrices
+    assert peak <= 3 * 8 * rp.grid.n_sites**2
 
 
 PROPERTY_H = 1.0 / 16.0
