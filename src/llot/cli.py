@@ -268,10 +268,12 @@ def _cmd_sweep(args) -> dict:
         "e_ot": result.e_ot,
         "separation": result.alpha,
         "fitted_slope": result.fitted_slope,
+        "eps_window": list(result.eps_window),
         "records": [
             {"eta": r.eta, "eps_opt": r.eps_opt, "total": r.total,
              "gap": r.gap, "assembled_c": r.assembled_c,
-             "scan_fallback": r.scan_fallback, "error": r.error}
+             "scan_fallback": r.scan_fallback, "error": r.error,
+             "eps_edge": r.eps_edge}
             for r in result.records
         ],
     }

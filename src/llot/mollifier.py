@@ -15,7 +15,6 @@ trace) is exact in floating point because of this.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -128,13 +127,10 @@ class GridKernel:
         self.h = float(h)
         self.dim = dim
         reach = int(math.ceil(width / h))
-        rng = range(-reach, reach + 1)
-        offsets = [
-            o for o in itertools.product(rng, repeat=dim)
-            if math.sqrt(sum(v * v for v in o)) * h < width
-        ]
-        offsets = np.array(offsets, dtype=int)
-        r = np.sqrt((offsets.astype(float) ** 2).sum(axis=1)) * h
+        cube = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
+        r = np.sqrt((cube**2).sum(axis=1)) * h
+        inside = r < width
+        offsets, r = cube[inside], r[inside]
         raw = width ** (-dim / 2.0) * self.profile.radial(r / width)
         # an edge offset whose squared weight is negligible against the peak
         # would only push rho * kappa under DENOM_FLOOR; it is dropped

@@ -68,6 +68,7 @@ class RegularizedPlan:
         self.alpha = prep.alpha
         self.centers = prep.centers      # (n_centers, dim) multi-indices
         self.center_of = prep.center_of  # (n_atoms, n) -> row of the tables
+        self.atom_order = prep.atom_order  # the tensor build's atom order
         self.eps = eps                  # the requested width; the kernel's is max(eps, h)
         self.kernel = kernel
         self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
@@ -152,10 +153,9 @@ class RegularizedPlan:
                 f"the {MAX_TENSOR_ENTRIES} limit"
             )
         step = min(ATOM_CHUNK, max(1, MAX_TENSOR_ENTRIES // s ** max(self.n - 1, 1)))
-        order = np.lexsort(self.center_of.T[::-1])       # by the first center, then the next
         flat = np.zeros((s,) * self.n)
         for lo in range(0, self.source.n_atoms, step):
-            atoms = order[lo:lo + step]
+            atoms = self.atom_order[lo:lo + step]
             centers = self.center_of[atoms]                         # (atoms, n)
             nodes = self.nodes[centers]                             # (atoms, n, n_box)
             on = nodes >= 0
@@ -231,14 +231,17 @@ class PreparedPlan:
     alpha: float            # separation; inf for one particle
     centers: np.ndarray     # (n_centers, dim) distinct atom-coordinate nodes
     center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
+    atom_order: np.ndarray  # atoms by their first center, then the next
+    support: tuple          # per-axis first and last node of rho's support
 
 
 def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
     """Snap ``plan`` to the grid of ``rho`` and validate it for smoothing.
 
     Checks that the snapped plan is symmetric and that ``rho`` is its binned
-    marginal to ``MARGINAL_TOL`` in L1, and finds its separation and the
-    distinct coordinate nodes.
+    marginal to ``MARGINAL_TOL`` in L1, and finds its separation, the
+    distinct coordinate nodes, the atoms' order for the tensor build and the
+    bounding box of rho's support.
     """
     grid = rho.grid
     plan = snap_to_grid(plan, grid, max_shift=grid.h)
@@ -253,8 +256,11 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
         )
     nodes, center_of = np.unique(grid.flat_index(grid.indices_of(plan.configs)),
                                  return_inverse=True)
-    return PreparedPlan(plan, rho, alpha, grid.multi_index(nodes),
-                        center_of.reshape(plan.n_atoms, plan.n))
+    center_of = center_of.reshape(plan.n_atoms, plan.n)
+    support_idx = np.argwhere(rho.values > 0)
+    return PreparedPlan(plan, rho, alpha, grid.multi_index(nodes), center_of,
+                        np.lexsort(center_of.T[::-1]),
+                        (support_idx.min(axis=0), support_idx.max(axis=0)))
 
 
 def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
@@ -284,9 +290,7 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
     eps = float(eps)
     kernel = GridKernel(grid.dim, max(eps, grid.h), grid.h)
 
-    support_idx = np.argwhere(rho.values > 0)
-    lo = support_idx.min(axis=0)
-    hi = support_idx.max(axis=0)
+    lo, hi = prep.support
     if np.any(lo < kernel.halfwidth) or np.any(hi > grid.npts - 1 - kernel.halfwidth):
         raise ValidationError(
             "density support too close to the grid boundary for this eps; "

@@ -11,6 +11,13 @@ the Coulomb cost against P_eps; its minimum over eps exceeds E_OT by
 O(sqrt(eta) + eta).  V does not depend on eta, so one :class:`TrialCurve`
 per (rho, plan) smooths each width once and serves every eta.  The sweep
 optimizes eps per eta, records the gap, and fits the log-log rate.
+
+eps is optimized over the feasible window ``[2h, alpha/4 * (1 - 1e-3)]``
+(``eps_min`` replaces 2h) to ``EPS_REL_TOL`` relative.  When the pre-scan's
+best width is a window edge, one probe ``EPS_REL_TOL`` inside the edge
+decides it: a probe above the edge's total returns the edge itself, exactly;
+only a probe at or below it runs the golden-section search.  A sweep record
+whose ``eps_opt`` equals a window bound names it in ``eps_edge``.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ class SweepRecord:
     assembled_c: float
     scan_fallback: bool = False
     error: Optional[str] = None
+    eps_edge: Optional[str] = None   # "lower" or "upper" when eps_opt is that window bound
 
 
 @dataclass
@@ -66,6 +74,7 @@ class SweepResult:
     e_ot: float
     alpha: float
     fitted_slope: float
+    eps_window: tuple       # (lo, hi) of TrialCurve.window
 
 
 def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float) -> TrialEnergy:
@@ -144,19 +153,32 @@ class TrialCurve:
         return TrialEnergy(eta=eta, eps=eps, kinetic_term=float(kinetic),
                            potential_term=float(potential))
 
+    def window(self, eps_min: Optional[float] = None) -> tuple:
+        """The feasible widths ``(lo, hi)``: ``lo`` is ``eps_min``, or 2h by
+        default, and ``hi = alpha/4 * (1 - 1e-3)``; the window is empty when
+        ``lo >= hi``."""
+        hi = self.prepared.alpha / 4.0 * (1.0 - 1e-3)
+        lo = eps_min if eps_min is not None else 2.0 * self.rho.grid.h
+        return lo, hi
+
     def optimize(self, eta: float, eps_min: Optional[float] = None):
         """Minimize the trial total over the feasible mollifier widths.
 
         Returns ``(eps_opt, energy, scan_fallback)``.  A coarse geometric
-        pre-scan of ``N_SCAN`` points tests unimodality; if it holds,
-        golden-section search refines inside the bracketing scan interval,
-        otherwise the best scan point is returned (``scan_fallback`` is
-        flagged on the sweep record).
+        pre-scan of ``N_SCAN`` points over :meth:`window`, whose end points
+        are the window's bounds, tests unimodality; if it fails, the best
+        scan point is returned (``scan_fallback`` is flagged on the sweep
+        record).  If it holds and the best point is a window edge, the total
+        is probed once at the edge moved ``EPS_REL_TOL`` relative into the
+        window: a probe strictly above the edge's total puts the minimizer
+        of the unimodal total within ``EPS_REL_TOL`` of the edge, the
+        precision golden-section search would reach, so the edge itself is
+        returned, exactly.  Otherwise golden-section search refines inside
+        the bracketing scan interval.
         """
         if eta <= 0:
             raise ValidationError("eta must be positive")
-        hi = self.prepared.alpha / 4.0 * (1.0 - 1e-3)
-        lo = eps_min if eps_min is not None else 2.0 * self.rho.grid.h
+        lo, hi = self.window(eps_min)
         if lo >= hi:
             raise ValidationError(
                 f"empty feasible eps interval: [{lo:.4g}, {hi:.4g}]"
@@ -169,7 +191,9 @@ class TrialCurve:
         vals = np.array([total(x) for x in xs])
         best = int(np.argmin(vals))
         fallback = not _is_unimodal(vals, tol=1e-12 * max(1.0, float(np.abs(vals).max())))
-        if fallback:
+        probe = {0: xs[0] * (1.0 + EPS_REL_TOL),
+                 N_SCAN - 1: xs[-1] * (1.0 - EPS_REL_TOL)}.get(best)
+        if fallback or (probe is not None and total(probe) > vals[best]):
             eps_opt = float(xs[best])
         else:
             a = xs[max(best - 1, 0)]
@@ -215,7 +239,9 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     Every eta optimizes eps over one shared :class:`TrialCurve`, so each
     width is smoothed once per sweep.  A validation or numerical failure for
     one eta is recorded and the sweep continues.  Records are ordered by eta
-    ascending; the result carries the fitted log-log slope of the gap.
+    ascending; the result carries the fitted log-log slope of the gap and
+    the feasible window, and a record whose ``eps_opt`` is one of the
+    window's bounds says which in ``eps_edge``.
     ``eps_min`` is checked before any eta runs: inside the loop its error
     would be recorded as a failed eta instead of rejecting the call.
     """
@@ -230,6 +256,8 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     alpha = curve.prepared.alpha
     grad_moment, second_moment = BumpProfile(rho.grid.dim).moments()
     l1g = l1_gradient(rho)
+    window = curve.window(eps_min)
+    edges = dict(zip(window, ("lower", "upper")))
 
     records = []
     for eta in eta_list:
@@ -240,7 +268,7 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
             records.append(SweepRecord(
                 eta=eta, eps_opt=eps_opt, total=energy.total, e_ot=sol.value,
                 gap=energy.total - sol.value, assembled_c=c,
-                scan_fallback=fallback))
+                scan_fallback=fallback, eps_edge=edges.get(eps_opt)))
         except (ValidationError, NumericalError) as exc:
             records.append(SweepRecord(
                 eta=eta, eps_opt=math.nan, total=math.nan, e_ot=sol.value,
@@ -248,4 +276,4 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     slope = fit_log_slope([r.eta for r in records if r.error is None],
                           [r.gap for r in records if r.error is None])
     return SweepResult(records=records, e_ot=sol.value, alpha=alpha,
-                       fitted_slope=slope)
+                       fitted_slope=slope, eps_window=window)

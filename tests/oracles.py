@@ -4,7 +4,8 @@ kinetic check, explicit orbitals and Slater determinants, the window tuples
 of the mixed state with the signs of its permutations, its dense kernel
 and one-body matrices, and the Coulomb cost's derivative blocks, shared by
 the mollifier, regularizer and quantum tests as oracles; a plan whose
-support reaches the grid's upper edge; a smooth three-particle plan; the
+support reaches the grid's upper edge; two smooth three-particle plans, one
+small enough for the dense one-body matrix; the
 sweep preset's geometry on finer grids; the 1024-node paired plan and a
 traced-memory probe; and an LP solver with wrong duals."""
 
@@ -85,6 +86,21 @@ def upper_grid_edge_case():
     rp = build_regularized(plan, marginal(plan, grid), 0.2)
     assert 28 + rp.kernel.halfwidth == grid.npts - 1
     return rp
+
+
+def small_three_particle_case():
+    """A smooth n = 3 smoothing small enough for :func:`dense_one_body_matrix`:
+    each node s of a two-node cluster at 2 h, 3 h (weights 1/4, 3/4) with
+    s + 9 h and s + 18 h, in every order, on a 23-node line, smoothed at
+    eps = 2 h.  Each center's window is three nodes, so the orbitals of the
+    two cluster nodes overlap; 12 atoms of 27 window tuples against 23^3
+    columns stay under ``MAX_DENSE_ENTRIES``."""
+    grid = Grid.line(0.0, 1 / 8, 23)
+    perms = permutations(3)
+    atoms = [((np.array([s, s + 9, s + 18]) * grid.h)[perm, None], w / len(perms))
+             for s, w in ((2, 0.25), (3, 0.75)) for perm in perms]
+    plan = AtomicPlan.from_atoms(atoms, dim=1)
+    return build_regularized(plan, marginal(plan, grid), 2 * grid.h)
 
 
 def three_cluster_plan():

@@ -375,20 +375,38 @@ def test_sweep_rejects_bad_etas(sixteen_csv, tmp_path, capsys, etas):
 
 
 def test_sweep_report_states_the_eps_precision(tmp_path, monkeypatch):
+    # 1e-3, 1e-2 and 1e-1 are edge-bound on the preset, settled by one probe
+    # each; 2.15e-3 is interior, so golden-section search runs for it
     density = tmp_path / "density.csv"
     fileio.write_density(density, sweep_density())
-    tolerances = []
+    tolerances, widths = [], []
     golden_minimize = semiclassics.golden_minimize
+    smooth = semiclassics.smooth_plan
 
     def recording(f, lo, hi, rel_tol, **kwargs):
         tolerances.append(rel_tol)
         return golden_minimize(f, lo, hi, rel_tol, **kwargs)
 
+    def counting_smooth(prep, eps):
+        widths.append(eps)
+        return smooth(prep, eps)
+
     monkeypatch.setattr(semiclassics, "golden_minimize", recording)
-    rep = run(["sweep", "--density", str(density), "--n", "2", "--etas", "1e-3:1e-1:3"],
+    monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
+    rep = run(["sweep", "--density", str(density), "--n", "2", "--etas", "1e-3:1e-1:7"],
               tmp_path / "sweep.json")
     assert rep["config"]["eps_rel_tol"] == semiclassics.EPS_REL_TOL
     assert tolerances and set(tolerances) == {rep["config"]["eps_rel_tol"]}
+    tol = rep["config"]["eps_rel_tol"]
+    lo, hi = rep["eps_window"]
+    records = rep["records"]          # etas 1e-3 * 10^(k/3), k = 0..6
+    edge, interior = [records[k] for k in (0, 3, 6)], records[1]
+    assert [r["eps_edge"] for r in edge] == ["lower", "upper", "upper"]
+    assert [r["eps_opt"] for r in edge] == [lo, hi, hi]
+    assert interior["eps_edge"] is None and not interior["scan_fallback"]
+    assert lo < interior["eps_opt"] < hi
+    # each edge's probe sits eps_rel_tol relative inside the window
+    assert {lo * (1.0 + tol), hi * (1.0 - tol)} <= set(widths)
 
 
 @pytest.fixture(scope="module")

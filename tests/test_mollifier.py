@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate
 from llot.errors import ValidationError
 from llot.grids import Grid, GridDensity, density_from_values
 from llot.mollifier import (
+    TAIL_CUT,
     BumpProfile,
     GridKernel,
     _raw_profile,
@@ -131,6 +133,37 @@ def test_box_amp_matches_a_per_entry_lookup(dim, width, h, n_cut):
     ref = amp_at(k, k.box[:, None, :] - k.offsets[None, :, :])
     assert np.array_equal(k.box_amp[:-1], ref)
     assert np.array_equal(k.box_amp[-1], np.zeros(len(k.offsets)))
+
+
+def product_filter_offsets(dim, width, h):
+    """The kernel offsets by a Python filter over the product cube: the
+    lattice rule ``|o h| < width``, then the ``TAIL_CUT`` rule on the squared
+    profile weights; and the number of cube offsets with ``|o h| == width``."""
+    reach = int(np.ceil(width / h))
+    cube = itertools.product(range(-reach, reach + 1), repeat=dim)
+    radii = {o: math.sqrt(sum(v * v for v in o)) * h for o in cube}
+    offsets = [o for o, r in radii.items() if r < width]
+    sq = np.array([BumpProfile(dim).radial(radii[o] / width) for o in offsets]) ** 2
+    on_edge = sum(r == width for r in radii.values())
+    return np.array(offsets, dtype=int)[sq >= TAIL_CUT * sq.max()], on_edge
+
+
+@pytest.mark.parametrize("dim, width, h, on_edge, n_cut", [
+    (1, 0.2, 0.05, 2, 0), (2, 0.2, 0.05, 4, 0), (3, 0.2, 0.05, 6, 0),
+    (1, 1.0, 0.25, 2, 0), (2, 5.0, 1.0, 12, 0), (3, 2.0, 1.0, 6, 0),
+    (2, 4.007, 1.0, 0, 4), (1, 3.0001, 1.0, 0, 2), (3, 2.0005, 1.0, 0, 6),
+    (1, 1.0, 1.0, 2, 0),
+], ids=["1", "2", "3", "1-edge", "2-edge-diagonal", "3-edge", "2-tail-cut",
+        "1-underflow", "3-underflow", "one-node"])
+def test_offsets_match_the_product_filter(dim, width, h, on_edge, n_cut):
+    # offsets at |o h| == width exactly are excluded (the (3, 4) diagonal at
+    # 5 h among them), and those whose squared weight falls below TAIL_CUT of
+    # the peak, or underflows to 0, are dropped
+    k = GridKernel(dim, width, h)
+    ref, edge_count = product_filter_offsets(dim, width, h)
+    assert edge_count == on_edge
+    assert k.offsets.dtype == ref.dtype and np.array_equal(k.offsets, ref)
+    assert len(k.offsets) == full_offset_count(dim, width, h) - n_cut
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -22,8 +22,8 @@ from llot.regularizer import (build_regularized, kinetic_of_sqrt, kinetic_term, 
                               smooth_plan)
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
                      dense_transfer, det_square_identity, fine_paired_plan,
-                     signed_permutations, slater, three_cluster_plan, traced_peak,
-                     upper_grid_edge_case, window_tuples)
+                     signed_permutations, slater, small_three_particle_case,
+                     three_cluster_plan, traced_peak, upper_grid_edge_case, window_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +418,18 @@ def test_rdm_max_eigenvalue_is_one_for_delta_plans(all_identity_fixtures):
         for eps in eps_list:
             lam = rdm_max_eigenvalue(MixedStateKernel(build_regularized(plan, rho, eps)))
             assert abs(lam - 1.0) <= 1e-12, (name, eps)
+
+
+def test_rdm_max_eigenvalue_at_three_particles_matches_the_dense_oracle():
+    rp = small_three_particle_case()
+    assert len(rp.kernel.offsets) == 3
+    K = MixedStateKernel(rp)
+    ref = dense_one_body_matrix(K)
+    on = rp.rho.values.ravel() > 0
+    assert not np.any(ref[~on]) and not np.any(ref[:, ~on])
+    lam = np.linalg.eigvalsh(ref[np.ix_(on, on)] * rp.grid.cell_volume)[-1]
+    assert 0.5 < lam < 0.95  # overlapping orbitals: no state is filled
+    assert abs(rdm_max_eigenvalue(K) - lam) <= 1e-12 * lam
 
 
 def test_rdm_max_eigenvalue_below_one_on_a_smooth_plan(smooth_state):

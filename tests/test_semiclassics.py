@@ -181,6 +181,65 @@ def test_preset_sweep_smooths_each_width_once(monkeypatch):
         assert r.total <= before + 1e-9 * before
 
 
+def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
+    # 32 scan widths, one probe per window edge and one golden search of 30
+    # widths for the interior record; the scan-fallback record adds none
+    widths = []
+    smooth = semiclassics.smooth_plan
+
+    def counting_smooth(prep, eps):
+        widths.append(eps)
+        return smooth(prep, eps)
+
+    monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
+    result = sweep(sweep_density(), 2, SWEEP_ETAS)
+    assert len(widths) == 64
+    lo, hi = result.eps_window
+    assert lo == 2.0 * sweep_density().grid.h
+    assert [r.eps_edge for r in result.records] == ["lower"] * 4 + [None] * 2 + ["upper"] * 4
+    for r in result.records:
+        if r.eps_edge is not None:
+            assert r.eps_opt == {"lower": lo, "upper": hi}[r.eps_edge]
+        else:
+            assert lo < r.eps_opt < hi
+
+
+@pytest.mark.parametrize("edge, offset, probed", [
+    ("lower", 1e-3, False), ("lower", -0.5, True),
+    ("upper", -1e-3, False), ("upper", 1.0, True),
+], ids=["lower-inside", "lower-edge", "upper-inside", "upper-edge"])
+def test_edge_probe_never_skips_a_real_minimum(solved_instance, monkeypatch,
+                                               edge, offset, probed):
+    # a closed-form unimodal total, log(eps / m)^2 with no kinetic part, whose
+    # minimizer m sits 1e-3 relative inside a window edge (inside the first
+    # scan interval and far past the probe) or outside the window
+    rho, sol = solved_instance
+    curve = TrialCurve(rho, sol.plan)
+    lo, hi = curve.window()
+    xs = np.geomspace(lo, hi, semiclassics.N_SCAN)
+    bound = {"lower": lo, "upper": hi}[edge]
+    m = bound * (1.0 + offset)
+    widths = []
+
+    def closed_form(self, eps):
+        widths.append(eps)
+        return math.log(eps / m) ** 2, 0.0
+
+    monkeypatch.setattr(TrialCurve, "_smoothed", closed_form)
+    eps_opt, energy, fallback = curve.optimize(1e-2)
+    assert not fallback
+    probe = {"lower": lo * (1.0 + semiclassics.EPS_REL_TOL),
+             "upper": hi * (1.0 - semiclassics.EPS_REL_TOL)}[edge]
+    assert probe in widths
+    if probed:
+        assert eps_opt == bound
+        assert set(widths) == set(xs) | {probe}
+    else:
+        assert xs[0] < m < xs[1] or xs[-2] < m < xs[-1]
+        assert abs(eps_opt - m) <= semiclassics.EPS_REL_TOL * m
+        assert len(set(widths)) > len(xs) + 1
+
+
 def _failing_at(eta_bad, exc_type):
     optimize = semiclassics.TrialCurve.optimize
 
