@@ -14,7 +14,6 @@ from .grids import (
     marginal,
     separation,
     snap_to_grid,
-    symmetrize,
 )
 from .mollifier import BumpProfile, GridKernel, convolve_sq
 from .regularizer import (

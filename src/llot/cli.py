@@ -10,7 +10,9 @@ kinetic energies of ``quantum-check``, the continuum ``kinetic_term`` (as in
 ``regularize``'s ``rhs``) and the state's ``Tr(-Delta_h gamma)``, get no
 verdict, since they differ by O((h/eps)^2) discretization.  Output paths
 are checked before any computation, so a bad one writes no file at all.  A ``--density`` file
-has mass 1, or mass n (the plan's or ``--n``'s) and is divided by n.
+has mass 1, or mass n (the plan's or ``--n``'s) and is divided by n.  A
+plan file is read as the symmetrization of its atoms, and the ``mmot``
+report's ``n_atoms`` counts the plan's orbits, one atom each.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import fileio, presets
 from .errors import NumericalError, ValidationError
-from .grids import h1_seminorm_sqrt, marginal, separation, symmetrize
+from .grids import h1_seminorm_sqrt, marginal, separation
 from .mmot import TransportProblem, require_finite_positive, solve_lp, solve_sinkhorn
 from .quantum import (MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density,
                       rdm_max_eigenvalue)
@@ -146,7 +148,6 @@ def _cmd_regularize(args) -> dict:
         raise ValidationError(f"unknown checks: {sorted(unknown)}")
     plan = fileio.read_plan(args.plan)
     rho = fileio.read_density(args.density, n_particles=plan.n)
-    plan = symmetrize(plan)
     rp = build_regularized(plan, rho, args.eps)
     result = {}
     if "marginal" in checks:
@@ -176,16 +177,18 @@ def _cmd_quantum_check(args) -> dict:
         raise ValidationError(f"seed must be nonnegative, got {args.seed}")
     plan = fileio.read_plan(args.plan)
     rho = fileio.read_density(args.density, n_particles=plan.n)
-    plan = symmetrize(plan)
     rp = build_regularized(plan, rho, args.eps)
     kernel = MixedStateKernel(rp)
     tr = rp.mass()
     dens_err = one_particle_density(kernel).l1_distance(rho)
-    # diagonal identity on sampled configurations near the plan's atoms
+    # diagonal identity on sampled configurations near the plan's atoms, each
+    # in a random ordering, so that every ordering and its parity is reached
     rng = np.random.default_rng(args.seed)
     atoms = rng.integers(rp.source.n_atoms, size=args.samples)
     configs = rp.source.configs[atoms] + rng.uniform(
         -2 * rp.eps, 2 * rp.eps, size=(args.samples, rp.n, rp.source.dim))
+    order = rng.permuted(np.tile(np.arange(rp.n), (args.samples, 1)), axis=1)
+    configs = np.take_along_axis(configs, order[:, :, None], axis=1)
     direct = rp.evaluate(configs)
     max_abs = float(np.abs(kernel_eval(kernel, configs, configs) - direct).max())
     max_val = float(np.abs(direct).max())

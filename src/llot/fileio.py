@@ -5,6 +5,10 @@ uniform spacing (a multi-d format is ROADMAP item 6).  A file holds either a
 probability (mass 1) or a particle-number density (mass N); the reader
 returns both as the probability :class:`~llot.grids.GridDensity`.
 Plan JSON: ``{"n": N, "dim": d, "atoms": [{"x": [[...], ...], "w": w}]}``.
+The file's plan is the symmetrization of its listed atoms: any listing is
+read, with every ordering of an atom standing for the same orbit and
+their weights summed (:class:`~llot.grids.AtomicPlan`), and a plan is
+written one atom per orbit.
 Reports are JSON with sorted keys so identical runs are byte-identical.
 """
 

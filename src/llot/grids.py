@@ -8,13 +8,15 @@ Conventions used throughout the package:
 * A :class:`GridDensity` stores *density values* (not masses); the quadrature
   mass of a region is ``sum(values) * h**dim``, and of the whole grid 1.
 * An :class:`AtomicPlan` is a finitely supported symmetric probability on
-  configuration space: a list of ``(X, w)`` with ``X`` an ``(n, dim)`` array
-  of particle positions and ``w > 0`` summing to one.
+  configuration space, stored once per orbit: a list of ``(X, W)`` with ``X``
+  an ``(n, dim)`` array of particle positions in lexicographic order and
+  ``W > 0`` summing to one.  It stands for the symmetrization
+  ``sum_X W / n! * sum_sigma delta_{sigma X}``, so any listing of atoms,
+  ordered or not, builds the plan of its symmetrization.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -156,7 +158,16 @@ def density_from_values(grid: Grid, raw, normalize: bool = False) -> GridDensity
 
 @dataclass
 class AtomicPlan:
-    """Finitely supported symmetric ``n``-particle probability measure."""
+    """Finitely supported symmetric ``n``-particle probability measure, one
+    atom per orbit.
+
+    The constructor symmetrizes what it is given: it sorts the points of
+    each configuration lexicographically (``-0.0`` read as ``+0.0``), merges
+    equal configurations, summing their weights in input order, and orders
+    the atoms lexicographically.  Every per-orbit sum (the marginal, the
+    separation, a symmetric cost) reads the atoms as they are; a reader of
+    the full n-point density expands each orbit over its n! orderings.
+    """
 
     n: int
     dim: int
@@ -183,8 +194,15 @@ class AtomicPlan:
             raise ValidationError(
                 f"atom weights sum to {weights.sum():.15g}, expected 1"
             )
-        self.configs = configs
-        self.weights = weights
+        m = configs.shape[0]
+        points = (configs + 0.0).reshape(m * self.n, self.dim)   # -0.0 + 0.0 is +0.0
+        points = points[np.lexsort((*points.T[::-1], np.repeat(np.arange(m), self.n)))]
+        rows = points.reshape(m, -1)
+        order = np.lexsort(rows.T[::-1])    # stable: equal rows keep input order
+        rows = rows[order]
+        first = np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
+        self.configs = rows[first].reshape(-1, self.n, self.dim)
+        self.weights = np.bincount(np.cumsum(first) - 1, weights=weights[order])
 
     @classmethod
     def from_atoms(cls, atoms, dim: Optional[int] = None) -> "AtomicPlan":
@@ -208,61 +226,8 @@ class AtomicPlan:
 
     @property
     def n_atoms(self) -> int:
+        """The number of orbits."""
         return self.configs.shape[0]
-
-    def sorted_copy(self) -> "AtomicPlan":
-        """Atoms reordered by lexicographic configuration; for determinism."""
-        order = np.lexsort(self.configs.reshape(self.n_atoms, -1).T[::-1])
-        return AtomicPlan(self.n, self.dim, self.configs[order], self.weights[order])
-
-
-def _row_keys(configs: np.ndarray) -> np.ndarray:
-    """One ``np.void`` key per configuration: its contiguous row bytes.
-
-    Keys sort as ``bytes`` do and are equal exactly when the bytes are, so
-    ``-0.0`` and ``0.0`` are distinct coordinates.
-    """
-    rows = np.ascontiguousarray(configs).reshape(len(configs), -1)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def _merge_atoms(configs: np.ndarray, weights: np.ndarray) -> tuple:
-    """Atoms with equal configurations merged: the distinct configurations in
-    key order and their weights, each summed in input order."""
-    _, first, inverse = np.unique(_row_keys(configs), return_index=True,
-                                  return_inverse=True)
-    return configs[first], np.bincount(inverse, weights=weights)
-
-
-def permutations(n: int) -> np.ndarray:
-    """All permutations of range(n) as the rows of an (n!, n) array, in
-    lexicographic order."""
-    return np.array(list(itertools.permutations(range(n))))
-
-
-def symmetrize(plan: AtomicPlan) -> AtomicPlan:
-    """Average atom weights over all coordinate permutations.
-
-    The result assigns each configuration the mean of the input weights of
-    its n! permuted copies, so the output is permutation invariant and total
-    mass is preserved exactly.  Idempotent.
-    """
-    perms = permutations(plan.n)
-    permuted = plan.configs[:, perms].reshape(-1, plan.n, plan.dim)
-    configs, weights = _merge_atoms(permuted, np.repeat(plan.weights / len(perms),
-                                                        len(perms)))
-    return AtomicPlan(plan.n, plan.dim, configs, weights / weights.sum())
-
-
-def is_symmetric(plan: AtomicPlan, tol: float = 1e-12) -> bool:
-    """Whether every permutation of every atom carries the same weight."""
-    configs, weights = _merge_atoms(plan.configs, plan.weights)
-    keys = _row_keys(configs)
-    perms = permutations(plan.n)
-    permuted = _row_keys(configs[:, perms].reshape(-1, plan.n, plan.dim))
-    pos = np.minimum(np.searchsorted(keys, permuted), len(keys) - 1)
-    return bool(np.all(keys[pos] == permuted) and np.all(
-        np.abs(weights[pos] - np.repeat(weights, len(perms))) <= tol))
 
 
 def separation(plan: AtomicPlan) -> float:
@@ -290,7 +255,8 @@ def coulomb(configs) -> np.ndarray:
 
 
 def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None) -> AtomicPlan:
-    """Move every atom coordinate to its nearest grid node.
+    """Move every atom coordinate to its nearest grid node; atoms that land
+    on one configuration merge.
 
     The exact marginal and trace identities of the smoothing constructions
     hold only for node-supported plans, so plans are snapped on entry.
@@ -302,8 +268,7 @@ def snap_to_grid(plan: AtomicPlan, grid: Grid, max_shift: Optional[float] = None
             f"atom coordinates are {shift:.3g} away from the nearest node, "
             f"more than the allowed {max_shift:.3g}"
         )
-    configs, weights = _merge_atoms(snapped, plan.weights)
-    return AtomicPlan(plan.n, plan.dim, configs, weights)
+    return AtomicPlan(plan.n, plan.dim, snapped, plan.weights)
 
 
 def marginal(plan: AtomicPlan, grid: Grid) -> GridDensity:

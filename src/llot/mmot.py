@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grids import AtomicPlan, GridDensity, coulomb, marginal, permutations
+from .grids import AtomicPlan, GridDensity, coulomb, marginal
 
 MAX_LP_VARIABLES = 200_000
 MAX_GIBBS_ENTRIES = 2_000_000
@@ -101,8 +101,8 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     certificate: lowering v by ``max_violation / n`` makes it feasible, so
     the value exceeds the optimum by at most ``duality_gap + max_violation``,
     and a violation above ``DUAL_TOL`` times the value raises
-    :class:`NumericalError`.  Each optimal multiset is spread evenly over its
-    n! orderings.  scipy's HiGHS loads on the first call, not at import.
+    :class:`NumericalError`.  Each optimal multiset is one orbit of the
+    plan.  scipy's HiGHS loads on the first call, not at import.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csc_array
@@ -148,10 +148,7 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
             f"exceeds {DUAL_TOL:g} of the value {value:.3g}")
 
     kept = np.nonzero(x > 1e-15)[0]
-    perms = permutations(p.n)
-    configs = positions[combos[kept][:, perms]].reshape(-1, p.n, dim)
-    weights = np.repeat(x[kept], len(perms))
-    plan = AtomicPlan(p.n, dim, configs, weights / weights.sum()).sorted_copy()
+    plan = AtomicPlan(p.n, dim, positions[combos[kept]], x[kept] / x[kept].sum())
 
     return TransportSolution(
         plan=plan,
@@ -266,7 +263,7 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     kept_w = flat_w[kept_idx]
     kept_w = kept_w / kept_w.sum()
     configs = positions[site_idx[kept_idx]]
-    plan = AtomicPlan(p.n, positions.shape[1], configs, kept_w).sorted_copy()
+    plan = AtomicPlan(p.n, positions.shape[1], configs, kept_w)
     value = float((coulomb(configs) * kept_w).sum())
     return TransportSolution(
         plan=plan,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import AtomicPlan, Grid, GridDensity, density_from_values, marginal
-from .grids import permutations
 
 PAIRED_WEIGHT_FLOOR = 1e-8  # relative weight below which paired_plan drops a node
 
@@ -30,7 +29,7 @@ def paired_plan(grid: Grid, s_lo: float, s_hi: float, delta: float) -> AtomicPla
     Weights follow the cos^4 window over the range, so the one-particle
     marginal is a smooth two-hump density and every atom has internal
     separation exactly delta.  Nodes whose weight is below ``PAIRED_WEIGHT_FLOOR``
-    times the largest are dropped.
+    times the largest are dropped.  One atom, an orbit, per kept node.
     """
     axis = grid.axis()
     nodes = axis[(axis >= s_lo - 1e-12) & (axis <= s_hi + 1e-12)]
@@ -38,21 +37,15 @@ def paired_plan(grid: Grid, s_lo: float, s_hi: float, delta: float) -> AtomicPla
     w = cos4_window((nodes - center) / halfwidth)
     keep = w > PAIRED_WEIGHT_FLOOR * w.max()
     nodes, w = nodes[keep], w[keep]
-    w = w / w.sum()
-    atoms = []
-    for s, ws in zip(nodes, w):
-        atoms.append((np.array([[s], [s + delta]]), ws / 2.0))
-        atoms.append((np.array([[s + delta], [s]]), ws / 2.0))
-    return AtomicPlan(2, 1, np.stack([a[0] for a in atoms]),
-                      np.array([a[1] for a in atoms]))
+    return AtomicPlan(2, 1, np.stack([nodes, nodes + delta], axis=1)[:, :, None],
+                      w / w.sum())
 
 
 def permutation_plan(sites) -> AtomicPlan:
-    """Symmetric plan with weight 1/n! on each ordering of ``sites``."""
+    """Symmetric plan with weight 1/n! on each ordering of ``sites``: the
+    one orbit of ``sites``."""
     sites = [np.atleast_1d(np.asarray(s, dtype=float)) for s in sites]
-    perms = permutations(len(sites))
-    atoms = [(np.stack([sites[i] for i in perm]), 1.0 / len(perms)) for perm in perms]
-    return AtomicPlan.from_atoms(atoms, dim=sites[0].size)
+    return AtomicPlan.from_atoms([(np.stack(sites), 1.0)], dim=sites[0].size)
 
 
 # -- identity fixtures (marginal pinning, trace, diagonal) -------------------

@@ -7,14 +7,18 @@ orbitals live in index space: ``x`` and ``z`` are grid nodes and ``amp`` is
 the kernel's table ``GridKernel.amp`` at the integer offset ``x - z``.
 With ``A(X, Z)_{ij} = amp(x_j - z_i)`` the kernel on configuration pairs is
 
-    K(X; X') = 1/n! * sum_atoms w * sum_Z prod_i q_i(z_i)
+    K(X; X') = 1/n! * sum_orbits W * sum_Z prod_i q_i(z_i)
                * det A(X, Z) * det A(X', Z)
                * prod_k sqrt(rho(x_k) rho(x'_k)) * h^{d n},
 
-where ``z_i`` runs over the window of the atom's i-th coordinate and
-``q_i = kappa / (rho * kappa)`` there.  The weights are a product over
-particles, so the sum over Z factorizes into one n x n matrix per
-atom-coordinate center c, ``M_c = A_c^T diag(q_c) A'_c``:
+where ``z_i`` runs over the window of the orbit's i-th center and
+``q_i = kappa / (rho * kappa)`` there.  The sum runs once per orbit, with the
+orbit weight W (:class:`~llot.grids.AtomicPlan`): each of an orbit's n!
+orderings, weight ``W / n!``, adds the same signed term, since reordering the
+centers permutes the rows of both determinants, so the orderings' sum is the
+orbit's term times W.  The ``1/n!`` is the Slater normalization squared.
+The weights are a product over particles, so the sum over Z factorizes into
+one n x n matrix per atom-coordinate center c, ``M_c = A_c^T diag(q_c) A'_c``:
 
     sum_Z prod_i q_i(z_i) det A(X, Z) det A(X', Z)
         = sum_{sigma, tau} sgn(sigma) sgn(tau) prod_i M_i[sigma(i), tau(i)].
@@ -109,7 +113,7 @@ class MixedStateKernel:
         return nodes, values, per_node[zs] * grid.cell_volume
 
     def _block_eval(self, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
-        """The surviving term (module docstring) summed over the atoms,
+        """The surviving term (module docstring) summed over the orbits,
         without its factor ``root h^{dn} / n!``, for rows (m, n) of sorted
         flat node indices ``x`` and ``xp``; shape (m,).  A (row, atom) pair
         has it where each center reaches one node of each block and every

@@ -1,17 +1,25 @@
 """Marginal-pinned smoothing of atomic symmetric plans.
 
-Given a symmetric atomic plan P with binned one-particle marginal rho, the
-smoothed plan is represented through per-coordinate transfer vectors
+Given a symmetric atomic plan P (one atom per orbit, :class:`AtomicPlan`)
+with binned one-particle marginal rho, the smoothed plan is represented
+through per-coordinate transfer vectors
 
     T_c(x) = rho(x) * sum_z kappa(x - z) kappa(z - c) / (rho * kappa)(z) * h^d
 
 one per distinct atom-coordinate node c, where kappa is the renormalized
 squared mollifier kernel on the grid.  The smoothed plan is then
 
-    P_eps(x_1, ..., x_n) = sum_atoms w * prod_k T_{c(atom,k)}(x_k),
+    P_eps(x_1, ..., x_n) = sum_orbits W / n!
+                           * sum_sigma prod_k T_{c(orbit,sigma(k))}(x_k),
 
-a probability density on the n-fold tensor grid.  Each center's window is
-the nodes ``z = c + o`` over the kernel offsets ``o``, with the weights
+a probability density on the n-fold tensor grid, summed over each orbit's
+n! orderings of its centers.  Only the two readers of this n-point density,
+:meth:`RegularizedPlan.evaluate` and the tensor build, run over the
+orderings, from one table built once per prepared plan
+(:attr:`PreparedPlan.orderings`); every one-particle quantity (the masses,
+the center weights, the density) sums per orbit, since each ordering adds
+the same terms.  Each center's window is the nodes ``z = c + o`` over the
+kernel offsets ``o``, with the weights
 ``q(z) = kappa(z - c) / (rho * kappa)(z)``; one table of shape
 ``(n_centers, n_offsets)`` holds each, ``RegularizedPlan.window`` (flat node
 indices) and ``RegularizedPlan.q``, and both the transfer vectors and the
@@ -28,6 +36,7 @@ zero offset, so kappa is the one-node kernel and P_eps = P on the grid (see
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +50,6 @@ from .grids import (
     GridDensity,
     coulomb,
     dirichlet_sum_sqrt,
-    is_symmetric,
     l1_gradient,
     marginal,
     separation,
@@ -51,7 +59,7 @@ from .mollifier import GridKernel, convolve_sq, offset_sum
 
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
-ATOM_CHUNK = 32        # atoms per block of the tensor build
+ATOM_CHUNK = 32        # ordering-table rows per block of the tensor build
 BATCH_ENTRIES = 1 << 14  # index entries per chunk of a configuration batch
 MARGINAL_TOL = 1e-8   # L1 distance allowed between rho and the binned plan marginal
 SUPPORT_PAD = 3       # zero nodes around the support: the one-sided stencil's reach
@@ -68,7 +76,7 @@ class RegularizedPlan:
         self.alpha = prep.alpha
         self.centers = prep.centers      # (n_centers, dim) multi-indices
         self.center_of = prep.center_of  # (n_atoms, n) -> row of the tables
-        self.atom_order = prep.atom_order  # the tensor build's atom order
+        self.prepared = prep
         self.eps = eps                  # the requested width; the kernel's is max(eps, h)
         self.kernel = kernel
         self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
@@ -104,25 +112,29 @@ class RegularizedPlan:
 
     def evaluate(self, configs) -> np.ndarray:
         """P_eps at each configuration of a batch (m, n, dim), snapped to
-        nearest nodes, in chunks of ``BATCH_ENTRIES`` index entries; (m,)."""
+        nearest nodes, in chunks of ``BATCH_ENTRIES`` index entries; (m,).
+        The sum runs over every ordering of every orbit
+        (:attr:`PreparedPlan.orderings`)."""
         idx, = self.config_nodes(configs)
-        atoms = self.centers[self.center_of]                # (n_atoms, n, dim)
+        rows, weights = self.prepared.orderings
+        atoms = self.centers[rows]                          # (n_rows, n, dim)
         out = np.empty(len(idx))
         step = max(1, BATCH_ENTRIES // atoms.size)
         for lo in range(0, len(idx), step):
             slot, inside = self.kernel.box_slot(idx[lo:lo + step, None] - atoms)
-            factors = np.where(inside, self.transfer[self.center_of, np.where(inside, slot, 0)],
-                               0.0)                         # (rows, n_atoms, n)
-            out[lo:lo + step] = (self.source.weights * factors.prod(axis=2)).sum(axis=1)
+            factors = np.where(inside, self.transfer[rows, np.where(inside, slot, 0)],
+                               0.0)                         # (configs, n_rows, n)
+            out[lo:lo + step] = (weights * factors.prod(axis=2)).sum(axis=1)
         return out
 
     def tensor(self) -> np.ndarray:
         """Dense density on the n-fold tensor grid, shape grid.shape * n.
 
-        A block-sparse contraction over atoms (see :meth:`_build_tensor`):
-        each chunk of atoms adds ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` into the
-        sub-box of the tensor that its transfer vectors reach.  The tensor
-        is capped at ``MAX_TENSOR_ENTRIES``.  Built once and returned
+        A block-sparse contraction over the ordering table (see
+        :meth:`_build_tensor`): each chunk of its rows adds
+        ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` into the sub-box of the tensor
+        that its transfer vectors reach.  The tensor is capped at
+        ``MAX_TENSOR_ENTRIES``.  Built once and returned
         read-only, so the kinetic and the potential checks share one build.
         The build's working set is the tensor plus one chunk's box factors.
         """
@@ -135,17 +147,19 @@ class RegularizedPlan:
     def _build_tensor(self) -> np.ndarray:
         """The block-sparse contraction of :meth:`tensor`.
 
-        Atoms are sorted by their center rows and taken ``ATOM_CHUNK`` at a
-        time (fewer when one atom's whole-grid left factor, ``s^(n-1)``
-        entries, would push a chunk past ``MAX_TENSOR_ENTRIES``).  Per chunk
-        and coordinate k, the transfer rows are scattered into the chunk's
-        own bounding range of flat nodes, and the chunk's product is added
-        into the matching sub-box of a zeroed tensor, whose pages no chunk
-        writes are never touched.  Every product is ``>= +0``, so an entry
-        is 0 exactly where every atom's term is.  On the 1024-node paired
-        plan (518 atoms, boxes of 101 nodes) the chunks' boxes cover 28% of
-        the tensor, 8% of it nonzero, and the build holds about 1.3 tensors.
+        The rows of the ordering table (:attr:`PreparedPlan.orderings`) are
+        taken ``ATOM_CHUNK`` at a time (fewer when one row's whole-grid left
+        factor, ``s^(n-1)`` entries, would push a chunk past
+        ``MAX_TENSOR_ENTRIES``).  Per chunk and coordinate k, the transfer
+        rows are scattered into the chunk's own bounding range of flat
+        nodes, and the chunk's product is added into the matching sub-box of
+        a zeroed tensor, whose pages no chunk writes are never touched.
+        Every product is ``>= +0``, so an entry is 0 exactly where every
+        row's term is.  On the 1024-node paired plan (259 orbits, 518 rows,
+        boxes of 101 nodes) the chunks' boxes cover 28% of the tensor, 8% of
+        it nonzero, and the build holds about 1.3 tensors.
         """
+        table, weights = self.prepared.orderings
         s = self.grid.n_sites
         if s**self.n > MAX_TENSOR_ENTRIES:
             raise ValidationError(
@@ -154,20 +168,19 @@ class RegularizedPlan:
             )
         step = min(ATOM_CHUNK, max(1, MAX_TENSOR_ENTRIES // s ** max(self.n - 1, 1)))
         flat = np.zeros((s,) * self.n)
-        for lo in range(0, self.source.n_atoms, step):
-            atoms = self.atom_order[lo:lo + step]
-            centers = self.center_of[atoms]                         # (atoms, n)
-            nodes = self.nodes[centers]                             # (atoms, n, n_box)
+        for lo in range(0, len(table), step):
+            centers = table[lo:lo + step]                           # (rows, n)
+            nodes = self.nodes[centers]                             # (rows, n, n_box)
             on = nodes >= 0
             first = np.where(on, nodes, s).min(axis=(0, 2))         # per coordinate
             width = nodes.max(axis=(0, 2)) + 1 - first
             # the chunk's rows on its flat ranges; a last column takes node -1
             rows = np.zeros(nodes.shape[:2] + (width.max() + 1,))
-            rows[np.arange(len(atoms))[:, None, None], np.arange(self.n)[:, None],
+            rows[np.arange(len(centers))[:, None, None], np.arange(self.n)[:, None],
                  np.where(on, nodes - first[:, None], -1)] = self.transfer[centers]
-            left = self.source.weights[atoms, None]
+            left = weights[lo:lo + step, None]
             for k in range(self.n - 1):
-                left = (left[:, :, None] * rows[:, k, None, :width[k]]).reshape(len(atoms), -1)
+                left = (left[:, :, None] * rows[:, k, None, :width[k]]).reshape(len(centers), -1)
             box = tuple(slice(f, f + w) for f, w in zip(first.tolist(), width.tolist()))
             flat[box] += (left.T @ rows[:, -1, :width[-1]]).reshape(width)
         return flat.reshape(self.grid.shape * self.n)
@@ -226,27 +239,35 @@ def kinetic_term(n: int, h1: float, kernel: GridKernel) -> float:
 class PreparedPlan:
     """The eps-independent half of the smoothing of ``source`` over ``rho``."""
 
-    source: AtomicPlan      # node-snapped, symmetric, marginal ``rho``
+    source: AtomicPlan      # node-snapped, one atom per orbit, marginal ``rho``
     rho: GridDensity
     alpha: float            # separation; inf for one particle
     centers: np.ndarray     # (n_centers, dim) distinct atom-coordinate nodes
     center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
-    atom_order: np.ndarray  # atoms by their first center, then the next
     support: tuple          # per-axis first and last node of rho's support
+
+    @cached_property
+    def orderings(self) -> tuple:
+        """The ordering table ``(rows, weights)``: each orbit's center row
+        under each of the n! permutations, with weight ``W / n!``, sorted
+        by the first center, then the next.  Built on first use, once for
+        every width the plan is smoothed at."""
+        perms = np.array(list(itertools.permutations(range(self.source.n))))
+        rows = self.center_of[:, perms].reshape(-1, self.source.n)
+        order = np.lexsort(rows.T[::-1])
+        weights = np.repeat(self.source.weights / len(perms), len(perms))
+        return rows[order], weights[order]
 
 
 def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
     """Snap ``plan`` to the grid of ``rho`` and validate it for smoothing.
 
-    Checks that the snapped plan is symmetric and that ``rho`` is its binned
-    marginal to ``MARGINAL_TOL`` in L1, and finds its separation, the
-    distinct coordinate nodes, the atoms' order for the tensor build and the
-    bounding box of rho's support.
+    Checks that ``rho`` is the snapped plan's binned marginal to
+    ``MARGINAL_TOL`` in L1, and finds its separation, the distinct
+    coordinate nodes and the bounding box of rho's support.
     """
     grid = rho.grid
     plan = snap_to_grid(plan, grid, max_shift=grid.h)
-    if not is_symmetric(plan, tol=1e-9):
-        raise ValidationError("plan is not permutation symmetric; symmetrize it first")
     alpha = separation(plan) if plan.n >= 2 else math.inf
     binned = marginal(plan, grid)
     if binned.l1_distance(rho) > MARGINAL_TOL:
@@ -259,7 +280,6 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
     center_of = center_of.reshape(plan.n_atoms, plan.n)
     support_idx = np.argwhere(rho.values > 0)
     return PreparedPlan(plan, rho, alpha, grid.multi_index(nodes), center_of,
-                        np.lexsort(center_of.T[::-1]),
                         (support_idx.min(axis=0), support_idx.max(axis=0)))
 
 
@@ -321,7 +341,7 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
 def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float) -> RegularizedPlan:
     """Construct the marginal-pinned smoothing evaluator.
 
-    The composition of :func:`prepare_plan` (snap, symmetry, separation and
+    The composition of :func:`prepare_plan` (snap, separation and
     binned-marginal checks; independent of eps) and :func:`smooth_plan`
     (eps bounds, boundary margin, kernel, denominator, transfer vectors).
     A caller that smooths one plan at many widths prepares it once.

@@ -9,6 +9,7 @@ small enough for the dense one-body matrix; the
 sweep preset's geometry on finer grids; the 1024-node paired plan and a
 traced-memory probe; and an LP solver with wrong duals."""
 
+import itertools
 import math
 import tracemalloc
 from typing import Optional
@@ -16,11 +17,34 @@ from typing import Optional
 import numpy as np
 
 from llot.errors import ValidationError
-from llot.grids import (AtomicPlan, Grid, GridDensity, density_from_values, marginal,
-                        permutations)
+from llot.grids import AtomicPlan, Grid, GridDensity, density_from_values, marginal
 from llot.mollifier import GridKernel, offset_sum
 from llot.presets import SWEEP_SCALE, cos4_window, paired_plan, permutation_plan
 from llot.regularizer import build_regularized
+
+
+def permutations(n: int) -> np.ndarray:
+    """All permutations of range(n) as the rows of an (n!, n) array, in
+    lexicographic order."""
+    return np.array(list(itertools.permutations(range(n))))
+
+
+def expanded(plan) -> tuple:
+    """A plan's atoms over every ordering, ``(configs, weights)`` of shapes
+    ``(m n!, n, dim)`` and ``(m n!,)``: each orbit's n! permuted copies,
+    weight ``W / n!`` each, orbit by orbit.  The n-point density of the
+    plan, and of its smoothing, is the direct sum over these atoms."""
+    perms = permutations(plan.n)
+    configs = plan.configs[:, perms].reshape(-1, plan.n, plan.dim)
+    return configs, np.repeat(plan.weights / len(perms), len(perms))
+
+
+def expanded_rows(rp) -> tuple:
+    """The atoms of :func:`expanded` of a smoothing's node-snapped plan as
+    rows of ``rp.centers``, ``(m n!, n)``, and their weights ``W / n!``."""
+    configs, weights = expanded(rp.source)
+    flat = rp.grid.flat_index(rp.grid.indices_of(configs))
+    return np.searchsorted(rp.grid.flat_index(rp.centers), flat), weights
 
 
 def amp_at(kernel: GridKernel, o) -> np.ndarray:
@@ -54,11 +78,13 @@ def scattered_transfer(rp):
 
 
 def whole_grid_tensor(rp) -> np.ndarray:
-    """The tensor density as one contraction over all atoms on whole-grid
-    rows, ``(w T_0 ... T_{n-2})^T @ T_{n-1}``: the reference for the
-    block-sparse build of :meth:`llot.regularizer.RegularizedPlan.tensor`."""
-    rows = scattered_transfer(rp)[rp.center_of]             # (n_atoms, n, n_sites)
-    left = rp.source.weights[:, None]
+    """The tensor density as one contraction over every ordering of every
+    atom (:func:`expanded_rows`) on whole-grid rows,
+    ``(w T_0 ... T_{n-2})^T @ T_{n-1}``: the reference for the block-sparse
+    build of :meth:`llot.regularizer.RegularizedPlan.tensor`."""
+    centers, weights = expanded_rows(rp)
+    rows = scattered_transfer(rp)[centers]                  # (n_rows, n, n_sites)
+    left = weights[:, None]
     for k in range(rp.n - 1):
         left = (left[:, :, None] * rows[:, k, None, :]).reshape(len(left), -1)
     return (left.T @ rows[:, -1]).reshape(rp.grid.shape * rp.n)
@@ -91,30 +117,27 @@ def upper_grid_edge_case():
 def small_three_particle_case():
     """A smooth n = 3 smoothing small enough for :func:`dense_one_body_matrix`:
     each node s of a two-node cluster at 2 h, 3 h (weights 1/4, 3/4) with
-    s + 9 h and s + 18 h, in every order, on a 23-node line, smoothed at
-    eps = 2 h.  Each center's window is three nodes, so the orbitals of the
-    two cluster nodes overlap; 12 atoms of 27 window tuples against 23^3
-    columns stay under ``MAX_DENSE_ENTRIES``."""
+    s + 9 h and s + 18 h, on a 23-node line, smoothed at eps = 2 h.  Each
+    center's window is three nodes, so the orbitals of the two cluster nodes
+    overlap; 2 orbits of 27 window tuples against 23^3 columns stay under
+    ``MAX_DENSE_ENTRIES``."""
     grid = Grid.line(0.0, 1 / 8, 23)
-    perms = permutations(3)
-    atoms = [((np.array([s, s + 9, s + 18]) * grid.h)[perm, None], w / len(perms))
-             for s, w in ((2, 0.25), (3, 0.75)) for perm in perms]
+    atoms = [((np.array([s, s + 9, s + 18]) * grid.h)[:, None], w)
+             for s, w in ((2, 0.25), (3, 0.75))]
     plan = AtomicPlan.from_atoms(atoms, dim=1)
     return build_regularized(plan, marginal(plan, grid), 2 * grid.h)
 
 
 def three_cluster_plan():
     """n = 3 plan on a 128-node line: each node s of a cos^4-weighted cluster
-    at 12 h..32 h with s + 40 h and s + 80 h, in every order, to smooth at
+    at 12 h..32 h with s + 40 h and s + 80 h, 21 orbits, to smooth at
     eps = 6 h; its marginal is three smooth humps.  Returns ``(grid, plan,
     eps)``."""
     grid = Grid.line(0.0, 1 / 128, 128)
     s = np.arange(12, 33)
     w = cos4_window((s - 22) / 11)
-    perms = permutations(3)
-    atoms = [((np.array([si, si + 40, si + 80]) * grid.h)[perm, None], wi / w.sum() / len(perms))
-             for si, wi in zip(s, w) for perm in perms]
-    return grid, AtomicPlan.from_atoms(atoms, dim=1), 6 * grid.h
+    configs = np.stack([s, s + 40, s + 80], axis=1)[:, :, None] * grid.h
+    return grid, AtomicPlan(3, 1, configs, w / w.sum()), 6 * grid.h
 
 
 class OrbitalSet:
@@ -225,26 +248,28 @@ def coulomb_hess(configs, j, k):
     return out
 
 
-def window_tuples(K) -> tuple:
+def window_tuples(K, atoms: Optional[tuple] = None) -> tuple:
     """Every atom's window node tuples ``(m, n)`` as flat node indices, and
     their weights ``w * prod_i q_i(z_i) * h^{d n}``, for a
-    :class:`~llot.quantum.MixedStateKernel` ``K``.
+    :class:`~llot.quantum.MixedStateKernel` ``K``.  ``atoms`` is ``(center
+    rows, weights)``, by default the plan's, one atom per orbit.
 
     Atom by atom, each in the C order of its tuple grid; particle axis i
     broadcasts the window row of the atom's i-th center.
     """
     rp = K.rp
-    n, n_atoms = rp.n, rp.source.n_atoms
+    rows, atom_weights = (rp.center_of, rp.source.weights) if atoms is None else atoms
+    n, n_atoms = rp.n, len(rows)
     full = (n_atoms,) + rp.window.shape[1:] * n
 
     def along(table, i):
         shape = [n_atoms] + [1] * n
         shape[1 + i] = -1
-        return table[rp.center_of[:, i]].reshape(shape)
+        return table[rows[:, i]].reshape(shape)
 
     tuples = np.stack([np.broadcast_to(along(rp.window, i), full).ravel()
                        for i in range(n)], axis=1)
-    weights = rp.source.weights.reshape((n_atoms,) + (1,) * n)
+    weights = atom_weights.reshape((n_atoms,) + (1,) * n)
     for i in range(n):
         weights = weights * along(rp.q, i)
     return tuples, (weights * rp.grid.cell_volume**n).ravel()
@@ -326,7 +351,7 @@ def refined_sweep_density(refine: int, pad: int):
 
 
 def fine_paired_plan():
-    """The 1024-node paired plan at width 0.05: 518 atoms, an 8 MB tensor."""
+    """The 1024-node paired plan at width 0.05: 259 orbits, an 8 MB tensor."""
     grid = Grid.line(0.0, 2.0 / 1023, 1024)
     plan = paired_plan(grid, 0.25, 0.76, 0.75)
     return build_regularized(plan, marginal(plan, grid), 0.05)

@@ -12,7 +12,7 @@ import pytest
 
 import llot
 from llot import cli, fileio, semiclassics
-from llot.grids import marginal, symmetrize
+from llot.grids import marginal
 from llot.grids import Grid
 from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_density,
                           sweep_density)
@@ -56,6 +56,23 @@ def test_quantum_check_passes_at_three_particles(tmp_path):
     assert rep["all_passed"] is True
     assert all(c["passed"] for c in rep["checks"])
     assert rep["diagonal_max_value"] > 0.0
+
+
+def test_quantum_check_samples_every_ordering(tmp_path, monkeypatch):
+    # the plan holds one sorted configuration per orbit; the diagonal check
+    # draws each sample in a random ordering, so both parities are exercised
+    grid, plan, eps = three_cluster_plan()
+    plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
+    fileio.write_plan(plan_path, plan)
+    fileio.write_density(density_path, marginal(plan, grid))
+    sampled = []
+    kernel_eval = cli.kernel_eval
+    monkeypatch.setattr(cli, "kernel_eval", lambda K, configs, configs_p: sampled.append(
+        configs) or kernel_eval(K, configs, configs_p))
+    run(["quantum-check", "--plan", str(plan_path), "--density", str(density_path),
+         "--eps", repr(eps), "--samples", "300"], tmp_path / "quantum.json")
+    orderings = np.argsort(np.concatenate(sampled)[:, :, 0], axis=1)
+    assert len(np.unique(orderings, axis=0)) == 6
 
 
 def test_regularize_flags_sub_grid_width(paired_files, tmp_path):
@@ -232,7 +249,7 @@ def test_quantum_check_reports_the_largest_rdm_eigenvalue(paired_files, tmp_path
     run(argv, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    plan = symmetrize(fileio.read_plan(plan_path))
+    plan = fileio.read_plan(plan_path)
     rp = build_regularized(plan, fileio.read_density(density_path, n_particles=2), eps)
     K = MixedStateKernel(rp)
     lam = rdm_max_eigenvalue(K)

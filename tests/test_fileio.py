@@ -112,6 +112,26 @@ def test_plan_round_trip_is_exact(tmp_path):
         assert back.weights.tobytes() == plan.weights.tobytes()
 
 
+def test_a_plan_file_is_the_symmetrization_of_its_atoms(tmp_path):
+    # every ordering of an atom is one orbit, weights summed, whether the
+    # file lists all orderings evenly, unevenly, or one of them
+    path = tmp_path / "plan.json"
+    listings = {
+        "expanded": [([[1.5], [0.25]], 0.25), ([[0.25], [1.5]], 0.25), ([[2.0], [-1.0]], 0.5)],
+        "uneven": [([[1.5], [0.25]], 0.35), ([[0.25], [1.5]], 0.15), ([[-1.0], [2.0]], 0.5)],
+        "one-ordering": [([[1.5], [0.25]], 0.5), ([[2.0], [-1.0]], 0.5)],
+    }
+    for name, atoms in listings.items():
+        path.write_text(json.dumps({"n": 2, "dim": 1,
+                                    "atoms": [{"x": x, "w": w} for x, w in atoms]}))
+        plan = fileio.read_plan(path)
+        assert plan.configs[:, :, 0].tolist() == [[-1.0, 2.0], [0.25, 1.5]], name
+        assert plan.weights.tolist() == [0.5, 0.5], name
+        fileio.write_plan(path, plan)
+        assert [a["x"] for a in json.loads(path.read_text())["atoms"]] == \
+            [[[-1.0], [2.0]], [[0.25], [1.5]]], name
+
+
 def test_read_plan_rejects_a_plan_of_dimension_zero(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text('{"n": 2, "dim": 0, "atoms": [{"x": [[], []], "w": 1.0}]}')

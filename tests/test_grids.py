@@ -12,16 +12,15 @@ from llot.grids import (
     GridDensity,
     density_from_values,
     h1_seminorm_sqrt,
-    is_symmetric,
     marginal,
     separation,
     snap_to_grid,
-    symmetrize,
 )
 from llot.mollifier import BumpProfile
 from llot.presets import fixture_paired_smooth
 from llot.quantum import MixedStateKernel, kernel_eval
 from llot.regularizer import build_regularized
+from oracles import expanded
 
 
 def plan_1d(atoms):
@@ -181,38 +180,46 @@ def test_marginal_empty_plan_rejected():
         AtomicPlan.from_atoms([], dim=1)
 
 
-def test_symmetrize_splits_single_atom():
-    plan = plan_1d([((0.0, 1.0), 1.0)])
-    sym = symmetrize(plan)
-    assert sym.n_atoms == 2
-    assert np.allclose(sorted(sym.weights), [0.5, 0.5])
-    assert is_symmetric(sym)
+def test_symmetrize_keeps_an_atom_as_one_orbit():
+    # the constructor symmetrizes: one atom is one orbit, its points sorted
+    plan = plan_1d([((1.0, 0.0), 1.0)])
+    assert plan.n_atoms == 1
+    assert plan.configs.ravel().tolist() == [0.0, 1.0]
+    assert plan.weights.tolist() == [1.0]
+    assert dict_is_symmetric(*expanded(plan), tol=0.0)
 
 
 def test_symmetrize_idempotent_and_mass_preserving():
     plan = plan_1d([((0.0, 1.0), 0.25), ((2.0, 0.5), 0.75)])
-    once = symmetrize(plan)
-    twice = symmetrize(once)
-    assert once.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    assert twice.n_atoms == once.n_atoms
-    assert np.allclose(np.sort(twice.weights), np.sort(once.weights))
-    key = lambda p: sorted(tuple(c.ravel()) for c in p.configs)
-    assert key(twice) == key(once)
+    listed = plan_1d([((1.0, 0.0), 0.125), ((0.5, 2.0), 0.75), ((0.0, 1.0), 0.125)])
+    again = AtomicPlan(plan.n, plan.dim, plan.configs, plan.weights)
+    assert plan.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    for other in (listed, again):
+        assert other.configs.tobytes() == plan.configs.tobytes()
+        assert np.array_equal(other.weights, plan.weights)
 
 
 def test_symmetrize_diagonal_atom_fixed_point():
     plan = plan_1d([((0.5, 0.5), 1.0)])
-    sym = symmetrize(plan)
-    assert sym.n_atoms == 1
-    assert np.allclose(sym.configs[0].ravel(), [0.5, 0.5])
+    assert plan.n_atoms == 1
+    assert np.allclose(plan.configs[0].ravel(), [0.5, 0.5])
+    configs, weights = expanded(plan)
+    assert AtomicPlan(2, 1, configs, weights).configs.tobytes() == plan.configs.tobytes()
 
 
 def test_marginal_invariant_under_symmetrize():
     g = Grid.line(0.0, 0.25, 16)
-    plan = plan_1d([((0.5, 1.5), 1.0)])
-    r1 = marginal(plan, g)
-    r2 = marginal(symmetrize(plan), g)
+    r1 = marginal(plan_1d([((0.5, 1.5), 1.0)]), g)
+    r2 = marginal(plan_1d([((1.5, 0.5), 0.5), ((0.5, 1.5), 0.5)]), g)
     assert np.array_equal(r1.values, r2.values)
+
+
+def test_signed_zeros_make_one_orbit():
+    plan = plan_1d([((0.0, 1.0), 0.5), ((1.0, -0.0), 0.5)])
+    assert plan.n_atoms == 1
+    assert plan.weights.tolist() == [1.0]
+    assert plan.configs.ravel().tolist() == [0.0, 1.0]
+    assert not np.any(np.signbit(plan.configs))
 
 
 def test_separation_permutation_plan():
@@ -299,12 +306,14 @@ def test_h1_order_two_convergence():
     assert 1.8 <= slope <= 2.2
 
 
-def loop_marginal(plan, grid):
-    """Per-atom, per-coordinate binning of ``w / n`` to the nearest node."""
+def loop_marginal(configs, weights, grid):
+    """Per-atom, per-coordinate binning of ``w / n`` to the nearest node, for
+    any listing of atoms."""
     values = np.zeros(grid.shape)
-    for config, w in zip(plan.configs, plan.weights):
-        for k in range(plan.n):
-            values[tuple(grid.indices_of(config[k]))] += w / (plan.n * grid.cell_volume)
+    n = configs.shape[1]
+    for config, w in zip(configs, weights):
+        for k in range(n):
+            values[tuple(grid.indices_of(config[k]))] += w / (n * grid.cell_volume)
     return values
 
 
@@ -346,7 +355,8 @@ def vectorization_cases():
 
 def test_marginal_separation_and_snap_match_per_atom_loops():
     for name, grid, plan in vectorization_cases():
-        assert np.array_equal(marginal(plan, grid).values, loop_marginal(plan, grid)), name
+        assert np.array_equal(marginal(plan, grid).values,
+                              loop_marginal(plan.configs, plan.weights, grid)), name
         if plan.n >= 2:
             assert separation(plan) == loop_separation(plan), name
         nodes, shift = loop_snapped_nodes(plan, grid)
@@ -360,38 +370,28 @@ def test_marginal_separation_and_snap_match_per_atom_loops():
                 snap_to_grid(plan, grid, max_shift=np.nextafter(shift, 0.0))
 
 
-def dict_merge(configs, weights):
-    """Atoms merged through a dict keyed by each configuration's bytes: the
-    distinct configurations in key order, weights summed in input order."""
+def dict_symmetrize(configs, weights):
+    """Atoms merged through a dict keyed by each configuration's sorted
+    points, ``-0.0`` read as ``+0.0``: the distinct configurations in
+    lexicographic order, weights summed in input order."""
     merged = {}
     for config, w in zip(configs, weights):
-        key = np.ascontiguousarray(config).tobytes()
-        if key in merged:
-            merged[key][1] += w
-        else:
-            merged[key] = [config, float(w)]
-    items = sorted(merged.items(), key=lambda kv: kv[0])
-    return np.stack([v[0] for _, v in items]), np.array([v[1] for _, v in items])
+        key = tuple(sorted(tuple(float(v) + 0.0 for v in point) for point in config))
+        merged[key] = merged.get(key, 0.0) + float(w)
+    keys = sorted(merged)
+    return np.array(keys, dtype=float), np.array([merged[k] for k in keys])
 
 
-def dict_symmetrize(plan):
-    """Each atom's n! permuted copies with shares w / n!, merged by dict."""
-    perms = list(itertools.permutations(range(plan.n)))
-    configs, weights = dict_merge(
-        [config[list(perm)] for config in plan.configs for perm in perms],
-        [w / len(perms) for w in plan.weights for _ in perms])
-    return configs, weights / weights.sum()
-
-
-def dict_is_symmetric(plan, tol):
-    """Per atom and permutation, the dict-merged weight of the permuted copy."""
+def dict_is_symmetric(configs, weights, tol):
+    """Per atom and permutation, the dict-merged weight of the permuted copy
+    of a listing of atoms."""
     table = {}
-    for config, w in zip(plan.configs, plan.weights):
+    for config, w in zip(configs, weights):
         key = np.ascontiguousarray(config).tobytes()
         table[key] = table.get(key, 0.0) + w
-    for config in plan.configs:
+    for config in configs:
         total = table[np.ascontiguousarray(config).tobytes()]
-        for perm in itertools.permutations(range(plan.n)):
+        for perm in itertools.permutations(range(configs.shape[1])):
             key = np.ascontiguousarray(config[list(perm)]).tobytes()
             if key not in table or abs(table[key] - total) > tol:
                 return False
@@ -399,73 +399,60 @@ def dict_is_symmetric(plan, tol):
 
 
 def merge_cases():
-    """Plans with duplicate atoms, signed zeros and a 2-D n = 3 plan, each
-    as given, symmetrized, and symmetrized with two orbits' weights moved by
-    +-1e-10 (symmetric at tol 1e-9, not at 1e-12)."""
+    """Listings ``(n, dim, configs, weights)`` with duplicate atoms, signed
+    zeros and 2-D points, each as drawn and expanded over every ordering."""
     rng = np.random.default_rng(5)
     values = np.array([-0.5, -0.0, 0.0, 0.25, 1.0, 1.75])
-    raw = [("signed-zero", plan_1d([((0.0, 1.0), 0.25), ((1.0, -0.0), 0.25),
-                                    ((1.0, 0.0), 0.25), ((-0.0, 1.0), 0.25)]))]
+    raw = [("signed-zero", 2, 1, np.array([[0.0, 1.0], [1.0, -0.0], [1.0, 0.0],
+                                           [-0.0, 1.0]])[:, :, None], np.full(4, 0.25))]
     for i, (n, dim, m) in enumerate([(2, 1, 40), (3, 1, 60), (2, 2, 30), (3, 2, 50)]):
         configs = rng.choice(values, size=(m, n, dim))
         configs[m // 2:] = configs[:m - m // 2]          # duplicate atoms
         weights = rng.uniform(0.1, 1.0, size=m)
-        raw.append((f"random-{i}", AtomicPlan(n, dim, configs, weights / weights.sum())))
+        raw.append((f"random-{i}", n, dim, configs, weights / weights.sum()))
     g2 = Grid(dim=2, origin=np.array([-0.3, 0.2]), h=0.1, npts=12)
-    raw.append(("2d-n3", snap_to_grid(AtomicPlan(3, 2, rng.uniform(-0.3, 0.8, size=(9, 3, 2)),
-                                                 np.full(9, 1.0 / 9.0)), g2)))
-    for name, plan in raw:
-        yield name, plan
-        sym = symmetrize(plan)
-        yield name + "-sym", sym
-        if sym.n_atoms > 2 * len(list(itertools.permutations(range(sym.n)))):
-            weights = sym.weights.copy()
-            weights[0] += 1e-10
-            weights[-1] -= 1e-10
-            yield name + "-nudged", AtomicPlan(sym.n, sym.dim, sym.configs, weights)
+    snapped = snap_to_grid(AtomicPlan(3, 2, rng.uniform(-0.3, 0.8, size=(9, 3, 2)),
+                                      np.full(9, 1.0 / 9.0)), g2)
+    raw.append(("2d-n3", 3, 2, snapped.configs, snapped.weights))
+    for name, n, dim, configs, weights in raw:
+        yield name, n, dim, configs, weights
+        plan = AtomicPlan(n, dim, configs, weights)
+        yield (name + "-expanded", n, dim) + expanded(plan)
 
 
 def test_merges_match_dict_loops():
-    nudged = 0
-    for name, plan in merge_cases():
-        sym = symmetrize(plan)
-        configs, weights = dict_symmetrize(plan)
-        # byte-equal, so -0.0 and 0.0 stay apart as in the dict keys
-        assert sym.configs.tobytes() == configs.tobytes(), name
-        assert np.array_equal(sym.weights, weights), name
-        for tol in (1e-12, 1e-9):
-            assert is_symmetric(plan, tol) == dict_is_symmetric(plan, tol), (name, tol)
-        if name.endswith("-nudged"):
-            nudged += 1
-            assert is_symmetric(plan, 1e-9) and not is_symmetric(plan, 1e-12), name
-    assert nudged >= 4
-    assert not is_symmetric(plan_1d([((0.0, 1.0), 0.5), ((1.0, -0.0), 0.5)]))
+    for name, n, dim, configs, weights in merge_cases():
+        plan = AtomicPlan(n, dim, configs, weights)
+        ref_configs, ref_weights = dict_symmetrize(configs, weights)
+        # byte-equal: sorted points, +0.0 for every zero, lexicographic atoms
+        assert plan.configs.tobytes() == ref_configs.tobytes(), name
+        assert np.array_equal(plan.weights, ref_weights), name
+        assert dict_is_symmetric(*expanded(plan), tol=0.0), name
 
 
-def test_snap_to_grid_and_sorted_copy_match_loops():
+def test_snap_to_grid_and_atom_order_match_loops():
     cases = [(name, grid, plan) for name, grid, plan in vectorization_cases()]
     g = Grid.line(-0.5, 0.25, 12)
-    cases += [(name, g, plan) for name, plan in merge_cases() if plan.dim == 1]
+    cases += [(name, g, AtomicPlan(n, dim, configs, weights))
+              for name, n, dim, configs, weights in merge_cases() if dim == 1]
     for name, grid, plan in cases:
+        keys = [tuple(c.ravel()) for c in plan.configs]
+        assert keys == sorted(set(keys)), name
         nodes, _ = loop_snapped_nodes(plan, grid)
-        configs, weights = dict_merge(nodes, plan.weights)
+        configs, weights = dict_symmetrize(nodes, plan.weights)
         snapped = snap_to_grid(plan, grid)
         assert snapped.configs.tobytes() == configs.tobytes(), name
         assert np.array_equal(snapped.weights, weights), name
-        keys = [tuple(c.ravel()) for c in plan.configs]
-        order = sorted(range(plan.n_atoms), key=lambda i: keys[i])
-        ordered = plan.sorted_copy()
-        assert ordered.configs.tobytes() == plan.configs[order].tobytes(), name
-        assert np.array_equal(ordered.weights, plan.weights[order]), name
 
 
 PROPERTY_GRID = Grid.line(-0.5, 0.25, 12)
 
 
 @st.composite
-def small_plans(draw):
-    """Plans on up to three particles whose coordinates repeat often: half
-    of them on nodes of ``PROPERTY_GRID``, the rest anywhere inside it."""
+def small_listings(draw):
+    """Listings ``(configs, weights)`` of atoms on up to three particles
+    whose coordinates repeat often: half of them on nodes of
+    ``PROPERTY_GRID``, the rest anywhere inside it."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 6))
     on_node = st.integers(0, 11).map(lambda i: -0.5 + 0.25 * i)
@@ -473,7 +460,7 @@ def small_plans(draw):
     configs = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n),
                                      min_size=m, max_size=m)))
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
-    return AtomicPlan(n, 1, configs[:, :, None], weights / weights.sum())
+    return configs[:, :, None], weights / weights.sum()
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
@@ -481,26 +468,28 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
 
 
 @PROPERTY_SETTINGS
-@given(small_plans())
-def test_symmetrize_is_idempotent_and_symmetric(plan):
-    once = symmetrize(plan)
-    twice = symmetrize(once)
-    assert is_symmetric(once)
+@given(small_listings())
+def test_symmetrize_is_idempotent_and_symmetric(listing):
+    configs, weights = listing
+    once = AtomicPlan(configs.shape[1], 1, configs, weights)
+    twice = AtomicPlan(once.n, 1, *expanded(once))
+    assert dict_is_symmetric(*expanded(once), tol=0.0)
     assert once.configs.tobytes() == twice.configs.tobytes()
     assert np.allclose(twice.weights, once.weights, rtol=1e-14, atol=0.0)
 
 
 @PROPERTY_SETTINGS
-@given(small_plans())
-def test_snap_and_symmetrize_preserve_mass(plan):
-    assert symmetrize(plan).weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
+@given(small_listings())
+def test_snap_and_symmetrize_preserve_mass(listing):
+    plan = AtomicPlan(listing[0].shape[1], 1, *listing)
+    assert plan.weights.sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
     snapped = snap_to_grid(plan, PROPERTY_GRID)
     assert snapped.weights.sum() == pytest.approx(plan.weights.sum(), rel=0.0, abs=1e-14)
 
 
 @PROPERTY_SETTINGS
-@given(small_plans())
-def test_marginal_is_invariant_under_symmetrize(plan):
-    before = marginal(plan, PROPERTY_GRID).values
-    after = marginal(symmetrize(plan), PROPERTY_GRID).values
+@given(small_listings())
+def test_marginal_is_invariant_under_symmetrize(listing):
+    before = loop_marginal(*listing, PROPERTY_GRID)
+    after = marginal(AtomicPlan(listing[0].shape[1], 1, *listing), PROPERTY_GRID).values
     assert np.abs(after - before).max() <= 1e-14 * before.max()

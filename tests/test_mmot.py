@@ -8,10 +8,10 @@ from scipy.optimize import linprog
 
 from llot import mmot
 from llot.errors import NumericalError, ValidationError
-from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, separation, symmetrize
+from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, separation
 from llot.mmot import TransportProblem, solve_lp, solve_sinkhorn
 from llot.presets import sixteen_site_density, three_site_density, two_site_density
-from oracles import raise_lp_duals, refined_sweep_density
+from oracles import expanded, raise_lp_duals, refined_sweep_density
 
 
 @pytest.fixture(scope="module")
@@ -32,15 +32,15 @@ def p_sixteen():
 def test_two_site_forced_antidiagonal(p_two):
     sol = solve_lp(p_two)
     assert sol.value == pytest.approx(1.0, abs=1e-10)
-    assert sol.plan.n_atoms == 2
-    assert np.allclose(np.sort(sol.plan.weights), [0.5, 0.5])
+    assert sol.plan.n_atoms == 1
+    assert np.allclose(sol.plan.weights, [1.0])
     assert sol.marginal_residual <= 1e-12
 
 
 def test_three_site_forced_permutations(p_three):
     sol = solve_lp(p_three)
     assert sol.value == pytest.approx(2.5, abs=1e-10)
-    assert sol.plan.n_atoms == 6
+    assert sol.plan.n_atoms == 1
     assert separation(sol.plan) == pytest.approx(1.0)
 
 
@@ -67,9 +67,9 @@ def test_lp_against_generic_oracle(p_sixteen):
 
 def test_lp_value_invariant_under_plan_symmetrization(p_sixteen):
     sol = solve_lp(p_sixteen)
-    sym = symmetrize(sol.plan)
+    configs, weights = expanded(sol.plan)
     v1 = float((coulomb(sol.plan.configs) * sol.plan.weights).sum())
-    v2 = float((coulomb(sym.configs) * sym.weights).sum())
+    v2 = float((coulomb(configs) * weights).sum())
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -328,7 +328,7 @@ def dense_sinkhorn(p, beta, max_iter=20000, tol=1e-8, damping=0.5):
     configs = positions[site_idx[kept]]
     weights = w[kept] / w[kept].sum()
     value = float((coulomb(configs) * weights).sum())
-    plan = AtomicPlan(p.n, positions.shape[1], configs, weights).sorted_copy()
+    plan = AtomicPlan(p.n, positions.shape[1], configs, weights)
     return iterations, value, plan
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from llot import quantum, regularizer
 from llot.errors import ValidationError
-from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal, symmetrize
+from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal
 from llot.mollifier import BumpProfile, GridKernel
 from llot.presets import cos4_window, kinetic_instance, permutation_plan
 from llot.quantum import (
@@ -21,7 +21,7 @@ from llot.quantum import (
 from llot.regularizer import (build_regularized, kinetic_of_sqrt, kinetic_term, prepare_plan,
                               smooth_plan)
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
-                     dense_transfer, det_square_identity, fine_paired_plan,
+                     dense_transfer, det_square_identity, expanded_rows, fine_paired_plan,
                      signed_permutations, slater, small_three_particle_case,
                      three_cluster_plan, traced_peak, upper_grid_edge_case, window_tuples)
 
@@ -498,16 +498,16 @@ def test_dense_matrix_positive_semidefinite(small_state):
 
 
 def loop_one_particle_density(rp):
-    """Per-atom accumulation of the partial trace over coordinates 2..n, on
-    the whole-grid transfer rows."""
+    """Per-ordering accumulation of the partial trace over coordinates
+    2..n, over every ordering of every atom, on the whole-grid transfer rows."""
     cell = rp.grid.cell_volume
     transfer = dense_transfer(rp)
     acc = np.zeros(rp.grid.n_sites)
-    for a in range(rp.source.n_atoms):
+    for centers, w in zip(*expanded_rows(rp)):
         tail = 1.0
         for k in range(1, rp.n):
-            tail *= transfer[rp.center_of[a, k]].sum() * cell
-        acc += rp.source.weights[a] * tail * transfer[rp.center_of[a, 0]]
+            tail *= transfer[centers[k]].sum() * cell
+        acc += w * tail * transfer[centers[0]]
     return acc.reshape(rp.grid.shape)
 
 
@@ -660,7 +660,7 @@ PROPERTY_H = 1.0 / 16.0
 
 @st.composite
 def smoothed_plans(draw):
-    """A symmetrized random 1-D plan on n = 2 or 3 particles at grid nodes,
+    """A random 1-D plan on n = 2 or 3 particles at grid nodes,
     smoothed at a width below a quarter of its separation, on a grid padded
     by a kernel radius on both sides of the support."""
     n = draw(st.sampled_from([2, 3]))
@@ -675,8 +675,7 @@ def smoothed_plans(draw):
     eps = draw(st.floats(0.05, 0.999)) * alpha / 4.0
     pad = math.ceil(eps / PROPERTY_H) + 1
     grid = Grid.line(-pad * PROPERTY_H, PROPERTY_H, int(nodes.max()) + 1 + 2 * pad)
-    plan = symmetrize(AtomicPlan(n, 1, nodes[:, :, None] * PROPERTY_H,
-                                 weights / weights.sum()))
+    plan = AtomicPlan(n, 1, nodes[:, :, None] * PROPERTY_H, weights / weights.sum())
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, eps)
     # two configurations of support nodes (elsewhere the kernel is 0) within

@@ -26,9 +26,9 @@ from llot.regularizer import (
     kinetic_of_sqrt,
     potential_error,
 )
-from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_transfer, fine_paired_plan,
-                     scattered_transfer, traced_peak, upper_grid_edge_case,
-                     whole_grid_kinetic_of_sqrt, whole_grid_tensor)
+from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_transfer, expanded,
+                     expanded_rows, fine_paired_plan, scattered_transfer, traced_peak,
+                     upper_grid_edge_case, whole_grid_kinetic_of_sqrt, whole_grid_tensor)
 
 EPS_TINY = 0.22
 
@@ -61,7 +61,7 @@ def brute_force_tensor(grid, plan, rho, eps):
     for x1 in range(16):
         for x2 in range(16):
             total = 0.0
-            for config, w in zip(plan.configs, plan.weights):
+            for config, w in zip(*expanded(plan)):
                 term = w
                 for k, xi in enumerate((x1, x2)):
                     y = config[k, 0]
@@ -291,12 +291,14 @@ def test_potential_error_coulomb_sweep_order_two():
 # (lhs, bound) of potential_error at the four widths above, as computed by the
 # per-atom sampling loop and the SVD Hessian norms before either was
 # vectorized; the bound's derivative sups were then sampled on a strided grid
-# of the separated region
+# of the separated region.  Each lhs is re-pinned to the plan's cost summed
+# once per orbit: summed over both orderings of each orbit, that cost was
+# one ulp (2.2e-16) higher, and every lhs 2.2e-16 larger.
 POTENTIAL_SWEEP_PINNED = {
-    0.1: (0.008204460804051239, 3.854323865687661),
-    0.05: (0.002507543865699402, 0.25245040131820395),
-    0.025: (0.0006641342376554338, 0.03932612959035564),
-    0.0125: (0.00017324366830862026, 0.007906130980400713),
+    0.1: (0.008204460804051017, 3.854323865687661),
+    0.05: (0.00250754386569918, 0.25245040131820395),
+    0.025: (0.0006641342376552117, 0.03932612959035564),
+    0.0125: (0.0001732436683083982, 0.007906130980400713),
 }
 # the profile normalization c in d = 1 from adaptive quadrature, which the pins
 # were computed with; the Gauss-Legendre value is one ulp away, and the grid
@@ -372,8 +374,9 @@ def test_feasibility_of_smoothed_cost(two_site_fixture):
 class SmoothedPlan:
     """Plain mollification Q_eps of an atomic plan (no marginal correction).
 
-    Q_eps(z_1,...,z_n) = sum_atoms w * prod_k kappa(z_k - y_k); its marginal
-    is rho * kappa, the denominator of the pinned construction.
+    Q_eps(z_1,...,z_n) = sum_atoms w * prod_k kappa(z_k - y_k), over every
+    ordering of every atom; its marginal is rho * kappa, the denominator of
+    the pinned construction.
     """
 
     def __init__(self, source, eps, grid):
@@ -384,10 +387,10 @@ class SmoothedPlan:
     def evaluate(self, configs) -> np.ndarray:
         """Q_eps at each of the configurations (m, n, dim), coordinates
         snapped to nearest nodes."""
-        diff = (self.grid.indices_of(configs)[:, None]
-                - self.grid.indices_of(self.source.configs))
-        kappa = amp_at(self.kernel, diff) ** 2    # (m, n_atoms, n)
-        return (self.source.weights * kappa.prod(axis=2)).sum(axis=1)
+        atoms, weights = expanded(self.source)
+        diff = self.grid.indices_of(configs)[:, None] - self.grid.indices_of(atoms)
+        kappa = amp_at(self.kernel, diff) ** 2    # (m, n! n_atoms, n)
+        return (weights * kappa.prod(axis=2)).sum(axis=1)
 
     def density(self) -> GridDensity:
         """Per atom and coordinate, ``w / n`` times the kernel at its node."""
@@ -447,15 +450,15 @@ def test_smooth_plan_spreads_on_the_box_only(monkeypatch, fixtures_with_2d):
 
 
 def outer_product_tensor(rp):
-    """Per-atom sum of the weighted outer products of the whole-grid
-    transfer rows."""
+    """Sum over every ordering of every atom of the weighted outer products
+    of the whole-grid transfer rows."""
     s = rp.grid.n_sites
     transfer = dense_transfer(rp)
     out = np.zeros((s,) * rp.n)
-    for a in range(rp.source.n_atoms):
-        term = np.array(rp.source.weights[a])
+    for centers, w in zip(*expanded_rows(rp)):
+        term = np.array(w)
         for k in range(rp.n):
-            term = np.multiply.outer(term, transfer[rp.center_of[a, k]])
+            term = np.multiply.outer(term, transfer[centers[k]])
         out += term
     return out.reshape(rp.grid.shape * rp.n)
 
@@ -554,16 +557,16 @@ def test_mass_and_density_match_per_atom_loops(all_identity_fixtures):
 
 
 def loop_evaluate(rp, transfer, config):
-    """Per-atom product of the whole-grid transfer entries at the snapped
-    configuration."""
+    """Per-ordering product of the whole-grid transfer entries at the
+    snapped configuration, over every ordering of every atom."""
     config = np.asarray(config, dtype=float).reshape(rp.n, rp.source.dim)
     idx = rp.grid.indices_of(config)
     sites = [np.ravel_multi_index(tuple(idx[k]), rp.grid.shape) for k in range(rp.n)]
     total = 0.0
-    for a in range(rp.source.n_atoms):
-        prod = rp.source.weights[a]
+    for centers, w in zip(*expanded_rows(rp)):
+        prod = w
         for k in range(rp.n):
-            prod *= transfer[rp.center_of[a, k], sites[k]]
+            prod *= transfer[centers[k], sites[k]]
             if prod == 0.0:
                 break
         total += prod
