@@ -42,7 +42,6 @@ from .semiclassics import (
     TrialEnergy,
     assembled_constant,
     fit_log_slope,
-    golden_minimize,
     sweep,
     trial_energy,
 )

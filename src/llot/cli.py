@@ -272,6 +272,7 @@ def _cmd_sweep(args) -> dict:
         "separation": result.alpha,
         "fitted_slope": result.fitted_slope,
         "eps_window": list(result.eps_window),
+        "widths_smoothed": result.widths_smoothed,
         "records": [
             {"eta": r.eta, "eps_opt": r.eps_opt, "total": r.total,
              "gap": r.gap, "assembled_c": r.assembled_c,

@@ -13,13 +13,13 @@ squared mollifier kernel on the grid.  The smoothed plan is then
                            * sum_sigma prod_k T_{c(orbit,sigma(k))}(x_k),
 
 a probability density on the n-fold tensor grid, summed over each orbit's
-n! orderings of its centers.  Only the two readers of this n-point density,
-:meth:`RegularizedPlan.evaluate` and the tensor build, run over the
+n! orderings of its centers.  Only the tensor build runs over the
 orderings, from one table built once per prepared plan
-(:attr:`PreparedPlan.orderings`); every one-particle quantity (the masses,
-the center weights, the density) sums per orbit, since each ordering adds
-the same terms.  Each center's window is the nodes ``z = c + o`` over the
-kernel offsets ``o``, with the weights
+(:attr:`PreparedPlan.orderings`).  :meth:`RegularizedPlan.evaluate` takes
+the one ordering that can reach a configuration, and every one-particle
+quantity (the masses, the center weights, the density) sums per orbit,
+since each ordering adds the same terms.  Each center's window is the
+nodes ``z = c + o`` over the kernel offsets ``o``, with the weights
 ``q(z) = kappa(z - c) / (rho * kappa)(z)``; one table of shape
 ``(n_centers, n_offsets)`` holds each, ``RegularizedPlan.window`` (flat node
 indices) and ``RegularizedPlan.q``, and both the transfer vectors and the
@@ -113,18 +113,30 @@ class RegularizedPlan:
     def evaluate(self, configs) -> np.ndarray:
         """P_eps at each configuration of a batch (m, n, dim), snapped to
         nearest nodes, in chunks of ``BATCH_ENTRIES`` index entries; (m,).
-        The sum runs over every ordering of every orbit
-        (:attr:`PreparedPlan.orderings`)."""
+
+        One term per (configuration, orbit): ``T_c`` vanishes beyond 2 eps
+        of c and the guard ``eps < alpha/4`` keeps an orbit's centers more
+        than 4 eps apart, so each node reaches one center of the orbit at
+        most.  The orbit's centers are then all reached exactly when the
+        nodes reach them by a bijection sigma, and the product over its
+        centers c of ``sum_k T_c(x_k)`` is ``prod_k T_{sigma(k)}(x_k)``, its
+        one nonzero ordering; where a center is not reached, every ordering
+        and that product are 0.
+        """
         idx, = self.config_nodes(configs)
-        rows, weights = self.prepared.orderings
-        atoms = self.centers[rows]                          # (n_rows, n, dim)
+        rows = np.arange(len(self.centers))
+        weights = self.source.weights / math.factorial(self.n)
         out = np.empty(len(idx))
-        step = max(1, BATCH_ENTRIES // atoms.size)
+        step = max(1, BATCH_ENTRIES // (self.n * max(self.centers.size, self.center_of.size)))
         for lo in range(0, len(idx), step):
-            slot, inside = self.kernel.box_slot(idx[lo:lo + step, None] - atoms)
-            factors = np.where(inside, self.transfer[rows, np.where(inside, slot, 0)],
-                               0.0)                         # (configs, n_rows, n)
-            out[lo:lo + step] = (weights * factors.prod(axis=2)).sum(axis=1)
+            # T_c at node k of each configuration, for every center c
+            slot, inside = self.kernel.box_slot(idx[lo:lo + step, :, None] - self.centers)
+            at = np.where(inside, self.transfer[rows, np.where(inside, slot, 0)],
+                          0.0)                              # (configs, n, n_centers)
+            # np.take keeps the result C-ordered, so each configuration's sum
+            # over orbits runs in one order whatever the batch size
+            term = np.take(at.sum(axis=1), self.center_of, axis=1).prod(axis=2)
+            out[lo:lo + step] = (weights * term).sum(axis=1)
         return out
 
     def tensor(self) -> np.ndarray:
@@ -251,7 +263,8 @@ class PreparedPlan:
         """The ordering table ``(rows, weights)``: each orbit's center row
         under each of the n! permutations, with weight ``W / n!``, sorted
         by the first center, then the next.  Built on first use, once for
-        every width the plan is smoothed at."""
+        every width the plan is smoothed at; the tensor build
+        (:meth:`RegularizedPlan._build_tensor`) is its one reader."""
         perms = np.array(list(itertools.permutations(range(self.source.n))))
         rows = self.center_of[:, perms].reshape(-1, self.source.n)
         order = np.lexsort(rows.T[::-1])

@@ -16,8 +16,15 @@ eps is optimized over the feasible window ``[2h, alpha/4 * (1 - 1e-3)]``
 (``eps_min`` replaces 2h) to ``EPS_REL_TOL`` relative.  When the pre-scan's
 best width is a window edge, one probe ``EPS_REL_TOL`` inside the edge
 decides it: a probe above the edge's total returns the edge itself, exactly;
-only a probe at or below it runs the golden-section search.  A sweep record
-whose ``eps_opt`` equals a window bound names it in ``eps_edge``.
+only a probe at or below it runs the search.  An interior optimum is refined
+by Brent's bounded search (``scipy.optimize.minimize_scalar``, method
+``"bounded"``) on the scan interval around it, with ``xatol = EPS_REL_TOL * a``
+at its lower end ``a``.  The search stops when ``|x - xm| <= 2 tol1 - (b -
+a)/2``, ``xm`` the midpoint of its bracket ``[a, b]`` and ``tol1 =
+sqrt(eps_mach) |x| + xatol / 3``, so every point of the final bracket lies
+within ``2 tol1 <= (2.98e-8 + 6.67e-8) x`` of the returned x, inside
+``EPS_REL_TOL * x``.  A sweep record whose ``eps_opt`` equals a window bound
+names it in ``eps_edge``.
 """
 
 from __future__ import annotations
@@ -36,10 +43,9 @@ from .mmot import TransportProblem, solve_lp
 from .regularizer import PreparedPlan, coulomb_smoothing_rate, integrate_observable
 from .regularizer import kinetic_term, prepare_plan, smooth_plan
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 N_SCAN = 32   # geometric pre-scan points of the eps optimization
-# relative bracket width at which the golden-section search for eps_opt stops,
-# so eps_opt is determined to about this relative precision and no finer
+# relative precision of eps_opt, and no finer: the bounded Brent search stops
+# with its whole bracket within (2.98e-8 + 6.67e-8) x of its answer x
 EPS_REL_TOL = 1e-7
 
 
@@ -75,6 +81,7 @@ class SweepResult:
     alpha: float
     fitted_slope: float
     eps_window: tuple       # (lo, hi) of TrialCurve.window
+    widths_smoothed: int    # distinct widths the sweep's TrialCurve smoothed
 
 
 def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float) -> TrialEnergy:
@@ -82,29 +89,6 @@ def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float) -> 
     if eta < 0:
         raise ValidationError("eta must be nonnegative")
     return TrialCurve(rho, plan).energy(eps, eta)
-
-
-def golden_minimize(f, lo: float, hi: float, rel_tol: float = 1e-7,
-                    max_iter: int = 200):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * (abs(a) + abs(b)) / 2.0:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
 
 
 def _is_unimodal(values: np.ndarray, tol: float) -> bool:
@@ -172,9 +156,11 @@ class TrialCurve:
         is probed once at the edge moved ``EPS_REL_TOL`` relative into the
         window: a probe strictly above the edge's total puts the minimizer
         of the unimodal total within ``EPS_REL_TOL`` of the edge, the
-        precision golden-section search would reach, so the edge itself is
-        returned, exactly.  Otherwise golden-section search refines inside
-        the bracketing scan interval.
+        precision the search would reach, so the edge itself is returned,
+        exactly.  Otherwise Brent's bounded search (module docstring)
+        refines inside the bracketing scan interval ``[a, b]`` to
+        ``xatol = EPS_REL_TOL * a``; a search that reports no success
+        (its evaluation cap, or a nan total) raises ``NumericalError``.
         """
         if eta <= 0:
             raise ValidationError("eta must be positive")
@@ -198,7 +184,14 @@ class TrialCurve:
         else:
             a = xs[max(best - 1, 0)]
             b = xs[min(best + 1, N_SCAN - 1)]
-            eps_opt, _ = golden_minimize(total, a, b, rel_tol=EPS_REL_TOL)
+            from scipy.optimize import minimize_scalar
+
+            res = minimize_scalar(total, bounds=(a, b), method="bounded",
+                                  options={"xatol": EPS_REL_TOL * a})
+            if not res.success:
+                raise NumericalError(f"eps search on [{a:.6g}, {b:.6g}] failed: "
+                                     f"{res.message}")
+            eps_opt = float(res.x)
             if total(eps_opt) > vals[best]:
                 eps_opt = float(xs[best])
         return eps_opt, self.energy(eps_opt, eta), fallback
@@ -240,8 +233,9 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     width is smoothed once per sweep.  A validation or numerical failure for
     one eta is recorded and the sweep continues.  Records are ordered by eta
     ascending; the result carries the fitted log-log slope of the gap and
-    the feasible window, and a record whose ``eps_opt`` is one of the
-    window's bounds says which in ``eps_edge``.
+    the feasible window and the number of distinct widths smoothed, and a
+    record whose ``eps_opt`` is one of the window's bounds says which in
+    ``eps_edge``.
     ``eps_min`` is checked before any eta runs: inside the loop its error
     would be recorded as a failed eta instead of rejecting the call.
     """
@@ -276,4 +270,5 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     slope = fit_log_slope([r.eta for r in records if r.error is None],
                           [r.gap for r in records if r.error is None])
     return SweepResult(records=records, e_ot=sol.value, alpha=alpha,
-                       fitted_slope=slope, eps_window=window)
+                       fitted_slope=slope, eps_window=window,
+                       widths_smoothed=len(curve._smoothed_at))

@@ -393,28 +393,31 @@ def test_sweep_rejects_bad_etas(sixteen_csv, tmp_path, capsys, etas):
 
 def test_sweep_report_states_the_eps_precision(tmp_path, monkeypatch):
     # 1e-3, 1e-2 and 1e-1 are edge-bound on the preset, settled by one probe
-    # each; 2.15e-3 is interior, so golden-section search runs for it
+    # each; 2.15e-3 is interior, so the bounded Brent search runs for it
+    from scipy import optimize
+
     density = tmp_path / "density.csv"
     fileio.write_density(density, sweep_density())
-    tolerances, widths = [], []
-    golden_minimize = semiclassics.golden_minimize
+    searches, widths = [], []
+    minimize_scalar = optimize.minimize_scalar
     smooth = semiclassics.smooth_plan
 
-    def recording(f, lo, hi, rel_tol, **kwargs):
-        tolerances.append(rel_tol)
-        return golden_minimize(f, lo, hi, rel_tol, **kwargs)
+    def recording(f, bounds, **kwargs):
+        searches.append((bounds[0], kwargs["options"]["xatol"]))
+        return minimize_scalar(f, bounds=bounds, **kwargs)
 
     def counting_smooth(prep, eps):
         widths.append(eps)
         return smooth(prep, eps)
 
-    monkeypatch.setattr(semiclassics, "golden_minimize", recording)
+    monkeypatch.setattr(optimize, "minimize_scalar", recording)
     monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
     rep = run(["sweep", "--density", str(density), "--n", "2", "--etas", "1e-3:1e-1:7"],
               tmp_path / "sweep.json")
     assert rep["config"]["eps_rel_tol"] == semiclassics.EPS_REL_TOL
-    assert tolerances and set(tolerances) == {rep["config"]["eps_rel_tol"]}
     tol = rep["config"]["eps_rel_tol"]
+    # the search's absolute tolerance is eps_rel_tol at its bracket's lower end
+    assert searches and all(xatol == tol * a for a, xatol in searches)
     lo, hi = rep["eps_window"]
     records = rep["records"]          # etas 1e-3 * 10^(k/3), k = 0..6
     edge, interior = [records[k] for k in (0, 3, 6)], records[1]
@@ -424,6 +427,19 @@ def test_sweep_report_states_the_eps_precision(tmp_path, monkeypatch):
     assert lo < interior["eps_opt"] < hi
     # each edge's probe sits eps_rel_tol relative inside the window
     assert {lo * (1.0 + tol), hi * (1.0 - tol)} <= set(widths)
+
+
+def test_sweep_report_counts_the_widths_smoothed(tmp_path):
+    # the preset etas: 32 scan widths, two edge probes and a 9-width search
+    density = tmp_path / "density.csv"
+    fileio.write_density(density, sweep_density())
+    argv = ["sweep", "--density", str(density), "--n", "2", "--etas", "1e-4:1e-1:10"]
+    rep = run(argv, tmp_path / "sweep.json")
+    assert rep["widths_smoothed"] == 43
+    assert len(rep["records"]) == 10 and all(r["error"] is None for r in rep["records"])
+    again = tmp_path / "again.json"
+    run(argv, again)
+    assert again.read_bytes() == (tmp_path / "sweep.json").read_bytes()
 
 
 @pytest.fixture(scope="module")

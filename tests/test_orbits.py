@@ -187,12 +187,35 @@ def test_seven_particles_smooth_and_lift_in_under_two_megabytes():
     assert rp.source.n_atoms == 25 and rp.alpha == SEVEN_GAP * SEVEN_H
     assert abs(out["mass"] - 1.0) <= 1e-12
     assert out["density"].l1_distance(rho) <= 1e-12
-    # on the diagonal the state is the smoothed plan: here each sampled
-    # configuration is reached by the one ordering that sorts it, so
-    # P_eps = sum over orbits of W / 7! times one product of transfer entries
-    x = np.sort(grid.flat_index(grid.indices_of(configs)), axis=1)
-    transfer = scattered_transfer(rp)
-    plan_density = (rp.source.weights / math.factorial(7)
-                    * np.prod(transfer[rp.center_of[None], x[:, None]], axis=2)).sum(axis=1)
+    # on the diagonal the state is the smoothed plan
+    plan_density = sorted_ordering_density(rp, configs)
     assert plan_density.max() > 0.0
     assert np.abs(out["diagonal"] - plan_density).max() <= 1e-13 * plan_density.max()
+
+
+def sorted_ordering_density(rp, configs) -> np.ndarray:
+    """P_eps of the n = 7 plan at each configuration, each reached by the
+    one ordering that sorts it: the sum over orbits of W / 7! times one
+    product of transfer entries."""
+    x = np.sort(rp.grid.flat_index(rp.grid.indices_of(configs)), axis=1)
+    transfer = scattered_transfer(rp)
+    return (rp.source.weights / math.factorial(7)
+            * np.prod(transfer[rp.center_of[None], x[:, None]], axis=2)).sum(axis=1)
+
+
+def test_seven_particle_density_takes_one_ordering_per_orbit():
+    # 200 configurations against 25 orbits of 7! orderings each: summing
+    # the 126000-row ordering table took seconds and 42 MB for 20 of them
+    grid, plan, eps = seven_cluster_plan()
+    rp = build_regularized(plan, marginal(plan, grid), eps)
+    configs = near_configs(rp, np.random.default_rng(8), 200)
+    out = {}
+
+    def run():
+        out["density"] = rp.evaluate(configs)
+
+    assert traced_peak(run) <= 2 * 2**20
+    expected = sorted_ordering_density(rp, configs)
+    assert np.count_nonzero(expected) > 100
+    assert np.array_equal(out["density"] == 0.0, expected == 0.0)
+    assert np.abs(out["density"] - expected).max() <= 1e-13 * expected.max()

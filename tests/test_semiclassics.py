@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from llot import semiclassics
-from llot.errors import ValidationError
+from llot.errors import NumericalError, ValidationError
 from llot.grids import h1_seminorm_sqrt, separation
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile
@@ -14,7 +14,6 @@ from llot.semiclassics import (
     TrialCurve,
     assembled_constant,
     fit_log_slope,
-    golden_minimize,
     sweep,
     trial_energy,
 )
@@ -58,12 +57,52 @@ def test_trial_energy_potential_approaches_transport_value(solved_instance):
     assert gaps[-1] <= gaps[0]
 
 
-def test_golden_minimize_closed_form():
-    a_coef, b_coef, eta = 3.7, 0.9, 2.3e-3
-    f = lambda e: a_coef * eta / e**2 + b_coef * e**2
-    expected = (a_coef * eta / b_coef) ** 0.25
-    x, _ = golden_minimize(f, expected / 20.0, expected * 20.0, rel_tol=1e-10)
-    assert x == pytest.approx(expected, rel=1e-4)
+def test_optimize_finds_a_closed_form_interior_minimum(solved_instance, monkeypatch):
+    # V(eps) = b eps^2 and a kinetic part a / eps^2 at eta = 1, so the total
+    # a eta / eps^2 + b eps^2 has its minimizer m = (a eta / b)^(1/4) inside
+    # the window, where the bounded search must find it to EPS_REL_TOL
+    rho, sol = solved_instance
+    curve = TrialCurve(rho, sol.plan)
+    lo, hi = curve.window()
+    a_coef, eta = 3.7, 2.3e-3
+    m = lo**0.4 * hi**0.6
+    b_coef = a_coef * eta / m**4
+    widths = []
+
+    def closed_form(self, eps):
+        widths.append(eps)
+        return b_coef * eps**2, a_coef / eps**2
+
+    monkeypatch.setattr(TrialCurve, "_smoothed", closed_form)
+    eps_opt, energy, fallback = curve.optimize(eta)
+    assert not fallback and lo < eps_opt < hi
+    assert abs(eps_opt - m) <= semiclassics.EPS_REL_TOL * m
+    assert energy.total == pytest.approx(2.0 * math.sqrt(a_coef * eta * b_coef), rel=1e-12)
+    assert len(set(widths)) < semiclassics.N_SCAN + 15
+
+
+def test_a_failed_eps_search_raises_and_the_sweep_records_it(monkeypatch):
+    # an interior record whose bounded search reports no success fails
+    # loudly; the edge-bound records never search and stay whole
+    from scipy import optimize
+
+    minimize_scalar = optimize.minimize_scalar
+
+    def failing(*args, **kwargs):
+        res = minimize_scalar(*args, **kwargs)
+        res.success, res.message = False, "injected failure"
+        return res
+
+    monkeypatch.setattr(optimize, "minimize_scalar", failing)
+    rho = sweep_density()
+    curve = TrialCurve(rho, solve_lp(TransportProblem(2, rho)).plan)
+    with pytest.raises(NumericalError, match="injected failure"):
+        curve.optimize(SWEEP_ETAS[4])
+    result = sweep(rho, 2, SWEEP_ETAS)
+    failed = [r for r in result.records if r.error is not None]
+    assert [r.eta for r in failed] == [SWEEP_ETAS[4]]
+    assert "injected failure" in failed[0].error and math.isnan(failed[0].total)
+    assert all(math.isfinite(r.total) for r in result.records if r.error is None)
 
 
 def test_optimize_eps_moves_with_eta(solved_instance):
@@ -182,8 +221,8 @@ def test_preset_sweep_smooths_each_width_once(monkeypatch):
 
 
 def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
-    # 32 scan widths, one probe per window edge and one golden search of 30
-    # widths for the interior record; the scan-fallback record adds none
+    # 32 scan widths, one probe per window edge and one bounded Brent search
+    # of 9 widths for the interior record; the scan-fallback record adds none
     widths = []
     smooth = semiclassics.smooth_plan
 
@@ -193,7 +232,7 @@ def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
 
     monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
     result = sweep(sweep_density(), 2, SWEEP_ETAS)
-    assert len(widths) == 64
+    assert len(widths) == 43
     lo, hi = result.eps_window
     assert lo == 2.0 * sweep_density().grid.h
     assert [r.eps_edge for r in result.records] == ["lower"] * 4 + [None] * 2 + ["upper"] * 4
