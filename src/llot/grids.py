@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .errors import ValidationError
 
 MASS_TOL = 1e-10
 WEIGHT_TOL = 1e-12
+STRIPE_ENTRIES = 1 << 16   # most entries of one stripe (see stripes)
 
 
 @dataclass(frozen=True)
@@ -286,16 +288,70 @@ def marginal(plan: AtomicPlan, grid: Grid) -> GridDensity:
     return GridDensity(grid, values.reshape(grid.shape))
 
 
+def stripes(shape: tuple) -> list:
+    """Row ranges ``(lo, hi)`` that cover axis 0 of an array of ``shape``,
+    each of at most ``STRIPE_ENTRIES`` entries and at least one row."""
+    rows = max(1, STRIPE_ENTRIES // max(math.prod(shape[1:]), 1))
+    return [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
+
+
+def _gradient_into(out, f, h: float, axis: int, n: int, lo: int = 0, first: int = 0):
+    """``np.gradient(g, h, axis=axis, edge_order=2)`` at indices ``lo, lo + 1,
+    ...`` along ``axis`` of an array ``g`` of length ``n`` there, written to
+    ``out``; ``f`` holds ``g`` from index ``first`` on along ``axis``
+    (``first = 0`` where ``lo = 0``) and reaches every index that the
+    stencil reads.  The same operations in the same order as
+    ``np.gradient``, so the same bits."""
+    out, f = np.moveaxis(out, axis, 0), np.moveaxis(f, axis, 0)
+    hi = lo + len(out)
+    i0, i1 = max(lo, 1), min(hi, n - 1)          # the central differences
+    if i0 < i1:
+        d = out[i0 - lo:i1 - lo]
+        np.subtract(f[i0 + 1 - first:i1 + 1 - first], f[i0 - 1 - first:i1 - 1 - first], out=d)
+        np.divide(d, 2. * h, out=d)
+    if lo == 0:
+        f0, f1, f2 = f[:3]
+        out[0] = (-1.5 / h) * f0 + (2. / h) * f1 + (-0.5 / h) * f2
+    if hi == n:
+        f0, f1, f2 = f[n - 3 - first:n - first]
+        out[-1] = (0.5 / h) * f0 + (-2. / h) * f1 + (1.5 / h) * f2
+
+
 def dirichlet_sum_sqrt(values: np.ndarray, h: float) -> float:
     """``sum |grad sqrt(values)|^2`` over the nodes of an array of any rank,
-    without the cell volume: ``np.gradient`` of the square root, spacing
-    ``h``, second order and one-sided at array edges, summed axis by axis."""
-    g = np.sqrt(values)
+    without the cell volume: the differences of ``np.gradient`` of the square
+    root, spacing ``h``, second order and one-sided at array edges, summed
+    stripe by stripe (:func:`stripes`) and axis by axis.
+
+    Each stripe takes the square root of its rows plus a halo (1 row inside
+    the array, 2 at its ends, for the one-sided stencil) into one buffer,
+    and the derivative along each axis into another, squared in place and
+    summed, so the working set is two stripes whatever the array's size.
+    A 1-D array in one stripe sums exactly as ``np.gradient`` does; in
+    general the additions of the total run in another order.  Needs at
+    least 3 entries per axis.
+    """
+    if min(values.shape) < 3:
+        raise ValidationError(f"array of shape {values.shape}: second-order finite "
+                              f"differences need at least 3 entries per axis")
+    n = values.shape[0]
+    spans = stripes(values.shape)
+    rows = spans[0][1]
+    root = np.empty((min(rows + 2, n),) + values.shape[1:])
+    grad = np.empty((rows,) + values.shape[1:])
     total = 0.0
-    for axis in range(g.ndim):
-        d = np.gradient(g, h, axis=axis, edge_order=2)
-        d *= d
-        total += d.sum()
+    for lo, hi in spans:
+        first, last = min(max(lo - 1, 0), n - 3), max(min(hi + 1, n), 3)
+        g = root[:last - first]
+        np.sqrt(values[first:last], out=g)
+        d = grad[:hi - lo]
+        for axis in range(values.ndim):
+            if axis == 0:
+                _gradient_into(d, g, h, 0, n, lo, first)
+            else:   # the stripe's own rows, whole along the axis
+                _gradient_into(d, g[lo - first:hi - first], h, axis, values.shape[axis])
+            d *= d
+            total += d.sum()
     return total
 
 

@@ -103,6 +103,14 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     and a violation above ``DUAL_TOL`` times the value raises
     :class:`NumericalError`.  Each optimal multiset is one orbit of the
     plan.  scipy's HiGHS loads on the first call, not at import.
+
+    HiGHS runs without presolve.  Over every program the tests solve, 1
+    to 13041 columns with the cost-decade and degenerate cases, ``x`` and
+    the row duals came out bit-identical with presolve on and off, with the
+    same status and iteration count, except that presolve solves a
+    one-column program in 0 iterations and the simplex in 1.  Presolve cost
+    2-3 ms of a 10-13 ms solve at 2016 and 2024 columns.  The certificate
+    above still guards the result.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csc_array
@@ -131,7 +139,7 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     # or spanning many decades, it stops at a suboptimal vertex
     scale = float(costs.min())
     res = linprog(costs / scale, A_eq=a, b_eq=masses, bounds=(0, None), method="highs",
-                  options={"dual_feasibility_tolerance": DUAL_TOL})
+                  options={"dual_feasibility_tolerance": DUAL_TOL, "presolve": False})
     if res.status == 2:
         raise ValidationError("linear program infeasible")
     if res.status != 0:

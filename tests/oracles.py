@@ -1,9 +1,10 @@
 """Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
-forms of the smoothed plan's per-center tables, of its tensor and of its
-kinetic check, explicit orbitals and Slater determinants, the window tuples
-of the mixed state with the signs of its permutations, its dense kernel
-and one-body matrices, and the Coulomb cost's derivative blocks, shared by
-the mollifier, regularizer and quantum tests as oracles; a plan whose
+forms of the smoothed plan's per-center tables, of its tensor, of the
+Dirichlet sum (``np.gradient``) and of the kinetic check, explicit orbitals
+and Slater determinants, the window tuples of the mixed state with the
+signs of its permutations, its dense kernel and one-body matrices, and the
+Coulomb cost's derivative blocks, shared by the grid, mollifier,
+regularizer and quantum tests as oracles; a plan whose
 support reaches the grid's upper edge; two smooth three-particle plans, one
 small enough for the dense one-body matrix; the
 sweep preset's geometry on finer grids; the 1024-node paired plan and a
@@ -90,17 +91,24 @@ def whole_grid_tensor(rp) -> np.ndarray:
     return (left.T @ rows[:, -1]).reshape(rp.grid.shape * rp.n)
 
 
-def whole_grid_kinetic_of_sqrt(rp) -> float:
-    """Dirichlet energy of sqrt(P_eps): ``sqrt`` and ``np.gradient`` over the
-    whole n-fold tensor grid, the reference for the support-box form of
-    :func:`llot.regularizer.kinetic_of_sqrt`."""
-    t = rp.tensor()
-    g = np.sqrt(t)
-    h = rp.grid.h
+def gradient_dirichlet_sum_sqrt(values, h) -> float:
+    """``sum |grad sqrt(values)|^2`` from whole-array ``np.gradient`` calls,
+    second order and one-sided at the edges, summed axis by axis: the
+    reference for the striped :func:`llot.grids.dirichlet_sum_sqrt`."""
+    g = np.sqrt(values)
     total = 0.0
     for axis in range(g.ndim):
         d = np.gradient(g, h, axis=axis, edge_order=2)
-        total += (d * d).sum()
+        d *= d
+        total += d.sum()
+    return total
+
+
+def whole_grid_kinetic_of_sqrt(rp) -> float:
+    """Dirichlet energy of sqrt(P_eps): :func:`gradient_dirichlet_sum_sqrt`
+    over the whole n-fold tensor grid, the reference for the support-box
+    form of :func:`llot.regularizer.kinetic_of_sqrt`."""
+    total = gradient_dirichlet_sum_sqrt(rp.tensor(), rp.grid.h)
     return float(total * rp.grid.cell_volume**rp.n)
 
 

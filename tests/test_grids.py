@@ -5,22 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llot import grids
 from llot.errors import ValidationError
 from llot.grids import (
     AtomicPlan,
     Grid,
     GridDensity,
     density_from_values,
+    dirichlet_sum_sqrt,
     h1_seminorm_sqrt,
     marginal,
     separation,
     snap_to_grid,
 )
 from llot.mollifier import BumpProfile
-from llot.presets import fixture_paired_smooth
+from llot.presets import fixture_paired_smooth, sweep_density
 from llot.quantum import MixedStateKernel, kernel_eval
 from llot.regularizer import build_regularized
-from oracles import expanded
+from oracles import expanded, gradient_dirichlet_sum_sqrt
 
 
 def plan_1d(atoms):
@@ -291,6 +293,47 @@ def test_h1_truncated_gaussian_refinement_oracle():
     coarse = Grid.line(-4.0, 8.0 / 511, 512)
     got = h1_seminorm_sqrt(sampled_density(coarse, gauss))
     assert abs(got - oracle) / oracle < 1e-4
+
+
+# (shape, STRIPE_ENTRIES, rows of the last stripe): stripes of 3 rows cut 10
+# rows into 3 + 3 + 3 + 1 and 11 into 3 + 3 + 3 + 2; stripes of one row read
+# the two-row halo at both array ends
+STRIPED_SHAPES = [
+    ((10,), 3, 1), ((11,), 3, 2), ((10,), 1, 1),
+    ((10, 4), 12, 1), ((11, 4), 12, 2), ((11, 4), 1, 1),
+    ((10, 3, 4), 36, 1), ((11, 3, 4), 36, 2), ((5, 3, 4), 1, 1),
+]
+
+
+@pytest.mark.parametrize("shape, entries, last", STRIPED_SHAPES)
+def test_dirichlet_sum_in_stripes_matches_np_gradient(monkeypatch, shape, entries, last):
+    monkeypatch.setattr(grids, "STRIPE_ENTRIES", entries)
+    spans = grids.stripes(shape)
+    assert len(spans) > 1 and spans[-1][1] - spans[-1][0] == last
+    rng = np.random.default_rng(len(shape))
+    edges = np.zeros(shape)
+    edges[:2] = edges[-2:] = 1.0 + rng.random((2,) + shape[1:])
+    for values in (0.5 + rng.random(shape),   # nonzero at every array edge
+                   edges):                     # nonzero at the first and last rows only
+        ref = gradient_dirichlet_sum_sqrt(values, 0.1)
+        # the same squared differences, added in another order: every term
+        # is >= 0, so the sums differ by a few ulps; 1e-14 is about 45
+        assert abs(dirichlet_sum_sqrt(values, 0.1) - ref) <= 1e-14 * ref
+
+
+def test_dirichlet_sum_of_a_line_in_one_stripe_is_np_gradients():
+    gauss = sampled_density(Grid.line(-2.0, 4.0 / 1023, 1024), lambda x: np.exp(-x * x))
+    cases = [sweep_density(), gauss,                  # the sweep's rho; nonzero edges
+             density_from_values(Grid.line(0.0, 0.5, 3), [1.0, 2.0, 3.0], normalize=True)]
+    for rho in cases:
+        assert len(grids.stripes(rho.values.shape)) == 1
+        assert dirichlet_sum_sqrt(rho.values, rho.grid.h) == \
+            gradient_dirichlet_sum_sqrt(rho.values, rho.grid.h)
+
+
+def test_dirichlet_sum_needs_three_entries_per_axis():
+    with pytest.raises(ValidationError, match="at least 3 entries per axis"):
+        dirichlet_sum_sqrt(np.ones((4, 2)), 0.1)
 
 
 def test_h1_order_two_convergence():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from llot import mollifier, regularizer
+from llot import grids, mollifier, regularizer
 from llot.errors import ValidationError
 from llot.grids import (
     AtomicPlan,
@@ -238,6 +238,36 @@ def test_kinetic_of_sqrt_holds_at_most_three_tensors():
     rp = fine_paired_plan()
     peak = traced_peak(lambda: kinetic_of_sqrt(rp))   # the tensor build included
     assert peak <= 3 * rp.tensor().nbytes
+
+
+def test_checks_hold_a_fraction_of_a_tensor_beyond_it():
+    rp = fine_paired_plan()
+    size = rp.tensor().nbytes   # built before the traces
+    # beyond the 8 MB tensor, the kinetic check holds two stripes of
+    # STRIPE_ENTRIES (1.2 MB traced), the potential check one stripe's mask,
+    # indices and coordinates and the 84k products (1.7 MB); 0.3 tensor is
+    # 2.4 MB, where the whole-box forms held 13.0 and 5.2 MB
+    assert traced_peak(lambda: kinetic_of_sqrt(rp)) <= 0.3 * size
+    assert traced_peak(lambda: integrate_observable(rp)) <= 0.3 * size
+
+
+def test_kinetic_of_sqrt_in_stripes_matches_the_whole_grid():
+    rp = fine_paired_plan()
+    box = rp.tensor()[rp.support_box(regularizer.SUPPORT_PAD) * rp.n]
+    assert len(grids.stripes(box.shape)) > 1
+    ref = whole_grid_kinetic_of_sqrt(rp)
+    assert abs(kinetic_of_sqrt(rp) - ref) <= 1e-14 * ref
+
+
+def test_integrate_observable_does_not_depend_on_the_stripe(monkeypatch, two_dim_paired_fixture):
+    _, grid, plan, rho, eps_list = two_dim_paired_fixture
+    cases = [fine_paired_plan(), build_regularized(plan, rho, eps_list[-1])]
+    whole = [integrate_observable(rp) for rp in cases]
+    monkeypatch.setattr(grids, "STRIPE_ENTRIES", 2000)
+    for rp, ref in zip(cases, whole):
+        box = rp.tensor()[rp.support_box(0) * rp.n]
+        assert len(grids.stripes(box.shape)) > 2
+        assert integrate_observable(rp) == ref
 
 
 def test_tensor_build_holds_the_tensor_and_one_chunk():
