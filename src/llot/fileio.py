@@ -100,6 +100,9 @@ def read_plan(path) -> AtomicPlan:
     for key in ("n", "dim", "atoms"):
         if key not in data:
             raise ValidationError(f"{path}: missing key {key!r}")
+    for key in ("n", "dim"):
+        if not isinstance(data[key], int) or isinstance(data[key], bool):
+            raise ValidationError(f"{path}: {key!r} must be an integer, got {data[key]!r}")
     if not isinstance(data["atoms"], list):
         raise ValidationError(f"{path}: 'atoms' must be a list")
     atoms = []
@@ -118,7 +121,7 @@ def read_plan(path) -> AtomicPlan:
             )
         atoms.append((x, w))
     try:
-        return AtomicPlan.from_atoms(atoms, dim=int(data["dim"]))
+        return AtomicPlan.from_atoms(atoms, dim=data["dim"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}")
 

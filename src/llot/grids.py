@@ -167,8 +167,9 @@ class AtomicPlan:
     each configuration lexicographically (``-0.0`` read as ``+0.0``), merges
     equal configurations, summing their weights in input order, and orders
     the atoms lexicographically.  Every per-orbit sum (the marginal, the
-    separation, a symmetric cost) reads the atoms as they are; a reader of
-    the full n-point density expands each orbit over its n! orderings.
+    separation, a symmetric cost) reads the atoms as they are; the full
+    n-point density sums each orbit over its n! orderings, and no reader
+    forms them as a table (see :mod:`llot.regularizer`).
     """
 
     n: int

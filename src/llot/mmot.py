@@ -62,11 +62,9 @@ class TransportProblem:
 class TransportSolution:
     plan: AtomicPlan
     value: float
-    solver: str
     marginal_residual: float
     dual_potential: Optional[np.ndarray] = None
     duality_gap: Optional[float] = None
-    beta: Optional[float] = None
     iterations: int = 0
     converged: bool = True  # Sinkhorn met tol; the LP raises if not
     # LP: max |A x - b| over the marginal rows; Sinkhorn: the last L1
@@ -161,7 +159,6 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     return TransportSolution(
         plan=plan,
         value=value,
-        solver="lp",
         marginal_residual=_marginal_residual(plan, p),
         dual_potential=v,
         duality_gap=value - float(y @ masses),
@@ -276,9 +273,7 @@ def solve_sinkhorn(p: TransportProblem, beta: float, max_iter: int = 20000,
     return TransportSolution(
         plan=plan,
         value=value,
-        solver="sinkhorn",
         marginal_residual=_marginal_residual(plan, p),
-        beta=beta,
         iterations=iterations,
         converged=bool(residual <= tol),
         residual=residual,

@@ -13,17 +13,17 @@ squared mollifier kernel on the grid.  The smoothed plan is then
                            * sum_sigma prod_k T_{c(orbit,sigma(k))}(x_k),
 
 a probability density on the n-fold tensor grid, summed over each orbit's
-n! orderings of its centers.  Only the tensor build runs over the
-orderings, from one table built once per prepared plan
-(:attr:`PreparedPlan.orderings`).  :meth:`RegularizedPlan.evaluate` takes
-the one ordering that can reach a configuration, and every one-particle
-quantity (the masses, the center weights, the density) sums per orbit,
-since each ordering adds the same terms.  Each center's window is the
-nodes ``z = c + o`` over the kernel offsets ``o``, with the weights
-``q(z) = kappa(z - c) / (rho * kappa)(z)``; one table of shape
-``(n_centers, n_offsets)`` holds each, ``RegularizedPlan.window`` (flat node
-indices) and ``RegularizedPlan.q``, and both the transfer vectors and the
-mixed state of :mod:`llot.quantum` are built from it.  ``T_c`` vanishes off
+n! orderings of its centers.  No reader forms the orderings: the tensor
+build adds each block of orbits once per permutation of its axes,
+:meth:`RegularizedPlan.evaluate` takes the one ordering that can reach a
+configuration, and every one-particle quantity (the masses, the center
+weights, the density) sums per orbit, since each ordering adds the same
+terms.  Each center's window is the nodes ``z = c + o`` over the kernel
+offsets ``o``, with the weights ``q(z) = kappa(z - c) / (rho * kappa)(z)``;
+one table of shape ``(n_centers, n_offsets)`` holds each,
+``RegularizedPlan.window`` (flat node indices) and ``RegularizedPlan.q``,
+and both the transfer vectors and the mixed state of :mod:`llot.quantum` are
+built from it.  ``T_c`` vanishes off
 the box ``c + b``, ``|b_k| <= 2 halfwidth`` (``GridKernel.box``), and is
 stored there only, one row per center: ``RegularizedPlan.nodes`` (flat node
 indices, -1 off the grid) and ``RegularizedPlan.transfer`` (its values).
@@ -60,7 +60,7 @@ from .mollifier import GridKernel, convolve_sq, offset_sum
 
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
-ATOM_CHUNK = 32        # ordering-table rows per block of the tensor build
+ATOM_CHUNK = 32        # orbits per block of the tensor build
 BATCH_ENTRIES = 1 << 14  # index entries per chunk of a configuration batch
 MARGINAL_TOL = 1e-8   # L1 distance allowed between rho and the binned plan marginal
 SUPPORT_PAD = 3       # zero nodes around the support: the one-sided stencil's reach
@@ -77,7 +77,6 @@ class RegularizedPlan:
         self.alpha = prep.alpha
         self.centers = prep.centers      # (n_centers, dim) multi-indices
         self.center_of = prep.center_of  # (n_atoms, n) -> row of the tables
-        self.prepared = prep
         self.eps = eps                  # the requested width; the kernel's is max(eps, h)
         self.kernel = kernel
         self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
@@ -143,10 +142,11 @@ class RegularizedPlan:
     def tensor(self) -> np.ndarray:
         """Dense density on the n-fold tensor grid, shape grid.shape * n.
 
-        A block-sparse contraction over the ordering table (see
-        :meth:`_build_tensor`): each chunk of its rows adds
-        ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` into the sub-box of the tensor
-        that its transfer vectors reach.  The tensor is capped at
+        A block-sparse contraction over the orbits (see
+        :meth:`_build_tensor`): each chunk of them forms the block
+        ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` on the sub-box that its transfer
+        vectors reach, and adds it once per ordering, with its axes
+        permuted.  The tensor is capped at
         ``MAX_TENSOR_ENTRIES``.  Built once and returned
         read-only, so the kinetic and the potential checks share one build.
         The build's working set is the tensor plus one chunk's box factors.
@@ -160,30 +160,36 @@ class RegularizedPlan:
     def _build_tensor(self) -> np.ndarray:
         """The block-sparse contraction of :meth:`tensor`.
 
-        The rows of the ordering table (:attr:`PreparedPlan.orderings`) are
-        taken ``ATOM_CHUNK`` at a time (fewer when one row's whole-grid left
+        The orbits, rows of ``center_of`` at weight ``W / n!``, are taken
+        ``ATOM_CHUNK`` at a time (fewer when one row's whole-grid left
         factor, ``s^(n-1)`` entries, would push a chunk past
         ``MAX_TENSOR_ENTRIES``).  Per chunk and coordinate k, the transfer
         rows are scattered into the chunk's own bounding range of flat
-        nodes, and the chunk's product is added into the matching sub-box of
-        a zeroed tensor, whose pages no chunk writes are never touched.
-        Every product is ``>= +0``, so an entry is 0 exactly where every
-        row's term is.  On the 1024-node paired plan (259 orbits, 518 rows,
-        boxes of 101 nodes) the chunks' boxes cover 28% of the tensor, 8% of
-        it nonzero, and the build holds about 1.3 tensors.
+        nodes, and the chunk's product, the block, is formed once.  For each
+        permutation ``p`` of the n particles the block, its axes permuted by
+        ``p``, is added into the sub-box of a zeroed tensor whose axis j is
+        the range of coordinate ``p[j]``: the sum over each orbit's n!
+        orderings, taken on the block after the product.  Pages no block
+        writes are never touched.  Every product is ``>= +0``, so an entry is
+        0 exactly where every term is.  The atoms are in lexicographic order
+        (:class:`~llot.grids.AtomicPlan`), so a chunk's orbits share nearby
+        first centers.  On the 1024-node paired plan (259 orbits, 9 chunks,
+        boxes of 101 nodes) the blocks hold 14% of the tensor's entries, 8%
+        of it is nonzero, and the build holds 1.06 tensors (traced).
         """
-        table, weights = self.prepared.orderings
         s = self.grid.n_sites
         if s**self.n > MAX_TENSOR_ENTRIES:
             raise ValidationError(
                 f"tensor grid of {s}^{self.n} = {s**self.n} entries exceeds "
                 f"the {MAX_TENSOR_ENTRIES} limit"
             )
+        perms = list(itertools.permutations(range(self.n)))
+        weights = self.source.weights / len(perms)
         step = min(ATOM_CHUNK, max(1, MAX_TENSOR_ENTRIES // s ** max(self.n - 1, 1)))
         flat = np.zeros((s,) * self.n)
-        for lo in range(0, len(table), step):
-            centers = table[lo:lo + step]                           # (rows, n)
-            nodes = self.nodes[centers]                             # (rows, n, n_box)
+        for lo in range(0, len(self.center_of), step):
+            centers = self.center_of[lo:lo + step]                  # (orbits, n)
+            nodes = self.nodes[centers]                             # (orbits, n, n_box)
             on = nodes >= 0
             first = np.where(on, nodes, s).min(axis=(0, 2))         # per coordinate
             width = nodes.max(axis=(0, 2)) + 1 - first
@@ -194,8 +200,10 @@ class RegularizedPlan:
             left = weights[lo:lo + step, None]
             for k in range(self.n - 1):
                 left = (left[:, :, None] * rows[:, k, None, :width[k]]).reshape(len(centers), -1)
-            box = tuple(slice(f, f + w) for f, w in zip(first.tolist(), width.tolist()))
-            flat[box] += (left.T @ rows[:, -1, :width[-1]]).reshape(width)
+            block = (left.T @ rows[:, -1, :width[-1]]).reshape(width)
+            box = [slice(f, f + w) for f, w in zip(first.tolist(), width.tolist())]
+            for perm in perms:
+                flat[tuple(box[i] for i in perm)] += block.transpose(perm)
         return flat.reshape(self.grid.shape * self.n)
 
     def support_box(self, pad: int) -> tuple:
@@ -258,19 +266,6 @@ class PreparedPlan:
     centers: np.ndarray     # (n_centers, dim) distinct atom-coordinate nodes
     center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
     support: tuple          # per-axis first and last node of rho's support
-
-    @cached_property
-    def orderings(self) -> tuple:
-        """The ordering table ``(rows, weights)``: each orbit's center row
-        under each of the n! permutations, with weight ``W / n!``, sorted
-        by the first center, then the next.  Built on first use, once for
-        every width the plan is smoothed at; the tensor build
-        (:meth:`RegularizedPlan._build_tensor`) is its one reader."""
-        perms = np.array(list(itertools.permutations(range(self.source.n))))
-        rows = self.center_of[:, perms].reshape(-1, self.source.n)
-        order = np.lexsort(rows.T[::-1])
-        weights = np.repeat(self.source.weights / len(perms), len(perms))
-        return rows[order], weights[order]
 
 
 def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:

@@ -370,7 +370,16 @@ def test_mmot_rejects_a_bad_beta_or_tol(sixteen_csv, tmp_path, capsys, extra):
      ' {"x": [[0], [1, 2]], "w": 1.0}]}', "atom 1"),
     ('{"n": 2, "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0},'
      ' {"x": [[1.0], [0.0]], "w": "abc"}]}', "atom 1"),
-], ids=["not-an-object", "atom-not-an-object", "ragged-x", "non-numeric-w"])
+    ('{"n": 2, "dim": "abc", "atoms": []}', "'dim' must be an integer"),
+    ('{"n": 2, "dim": 1e999, "atoms": []}', "'dim' must be an integer"),
+    ('{"n": 2, "dim": 1.0, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0}]}',
+     "'dim' must be an integer"),
+    ('{"n": true, "dim": 1, "atoms": [{"x": [[0.0]], "w": 1.0}]}',
+     "'n' must be an integer"),
+    ('{"n": "2", "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0}]}',
+     "'n' must be an integer"),
+], ids=["not-an-object", "atom-not-an-object", "ragged-x", "non-numeric-w", "string-dim",
+        "overflowing-dim", "float-dim", "bool-n", "string-n"])
 def test_regularize_rejects_a_malformed_plan(paired_files, tmp_path, capsys, text, where):
     grid, _, density_path, eps = paired_files
     plan_path = tmp_path / "plan.json"
