@@ -16,10 +16,15 @@ a probability density on the n-fold tensor grid, summed over each orbit's
 n! orderings of its centers.  No reader forms the orderings: the tensor
 build adds each block of orbits once per permutation of its axes,
 :meth:`RegularizedPlan.evaluate` takes the one ordering that can reach a
-configuration, and every one-particle quantity (the masses, the center
-weights, the density) sums per orbit, since each ordering adds the same
-terms.  Each center's window is the nodes ``z = c + o`` over the kernel
-offsets ``o``, with the weights ``q(z) = kappa(z - c) / (rho * kappa)(z)``;
+configuration, the Coulomb integral (:func:`integrate_observable`) takes
+each pair of an orbit's centers once, and every one-particle quantity (the
+masses, the center weights, the density) sums per orbit, since each ordering
+adds the same terms.  The dense ``s^n`` tensor serves the sqrt-Dirichlet
+check :func:`kinetic_of_sqrt` alone; the Coulomb integral is read from the
+transfer table in its pair form, with no tensor, so the trial energy and
+the sweep run at any n whose transfer table fits.  Each center's window is
+the nodes ``z = c + o`` over the kernel offsets ``o``, with the weights
+``q(z) = kappa(z - c) / (rho * kappa)(z)``;
 one table of shape ``(n_centers, n_offsets)`` holds each,
 ``RegularizedPlan.window`` (flat node indices) and ``RegularizedPlan.q``,
 and both the transfer vectors and the mixed state of :mod:`llot.quantum` are
@@ -54,7 +59,6 @@ from .grids import (
     marginal,
     separation,
     snap_to_grid,
-    stripes,
 )
 from .mollifier import GridKernel, convolve_sq, offset_sum
 
@@ -77,6 +81,7 @@ class RegularizedPlan:
         self.alpha = prep.alpha
         self.centers = prep.centers      # (n_centers, dim) multi-indices
         self.center_of = prep.center_of  # (n_atoms, n) -> row of the tables
+        self.pair_groups = prep.pair_groups  # the orbits' center pairs, by offset
         self.eps = eps                  # the requested width; the kernel's is max(eps, h)
         self.kernel = kernel
         self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
@@ -146,10 +151,11 @@ class RegularizedPlan:
         :meth:`_build_tensor`): each chunk of them forms the block
         ``(w T_0 ... T_{n-2})^T @ T_{n-1}`` on the sub-box that its transfer
         vectors reach, and adds it once per ordering, with its axes
-        permuted.  The tensor is capped at
-        ``MAX_TENSOR_ENTRIES``.  Built once and returned
-        read-only, so the kinetic and the potential checks share one build.
-        The build's working set is the tensor plus one chunk's box factors.
+        permuted.  The tensor is capped at ``MAX_TENSOR_ENTRIES``.  Built
+        once and returned read-only.  Its one reader in the package is
+        :func:`kinetic_of_sqrt`; the Coulomb integral, and with it the
+        potential check and the sweep, use the pair form.  The build's
+        working set is the tensor plus one chunk's box factors.
         """
         if self._tensor is None:
             t = self._build_tensor()
@@ -266,6 +272,30 @@ class PreparedPlan:
     centers: np.ndarray     # (n_centers, dim) distinct atom-coordinate nodes
     center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
     support: tuple          # per-axis first and last node of rho's support
+
+    @cached_property
+    def pair_groups(self) -> list:
+        """The (orbit, particle pair ``j < k``) rows of the plan, grouped by
+        the integer offset ``D = centers[c(a,k)] - centers[c(a,j)]`` of the
+        pair's centers, one ``np.unique`` of a scalar key: per distinct D,
+        ``(D, c(a,j), c(a,k), W_a, c(a,l) for l != j,k)`` over its rows.
+        Empty for one particle.  See :func:`integrate_observable`."""
+        n, grid = self.source.n, self.rho.grid
+        pairs = list(itertools.combinations(range(n), 2))
+        if not pairs:
+            return []
+        # per pair, the particles in the order j, k, then the others
+        order = [[j, k] + [l for l in range(n) if l not in (j, k)] for j, k in pairs]
+        rows = self.center_of[:, order].reshape(-1, n)
+        weights = np.repeat(self.source.weights, len(pairs))
+        offset = self.centers[rows[:, 1]] - self.centers[rows[:, 0]]
+        key = np.ravel_multi_index((offset + grid.npts - 1).T, (2 * grid.npts - 1,) * grid.dim)
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        groups = []
+        for g, row in enumerate(first):
+            at = group == g
+            groups.append((offset[row], rows[at, 0], rows[at, 1], weights[at], rows[at, 2:]))
+        return groups
 
 
 def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
@@ -392,32 +422,40 @@ def kinetic_of_sqrt(rp: RegularizedPlan) -> float:
 
 def integrate_observable(rp: RegularizedPlan) -> float:
     """Integral of the Coulomb cost :func:`~llot.grids.coulomb` against the
-    smoothed plan.
+    smoothed plan, by the pair form
 
-    Evaluated on the nonzero entries of the tensor density only, so the cost
-    is never touched on coincidence points, where it is infinite and
-    P_eps = 0.  The support box (:meth:`RegularizedPlan.support_box`) is
-    read in stripes along its first axis (:func:`~llot.grids.stripes`); per
-    stripe, its nonzero entries are found, each coordinate is read from the
-    grid axis at its index, and the cost times the density is kept.  The
-    stripes run in the C order of the whole tensor, and the products are
-    summed once at the end, so the value does not depend on the stripe
-    size, and the working set is one stripe's indices plus the products:
-    on the 1024-node paired plan, 1.7 MB traced beyond the tensor, from
-    5.2 MB for one scan of the whole box.
+        int c dP_eps = h^{2d} sum_a W_a sum_{j<k} T_{c(a,j)}^T C T_{c(a,k)}
+                                                * prod_{l != j,k} m_{c(a,l)},
+
+    with ``m_c`` the masses :meth:`RegularizedPlan.center_masses`; the sum
+    over each orbit's n! orderings gives every pair of its centers once.
+    No tensor is built.  ``C`` is read on box x box blocks only: between
+    slot b of center c and slot b' of center c' it is
+    ``1 / (h |D + b' - b|)``, ``D = c' - c`` the centers' integer offset, so
+    on a uniform grid one block serves every pair of centers at the same
+    offset.  The (orbit, pair) rows come grouped by offset
+    (:attr:`PreparedPlan.pair_groups`, formed once per plan, since offsets
+    do not depend on eps), and per group the block is formed once and the
+    rows' ``sum ((u T_j) @ C_D) * T_k`` added, ``u`` the orbit weight times
+    the other centers' masses.  The blocks span the box slots where some
+    ``T_c`` is nonzero, ``b = o + o'`` for kernel offsets with ``|o| h < w``
+    (the kernel width), so ``|b - b'| h < 4 w``; ``eps < alpha/4`` keeps
+    ``|D| h >= alpha > 4 eps``, and for ``eps < h`` the box is the one
+    node: no entry is singular.  The working set is one group's rows and
+    block: on the 1024-node paired plan (one group of 259 orbits, 101-node
+    boxes) 1.0 MB traced.
     """
     grid = rp.grid
-    box = rp.support_box(0)
-    t = rp.tensor()[box * rp.n]
-    axes = [grid.axis(k)[b] for k, b in enumerate(box)] * rp.n   # per tensor axis
-    products = []
-    for lo, hi in stripes(t.shape):
-        stripe = t[lo:hi]
-        live = stripe != 0
-        idx = np.unravel_index(np.flatnonzero(live), stripe.shape)
-        configs = np.stack([a[i] for a, i in zip([axes[0][lo:hi]] + axes[1:], idx)], axis=-1)
-        products.append(coulomb(configs.reshape(-1, rp.n, grid.dim)) * stripe[live])
-    return float(np.concatenate(products).sum() * grid.cell_volume**rp.n)
+    masses = rp.center_masses()
+    live = np.flatnonzero(rp.transfer.any(axis=0))
+    box = rp.kernel.box[live]
+    diff = box[None, :, :] - box[:, None, :]                         # b' - b
+    total = 0.0
+    for offset, cj, ck, weights, others in rp.pair_groups:
+        cost = 1.0 / (np.sqrt(((offset + diff) ** 2).sum(axis=-1)) * grid.h)
+        left = (weights * masses[others].prod(axis=1))[:, None] * rp.transfer[cj[:, None], live]
+        total += ((left @ cost) * rp.transfer[ck[:, None], live]).sum()
+    return float(total * grid.cell_volume**2)
 
 
 def potential_error(rp: RegularizedPlan) -> tuple:

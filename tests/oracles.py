@@ -1,14 +1,16 @@
 """Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
 forms of the smoothed plan's per-center tables, of its tensor, of the
-Dirichlet sum (``np.gradient``) and of the kinetic check, explicit orbitals
-and Slater determinants, the window tuples of the mixed state with the
-signs of its permutations, its dense kernel and one-body matrices, and the
-Coulomb cost's derivative blocks, shared by the grid, mollifier,
-regularizer and quantum tests as oracles; a plan whose
-support reaches the grid's upper edge; two smooth three-particle plans, one
-small enough for the dense one-body matrix; the
-sweep preset's geometry on finer grids; the 1024-node paired plan and a
-traced-memory probe; and an LP solver with wrong duals."""
+Coulomb integral read from the tensor, of the Dirichlet sum (``np.gradient``)
+and of the kinetic check, explicit orbitals and Slater determinants, the
+window tuples of the mixed state with the signs of its permutations, its
+dense kernel and one-body matrices, and the Coulomb cost's derivative
+blocks, shared by the grid, mollifier, regularizer and quantum tests as
+oracles; a plan whose support reaches the grid's upper edge; two smooth
+three-particle plans, one small enough for the dense one-body matrix; the
+sweep preset's geometry on finer grids; cos^4 cluster densities, one with
+many pair offsets and one past the dense tensor's cap at n = 3; the
+1024-node paired plan and a traced-memory probe; and an LP solver with
+wrong duals."""
 
 import itertools
 import math
@@ -18,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from llot.errors import ValidationError
-from llot.grids import AtomicPlan, Grid, GridDensity, density_from_values, marginal
+from llot.grids import (AtomicPlan, Grid, GridDensity, coulomb, density_from_values, marginal,
+                        stripes)
 from llot.mollifier import GridKernel, offset_sum
 from llot.presets import SWEEP_SCALE, cos4_window, paired_plan, permutation_plan
 from llot.regularizer import build_regularized
@@ -89,6 +92,27 @@ def whole_grid_tensor(rp) -> np.ndarray:
     for k in range(rp.n - 1):
         left = (left[:, :, None] * rows[:, k, None, :]).reshape(len(left), -1)
     return (left.T @ rows[:, -1]).reshape(rp.grid.shape * rp.n)
+
+
+def dense_integrate_observable(rp) -> float:
+    """The Coulomb cost integrated against the tensor density, read in
+    stripes of its support box: per stripe, the nonzero entries, their
+    coordinates from the grid axes, and cost times density, summed once at
+    the end.  The cost is never read on coincidence points, where
+    ``P_eps = 0``.  The reference for the pair form of
+    :func:`llot.regularizer.integrate_observable`."""
+    grid = rp.grid
+    box = rp.support_box(0)
+    t = rp.tensor()[box * rp.n]
+    axes = [grid.axis(k)[b] for k, b in enumerate(box)] * rp.n   # per tensor axis
+    products = []
+    for lo, hi in stripes(t.shape):
+        stripe = t[lo:hi]
+        live = stripe != 0
+        idx = np.unravel_index(np.flatnonzero(live), stripe.shape)
+        configs = np.stack([a[i] for a, i in zip([axes[0][lo:hi]] + axes[1:], idx)], axis=-1)
+        products.append(coulomb(configs.reshape(-1, rp.n, grid.dim)) * stripe[live])
+    return float(np.concatenate(products).sum() * grid.cell_volume**rp.n)
 
 
 def gradient_dirichlet_sum_sqrt(values, h) -> float:
@@ -356,6 +380,33 @@ def refined_sweep_density(refine: int, pad: int):
     for c in (6, 25):
         raw[pad + refine * c + offsets] += profile
     return density_from_values(Grid.line(-pad * h, h, npts), raw, normalize=True)
+
+
+def cos4_clusters(npts: int, clusters) -> GridDensity:
+    """A density on ``npts`` nodes of the unit interval: per ``(node,
+    half)`` of ``clusters``, the ``2 half + 1`` cos^4 samples around the node,
+    all positive, at mass 1/len(clusters) each."""
+    grid = Grid.line(0.0, 1.0 / (npts - 1), npts)
+    raw = np.zeros(npts)
+    for node, half in clusters:
+        s = np.arange(-half, half + 1)
+        w = cos4_window(s / (half + 1))
+        raw[node + s] += w / w.sum()
+    return density_from_values(grid, raw, normalize=True)
+
+
+def unequal_cluster_density() -> GridDensity:
+    """Two cos^4 clusters of 25 and 11 nodes around nodes 24 and 72 on 96
+    nodes.  Its optimal pair plan pairs nodes at many different offsets:
+    35 orbits over 15 distinct center offsets, separation 41 h."""
+    return cos4_clusters(96, [(24, 12), (72, 5)])
+
+
+def three_cluster_density() -> GridDensity:
+    """Three cos^4 clusters of 9 nodes around nodes 32, 96 and 160 on 192
+    nodes: an n = 3 sweep geometry whose 192^3 tensor exceeds
+    ``MAX_TENSOR_ENTRIES``."""
+    return cos4_clusters(192, [(32, 4), (96, 4), (160, 4)])
 
 
 def fine_paired_plan():

@@ -14,11 +14,13 @@ import llot
 from llot import cli, fileio, semiclassics
 from llot.grids import marginal
 from llot.grids import Grid
+from llot.mmot import TransportProblem, solve_lp
 from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_density,
                           sweep_density)
 from llot.quantum import MixedStateKernel, rdm_max_eigenvalue
 from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
-from oracles import dense_one_body_matrix, raise_lp_duals, three_cluster_plan
+from oracles import (dense_one_body_matrix, raise_lp_duals, three_cluster_density,
+                     three_cluster_plan)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,19 @@ def test_regularize_flags_sub_grid_width(paired_files, tmp_path):
     assert sub["one_node_kernel"] is True
     assert "P_eps = P" in sub["kernel_note"]
     assert sub["checks"]["marginal_l1_error"] <= 1e-10
+
+
+def test_regularize_checks_three_particles_past_the_tensor_cap(tmp_path):
+    rho = three_cluster_density()
+    plan = solve_lp(TransportProblem(3, rho)).plan
+    plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
+    fileio.write_plan(plan_path, plan)
+    fileio.write_density(density_path, marginal(plan, rho.grid))
+    rep = run(["regularize", "--plan", str(plan_path), "--density", str(density_path),
+               "--eps", repr(8 * rho.grid.h), "--checks", "marginal,potential"],
+              tmp_path / "regularize.json")
+    assert rep["checks"]["marginal_l1_error"] <= 1e-12
+    assert rep["checks"]["potential"]["satisfied"] is True
 
 
 def test_mmot_rejects_nan_density(tmp_path):

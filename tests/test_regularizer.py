@@ -13,6 +13,7 @@ from llot.grids import (
     marginal,
     snap_to_grid,
 )
+from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile, GridKernel, convolve_sq
 from llot.presets import (
     kinetic_instance,
@@ -26,10 +27,11 @@ from llot.regularizer import (
     kinetic_of_sqrt,
     potential_error,
 )
-from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_transfer, expanded,
-                     expanded_rows, fine_paired_plan, scattered_transfer,
-                     small_three_particle_case, three_cluster_plan, traced_peak,
-                     upper_grid_edge_case, whole_grid_kinetic_of_sqrt, whole_grid_tensor)
+from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_integrate_observable,
+                     dense_transfer, expanded, expanded_rows, fine_paired_plan,
+                     scattered_transfer, small_three_particle_case, three_cluster_plan,
+                     traced_peak, unequal_cluster_density, upper_grid_edge_case,
+                     whole_grid_kinetic_of_sqrt, whole_grid_tensor)
 
 EPS_TINY = 0.22
 
@@ -267,17 +269,6 @@ def test_kinetic_of_sqrt_in_stripes_matches_the_whole_grid():
     assert abs(kinetic_of_sqrt(rp) - ref) <= 1e-14 * ref
 
 
-def test_integrate_observable_does_not_depend_on_the_stripe(monkeypatch, two_dim_paired_fixture):
-    _, grid, plan, rho, eps_list = two_dim_paired_fixture
-    cases = [fine_paired_plan(), build_regularized(plan, rho, eps_list[-1])]
-    whole = [integrate_observable(rp) for rp in cases]
-    monkeypatch.setattr(grids, "STRIPE_ENTRIES", 2000)
-    for rp, ref in zip(cases, whole):
-        box = rp.tensor()[rp.support_box(0) * rp.n]
-        assert len(grids.stripes(box.shape)) > 2
-        assert integrate_observable(rp) == ref
-
-
 def test_tensor_build_holds_the_tensor_and_one_chunk():
     for case in (fine_paired_plan, three_cluster_case):
         rp = case()
@@ -333,9 +324,13 @@ def test_potential_error_coulomb_sweep_order_two():
 # vectorized; the bound's derivative sups were then sampled on a strided grid
 # of the separated region.  Each lhs is re-pinned to the plan's cost summed
 # once per orbit: summed over both orderings of each orbit, that cost was
-# one ulp (2.2e-16) higher, and every lhs 2.2e-16 larger.
+# one ulp (2.2e-16) higher, and every lhs 2.2e-16 larger.  The lhs at 0.1 is
+# re-pinned to the pair form of integrate_observable, which sums the same
+# products in another order: from 0.008204460804051017 (the tensor scan), a
+# move of 2.7e-14 relative, since lhs = |V - E| cancels all but 0.6% of V;
+# the other three came out bit-identical.
 POTENTIAL_SWEEP_PINNED = {
-    0.1: (0.008204460804051017, 3.854323865687661),
+    0.1: (0.008204460804051239, 3.854323865687661),
     0.05: (0.00250754386569918, 0.25245040131820395),
     0.025: (0.0006641342376552117, 0.03932612959035564),
     0.0125: (0.0001732436683083982, 0.007906130980400713),
@@ -364,6 +359,65 @@ def test_potential_error_bound_pinned_on_paired_fixture(paired_smooth_fixture):
     _, bound = potential_error(build_regularized(plan, rho, eps_list[0]))
     # the sampled sups of n = 2 reach the closed forms: a pair at distance r0
     assert bound == pytest.approx(2.8129123218844114, rel=1e-12)
+
+
+def at_upper_edge(rp):
+    """``rp``'s plan smoothed at the upper edge of the sweep's window,
+    ``alpha/4 (1 - 1e-3)``."""
+    return regularizer.smooth_plan(regularizer.prepare_plan(rp.source, rp.rho),
+                                   rp.alpha / 4.0 * (1.0 - 1e-3))
+
+
+def test_pair_form_matches_the_dense_oracle(all_identity_fixtures, two_dim_paired_fixture):
+    cases = {}
+    for name, grid, plan, rho, eps_list in all_identity_fixtures + [two_dim_paired_fixture]:
+        if plan.n >= 2:
+            cases.update({(name, eps): build_regularized(plan, rho, eps) for eps in eps_list})
+    # a pair whose 17 x 17 boxes at the upper edge have corners beyond the
+    # 2 w reach of T_c: a block over whole boxes would be singular there
+    grid, plan, rho = two_dim_instance()
+    cases["n2-2d-pair", 0.2] = build_regularized(plan, rho, 0.2)
+    grid, plan, rho = potential_instance()
+    cases.update({("potential", eps): build_regularized(plan, rho, eps)
+                  for eps in POTENTIAL_SWEEP_PINNED})
+    cases["fine-paired", 0.05] = fine_paired_plan()
+    cases["three-cluster", 6] = three_cluster_case()
+    for name in {name for name, _ in cases}:
+        rp = next(rp for (key, _), rp in cases.items() if key == name)
+        cases[name, "upper edge"] = at_upper_edge(rp)
+    # below its upper edge only: there its support is a kernel radius from
+    # the grid's last node
+    cases["small-three-particle", 2] = small_three_particle_case()
+    for key, rp in cases.items():
+        ref = dense_integrate_observable(rp)
+        assert abs(integrate_observable(rp) - ref) <= 1e-14 * ref, key
+
+
+def test_pair_form_sums_every_offset_group():
+    """A plan whose orbits sit at 15 different center offsets; the plans
+    above have one offset group at n = 2 and two at n = 3."""
+    rho = unequal_cluster_density()
+    prep = regularizer.prepare_plan(solve_lp(TransportProblem(2, rho)).plan, rho)
+    offsets = prep.centers[prep.center_of[:, 1]] - prep.centers[prep.center_of[:, 0]]
+    assert (len(prep.center_of), len(np.unique(offsets))) == (35, 15)
+    for eps in (3 * rho.grid.h, prep.alpha / 4.0 * (1.0 - 1e-3)):
+        rp = regularizer.smooth_plan(prep, eps)
+        ref = dense_integrate_observable(rp)
+        assert abs(integrate_observable(rp) - ref) <= 1e-14 * ref, eps
+
+
+def test_potential_check_builds_no_tensor():
+    grid, plan, rho = potential_instance()
+    rp = build_regularized(plan, rho, 0.05)
+    potential_error(rp)
+    assert rp._tensor is None
+
+
+def test_pair_form_holds_one_group_of_rows():
+    rp = fine_paired_plan()
+    # one offset group: its 259 rows on either side, their product and the
+    # 101 x 101 block: 1.0 MB traced
+    assert traced_peak(lambda: integrate_observable(rp)) <= 2 << 20
 
 
 def two_dim_instance():

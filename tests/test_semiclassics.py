@@ -9,7 +9,8 @@ from llot.grids import h1_seminorm_sqrt, separation
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile
 from llot.presets import SWEEP_ETAS, sweep_density
-from llot.regularizer import build_regularized, integrate_observable
+from llot.regularizer import (MAX_TENSOR_ENTRIES, RegularizedPlan, build_regularized,
+                              integrate_observable)
 from llot.semiclassics import (
     TrialCurve,
     assembled_constant,
@@ -17,7 +18,7 @@ from llot.semiclassics import (
     sweep,
     trial_energy,
 )
-from oracles import refined_sweep_density
+from oracles import refined_sweep_density, three_cluster_density
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,23 @@ def test_sweep_end_to_end():
     # explicit-constant envelope
     for r in result.records:
         assert r.gap <= r.assembled_c * (math.sqrt(r.eta) + r.eta)
+
+
+def test_sweep_builds_no_tensor(monkeypatch):
+    rho = sweep_density()
+    records = sweep(rho, 2, SWEEP_ETAS).records
+    monkeypatch.setattr(RegularizedPlan, "tensor", lambda self: pytest.fail("tensor built"))
+    assert sweep(rho, 2, SWEEP_ETAS).records == records
+
+
+def test_three_particle_sweep_runs_past_the_tensor_cap():
+    # every optimum sits on the window's upper edge here, so the slope says
+    # nothing about the rate and is not checked
+    rho = three_cluster_density()
+    assert rho.grid.n_sites**3 > MAX_TENSOR_ENTRIES
+    for r in sweep(rho, 3, SWEEP_ETAS).records:
+        assert r.error is None
+        assert math.isfinite(r.total) and r.e_ot <= r.total
 
 
 def test_sweep_survives_a_negligible_kernel_tail():
