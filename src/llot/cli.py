@@ -18,6 +18,7 @@ report's ``n_atoms`` counts the plan's orbits, one atom each.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -46,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="llot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -276,8 +279,7 @@ def _cmd_sweep(args) -> dict:
         "records": [
             {"eta": r.eta, "eps_opt": r.eps_opt, "total": r.total,
              "gap": r.gap, "assembled_c": r.assembled_c,
-             "scan_fallback": r.scan_fallback, "error": r.error,
-             "eps_edge": r.eps_edge}
+             "error": r.error, "eps_edge": r.eps_edge}
             for r in result.records
         ],
     }

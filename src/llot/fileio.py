@@ -179,16 +179,14 @@ def write_report(path, report: dict):
 
 
 def write_sweep_csv(path, records):
-    """One row per sweep record, floats in ``repr``; ``scan_fallback`` is
-    ``true`` or ``false``, and ``error`` and ``eps_edge`` are empty on a
-    record without one."""
+    """One row per sweep record, floats in ``repr``; ``error`` and
+    ``eps_edge`` are empty on a record without one."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eta", "eps_opt", "e_ot", "trial_total", "gap",
-                         "assembled_C", "scan_fallback", "error", "eps_edge"])
+                         "assembled_C", "error", "eps_edge"])
         for r in records:
             writer.writerow([repr(float(r.eta)), repr(float(r.eps_opt)),
                              repr(float(r.e_ot)), repr(float(r.total)),
                              repr(float(r.gap)), repr(float(r.assembled_c)),
-                             "true" if r.scan_fallback else "false", r.error or "",
-                             r.eps_edge or ""])
+                             r.error or "", r.eps_edge or ""])

@@ -13,18 +13,23 @@ per (rho, plan) smooths each width once and serves every eta.  The sweep
 optimizes eps per eta, records the gap, and fits the log-log rate.
 
 eps is optimized over the feasible window ``[2h, alpha/4 * (1 - 1e-3)]``
-(``eps_min`` replaces 2h) to ``EPS_REL_TOL`` relative.  When the pre-scan's
-best width is a window edge, one probe ``EPS_REL_TOL`` inside the edge
-decides it: a probe above the edge's total returns the edge itself, exactly;
-only a probe at or below it runs the search.  An interior optimum is refined
-by Brent's bounded search (``scipy.optimize.minimize_scalar``, method
-``"bounded"``) on the scan interval around it, with ``xatol = EPS_REL_TOL * a``
-at its lower end ``a``.  The search stops when ``|x - xm| <= 2 tol1 - (b -
-a)/2``, ``xm`` the midpoint of its bracket ``[a, b]`` and ``tol1 =
-sqrt(eps_mach) |x| + xatol / 3``, so every point of the final bracket lies
-within ``2 tol1 <= (2.98e-8 + 6.67e-8) x`` of the returned x, inside
-``EPS_REL_TOL * x``.  A sweep record whose ``eps_opt`` equals a window bound
-names it in ``eps_edge``.
+(a curve's ``eps_min`` replaces 2h) to ``EPS_REL_TOL`` relative, on one
+path.  Each curve scans its window once, at ``N_SCAN`` geometric widths
+whose ends are the window's bounds, and every eta takes its best scan point
+from that table.  When the best point is a window edge, one probe
+``EPS_REL_TOL`` inside the edge decides it: a probe above the edge's total
+returns the edge itself, exactly; only a probe at or below it runs the
+search.  The search is Brent's bounded search
+(``scipy.optimize.minimize_scalar``, method ``"bounded"``) on the scan
+interval around the best point, with ``xatol = EPS_REL_TOL * a`` at its
+lower end ``a``.  It stops when ``|x - xm| <= 2 tol1 - (b - a)/2``, ``xm``
+the midpoint of its bracket ``[a, b]`` and ``tol1 = sqrt(eps_mach) |x| +
+xatol / 3``, so every point of the final bracket lies within ``2 tol1 <=
+(2.98e-8 + 6.67e-8) x`` of the returned x, inside ``EPS_REL_TOL * x``.  A
+refined width whose total exceeds the best scan point's is dropped for that
+point, so the result is never worse than the best scan point, whether or
+not the total is unimodal in eps.  A sweep record whose ``eps_opt`` equals
+a window bound names it in ``eps_edge``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient
 from .mollifier import BumpProfile
-from .mmot import TransportProblem, solve_lp
+from .mmot import TransportProblem, require_finite_positive, solve_lp
 from .regularizer import PreparedPlan, coulomb_smoothing_rate, integrate_observable
 from .regularizer import kinetic_term, prepare_plan, smooth_plan
 
@@ -69,7 +74,6 @@ class SweepRecord:
     e_ot: float
     gap: float
     assembled_c: float
-    scan_fallback: bool = False
     error: Optional[str] = None
     eps_edge: Optional[str] = None   # "lower" or "upper" when eps_opt is that window bound
 
@@ -86,19 +90,9 @@ class SweepResult:
 
 def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float) -> TrialEnergy:
     """Assemble the two-term upper bound at one (eps, eta)."""
-    if eta < 0:
-        raise ValidationError("eta must be nonnegative")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValidationError(f"eta must be nonnegative and finite, got {eta!r}")
     return TrialCurve(rho, plan).energy(eps, eta)
-
-
-def _is_unimodal(values: np.ndarray, tol: float) -> bool:
-    diffs = np.diff(values)
-    signs = np.where(diffs > tol, 1, np.where(diffs < -tol, -1, 0))
-    signs = signs[signs != 0]
-    switches = int((np.diff(signs) != 0).sum())
-    if switches == 0:
-        return True
-    return switches == 1 and signs[0] == -1
 
 
 class TrialCurve:
@@ -106,14 +100,17 @@ class TrialCurve:
 
     ``V(eps)`` and the kinetic term at eta = 1 are memoized per exact float
     eps and shared by every eta; the plan is prepared for smoothing once, on
-    first use.  The kinetic term is closed form (:func:`kinetic_term`) from
-    ``H1(sqrt rho)``, computed once per curve, and the width and gradient
-    moment of each smoothing's kernel.
+    first use, and the window is scanned once, on the first
+    :meth:`optimize`.  The kinetic term is closed form (:func:`kinetic_term`)
+    from ``H1(sqrt rho)``, computed once per curve, and the width and
+    gradient moment of each smoothing's kernel.  ``eps_min``, when given,
+    replaces 2h as the window's lower bound.
     """
 
-    def __init__(self, rho: GridDensity, plan: AtomicPlan):
+    def __init__(self, rho: GridDensity, plan: AtomicPlan, eps_min: Optional[float] = None):
         self.rho = rho
         self.plan = plan
+        self.eps_min = eps_min
         self.h1 = h1_seminorm_sqrt(rho)
         self._smoothed_at: dict = {}
 
@@ -137,64 +134,66 @@ class TrialCurve:
         return TrialEnergy(eta=eta, eps=eps, kinetic_term=float(kinetic),
                            potential_term=float(potential))
 
-    def window(self, eps_min: Optional[float] = None) -> tuple:
+    def window(self) -> tuple:
         """The feasible widths ``(lo, hi)``: ``lo`` is ``eps_min``, or 2h by
         default, and ``hi = alpha/4 * (1 - 1e-3)``; the window is empty when
         ``lo >= hi``."""
         hi = self.prepared.alpha / 4.0 * (1.0 - 1e-3)
-        lo = eps_min if eps_min is not None else 2.0 * self.rho.grid.h
+        lo = self.eps_min if self.eps_min is not None else 2.0 * self.rho.grid.h
         return lo, hi
 
-    def optimize(self, eta: float, eps_min: Optional[float] = None):
+    @cached_property
+    def _scan(self) -> tuple:
+        """``(xs, V, K)``: the ``N_SCAN`` geometric widths of :meth:`window`,
+        its bounds included, and ``V`` and the eta = 1 kinetic term at each."""
+        lo, hi = self.window()
+        if lo >= hi:
+            raise ValidationError(f"empty feasible eps interval: [{lo:.4g}, {hi:.4g}]")
+        xs = np.geomspace(lo, hi, N_SCAN)
+        potential, kinetic = np.array([self._smoothed(x) for x in xs]).T
+        return xs, potential, kinetic
+
+    def optimize(self, eta: float):
         """Minimize the trial total over the feasible mollifier widths.
 
-        Returns ``(eps_opt, energy, scan_fallback)``.  A coarse geometric
-        pre-scan of ``N_SCAN`` points over :meth:`window`, whose end points
-        are the window's bounds, tests unimodality; if it fails, the best
-        scan point is returned (``scan_fallback`` is flagged on the sweep
-        record).  If it holds and the best point is a window edge, the total
-        is probed once at the edge moved ``EPS_REL_TOL`` relative into the
-        window: a probe strictly above the edge's total puts the minimizer
-        of the unimodal total within ``EPS_REL_TOL`` of the edge, the
-        precision the search would reach, so the edge itself is returned,
-        exactly.  Otherwise Brent's bounded search (module docstring)
-        refines inside the bracketing scan interval ``[a, b]`` to
-        ``xatol = EPS_REL_TOL * a``; a search that reports no success
-        (its evaluation cap, or a nan total) raises ``NumericalError``.
+        Returns ``(eps_opt, energy)``.  The best point of the curve's scan
+        table, ``V + eta * K`` at ``N_SCAN`` widths, is refined on one path
+        (module docstring).  At a window edge the total is first probed once
+        at the edge moved ``EPS_REL_TOL`` relative into the window: a probe
+        strictly above the edge's total returns the edge itself, exactly.
+        Otherwise Brent's bounded search refines inside the scan interval
+        ``[a, b]`` around the best point to ``xatol = EPS_REL_TOL * a``; a
+        search that reports no success (its evaluation cap, or a nan total)
+        raises ``NumericalError``.  A refined total above the best scan
+        point's returns that point, so the result is never worse than the
+        best scan point.
         """
-        if eta <= 0:
-            raise ValidationError("eta must be positive")
-        lo, hi = self.window(eps_min)
-        if lo >= hi:
-            raise ValidationError(
-                f"empty feasible eps interval: [{lo:.4g}, {hi:.4g}]"
-            )
+        require_finite_positive("eta", eta)
+        xs, potential, kinetic = self._scan
+        vals = potential + eta * kinetic
+        best = int(np.argmin(vals))
 
         def total(eps: float) -> float:
             return self.energy(eps, eta).total
 
-        xs = np.geomspace(lo, hi, N_SCAN)
-        vals = np.array([total(x) for x in xs])
-        best = int(np.argmin(vals))
-        fallback = not _is_unimodal(vals, tol=1e-12 * max(1.0, float(np.abs(vals).max())))
         probe = {0: xs[0] * (1.0 + EPS_REL_TOL),
                  N_SCAN - 1: xs[-1] * (1.0 - EPS_REL_TOL)}.get(best)
-        if fallback or (probe is not None and total(probe) > vals[best]):
+        if probe is not None and total(probe) > vals[best]:
             eps_opt = float(xs[best])
-        else:
-            a = xs[max(best - 1, 0)]
-            b = xs[min(best + 1, N_SCAN - 1)]
-            from scipy.optimize import minimize_scalar
+            return eps_opt, self.energy(eps_opt, eta)
+        a = xs[max(best - 1, 0)]
+        b = xs[min(best + 1, N_SCAN - 1)]
+        from scipy.optimize import minimize_scalar
 
-            res = minimize_scalar(total, bounds=(a, b), method="bounded",
-                                  options={"xatol": EPS_REL_TOL * a})
-            if not res.success:
-                raise NumericalError(f"eps search on [{a:.6g}, {b:.6g}] failed: "
-                                     f"{res.message}")
-            eps_opt = float(res.x)
-            if total(eps_opt) > vals[best]:
-                eps_opt = float(xs[best])
-        return eps_opt, self.energy(eps_opt, eta), fallback
+        res = minimize_scalar(total, bounds=(a, b), method="bounded",
+                              options={"xatol": EPS_REL_TOL * a})
+        if not res.success:
+            raise NumericalError(f"eps search on [{a:.6g}, {b:.6g}] failed: "
+                                 f"{res.message}")
+        eps_opt = float(res.x)
+        if total(eps_opt) > vals[best]:
+            eps_opt = float(xs[best])
+        return eps_opt, self.energy(eps_opt, eta)
 
 
 def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,
@@ -205,7 +204,10 @@ def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,
     The potential part is the bound of
     :func:`~llot.regularizer.potential_error` over eps^2
     (:func:`~llot.regularizer.coulomb_smoothing_rate`), with the pairwise
-    distance margin ``alpha - 4 eps`` evaluated at eps_opt.
+    distance margin ``alpha - 4 eps`` evaluated at eps_opt.  At an
+    upper-edge optimum that margin is ``alpha * 1e-3``, so the constant
+    reads large there: about 31 on the sweep preset, and 6.9e6 on the n = 3
+    clusters of ``tests/oracles.py``, whose gaps are at most 1406.
     """
     margin = alpha - 4.0 * eps_opt
     if margin <= 0:
@@ -236,33 +238,37 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     the feasible window and the number of distinct widths smoothed, and a
     record whose ``eps_opt`` is one of the window's bounds says which in
     ``eps_edge``.
-    ``eps_min`` is checked before any eta runs: inside the loop its error
-    would be recorded as a failed eta instead of rejecting the call.
+    ``eps_min`` and the etas' finiteness are checked before any eta runs:
+    inside the loop their errors would be recorded as failed etas instead of
+    rejecting the call, and a nan eta cannot be sorted.
     """
-    eta_list = sorted(float(e) for e in eta_list)
+    eta_list = [float(e) for e in eta_list]
     if len(eta_list) < 1:
         raise ValidationError("eta list is empty")
+    if not all(map(math.isfinite, eta_list)):
+        raise ValidationError(f"every eta must be finite, got {eta_list}")
+    eta_list.sort()
     if eps_min is not None and not (math.isfinite(eps_min) and eps_min > 0):
         raise ValidationError(f"eps_min must be positive and finite, got {eps_min!r}")
     problem = TransportProblem(n=n, marginal=rho)
     sol = solve_lp(problem)
-    curve = TrialCurve(rho, sol.plan)
+    curve = TrialCurve(rho, sol.plan, eps_min)
     alpha = curve.prepared.alpha
     grad_moment, second_moment = BumpProfile(rho.grid.dim).moments()
     l1g = l1_gradient(rho)
-    window = curve.window(eps_min)
+    window = curve.window()
     edges = dict(zip(window, ("lower", "upper")))
 
     records = []
     for eta in eta_list:
         try:
-            eps_opt, energy, fallback = curve.optimize(eta, eps_min=eps_min)
+            eps_opt, energy = curve.optimize(eta)
             c = assembled_constant(n, alpha, curve.h1, grad_moment, l1g,
                                    second_moment, eps_opt)
             records.append(SweepRecord(
                 eta=eta, eps_opt=eps_opt, total=energy.total, e_ot=sol.value,
                 gap=energy.total - sol.value, assembled_c=c,
-                scan_fallback=fallback, eps_edge=edges.get(eps_opt)))
+                eps_edge=edges.get(eps_opt)))
         except (ValidationError, NumericalError) as exc:
             records.append(SweepRecord(
                 eta=eta, eps_opt=math.nan, total=math.nan, e_ot=sol.value,

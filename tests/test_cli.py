@@ -447,19 +447,20 @@ def test_sweep_report_states_the_eps_precision(tmp_path, monkeypatch):
     edge, interior = [records[k] for k in (0, 3, 6)], records[1]
     assert [r["eps_edge"] for r in edge] == ["lower", "upper", "upper"]
     assert [r["eps_opt"] for r in edge] == [lo, hi, hi]
-    assert interior["eps_edge"] is None and not interior["scan_fallback"]
+    assert interior["eps_edge"] is None
     assert lo < interior["eps_opt"] < hi
     # each edge's probe sits eps_rel_tol relative inside the window
     assert {lo * (1.0 + tol), hi * (1.0 - tol)} <= set(widths)
 
 
 def test_sweep_report_counts_the_widths_smoothed(tmp_path):
-    # the preset etas: 32 scan widths, two edge probes and a 9-width search
+    # the preset etas: 32 scan widths, two edge probes and searches of 9 and
+    # 10 widths for the two interior records
     density = tmp_path / "density.csv"
     fileio.write_density(density, sweep_density())
     argv = ["sweep", "--density", str(density), "--n", "2", "--etas", "1e-4:1e-1:10"]
     rep = run(argv, tmp_path / "sweep.json")
-    assert rep["widths_smoothed"] == 43
+    assert rep["widths_smoothed"] == 53
     assert len(rep["records"]) == 10 and all(r["error"] is None for r in rep["records"])
     again = tmp_path / "again.json"
     run(argv, again)
@@ -589,3 +590,7 @@ def test_reports_are_byte_identical_across_runs(cli_files, tmp_path, argv):
         assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
         reports.append((tmp_path / name).read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()

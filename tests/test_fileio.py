@@ -20,8 +20,7 @@ def test_sweep_csv_round_trip(tmp_path):
                     e_ot=2.008975871119536, gap=1.1e-16, assembled_c=0.0031,
                     eps_edge="lower"),
         SweepRecord(eta=0.1, eps_opt=1.0 / 3.0, total=math.pi, e_ot=2.0,
-                    gap=math.pi - 2.0, assembled_c=31.5, scan_fallback=True,
-                    eps_edge="upper"),
+                    gap=math.pi - 2.0, assembled_c=31.5, eps_edge="upper"),
         SweepRecord(eta=1e-2, eps_opt=math.nan, total=math.nan, e_ot=2.0, gap=math.nan,
                     assembled_c=math.nan,
                     error="empty feasible eps interval: [1e+06, 183.7]"),
@@ -33,14 +32,14 @@ def test_sweep_csv_round_trip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["eta", "eps_opt", "e_ot", "trial_total", "gap", "assembled_C",
-                       "scan_fallback", "error", "eps_edge"]
+                       "error", "eps_edge"]
     assert len(rows) == 1 + len(records)
     for row, r in zip(rows[1:], records):
         floats = [r.eta, r.eps_opt, r.e_ot, r.total, r.gap, r.assembled_c]
         assert np.array_equal([float(v) for v in row[:6]], floats, equal_nan=True)
-        assert row[6:] == [str(r.scan_fallback).lower(), r.error or "", r.eps_edge or ""]
-    assert [row[8] for row in rows[1:]] == ["lower", "upper", "", ""]
-    assert rows[3][7] == "empty feasible eps interval: [1e+06, 183.7]"
+        assert row[6:] == [r.error or "", r.eps_edge or ""]
+    assert [row[7] for row in rows[1:]] == ["lower", "upper", "", ""]
+    assert rows[3][6] == "empty feasible eps interval: [1e+06, 183.7]"
 
 
 def plan_json(x, weights) -> str:

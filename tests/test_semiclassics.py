@@ -75,8 +75,8 @@ def test_optimize_finds_a_closed_form_interior_minimum(solved_instance, monkeypa
         return b_coef * eps**2, a_coef / eps**2
 
     monkeypatch.setattr(TrialCurve, "_smoothed", closed_form)
-    eps_opt, energy, fallback = curve.optimize(eta)
-    assert not fallback and lo < eps_opt < hi
+    eps_opt, energy = curve.optimize(eta)
+    assert lo < eps_opt < hi
     assert abs(eps_opt - m) <= semiclassics.EPS_REL_TOL * m
     assert energy.total == pytest.approx(2.0 * math.sqrt(a_coef * eta * b_coef), rel=1e-12)
     assert len(set(widths)) < semiclassics.N_SCAN + 15
@@ -84,7 +84,8 @@ def test_optimize_finds_a_closed_form_interior_minimum(solved_instance, monkeypa
 
 def test_a_failed_eps_search_raises_and_the_sweep_records_it(monkeypatch):
     # an interior record whose bounded search reports no success fails
-    # loudly; the edge-bound records never search and stay whole
+    # loudly; the edge-bound records never search and stay whole, and both
+    # interior records search
     from scipy import optimize
 
     minimize_scalar = optimize.minimize_scalar
@@ -101,16 +102,16 @@ def test_a_failed_eps_search_raises_and_the_sweep_records_it(monkeypatch):
         curve.optimize(SWEEP_ETAS[4])
     result = sweep(rho, 2, SWEEP_ETAS)
     failed = [r for r in result.records if r.error is not None]
-    assert [r.eta for r in failed] == [SWEEP_ETAS[4]]
-    assert "injected failure" in failed[0].error and math.isnan(failed[0].total)
+    assert [r.eta for r in failed] == [SWEEP_ETAS[4], SWEEP_ETAS[5]]
+    assert all("injected failure" in r.error and math.isnan(r.total) for r in failed)
     assert all(math.isfinite(r.total) for r in result.records if r.error is None)
 
 
 def test_optimize_eps_moves_with_eta(solved_instance):
     rho, sol = solved_instance
     curve = TrialCurve(rho, sol.plan)
-    eps_small, _, _ = curve.optimize(1e-4)
-    eps_large, _, _ = curve.optimize(1e-1)
+    eps_small, _ = curve.optimize(1e-4)
+    eps_large, _ = curve.optimize(1e-1)
     assert eps_small <= eps_large + 1e-12
 
 
@@ -118,7 +119,7 @@ def test_optimize_eps_empty_interval(solved_instance):
     rho, sol = solved_instance
     alpha = separation(sol.plan)
     with pytest.raises(ValidationError, match="empty feasible eps interval"):
-        TrialCurve(rho, sol.plan).optimize(1e-2, eps_min=alpha)
+        TrialCurve(rho, sol.plan, eps_min=alpha).optimize(1e-2)
 
 
 def test_fit_log_slope_exact_sqrt():
@@ -239,8 +240,8 @@ def test_preset_sweep_smooths_each_width_once(monkeypatch):
 
 
 def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
-    # 32 scan widths, one probe per window edge and one bounded Brent search
-    # of 9 widths for the interior record; the scan-fallback record adds none
+    # 32 scan widths, one probe per window edge and bounded Brent searches
+    # of 9 and 10 widths for the two interior records
     widths = []
     smooth = semiclassics.smooth_plan
 
@@ -250,7 +251,7 @@ def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
 
     monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
     result = sweep(sweep_density(), 2, SWEEP_ETAS)
-    assert len(widths) == 43
+    assert len(widths) == 53
     lo, hi = result.eps_window
     assert lo == 2.0 * sweep_density().grid.h
     assert [r.eps_edge for r in result.records] == ["lower"] * 4 + [None] * 2 + ["upper"] * 4
@@ -283,8 +284,7 @@ def test_edge_probe_never_skips_a_real_minimum(solved_instance, monkeypatch,
         return math.log(eps / m) ** 2, 0.0
 
     monkeypatch.setattr(TrialCurve, "_smoothed", closed_form)
-    eps_opt, energy, fallback = curve.optimize(1e-2)
-    assert not fallback
+    eps_opt, energy = curve.optimize(1e-2)
     probe = {"lower": lo * (1.0 + semiclassics.EPS_REL_TOL),
              "upper": hi * (1.0 - semiclassics.EPS_REL_TOL)}[edge]
     assert probe in widths
@@ -331,3 +331,42 @@ def test_trial_energy_kinetic_uses_kernel_width(solved_instance):
     sub = trial_energy(rho, sol.plan, 0.5 * h, 0.01)
     assert sub.kinetic_term == at_h.kinetic_term
     assert sub.potential_term == at_h.potential_term
+
+
+def test_scan_table_totals_equal_the_energy_totals(solved_instance):
+    # V + eta * K over the cached table adds the same two floats as
+    # energy(...).total, so the scan picks the same best point bit for bit
+    rho, sol = solved_instance
+    curve = TrialCurve(rho, sol.plan)
+    xs, potential, kinetic = curve._scan
+    assert len(xs) == semiclassics.N_SCAN and (xs[0], xs[-1]) == curve.window()
+    for eta in SWEEP_ETAS:
+        totals = [curve.energy(x, eta).total for x in xs]
+        assert np.array_equal(potential + eta * kinetic, totals)
+
+
+def test_preset_sweep_reaches_the_window_minimum(solved_instance):
+    # each record's total is at most the least total over 400 geometric
+    # widths of the window; the interior records sit at a local minimum of
+    # the total, and record 5's total has two, at about 2.46h and 3.46h
+    rho, sol = solved_instance
+    result = sweep(rho, 2, SWEEP_ETAS)
+    curve = TrialCurve(rho, sol.plan)
+    assert curve.window() == result.eps_window
+    widths = np.geomspace(*curve.window(), 400)
+    for r in result.records:
+        floor = min(curve.energy(x, r.eta).total for x in widths)
+        assert r.total <= floor
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_eta_is_rejected(solved_instance, monkeypatch, bad):
+    rho, sol = solved_instance
+    with pytest.raises(ValidationError, match="eta must be nonnegative and finite"):
+        trial_energy(rho, sol.plan, 2.0 * rho.grid.h, bad)
+    with pytest.raises(ValidationError, match="eta must be positive and finite"):
+        TrialCurve(rho, sol.plan).optimize(bad)
+    # the sweep rejects the list before sorting it and before the LP
+    monkeypatch.setattr(semiclassics, "solve_lp", lambda p: pytest.fail("LP solved"))
+    with pytest.raises(ValidationError, match="every eta must be finite"):
+        sweep(rho, 2, [bad, 1e-3])
