@@ -15,7 +15,7 @@ from .grids import (
     separation,
     snap_to_grid,
 )
-from .mollifier import BumpProfile, GridKernel, convolve_sq
+from .mollifier import BumpProfile, GridKernel
 from .regularizer import (
     RegularizedPlan,
     build_regularized,

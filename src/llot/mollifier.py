@@ -1,4 +1,4 @@
-"""The radial bump profile, the grid kernel, and grid convolution.
+"""The radial bump profile and the grid kernel.
 
 The continuum profile is ``chi(x) = c * exp(-1/(1-|x|^2))`` inside the unit
 ball and 0 outside, with ``c`` fixed once per dimension so that the squared
@@ -10,7 +10,10 @@ For grid work the scaled profile is *resampled and renormalized* once, by
 :class:`GridKernel`: its values on the integer offset lattice are divided by
 the square root of their own quadrature sum, so the squared kernel has unit
 discrete mass exactly.  Every downstream identity (marginal pinning, unit
-trace) is exact in floating point because of this.
+trace) is exact in floating point because of this.  The kernel is applied
+in one form only, its box table :attr:`GridKernel.box_amp`: the smoothing
+(:func:`llot.regularizer.smooth_plan`) sums with its squares, and the
+mixed state of :mod:`llot.quantum` reads its amplitudes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .grids import GridDensity
 
 # a 128-node Gauss-Legendre rule on [0, 1] for the radial integrals; 64 nodes
 # leave the gradient moment 3e-13 off
@@ -113,8 +115,9 @@ class GridKernel:
     ``amp[o]`` is the renormalized amplitude with ``sum(amp**2) * h**d == 1``,
     ``norm`` the quadrature sum it was divided by, and ``sq = amp**2`` the
     unit-mass squared kernel used for smoothing.  This table is the
-    package's one discrete kernel; ``profile`` keeps the continuum profile
-    for the closed-form moments and the continuum orbitals.
+    package's one discrete kernel, and :attr:`box_amp` its one operator;
+    ``profile`` keeps the continuum profile for the closed-form moments and
+    the continuum orbitals.
     """
 
     def __init__(self, dim: int, width: float, h: float):
@@ -157,7 +160,16 @@ class GridKernel:
     def box_amp(self) -> np.ndarray:
         """``amp(b - o)`` per box slot ``b`` (rows) and kernel offset ``o``
         (columns), 0 where ``b - o`` is not a kernel offset, and a last row
-        of zeros for slot -1: nodes off the box."""
+        of zeros for slot -1: nodes off the box.
+
+        The package's one kernel operator.  For a center c, a vector on its
+        box ``c + b`` times the squared table sums against ``kappa`` at
+        each window node ``c + o``, and a vector on its window times the
+        transposed table spreads back onto the box: the two sums of the
+        smoothing.  The mixed state reads the amplitudes themselves.  Its
+        size is ``n_box x n_offsets``, about 19 MB in d = 3 at a width of
+        5 h.
+        """
         n_offsets = len(self.offsets)
         table = np.zeros((len(self.box) + 1, n_offsets))
         # b - o is the offset o' exactly at b = o + o', which lies in the box
@@ -170,54 +182,3 @@ class GridKernel:
         whether each lies in the box; the slot of an offset outside is junk."""
         r = 2 * self.halfwidth
         return (diff + r) @ self._box_strides, np.all(np.abs(diff) <= r, axis=-1)
-
-
-def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
-    """``out[x] = sum_o w_o * values[x - o]`` over the trailing ``dim`` axes.
-
-    ``dim`` is the length of each offset; leading axes of ``values`` are
-    batch axes.  ``values`` counts as zero off the grid.  The sum is direct,
-    one slice-add per lattice offset, so denormal-size products survive.
-    """
-    values = np.asarray(values, dtype=float)
-    offsets = np.asarray(offsets, dtype=int)
-    shape = values.shape[values.ndim - offsets.shape[1]:]
-    out = np.zeros_like(values)
-    # Python numbers: numpy scalars would cost more per slice-add
-    w = np.asarray(weights).tolist()
-    for i, dst, src in _slice_pairs(offsets.tobytes(), shape):
-        out[dst] += w[i] * values[src]
-    return out
-
-
-@lru_cache(maxsize=128)
-def _slice_pairs(offsets: bytes, shape: tuple) -> tuple:
-    """``(i, dst, src)`` per offset ``o_i`` that overlaps a grid of ``shape``:
-    ``out[dst] += w_i * values[src]`` is its term of :func:`offset_sum`.
-    ``offsets`` are the int array's bytes, so that one smoothing's kernel
-    offsets and grid shape key the slices for every call."""
-    pairs = []
-    for i, o in enumerate(np.frombuffer(offsets, dtype=int).reshape(-1, len(shape)).tolist()):
-        if any(abs(ok) >= npts for ok, npts in zip(o, shape)):
-            continue
-        dst = tuple(slice(max(ok, 0), npts + min(ok, 0)) for ok, npts in zip(o, shape))
-        src = tuple(slice(max(-ok, 0), npts - max(ok, 0)) for ok, npts in zip(o, shape))
-        pairs.append((i, (Ellipsis,) + dst, (Ellipsis,) + src))
-    return tuple(pairs)
-
-
-def convolve_sq(rho: GridDensity, kernel: GridKernel) -> np.ndarray:
-    """``rho`` convolved with the squared kernel ``kernel.sq``: values on
-    ``rho``'s grid, not a density, since the grid boundary may truncate them.
-
-    ``kernel`` is built for the spacing of ``rho``'s grid; the caller decides
-    its width (see :func:`llot.regularizer.smooth_plan`).  Mass is preserved
-    to machine precision whenever the support of ``rho`` keeps a kernel
-    radius of margin from the grid boundary.  Summed directly by
-    :func:`offset_sum`, so the denormal-size tails that the smoothing
-    denominators depend on are kept, not flushed or lost to FFT rounding.
-    """
-    if kernel.h != rho.grid.h:
-        raise ValidationError(
-            f"kernel built for spacing {kernel.h:g}, grid spacing is {rho.grid.h:g}")
-    return offset_sum(rho.values, kernel.offsets, kernel.sq * rho.grid.cell_volume)

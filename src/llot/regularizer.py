@@ -32,6 +32,9 @@ built from it.  ``T_c`` vanishes off
 the box ``c + b``, ``|b_k| <= 2 halfwidth`` (``GridKernel.box``), and is
 stored there only, one row per center: ``RegularizedPlan.nodes`` (flat node
 indices, -1 off the grid) and ``RegularizedPlan.transfer`` (its values).
+The denominator ``(rho * kappa)(z)`` is needed on the windows only, and it
+and the transfer vectors are two products with the kernel's box table
+(``GridKernel.box_amp``): no array spans the grid.
 Because kappa has unit discrete mass and atoms sit on nodes, the
 one-particle marginal of P_eps equals rho exactly (up to float rounding),
 for every eps.  A width at or below the grid spacing h resolves only the
@@ -60,7 +63,7 @@ from .grids import (
     separation,
     snap_to_grid,
 )
-from .mollifier import GridKernel, convolve_sq, offset_sum
+from .mollifier import GridKernel
 
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
@@ -87,7 +90,7 @@ class RegularizedPlan:
         self.nodes = nodes              # (n_centers, n_box) flat nodes c + b, -1 off the grid
         self.transfer = transfer        # (n_centers, n_box) T_c there, 0 off the grid
         self.window = window            # (n_centers, n_offsets) flat nodes c + o
-        self.q = q                      # kappa / (rho * kappa) there, 0 where kappa = 0
+        self.q = q                      # kappa / (rho * kappa) there, all positive
         self._tensor = None             # read-only dense tensor, built on first use
 
     @property
@@ -331,11 +334,14 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
     vectors (see :func:`build_regularized` for ``eps < h``).  Requires
     ``eps`` below a quarter of the plan separation and a kernel radius of
     margin between the support and the grid boundary (required for the
-    exact identities).  The transfer vectors are
-    ``rho * offset_sum(U, kappa) * h^d`` on each center's box, where row c
-    of ``U`` holds ``kappa / (rho * kappa)`` on the window ``c + offsets``
-    and 0 elsewhere in the box; per node, the additions run in the order
-    they would on the whole grid.
+    exact identities).  With ``S[b, o] = kappa(b - o)``, the squared box
+    table ``GridKernel.box_amp``, and ``rho`` gathered on each center's box
+    (0 off the grid), two products give the smoothing:
+    ``(rho * kappa)(c + o) = (rho @ S) * h^d`` on the windows, and, with
+    ``q = kappa / (rho * kappa)`` there, ``T_c = rho * (q @ S^T) * h^d`` on
+    the box.  ``rho * kappa`` at or below ``DENOM_FLOOR`` on a window is
+    rejected; ``TAIL_CUT`` keeps every kernel weight positive, so every
+    ``q`` is positive.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValidationError(f"mollifier width must be positive and finite, got {eps!r}")
@@ -356,24 +362,19 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
             "enlarge the grid or shrink eps"
         )
 
-    denom = convolve_sq(rho, kernel)
-
     nodes = grid.flat_index(prep.centers[:, None, :] + kernel.box[None, :, :])
     slots, _ = kernel.box_slot(kernel.offsets)
     window = np.take(nodes, slots, axis=1)
     if np.any(window < 0):
         raise ValidationError(
             "density support too close to the grid boundary for this eps")
-    dz = denom.ravel()[window]
-    live = dz > DENOM_FLOOR
-    if np.any(~live & (kernel.sq > 0)):
+    rho_at = np.where(nodes >= 0, rho.values.ravel()[nodes], 0.0)
+    table = kernel.box_amp[:-1] ** 2                # kappa(b - o)
+    dz = rho_at @ table * grid.cell_volume          # (rho * kappa)(c + o)
+    if np.any(dz <= DENOM_FLOOR):
         raise ValidationError("density vanishes near plan support")
-    q = np.where(live, kernel.sq / np.where(live, dz, 1.0), 0.0)
-    u = np.zeros(nodes.shape)
-    u[:, slots] = q
-    spread = offset_sum(u.reshape((-1,) + kernel.box_shape), kernel.offsets, kernel.sq)
-    rho_at = np.append(rho.values.ravel(), 0.0)[nodes]   # 0 at node -1
-    transfer = rho_at * spread.reshape(nodes.shape) * grid.cell_volume
+    q = kernel.sq / dz
+    transfer = rho_at * (q @ table.T) * grid.cell_volume
     return RegularizedPlan(prep, eps, kernel, nodes, transfer, window, q)
 
 

@@ -238,15 +238,16 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     the feasible window and the number of distinct widths smoothed, and a
     record whose ``eps_opt`` is one of the window's bounds says which in
     ``eps_edge``.
-    ``eps_min`` and the etas' finiteness are checked before any eta runs:
-    inside the loop their errors would be recorded as failed etas instead of
-    rejecting the call, and a nan eta cannot be sorted.
+    ``eps_min`` and the etas (each positive and finite) are checked before
+    the LP and any eta run: inside the loop their errors would be recorded
+    as failed etas instead of rejecting the call, and a nan eta cannot be
+    sorted.
     """
     eta_list = [float(e) for e in eta_list]
     if len(eta_list) < 1:
         raise ValidationError("eta list is empty")
-    if not all(map(math.isfinite, eta_list)):
-        raise ValidationError(f"every eta must be finite, got {eta_list}")
+    if not all(math.isfinite(e) and e > 0 for e in eta_list):
+        raise ValidationError(f"every eta must be positive and finite, got {eta_list}")
     eta_list.sort()
     if eps_min is not None and not (math.isfinite(eps_min) and eps_min > 0):
         raise ValidationError(f"eps_min must be positive and finite, got {eps_min!r}")

@@ -58,6 +58,21 @@ def two_dim_paired_fixture():
 
 
 @pytest.fixture(scope="session")
+def three_dim_fixture():
+    """n=2 plan on a 16^3 grid pairing three neighbouring nodes, with
+    unequal weights, to the node (7, 6, 5) steps away: three orbits whose
+    windows overlap, smoothed at 1.5 h (19 offsets) and 2.5 h (81 offsets,
+    boxes reaching past the grid)."""
+    grid = Grid(dim=3, origin=np.zeros(3), h=0.25, npts=16)
+    atoms = []
+    for node, w in zip(([4, 4, 4], [5, 4, 4], [4, 5, 4]), (0.2, 0.3, 0.5)):
+        x = np.array(node) * grid.h
+        atoms.append((np.stack([x, x + np.array([7, 6, 5]) * grid.h]), w))
+    plan = AtomicPlan.from_atoms(atoms, dim=3)
+    return "n2-3d-paired", grid, plan, marginal(plan, grid), [1.5 * grid.h, 2.5 * grid.h]
+
+
+@pytest.fixture(scope="session")
 def fixtures_with_2d(all_identity_fixtures, two_dim_fixture, two_dim_paired_fixture):
     """The identity fixtures and the two-dimensional ones."""
     return all_identity_fixtures + [two_dim_fixture, two_dim_paired_fixture]

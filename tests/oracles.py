@@ -1,16 +1,17 @@
-"""Test-only reference code: a per-entry lookup of the grid kernel, whole-grid
-forms of the smoothed plan's per-center tables, of its tensor, of the
-Coulomb integral read from the tensor, of the Dirichlet sum (``np.gradient``)
-and of the kinetic check, explicit orbitals and Slater determinants, the
-window tuples of the mixed state with the signs of its permutations, its
-dense kernel and one-body matrices, and the Coulomb cost's derivative
-blocks, shared by the grid, mollifier, regularizer and quantum tests as
-oracles; a plan whose support reaches the grid's upper edge; two smooth
-three-particle plans, one small enough for the dense one-body matrix; the
-sweep preset's geometry on finer grids; cos^4 cluster densities, one with
-many pair offsets and one past the dense tensor's cap at n = 3; the
-1024-node paired plan and a traced-memory probe; and an LP solver with
-wrong duals."""
+"""Test-only reference code: a per-entry lookup of the grid kernel, the
+slice-add lattice sum and the whole-grid convolution with the squared
+kernel, whole-grid forms of the smoothed plan's per-center tables, of its
+tensor, of the Coulomb integral read from the tensor, of the Dirichlet sum
+(``np.gradient``) and of the kinetic check, explicit orbitals and Slater
+determinants, the window tuples of the mixed state with the signs of its
+permutations, its dense kernel and one-body matrices, and the Coulomb
+cost's derivative blocks, shared by the grid, mollifier, regularizer and
+quantum tests as oracles; a plan whose support reaches the grid's upper
+edge; two smooth three-particle plans, one small enough for the dense
+one-body matrix; the sweep preset's geometry on finer grids; cos^4 cluster
+densities, one with many pair offsets and one past the dense tensor's cap
+at n = 3; the 1024-node paired plan and a traced-memory probe; and an LP
+solver with wrong duals."""
 
 import itertools
 import math
@@ -22,7 +23,7 @@ import numpy as np
 from llot.errors import ValidationError
 from llot.grids import (AtomicPlan, Grid, GridDensity, coulomb, density_from_values, marginal,
                         stripes)
-from llot.mollifier import GridKernel, offset_sum
+from llot.mollifier import GridKernel
 from llot.presets import SWEEP_SCALE, cos4_window, paired_plan, permutation_plan
 from llot.regularizer import build_regularized
 
@@ -60,14 +61,47 @@ def amp_at(kernel: GridKernel, o) -> np.ndarray:
     return np.array(flat).reshape(o.shape[:-1])
 
 
+def offset_sum(values: np.ndarray, offsets: np.ndarray, weights) -> np.ndarray:
+    """``out[x] = sum_o w_o * values[x - o]`` over the trailing ``dim`` axes.
+
+    ``dim`` is the length of each offset; leading axes of ``values`` are
+    batch axes.  ``values`` counts as zero off the grid.  The sum is direct,
+    one slice-add per lattice offset, so denormal-size products survive.
+    """
+    values = np.asarray(values, dtype=float)
+    offsets = np.asarray(offsets, dtype=int)
+    shape = values.shape[values.ndim - offsets.shape[1]:]
+    out = np.zeros_like(values)
+    for o, w in zip(offsets.tolist(), np.asarray(weights).tolist()):
+        if any(abs(ok) >= npts for ok, npts in zip(o, shape)):
+            continue
+        dst = tuple(slice(max(ok, 0), npts + min(ok, 0)) for ok, npts in zip(o, shape))
+        src = tuple(slice(max(-ok, 0), npts - max(ok, 0)) for ok, npts in zip(o, shape))
+        out[(Ellipsis,) + dst] += w * values[(Ellipsis,) + src]
+    return out
+
+
+def convolve_sq(rho: GridDensity, kernel: GridKernel) -> np.ndarray:
+    """``rho`` convolved with the squared kernel ``kernel.sq`` on the whole
+    grid by :func:`offset_sum`: the smoothing's denominator ``rho * kappa``
+    at every node, values that the grid boundary may truncate."""
+    return offset_sum(rho.values, kernel.offsets, kernel.sq * rho.grid.cell_volume)
+
+
+def dense_q(rp) -> np.ndarray:
+    """``kappa / (rho * kappa)`` on each center's window, ``rp.q``'s shape,
+    with the denominator from :func:`convolve_sq` over the whole grid."""
+    return rp.kernel.sq / convolve_sq(rp.rho, rp.kernel).ravel()[rp.window]
+
+
 def dense_transfer(rp):
     """The transfer vectors as ``(n_centers, n_sites)`` rows, built over the
-    whole grid: ``q`` scattered to each center's window nodes and spread by
-    :func:`offset_sum` on the grid, times ``rho * h^d``."""
+    whole grid: :func:`dense_q` scattered to each center's window nodes and
+    spread by :func:`offset_sum` on the grid, times ``rho * h^d``."""
     grid = rp.grid
     n_centers = len(rp.centers)
     u = np.zeros((n_centers, grid.n_sites))
-    u[np.arange(n_centers)[:, None], rp.window] = rp.q
+    u[np.arange(n_centers)[:, None], rp.window] = dense_q(rp)
     spread = offset_sum(u.reshape((n_centers,) + grid.shape), rp.kernel.offsets,
                         rp.kernel.sq)
     return (rp.rho.values * spread * grid.cell_volume).reshape(n_centers, -1)

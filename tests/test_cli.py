@@ -19,8 +19,8 @@ from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_
                           sweep_density)
 from llot.quantum import MixedStateKernel, rdm_max_eigenvalue
 from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
-from oracles import (dense_one_body_matrix, raise_lp_duals, three_cluster_density,
-                     three_cluster_plan)
+from oracles import (dense_one_body_matrix, fine_paired_plan, raise_lp_duals,
+                     three_cluster_density, three_cluster_plan)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,26 @@ def test_regularize_checks_three_particles_past_the_tensor_cap(tmp_path):
               tmp_path / "regularize.json")
     assert rep["checks"]["marginal_l1_error"] <= 1e-12
     assert rep["checks"]["potential"]["satisfied"] is True
+
+
+def test_regularize_reports_agree_under_one_and_two_blas_threads(tmp_path):
+    """The smoothing's box-table products run through BLAS: on the 1024-node
+    paired plan, a fresh interpreter's report is the same bytes whether
+    OpenBLAS may use one thread or two."""
+    rp = fine_paired_plan()
+    plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
+    fileio.write_plan(plan_path, rp.source)
+    fileio.write_density(density_path, rp.rho)
+    src = str(Path(llot.__file__).resolve().parent.parent)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        argv = ["regularize", "--plan", str(plan_path), "--density", str(density_path),
+                "--eps", repr(rp.eps), "--checks", "marginal,potential", "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "llot.cli"] + argv, env=env, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_mmot_rejects_nan_density(tmp_path):
@@ -454,13 +474,14 @@ def test_sweep_report_states_the_eps_precision(tmp_path, monkeypatch):
 
 
 def test_sweep_report_counts_the_widths_smoothed(tmp_path):
-    # the preset etas: 32 scan widths, two edge probes and searches of 9 and
-    # 10 widths for the two interior records
+    # the preset etas: 32 scan widths, two edge probes and searches of 9
+    # widths for each interior record (the second took 10 when the smoothing
+    # summed by slice-adds, since Brent's path follows the totals' rounding)
     density = tmp_path / "density.csv"
     fileio.write_density(density, sweep_density())
     argv = ["sweep", "--density", str(density), "--n", "2", "--etas", "1e-4:1e-1:10"]
     rep = run(argv, tmp_path / "sweep.json")
-    assert rep["widths_smoothed"] == 53
+    assert rep["widths_smoothed"] == 52
     assert len(rep["records"]) == 10 and all(r["error"] is None for r in rep["records"])
     again = tmp_path / "again.json"
     run(argv, again)

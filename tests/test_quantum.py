@@ -178,8 +178,8 @@ def test_kernel_antisymmetry_is_exact(small_state):
     assert swapped == [-v, -v, v]
 
 
-def test_trace_is_one(all_identity_fixtures):
-    for name, grid, plan, rho, eps_list in all_identity_fixtures:
+def test_trace_is_one(all_identity_fixtures, three_dim_fixture):
+    for name, grid, plan, rho, eps_list in all_identity_fixtures + [three_dim_fixture]:
         for eps in eps_list:
             rp = build_regularized(plan, rho, eps)
             assert abs(rp.mass() - 1.0) <= 1e-10, (name, eps)

@@ -14,7 +14,7 @@ from llot.grids import (
     snap_to_grid,
 )
 from llot.mmot import TransportProblem, solve_lp
-from llot.mollifier import BumpProfile, GridKernel, convolve_sq
+from llot.mollifier import BumpProfile, GridKernel
 from llot.presets import (
     kinetic_instance,
     paired_plan,
@@ -28,7 +28,7 @@ from llot.regularizer import (
     potential_error,
 )
 from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_integrate_observable,
-                     dense_transfer, expanded, expanded_rows, fine_paired_plan,
+                     dense_q, dense_transfer, expanded, expanded_rows, fine_paired_plan,
                      scattered_transfer, small_three_particle_case, three_cluster_plan,
                      traced_peak, unequal_cluster_density, upper_grid_edge_case,
                      whole_grid_kinetic_of_sqrt, whole_grid_tensor)
@@ -130,6 +130,29 @@ def test_eps_too_wide_rejected(two_site_fixture):
         build_regularized(plan, rho, 0.4)
 
 
+# per case, the node pair of a plan's orbit, that of a 1e-9-weight orbit
+# that rho leaves out (within MARGINAL_TOL), or None, and the error; on a
+# 32-node line at eps = 0.2, whose kernel has halfwidth 3
+SMOOTHING_REJECTIONS = [
+    ((2, 24), None, "grid boundary for this eps; enlarge"),    # support at node 2
+    ((8, 24), (1, 16), "grid boundary for this eps$"),          # a window from node -2
+    ((8, 24), (12, 28), "density vanishes near plan support"),  # rho * kappa = 0 at 12
+]
+
+
+@pytest.mark.parametrize("heavy, light, match", SMOOTHING_REJECTIONS,
+                         ids=["support-at-the-edge", "window-off-the-grid", "density-vanishes"])
+def test_smooth_plan_rejects_what_the_identities_need(heavy, light, match):
+    grid = Grid.line(0.0, 1 / 16, 32)
+    rho = marginal(permutation_plan(np.array(heavy) * grid.h), grid)
+    atoms = [(np.array(heavy) * grid.h, 1.0)]
+    if light is not None:
+        atoms = [(atoms[0][0], 1.0 - 1e-9), (np.array(light) * grid.h, 1e-9)]
+    prep = regularizer.prepare_plan(AtomicPlan.from_atoms(atoms, dim=1), rho)
+    with pytest.raises(ValidationError, match=match):
+        regularizer.smooth_plan(prep, 0.2)
+
+
 def test_wrong_density_rejected(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
     other = GridDensity(grid, np.roll(rho.values, 3))
@@ -137,8 +160,8 @@ def test_wrong_density_rejected(two_site_fixture):
         build_regularized(plan, other, eps_list[0])
 
 
-def test_marginal_pinning_all_fixtures(fixtures_with_2d):
-    for name, grid, plan, rho, eps_list in fixtures_with_2d:
+def test_marginal_pinning_all_fixtures(fixtures_with_2d, three_dim_fixture):
+    for name, grid, plan, rho, eps_list in fixtures_with_2d + [three_dim_fixture]:
         for eps in eps_list:
             rp = build_regularized(plan, rho, eps)
             assert rp.density().l1_distance(rho) <= 1e-10, (name, eps)
@@ -328,10 +351,15 @@ def test_potential_error_coulomb_sweep_order_two():
 # re-pinned to the pair form of integrate_observable, which sums the same
 # products in another order: from 0.008204460804051017 (the tensor scan), a
 # move of 2.7e-14 relative, since lhs = |V - E| cancels all but 0.6% of V;
-# the other three came out bit-identical.
+# the other three came out bit-identical.  The lhs at 0.1 and 0.05 are
+# re-pinned to smooth_plan's products with the kernel's box table, which sum
+# the denominators and transfer vectors in another order than the slice-add
+# convolution did: at 0.1 back to the tensor-scan value above, at 0.05 from
+# 0.00250754386569918, a move of 8.8e-14 relative for the same cancellation;
+# the other two came out bit-identical.
 POTENTIAL_SWEEP_PINNED = {
-    0.1: (0.008204460804051239, 3.854323865687661),
-    0.05: (0.00250754386569918, 0.25245040131820395),
+    0.1: (0.008204460804051017, 3.854323865687661),
+    0.05: (0.002507543865699402, 0.25245040131820395),
     0.025: (0.0006641342376552117, 0.03932612959035564),
     0.0125: (0.0001732436683083982, 0.007906130980400713),
 }
@@ -502,9 +530,11 @@ class SmoothedPlan:
 def test_smoothed_plan_density_is_denominator(two_site_fixture):
     grid, plan, rho, eps_list = two_site_fixture
     eps = eps_list[0]
-    q = SmoothedPlan(plan, eps, grid)
-    denom = convolve_sq(rho, build_regularized(plan, rho, eps).kernel)
-    assert np.allclose(q.density().values, denom, rtol=1e-12, atol=1e-14)
+    smoothed = SmoothedPlan(plan, eps, grid)
+    rp = build_regularized(plan, rho, eps)
+    denom = rp.kernel.sq / rp.q     # rho * kappa on the windows
+    assert np.allclose(smoothed.density().values.ravel()[rp.window], denom,
+                       rtol=1e-12, atol=1e-14)
 
 
 def test_smoothed_plan_evaluate_marginal_is_its_density(two_site_fixture):
@@ -518,29 +548,23 @@ def test_smoothed_plan_evaluate_marginal_is_its_density(two_site_fixture):
     assert np.abs(marg - q.density().values).max() <= 1e-12 * marg.max()
 
 
-def test_transfer_table_scatters_to_the_dense_oracle(fixtures_with_2d):
+def test_transfer_table_scatters_to_the_dense_oracle(fixtures_with_2d, three_dim_fixture):
+    """The box products of ``smooth_plan`` against the whole-grid slice-add
+    sums: they add the same terms in another order, so each table agrees to
+    a rounding bound of its maximum, with the same zeros."""
     off_grid = 0
-    for name, grid, plan, rho, eps_list in fixtures_with_2d:
+    for name, grid, plan, rho, eps_list in fixtures_with_2d + [three_dim_fixture]:
         for eps in eps_list + [0.5 * grid.h]:
             rp = build_regularized(plan, rho, eps)
             side = 4 * rp.kernel.halfwidth + 1
             assert rp.transfer.shape == (len(rp.centers), side**grid.dim), (name, eps)
             assert rp.nodes.shape == rp.transfer.shape, (name, eps)
             assert np.all(rp.transfer[rp.nodes < 0] == 0.0), (name, eps)
-            assert np.array_equal(scattered_transfer(rp), dense_transfer(rp)), (name, eps)
+            for got, ref in ((scattered_transfer(rp), dense_transfer(rp)), (rp.q, dense_q(rp))):
+                assert np.abs(got - ref).max() <= 2e-15 * ref.max(), (name, eps)
+                assert np.array_equal(got == 0, ref == 0), (name, eps)
             off_grid += np.count_nonzero(rp.nodes < 0)
     assert off_grid > 0   # some boxes reach past the grid
-
-
-def test_smooth_plan_spreads_on_the_box_only(monkeypatch, fixtures_with_2d):
-    shapes = []
-    offset_sum = regularizer.offset_sum
-    monkeypatch.setattr(regularizer, "offset_sum",
-                        lambda v, *args: shapes.append(v.shape) or offset_sum(v, *args))
-    for name, grid, plan, rho, eps_list in fixtures_with_2d:
-        shapes.clear()
-        rp = build_regularized(plan, rho, eps_list[0])
-        assert shapes == [(len(rp.centers),) + rp.kernel.box_shape], name
 
 
 def outer_product_tensor(rp):
