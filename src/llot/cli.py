@@ -9,10 +9,11 @@ as an LP whose dual certificate fails, with no report written.  A
 kinetic energies of ``quantum-check``, the continuum ``kinetic_term`` (as in
 ``regularize``'s ``rhs``) and the state's ``Tr(-Delta_h gamma)``, get no
 verdict, since they differ by O((h/eps)^2) discretization.  Output paths
-are checked before any computation, so a bad one writes no file at all.  A ``--density`` file
-has mass 1, or mass n (the plan's or ``--n``'s) and is divided by n.  A
-plan file is read as the symmetrization of its atoms, and the ``mmot``
-report's ``n_atoms`` counts the plan's orbits, one atom each.
+are checked before any computation, so a bad one writes no file at all; an
+output that is the same file as an input or another output is a bad one.
+A ``--density`` file has mass 1, or mass n (the plan's or ``--n``'s) and is
+divided by n.  A plan file is read as the symmetrization of its atoms, and
+the ``mmot`` report's ``n_atoms`` counts the plan's orbits, one atom each.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .mmot import TransportProblem, require_finite_positive, solve_lp, solve_sin
 from .quantum import (MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density,
                       rdm_max_eigenvalue)
 from .regularizer import build_regularized, kinetic_of_sqrt, kinetic_term, potential_error
-from .semiclassics import EPS_REL_TOL, sweep as run_sweep
+from .semiclassics import EPS_REL_TOL, assembled_margin, sweep as run_sweep
 
 # quantum-check verdicts: |trace - 1|, the density's L1 error, the diagonal
 # error over the largest diagonal value, and the largest one-body eigenvalue
@@ -121,9 +122,26 @@ def _parse_etas(spec: str):
     return np.geomspace(lo, hi, count)
 
 
+def _file_id(path: Path) -> tuple:
+    """The device and inode of the file ``path`` names, or, for a file not
+    yet written, those of its directory and its name."""
+    try:
+        st = path.stat()
+        return st.st_dev, st.st_ino
+    except FileNotFoundError:
+        st = path.parent.stat()
+        return st.st_dev, st.st_ino, path.name
+
+
 def _check_outputs(args):
-    """Reject an output path that names a directory or lies in a directory
-    that does not exist."""
+    """Reject an output path that names a directory, lies in a directory
+    that does not exist, or names the same file as an input or another
+    output: one write would replace the other file."""
+    seen = {}
+    for flag in ("density", "plan"):
+        path = getattr(args, flag, None)
+        if path is not None and Path(path).exists():
+            seen[_file_id(Path(path))] = flag
     for flag in ("out", "plan_out", "csv"):
         path = getattr(args, flag, None)
         if path is None:
@@ -133,6 +151,10 @@ def _check_outputs(args):
             raise ValidationError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise ValidationError(f"cannot write {path}: {path.parent} is not a directory")
+        other = seen.setdefault(_file_id(path), flag)
+        if other != flag:
+            raise ValidationError(f"cannot write {path}: --{flag.replace('_', '-')} "
+                                  f"is the same file as --{other.replace('_', '-')}")
 
 
 def _kernel_flag(rp) -> dict:
@@ -279,6 +301,7 @@ def _cmd_sweep(args) -> dict:
         "records": [
             {"eta": r.eta, "eps_opt": r.eps_opt, "total": r.total,
              "gap": r.gap, "assembled_c": r.assembled_c,
+             "assembled_margin": assembled_margin(result.alpha, r.eps_opt),
              "error": r.error, "eps_edge": r.eps_edge}
             for r in result.records
         ],

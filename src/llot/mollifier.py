@@ -14,6 +14,14 @@ trace) is exact in floating point because of this.  The kernel is applied
 in one form only, its box table :attr:`GridKernel.box_amp`: the smoothing
 (:func:`llot.regularizer.smooth_plan`) sums with its squares, and the
 mixed state of :mod:`llot.quantum` reads its amplitudes.
+
+A kernel has two halves.  Its :class:`KernelLattice` is the integer
+structure: the offset cube, the offsets it keeps, the box and the slots of
+the box table.  It depends on the width only through the set of offsets
+kept, so it is built once per offset set, and the kernels of widths that
+keep the same set can share it (:meth:`GridKernel.sharing`).  The numbers
+are built per width: the amplitudes, ``norm`` and the table's values.  This
+module keeps no lattice; the caller that shares one holds it.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -106,6 +115,49 @@ class BumpProfile:
         return _moments(self.dim)
 
 
+class KernelLattice:
+    """The width-independent half of a :class:`GridKernel`: one set of
+    integer offsets and the box structure built on it.
+
+    ``cube`` holds the lattice vectors with every ``|o_k| <= reach`` (C
+    order) and ``radii`` their lengths ``|o| h``; both depend on the reach
+    ``ceil(width / h)`` alone.  ``kept`` indexes the cube's rows that a
+    width keeps, ``offsets = cube[kept]``, and the box, its slots and the
+    scatter of :attr:`GridKernel.box_amp` depend on these offsets alone.
+    So every width that keeps the same offsets can share one lattice, and
+    only its radial values differ (:meth:`GridKernel.sharing`).  In 1-D
+    the reach fixes the offsets, ``|o| < width / h``, unless ``TAIL_CUT``
+    drops the edge pair.
+    """
+
+    def __init__(self, cube: np.ndarray, radii: np.ndarray, h: float, kept: np.ndarray):
+        self.cube, self.radii, self.h, self.kept = cube, radii, h, kept
+        self.offsets = cube[kept]
+        dim = cube.shape[1]
+        self.halfwidth = int(np.abs(self.offsets).max())
+        # the box |b_k| <= 2 halfwidth holds the support of kappa * kappa
+        self.box_shape = (4 * self.halfwidth + 1,) * dim
+        self._box_strides = self.box_shape[0] ** np.arange(dim - 1, -1, -1)
+
+    @cached_property
+    def box(self) -> np.ndarray:
+        """The box offsets ``b``, shape (n_box, dim), in C order."""
+        dim = len(self.box_shape)
+        return np.indices(self.box_shape).reshape(dim, -1).T - 2 * self.halfwidth
+
+    @cached_property
+    def table_slots(self) -> np.ndarray:
+        """``[i, j]``: the box slot of ``offsets[i] + offsets[j]``, the row
+        of :attr:`GridKernel.box_amp` where column j holds ``amp[i]``."""
+        return self.box_slot(self.offsets[:, None, :] + self.offsets[None, :, :])[0]
+
+    def box_slot(self, diff) -> tuple:
+        """Slots in :attr:`box` of integer offsets ``diff`` (..., dim), and
+        whether each lies in the box; the slot of an offset outside is junk."""
+        r = 2 * self.halfwidth
+        return (diff + r) @ self._box_strides, np.all(np.abs(diff) <= r, axis=-1)
+
+
 class GridKernel:
     """The scaled profile of width ``width`` resampled on the offset lattice
     of a grid of spacing ``h`` and renormalized.
@@ -118,9 +170,30 @@ class GridKernel:
     package's one discrete kernel, and :attr:`box_amp` its one operator;
     ``profile`` keeps the continuum profile for the closed-form moments and
     the continuum orbitals.
+
+    The integer structure (the offset cube, the offsets, the box and its
+    slots) is the kernel's :class:`KernelLattice`, built per offset set;
+    the amplitudes, ``norm`` and the values of :attr:`box_amp` are built
+    per width.  ``GridKernel(dim, width, h)`` builds a new lattice;
+    :meth:`sharing` reuses a given one when the width keeps its offsets.
     """
 
     def __init__(self, dim: int, width: float, h: float):
+        self._resample(dim, width, h, None)
+
+    @classmethod
+    def sharing(cls, lattice: Optional[KernelLattice], dim: int, width: float,
+                h: float) -> "GridKernel":
+        """``GridKernel(dim, width, h)``, built on ``lattice`` when the
+        width keeps exactly its offsets (then ``kernel.lattice is
+        lattice``), on ``lattice``'s cube when only the reach is the same,
+        and anew otherwise.  Equal to the new kernel in every value."""
+        kernel = cls.__new__(cls)
+        kernel._resample(dim, width, h, lattice)
+        return kernel
+
+    def _resample(self, dim: int, width: float, h: float,
+                  lattice: Optional[KernelLattice]):
         if h <= 0:
             raise ValidationError("grid spacing must be positive")
         if not width >= h:
@@ -130,31 +203,37 @@ class GridKernel:
         self.h = float(h)
         self.dim = dim
         reach = int(math.ceil(width / h))
-        cube = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
-        r = np.sqrt((cube**2).sum(axis=1)) * h
-        inside = r < width
-        offsets, r = cube[inside], r[inside]
-        raw = width ** (-dim / 2.0) * self.profile.radial(r / width)
+        # the cube depends on the spacing, the dimension and the reach alone
+        if lattice is not None and lattice.h == self.h and \
+                lattice.cube.shape == ((2 * reach + 1) ** dim, dim):
+            cube, radii = lattice.cube, lattice.radii
+        else:
+            lattice = None
+            cube = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
+            radii = np.sqrt((cube**2).sum(axis=1)) * h
+        inside = np.flatnonzero(radii < width)
+        raw = width ** (-dim / 2.0) * self.profile.radial(radii[inside] / width)
         # an edge offset whose squared weight is negligible against the peak
         # would only push rho * kappa under DENOM_FLOOR; it is dropped
         sq = raw**2
         keep = sq >= TAIL_CUT * sq.max()
-        self.offsets, raw = offsets[keep], raw[keep]
-        self.halfwidth = int(np.abs(self.offsets).max())
+        kept, raw = inside[keep], raw[keep]
+        if lattice is None or not np.array_equal(kept, lattice.kept):
+            lattice = KernelLattice(cube, radii, self.h, kept)
+        self.lattice = lattice
+        self.offsets = lattice.offsets
+        self.halfwidth = lattice.halfwidth
         norm = (raw**2).sum() * h**dim
         if norm <= 0:
             raise ValidationError("kernel unresolved")
         self.norm = float(norm)
         self.amp = raw / math.sqrt(norm)
         self.sq = self.amp**2
-        # the box |b_k| <= 2 halfwidth holds the support of kappa * kappa
-        self.box_shape = (4 * self.halfwidth + 1,) * dim
-        self._box_strides = self.box_shape[0] ** np.arange(dim - 1, -1, -1)
 
-    @cached_property
+    @property
     def box(self) -> np.ndarray:
         """The box offsets ``b``, shape (n_box, dim), in C order."""
-        return np.indices(self.box_shape).reshape(self.dim, -1).T - 2 * self.halfwidth
+        return self.lattice.box
 
     @cached_property
     def box_amp(self) -> np.ndarray:
@@ -168,17 +247,16 @@ class GridKernel:
         transposed table spreads back onto the box: the two sums of the
         smoothing.  The mixed state reads the amplitudes themselves.  Its
         size is ``n_box x n_offsets``, about 19 MB in d = 3 at a width of
-        5 h.
+        5 h.  The values are the width's; where they go, ``b - o = o'``
+        exactly at ``b = o + o'``, is the lattice's
+        (:attr:`KernelLattice.table_slots`).
         """
         n_offsets = len(self.offsets)
         table = np.zeros((len(self.box) + 1, n_offsets))
-        # b - o is the offset o' exactly at b = o + o', which lies in the box
-        slot, _ = self.box_slot(self.offsets[:, None, :] + self.offsets[None, :, :])
-        table[slot, np.arange(n_offsets)] = self.amp[:, None]
+        table[self.lattice.table_slots, np.arange(n_offsets)] = self.amp[:, None]
         return table
 
     def box_slot(self, diff) -> tuple:
         """Slots in :attr:`box` of integer offsets ``diff`` (..., dim), and
         whether each lies in the box; the slot of an offset outside is junk."""
-        r = 2 * self.halfwidth
-        return (diff + r) @ self._box_strides, np.all(np.abs(diff) <= r, axis=-1)
+        return self.lattice.box_slot(diff)

@@ -35,6 +35,14 @@ indices, -1 off the grid) and ``RegularizedPlan.transfer`` (its values).
 The denominator ``(rho * kappa)(z)`` is needed on the windows only, and it
 and the transfer vectors are two products with the kernel's box table
 (``GridKernel.box_amp``): no array spans the grid.
+The boxes, the windows and rho gathered on the boxes depend on the kernel's
+offsets alone, not on its width.  A :class:`PreparedPlan` keeps them for
+the most recent offset set (:meth:`PreparedPlan.on_lattice`), so a caller
+that smooths one prepared plan at many widths, as the sweep does, builds
+them once per run of widths with the same offsets; per width it builds the
+kernel's values, the table, the denominator, ``q`` and the transfer
+vectors.  On the sweep preset the 52 widths keep 4 offset sets and make 7
+builds.
 Because kappa has unit discrete mass and atoms sit on nodes, the
 one-particle marginal of P_eps equals rho exactly (up to float rounding),
 for every eps.  A width at or below the grid spacing h resolves only the
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -267,7 +275,15 @@ def kinetic_term(n: int, h1: float, kernel: GridKernel) -> float:
 
 @dataclass
 class PreparedPlan:
-    """The eps-independent half of the smoothing of ``source`` over ``rho``."""
+    """The eps-independent half of the smoothing of ``source`` over ``rho``.
+
+    It also keeps the half that depends on the kernel's offsets alone, for
+    the most recent offset set (:meth:`on_lattice`), so that a caller that
+    smooths one prepared plan at many widths builds it once per run of
+    widths that keep the same offsets.  One set is kept, so the memory
+    stays that of one smoothing in every dimension, and it lives as long as
+    the prepared plan: one ``sweep``, ``TrialCurve`` or ``regularize``.
+    """
 
     source: AtomicPlan      # node-snapped, one atom per orbit, marginal ``rho``
     rho: GridDensity
@@ -275,6 +291,42 @@ class PreparedPlan:
     centers: np.ndarray     # (n_centers, dim) distinct atom-coordinate nodes
     center_of: np.ndarray   # (n_atoms, n) -> index into ``centers``
     support: tuple          # per-axis first and last node of rho's support
+    # (lattice, nodes, window, rho_at) of the offset set smoothed last
+    _on_lattice: tuple = field(default=(None,), init=False, repr=False, compare=False)
+
+    def on_lattice(self, width: float) -> tuple:
+        """``(kernel, nodes, window, rho_at)`` at kernel width ``width``.
+
+        ``kernel`` is ``GridKernel(dim, width, h)``, built by
+        :meth:`GridKernel.sharing` on the lattice of the last call.  The
+        rest depends on its offsets alone, and is built, and checked, only
+        when they change: ``nodes`` (n_centers, n_box), the flat nodes of
+        each center's box, -1 off the grid; ``window`` (n_centers,
+        n_offsets), those of its offsets; ``rho_at``, rho gathered on the
+        boxes, 0 off the grid.  The support must keep a kernel radius from
+        the grid boundary, and every window must lie on the grid.  The
+        arrays are read-only, since every smoothing on the set shares them.
+        """
+        grid = self.rho.grid
+        lattice = self._on_lattice[0]
+        kernel = GridKernel.sharing(lattice, grid.dim, width, grid.h)
+        if kernel.lattice is not lattice:
+            lo, hi = self.support
+            if np.any(lo < kernel.halfwidth) or np.any(hi > grid.npts - 1 - kernel.halfwidth):
+                raise ValidationError(
+                    "density support too close to the grid boundary for this eps; "
+                    "enlarge the grid or shrink eps"
+                )
+            nodes = grid.flat_index(self.centers[:, None, :] + kernel.box[None, :, :])
+            window = np.take(nodes, kernel.box_slot(kernel.offsets)[0], axis=1)
+            if np.any(window < 0):
+                raise ValidationError(
+                    "density support too close to the grid boundary for this eps")
+            rho_at = np.where(nodes >= 0, self.rho.values.ravel()[nodes], 0.0)
+            for a in (nodes, window, rho_at):
+                a.flags.writeable = False
+            self._on_lattice = (kernel.lattice, nodes, window, rho_at)
+        return (kernel,) + self._on_lattice[1:]
 
     @cached_property
     def pair_groups(self) -> list:
@@ -334,9 +386,14 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
     vectors (see :func:`build_regularized` for ``eps < h``).  Requires
     ``eps`` below a quarter of the plan separation and a kernel radius of
     margin between the support and the grid boundary (required for the
-    exact identities).  With ``S[b, o] = kappa(b - o)``, the squared box
-    table ``GridKernel.box_amp``, and ``rho`` gathered on each center's box
-    (0 off the grid), two products give the smoothing:
+    exact identities).  The kernel's lattice, the boxes, the windows, the
+    boundary checks and ``rho`` on the boxes come from
+    :meth:`PreparedPlan.on_lattice`, built once per offset set and shared by
+    the smoothings at widths that keep the same offsets; the kernel's
+    values and everything below are built per width.  With ``S[b, o] =
+    kappa(b - o)``, the squared box table ``GridKernel.box_amp``, and
+    ``rho`` gathered on each center's box (0 off the grid), two products
+    give the smoothing:
     ``(rho * kappa)(c + o) = (rho @ S) * h^d`` on the windows, and, with
     ``q = kappa / (rho * kappa)`` there, ``T_c = rho * (q @ S^T) * h^d`` on
     the box.  ``rho * kappa`` at or below ``DENOM_FLOOR`` on a window is
@@ -350,28 +407,12 @@ def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
             f"mollifier too wide for separation {prep.alpha:.6g}: "
             f"eps must be below {prep.alpha / 4.0:.6g}, got {eps:.6g}"
         )
-    rho = prep.rho
-    grid = rho.grid
+    grid = prep.rho.grid
     eps = float(eps)
-    kernel = GridKernel(grid.dim, max(eps, grid.h), grid.h)
-
-    lo, hi = prep.support
-    if np.any(lo < kernel.halfwidth) or np.any(hi > grid.npts - 1 - kernel.halfwidth):
-        raise ValidationError(
-            "density support too close to the grid boundary for this eps; "
-            "enlarge the grid or shrink eps"
-        )
-
-    nodes = grid.flat_index(prep.centers[:, None, :] + kernel.box[None, :, :])
-    slots, _ = kernel.box_slot(kernel.offsets)
-    window = np.take(nodes, slots, axis=1)
-    if np.any(window < 0):
-        raise ValidationError(
-            "density support too close to the grid boundary for this eps")
-    rho_at = np.where(nodes >= 0, rho.values.ravel()[nodes], 0.0)
+    kernel, nodes, window, rho_at = prep.on_lattice(max(eps, grid.h))
     table = kernel.box_amp[:-1] ** 2                # kappa(b - o)
     dz = rho_at @ table * grid.cell_volume          # (rho * kappa)(c + o)
-    if np.any(dz <= DENOM_FLOOR):
+    if dz.min() <= DENOM_FLOOR:
         raise ValidationError("density vanishes near plan support")
     q = kernel.sq / dz
     transfer = rho_at * (q @ table.T) * grid.cell_volume

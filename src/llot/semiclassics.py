@@ -196,6 +196,13 @@ class TrialCurve:
         return eps_opt, self.energy(eps_opt, eta)
 
 
+def assembled_margin(alpha: float, eps_opt: float) -> float:
+    """``alpha - 4 eps_opt``: the least pairwise distance of the smoothed
+    plan's configurations, at which :func:`assembled_constant` takes the
+    Coulomb derivative sups.  ``alpha * 1e-3`` at an upper-edge optimum."""
+    return alpha - 4.0 * eps_opt
+
+
 def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,
                        l1_grad_rho: float, second_moment: float,
                        eps_opt: float) -> float:
@@ -204,12 +211,13 @@ def assembled_constant(n: int, alpha: float, h1: float, grad_moment: float,
     The potential part is the bound of
     :func:`~llot.regularizer.potential_error` over eps^2
     (:func:`~llot.regularizer.coulomb_smoothing_rate`), with the pairwise
-    distance margin ``alpha - 4 eps`` evaluated at eps_opt.  At an
+    distance margin :func:`assembled_margin` evaluated at eps_opt.  At an
     upper-edge optimum that margin is ``alpha * 1e-3``, so the constant
     reads large there: about 31 on the sweep preset, and 6.9e6 on the n = 3
-    clusters of ``tests/oracles.py``, whose gaps are at most 1406.
+    clusters of ``tests/oracles.py``, whose gaps are at most 1406.  The
+    sweep report states the margin beside each constant.
     """
-    margin = alpha - 4.0 * eps_opt
+    margin = assembled_margin(alpha, eps_opt)
     if margin <= 0:
         return math.inf
     d_eps = coulomb_smoothing_rate(n, margin, l1_grad_rho, second_moment)

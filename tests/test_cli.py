@@ -488,6 +488,77 @@ def test_sweep_report_counts_the_widths_smoothed(tmp_path):
     assert again.read_bytes() == (tmp_path / "sweep.json").read_bytes()
 
 
+def test_sweep_report_states_the_assembled_margin(tmp_path):
+    # assembled_c takes the Coulomb sups at pairwise distances of at least
+    # alpha - 4 eps_opt; at an upper-edge optimum that is alpha * 1e-3
+    density = tmp_path / "density.csv"
+    fileio.write_density(density, sweep_density())
+    rep = run(["sweep", "--density", str(density), "--n", "2"], tmp_path / "sweep.json")
+    alpha = rep["separation"]
+    for r in rep["records"]:
+        assert r["assembled_margin"] == alpha - 4.0 * r["eps_opt"]
+        if r["eps_edge"] == "upper":
+            assert r["assembled_margin"] == pytest.approx(alpha * 1e-3, rel=1e-9)
+            assert r["assembled_c"] > 30.0
+        else:
+            assert r["assembled_margin"] > 0.2 * alpha
+    assert {r["eps_edge"] for r in rep["records"]} == {"lower", None, "upper"}
+
+
+CLOBBERS = [
+    ("sweep-csv-is-the-out",
+     ["sweep", "--density", "{sixteen}", "--n", "2", "--csv", "{tmp}/r.json",
+      "--out", "{tmp}/r.json"], "--csv is the same file as --out"),
+    ("sweep-csv-is-the-density-by-another-path",
+     ["sweep", "--density", "{sixteen}", "--n", "2", "--csv", "{tmp}/sub/../sixteen.csv"],
+     "--csv is the same file as --density"),
+    ("mmot-out-is-the-density",
+     ["mmot", "--density", "{sixteen}", "--n", "2", "--out", "{sixteen}"],
+     "--out is the same file as --density"),
+    ("mmot-plan-out-is-the-out",
+     ["mmot", "--density", "{sixteen}", "--n", "2", "--plan-out", "{tmp}/r.json",
+      "--out", "{tmp}/r.json"], "--plan-out is the same file as --out"),
+    ("mmot-plan-out-is-a-link-to-the-density",
+     ["mmot", "--density", "{sixteen}", "--n", "2", "--plan-out", "{tmp}/link.csv"],
+     "--plan-out is the same file as --density"),
+    ("mmot-out-is-a-hard-link-to-the-density",
+     ["mmot", "--density", "{sixteen}", "--n", "2", "--out", "{tmp}/hard.csv"],
+     "--out is the same file as --density"),
+    ("regularize-out-is-the-plan",
+     ["regularize", "--plan", "{plan}", "--density", "{density}", "--eps", "0.1",
+      "--out", "{plan}"], "--out is the same file as --plan"),
+    ("quantum-check-out-is-the-density",
+     ["quantum-check", "--plan", "{plan}", "--density", "{density}", "--eps", "0.1",
+      "--out", "{density}"], "--out is the same file as --density"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [case[1:] for case in CLOBBERS],
+                         ids=[case[0] for case in CLOBBERS])
+def test_an_output_that_is_an_input_or_another_output_is_rejected(
+        paired_files, sixteen_csv, tmp_path, capsys, argv, message):
+    _, plan_path, density_path, _ = paired_files
+    for src, name in ((sixteen_csv, "sixteen.csv"), (plan_path, "plan.json"),
+                      (density_path, "density.csv")):
+        (tmp_path / name).write_bytes(Path(src).read_bytes())
+    (tmp_path / "r.json").write_text("an earlier report\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "sixteen.csv")
+    os.link(tmp_path / "sixteen.csv", tmp_path / "hard.csv")
+
+    def files():
+        return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+    before = files()
+    argv = [arg.format(tmp=tmp_path, sixteen=tmp_path / "sixteen.csv",
+                       plan=tmp_path / "plan.json", density=tmp_path / "density.csv")
+            for arg in argv]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert files() == before
+
+
 @pytest.fixture(scope="module")
 def cli_files(paired_files, sixteen_csv, tmp_path_factory):
     _, plan_path, density_path, eps = paired_files

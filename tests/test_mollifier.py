@@ -164,6 +164,28 @@ def test_offsets_match_the_product_filter(dim, width, h, on_edge, n_cut):
     assert len(k.offsets) == full_offset_count(dim, width, h) - n_cut
 
 
+@pytest.mark.parametrize("dim, old_h, first, then, shared", [
+    (1, 1.0, 2.5, 2.7, "lattice"),
+    (2, 1.0, 1.1, 1.5, "cube"),
+    (1, 1.0, 3.0001, 3.5, "cube"),
+    (1, 1.0, 2.5, 3.5, None),
+    (3, 1.0, 1.5, 2.5, None),
+    (1, 0.5, 1.25, 2.5, None),
+], ids=["same-offsets", "2-diagonals-join", "1-tail-cut-edge-pair", "another-reach",
+        "3-another-reach", "another-spacing"])
+def test_a_kernel_sharing_a_lattice_equals_a_new_one(dim, old_h, first, then, shared):
+    # widths of one reach share the offset cube; a lattice is shared only
+    # when the kept offsets are the same, and a cube only at one spacing
+    old = GridKernel(dim, first, old_h)
+    k = GridKernel.sharing(old.lattice, dim, then, 1.0)
+    new = GridKernel(dim, then, 1.0)
+    for name in ("offsets", "amp", "sq", "box", "box_amp"):
+        assert np.array_equal(getattr(k, name), getattr(new, name)), name
+    assert (k.norm, k.halfwidth, k.width, k.h) == (new.norm, new.halfwidth, new.width, new.h)
+    assert (k.lattice is old.lattice) == (shared == "lattice")
+    assert (k.lattice.cube is old.lattice.cube) == (shared is not None)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_box_amp_is_exact_at_and_beyond_the_box_edge(dim):
     """``amp(b - o)`` read through :meth:`GridKernel.box_slot`, as the mixed

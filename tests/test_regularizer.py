@@ -567,6 +567,28 @@ def test_transfer_table_scatters_to_the_dense_oracle(fixtures_with_2d, three_dim
     assert off_grid > 0   # some boxes reach past the grid
 
 
+def test_a_prepared_plan_reuses_its_lattice_as_a_fresh_one_would_build_it(
+        all_identity_fixtures, two_dim_paired_fixture, three_dim_fixture):
+    """One prepared plan smoothed at widths whose offset sets run A, A, B,
+    A: the second width reuses the first one's lattice, B replaces it and
+    the last A builds it again, and every smoothing equals that of a fresh
+    prepared plan."""
+    for name, grid, plan, rho, (a, b) in all_identity_fixtures + [two_dim_paired_fixture,
+                                                                   three_dim_fixture]:
+        prep = regularizer.prepare_plan(plan, rho)
+        widths = (a, a * (1 - 1e-3), b, a)
+        rps = [regularizer.smooth_plan(prep, eps) for eps in widths]
+        first, same, other, again = (rp.kernel.lattice for rp in rps)
+        assert same is first and other is not first and again is not first, name
+        assert np.array_equal(again.offsets, first.offsets), name
+        assert len(other.offsets) != len(first.offsets), name
+        for eps, rp in zip(widths, rps):
+            fresh = regularizer.smooth_plan(regularizer.prepare_plan(plan, rho), eps)
+            for attr in ("nodes", "window", "q", "transfer"):
+                assert np.array_equal(getattr(rp, attr), getattr(fresh, attr)), (name, eps, attr)
+            assert not (rp.nodes.flags.writeable or rp.window.flags.writeable), (name, eps)
+
+
 def outer_product_tensor(rp):
     """Sum over every ordering of every atom of the weighted outer products
     of the whole-grid transfer rows."""

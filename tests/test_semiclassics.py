@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from llot import semiclassics
+from llot import mollifier, semiclassics
 from llot.errors import NumericalError, ValidationError
 from llot.grids import h1_seminorm_sqrt, separation
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile
-from llot.presets import SWEEP_ETAS, sweep_density
+from llot.presets import SWEEP_ETAS, SWEEP_SCALE, sweep_density
 from llot.regularizer import (MAX_TENSOR_ENTRIES, RegularizedPlan, build_regularized,
                               integrate_observable)
 from llot.semiclassics import (
@@ -263,6 +263,63 @@ def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
             assert r.eps_opt == {"lower": lo, "upper": hi}[r.eps_edge]
         else:
             assert lo < r.eps_opt < hi
+
+
+def test_preset_sweep_builds_seven_kernel_lattices_for_its_52_widths(monkeypatch):
+    # the 52 widths keep 4 offset sets (3, 5, 7 and 9 offsets), and the
+    # sweep's order of widths switches set 6 times; the prepared plan keeps
+    # the last set only, so each switch is one build
+    builds = []
+    lattice = mollifier.KernelLattice
+
+    def counting_lattice(*args):
+        built = lattice(*args)
+        builds.append(len(built.offsets))
+        return built
+
+    monkeypatch.setattr(mollifier, "KernelLattice", counting_lattice)
+    result = sweep(sweep_density(), 2, SWEEP_ETAS)
+    assert result.widths_smoothed == 52
+    assert len(builds) == 7
+    assert sorted(set(builds)) == [3, 5, 7, 9]
+
+
+# The scaling law x -> lam x (ROADMAP item 20): on the grid of spacing
+# lam h, the record at eta is the record of the unscaled grid at eta / lam,
+# with e_ot, total and gap divided by lam and eps_opt multiplied by lam.
+# Tolerances, relative unless said otherwise:
+# - e_ot: E_OT_TOL = 1e-14, rounding of the scaled costs (the LP reads 0
+#   on both lambdas here).
+# - total: TOTAL_TOL = EPS_REL_TOL**2.  Each side's eps_opt is within
+#   EPS_REL_TOL of a minimum, where the total moves to second order; at
+#   equal widths the totals agree to rounding (1.4e-15 probed).
+# - gap = total - e_ot cancels all but about 3e-3 of the total, so it is
+#   held to the totals' absolute tolerance, TOTAL_TOL * total +
+#   E_OT_TOL * e_ot (2.2e-13 of the gap probed).
+# - eps_opt: 2 EPS_REL_TOL, one per side, plus the width over which the
+#   two totals, equal to TOTAL_TOL, cannot tell widths apart: the total
+#   rises over its minimum by about gap * (d eps / eps)^2, so
+#   sqrt(TOTAL_TOL * total / gap).  An edge optimum is the scaled window
+#   bound, equal to rounding.
+# widths_smoothed is not compared: Brent's path follows the rounding.
+E_OT_TOL = 1e-14
+TOTAL_TOL = semiclassics.EPS_REL_TOL ** 2
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.37])
+def test_sweep_records_follow_the_coulomb_scaling_law(lam):
+    scaled = sweep(sweep_density(SWEEP_SCALE * lam), 2, SWEEP_ETAS)
+    base = sweep(sweep_density(), 2, np.array(SWEEP_ETAS) / lam)
+    assert scaled.e_ot * lam == pytest.approx(base.e_ot, rel=E_OT_TOL, abs=0)
+    assert len(scaled.records) == len(base.records) == len(SWEEP_ETAS)
+    assert [r.eps_edge for r in scaled.records] == [r.eps_edge for r in base.records]
+    for s, b in zip(scaled.records, base.records):
+        assert s.error is None and b.error is None
+        assert s.total * lam == pytest.approx(b.total, rel=TOTAL_TOL, abs=0)
+        gap_tol = TOTAL_TOL * b.total + E_OT_TOL * b.e_ot
+        assert abs(s.gap * lam - b.gap) <= gap_tol
+        eps_tol = 2 * semiclassics.EPS_REL_TOL + math.sqrt(TOTAL_TOL * b.total / b.gap)
+        assert s.eps_opt / lam == pytest.approx(b.eps_opt, rel=eps_tol, abs=0)
 
 
 @pytest.mark.parametrize("edge, offset, probed", [
