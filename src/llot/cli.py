@@ -1,11 +1,13 @@
-"""Command-line entry point: llot {regularize, quantum-check, mmot, sweep, selftest}.
+"""Command-line entry point: llot {regularize, quantum-check, mmot, sweep}.
 
 All reports are deterministic JSON (sorted keys, no timestamps); identical
 inputs produce byte-identical output.  Exit codes: 0 success, 1 validation
 error or a file that cannot be read or written, 2 numerical failure, such
 as an LP whose dual certificate fails, with no report written.  A
-``selftest`` or ``quantum-check`` with a failed check and a Sinkhorn
-``mmot`` that did not converge write their report and exit 2.  The two
+``quantum-check`` with a failed check and a Sinkhorn ``mmot`` that did not
+converge write their report and exit 2.  The LP ``mmot`` report states its
+certificate: ``max_violation``, the largest dual violation, within
+``dual_tolerance = DUAL_TOL * value``, or no report is written.  The two
 kinetic energies of ``quantum-check``, the continuum ``kinetic_term`` (as in
 ``regularize``'s ``rhs``) and the state's ``Tr(-Delta_h gamma)``, get no
 verdict, since they differ by O((h/eps)^2) discretization.  Output paths
@@ -26,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, presets
+from . import fileio
 from .errors import NumericalError, ValidationError
-from .grids import h1_seminorm_sqrt, marginal, separation
-from .mmot import TransportProblem, require_finite_positive, solve_lp, solve_sinkhorn
+from .grids import h1_seminorm_sqrt, separation
+from .mmot import DUAL_TOL, TransportProblem, require_finite_positive, solve_lp, solve_sinkhorn
 from .quantum import (MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density,
                       rdm_max_eigenvalue)
 from .regularizer import build_regularized, kinetic_of_sqrt, kinetic_term, potential_error
@@ -91,11 +93,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--etas", default="1e-4:1e-1:10",
                    help="log-spaced range lo:hi:count")
-    p.add_argument("--eps-min", type=float, default=None)
     p.add_argument("--csv", default=None, help="write per-eta records CSV here")
-    common(p)
-
-    p = sub.add_parser("selftest", help="run the built-in desk instances")
     common(p)
     return parser
 
@@ -254,6 +252,8 @@ def _cmd_mmot(args) -> dict:
         sol = solve_lp(problem)
         extra = {"duality_gap": sol.duality_gap,
                  "dual_feasible": True,  # solve_lp raises on a failed certificate
+                 "max_violation": sol.max_violation,
+                 "dual_tolerance": DUAL_TOL * sol.value,
                  "complementary_residual": sol.complementary_residual,
                  "iterations": sol.iterations,
                  "status": sol.status,
@@ -286,13 +286,13 @@ def _cmd_mmot(args) -> dict:
 def _cmd_sweep(args) -> dict:
     rho = fileio.read_density(args.density, n_particles=args.n)
     etas = _parse_etas(args.etas)
-    result = run_sweep(rho, args.n, etas, eps_min=args.eps_min)
+    result = run_sweep(rho, args.n, etas)
     if args.csv is not None:
         fileio.write_sweep_csv(args.csv, result.records)
     return {
         "command": "sweep",
         "config": {"density": args.density, "n": args.n, "etas": args.etas,
-                   "eps_min": args.eps_min, "eps_rel_tol": EPS_REL_TOL},
+                   "eps_rel_tol": EPS_REL_TOL},
         "e_ot": result.e_ot,
         "separation": result.alpha,
         "fitted_slope": result.fitted_slope,
@@ -308,45 +308,11 @@ def _cmd_sweep(args) -> dict:
     }
 
 
-def _cmd_selftest(args) -> dict:
-    checks = []
-
-    def record(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    for name, grid, plan, eps_list in presets.identity_fixtures():
-        rho = marginal(plan, grid)
-        for eps in eps_list:
-            rp = build_regularized(plan, rho, eps)
-            err = rp.density().l1_distance(rho)
-            record(f"marginal-pinning:{name}:eps={eps:.6g}", err <= 1e-10,
-                   {"l1_error": err})
-            tr = rp.mass()
-            record(f"trace-one:{name}:eps={eps:.6g}", abs(tr - 1.0) <= 1e-10,
-                   {"trace": tr})
-
-    sol2 = solve_lp(TransportProblem(2, presets.two_site_density()))
-    record("lp-two-site", abs(sol2.value - 1.0) <= 1e-10, {"value": sol2.value})
-    sol3 = solve_lp(TransportProblem(3, presets.three_site_density()))
-    record("lp-three-site", abs(sol3.value - 2.5) <= 1e-10, {"value": sol3.value})
-    sol16 = solve_lp(TransportProblem(2, presets.sixteen_site_density()))
-    record("lp-16-site-dual", sol16.duality_gap <= 1e-8,
-           {"value": sol16.value, "duality_gap": sol16.duality_gap})
-
-    ok = all(c["passed"] for c in checks)
-    return {
-        "command": "selftest",
-        "all_passed": ok,
-        "checks": checks,
-    }
-
-
 _COMMANDS = {
     "regularize": _cmd_regularize,
     "quantum-check": _cmd_quantum_check,
     "mmot": _cmd_mmot,
     "sweep": _cmd_sweep,
-    "selftest": _cmd_selftest,
 }
 
 

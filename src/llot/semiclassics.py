@@ -13,23 +13,30 @@ per (rho, plan) smooths each width once and serves every eta.  The sweep
 optimizes eps per eta, records the gap, and fits the log-log rate.
 
 eps is optimized over the feasible window ``[2h, alpha/4 * (1 - 1e-3)]``
-(a curve's ``eps_min`` replaces 2h) to ``EPS_REL_TOL`` relative, on one
-path.  Each curve scans its window once, at ``N_SCAN`` geometric widths
-whose ends are the window's bounds, and every eta takes its best scan point
-from that table.  When the best point is a window edge, one probe
-``EPS_REL_TOL`` inside the edge decides it: a probe above the edge's total
-returns the edge itself, exactly; only a probe at or below it runs the
-search.  The search is Brent's bounded search
-(``scipy.optimize.minimize_scalar``, method ``"bounded"``) on the scan
-interval around the best point, with ``xatol = EPS_REL_TOL * a`` at its
-lower end ``a``.  It stops when ``|x - xm| <= 2 tol1 - (b - a)/2``, ``xm``
-the midpoint of its bracket ``[a, b]`` and ``tol1 = sqrt(eps_mach) |x| +
-xatol / 3``, so every point of the final bracket lies within ``2 tol1 <=
-(2.98e-8 + 6.67e-8) x`` of the returned x, inside ``EPS_REL_TOL * x``.  A
-refined width whose total exceeds the best scan point's is dropped for that
-point, so the result is never worse than the best scan point, whether or
-not the total is unimodal in eps.  A sweep record whose ``eps_opt`` equals
-a window bound names it in ``eps_edge``.
+to ``EPS_REL_TOL`` relative, on one path; the window is empty when the
+plan's separation alpha is at most ``8h / (1 - 1e-3)``.  Each curve scans
+its window once, at ``N_SCAN`` geometric widths whose ends are the window's
+bounds, and every eta takes its best scan point from that table.  When
+the best point is a window edge, one probe ``EPS_REL_TOL`` inside the edge
+decides it: a probe above the edge's total returns the edge itself,
+exactly; only a probe at or below it runs the search.  The search is
+Brent's bounded search (``scipy.optimize.minimize_scalar``, method
+``"bounded"``) on the scan interval around the best point, with ``xatol =
+EPS_REL_TOL * a`` at its lower end ``a``.  It stops when ``|x - xm| <= 2
+tol1 - (b - a)/2``, ``xm`` the midpoint of its bracket ``[a, b]`` and
+``tol1 = sqrt(eps_mach) |x| + xatol / 3``, so every point of the final
+bracket lies within ``2 tol1 <= (2.98e-8 + 6.67e-8) x`` of the returned x,
+inside ``EPS_REL_TOL * x``.  A refined width whose total exceeds the best
+scan point's is dropped for that point, so the result is never worse than
+the best scan point, whether or not the total is unimodal in eps.  A sweep
+record whose ``eps_opt`` equals a window bound names it in ``eps_edge``.
+
+``EPS_REL_TOL`` is the search's precision.  Near an interior optimum the
+total is flat to rounding over a relative width of about ``sqrt(u * total
+/ gap)``, u the unit roundoff, so ``eps_opt`` is fixed only to the wider of
+the two, and Brent's answer inside the flat width follows the rounding.  On
+the sweep preset that width is the wider: two sweeps related by the exact
+Coulomb scaling law give ``eps_opt`` 2.7e-7 apart, totals 6.4e-16 apart.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from .regularizer import PreparedPlan, coulomb_smoothing_rate, integrate_observa
 from .regularizer import kinetic_term, prepare_plan, smooth_plan
 
 N_SCAN = 32   # geometric pre-scan points of the eps optimization
-# relative precision of eps_opt, and no finer: the bounded Brent search stops
-# with its whole bracket within (2.98e-8 + 6.67e-8) x of its answer x
+# relative precision of the eps search: Brent's final bracket lies within
+# (2.98e-8 + 6.67e-8) x of its answer x; an interior eps_opt's may be coarser
 EPS_REL_TOL = 1e-7
 
 
@@ -103,14 +110,12 @@ class TrialCurve:
     first use, and the window is scanned once, on the first
     :meth:`optimize`.  The kinetic term is closed form (:func:`kinetic_term`)
     from ``H1(sqrt rho)``, computed once per curve, and the width and
-    gradient moment of each smoothing's kernel.  ``eps_min``, when given,
-    replaces 2h as the window's lower bound.
+    gradient moment of each smoothing's kernel.
     """
 
-    def __init__(self, rho: GridDensity, plan: AtomicPlan, eps_min: Optional[float] = None):
+    def __init__(self, rho: GridDensity, plan: AtomicPlan):
         self.rho = rho
         self.plan = plan
-        self.eps_min = eps_min
         self.h1 = h1_seminorm_sqrt(rho)
         self._smoothed_at: dict = {}
 
@@ -135,12 +140,9 @@ class TrialCurve:
                            potential_term=float(potential))
 
     def window(self) -> tuple:
-        """The feasible widths ``(lo, hi)``: ``lo`` is ``eps_min``, or 2h by
-        default, and ``hi = alpha/4 * (1 - 1e-3)``; the window is empty when
-        ``lo >= hi``."""
-        hi = self.prepared.alpha / 4.0 * (1.0 - 1e-3)
-        lo = self.eps_min if self.eps_min is not None else 2.0 * self.rho.grid.h
-        return lo, hi
+        """The feasible widths ``(lo, hi) = (2h, alpha/4 * (1 - 1e-3))``; the
+        window is empty when ``lo >= hi``: alpha at most ``8h / (1 - 1e-3)``."""
+        return 2.0 * self.rho.grid.h, self.prepared.alpha / 4.0 * (1.0 - 1e-3)
 
     @cached_property
     def _scan(self) -> tuple:
@@ -166,7 +168,9 @@ class TrialCurve:
         search that reports no success (its evaluation cap, or a nan total)
         raises ``NumericalError``.  A refined total above the best scan
         point's returns that point, so the result is never worse than the
-        best scan point.
+        best scan point.  At an interior optimum ``eps_opt`` is fixed only
+        to the wider of ``EPS_REL_TOL`` and the total's flat width
+        ``sqrt(u * total / gap)`` (module docstring).
         """
         require_finite_positive("eta", eta)
         xs, potential, kinetic = self._scan
@@ -236,7 +240,7 @@ def fit_log_slope(xs, ys) -> float:
     return float(coeff[0])
 
 
-def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -> SweepResult:
+def sweep(rho: GridDensity, n: int, eta_list) -> SweepResult:
     """Solve the transport problem once, then rate-study the trial bound.
 
     Every eta optimizes eps over one shared :class:`TrialCurve`, so each
@@ -246,10 +250,9 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     the feasible window and the number of distinct widths smoothed, and a
     record whose ``eps_opt`` is one of the window's bounds says which in
     ``eps_edge``.
-    ``eps_min`` and the etas (each positive and finite) are checked before
-    the LP and any eta run: inside the loop their errors would be recorded
-    as failed etas instead of rejecting the call, and a nan eta cannot be
-    sorted.
+    The etas (each positive and finite) are checked before the LP and any
+    eta run: inside the loop their errors would be recorded as failed etas
+    instead of rejecting the call, and a nan eta cannot be sorted.
     """
     eta_list = [float(e) for e in eta_list]
     if len(eta_list) < 1:
@@ -257,11 +260,9 @@ def sweep(rho: GridDensity, n: int, eta_list, eps_min: Optional[float] = None) -
     if not all(math.isfinite(e) and e > 0 for e in eta_list):
         raise ValidationError(f"every eta must be positive and finite, got {eta_list}")
     eta_list.sort()
-    if eps_min is not None and not (math.isfinite(eps_min) and eps_min > 0):
-        raise ValidationError(f"eps_min must be positive and finite, got {eps_min!r}")
     problem = TransportProblem(n=n, marginal=rho)
     sol = solve_lp(problem)
-    curve = TrialCurve(rho, sol.plan, eps_min)
+    curve = TrialCurve(rho, sol.plan)
     alpha = curve.prepared.alpha
     grad_moment, second_moment = BumpProfile(rho.grid.dim).moments()
     l1g = l1_gradient(rho)

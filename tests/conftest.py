@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from llot.grids import Grid, AtomicPlan, marginal
-from llot.presets import (
+from instances import (
     fixture_paired_smooth,
     fixture_two_site,
     identity_fixtures,

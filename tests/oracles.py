@@ -24,8 +24,9 @@ from llot.errors import ValidationError
 from llot.grids import (AtomicPlan, Grid, GridDensity, coulomb, density_from_values, marginal,
                         stripes)
 from llot.mollifier import GridKernel
-from llot.presets import SWEEP_SCALE, cos4_window, paired_plan, permutation_plan
+from llot.presets import SWEEP_SCALE, cos4_window, paired_plan
 from llot.regularizer import build_regularized
+from instances import permutation_plan
 
 
 def permutations(n: int) -> np.ndarray:

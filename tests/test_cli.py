@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 import llot
-from llot import cli, fileio, semiclassics
+from llot import cli, fileio, mmot, semiclassics
 from llot.grids import marginal
 from llot.grids import Grid
 from llot.mmot import TransportProblem, solve_lp
-from llot.presets import (fixture_paired_smooth, permutation_plan, sixteen_site_density,
-                          sweep_density)
+from llot.presets import sweep_density
 from llot.quantum import MixedStateKernel, rdm_max_eigenvalue
 from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
+from instances import fixture_paired_smooth, permutation_plan, sixteen_site_density
 from oracles import (dense_one_body_matrix, fine_paired_plan, raise_lp_duals,
                      three_cluster_density, three_cluster_plan)
 
@@ -249,6 +249,13 @@ def test_mmot_exits_2_on_a_failed_dual_certificate(sixteen_csv, tmp_path, monkey
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not out.exists()
+
+
+def test_mmot_lp_report_states_its_certificate_tolerance(sixteen_csv, tmp_path):
+    rep = run(["mmot", "--density", str(sixteen_csv), "--n", "2"], tmp_path / "report.json")
+    assert rep["dual_tolerance"] == mmot.DUAL_TOL * rep["value"]
+    assert rep["max_violation"] <= rep["dual_tolerance"]
+    assert rep["dual_feasible"] is True
 
 
 @pytest.fixture(scope="module")
@@ -619,6 +626,7 @@ EXIT_CODES = [
     ("quantum-check-negative-seed", QUANTUM + ["--plan", "{plan}", "--seed=-1"], None, 1),
     ("quantum-check-out-is-a-directory", QUANTUM + ["--plan", "{plan}"],
      out_is_a_directory, 1),
+    ("quantum-check-failed-check", QUANTUM + ["--plan", "{plan}"], fail_trace, 2),
     ("mmot-valid", MMOT + ["--density", "{sixteen}"], None, 0),
     ("mmot-malformed", MMOT + ["--density", "{bad_density}"], None, 1),
     ("mmot-mass-neither-1-nor-n", MMOT + ["--density", "{mass_2_5_density}"], None, 1),
@@ -641,13 +649,6 @@ EXIT_CODES = [
     ("sweep-out-in-missing-dir-writes-no-csv",
      SWEEP + ["--etas", "1e-3:1e-1:3", "--csv", "{tmp}/records.csv",
               "--out", "{tmp}/missing/report.json"], None, 1),
-    ("sweep-eps-min-nan", SWEEP + ["--eps-min", "nan"], None, 1),
-    ("sweep-eps-min-inf", SWEEP + ["--eps-min", "inf"], None, 1),
-    ("sweep-eps-min-negative", SWEEP + ["--eps-min=-1"], None, 1),
-    ("selftest-valid", ["selftest"], None, 0),
-    ("selftest-failed-check", ["selftest"], fail_trace, 2),
-    ("selftest-out-in-missing-dir", ["selftest"], out_in_missing_dir, 1),
-    ("selftest-out-names-a-directory", ["selftest", "--out", "{tmp}"], None, 1),
 ]
 
 
@@ -669,6 +670,16 @@ def test_exit_codes(cli_files, tmp_path, monkeypatch, capsys, argv, patch, code)
     else:
         assert err == ""
         assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [["selftest"], SWEEP + ["--eps-min", "1"]],
+                         ids=["unknown-command", "unknown-option"])
+def test_an_unknown_command_or_option_is_a_usage_error(cli_files, tmp_path, capsys, argv):
+    argv = [arg.format(**cli_files) for arg in argv] + ["--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: llot") and "\nerror: " in err
+    assert list(tmp_path.iterdir()) == []
 
 
 VALID = [case for case in EXIT_CODES if case[0].endswith("-valid")]

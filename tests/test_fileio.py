@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from llot import fileio
 from llot.errors import ValidationError
 from llot.grids import MASS_TOL, AtomicPlan, Grid, density_from_values
-from llot.presets import fixture_three_particle, sweep_density
+from llot.presets import sweep_density
 from llot.semiclassics import SweepRecord
+from instances import fixture_three_particle
 
 
 def test_sweep_csv_round_trip(tmp_path):

@@ -19,9 +19,10 @@ from llot.grids import (
     snap_to_grid,
 )
 from llot.mollifier import BumpProfile
-from llot.presets import fixture_paired_smooth, sweep_density
+from llot.presets import sweep_density
 from llot.quantum import MixedStateKernel, kernel_eval
 from llot.regularizer import build_regularized
+from instances import fixture_paired_smooth, identity_fixtures, potential_instance
 from oracles import expanded, gradient_dirichlet_sum_sqrt
 
 
@@ -382,8 +383,6 @@ def loop_snapped_nodes(plan, grid):
 
 
 def vectorization_cases():
-    from llot.presets import identity_fixtures, potential_instance
-
     for name, grid, plan, _ in identity_fixtures():
         yield name, grid, plan
     grid, plan, _ = potential_instance()

@@ -10,7 +10,7 @@ from llot import mmot
 from llot.errors import NumericalError, ValidationError
 from llot.grids import AtomicPlan, Grid, coulomb, density_from_values, separation
 from llot.mmot import TransportProblem, solve_lp, solve_sinkhorn
-from llot.presets import sixteen_site_density, three_site_density, two_site_density
+from instances import sixteen_site_density, three_site_density, two_site_density
 from oracles import expanded, raise_lp_duals, refined_sweep_density
 
 

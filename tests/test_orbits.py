@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from llot.grids import AtomicPlan, Grid, coulomb, marginal
-from llot.presets import cos4_window, identity_fixtures
+from llot.presets import cos4_window
 from llot.quantum import MixedStateKernel, kernel_eval
 from llot.regularizer import (build_regularized, integrate_observable, kinetic_of_sqrt,
                               prepare_plan, smooth_plan)
+from instances import identity_fixtures
 from oracles import (dense_transfer, expanded_rows, scattered_transfer,
                      small_three_particle_case, three_cluster_plan, traced_peak,
                      window_tuples)

@@ -10,7 +10,7 @@ from llot import quantum, regularizer
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal
 from llot.mollifier import BumpProfile, GridKernel
-from llot.presets import cos4_window, kinetic_instance, permutation_plan
+from llot.presets import cos4_window
 from llot.quantum import (
     MixedStateKernel,
     kernel_eval,
@@ -20,6 +20,7 @@ from llot.quantum import (
 )
 from llot.regularizer import (build_regularized, kinetic_of_sqrt, kinetic_term, prepare_plan,
                               smooth_plan)
+from instances import fixture_paired_smooth, fixture_two_site, kinetic_instance, permutation_plan
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
                      dense_transfer, det_square_identity, expanded_rows, fine_paired_plan,
                      signed_permutations, slater, small_three_particle_case,
@@ -35,7 +36,6 @@ def small_state(two_site_fixture_mod):
 
 @pytest.fixture(scope="module")
 def two_site_fixture_mod():
-    from llot.presets import fixture_two_site
     name, grid, plan, eps_list = fixture_two_site()
     rho = marginal(plan, grid)
     return grid, plan, rho, eps_list
@@ -43,7 +43,6 @@ def two_site_fixture_mod():
 
 @pytest.fixture(scope="module")
 def smooth_state():
-    from llot.presets import fixture_paired_smooth
     name, grid, plan, eps_list = fixture_paired_smooth()
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, eps_list[0])
@@ -481,6 +480,55 @@ def test_rdm_max_eigenvalue_exceeds_one_without_the_separation_guard(gap):
     got = kernel_eval(MixedStateKernel(rp), np.stack([repeat, repeat, x]),
                       np.stack([repeat, x, repeat]))
     assert not np.any(got)
+
+
+# relative to the largest unscaled value; the largest deviation on the
+# paired geometry reads 7.9e-16 (kernel_eval at lam = 0.37)
+SCALING_RTOL = 1e-14
+
+
+def scaled_paired_state(lam: float):
+    """The paired ``quantum-check`` geometry (64 nodes, h = 1/32, eps =
+    0.75/8) under ``x -> lam x``: spacing, plan and width times lam."""
+    name, grid, plan, eps_list = fixture_paired_smooth()
+    grid = Grid.line(0.0, grid.h * lam, grid.npts)
+    plan = AtomicPlan(plan.n, plan.dim, plan.configs * lam, plan.weights)
+    rp = build_regularized(plan, marginal(plan, grid), eps_list[0] * lam)
+    return rp, MixedStateKernel(rp)
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.37, 3.0])
+def test_the_state_follows_the_coulomb_scaling_law(lam):
+    # x -> lam x keeps the kernel's offsets (they depend on eps/h alone), the
+    # orbits, the mass and gamma's spectrum; the grid kinetic energy scales
+    # as lam^-2, and the kernel and the smoothed plan density, densities on
+    # configuration space, as lam^-(dn).  Checked at seeded node pairs near
+    # the plan's atoms
+    rp1, K1 = scaled_paired_state(1.0)
+    rp, K = scaled_paired_state(lam)
+    assert np.array_equal(rp.kernel.offsets, rp1.kernel.offsets)
+    assert rp.source.n_atoms == rp1.source.n_atoms
+    rng = np.random.default_rng(0)
+    r = rp1.kernel.halfwidth
+    base = rp1.grid.indices_of(rp1.source.configs[rng.integers(rp1.source.n_atoms, size=200)])
+    nodes, nodes_p = (base + rng.integers(-r, r + 1, size=base.shape) for _ in range(2))
+
+    def agree(got, want):
+        assert np.max(np.abs(got - want)) <= SCALING_RTOL * np.max(np.abs(want))
+
+    agree(rp.mass(), rp1.mass())
+    agree(rdm_max_eigenvalue(K), rdm_max_eigenvalue(K1))
+    agree(kinetic_trace(K) * lam**2, kinetic_trace(K1))
+    volume = lam ** (rp.n * rp.grid.dim)
+    want = kernel_eval(K1, nodes * rp1.grid.h, nodes_p * rp1.grid.h)
+    got = kernel_eval(K, nodes * rp.grid.h, nodes_p * rp.grid.h) * volume
+    assert np.count_nonzero(want) > 100
+    assert np.array_equal(got != 0, want != 0)
+    agree(got, want)
+    want = rp1.evaluate(nodes * rp1.grid.h)
+    got = rp.evaluate(nodes * rp.grid.h) * volume
+    assert np.array_equal(got != 0, want != 0)
+    agree(got, want)
 
 
 def test_dense_matrix_antisymmetry(small_state):

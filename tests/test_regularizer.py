@@ -15,18 +15,14 @@ from llot.grids import (
 )
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile, GridKernel
-from llot.presets import (
-    kinetic_instance,
-    paired_plan,
-    permutation_plan,
-    potential_instance,
-)
+from llot.presets import paired_plan
 from llot.regularizer import (
     build_regularized,
     integrate_observable,
     kinetic_of_sqrt,
     potential_error,
 )
+from instances import kinetic_instance, permutation_plan, potential_instance
 from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_integrate_observable,
                      dense_q, dense_transfer, expanded, expanded_rows, fine_paired_plan,
                      scattered_transfer, small_three_particle_case, three_cluster_plan,

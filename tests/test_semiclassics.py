@@ -18,6 +18,7 @@ from llot.semiclassics import (
     sweep,
     trial_energy,
 )
+from instances import sixteen_site_density
 from oracles import refined_sweep_density, three_cluster_density
 
 
@@ -115,11 +116,14 @@ def test_optimize_eps_moves_with_eta(solved_instance):
     assert eps_small <= eps_large + 1e-12
 
 
-def test_optimize_eps_empty_interval(solved_instance):
-    rho, sol = solved_instance
-    alpha = separation(sol.plan)
+def test_optimize_eps_empty_interval():
+    # the 16-site plan's separation is 7h, so alpha/4 < 2h: the window is
+    # empty by geometry
+    rho = sixteen_site_density()
+    plan = solve_lp(TransportProblem(2, rho)).plan
+    assert separation(plan) < 8 * rho.grid.h
     with pytest.raises(ValidationError, match="empty feasible eps interval"):
-        TrialCurve(rho, sol.plan, eps_min=alpha).optimize(1e-2)
+        TrialCurve(rho, plan).optimize(1e-2)
 
 
 def test_fit_log_slope_exact_sqrt():
@@ -184,9 +188,9 @@ def test_sweep_survives_a_negligible_kernel_tail():
 
 
 def test_sweep_continues_past_per_eta_failure():
-    rho = sweep_density()
-    # eps_min above alpha/4 makes every eta infeasible but must not raise
-    result = sweep(rho, 2, [1e-3, 1e-2], eps_min=1e6)
+    # a plan separation below 8h empties the window, so every eta is
+    # infeasible, but the sweep must not raise
+    result = sweep(sixteen_site_density(), 2, [1e-3, 1e-2])
     assert all(r.error is not None for r in result.records)
 
 
