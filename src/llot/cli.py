@@ -16,11 +16,17 @@ output that is the same file as an input or another output is a bad one.
 A ``--density`` file has mass 1, or mass n (the plan's or ``--n``'s) and is
 divided by n.  A plan file is read as the symmetrization of its atoms, and
 the ``mmot`` report's ``n_atoms`` counts the plan's orbits, one atom each.
+A ``sweep`` whose feasible eps window is empty (a plan separation of at
+most about 8 grid spacings) exits 1 with no report and no CSV; an eta whose
+eps search alone fails is a record with its ``error``.  The report's
+records and the CSV's columns are the fields of
+:class:`~llot.semiclassics.SweepRecord`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -35,7 +41,7 @@ from .mmot import DUAL_TOL, TransportProblem, require_finite_positive, solve_lp,
 from .quantum import (MixedStateKernel, kernel_eval, kinetic_trace, one_particle_density,
                       rdm_max_eigenvalue)
 from .regularizer import build_regularized, kinetic_of_sqrt, kinetic_term, potential_error
-from .semiclassics import EPS_REL_TOL, assembled_margin, sweep as run_sweep
+from .semiclassics import EPS_REL_TOL, sweep as run_sweep
 
 # quantum-check verdicts: |trace - 1|, the density's L1 error, the diagonal
 # error over the largest diagonal value, and the largest one-body eigenvalue
@@ -298,13 +304,7 @@ def _cmd_sweep(args) -> dict:
         "fitted_slope": result.fitted_slope,
         "eps_window": list(result.eps_window),
         "widths_smoothed": result.widths_smoothed,
-        "records": [
-            {"eta": r.eta, "eps_opt": r.eps_opt, "total": r.total,
-             "gap": r.gap, "assembled_c": r.assembled_c,
-             "assembled_margin": assembled_margin(result.alpha, r.eps_opt),
-             "error": r.error, "eps_edge": r.eps_edge}
-            for r in result.records
-        ],
+        "records": [dataclasses.asdict(r) for r in result.records],
     }
 
 

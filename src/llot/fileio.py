@@ -15,6 +15,7 @@ Reports are JSON with sorted keys so identical runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from typing import Optional
@@ -89,6 +90,14 @@ def write_density(path, rho: GridDensity):
             writer.writerow([repr(float(x)), repr(float(v))])
 
 
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number, or a list nesting only numbers:
+    no string and no boolean, which ``float`` would read as numbers."""
+    if isinstance(value, list):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_plan(path) -> AtomicPlan:
     with open(path) as fh:
         try:
@@ -109,10 +118,13 @@ def read_plan(path) -> AtomicPlan:
     for i, atom in enumerate(data["atoms"]):
         if not isinstance(atom, dict) or "x" not in atom or "w" not in atom:
             raise ValidationError(f"{path}: atom {i}: must be an object with 'x' and 'w'")
+        numeric = _json_numbers(atom["x"]) and _json_numbers([atom["w"]])
         try:
             x = np.asarray(atom["x"], dtype=float)
             w = float(atom["w"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            numeric = False
+        if not numeric:
             raise ValidationError(f"{path}: atom {i}: x must be a numeric array "
                                   "and w a number")
         if x.shape != (data["n"], data["dim"]):
@@ -179,14 +191,14 @@ def write_report(path, report: dict):
 
 
 def write_sweep_csv(path, records):
-    """One row per sweep record, floats in ``repr``; ``error`` and
-    ``eps_edge`` are empty on a record without one."""
+    """One row per sweep record (:class:`~llot.semiclassics.SweepRecord`,
+    at least one), one column per record field in order: ``eta, eps_opt,
+    total, gap, assembled_c, assembled_margin, error, eps_edge``.  Numbers
+    are written in ``repr``; ``error`` and ``eps_edge`` are empty on a
+    record without one."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["eta", "eps_opt", "e_ot", "trial_total", "gap",
-                         "assembled_C", "error", "eps_edge"])
+        writer.writerow([f.name for f in dataclasses.fields(records[0])])
         for r in records:
-            writer.writerow([repr(float(r.eta)), repr(float(r.eps_opt)),
-                             repr(float(r.e_ot)), repr(float(r.total)),
-                             repr(float(r.gap)), repr(float(r.assembled_c)),
-                             r.error or "", r.eps_edge or ""])
+            writer.writerow(["" if v is None else v if isinstance(v, str) else repr(float(v))
+                             for v in dataclasses.astuple(r)])

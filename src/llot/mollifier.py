@@ -19,9 +19,9 @@ A kernel has two halves.  Its :class:`KernelLattice` is the integer
 structure: the offset cube, the offsets it keeps, the box and the slots of
 the box table.  It depends on the width only through the set of offsets
 kept, so it is built once per offset set, and the kernels of widths that
-keep the same set can share it (:meth:`GridKernel.sharing`).  The numbers
-are built per width: the amplitudes, ``norm`` and the table's values.  This
-module keeps no lattice; the caller that shares one holds it.
+keep the same set can share it: ``GridKernel(dim, width, h, lattice)``.
+The numbers are built per width: the amplitudes, ``norm`` and the table's
+values.  This module keeps no lattice; the caller that shares one holds it.
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ class KernelLattice:
     width keeps, ``offsets = cube[kept]``, and the box, its slots and the
     scatter of :attr:`GridKernel.box_amp` depend on these offsets alone.
     So every width that keeps the same offsets can share one lattice, and
-    only its radial values differ (:meth:`GridKernel.sharing`).  In 1-D
-    the reach fixes the offsets, ``|o| < width / h``, unless ``TAIL_CUT``
-    drops the edge pair.
+    only its radial values differ (the ``lattice`` argument of
+    :class:`GridKernel`).  In 1-D the reach fixes the offsets, ``|o| <
+    width / h``, unless ``TAIL_CUT`` drops the edge pair.
     """
 
     def __init__(self, cube: np.ndarray, radii: np.ndarray, h: float, kept: np.ndarray):
@@ -174,26 +174,15 @@ class GridKernel:
     The integer structure (the offset cube, the offsets, the box and its
     slots) is the kernel's :class:`KernelLattice`, built per offset set;
     the amplitudes, ``norm`` and the values of :attr:`box_amp` are built
-    per width.  ``GridKernel(dim, width, h)`` builds a new lattice;
-    :meth:`sharing` reuses a given one when the width keeps its offsets.
+    per width.  Given a ``lattice``, the kernel is built on it when the
+    width keeps exactly its offsets (then ``kernel.lattice is lattice``), on
+    its cube when only the spacing and the reach are the same, and on a new
+    lattice otherwise; it equals the kernel built without one in every
+    value.
     """
 
-    def __init__(self, dim: int, width: float, h: float):
-        self._resample(dim, width, h, None)
-
-    @classmethod
-    def sharing(cls, lattice: Optional[KernelLattice], dim: int, width: float,
-                h: float) -> "GridKernel":
-        """``GridKernel(dim, width, h)``, built on ``lattice`` when the
-        width keeps exactly its offsets (then ``kernel.lattice is
-        lattice``), on ``lattice``'s cube when only the reach is the same,
-        and anew otherwise.  Equal to the new kernel in every value."""
-        kernel = cls.__new__(cls)
-        kernel._resample(dim, width, h, lattice)
-        return kernel
-
-    def _resample(self, dim: int, width: float, h: float,
-                  lattice: Optional[KernelLattice]):
+    def __init__(self, dim: int, width: float, h: float,
+                 lattice: Optional[KernelLattice] = None):
         if h <= 0:
             raise ValidationError("grid spacing must be positive")
         if not width >= h:

@@ -297,19 +297,20 @@ class PreparedPlan:
     def on_lattice(self, width: float) -> tuple:
         """``(kernel, nodes, window, rho_at)`` at kernel width ``width``.
 
-        ``kernel`` is ``GridKernel(dim, width, h)``, built by
-        :meth:`GridKernel.sharing` on the lattice of the last call.  The
-        rest depends on its offsets alone, and is built, and checked, only
-        when they change: ``nodes`` (n_centers, n_box), the flat nodes of
-        each center's box, -1 off the grid; ``window`` (n_centers,
-        n_offsets), those of its offsets; ``rho_at``, rho gathered on the
-        boxes, 0 off the grid.  The support must keep a kernel radius from
-        the grid boundary, and every window must lie on the grid.  The
-        arrays are read-only, since every smoothing on the set shares them.
+        ``kernel`` is ``GridKernel(dim, width, h, lattice)``, given the
+        lattice of the last call, which it reuses when the width keeps the
+        same offsets.  The rest depends on its offsets alone, and is built,
+        and checked, only when they change: ``nodes`` (n_centers, n_box),
+        the flat nodes of each center's box, -1 off the grid; ``window``
+        (n_centers, n_offsets), those of its offsets; ``rho_at``, rho
+        gathered on the boxes, 0 off the grid.  The support must keep a
+        kernel radius from the grid boundary, and every window must lie on
+        the grid.  The arrays are read-only, since every smoothing on the
+        set shares them.
         """
         grid = self.rho.grid
         lattice = self._on_lattice[0]
-        kernel = GridKernel.sharing(lattice, grid.dim, width, grid.h)
+        kernel = GridKernel(grid.dim, width, grid.h, lattice)
         if kernel.lattice is not lattice:
             lo, hi = self.support
             if np.any(lo < kernel.halfwidth) or np.any(hi > grid.npts - 1 - kernel.halfwidth):

@@ -75,12 +75,19 @@ class TrialEnergy:
 
 @dataclass
 class SweepRecord:
+    """One eta of a sweep, and the one list of a sweep record's fields: the
+    report's records are ``dataclasses.asdict`` of these, and the CSV's
+    columns are these fields in order.  ``assembled_margin`` is
+    :func:`assembled_margin` at ``eps_opt``, the distance at which
+    ``assembled_c`` takes its sups.  A failed eta carries its ``error`` and
+    NaN numbers."""
+
     eta: float
-    eps_opt: float
-    total: float
-    e_ot: float
-    gap: float
-    assembled_c: float
+    eps_opt: float = math.nan
+    total: float = math.nan
+    gap: float = math.nan
+    assembled_c: float = math.nan
+    assembled_margin: float = math.nan
     error: Optional[str] = None
     eps_edge: Optional[str] = None   # "lower" or "upper" when eps_opt is that window bound
 
@@ -244,12 +251,16 @@ def sweep(rho: GridDensity, n: int, eta_list) -> SweepResult:
     """Solve the transport problem once, then rate-study the trial bound.
 
     Every eta optimizes eps over one shared :class:`TrialCurve`, so each
-    width is smoothed once per sweep.  A validation or numerical failure for
-    one eta is recorded and the sweep continues.  Records are ordered by eta
-    ascending; the result carries the fitted log-log slope of the gap and
-    the feasible window and the number of distinct widths smoothed, and a
-    record whose ``eps_opt`` is one of the window's bounds says which in
-    ``eps_edge``.
+    width is smoothed once per sweep.  The curve's scan table serves every
+    eta, so it is built after the LP and before any eta runs: an empty
+    feasible window, or a scan width that cannot be smoothed, raises
+    ``ValidationError`` for the whole sweep.  A validation or numerical
+    failure in one eta's eps search is recorded in that eta's
+    :class:`SweepRecord` and the sweep continues.  Records are ordered by
+    eta ascending; the result carries ``E_OT``, the fitted log-log slope of
+    the gap, the feasible window and the number of distinct widths
+    smoothed, and a record whose ``eps_opt`` is one of the window's bounds
+    says which in ``eps_edge``.
     The etas (each positive and finite) are checked before the LP and any
     eta run: inside the loop their errors would be recorded as failed etas
     instead of rejecting the call, and a nan eta cannot be sorted.
@@ -268,6 +279,7 @@ def sweep(rho: GridDensity, n: int, eta_list) -> SweepResult:
     l1g = l1_gradient(rho)
     window = curve.window()
     edges = dict(zip(window, ("lower", "upper")))
+    curve._scan   # every eta's table: an empty window or a bad width rejects the sweep
 
     records = []
     for eta in eta_list:
@@ -276,13 +288,12 @@ def sweep(rho: GridDensity, n: int, eta_list) -> SweepResult:
             c = assembled_constant(n, alpha, curve.h1, grad_moment, l1g,
                                    second_moment, eps_opt)
             records.append(SweepRecord(
-                eta=eta, eps_opt=eps_opt, total=energy.total, e_ot=sol.value,
+                eta=eta, eps_opt=eps_opt, total=energy.total,
                 gap=energy.total - sol.value, assembled_c=c,
+                assembled_margin=assembled_margin(alpha, eps_opt),
                 eps_edge=edges.get(eps_opt)))
         except (ValidationError, NumericalError) as exc:
-            records.append(SweepRecord(
-                eta=eta, eps_opt=math.nan, total=math.nan, e_ot=sol.value,
-                gap=math.nan, assembled_c=math.nan, error=str(exc)))
+            records.append(SweepRecord(eta=eta, error=str(exc)))
     slope = fit_log_slope([r.eta for r in records if r.error is None],
                           [r.gap for r in records if r.error is None])
     return SweepResult(records=records, e_ot=sol.value, alpha=alpha,

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -12,8 +13,7 @@ import pytest
 
 import llot
 from llot import cli, fileio, mmot, semiclassics
-from llot.grids import marginal
-from llot.grids import Grid
+from llot.grids import AtomicPlan, Grid, marginal
 from llot.mmot import TransportProblem, solve_lp
 from llot.presets import sweep_density
 from llot.quantum import MixedStateKernel, rdm_max_eigenvalue
@@ -167,9 +167,17 @@ def test_import_does_not_load_scipy_integrate():
     assert not loaded_by_import("scipy.integrate")
 
 
+# the modules a bare ``import llot`` loads: the import that setup_s times
+IMPORTED_BY_LLOT = {"llot.errors", "llot.grids", "llot.mollifier", "llot.regularizer",
+                    "llot.quantum", "llot.mmot", "llot.semiclassics"}
+
+
 @pytest.mark.parametrize("module", ["llot", "llot.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules(modules_after(f"import {module}")) == []
+    names = modules_after(f"import {module}")
+    assert scipy_modules(names) == []
+    extra = {"llot": set(), "llot.cli": {"llot.cli", "llot.fileio"}}[module]
+    assert {m for m in names if m.startswith("llot.")} == IMPORTED_BY_LLOT | extra
 
 
 def scipy_after_command(argv: list) -> list:
@@ -348,7 +356,7 @@ def test_a_grid_of_two_nodes_is_rejected(tmp_path, capsys, command):
     read 3 nodes per axis: one particle on atoms at 0 and 1 with h = 1 is a
     clean exit 1."""
     grid = Grid.line(0.0, 1.0, 2)
-    plan = llot.AtomicPlan.from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
+    plan = AtomicPlan.from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
     plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
     fileio.write_plan(plan_path, plan)
     fileio.write_density(density_path, marginal(plan, grid))
@@ -412,6 +420,11 @@ def test_mmot_rejects_a_bad_beta_or_tol(sixteen_csv, tmp_path, capsys, extra):
      ' {"x": [[0], [1, 2]], "w": 1.0}]}', "atom 1"),
     ('{"n": 2, "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0},'
      ' {"x": [[1.0], [0.0]], "w": "abc"}]}', "atom 1"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": true}]}', "atom 0"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": "1.0"}]}', "atom 0"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [["0.0"], ["1.0"]], "w": 1.0}]}', "atom 0"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [[false], [true]], "w": 1.0}]}', "atom 0"),
+    ('{"n": 2, "dim": 1, "atoms": [{"x": [[0], [1]], "w": 1%s}]}' % ("0" * 400), "atom 0"),
     ('{"n": 2, "dim": "abc", "atoms": []}', "'dim' must be an integer"),
     ('{"n": 2, "dim": 1e999, "atoms": []}', "'dim' must be an integer"),
     ('{"n": 2, "dim": 1.0, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0}]}',
@@ -420,7 +433,8 @@ def test_mmot_rejects_a_bad_beta_or_tol(sixteen_csv, tmp_path, capsys, extra):
      "'n' must be an integer"),
     ('{"n": "2", "dim": 1, "atoms": [{"x": [[0.0], [1.0]], "w": 1.0}]}',
      "'n' must be an integer"),
-], ids=["not-an-object", "atom-not-an-object", "ragged-x", "non-numeric-w", "string-dim",
+], ids=["not-an-object", "atom-not-an-object", "ragged-x", "non-numeric-w", "bool-w",
+        "numeric-string-w", "numeric-string-x", "bool-x", "overflowing-int-w", "string-dim",
         "overflowing-dim", "float-dim", "bool-n", "string-n"])
 def test_regularize_rejects_a_malformed_plan(paired_files, tmp_path, capsys, text, where):
     grid, _, density_path, eps = paired_files
@@ -512,6 +526,24 @@ def test_sweep_report_states_the_assembled_margin(tmp_path):
     assert {r["eps_edge"] for r in rep["records"]} == {"lower", None, "upper"}
 
 
+def test_sweep_report_and_csv_carry_the_record_fields(tmp_path):
+    # SweepRecord is the one list of a record's fields: the report's records
+    # and the CSV's columns both read it
+    density, records_csv = tmp_path / "density.csv", tmp_path / "records.csv"
+    fileio.write_density(density, sweep_density())
+    rep = run(["sweep", "--density", str(density), "--n", "2", "--csv", str(records_csv)],
+              tmp_path / "sweep.json")
+    names = [f.name for f in dataclasses.fields(semiclassics.SweepRecord)]
+    with open(records_csv, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == names
+    assert all(list(r) == sorted(names) for r in rep["records"])
+    assert len(rows) == len(rep["records"])
+    for row, r in zip(rows, rep["records"]):
+        assert row == ["" if r[k] is None else r[k] if isinstance(r[k], str) else repr(r[k])
+                       for k in names]
+
+
 CLOBBERS = [
     ("sweep-csv-is-the-out",
      ["sweep", "--density", "{sixteen}", "--n", "2", "--csv", "{tmp}/r.json",
@@ -579,8 +611,10 @@ def cli_files(paired_files, sixteen_csv, tmp_path_factory):
         '{"n": 2, "dim": 0, "atoms": [{"x": [[], []], "w": 1.0}]}')
     (root / "density.csv").write_text("x,value\n0.0,abc\n1.0,1.0\n")
     (root / "mass_2.5.csv").write_text("x,value\n0.0,1.25\n1.0,1.25\n")
+    fileio.write_density(root / "preset.csv", sweep_density())
     return {"plan": plan_path, "density": density_path, "eps": repr(eps),
-            "sixteen": sixteen_csv, "bad_plan": root / "plan.json",
+            "sixteen": sixteen_csv, "preset": root / "preset.csv",
+            "bad_plan": root / "plan.json",
             "ragged_plan": root / "ragged.json", "plan_2d": root / "plan_2d.json",
             "plan_0d": root / "plan_0d.json", "bad_density": root / "density.csv",
             "mass_2_5_density": root / "mass_2.5.csv",
@@ -608,7 +642,7 @@ def out_is_a_directory(monkeypatch):
 REGULARIZE = ["regularize", "--density", "{density}", "--eps", "{eps}"]
 QUANTUM = ["quantum-check", "--density", "{density}", "--eps", "{eps}", "--samples", "20"]
 MMOT = ["mmot", "--n", "2"]
-SWEEP = ["sweep", "--density", "{sixteen}", "--n", "2"]
+SWEEP = ["sweep", "--density", "{preset}", "--n", "2"]
 
 EXIT_CODES = [
     ("regularize-valid", REGULARIZE + ["--plan", "{plan}"], None, 0),
@@ -649,6 +683,9 @@ EXIT_CODES = [
     ("sweep-out-in-missing-dir-writes-no-csv",
      SWEEP + ["--etas", "1e-3:1e-1:3", "--csv", "{tmp}/records.csv",
               "--out", "{tmp}/missing/report.json"], None, 1),
+    # the 16-site plan's separation is 7h: no eta can run
+    ("sweep-empty-window", ["sweep", "--density", "{sixteen}", "--n", "2", "--etas",
+                            "1e-3:1e-1:3", "--csv", "{tmp}/records.csv"], None, 1),
 ]
 
 

@@ -18,29 +18,28 @@ from instances import fixture_three_particle
 def test_sweep_csv_round_trip(tmp_path):
     records = [
         SweepRecord(eta=1e-4, eps_opt=0.0123456789012345, total=2.0089758711195361,
-                    e_ot=2.008975871119536, gap=1.1e-16, assembled_c=0.0031,
+                    gap=1.1e-16, assembled_c=0.0031, assembled_margin=0.95,
                     eps_edge="lower"),
-        SweepRecord(eta=0.1, eps_opt=1.0 / 3.0, total=math.pi, e_ot=2.0,
-                    gap=math.pi - 2.0, assembled_c=31.5, eps_edge="upper"),
-        SweepRecord(eta=1e-2, eps_opt=math.nan, total=math.nan, e_ot=2.0, gap=math.nan,
-                    assembled_c=math.nan,
-                    error="empty feasible eps interval: [1e+06, 183.7]"),
-        SweepRecord(eta=1e-3, eps_opt=0.25, total=2.5, e_ot=2.0, gap=0.5,
-                    assembled_c=0.004),
+        SweepRecord(eta=0.1, eps_opt=1.0 / 3.0, total=math.pi, gap=math.pi - 2.0,
+                    assembled_c=31.5, assembled_margin=1e-3 / 3.0, eps_edge="upper"),
+        SweepRecord(eta=1e-2, error="empty feasible eps interval: [1e+06, 183.7]"),
+        SweepRecord(eta=1e-3, eps_opt=0.25, total=2.5, gap=0.5, assembled_c=0.004,
+                    assembled_margin=np.float64(0.5)),
     ]
     path = tmp_path / "sweep.csv"
     fileio.write_sweep_csv(path, records)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["eta", "eps_opt", "e_ot", "trial_total", "gap", "assembled_C",
+    assert rows[0] == ["eta", "eps_opt", "total", "gap", "assembled_c", "assembled_margin",
                        "error", "eps_edge"]
     assert len(rows) == 1 + len(records)
     for row, r in zip(rows[1:], records):
-        floats = [r.eta, r.eps_opt, r.e_ot, r.total, r.gap, r.assembled_c]
+        floats = [r.eta, r.eps_opt, r.total, r.gap, r.assembled_c, r.assembled_margin]
         assert np.array_equal([float(v) for v in row[:6]], floats, equal_nan=True)
         assert row[6:] == [r.error or "", r.eps_edge or ""]
     assert [row[7] for row in rows[1:]] == ["lower", "upper", "", ""]
     assert rows[3][6] == "empty feasible eps interval: [1e+06, 183.7]"
+    assert rows[3][1:6] == ["nan"] * 5 and rows[4][5] == "0.5"
 
 
 def plan_json(x, weights) -> str:

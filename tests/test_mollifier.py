@@ -177,7 +177,7 @@ def test_a_kernel_sharing_a_lattice_equals_a_new_one(dim, old_h, first, then, sh
     # widths of one reach share the offset cube; a lattice is shared only
     # when the kept offsets are the same, and a cube only at one spacing
     old = GridKernel(dim, first, old_h)
-    k = GridKernel.sharing(old.lattice, dim, then, 1.0)
+    k = GridKernel(dim, then, 1.0, old.lattice)
     new = GridKernel(dim, then, 1.0)
     for name in ("offsets", "amp", "sq", "box", "box_amp"):
         assert np.array_equal(getattr(k, name), getattr(new, name)), name

@@ -174,9 +174,10 @@ def test_three_particle_sweep_runs_past_the_tensor_cap():
     # nothing about the rate and is not checked
     rho = three_cluster_density()
     assert rho.grid.n_sites**3 > MAX_TENSOR_ENTRIES
-    for r in sweep(rho, 3, SWEEP_ETAS).records:
+    result = sweep(rho, 3, SWEEP_ETAS)
+    for r in result.records:
         assert r.error is None
-        assert math.isfinite(r.total) and r.e_ot <= r.total
+        assert math.isfinite(r.total) and result.e_ot <= r.total
 
 
 def test_sweep_survives_a_negligible_kernel_tail():
@@ -187,11 +188,11 @@ def test_sweep_survives_a_negligible_kernel_tail():
     assert all(r.gap >= -1e-8 for r in result.records)
 
 
-def test_sweep_continues_past_per_eta_failure():
-    # a plan separation below 8h empties the window, so every eta is
-    # infeasible, but the sweep must not raise
-    result = sweep(sixteen_site_density(), 2, [1e-3, 1e-2])
-    assert all(r.error is not None for r in result.records)
+def test_sweep_with_an_empty_window_raises():
+    # a plan separation below 8h empties the window, so no eta can run: the
+    # sweep raises once its LP is solved, before any eta
+    with pytest.raises(ValidationError, match="empty feasible eps interval"):
+        sweep(sixteen_site_density(), 2, [1e-3, 1e-2])
 
 
 def test_assembled_constant_positive_and_monotone_in_n():
@@ -320,7 +321,7 @@ def test_sweep_records_follow_the_coulomb_scaling_law(lam):
     for s, b in zip(scaled.records, base.records):
         assert s.error is None and b.error is None
         assert s.total * lam == pytest.approx(b.total, rel=TOTAL_TOL, abs=0)
-        gap_tol = TOTAL_TOL * b.total + E_OT_TOL * b.e_ot
+        gap_tol = TOTAL_TOL * b.total + E_OT_TOL * base.e_ot
         assert abs(s.gap * lam - b.gap) <= gap_tol
         eps_tol = 2 * semiclassics.EPS_REL_TOL + math.sqrt(TOTAL_TOL * b.total / b.gap)
         assert s.eps_opt / lam == pytest.approx(b.eps_opt, rel=eps_tol, abs=0)
