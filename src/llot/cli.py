@@ -113,7 +113,7 @@ def _emit(report: dict, out):
 def _parse_etas(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValidationError("etas must be lo:hi:count")
+        raise ValidationError(f"etas {spec!r}: must be lo:hi:count")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
@@ -122,7 +122,7 @@ def _parse_etas(spec: str):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"etas {spec!r}: lo and hi must be finite")
     if lo <= 0 or hi <= lo or count < 2:
-        raise ValidationError("etas range must satisfy 0 < lo < hi, count >= 2")
+        raise ValidationError(f"etas {spec!r}: range must satisfy 0 < lo < hi, count >= 2")
     return np.geomspace(lo, hi, count)
 
 

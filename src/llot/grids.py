@@ -207,26 +207,6 @@ class AtomicPlan:
         self.configs = rows[first].reshape(-1, self.n, self.dim)
         self.weights = np.bincount(np.cumsum(first) - 1, weights=weights[order])
 
-    @classmethod
-    def from_atoms(cls, atoms, dim: Optional[int] = None) -> "AtomicPlan":
-        """Build from ``[(config, weight), ...]``; configs of shape (n,) mean dim=1."""
-        if not atoms:
-            raise ValidationError("empty measure")
-        first = np.atleast_2d(np.asarray(atoms[0][0], dtype=float))
-        if dim is None:
-            dim = first.shape[-1] if np.asarray(atoms[0][0]).ndim > 1 else 1
-        configs = []
-        weights = []
-        for x, w in atoms:
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                x = x[:, None] if dim == 1 else x.reshape(-1, dim)
-            configs.append(x)
-            weights.append(float(w))
-        configs = np.stack(configs)
-        return cls(n=configs.shape[1], dim=dim, configs=configs,
-                   weights=np.asarray(weights))
-
     @property
     def n_atoms(self) -> int:
         """The number of orbits."""

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from llot.grids import Grid, AtomicPlan, marginal
+from llot.grids import Grid, marginal
 from instances import (
     fixture_paired_smooth,
     fixture_two_site,
     identity_fixtures,
     permutation_plan,
+    plan_from_atoms,
 )
 
 
@@ -53,7 +54,7 @@ def two_dim_paired_fixture():
     for node, w in zip(patch.reshape(-1, 2), weights):
         x, y = node * grid.h, (node + [6, 5]) * grid.h
         atoms += [(np.stack([x, y]), w / 2.0), (np.stack([y, x]), w / 2.0)]
-    plan = AtomicPlan.from_atoms(atoms, dim=2)
+    plan = plan_from_atoms(atoms, dim=2)
     return "n2-2d-paired", grid, plan, marginal(plan, grid), [1.1 * grid.h, 1.5 * grid.h]
 
 
@@ -68,7 +69,7 @@ def three_dim_fixture():
     for node, w in zip(([4, 4, 4], [5, 4, 4], [4, 5, 4]), (0.2, 0.3, 0.5)):
         x = np.array(node) * grid.h
         atoms.append((np.stack([x, x + np.array([7, 6, 5]) * grid.h]), w))
-    plan = AtomicPlan.from_atoms(atoms, dim=3)
+    plan = plan_from_atoms(atoms, dim=3)
     return "n2-3d-paired", grid, plan, marginal(plan, grid), [1.5 * grid.h, 2.5 * grid.h]
 
 

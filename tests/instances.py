@@ -7,17 +7,40 @@ All coordinates are exact grid-node multiples so the node-support identities
 hold to rounding.
 """
 
+from typing import Optional
+
 import numpy as np
 
+from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, density_from_values, marginal
 from llot.presets import paired_plan
+
+
+def plan_from_atoms(atoms, dim: Optional[int] = None) -> AtomicPlan:
+    """Build from ``[(config, weight), ...]``; configs of shape (n,) mean dim=1."""
+    if not atoms:
+        raise ValidationError("empty measure")
+    first = np.atleast_2d(np.asarray(atoms[0][0], dtype=float))
+    if dim is None:
+        dim = first.shape[-1] if np.asarray(atoms[0][0]).ndim > 1 else 1
+    configs = []
+    weights = []
+    for x, w in atoms:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x = x[:, None] if dim == 1 else x.reshape(-1, dim)
+        configs.append(x)
+        weights.append(float(w))
+    configs = np.stack(configs)
+    return AtomicPlan(n=configs.shape[1], dim=dim, configs=configs,
+                      weights=np.asarray(weights))
 
 
 def permutation_plan(sites) -> AtomicPlan:
     """Symmetric plan with weight 1/n! on each ordering of ``sites``: the
     one orbit of ``sites``."""
     sites = [np.atleast_1d(np.asarray(s, dtype=float)) for s in sites]
-    return AtomicPlan.from_atoms([(np.stack(sites), 1.0)], dim=sites[0].size)
+    return plan_from_atoms([(np.stack(sites), 1.0)], dim=sites[0].size)
 
 
 # -- identity fixtures (marginal pinning, trace, diagonal) -------------------
@@ -28,7 +51,7 @@ def fixture_single_particle():
     atoms = [(np.array([[0.5]]), 0.25),
              (np.array([[0.875]]), 0.5),
              (np.array([[1.25]]), 0.25)]
-    plan = AtomicPlan.from_atoms(atoms, dim=1)
+    plan = plan_from_atoms(atoms, dim=1)
     return "n1-three-site", grid, plan, [0.2, 0.1]
 
 
@@ -47,7 +70,7 @@ def fixture_four_atom():
              (np.array([[1.5], [0.25]]), 0.3),
              (np.array([[0.4375], [1.6875]]), 0.2),
              (np.array([[1.6875], [0.4375]]), 0.2)]
-    plan = AtomicPlan.from_atoms(atoms, dim=1)
+    plan = plan_from_atoms(atoms, dim=1)
     alpha = 1.25
     return "n2-four-atom", grid, plan, [alpha / 8.0, alpha / 16.0]
 

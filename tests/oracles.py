@@ -10,10 +10,13 @@ quantum tests as oracles; a plan whose support reaches the grid's upper
 edge; two smooth three-particle plans, one small enough for the dense
 one-body matrix; the sweep preset's geometry on finer grids; cos^4 cluster
 densities, one with many pair offsets and one past the dense tensor's cap
-at n = 3; the 1024-node paired plan and a traced-memory probe; and an LP
-solver with wrong duals."""
+at n = 3; the 1024-node paired plan and a traced-memory probe; an LP
+solver with wrong duals; and the row-by-row readers of the density CSV and
+the plan JSON."""
 
+import csv
 import itertools
+import json
 import math
 import tracemalloc
 from typing import Optional
@@ -21,12 +24,13 @@ from typing import Optional
 import numpy as np
 
 from llot.errors import ValidationError
-from llot.grids import (AtomicPlan, Grid, GridDensity, coulomb, density_from_values, marginal,
-                        stripes)
+from llot.fileio import MASS_WINDOW
+from llot.grids import (MASS_TOL, AtomicPlan, Grid, GridDensity, coulomb, density_from_values,
+                        marginal, stripes)
 from llot.mollifier import GridKernel
 from llot.presets import SWEEP_SCALE, cos4_window, paired_plan
 from llot.regularizer import build_regularized
-from instances import permutation_plan
+from instances import permutation_plan, plan_from_atoms
 
 
 def permutations(n: int) -> np.ndarray:
@@ -191,7 +195,7 @@ def small_three_particle_case():
     grid = Grid.line(0.0, 1 / 8, 23)
     atoms = [((np.array([s, s + 9, s + 18]) * grid.h)[:, None], w)
              for s, w in ((2, 0.25), (3, 0.75))]
-    plan = AtomicPlan.from_atoms(atoms, dim=1)
+    plan = plan_from_atoms(atoms, dim=1)
     return build_regularized(plan, marginal(plan, grid), 2 * grid.h)
 
 
@@ -473,3 +477,99 @@ def raise_lp_duals(monkeypatch):
         return res
 
     monkeypatch.setattr("scipy.optimize.linprog", raised)
+
+
+# -- the row-by-row readers (fileio parses each file in one bulk pass) -------
+
+def read_density(path, n_particles: Optional[int] = None) -> GridDensity:
+    """``fileio.read_density`` with one ``csv`` row, ``float`` and
+    ``math.isfinite`` per line."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 2 or header[-1].strip() != "value":
+            raise ValidationError(f"{path}: line 1: expected header ending in 'value'")
+        if len(header) != 2:
+            raise ValidationError(f"{path}: only 1-d densities are supported in CSV")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValidationError(f"{path}: line {lineno}: expected 2 fields")
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except ValueError:
+                raise ValidationError(f"{path}: line {lineno}: non-numeric field")
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValidationError(f"{path}: line {lineno}: non-finite field")
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: need at least 2 rows")
+    rows = np.asarray(rows)
+    order = np.argsort(rows[:, 0])
+    xs, vals = rows[order, 0], rows[order, 1]
+    spacings = np.diff(xs)
+    h = spacings.mean()
+    if h <= 0 or np.abs(spacings - h).max() > 1e-9 * max(abs(xs[-1]), abs(xs[0]), 1.0):
+        raise ValidationError(f"{path}: grid spacing is not uniform")
+    grid = Grid.line(float(xs[0]), float(h), len(xs))
+    mass = vals.sum() * grid.cell_volume
+    if abs(mass - 1.0) > MASS_WINDOW:
+        if not (n_particles and abs(mass - n_particles) <= MASS_WINDOW * n_particles):
+            raise ValidationError(
+                f"{path}: mass {mass:.6g} is neither 1 nor n_particles = {n_particles}")
+        vals = vals / n_particles
+        mass = vals.sum() * grid.cell_volume
+    if abs(mass - 1.0) > MASS_TOL:
+        vals = vals / mass
+    return GridDensity(grid, vals)
+
+
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number, or a list nesting only numbers:
+    no string and no boolean, which ``float`` would read as numbers."""
+    if isinstance(value, list):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_plan(path) -> AtomicPlan:
+    """``fileio.read_plan`` with one ``np.asarray`` per atom, through
+    :func:`instances.plan_from_atoms`."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})")
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: top level must be an object")
+    for key in ("n", "dim", "atoms"):
+        if key not in data:
+            raise ValidationError(f"{path}: missing key {key!r}")
+    for key in ("n", "dim"):
+        if not isinstance(data[key], int) or isinstance(data[key], bool):
+            raise ValidationError(f"{path}: {key!r} must be an integer, got {data[key]!r}")
+    if not isinstance(data["atoms"], list):
+        raise ValidationError(f"{path}: 'atoms' must be a list")
+    atoms = []
+    for i, atom in enumerate(data["atoms"]):
+        if not isinstance(atom, dict) or "x" not in atom or "w" not in atom:
+            raise ValidationError(f"{path}: atom {i}: must be an object with 'x' and 'w'")
+        numeric = _json_numbers(atom["x"]) and _json_numbers([atom["w"]])
+        try:
+            x = np.asarray(atom["x"], dtype=float)
+            w = float(atom["w"])
+        except (TypeError, ValueError, OverflowError):
+            numeric = False
+        if not numeric:
+            raise ValidationError(f"{path}: atom {i}: x must be a numeric array "
+                                  "and w a number")
+        if x.shape != (data["n"], data["dim"]):
+            raise ValidationError(
+                f"{path}: atom {i}: x must be shape ({data['n']}, {data['dim']})"
+            )
+        atoms.append((x, w))
+    try:
+        return plan_from_atoms(atoms, dim=data["dim"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}")

@@ -13,12 +13,13 @@ import pytest
 
 import llot
 from llot import cli, fileio, mmot, semiclassics
-from llot.grids import AtomicPlan, Grid, marginal
+from llot.grids import Grid, marginal
 from llot.mmot import TransportProblem, solve_lp
 from llot.presets import sweep_density
 from llot.quantum import MixedStateKernel, rdm_max_eigenvalue
 from llot.regularizer import RegularizedPlan, build_regularized, prepare_plan, smooth_plan
-from instances import fixture_paired_smooth, permutation_plan, sixteen_site_density
+from instances import (fixture_paired_smooth, permutation_plan, plan_from_atoms,
+                       sixteen_site_density)
 from oracles import (dense_one_body_matrix, fine_paired_plan, raise_lp_duals,
                      three_cluster_density, three_cluster_plan)
 
@@ -356,7 +357,7 @@ def test_a_grid_of_two_nodes_is_rejected(tmp_path, capsys, command):
     read 3 nodes per axis: one particle on atoms at 0 and 1 with h = 1 is a
     clean exit 1."""
     grid = Grid.line(0.0, 1.0, 2)
-    plan = AtomicPlan.from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
+    plan = plan_from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
     plan_path, density_path = tmp_path / "plan.json", tmp_path / "density.csv"
     fileio.write_plan(plan_path, plan)
     fileio.write_density(density_path, marginal(plan, grid))
@@ -448,7 +449,8 @@ def test_regularize_rejects_a_malformed_plan(paired_files, tmp_path, capsys, tex
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("etas", ["a:b:3", "1e-3:1e-1:x", "nan:1e-1:3", "1e-3:inf:3"])
+@pytest.mark.parametrize("etas", ["a:b:3", "1e-3:1e-1:x", "nan:1e-1:3", "1e-3:inf:3",
+                                  "1e-3:1e-1", "1e-1:1e-3:3", "0:1e-1:3", "1e-3:1e-1:1"])
 def test_sweep_rejects_bad_etas(sixteen_csv, tmp_path, capsys, etas):
     argv = ["sweep", "--density", str(sixteen_csv), "--n", "2", "--etas", etas,
             "--out", str(tmp_path / "report.json")]

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 
@@ -13,6 +14,7 @@ from llot.grids import MASS_TOL, AtomicPlan, Grid, density_from_values
 from llot.presets import sweep_density
 from llot.semiclassics import SweepRecord
 from instances import fixture_three_particle
+import oracles
 
 
 def test_sweep_csv_round_trip(tmp_path):
@@ -46,11 +48,15 @@ def plan_json(x, weights) -> str:
     return json.dumps({"n": 2, "dim": 1, "atoms": [{"x": x, "w": w} for w in weights]})
 
 
+def write_then_read(reader, text, path):
+    path.write_text(text)
+    reader(path)
+
+
 def read_text(reader, text):
-    def call(path):
-        path.write_text(text)
-        reader(path)
-    return call
+    """A row's call: write ``text`` to the path and read it with ``reader``;
+    ``call.args`` is ``(reader, text)``."""
+    return functools.partial(write_then_read, reader, text)
 
 
 def write_2d_density(path):
@@ -58,7 +64,7 @@ def write_2d_density(path):
     fileio.write_density(path, density_from_values(grid, np.ones((2, 2)), normalize=True))
 
 
-@pytest.mark.parametrize("call, message, line", [
+MALFORMED = [
     pytest.param(read_text(fileio.read_density, "x,y\n0.0,1.0\n1.0,1.0\n"),
                  "expected header ending in 'value'", 1, id="header-without-value"),
     pytest.param(read_text(fileio.read_density, "x,y,value\n0.0,0.0,1.0\n1.0,0.0,1.0\n"),
@@ -86,7 +92,42 @@ def write_2d_density(path):
                  "atom weights must be positive", None, id="negative-weight"),
     pytest.param(read_text(fileio.read_plan, plan_json([[0.0], [1.0]], [0.5, 0.4])),
                  "atom weights sum to 0.9,", None, id="weights-sum-to-0.9"),
-])
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n\n1.0,abc\n"),
+                 "non-numeric field", 4, id="non-numeric-after-blank-line"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n1.0,nan\n"),
+                 "non-finite field", 3, id="nan"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n\ninf,0.5\n"),
+                 "non-finite field", 4, id="inf"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,-inf\n1.0,0.5\n"),
+                 "non-finite field", 2, id="minus-inf"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n   \n1.0,0.5\n"),
+                 "expected 2 fields", 3, id="whitespace-only-line"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,0.5\n# note\n1.0,0.5\n"),
+                 "expected 2 fields", 3, id="comment-line"),
+    pytest.param(read_text(fileio.read_density, "x,value\n"),
+                 "need at least 2 rows", None, id="header-only"),
+    pytest.param(read_text(fileio.read_density, "x,value\n\n\n"),
+                 "need at least 2 rows", None, id="header-and-blank-lines"),
+    pytest.param(read_text(fileio.read_density, "x,value\n0.0,-0.5\n1.0,1.5\n"),
+                 "density values must be nonnegative", None, id="negative-value"),
+    pytest.param(read_text(fileio.read_density, "x,value\n-1e308,0.5\n1e308,0.5\n"),
+                 "grid spacing must be positive and finite", None, id="overflowing-spacing"),
+    pytest.param(read_text(fileio.read_plan, '{"n": 2, "dim": 1, "atoms": []}'),
+                 "empty measure", None, id="no-atoms"),
+    pytest.param(read_text(fileio.read_plan, '{"n": 2, "dim": 1, "atoms": [3]}'),
+                 "atom 0: must be an object", None, id="atom-not-an-object"),
+    pytest.param(read_text(fileio.read_plan, plan_json([[0.0], [1.0, 2.0]], [1.0])),
+                 "atom 0: x must be a numeric array", None, id="ragged-x"),
+    pytest.param(read_text(fileio.read_plan, plan_json([[0.0], ["1.0"]], [1.0])),
+                 "atom 0: x must be a numeric array", None, id="string-in-x"),
+    pytest.param(read_text(fileio.read_plan, plan_json([[0.0], [1.0]], [0.5, True])),
+                 "atom 1: x must be a numeric array", None, id="bool-w"),
+    pytest.param(read_text(fileio.read_plan, plan_json([[0.0], [1.0]], [10**400])),
+                 "atom 0: x must be a numeric array", None, id="overflowing-int-w"),
+]
+
+
+@pytest.mark.parametrize("call, message, line", MALFORMED)
 def test_malformed_files_name_the_path_and_line(tmp_path, call, message, line):
     path = tmp_path / "input"
     with pytest.raises(ValidationError, match=message) as exc:
@@ -94,6 +135,31 @@ def test_malformed_files_name_the_path_and_line(tmp_path, call, message, line):
     assert str(exc.value).startswith(f"{path}: ")
     if line is not None:
         assert str(exc.value).startswith(f"{path}: line {line}: ")
+
+
+ORACLES = {fileio.read_density: oracles.read_density, fileio.read_plan: oracles.read_plan}
+
+
+def read_or_reject(reader, path, *args):
+    """What ``reader`` makes of the file: its result, or its message."""
+    try:
+        return reader(path, *args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("call, message, line",
+                         [row for row in MALFORMED if isinstance(row.values[0], functools.partial)])
+def test_malformed_files_give_the_oracles_message(tmp_path, call, message, line):
+    reader, text = call.args
+    path = tmp_path / "input"
+    path.write_text(text)
+    with np.errstate(all="ignore"):   # the oracle overflows on huge coordinates
+        expected = read_or_reject(ORACLES[reader], path)
+    # the oracle leaves the path out of the grid's and the density's messages
+    if not expected.startswith(f"{path}: "):
+        expected = f"{path}: {expected}"
+    assert read_or_reject(reader, path) == expected
 
 
 def test_plan_round_trip_is_exact(tmp_path):
@@ -164,6 +230,43 @@ def test_density_round_trip(tmp_path, mass):
     assert back.grid.origin[0] == grid.origin[0]
     assert back.grid.h == pytest.approx(grid.h, rel=1e-12, abs=0.0)
     assert np.array_equal(back.values, expected)
+
+
+def same_density(a, b) -> bool:
+    """Whether two densities have the same grid and values, bit for bit."""
+    return all(x.tobytes() == y.tobytes() for x, y in
+               ((a.grid.origin, b.grid.origin), (np.float64(a.grid.h), np.float64(b.grid.h)),
+                (a.values, b.values))) and a.grid.npts == b.grid.npts
+
+
+def quote_fields(text):
+    header, *rows = text.splitlines()
+    return "\n".join([header] + ['"' + row.replace(",", '","') + '"' for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("layout", [
+    pytest.param(lambda text: text.replace("\n", "\r\n"), id="crlf"),
+    pytest.param(quote_fields, id="quoted-fields"),
+    pytest.param(lambda text: text + "\n\n", id="trailing-blank-lines"),
+])
+def test_a_density_reads_alike_in_every_accepted_layout(tmp_path, layout):
+    written = tmp_path / "written.csv"
+    fileio.write_density(written, sweep_density())
+    text = written.read_text()   # csv ends its lines in \r\n; read_text gives \n
+    paths = tmp_path / "plain.csv", tmp_path / "layout.csv"
+    for path, body in zip(paths, (text, layout(text))):
+        with open(path, "w", newline="") as fh:
+            fh.write(body)
+    assert same_density(*map(fileio.read_density, paths))
+
+
+def test_a_number_with_an_underscore_is_non_numeric(tmp_path):
+    # Python's float reads "1_0" as 10; the reader's C-level parse does not
+    path = tmp_path / "density.csv"
+    path.write_text("x,value\n0.0,0.5\n1_0,0.5\n")
+    with pytest.raises(ValidationError, match="non-numeric field") as exc:
+        fileio.read_density(path)
+    assert str(exc.value).startswith(f"{path}: line 3: ")
 
 
 @pytest.mark.parametrize("mass, n", [(1.0 + 5e-9, None), (2.0 + 1e-8, 2)])
@@ -240,3 +343,72 @@ def test_density_round_trip_property(tmp_path_factory, rho):
     # rho's h off by the rounding of the node coordinates (origin 16, h 1e-3)
     assert back.grid.h == np.diff(rho.grid.axis()).mean()
     assert back.values.tobytes() == rho.values.tobytes()
+
+
+@st.composite
+def density_files(draw):
+    """Density CSV files as ``(xs, values, n, format)``: 2-2048 nodes, any
+    origin in [-1e9, 1e9] and spacing in [1e-9, 1e6], mass 1 or n = 1-4,
+    values written in full or to 8 digits."""
+    npts, n = draw(st.integers(2, 2048)), draw(st.integers(1, 4))
+    origin, h = draw(st.floats(-1e9, 1e9)), draw(st.floats(1e-9, 1e6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.uniform(0.0, 10.0, npts) * (rng.random(npts) < 0.7)
+    raw[draw(st.integers(0, npts - 1))] = 1.0   # some mass
+    mass = draw(st.sampled_from([1, n]))
+    return (Grid.line(origin, h, npts).axis().tolist(),
+            (raw * (mass / (raw.sum() * h))).tolist(), n,
+            draw(st.sampled_from([repr, "{:.8g}".format])))
+
+
+@ROUND_TRIP_SETTINGS
+@given(density_files())
+def test_read_density_agrees_with_the_row_by_row_oracle(tmp_path_factory, file):
+    xs, values, n, fmt = file
+    path = tmp_path_factory.getbasetemp() / "density.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("x,value\n" + "".join(f"{fmt(x)},{fmt(v)}\n" for x, v in zip(xs, values)))
+    expected = read_or_reject(oracles.read_density, path, n)
+    back = read_or_reject(fileio.read_density, path, n)
+    if isinstance(expected, str):
+        assert back == expected
+    else:
+        assert same_density(back, expected)
+
+
+@st.composite
+def plan_files(draw):
+    """Plan JSON of n = 1-4 particles in 1-3 dimensions: coordinates and
+    weights mixing JSON integers and floats, some atoms listed again in
+    another ordering, and weights normalized or, sometimes, not."""
+    n, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    number = st.one_of(st.integers(-2**70, 2**70),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    point = st.lists(number, min_size=dim, max_size=dim)
+    configs = draw(st.lists(st.lists(point, min_size=n, max_size=n), min_size=1, max_size=6))
+    again = draw(st.lists(st.tuples(st.integers(0, len(configs) - 1), st.permutations(range(n))),
+                          max_size=4))
+    configs += [[configs[i][k] for k in order] for i, order in again]
+    weights = draw(st.lists(st.one_of(st.integers(1, 5), st.floats(0.01, 1.0)),
+                            min_size=len(configs), max_size=len(configs)))
+    if len(weights) == 1:
+        weights = [1]
+    elif draw(st.booleans()):
+        weights = [w / sum(weights) for w in weights]
+    return json.dumps({"n": n, "dim": dim,
+                       "atoms": [{"x": x, "w": w} for x, w in zip(configs, weights)]})
+
+
+@ROUND_TRIP_SETTINGS
+@given(plan_files())
+def test_read_plan_agrees_with_the_per_atom_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "plan.json"
+    path.write_text(text)
+    expected = read_or_reject(oracles.read_plan, path)
+    back = read_or_reject(fileio.read_plan, path)
+    if isinstance(expected, str):
+        assert back == expected
+    else:
+        assert (back.n, back.dim) == (expected.n, expected.dim)
+        assert back.configs.tobytes() == expected.configs.tobytes()
+        assert back.weights.tobytes() == expected.weights.tobytes()

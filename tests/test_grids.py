@@ -22,12 +22,12 @@ from llot.mollifier import BumpProfile
 from llot.presets import sweep_density
 from llot.quantum import MixedStateKernel, kernel_eval
 from llot.regularizer import build_regularized
-from instances import fixture_paired_smooth, identity_fixtures, potential_instance
+from instances import fixture_paired_smooth, identity_fixtures, plan_from_atoms, potential_instance
 from oracles import expanded, gradient_dirichlet_sum_sqrt
 
 
 def plan_1d(atoms):
-    return AtomicPlan.from_atoms(atoms, dim=1)
+    return plan_from_atoms(atoms, dim=1)
 
 
 def test_grid_validation():
@@ -180,7 +180,7 @@ def test_marginal_three_particle_uniform():
 
 def test_marginal_empty_plan_rejected():
     with pytest.raises(ValidationError, match="empty measure"):
-        AtomicPlan.from_atoms([], dim=1)
+        AtomicPlan(1, 1, np.empty((0, 1, 1)), np.empty(0))
 
 
 def test_symmetrize_keeps_an_atom_as_one_orbit():

@@ -20,7 +20,8 @@ from llot.quantum import (
 )
 from llot.regularizer import (build_regularized, kinetic_of_sqrt, kinetic_term, prepare_plan,
                               smooth_plan)
-from instances import fixture_paired_smooth, fixture_two_site, kinetic_instance, permutation_plan
+from instances import (fixture_paired_smooth, fixture_two_site, kinetic_instance, permutation_plan,
+                       plan_from_atoms)
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
                      dense_transfer, det_square_identity, expanded_rows, fine_paired_plan,
                      signed_permutations, slater, small_three_particle_case,
@@ -186,7 +187,7 @@ def test_trace_is_one(all_identity_fixtures, three_dim_fixture):
 
 def test_trace_single_particle():
     grid = Grid.line(0.0, 1 / 16, 32)
-    plan = AtomicPlan.from_atoms([((0.5,), 0.5), ((1.0,), 0.5)], dim=1)
+    plan = plan_from_atoms([((0.5,), 0.5), ((1.0,), 0.5)], dim=1)
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
     assert rp.mass() == pytest.approx(rho.mass(), abs=1e-12)
@@ -225,7 +226,7 @@ def test_kinetic_trace_single_particle():
     nodes = axis[(axis >= 0.5) & (axis <= 1.25)]
     w = np.cos(np.pi * (nodes - 0.875) / 0.75) ** 4
     w /= w.sum()
-    plan = AtomicPlan.from_atoms([((s,), ws) for s, ws in zip(nodes, w)], dim=1)
+    plan = plan_from_atoms([((s,), ws) for s, ws in zip(nodes, w)], dim=1)
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
     analytic = continuum_kinetic(rp)
@@ -450,7 +451,7 @@ def test_rdm_max_eigenvalue_forms_gamma_on_the_support_only():
     for node, w in zip(nodes, weights):
         x = node * grid.h
         atoms += [(np.stack([x, x + 1.0]), w / 2.0), (np.stack([x + 1.0, x]), w / 2.0)]
-    plan = AtomicPlan.from_atoms(atoms, dim=2)
+    plan = plan_from_atoms(atoms, dim=2)
     rp = build_regularized(plan, marginal(plan, grid), 0.1)
     assert np.count_nonzero(rp.rho.values) == 200
     K = MixedStateKernel(rp)
@@ -468,7 +469,7 @@ def test_rdm_max_eigenvalue_exceeds_one_without_the_separation_guard(gap):
     # orbitals overlap, which the eps < alpha/4 guard of smooth_plan forbids
     grid = Grid.line(0.0, 1 / 16, 32)
     plan = permutation_plan([16 * grid.h, (16 + gap) * grid.h]) if gap else \
-        AtomicPlan.from_atoms([(np.array([[1.0], [1.0]]), 1.0)], dim=1)
+        plan_from_atoms([(np.array([[1.0], [1.0]]), 1.0)], dim=1)
     prep = dataclasses.replace(prepare_plan(plan, marginal(plan, grid)), alpha=math.inf)
     rp = smooth_plan(prep, 0.2)
     assert abs(rp.mass() - 1.0) <= 1e-10

@@ -4,7 +4,6 @@ import pytest
 from llot import grids, mollifier, regularizer
 from llot.errors import ValidationError
 from llot.grids import (
-    AtomicPlan,
     Grid,
     GridDensity,
     coulomb,
@@ -22,7 +21,7 @@ from llot.regularizer import (
     kinetic_of_sqrt,
     potential_error,
 )
-from instances import kinetic_instance, permutation_plan, potential_instance
+from instances import kinetic_instance, permutation_plan, plan_from_atoms, potential_instance
 from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_integrate_observable,
                      dense_q, dense_transfer, expanded, expanded_rows, fine_paired_plan,
                      scattered_transfer, small_three_particle_case, three_cluster_plan,
@@ -42,7 +41,7 @@ def three_cluster_case():
 def tiny_instance():
     """16-node instance small enough for the brute-force oracle."""
     grid = Grid.line(0.0, 0.1, 16)
-    plan = AtomicPlan.from_atoms([((0.3, 1.2), 0.5), ((1.2, 0.3), 0.5)], dim=1)
+    plan = plan_from_atoms([((0.3, 1.2), 0.5), ((1.2, 0.3), 0.5)], dim=1)
     rho = marginal(plan, grid)
     return grid, plan, rho
 
@@ -94,7 +93,7 @@ def test_pointwise_matches_brute_force_oracle():
 
 def test_single_particle_plan_reproduces_density():
     grid = Grid.line(0.0, 1.0 / 16.0, 32)
-    plan = AtomicPlan.from_atoms([((0.5,), 0.25), ((0.875,), 0.5),
+    plan = plan_from_atoms([((0.5,), 0.25), ((0.875,), 0.5),
                                   ((1.25,), 0.25)], dim=1)
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
@@ -144,7 +143,7 @@ def test_smooth_plan_rejects_what_the_identities_need(heavy, light, match):
     atoms = [(np.array(heavy) * grid.h, 1.0)]
     if light is not None:
         atoms = [(atoms[0][0], 1.0 - 1e-9), (np.array(light) * grid.h, 1e-9)]
-    prep = regularizer.prepare_plan(AtomicPlan.from_atoms(atoms, dim=1), rho)
+    prep = regularizer.prepare_plan(plan_from_atoms(atoms, dim=1), rho)
     with pytest.raises(ValidationError, match=match):
         regularizer.smooth_plan(prep, 0.2)
 
@@ -189,7 +188,7 @@ def test_marginal_unchanged_when_eps_halved(two_site_fixture):
 
 def test_kinetic_single_particle_equals_h1():
     grid = Grid.line(0.0, 1.0 / 16.0, 32)
-    plan = AtomicPlan.from_atoms([((0.5,), 0.5), ((1.0,), 0.5)], dim=1)
+    plan = plan_from_atoms([((0.5,), 0.5), ((1.0,), 0.5)], dim=1)
     rho = marginal(plan, grid)
     rp = build_regularized(plan, rho, 0.2)
     assert kinetic_of_sqrt(rp) == pytest.approx(h1_seminorm_sqrt(rho), abs=1e-10)
@@ -250,7 +249,7 @@ def test_kinetic_of_sqrt_on_the_support_box_matches_the_whole_grid(fixtures_with
 
 def test_kinetic_of_sqrt_needs_three_nodes_per_axis(monkeypatch):
     grid = Grid.line(0.0, 1.0, 2)
-    plan = AtomicPlan.from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
+    plan = plan_from_atoms([((0.0,), 0.5), ((1.0,), 0.5)], dim=1)
     rp = build_regularized(plan, marginal(plan, grid), 0.5)
     monkeypatch.setattr(rp, "_build_tensor", lambda: pytest.fail("tensor built"))
     with pytest.raises(ValidationError, match="at least 3 nodes per axis"):
@@ -447,7 +446,7 @@ def test_pair_form_holds_one_group_of_rows():
 def two_dim_instance():
     """A symmetric pair on a 32 x 32 grid, near its lower corner."""
     grid = Grid(dim=2, origin=np.zeros(2), h=1.0 / 16.0, npts=32)
-    plan = AtomicPlan.from_atoms([(np.array([[0.25, 0.375], [1.0, 1.25]]), 0.5),
+    plan = plan_from_atoms([(np.array([[0.25, 0.375], [1.0, 1.25]]), 0.5),
                                   (np.array([[1.0, 1.25], [0.25, 0.375]]), 0.5)], dim=2)
     return grid, plan, marginal(plan, grid)
 
