@@ -183,7 +183,7 @@ def _cmd_regularize(args) -> dict:
         result["marginal_l1_error"] = rp.density().l1_distance(rho)
     if "kinetic" in checks:
         lhs = kinetic_of_sqrt(rp)
-        rhs = kinetic_term(plan.n, h1_seminorm_sqrt(rho), rp.kernel)
+        rhs = kinetic_term(plan.n, h1_seminorm_sqrt(rho), rp.kernel.width, rp.kernel.profile)
         result["kinetic"] = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
     if "potential" in checks:
         lhs, bound = potential_error(rp)
@@ -221,7 +221,8 @@ def _cmd_quantum_check(args) -> dict:
     direct = rp.evaluate(configs)
     max_abs = float(np.abs(kernel_eval(kernel, configs, configs) - direct).max())
     max_val = float(np.abs(direct).max())
-    analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rho), rp.kernel)
+    analytic = kinetic_term(rp.n, h1_seminorm_sqrt(rho), rp.kernel.width,
+                            rp.kernel.profile)
     on_grid = kinetic_trace(kernel)
     rdm_max = rdm_max_eigenvalue(kernel)
     checks = [

@@ -4,8 +4,9 @@ Density CSV: one-dimensional only, header ``x,value``, one node per row,
 uniform spacing (a multi-d format is ROADMAP item 6).  A file holds either a
 probability (mass 1) or a particle-number density (mass N); the reader
 returns both as the probability :class:`~llot.grids.GridDensity`.  The file
-is read once, with universal newlines (``\n``, ``\r\n``, ``\r``), and its
-body is parsed in one pass by ``np.loadtxt``'s C-level parser.  Empty lines
+is read once as UTF-8, with universal newlines (``\n``, ``\r\n``,
+``\r``), and its body is parsed in one pass by ``np.loadtxt``'s C-level
+parser; a file that is not UTF-8 is rejected with its path.  Empty lines
 are skipped and still counted for line numbers, and fields may be quoted.
 A line of spaces, a ``#`` line, a wrong field count, an empty field, nan
 and inf are rejected; a line-by-line rescan then names the first bad line.
@@ -18,7 +19,7 @@ The file's plan is the symmetrization of its listed atoms: any listing is
 read, with every ordering of an atom standing for the same orbit and
 their weights summed (:class:`~llot.grids.AtomicPlan`), and a plan is
 written one atom per orbit.  Coordinates and weights must be JSON numbers,
-not strings or booleans.
+not strings or booleans, and the file UTF-8 text.
 Reports are JSON with sorted keys so identical runs are byte-identical.
 """
 
@@ -53,9 +54,8 @@ def read_density(path, n_particles: Optional[int] = None) -> GridDensity:
     8 digits, is divided by that mass; values already within ``MASS_TOL``
     are kept bit for bit.
     """
-    with open(path) as fh:
-        header = next(csv.reader([fh.readline()]))
-        body = fh.read()
+    first, _, body = _read_text(path).partition("\n")
+    header = next(csv.reader([first]))
     if len(header) < 2 or header[-1].strip() != "value":
         raise ValidationError(f"{path}: line 1: expected header ending in 'value'")
     if len(header) != 2:
@@ -92,6 +92,16 @@ def read_density(path, n_particles: Optional[int] = None) -> GridDensity:
             return GridDensity(grid, vals)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}")
+
+
+def _read_text(path) -> str:
+    """The text of ``path``, decoded as UTF-8 with universal newlines; a
+    file that is not UTF-8 is rejected with its path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def _parse_rows(text: str) -> np.ndarray:
@@ -136,11 +146,10 @@ def read_plan(path) -> AtomicPlan:
     ``(atoms, n, dim)``, every ``w`` into another, and each is checked to
     hold JSON numbers only; only a plan that fails this is read again atom
     by atom, to name the first bad atom."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})")
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})")
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be an object")
     for key in ("n", "dim", "atoms"):

@@ -20,8 +20,12 @@ structure: the offset cube, the offsets it keeps, the box and the slots of
 the box table.  It depends on the width only through the set of offsets
 kept, so it is built once per offset set, and the kernels of widths that
 keep the same set can share it: ``GridKernel(dim, width, h, lattice)``.
-The numbers are built per width: the amplitudes, ``norm`` and the table's
-values.  This module keeps no lattice; the caller that shares one holds it.
+The numbers are the width's: the amplitudes, ``norm`` and the table's
+values.  :func:`resample` builds them for many widths at once: one profile
+evaluation per offset cube, and one kernel *stack* per run of consecutive
+widths that keep the same set, whose values carry a leading width axis and
+equal each width's own kernel bit for bit.  ``GridKernel`` is its one-width
+case.  This module keeps no lattice; the caller that shares one holds it.
 """
 
 from __future__ import annotations
@@ -48,12 +52,10 @@ def unit_sphere_area(dim: int) -> float:
 
 
 def _raw_profile(r):
+    # at |r| >= 1 the clamp makes the exponent -1e300, so exp gives 0
+    # exactly; inside, 1 - r^2 >= 2^-53 keeps the clamp inactive
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    ri = r[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ri * ri))
-    return out
+    return np.exp(-1.0 / np.maximum(1.0 - r * r, 1e-300))
 
 
 def _raw_profile_deriv(r):
@@ -126,8 +128,9 @@ class KernelLattice:
     scatter of :attr:`GridKernel.box_amp` depend on these offsets alone.
     So every width that keeps the same offsets can share one lattice, and
     only its radial values differ (the ``lattice`` argument of
-    :class:`GridKernel`).  In 1-D the reach fixes the offsets, ``|o| <
-    width / h``, unless ``TAIL_CUT`` drops the edge pair.
+    :class:`GridKernel`, and the one lattice of a :func:`resample` stack).
+    In 1-D the reach fixes the offsets, ``|o| < width / h``, unless
+    ``TAIL_CUT`` drops the edge pair.
     """
 
     def __init__(self, cube: np.ndarray, radii: np.ndarray, h: float, kept: np.ndarray):
@@ -174,50 +177,23 @@ class GridKernel:
     The integer structure (the offset cube, the offsets, the box and its
     slots) is the kernel's :class:`KernelLattice`, built per offset set;
     the amplitudes, ``norm`` and the values of :attr:`box_amp` are built
-    per width.  Given a ``lattice``, the kernel is built on it when the
+    per width, by :func:`resample`, of which this constructor is the
+    one-width case.  Given a ``lattice``, the kernel is built on it when the
     width keeps exactly its offsets (then ``kernel.lattice is lattice``), on
     its cube when only the spacing and the reach are the same, and on a new
     lattice otherwise; it equals the kernel built without one in every
     value.
+
+    A kernel that :func:`resample` builds for several widths is a *stack*:
+    its ``width`` is a 1-D array of widths that keep the same offsets, and
+    ``amp``, ``sq``, ``norm`` and :attr:`box_amp` carry a leading width
+    axis, each width's values those of its own one-width kernel.
     """
 
     def __init__(self, dim: int, width: float, h: float,
                  lattice: Optional[KernelLattice] = None):
-        if h <= 0:
-            raise ValidationError("grid spacing must be positive")
-        if not width >= h:
-            raise ValidationError("kernel unresolved")
-        self.profile = BumpProfile(dim)
-        self.width = width
-        self.h = float(h)
-        self.dim = dim
-        reach = int(math.ceil(width / h))
-        # the cube depends on the spacing, the dimension and the reach alone
-        if lattice is not None and lattice.h == self.h and \
-                lattice.cube.shape == ((2 * reach + 1) ** dim, dim):
-            cube, radii = lattice.cube, lattice.radii
-        else:
-            lattice = None
-            cube = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
-            radii = np.sqrt((cube**2).sum(axis=1)) * h
-        inside = np.flatnonzero(radii < width)
-        raw = width ** (-dim / 2.0) * self.profile.radial(radii[inside] / width)
-        # an edge offset whose squared weight is negligible against the peak
-        # would only push rho * kappa under DENOM_FLOOR; it is dropped
-        sq = raw**2
-        keep = sq >= TAIL_CUT * sq.max()
-        kept, raw = inside[keep], raw[keep]
-        if lattice is None or not np.array_equal(kept, lattice.kept):
-            lattice = KernelLattice(cube, radii, self.h, kept)
-        self.lattice = lattice
-        self.offsets = lattice.offsets
-        self.halfwidth = lattice.halfwidth
-        norm = (raw**2).sum() * h**dim
-        if norm <= 0:
-            raise ValidationError("kernel unresolved")
-        self.norm = float(norm)
-        self.amp = raw / math.sqrt(norm)
-        self.sq = self.amp**2
+        (kernel,) = resample(dim, width, h, lattice)
+        vars(self).update(vars(kernel))
 
     @property
     def box(self) -> np.ndarray:
@@ -228,7 +204,8 @@ class GridKernel:
     def box_amp(self) -> np.ndarray:
         """``amp(b - o)`` per box slot ``b`` (rows) and kernel offset ``o``
         (columns), 0 where ``b - o`` is not a kernel offset, and a last row
-        of zeros for slot -1: nodes off the box.
+        of zeros for slot -1: nodes off the box; one table per width of a
+        stack.
 
         The package's one kernel operator.  For a center c, a vector on its
         box ``c + b`` times the squared table sums against ``kappa`` at
@@ -241,11 +218,83 @@ class GridKernel:
         (:attr:`KernelLattice.table_slots`).
         """
         n_offsets = len(self.offsets)
-        table = np.zeros((len(self.box) + 1, n_offsets))
-        table[self.lattice.table_slots, np.arange(n_offsets)] = self.amp[:, None]
+        table = np.zeros(self.amp.shape[:-1] + (len(self.box) + 1, n_offsets))
+        table[..., self.lattice.table_slots, np.arange(n_offsets)] = self.amp[..., :, None]
         return table
 
     def box_slot(self, diff) -> tuple:
         """Slots in :attr:`box` of integer offsets ``diff`` (..., dim), and
         whether each lies in the box; the slot of an offset outside is junk."""
         return self.lattice.box_slot(diff)
+
+
+def resample(dim: int, width, h: float, lattice: Optional[KernelLattice] = None) -> list:
+    """The kernels of one width, or of a 1-D array of widths, in one profile
+    evaluation per offset cube.
+
+    Consecutive widths of the same reach ``ceil(width / h)`` share one
+    cube, and the scaled profile is evaluated on it once for all of them.
+    Each run of consecutive widths that keep the same offsets then becomes
+    one :class:`GridKernel` stack on one lattice, so the list holds one
+    kernel per run, in order.  ``lattice`` is shared as by
+    :class:`GridKernel`, and each run's lattice in turn by the next run.
+    One width (a float) gives one one-width kernel,
+    ``GridKernel(dim, width, h, lattice)``.  Each width's values are those
+    of its own one-width kernel, bit for bit: the stack computes every
+    amplitude, sum and scale by the same operations, and the scale
+    ``width ** (-d/2)`` by Python's ``**``, as the one-width kernel does.
+    """
+    if h <= 0:
+        raise ValidationError("grid spacing must be positive")
+    one = np.ndim(width) == 0
+    widths = np.array(width, dtype=float, ndmin=1)
+    ws = widths.tolist()
+    if not all(x >= h for x in ws):
+        raise ValidationError("kernel unresolved")
+    profile = BumpProfile(dim)
+    reach = [math.ceil(x / h) for x in ws]
+    kernels = []
+    for lo, hi in _runs(reach):
+        r = reach[lo]
+        # the cube depends on the spacing, the dimension and the reach alone
+        if lattice is not None and lattice.h == float(h) and \
+                lattice.cube.shape == ((2 * r + 1) ** dim, dim):
+            cube, radii = lattice.cube, lattice.radii
+        else:
+            lattice = None
+            cube = np.indices((2 * r + 1,) * dim).reshape(dim, -1).T - r
+            radii = np.sqrt((cube**2).sum(axis=1)) * h
+        # one row per width; the profile is 0 at radii of w and beyond, so
+        # only the offsets with |o h| < w are kept
+        scale = np.array([x ** (-dim / 2.0) for x in ws[lo:hi]])
+        raw = scale[:, None] * profile.radial(radii / widths[lo:hi, None])
+        sq = raw**2
+        # an edge offset whose squared weight is negligible against the peak,
+        # the weight at the zero offset (the cube's middle row), would only
+        # push rho * kappa under DENOM_FLOOR; it is dropped
+        keep = sq >= TAIL_CUT * sq[:, len(cube) // 2, None]
+        for a, b in _runs(keep.tolist()):
+            kept = np.flatnonzero(keep[a])
+            if lattice is None or kept.tobytes() != lattice.kept.tobytes():
+                lattice = KernelLattice(cube, radii, float(h), kept)
+            run = raw[a:b].compress(keep[a], axis=1)
+            norm = (run**2).sum(axis=1) * h**dim
+            if not min(norm.tolist()) > 0:
+                raise ValidationError("kernel unresolved")
+            kernel = GridKernel.__new__(GridKernel)
+            kernel.profile, kernel.h, kernel.dim, kernel.lattice = profile, float(h), dim, lattice
+            kernel.offsets, kernel.halfwidth = lattice.offsets, lattice.halfwidth
+            kernel.width, kernel.norm = widths[lo + a:lo + b], norm
+            kernel.amp = run / np.sqrt(norm)[:, None]
+            if one:
+                kernel.width, kernel.norm, kernel.amp = width, float(norm[0]), kernel.amp[0]
+            kernel.sq = kernel.amp**2
+            kernels.append(kernel)
+    return kernels
+
+
+def _runs(keys: list) -> list:
+    """``(lo, hi)`` of each run of equal consecutive ``keys``."""
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    bounds = [0, *cuts, len(keys)]
+    return list(zip(bounds[:-1], bounds[1:]))

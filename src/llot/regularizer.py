@@ -39,10 +39,15 @@ The boxes, the windows and rho gathered on the boxes depend on the kernel's
 offsets alone, not on its width.  A :class:`PreparedPlan` keeps them for
 the most recent offset set (:meth:`PreparedPlan.on_lattice`), so a caller
 that smooths one prepared plan at many widths, as the sweep does, builds
-them once per run of widths with the same offsets; per width it builds the
-kernel's values, the table, the denominator, ``q`` and the transfer
-vectors.  On the sweep preset the 52 widths keep 4 offset sets and make 7
-builds.
+them once per run of widths with the same offsets.  Given the widths at
+once (:func:`smooth_widths`), it also builds the numbers once per run: the
+kernels' values, the tables, the denominators, ``q`` and the transfer
+vectors are stacks with a leading width axis, and the Coulomb integral
+(:func:`integrate_observable`) reads a stack with one set of live slots and
+cost blocks; :func:`smooth_plan` is the one-width case.  Each width's
+numbers equal those of its own one-width smoothing, bit for bit.  On the
+sweep preset the 52 widths keep 4 offset sets and make 7 lattice builds;
+the scan's 32 widths are 4 stacked passes, the 20 refined widths one each.
 Because kappa has unit discrete mass and atoms sit on nodes, the
 one-particle marginal of P_eps equals rho exactly (up to float rounding),
 for every eps.  A width at or below the grid spacing h resolves only the
@@ -71,7 +76,7 @@ from .grids import (
     separation,
     snap_to_grid,
 )
-from .mollifier import GridKernel
+from .mollifier import BumpProfile, GridKernel, resample
 
 DENOM_FLOOR = 1e-300
 MAX_TENSOR_ENTRIES = 1 << 22
@@ -82,7 +87,15 @@ SUPPORT_PAD = 3       # zero nodes around the support: the one-sided stencil's r
 
 
 class RegularizedPlan:
-    """Evaluator for the marginal-pinned smoothing of an atomic plan."""
+    """Evaluator for the marginal-pinned smoothing of an atomic plan.
+
+    A *stack* (:func:`smooth_widths`) holds the smoothings of a run of
+    widths that keep the same offsets: its ``eps`` and ``kernel.width`` are
+    the run's widths, and ``kernel``'s values, ``transfer`` and ``q`` carry
+    a leading width axis.  :meth:`center_masses` and
+    :func:`integrate_observable` read a stack; the other readers take one
+    width.
+    """
 
     def __init__(self, prep: "PreparedPlan", eps: float, kernel: GridKernel,
                  nodes: np.ndarray, transfer: np.ndarray, window: np.ndarray,
@@ -235,7 +248,7 @@ class RegularizedPlan:
 
     def center_masses(self) -> np.ndarray:
         """Quadrature mass of each transfer vector ``T_c``."""
-        return self.transfer.sum(axis=1) * self.grid.cell_volume
+        return self.transfer.sum(axis=-1) * self.grid.cell_volume
 
     def mass(self) -> float:
         masses = self.center_masses()[self.center_of]   # (n_atoms, n)
@@ -263,14 +276,14 @@ class RegularizedPlan:
         return GridDensity(self.grid, values.reshape(self.grid.shape))
 
 
-def kinetic_term(n: int, h1: float, kernel: GridKernel) -> float:
+def kinetic_term(n: int, h1: float, width: float, profile: BumpProfile) -> float:
     """``n * (H1(sqrt rho) + G / w^2)``, the kinetic part of the bound at
-    eta = 1, for the state built from ``kernel`` (``rp.kernel``).
-
-    ``w = kernel.width`` is the kernel's width, ``max(eps, h)`` (see
-    :func:`smooth_plan`), and ``G`` its profile's gradient moment.
+    eta = 1, for the state built from a kernel of width ``w = width`` and
+    profile ``profile`` (``rp.kernel.width``, ``max(eps, h)``: see
+    :func:`smooth_widths`, and ``rp.kernel.profile``); ``G`` is the
+    profile's gradient moment.
     """
-    return n * (h1 + kernel.profile.moments()[0] / kernel.width**2)
+    return n * (h1 + profile.moments()[0] / width**2)
 
 
 @dataclass
@@ -294,24 +307,27 @@ class PreparedPlan:
     # (lattice, nodes, window, rho_at) of the offset set smoothed last
     _on_lattice: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
-    def on_lattice(self, width: float) -> tuple:
-        """``(kernel, nodes, window, rho_at)`` at kernel width ``width``.
+    @property
+    def lattice(self):
+        """The :class:`~llot.mollifier.KernelLattice` of the offset set
+        smoothed last, or None; kernels built on it share it."""
+        return self._on_lattice[0]
 
-        ``kernel`` is ``GridKernel(dim, width, h, lattice)``, given the
-        lattice of the last call, which it reuses when the width keeps the
-        same offsets.  The rest depends on its offsets alone, and is built,
-        and checked, only when they change: ``nodes`` (n_centers, n_box),
-        the flat nodes of each center's box, -1 off the grid; ``window``
-        (n_centers, n_offsets), those of its offsets; ``rho_at``, rho
-        gathered on the boxes, 0 off the grid.  The support must keep a
-        kernel radius from the grid boundary, and every window must lie on
-        the grid.  The arrays are read-only, since every smoothing on the
-        set shares them.
+    def on_lattice(self, kernel: GridKernel) -> tuple:
+        """``(nodes, window, rho_at)`` on the offsets of ``kernel``, one width
+        or a stack.
+
+        They depend on its offsets alone, and are built, and checked, only
+        when its lattice is not the one of the last call (:attr:`lattice`):
+        ``nodes`` (n_centers, n_box), the flat nodes of each center's box,
+        -1 off the grid; ``window`` (n_centers, n_offsets), those of its
+        offsets; ``rho_at``, rho gathered on the boxes, 0 off the grid.  The
+        support must keep a kernel radius from the grid boundary, and every
+        window must lie on the grid.  The arrays are read-only, since every
+        smoothing on the set shares them.
         """
-        grid = self.rho.grid
-        lattice = self._on_lattice[0]
-        kernel = GridKernel(grid.dim, width, grid.h, lattice)
-        if kernel.lattice is not lattice:
+        if kernel.lattice is not self.lattice:
+            grid = self.rho.grid
             lo, hi = self.support
             if np.any(lo < kernel.halfwidth) or np.any(hi > grid.npts - 1 - kernel.halfwidth):
                 raise ValidationError(
@@ -327,7 +343,7 @@ class PreparedPlan:
             for a in (nodes, window, rho_at):
                 a.flags.writeable = False
             self._on_lattice = (kernel.lattice, nodes, window, rho_at)
-        return (kernel,) + self._on_lattice[1:]
+        return self._on_lattice[1:]
 
     @cached_property
     def pair_groups(self) -> list:
@@ -379,45 +395,68 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
 
 
 def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
-    """The marginal-pinned smoothing of a prepared plan at width ``eps``.
+    """The marginal-pinned smoothing of a prepared plan at width ``eps``:
+    the one-width case of :func:`smooth_widths`."""
+    (rp,) = smooth_widths(prep, eps)
+    return rp
+
+
+def smooth_widths(prep: PreparedPlan, eps) -> list:
+    """The marginal-pinned smoothings of a prepared plan at one width, or at
+    a 1-D array of widths in one pass per run of consecutive widths that
+    keep the same offsets.
 
     The one place that decides the kernel for a width: the grid's
-    dimension fixes the profile, and one :class:`GridKernel` of width
-    ``max(eps, h)`` serves the denominator, the windows and the transfer
-    vectors (see :func:`build_regularized` for ``eps < h``).  Requires
-    ``eps`` below a quarter of the plan separation and a kernel radius of
-    margin between the support and the grid boundary (required for the
-    exact identities).  The kernel's lattice, the boxes, the windows, the
-    boundary checks and ``rho`` on the boxes come from
-    :meth:`PreparedPlan.on_lattice`, built once per offset set and shared by
-    the smoothings at widths that keep the same offsets; the kernel's
-    values and everything below are built per width.  With ``S[b, o] =
-    kappa(b - o)``, the squared box table ``GridKernel.box_amp``, and
+    dimension fixes the profile, and one kernel of width ``max(eps, h)``
+    serves the denominator, the windows and the transfer vectors (see
+    :func:`build_regularized` for ``eps < h``).  Requires every ``eps``
+    below a quarter of the plan separation and a kernel radius of margin
+    between the support and the grid boundary (required for the exact
+    identities).  The kernels come from one
+    :func:`~llot.mollifier.resample` of the widths, one stack per run; each
+    run's lattice, boxes, windows, boundary checks and ``rho`` on the boxes
+    from :meth:`PreparedPlan.on_lattice`, built once per offset set and
+    shared by the runs and the later smoothings that keep it.  With ``S[b,
+    o] = kappa(b - o)``, the squared box table ``GridKernel.box_amp``, and
     ``rho`` gathered on each center's box (0 off the grid), two products
-    give the smoothing:
-    ``(rho * kappa)(c + o) = (rho @ S) * h^d`` on the windows, and, with
-    ``q = kappa / (rho * kappa)`` there, ``T_c = rho * (q @ S^T) * h^d`` on
-    the box.  ``rho * kappa`` at or below ``DENOM_FLOOR`` on a window is
-    rejected; ``TAIL_CUT`` keeps every kernel weight positive, so every
-    ``q`` is positive.
+    give the smoothing: ``(rho * kappa)(c + o) = (rho @ S) * h^d`` on the
+    windows, and, with ``q = kappa / (rho * kappa)`` there, ``T_c = rho *
+    (q @ S^T) * h^d`` on the box.  On a run both are stacked products, one
+    matrix product per width (BLAS), so each width's numbers are those of
+    its own one-width smoothing, bit for bit.  ``rho * kappa`` at or below
+    ``DENOM_FLOOR`` on a window is rejected; ``TAIL_CUT`` keeps every
+    kernel weight positive, so every ``q`` is positive.
+
+    One width (a float) gives a list of one :class:`RegularizedPlan`
+    (:func:`smooth_plan`); an array gives one stacked plan per run, whose
+    ``eps``, ``kernel``, ``transfer`` and ``q`` carry the run's widths.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValidationError(f"mollifier width must be positive and finite, got {eps!r}")
-    if not eps < prep.alpha / 4.0:
-        raise ValidationError(
-            f"mollifier too wide for separation {prep.alpha:.6g}: "
-            f"eps must be below {prep.alpha / 4.0:.6g}, got {eps:.6g}"
-        )
+    one = np.ndim(eps) == 0
+    eps = float(eps) if one else np.asarray(eps, dtype=float)
+    for e in [eps] if one else eps.tolist():
+        if not (e > 0 and math.isfinite(e)):
+            raise ValidationError(f"mollifier width must be positive and finite, got {e!r}")
+        if not e < prep.alpha / 4.0:
+            raise ValidationError(
+                f"mollifier too wide for separation {prep.alpha:.6g}: "
+                f"eps must be below {prep.alpha / 4.0:.6g}, got {e:.6g}"
+            )
     grid = prep.rho.grid
-    eps = float(eps)
-    kernel, nodes, window, rho_at = prep.on_lattice(max(eps, grid.h))
-    table = kernel.box_amp[:-1] ** 2                # kappa(b - o)
-    dz = rho_at @ table * grid.cell_volume          # (rho * kappa)(c + o)
-    if dz.min() <= DENOM_FLOOR:
-        raise ValidationError("density vanishes near plan support")
-    q = kernel.sq / dz
-    transfer = rho_at * (q @ table.T) * grid.cell_volume
-    return RegularizedPlan(prep, eps, kernel, nodes, transfer, window, q)
+    plans, start = [], 0
+    for kernel in resample(grid.dim, max(eps, grid.h) if one else np.maximum(eps, grid.h),
+                           grid.h, prep.lattice):
+        nodes, window, rho_at = prep.on_lattice(kernel)
+        table = kernel.box_amp[..., :-1, :] ** 2        # kappa(b - o)
+        dz = rho_at @ table * grid.cell_volume          # (rho * kappa)(c + o)
+        if dz.min() <= DENOM_FLOOR:
+            raise ValidationError("density vanishes near plan support")
+        q = kernel.sq[..., None, :] / dz
+        transfer = rho_at * (q @ table.swapaxes(-1, -2)) * grid.cell_volume
+        n = 1 if one else len(kernel.width)
+        plans.append(RegularizedPlan(prep, eps if one else eps[start:start + n],
+                                     kernel, nodes, transfer, window, q))
+        start += n
+    return plans
 
 
 def build_regularized(plan: AtomicPlan, rho: GridDensity, eps: float) -> RegularizedPlan:
@@ -463,7 +502,7 @@ def kinetic_of_sqrt(rp: RegularizedPlan) -> float:
     return float(total * rp.grid.cell_volume**rp.n)
 
 
-def integrate_observable(rp: RegularizedPlan) -> float:
+def integrate_observable(rp: RegularizedPlan) -> float | np.ndarray:
     """Integral of the Coulomb cost :func:`~llot.grids.coulomb` against the
     smoothed plan, by the pair form
 
@@ -487,18 +526,25 @@ def integrate_observable(rp: RegularizedPlan) -> float:
     node: no entry is singular.  The working set is one group's rows and
     block: on the 1024-node paired plan (one group of 259 orbits, 101-node
     boxes) 1.0 MB traced.
+
+    A stack (:func:`smooth_widths`) gives one integral per width, an array:
+    its widths keep the same offsets, so the live slots and each group's
+    block are formed once for all of them, and the products are stacked,
+    one matrix product per width.  One smoothing gives a float.
     """
     grid = rp.grid
     masses = rp.center_masses()
-    live = np.flatnonzero(rp.transfer.any(axis=0))
+    live = np.flatnonzero(rp.transfer.reshape(-1, rp.transfer.shape[-1]).any(axis=0))
     box = rp.kernel.box[live]
     diff = box[None, :, :] - box[:, None, :]                         # b' - b
     total = 0.0
     for offset, cj, ck, weights, others in rp.pair_groups:
         cost = 1.0 / (np.sqrt(((offset + diff) ** 2).sum(axis=-1)) * grid.h)
-        left = (weights * masses[others].prod(axis=1))[:, None] * rp.transfer[cj[:, None], live]
-        total += ((left @ cost) * rp.transfer[ck[:, None], live]).sum()
-    return float(total * grid.cell_volume**2)
+        left = (weights * masses[..., others].prod(axis=-1))[..., None] * \
+            rp.transfer[..., cj[:, None], live]
+        total += ((left @ cost) * rp.transfer[..., ck[:, None], live]).sum(axis=(-2, -1))
+    total = total * grid.cell_volume**2
+    return total if rp.transfer.ndim == 3 else float(total)
 
 
 def potential_error(rp: RegularizedPlan) -> tuple:

@@ -10,7 +10,11 @@ with w = max(eps, h) the width of the grid kernel and V(eps) the integral of
 the Coulomb cost against P_eps; its minimum over eps exceeds E_OT by
 O(sqrt(eta) + eta).  V does not depend on eta, so one :class:`TrialCurve`
 per (rho, plan) smooths each width once and serves every eta.  The sweep
-optimizes eps per eta, records the gap, and fits the log-log rate.
+optimizes eps per eta, records the gap, and fits the log-log rate.  The
+scan's widths are smoothed and integrated together, one stacked pass per
+run of widths that keep the same kernel offsets
+(:func:`~llot.regularizer.smooth_widths`): on the sweep preset its 32
+widths are 4 passes, and each refined width is a one-width pass.
 
 eps is optimized over the feasible window ``[2h, alpha/4 * (1 - 1e-3)]``
 to ``EPS_REL_TOL`` relative, on one path; the window is empty when the
@@ -53,7 +57,7 @@ from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient
 from .mollifier import BumpProfile
 from .mmot import TransportProblem, require_finite_positive, solve_lp
 from .regularizer import PreparedPlan, coulomb_smoothing_rate, integrate_observable
-from .regularizer import kinetic_term, prepare_plan, smooth_plan
+from .regularizer import kinetic_term, prepare_plan, smooth_plan, smooth_widths
 
 N_SCAN = 32   # geometric pre-scan points of the eps optimization
 # relative precision of the eps search: Brent's final bracket lies within
@@ -115,15 +119,18 @@ class TrialCurve:
     ``V(eps)`` and the kinetic term at eta = 1 are memoized per exact float
     eps and shared by every eta; the plan is prepared for smoothing once, on
     first use, and the window is scanned once, on the first
-    :meth:`optimize`.  The kinetic term is closed form (:func:`kinetic_term`)
-    from ``H1(sqrt rho)``, computed once per curve, and the width and
-    gradient moment of each smoothing's kernel.
+    :meth:`optimize`.  The scan memoizes its widths from stacked passes; a
+    width first asked for later, as Brent's are, is smoothed alone.  Both
+    give a width the same numbers, bit for bit.  The kinetic term is closed
+    form (:func:`kinetic_term`) from ``H1(sqrt rho)``, computed once per
+    curve, and the width and gradient moment of each smoothing's kernel.
     """
 
     def __init__(self, rho: GridDensity, plan: AtomicPlan):
         self.rho = rho
         self.plan = plan
         self.h1 = h1_seminorm_sqrt(rho)
+        self.profile = BumpProfile(rho.grid.dim)
         self._smoothed_at: dict = {}
 
     @cached_property
@@ -136,9 +143,12 @@ class TrialCurve:
         eps = float(eps)
         if eps not in self._smoothed_at:
             rp = smooth_plan(self.prepared, eps)
-            self._smoothed_at[eps] = (integrate_observable(rp),
-                                      kinetic_term(self.plan.n, self.h1, rp.kernel))
+            self._smoothed_at[eps] = (integrate_observable(rp), self._kinetic(rp.kernel.width))
         return self._smoothed_at[eps]
+
+    def _kinetic(self, width: float) -> float:
+        """The kinetic term at eta = 1 for a kernel of width ``width``."""
+        return kinetic_term(self.plan.n, self.h1, width, self.profile)
 
     def energy(self, eps: float, eta: float) -> TrialEnergy:
         potential, kinetic_at_one = self._smoothed(eps)
@@ -154,11 +164,22 @@ class TrialCurve:
     @cached_property
     def _scan(self) -> tuple:
         """``(xs, V, K)``: the ``N_SCAN`` geometric widths of :meth:`window`,
-        its bounds included, and ``V`` and the eta = 1 kinetic term at each."""
+        its bounds included, and ``V`` and the eta = 1 kinetic term at each.
+
+        The widths are smoothed and integrated in one
+        :func:`~llot.regularizer.smooth_widths` call: one stacked pass per
+        run of widths that keep the same offsets, with every check of the
+        one-width path (the width bounds, the boundary margin,
+        ``DENOM_FLOOR``), so a width that fails one fails the scan.  The
+        table is read back through :meth:`_smoothed`."""
         lo, hi = self.window()
         if lo >= hi:
             raise ValidationError(f"empty feasible eps interval: [{lo:.4g}, {hi:.4g}]")
         xs = np.geomspace(lo, hi, N_SCAN)
+        for rp in smooth_widths(self.prepared, xs):
+            for eps, width, potential in zip(rp.eps.tolist(), rp.kernel.width.tolist(),
+                                             integrate_observable(rp).tolist()):
+                self._smoothed_at[eps] = (potential, self._kinetic(width))
         potential, kinetic = np.array([self._smoothed(x) for x in xs]).T
         return xs, potential, kinetic
 
@@ -275,7 +296,7 @@ def sweep(rho: GridDensity, n: int, eta_list) -> SweepResult:
     sol = solve_lp(problem)
     curve = TrialCurve(rho, sol.plan)
     alpha = curve.prepared.alpha
-    grad_moment, second_moment = BumpProfile(rho.grid.dim).moments()
+    grad_moment, second_moment = curve.profile.moments()
     l1g = l1_gradient(rho)
     window = curve.window()
     edges = dict(zip(window, ("lower", "upper")))

@@ -211,6 +211,23 @@ def three_cluster_plan():
     return grid, AtomicPlan(3, 1, configs, w / w.sum()), 6 * grid.h
 
 
+def diagonal_pair_plan():
+    """n = 2 plan on a 21 x 21 grid of spacing 1: each node of a 3 x 3
+    cos^4 cluster at (4..6, 4..6) with its (10, 10) translate, one orbit per
+    node.  Its separation is 10 sqrt 2, so the eps window is [2, 3.53]; the
+    32 scan widths keep 6 offset sets on 3 offset cubes, and ``TAIL_CUT``
+    drops edge offsets with ``|o h| < w`` at two of them (2.834 and 3.164).
+    Returns ``(rho, plan)``."""
+    grid = Grid(dim=2, origin=np.zeros(2), h=1.0, npts=21)
+    idx = np.arange(4, 7)
+    profile = cos4_window((idx - 5) / 2.0)
+    weights = np.outer(profile, profile).ravel()
+    nodes = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1).reshape(-1, 2)
+    plan = plan_from_atoms([(np.stack([x, x + 10.0]), w / weights.sum())
+                            for x, w in zip(nodes.astype(float), weights)], dim=2)
+    return marginal(plan, grid), plan
+
+
 class OrbitalSet:
     """Localized orbitals amp(x - z_k), optionally weighted by sqrt(rho)."""
 

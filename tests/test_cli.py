@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import llot
-from llot import cli, fileio, mmot, semiclassics
+from llot import cli, fileio, mmot, regularizer, semiclassics
 from llot.grids import Grid, marginal
 from llot.mmot import TransportProblem, solve_lp
 from llot.presets import sweep_density
@@ -613,6 +613,9 @@ def cli_files(paired_files, sixteen_csv, tmp_path_factory):
         '{"n": 2, "dim": 0, "atoms": [{"x": [[], []], "w": 1.0}]}')
     (root / "density.csv").write_text("x,value\n0.0,abc\n1.0,1.0\n")
     (root / "mass_2.5.csv").write_text("x,value\n0.0,1.25\n1.0,1.25\n")
+    # the byte 0xff, which no UTF-8 text holds
+    (root / "latin1.json").write_bytes(b'{"n": 2, "dim": 1, "atoms": "\xff"}')
+    (root / "latin1.csv").write_bytes(b"x,value\n0.0,\xff\n1.0,1.0\n")
     fileio.write_density(root / "preset.csv", sweep_density())
     return {"plan": plan_path, "density": density_path, "eps": repr(eps),
             "sixteen": sixteen_csv, "preset": root / "preset.csv",
@@ -620,6 +623,7 @@ def cli_files(paired_files, sixteen_csv, tmp_path_factory):
             "ragged_plan": root / "ragged.json", "plan_2d": root / "plan_2d.json",
             "plan_0d": root / "plan_0d.json", "bad_density": root / "density.csv",
             "mass_2_5_density": root / "mass_2.5.csv",
+            "latin1_plan": root / "latin1.json", "latin1_density": root / "latin1.csv",
             "missing_dir": root / "missing" / "plan.json"}
 
 
@@ -641,6 +645,12 @@ def out_is_a_directory(monkeypatch):
                         lambda path, report: write(Path(path).parent, report))
 
 
+def floor_one_scan_width(monkeypatch):
+    """Of the preset's 32 scan widths, only the 25th, the first of the last
+    stacked pass, has rho * kappa below this floor on a window."""
+    monkeypatch.setattr(regularizer, "DENOM_FLOOR", 1e-100)
+
+
 REGULARIZE = ["regularize", "--density", "{density}", "--eps", "{eps}"]
 QUANTUM = ["quantum-check", "--density", "{density}", "--eps", "{eps}", "--samples", "20"]
 MMOT = ["mmot", "--n", "2"]
@@ -655,6 +665,7 @@ EXIT_CODES = [
      REGULARIZE + ["--plan", "{plan}", "--out", "{tmp}"], None, 1),
     ("regularize-plan-of-another-dimension", REGULARIZE + ["--plan", "{plan_2d}"], None, 1),
     ("regularize-plan-of-dimension-0", REGULARIZE + ["--plan", "{plan_0d}"], None, 1),
+    ("regularize-plan-not-utf8", REGULARIZE + ["--plan", "{latin1_plan}"], None, 1),
     ("quantum-check-valid", QUANTUM + ["--plan", "{plan}"], None, 0),
     ("quantum-check-malformed", QUANTUM + ["--plan", "{ragged_plan}"], None, 1),
     ("quantum-check-plan-of-another-dimension", QUANTUM + ["--plan", "{plan_2d}"],
@@ -666,6 +677,7 @@ EXIT_CODES = [
     ("mmot-valid", MMOT + ["--density", "{sixteen}"], None, 0),
     ("mmot-malformed", MMOT + ["--density", "{bad_density}"], None, 1),
     ("mmot-mass-neither-1-nor-n", MMOT + ["--density", "{mass_2_5_density}"], None, 1),
+    ("mmot-density-not-utf8", MMOT + ["--density", "{latin1_density}"], None, 1),
     ("mmot-out-is-a-directory", MMOT + ["--density", "{sixteen}"], out_is_a_directory, 1),
     ("mmot-plan-out-in-missing-dir",
      MMOT + ["--density", "{sixteen}", "--plan-out", "{missing_dir}"], None, 1),
@@ -685,6 +697,8 @@ EXIT_CODES = [
     ("sweep-out-in-missing-dir-writes-no-csv",
      SWEEP + ["--etas", "1e-3:1e-1:3", "--csv", "{tmp}/records.csv",
               "--out", "{tmp}/missing/report.json"], None, 1),
+    ("sweep-scan-width-under-denominator-floor",
+     SWEEP + ["--etas", "1e-3:1e-1:3", "--csv", "{tmp}/records.csv"], floor_one_scan_width, 1),
     # the 16-site plan's separation is 7h: no eta can run
     ("sweep-empty-window", ["sweep", "--density", "{sixteen}", "--n", "2", "--etas",
                             "1e-3:1e-1:3", "--csv", "{tmp}/records.csv"], None, 1),

@@ -59,6 +59,16 @@ def read_text(reader, text):
     return functools.partial(write_then_read, reader, text)
 
 
+def read_latin1(reader, text):
+    """A row's call like :func:`read_text`'s, with ``text`` written Latin-1
+    encoded, where ``\xff`` is the byte 0xff, which no UTF-8 text holds; not
+    a ``functools.partial``, since the oracles read text only."""
+    def call(path):
+        path.write_bytes(text.encode("latin-1"))
+        reader(path)
+    return call
+
+
 def write_2d_density(path):
     grid = Grid(dim=2, origin=np.zeros(2), h=0.5, npts=2)
     fileio.write_density(path, density_from_values(grid, np.ones((2, 2)), normalize=True))
@@ -124,6 +134,10 @@ MALFORMED = [
                  "atom 1: x must be a numeric array", None, id="bool-w"),
     pytest.param(read_text(fileio.read_plan, plan_json([[0.0], [1.0]], [10**400])),
                  "atom 0: x must be a numeric array", None, id="overflowing-int-w"),
+    pytest.param(read_latin1(fileio.read_density, "x,value\n0.0,\xff\n1.0,1.0\n"),
+                 "not UTF-8 text", None, id="density-not-utf8"),
+    pytest.param(read_latin1(fileio.read_plan, '{"n": 2, "dim": 1, "atoms": "\xff"}'),
+                 "not UTF-8 text", None, id="plan-not-utf8"),
 ]
 
 

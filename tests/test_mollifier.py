@@ -12,6 +12,7 @@ from llot.mollifier import (
     BumpProfile,
     GridKernel,
     _raw_profile,
+    resample,
     unit_sphere_area,
 )
 from oracles import amp_at, convolve_sq, offset_sum
@@ -184,6 +185,31 @@ def test_a_kernel_sharing_a_lattice_equals_a_new_one(dim, old_h, first, then, sh
     assert (k.norm, k.halfwidth, k.width, k.h) == (new.norm, new.halfwidth, new.width, new.h)
     assert (k.lattice is old.lattice) == (shared == "lattice")
     assert (k.lattice.cube is old.lattice.cube) == (shared is not None)
+
+
+@pytest.mark.parametrize("dim, widths, runs", [
+    (1, [2.5, 2.7, 3.0001, 3.5, 3.2, 2.6], [2, 1, 2, 1]),
+    (2, [1.1, 1.5, 1.45, 4.007, 4.6, 4.55], [1, 2, 1, 2]),
+], ids=["1", "2-tail-cut"])
+def test_a_stack_equals_its_one_width_kernels(dim, widths, runs):
+    # one kernel per run of consecutive widths with the same offsets: in
+    # 1-D, 3.0001 h keeps the offsets of 2.5 h (TAIL_CUT drops the pair at
+    # 3 h) on another cube, and 2.6 h returns to the first set; in 2-D,
+    # 1.1 h keeps the axes only and 4.007 h drops the four offsets at 4 h.
+    # Each width's row is its one-width kernel, bit for bit
+    stacks = resample(dim, np.array(widths), 1.0)
+    assert [len(k.width) for k in stacks] == runs
+    rows = [(k, i) for k in stacks for i in range(len(k.width))]
+    for w, (k, i) in zip(widths, rows):
+        one = GridKernel(dim, w, 1.0)
+        assert k.width[i] == w and k.norm[i] == one.norm
+        assert np.array_equal(k.offsets, one.offsets)
+        for name in ("amp", "sq", "box_amp"):
+            assert np.array_equal(getattr(k, name)[i], getattr(one, name)), name
+    for before, k in zip(stacks, stacks[1:]):
+        assert k.lattice is not before.lattice
+        same_reach = before.lattice.cube.shape == k.lattice.cube.shape
+        assert (k.lattice.cube is before.lattice.cube) == same_reach
 
 
 @pytest.mark.parametrize("dim", [1, 2])

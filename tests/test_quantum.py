@@ -217,7 +217,7 @@ def test_density_matches_classical_marginal_nodewise(smooth_state):
 def continuum_kinetic(rp):
     """The continuum kinetic energy that ``quantum-check`` reports beside
     :func:`kinetic_trace`: :func:`kinetic_term` of sqrt(rho) at the width."""
-    return kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho), rp.kernel)
+    return kinetic_term(rp.n, h1_seminorm_sqrt(rp.rho), rp.kernel.width, rp.kernel.profile)
 
 
 def test_kinetic_trace_single_particle():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from llot import mollifier, semiclassics
+from llot import mollifier, regularizer, semiclassics
 from llot.errors import NumericalError, ValidationError
-from llot.grids import h1_seminorm_sqrt, separation
+from llot.grids import h1_seminorm_sqrt, marginal, separation
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile
 from llot.presets import SWEEP_ETAS, SWEEP_SCALE, sweep_density
@@ -19,7 +19,8 @@ from llot.semiclassics import (
     trial_energy,
 )
 from instances import sixteen_site_density
-from oracles import refined_sweep_density, three_cluster_density
+from oracles import (diagonal_pair_plan, refined_sweep_density, three_cluster_density,
+                     three_cluster_plan)
 
 
 @pytest.fixture(scope="module")
@@ -249,15 +250,17 @@ def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
     # of 9 widths for each interior record.  The search at eta 4.64e-3 took
     # 10 widths when the smoothing summed by slice-adds: its totals round
     # differently under the box-table products, and Brent's path follows
-    # the rounding
+    # the rounding.  The widths are counted at smooth_widths, which the
+    # scan calls once for its 32 widths and smooth_plan once per width
     widths = []
-    smooth = semiclassics.smooth_plan
+    stacked = regularizer.smooth_widths
 
-    def counting_smooth(prep, eps):
-        widths.append(eps)
-        return smooth(prep, eps)
+    def counting(prep, eps):
+        widths.extend(np.ravel(eps).tolist())
+        return stacked(prep, eps)
 
-    monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
+    monkeypatch.setattr(regularizer, "smooth_widths", counting)
+    monkeypatch.setattr(semiclassics, "smooth_widths", counting)
     result = sweep(sweep_density(), 2, SWEEP_ETAS)
     assert len(widths) == 52
     lo, hi = result.eps_window
@@ -273,20 +276,92 @@ def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
 def test_preset_sweep_builds_seven_kernel_lattices_for_its_52_widths(monkeypatch):
     # the 52 widths keep 4 offset sets (3, 5, 7 and 9 offsets), and the
     # sweep's order of widths switches set 6 times; the prepared plan keeps
-    # the last set only, so each switch is one build
-    builds = []
+    # the last set only, so each switch is one build.  The 32 scan widths
+    # are one stacked pass per set, runs of 1, 14, 10 and 7 widths; the 20
+    # refined widths are one-width passes
+    builds, passes = [], []
     lattice = mollifier.KernelLattice
+    stacked = semiclassics.smooth_widths
 
     def counting_lattice(*args):
         built = lattice(*args)
         builds.append(len(built.offsets))
         return built
 
+    def recording(prep, eps):
+        rps = stacked(prep, eps)
+        passes.append([(np.size(rp.eps), len(rp.kernel.offsets)) for rp in rps])
+        return rps
+
     monkeypatch.setattr(mollifier, "KernelLattice", counting_lattice)
+    monkeypatch.setattr(semiclassics, "smooth_widths", recording)
     result = sweep(sweep_density(), 2, SWEEP_ETAS)
     assert result.widths_smoothed == 52
     assert len(builds) == 7
     assert sorted(set(builds)) == [3, 5, 7, 9]
+    assert passes == [[(1, 3), (14, 5), (10, 7), (7, 9)]]
+
+
+def three_cluster_curve_inputs():
+    grid, plan, _ = three_cluster_plan()
+    return marginal(plan, grid), plan
+
+
+def preset_curve_inputs():
+    rho = sweep_density()
+    return rho, solve_lp(TransportProblem(2, rho)).plan
+
+
+@pytest.mark.parametrize("inputs, runs", [
+    (preset_curve_inputs, [1, 14, 10, 7]),
+    (diagonal_pair_plan, [1, 6, 13, 3, 3, 6]),
+    (three_cluster_curve_inputs, [1, 7, 6, 4, 4, 3, 2, 2, 1, 2]),
+], ids=["preset", "2-d-tail-cut", "n3-others"])
+def test_scan_table_equals_the_one_width_path(monkeypatch, inputs, runs):
+    # every scan width's (V, K) from its stacked pass against a fresh
+    # curve's one-width smoothing: V to 1e-14 relative, K bit for bit.  The
+    # 2-D plan's cube is 2-D and TAIL_CUT drops edge offsets at two scan
+    # widths; the n = 3 plan's pair groups carry the third center's mass
+    rho, plan = inputs()
+    stacked = semiclassics.smooth_widths
+    sizes = []
+
+    def recording(prep, eps):
+        rps = stacked(prep, eps)
+        sizes.extend(np.size(rp.eps) for rp in rps)
+        return rps
+
+    monkeypatch.setattr(semiclassics, "smooth_widths", recording)
+    xs, potential, kinetic = TrialCurve(rho, plan)._scan
+    assert sizes == runs
+    monkeypatch.undo()
+    for x, v, k in zip(xs, potential, kinetic):
+        v_one, k_one = TrialCurve(rho, plan)._smoothed(x)
+        assert abs(v - v_one) <= 1e-14 * abs(v_one), x
+        assert k == k_one, x
+
+
+def shifted_preset():
+    """The preset moved one node down: its support starts 3 nodes from the
+    grid's first, inside the 4-node reach of the widest scan widths."""
+    rho = sweep_density()
+    return type(rho)(rho.grid, np.roll(rho.values, -1))
+
+
+@pytest.mark.parametrize("density, floor, match", [
+    (sweep_density, 1e-100, "density vanishes near plan support"),
+    (shifted_preset, regularizer.DENOM_FLOOR, "too close to the grid boundary"),
+], ids=["denominator-floor", "boundary-margin"])
+def test_a_scan_width_that_fails_a_check_rejects_the_sweep(monkeypatch, density, floor,
+                                                           match):
+    # on the preset only the 25th scan width, the first of the last stacked
+    # pass, has rho * kappa below 1e-100 on a window; on the shifted preset
+    # only the last pass, 9 offsets wide, reaches past the grid.  Either
+    # rejects the whole sweep before any eta runs
+    monkeypatch.setattr(regularizer, "DENOM_FLOOR", floor)
+    monkeypatch.setattr(TrialCurve, "optimize", lambda self, eta: pytest.fail("eta ran"))
+    with pytest.raises(ValidationError, match=match):
+        sweep(density(), 2, SWEEP_ETAS)
 
 
 # The scaling law x -> lam x (ROADMAP item 20): on the grid of spacing
