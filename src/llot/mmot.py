@@ -5,11 +5,12 @@ repeat-free multisets of support sites (the symmetric, infinite-diagonal
 structure shrinks the variable set by n! and removes the singular
 configurations), solved by scipy's HiGHS, and an entropic fixed-point
 iteration with one shared scaling potential.  The LP runs on the costs over
-their smallest one and checks its Kantorovich certificate on every multiset, raising
-on a failure; the entropic path converges to the LP value as the inverse
-temperature grows and reports whether it met its tolerance.  scipy (HiGHS
-and its sparse matrices) is imported on the first LP solve, not with this
-module, so code that never solves an LP never loads it.
+their smallest one, at HiGHS feasibility tolerances of ``DUAL_TOL`` (dual)
+and ``PRIMAL_TOL`` (primal), and checks its Kantorovich certificate on every
+multiset, raising on a failure; the entropic path converges to the LP value
+as the inverse temperature grows and reports whether it met its tolerance.
+scipy (HiGHS and its sparse matrices) is imported on the first LP solve, not
+with this module, so code that never solves an LP never loads it.
 
 The entropic iteration works on scalings against an absorbed kernel: the
 Gibbs tensor is re-based on a reference potential and shifted by its row
@@ -36,6 +37,9 @@ PRUNE_THRESHOLD = 1e-9  # atoms below this share of the total weight are dropped
 DAMPING = 0.5  # share of the log-marginal correction applied per Sinkhorn step
 ABSORB_RANGE = 50.0  # max |f - f0| before the Sinkhorn kernel is re-based
 DUAL_TOL = 1e-9  # largest dual violation of the LP, as a share of its value
+# HiGHS's primal feasibility tolerance, the smallest it accepts: at its default
+# (1e-7) a 274-site d = 2 plan missed its marginal by 2e-6 in L1
+PRIMAL_TOL = 1e-10
 
 
 @dataclass
@@ -93,8 +97,10 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     Variables are repeat-free multisets of support sites; the marginal
     constraint row for site i collects count_i(multiset)/n.  HiGHS solves the
     program on the costs over their smallest one, at a dual feasibility
-    tolerance of ``DUAL_TOL``; its equality-row duals, times that cost, over
-    n give a Kantorovich potential v with sum_j v(x_j) <= cost(X).
+    tolerance of ``DUAL_TOL`` and a primal one of ``PRIMAL_TOL``, so that the
+    plan's binned marginal meets rho well inside
+    :data:`llot.regularizer.MARGINAL_TOL`; its equality-row duals, times that cost, over n give a
+    Kantorovich potential v with sum_j v(x_j) <= cost(X).
     The reduced costs ``cost(X) - sum_j v(x_j)`` over every multiset are the
     certificate: lowering v by ``max_violation / n`` makes it feasible, so
     the value exceeds the optimum by at most ``duality_gap + max_violation``,
@@ -137,7 +143,8 @@ def solve_lp(p: TransportProblem) -> TransportSolution:
     # or spanning many decades, it stops at a suboptimal vertex
     scale = float(costs.min())
     res = linprog(costs / scale, A_eq=a, b_eq=masses, bounds=(0, None), method="highs",
-                  options={"dual_feasibility_tolerance": DUAL_TOL, "presolve": False})
+                  options={"dual_feasibility_tolerance": DUAL_TOL,
+                           "primal_feasibility_tolerance": PRIMAL_TOL, "presolve": False})
     if res.status == 2:
         raise ValidationError("linear program infeasible")
     if res.status != 0:

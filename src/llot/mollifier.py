@@ -7,25 +7,25 @@ profile integrates to one.  At width ``w`` it is scaled to
 normalized in the squared sense.
 
 For grid work the scaled profile is *resampled and renormalized* once, by
-:class:`GridKernel`: its values on the integer offset lattice are divided by
+:func:`resample`: its values on the integer offset lattice are divided by
 the square root of their own quadrature sum, so the squared kernel has unit
 discrete mass exactly.  Every downstream identity (marginal pinning, unit
 trace) is exact in floating point because of this.  The kernel is applied
 in one form only, its box table :attr:`GridKernel.box_amp`: the smoothing
-(:func:`llot.regularizer.smooth_plan`) sums with its squares, and the
+(:func:`llot.regularizer.smooth_widths`) sums with its squares, and the
 mixed state of :mod:`llot.quantum` reads its amplitudes.
 
 A kernel has two halves.  Its :class:`KernelLattice` is the integer
 structure: the offset cube, the offsets it keeps, the box and the slots of
 the box table.  It depends on the width only through the set of offsets
 kept, so it is built once per offset set, and the kernels of widths that
-keep the same set can share it: ``GridKernel(dim, width, h, lattice)``.
-The numbers are the width's: the amplitudes, ``norm`` and the table's
-values.  :func:`resample` builds them for many widths at once: one profile
-evaluation per offset cube, and one kernel *stack* per run of consecutive
-widths that keep the same set, whose values carry a leading width axis and
-equal each width's own kernel bit for bit.  ``GridKernel`` is its one-width
-case.  This module keeps no lattice; the caller that shares one holds it.
+keep the same set share it.  The numbers are the width's: the amplitudes,
+``norm`` and the table's values.  :func:`resample` is the one place that
+computes them, for one width or many at once: one profile evaluation per
+offset cube, and one kernel *stack* per run of consecutive widths that keep
+the same set, whose values carry a leading width axis.  A one-width kernel
+is row 0 of a stack of one (:func:`llot.regularizer.smooth_plan`).  This
+module keeps no lattice; the caller that shares one holds it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -93,7 +92,7 @@ def _moments(dim: int) -> tuple:
 class BumpProfile:
     """Radial bump with support in the unit ball and unit squared mass."""
 
-    dim: int = 1
+    dim: int
 
     @property
     def c(self) -> float:
@@ -128,7 +127,7 @@ class KernelLattice:
     scatter of :attr:`GridKernel.box_amp` depend on these offsets alone.
     So every width that keeps the same offsets can share one lattice, and
     only its radial values differ (the ``lattice`` argument of
-    :class:`GridKernel`, and the one lattice of a :func:`resample` stack).
+    :func:`resample`, and the one lattice of its stacks).
     In 1-D the reach fixes the offsets, ``|o| < width / h``, unless
     ``TAIL_CUT`` drops the edge pair.
     """
@@ -174,26 +173,23 @@ class GridKernel:
     ``profile`` keeps the continuum profile for the closed-form moments and
     the continuum orbitals.
 
-    The integer structure (the offset cube, the offsets, the box and its
-    slots) is the kernel's :class:`KernelLattice`, built per offset set;
-    the amplitudes, ``norm`` and the values of :attr:`box_amp` are built
-    per width, by :func:`resample`, of which this constructor is the
-    one-width case.  Given a ``lattice``, the kernel is built on it when the
-    width keeps exactly its offsets (then ``kernel.lattice is lattice``), on
-    its cube when only the spacing and the reach are the same, and on a new
-    lattice otherwise; it equals the kernel built without one in every
-    value.
-
-    A kernel that :func:`resample` builds for several widths is a *stack*:
-    its ``width`` is a 1-D array of widths that keep the same offsets, and
-    ``amp``, ``sq``, ``norm`` and :attr:`box_amp` carry a leading width
-    axis, each width's values those of its own one-width kernel.
+    The constructor stores the numbers that :func:`resample` computed and
+    derives the rest from the ``lattice`` (:class:`KernelLattice`: ``h``,
+    the offsets, the box and its slots) and the ``profile`` (``dim``).  A
+    kernel from :func:`resample` is a *stack*: its ``width`` is a 1-D array
+    of widths that keep the same offsets, and ``amp``, ``sq``, ``norm`` and
+    :attr:`box_amp` carry a leading width axis.  A one-width kernel, a float
+    ``width`` with row 0 of a stack's numbers, is made by
+    :func:`llot.regularizer.smooth_plan`.
     """
 
-    def __init__(self, dim: int, width: float, h: float,
-                 lattice: Optional[KernelLattice] = None):
-        (kernel,) = resample(dim, width, h, lattice)
-        vars(self).update(vars(kernel))
+    def __init__(self, lattice: KernelLattice, profile: BumpProfile, width,
+                 norm, amp: np.ndarray):
+        self.lattice, self.profile = lattice, profile
+        self.width, self.norm, self.amp = width, norm, amp
+        self.h, self.dim = lattice.h, profile.dim
+        self.offsets, self.halfwidth = lattice.offsets, lattice.halfwidth
+        self.sq = amp**2
 
     @property
     def box(self) -> np.ndarray:
@@ -228,25 +224,27 @@ class GridKernel:
         return self.lattice.box_slot(diff)
 
 
-def resample(dim: int, width, h: float, lattice: Optional[KernelLattice] = None) -> list:
-    """The kernels of one width, or of a 1-D array of widths, in one profile
-    evaluation per offset cube.
+def resample(dim: int, width, h: float, lattice: KernelLattice | None = None) -> list:
+    """The kernel stacks of one width, or of a 1-D array of widths, in one
+    profile evaluation per offset cube: the one place that computes kernel
+    values.
 
     Consecutive widths of the same reach ``ceil(width / h)`` share one
     cube, and the scaled profile is evaluated on it once for all of them.
     Each run of consecutive widths that keep the same offsets then becomes
     one :class:`GridKernel` stack on one lattice, so the list holds one
-    kernel per run, in order.  ``lattice`` is shared as by
-    :class:`GridKernel`, and each run's lattice in turn by the next run.
-    One width (a float) gives one one-width kernel,
-    ``GridKernel(dim, width, h, lattice)``.  Each width's values are those
-    of its own one-width kernel, bit for bit: the stack computes every
-    amplitude, sum and scale by the same operations, and the scale
-    ``width ** (-d/2)`` by Python's ``**``, as the one-width kernel does.
+    stack per run, in order; one width gives a list of one stack of one.
+    Given a ``lattice``, a run is built on it when its widths keep exactly
+    its offsets (then ``kernel.lattice is lattice``), on its cube when only
+    the spacing and the reach are the same, and on a new lattice otherwise;
+    each run's lattice is offered in turn to the next run.  The values
+    equal those built without one.  Each width's values do not depend on
+    the other widths of its stack: every amplitude, sum and scale is
+    computed per width by the same operations, and the scale ``width **
+    (-d/2)`` by Python's ``**``.
     """
     if h <= 0:
         raise ValidationError("grid spacing must be positive")
-    one = np.ndim(width) == 0
     widths = np.array(width, dtype=float, ndmin=1)
     ws = widths.tolist()
     if not all(x >= h for x in ws):
@@ -281,15 +279,8 @@ def resample(dim: int, width, h: float, lattice: Optional[KernelLattice] = None)
             norm = (run**2).sum(axis=1) * h**dim
             if not min(norm.tolist()) > 0:
                 raise ValidationError("kernel unresolved")
-            kernel = GridKernel.__new__(GridKernel)
-            kernel.profile, kernel.h, kernel.dim, kernel.lattice = profile, float(h), dim, lattice
-            kernel.offsets, kernel.halfwidth = lattice.offsets, lattice.halfwidth
-            kernel.width, kernel.norm = widths[lo + a:lo + b], norm
-            kernel.amp = run / np.sqrt(norm)[:, None]
-            if one:
-                kernel.width, kernel.norm, kernel.amp = width, float(norm[0]), kernel.amp[0]
-            kernel.sq = kernel.amp**2
-            kernels.append(kernel)
+            kernels.append(GridKernel(lattice, profile, widths[lo + a:lo + b], norm,
+                                      run / np.sqrt(norm)[:, None]))
     return kernels
 
 

@@ -39,15 +39,16 @@ The boxes, the windows and rho gathered on the boxes depend on the kernel's
 offsets alone, not on its width.  A :class:`PreparedPlan` keeps them for
 the most recent offset set (:meth:`PreparedPlan.on_lattice`), so a caller
 that smooths one prepared plan at many widths, as the sweep does, builds
-them once per run of widths with the same offsets.  Given the widths at
-once (:func:`smooth_widths`), it also builds the numbers once per run: the
-kernels' values, the tables, the denominators, ``q`` and the transfer
-vectors are stacks with a leading width axis, and the Coulomb integral
-(:func:`integrate_observable`) reads a stack with one set of live slots and
-cost blocks; :func:`smooth_plan` is the one-width case.  Each width's
-numbers equal those of its own one-width smoothing, bit for bit.  On the
-sweep preset the 52 widths keep 4 offset sets and make 7 lattice builds;
-the scan's 32 widths are 4 stacked passes, the 20 refined widths one each.
+them once per run of widths with the same offsets.  The numbers are
+built by :func:`smooth_widths`, always as stacks with a leading width
+axis, once per run of the widths given at once: the kernels' values, the
+tables, the denominators, ``q`` and the transfer vectors.  Each width's
+numbers do not depend on the widths given with it, bit for bit.  The
+Coulomb integral (:func:`integrate_observable`) reads a stack with one set
+of live slots and cost blocks; :func:`smooth_plan` turns a stack of one
+into the one-width plan that every other reader takes.  On the sweep
+preset the 52 widths keep 4 offset sets and make 7 lattice builds; the
+scan's 32 widths are 4 stacked passes, the 20 refined widths one each.
 Because kappa has unit discrete mass and atoms sit on nodes, the
 one-particle marginal of P_eps equals rho exactly (up to float rounding),
 for every eps.  A width at or below the grid spacing h resolves only the
@@ -93,8 +94,9 @@ class RegularizedPlan:
     widths that keep the same offsets: its ``eps`` and ``kernel.width`` are
     the run's widths, and ``kernel``'s values, ``transfer`` and ``q`` carry
     a leading width axis.  :meth:`center_masses` and
-    :func:`integrate_observable` read a stack; the other readers take one
-    width.
+    :func:`integrate_observable` read a stack; the other readers take the
+    one-width plan of :func:`smooth_plan`, whose ``eps`` and
+    ``kernel.width`` are floats.
     """
 
     def __init__(self, prep: "PreparedPlan", eps: float, kernel: GridKernel,
@@ -314,8 +316,8 @@ class PreparedPlan:
         return self._on_lattice[0]
 
     def on_lattice(self, kernel: GridKernel) -> tuple:
-        """``(nodes, window, rho_at)`` on the offsets of ``kernel``, one width
-        or a stack.
+        """``(nodes, window, rho_at)`` on the offsets of the kernel stack
+        ``kernel``.
 
         They depend on its offsets alone, and are built, and checked, only
         when its lattice is not the one of the last call (:attr:`lattice`):
@@ -395,16 +397,27 @@ def prepare_plan(plan: AtomicPlan, rho: GridDensity) -> PreparedPlan:
 
 
 def smooth_plan(prep: PreparedPlan, eps: float) -> RegularizedPlan:
-    """The marginal-pinned smoothing of a prepared plan at width ``eps``:
-    the one-width case of :func:`smooth_widths`."""
+    """The marginal-pinned smoothing of a prepared plan at width ``eps``: row
+    0 of the stack of one that :func:`smooth_widths` gives, as a one-width
+    plan.
+
+    The one place that turns a stack into a one-width plan, the form that
+    :func:`build_regularized`, the CLI and :mod:`llot.quantum` read: its
+    ``eps`` is the requested width, a float, and its kernel a one-width
+    :class:`~llot.mollifier.GridKernel` of width ``max(eps, h)``, as
+    :func:`smooth_widths` decided it, whose ``norm`` and ``amp`` are the
+    stack's row 0, as are ``transfer`` and ``q``.
+    """
     (rp,) = smooth_widths(prep, eps)
-    return rp
+    k = rp.kernel
+    kernel = GridKernel(k.lattice, k.profile, float(k.width[0]), k.norm[0], k.amp[0])
+    return RegularizedPlan(prep, float(eps), kernel, rp.nodes, rp.transfer[0], rp.window, rp.q[0])
 
 
 def smooth_widths(prep: PreparedPlan, eps) -> list:
     """The marginal-pinned smoothings of a prepared plan at one width, or at
-    a 1-D array of widths in one pass per run of consecutive widths that
-    keep the same offsets.
+    a 1-D array of widths, as stacks: one pass per run of consecutive widths
+    that keep the same offsets.
 
     The one place that decides the kernel for a width: the grid's
     dimension fixes the profile, and one kernel of width ``max(eps, h)``
@@ -422,18 +435,18 @@ def smooth_widths(prep: PreparedPlan, eps) -> list:
     give the smoothing: ``(rho * kappa)(c + o) = (rho @ S) * h^d`` on the
     windows, and, with ``q = kappa / (rho * kappa)`` there, ``T_c = rho *
     (q @ S^T) * h^d`` on the box.  On a run both are stacked products, one
-    matrix product per width (BLAS), so each width's numbers are those of
-    its own one-width smoothing, bit for bit.  ``rho * kappa`` at or below
+    matrix product per width (BLAS), so each width's numbers do not depend
+    on the other widths of its run, bit for bit.  ``rho * kappa`` at or below
     ``DENOM_FLOOR`` on a window is rejected; ``TAIL_CUT`` keeps every
     kernel weight positive, so every ``q`` is positive.
 
-    One width (a float) gives a list of one :class:`RegularizedPlan`
-    (:func:`smooth_plan`); an array gives one stacked plan per run, whose
-    ``eps``, ``kernel``, ``transfer`` and ``q`` carry the run's widths.
+    The list holds one stacked :class:`RegularizedPlan` per run, whose
+    ``eps``, ``kernel``, ``transfer`` and ``q`` carry the run's widths; one
+    width gives a list of one stack of one, which :func:`smooth_plan` reads
+    as a one-width plan.
     """
-    one = np.ndim(eps) == 0
-    eps = float(eps) if one else np.asarray(eps, dtype=float)
-    for e in [eps] if one else eps.tolist():
+    eps = np.array(eps, dtype=float, ndmin=1)
+    for e in eps.tolist():
         if not (e > 0 and math.isfinite(e)):
             raise ValidationError(f"mollifier width must be positive and finite, got {e!r}")
         if not e < prep.alpha / 4.0:
@@ -443,8 +456,7 @@ def smooth_widths(prep: PreparedPlan, eps) -> list:
             )
     grid = prep.rho.grid
     plans, start = [], 0
-    for kernel in resample(grid.dim, max(eps, grid.h) if one else np.maximum(eps, grid.h),
-                           grid.h, prep.lattice):
+    for kernel in resample(grid.dim, np.maximum(eps, grid.h), grid.h, prep.lattice):
         nodes, window, rho_at = prep.on_lattice(kernel)
         table = kernel.box_amp[..., :-1, :] ** 2        # kappa(b - o)
         dz = rho_at @ table * grid.cell_volume          # (rho * kappa)(c + o)
@@ -452,9 +464,9 @@ def smooth_widths(prep: PreparedPlan, eps) -> list:
             raise ValidationError("density vanishes near plan support")
         q = kernel.sq[..., None, :] / dz
         transfer = rho_at * (q @ table.swapaxes(-1, -2)) * grid.cell_volume
-        n = 1 if one else len(kernel.width)
-        plans.append(RegularizedPlan(prep, eps if one else eps[start:start + n],
-                                     kernel, nodes, transfer, window, q))
+        n = len(kernel.width)
+        plans.append(RegularizedPlan(prep, eps[start:start + n], kernel, nodes, transfer,
+                                     window, q))
         start += n
     return plans
 
@@ -530,7 +542,8 @@ def integrate_observable(rp: RegularizedPlan) -> float | np.ndarray:
     A stack (:func:`smooth_widths`) gives one integral per width, an array:
     its widths keep the same offsets, so the live slots and each group's
     block are formed once for all of them, and the products are stacked,
-    one matrix product per width.  One smoothing gives a float.
+    one matrix product per width.  A one-width plan (:func:`smooth_plan`)
+    gives a numpy float, a subclass of ``float``.
     """
     grid = rp.grid
     masses = rp.center_masses()
@@ -543,8 +556,7 @@ def integrate_observable(rp: RegularizedPlan) -> float | np.ndarray:
         left = (weights * masses[..., others].prod(axis=-1))[..., None] * \
             rp.transfer[..., cj[:, None], live]
         total += ((left @ cost) * rp.transfer[..., ck[:, None], live]).sum(axis=(-2, -1))
-    total = total * grid.cell_volume**2
-    return total if rp.transfer.ndim == 3 else float(total)
+    return total * grid.cell_volume**2
 
 
 def potential_error(rp: RegularizedPlan) -> tuple:

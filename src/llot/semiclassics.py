@@ -10,11 +10,13 @@ with w = max(eps, h) the width of the grid kernel and V(eps) the integral of
 the Coulomb cost against P_eps; its minimum over eps exceeds E_OT by
 O(sqrt(eta) + eta).  V does not depend on eta, so one :class:`TrialCurve`
 per (rho, plan) smooths each width once and serves every eta.  The sweep
-optimizes eps per eta, records the gap, and fits the log-log rate.  The
-scan's widths are smoothed and integrated together, one stacked pass per
-run of widths that keep the same kernel offsets
-(:func:`~llot.regularizer.smooth_widths`): on the sweep preset its 32
-widths are 4 passes, and each refined width is a one-width pass.
+optimizes eps per eta, records the gap, and fits the log-log rate.  Every
+width the curve reads, the scan's, the edge probes' and Brent's, takes one
+path, :func:`~llot.regularizer.smooth_widths` and a stacked
+:func:`~llot.regularizer.integrate_observable`: the scan's widths together,
+one stacked pass per run of widths that keep the same kernel offsets, and
+each later width as a stack of one.  On the sweep preset the scan's 32
+widths are 4 passes.
 
 eps is optimized over the feasible window ``[2h, alpha/4 * (1 - 1e-3)]``
 to ``EPS_REL_TOL`` relative, on one path; the window is empty when the
@@ -57,7 +59,7 @@ from .grids import AtomicPlan, GridDensity, h1_seminorm_sqrt, l1_gradient
 from .mollifier import BumpProfile
 from .mmot import TransportProblem, require_finite_positive, solve_lp
 from .regularizer import PreparedPlan, coulomb_smoothing_rate, integrate_observable
-from .regularizer import kinetic_term, prepare_plan, smooth_plan, smooth_widths
+from .regularizer import kinetic_term, prepare_plan, smooth_widths
 
 N_SCAN = 32   # geometric pre-scan points of the eps optimization
 # relative precision of the eps search: Brent's final bracket lies within
@@ -110,7 +112,8 @@ def trial_energy(rho: GridDensity, plan: AtomicPlan, eps: float, eta: float) -> 
     """Assemble the two-term upper bound at one (eps, eta)."""
     if not (math.isfinite(eta) and eta >= 0):
         raise ValidationError(f"eta must be nonnegative and finite, got {eta!r}")
-    return TrialCurve(rho, plan).energy(eps, eta)
+    potential, kinetic_at_one = TrialCurve(rho, plan)._smoothed(eps)
+    return TrialEnergy(eta, eps, eta * kinetic_at_one, potential)
 
 
 class TrialCurve:
@@ -119,11 +122,11 @@ class TrialCurve:
     ``V(eps)`` and the kinetic term at eta = 1 are memoized per exact float
     eps and shared by every eta; the plan is prepared for smoothing once, on
     first use, and the window is scanned once, on the first
-    :meth:`optimize`.  The scan memoizes its widths from stacked passes; a
-    width first asked for later, as Brent's are, is smoothed alone.  Both
-    give a width the same numbers, bit for bit.  The kinetic term is closed
-    form (:func:`kinetic_term`) from ``H1(sqrt rho)``, computed once per
-    curve, and the width and gradient moment of each smoothing's kernel.
+    :meth:`optimize`.  Every width enters the table through :meth:`_fill`:
+    the scan's widths together, and a width first asked for later, as
+    Brent's are, as an array of one.  The kinetic term is closed form
+    (:func:`kinetic_term`) from ``H1(sqrt rho)``, computed once per curve,
+    and the width and gradient moment of each smoothing's kernel.
     """
 
     def __init__(self, rho: GridDensity, plan: AtomicPlan):
@@ -139,22 +142,24 @@ class TrialCurve:
 
     def _smoothed(self, eps: float) -> tuple:
         """``(V(eps), kinetic term at eta = 1)`` of the plan smoothed at
-        ``eps``; ``V`` is the Coulomb cost integrated against ``P_eps``."""
+        ``eps``; ``V`` is the Coulomb cost integrated against ``P_eps``.  A
+        width not in the table yet is filled as an array of one."""
         eps = float(eps)
         if eps not in self._smoothed_at:
-            rp = smooth_plan(self.prepared, eps)
-            self._smoothed_at[eps] = (integrate_observable(rp), self._kinetic(rp.kernel.width))
+            self._fill(np.array([eps]))
         return self._smoothed_at[eps]
 
-    def _kinetic(self, width: float) -> float:
-        """The kinetic term at eta = 1 for a kernel of width ``width``."""
-        return kinetic_term(self.plan.n, self.h1, width, self.profile)
-
-    def energy(self, eps: float, eta: float) -> TrialEnergy:
-        potential, kinetic_at_one = self._smoothed(eps)
-        kinetic = eta * kinetic_at_one
-        return TrialEnergy(eta=eta, eps=eps, kinetic_term=float(kinetic),
-                           potential_term=float(potential))
+    def _fill(self, widths: np.ndarray):
+        """Smooth and integrate the 1-D array ``widths`` in one
+        :func:`~llot.regularizer.smooth_widths` call, one stacked pass per
+        run of widths that keep the same offsets, with every check of the
+        smoothing (the width bounds, the boundary margin, ``DENOM_FLOOR``),
+        and memoize each width's ``(V, kinetic term at eta = 1)``."""
+        for rp in smooth_widths(self.prepared, widths):
+            for eps, width, potential in zip(rp.eps.tolist(), rp.kernel.width.tolist(),
+                                             integrate_observable(rp).tolist()):
+                self._smoothed_at[eps] = (potential, kinetic_term(self.plan.n, self.h1,
+                                                                  width, self.profile))
 
     def window(self) -> tuple:
         """The feasible widths ``(lo, hi) = (2h, alpha/4 * (1 - 1e-3))``; the
@@ -166,29 +171,25 @@ class TrialCurve:
         """``(xs, V, K)``: the ``N_SCAN`` geometric widths of :meth:`window`,
         its bounds included, and ``V`` and the eta = 1 kinetic term at each.
 
-        The widths are smoothed and integrated in one
-        :func:`~llot.regularizer.smooth_widths` call: one stacked pass per
-        run of widths that keep the same offsets, with every check of the
-        one-width path (the width bounds, the boundary margin,
-        ``DENOM_FLOOR``), so a width that fails one fails the scan.  The
-        table is read back through :meth:`_smoothed`."""
+        The widths are filled together by one :meth:`_fill`, the path that
+        every later width takes too, so a width that fails a check of the
+        smoothing fails the scan.  The table is read back through
+        :meth:`_smoothed`."""
         lo, hi = self.window()
         if lo >= hi:
             raise ValidationError(f"empty feasible eps interval: [{lo:.4g}, {hi:.4g}]")
         xs = np.geomspace(lo, hi, N_SCAN)
-        for rp in smooth_widths(self.prepared, xs):
-            for eps, width, potential in zip(rp.eps.tolist(), rp.kernel.width.tolist(),
-                                             integrate_observable(rp).tolist()):
-                self._smoothed_at[eps] = (potential, self._kinetic(width))
+        self._fill(xs)
         potential, kinetic = np.array([self._smoothed(x) for x in xs]).T
         return xs, potential, kinetic
 
     def optimize(self, eta: float):
         """Minimize the trial total over the feasible mollifier widths.
 
-        Returns ``(eps_opt, energy)``.  The best point of the curve's scan
-        table, ``V + eta * K`` at ``N_SCAN`` widths, is refined on one path
-        (module docstring).  At a window edge the total is first probed once
+        Returns ``(eps_opt, total)``, the total ``V + eta * K`` read from
+        the curve's table at ``eps_opt``.  The best point of the scan table,
+        ``V + eta * K`` at ``N_SCAN`` widths, is refined on one path (module
+        docstring).  At a window edge the total is first probed once
         at the edge moved ``EPS_REL_TOL`` relative into the window: a probe
         strictly above the edge's total returns the edge itself, exactly.
         Otherwise Brent's bounded search refines inside the scan interval
@@ -206,13 +207,14 @@ class TrialCurve:
         best = int(np.argmin(vals))
 
         def total(eps: float) -> float:
-            return self.energy(eps, eta).total
+            potential, kinetic_at_one = self._smoothed(eps)
+            return potential + eta * kinetic_at_one
 
         probe = {0: xs[0] * (1.0 + EPS_REL_TOL),
                  N_SCAN - 1: xs[-1] * (1.0 - EPS_REL_TOL)}.get(best)
         if probe is not None and total(probe) > vals[best]:
             eps_opt = float(xs[best])
-            return eps_opt, self.energy(eps_opt, eta)
+            return eps_opt, total(eps_opt)
         a = xs[max(best - 1, 0)]
         b = xs[min(best + 1, N_SCAN - 1)]
         from scipy.optimize import minimize_scalar
@@ -225,7 +227,7 @@ class TrialCurve:
         eps_opt = float(res.x)
         if total(eps_opt) > vals[best]:
             eps_opt = float(xs[best])
-        return eps_opt, self.energy(eps_opt, eta)
+        return eps_opt, total(eps_opt)
 
 
 def assembled_margin(alpha: float, eps_opt: float) -> float:
@@ -305,12 +307,12 @@ def sweep(rho: GridDensity, n: int, eta_list) -> SweepResult:
     records = []
     for eta in eta_list:
         try:
-            eps_opt, energy = curve.optimize(eta)
+            eps_opt, total = curve.optimize(eta)
             c = assembled_constant(n, alpha, curve.h1, grad_moment, l1g,
                                    second_moment, eps_opt)
             records.append(SweepRecord(
-                eta=eta, eps_opt=eps_opt, total=energy.total,
-                gap=energy.total - sol.value, assembled_c=c,
+                eta=eta, eps_opt=eps_opt, total=total,
+                gap=total - sol.value, assembled_c=c,
                 assembled_margin=assembled_margin(alpha, eps_opt),
                 eps_edge=edges.get(eps_opt)))
         except (ValidationError, NumericalError) as exc:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from llot.grids import Grid, marginal
+from llot.mmot import TransportProblem, solve_lp
 from instances import (
     fixture_paired_smooth,
     fixture_two_site,
     identity_fixtures,
     permutation_plan,
     plan_from_atoms,
+    two_disc_density,
 )
 
 
@@ -77,3 +79,10 @@ def three_dim_fixture():
 def fixtures_with_2d(all_identity_fixtures, two_dim_fixture, two_dim_paired_fixture):
     """The identity fixtures and the two-dimensional ones."""
     return all_identity_fixtures + [two_dim_fixture, two_dim_paired_fixture]
+
+
+@pytest.fixture(scope="session")
+def two_disc_lp():
+    """:func:`instances.two_disc_density` and its n = 2 LP solution."""
+    rho = two_disc_density()
+    return rho, solve_lp(TransportProblem(2, rho))

@@ -1,7 +1,7 @@
 """Test-only desk instances: the identity fixtures of the marginal-pinning,
 trace and diagonal checks, the paired instances of the kinetic and
-potential studies, and the small transport densities with closed-form
-optima (two sites: 1; three sites at n = 3: 2.5).
+potential studies, the small transport densities with closed-form optima
+(two sites: 1; three sites at n = 3: 2.5) and a two-disc d = 2 density.
 
 All coordinates are exact grid-node multiples so the node-support identities
 hold to rounding.
@@ -13,7 +13,7 @@ import numpy as np
 
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, density_from_values, marginal
-from llot.presets import paired_plan
+from llot.presets import cos4_window, paired_plan
 
 
 def plan_from_atoms(atoms, dim: Optional[int] = None) -> AtomicPlan:
@@ -137,3 +137,15 @@ def sixteen_site_density():
     raw = (np.exp(-((x - 0.25) / 0.12) ** 2)
            + np.exp(-((x - 0.75) / 0.12) ** 2))
     return density_from_values(grid, raw, normalize=True)
+
+
+def two_disc_density():
+    """Two cos^4 discs of radius 6.5 around the nodes (11, 11) and (28, 28)
+    of a 40 x 40 grid (h = 1): 274 sites, a d = 2 density whose LP plan is
+    what the sweep smooths.  At HiGHS's default primal feasibility
+    tolerance that plan missed rho by 2e-6 in L1."""
+    grid = Grid(dim=2, origin=np.zeros(2), h=1.0, npts=40)
+    points = grid.points()
+    raw = sum(cos4_window(np.linalg.norm(points - c, axis=1) / 6.5)
+              for c in ((11.0, 11.0), (28.0, 28.0)))
+    return density_from_values(grid, raw.reshape(grid.shape), normalize=True)

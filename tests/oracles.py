@@ -1,18 +1,18 @@
-"""Test-only reference code: a per-entry lookup of the grid kernel, the
-slice-add lattice sum and the whole-grid convolution with the squared
-kernel, whole-grid forms of the smoothed plan's per-center tables, of its
-tensor, of the Coulomb integral read from the tensor, of the Dirichlet sum
-(``np.gradient``) and of the kinetic check, explicit orbitals and Slater
-determinants, the window tuples of the mixed state with the signs of its
-permutations, its dense kernel and one-body matrices, and the Coulomb
+"""Test-only reference code: the one-width grid kernel, a per-entry lookup
+of it, the slice-add lattice sum and the whole-grid convolution with the
+squared kernel, whole-grid forms of the smoothed plan's per-center tables,
+of its tensor, of the Coulomb integral read from the tensor, of the
+Dirichlet sum (``np.gradient``) and of the kinetic check, explicit orbitals
+and Slater determinants, the window tuples of the mixed state with the signs
+of its permutations, its dense kernel and one-body matrices, and the Coulomb
 cost's derivative blocks, shared by the grid, mollifier, regularizer and
 quantum tests as oracles; a plan whose support reaches the grid's upper
 edge; two smooth three-particle plans, one small enough for the dense
 one-body matrix; the sweep preset's geometry on finer grids; cos^4 cluster
-densities, one with many pair offsets and one past the dense tensor's cap
-at n = 3; the 1024-node paired plan and a traced-memory probe; an LP
-solver with wrong duals; and the row-by-row readers of the density CSV and
-the plan JSON."""
+densities, one with many pair offsets and one past the dense tensor's cap at
+n = 3; the 1024-node paired plan and a traced-memory probe; an LP solver
+with wrong duals; and the row-by-row readers of the density CSV and the plan
+JSON."""
 
 import csv
 import itertools
@@ -27,7 +27,7 @@ from llot.errors import ValidationError
 from llot.fileio import MASS_WINDOW
 from llot.grids import (MASS_TOL, AtomicPlan, Grid, GridDensity, coulomb, density_from_values,
                         marginal, stripes)
-from llot.mollifier import GridKernel
+from llot.mollifier import GridKernel, resample
 from llot.presets import SWEEP_SCALE, cos4_window, paired_plan
 from llot.regularizer import build_regularized
 from instances import permutation_plan, plan_from_atoms
@@ -55,6 +55,14 @@ def expanded_rows(rp) -> tuple:
     configs, weights = expanded(rp.source)
     flat = rp.grid.flat_index(rp.grid.indices_of(configs))
     return np.searchsorted(rp.grid.flat_index(rp.centers), flat), weights
+
+
+def one_width_kernel(dim: int, width: float, h: float, lattice=None) -> GridKernel:
+    """The kernel of one width: row 0 of the stack of one that
+    :func:`~llot.mollifier.resample` gives, as
+    :func:`~llot.regularizer.smooth_plan` takes it."""
+    (k,) = resample(dim, width, h, lattice)
+    return GridKernel(k.lattice, k.profile, float(k.width[0]), k.norm[0], k.amp[0])
 
 
 def amp_at(kernel: GridKernel, o) -> np.ndarray:

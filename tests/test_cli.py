@@ -467,18 +467,18 @@ def test_sweep_report_states_the_eps_precision(tmp_path, monkeypatch):
     fileio.write_density(density, sweep_density())
     searches, widths = [], []
     minimize_scalar = optimize.minimize_scalar
-    smooth = semiclassics.smooth_plan
+    smooth = semiclassics.smooth_widths
 
     def recording(f, bounds, **kwargs):
         searches.append((bounds[0], kwargs["options"]["xatol"]))
         return minimize_scalar(f, bounds=bounds, **kwargs)
 
     def counting_smooth(prep, eps):
-        widths.append(eps)
+        widths.extend(np.ravel(eps).tolist())
         return smooth(prep, eps)
 
     monkeypatch.setattr(optimize, "minimize_scalar", recording)
-    monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
+    monkeypatch.setattr(semiclassics, "smooth_widths", counting_smooth)
     rep = run(["sweep", "--density", str(density), "--n", "2", "--etas", "1e-3:1e-1:7"],
               tmp_path / "sweep.json")
     assert rep["config"]["eps_rel_tol"] == semiclassics.EPS_REL_TOL

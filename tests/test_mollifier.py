@@ -10,12 +10,11 @@ from llot.grids import Grid, GridDensity, density_from_values
 from llot.mollifier import (
     TAIL_CUT,
     BumpProfile,
-    GridKernel,
     _raw_profile,
     resample,
     unit_sphere_area,
 )
-from oracles import amp_at, convolve_sq, offset_sum
+from oracles import amp_at, convolve_sq, offset_sum, one_width_kernel
 
 
 @pytest.fixture(scope="module")
@@ -38,18 +37,18 @@ def test_scaled_mass_is_one_across_widths():
     # the kernel's quadrature sum of the scaled profile squared, before it
     # renormalizes, on a grid fine against the width
     for eps in (1.0, 0.1, 0.01):
-        assert abs(GridKernel(1, eps, eps / 100).norm - 1.0) < 1e-10
+        assert abs(one_width_kernel(1, eps, eps / 100).norm - 1.0) < 1e-10
 
 
 def test_eval_chi_support_boundary():
     # the offset at exactly the width (4 * 0.125, exact in binary) is outside
-    k = GridKernel(1, 0.5, 0.125)
+    k = one_width_kernel(1, 0.5, 0.125)
     assert k.offsets.ravel().tolist() == [-3, -2, -1, 0, 1, 2, 3]
     assert np.all(k.amp > 0.0)
 
 
 def test_eval_chi_center_value(bump):
-    k = GridKernel(1, 1.0, 0.01)
+    k = one_width_kernel(1, 1.0, 0.01)
     center = k.amp[np.all(k.offsets == 0, axis=1)][0]
     assert center * np.sqrt(k.norm) == pytest.approx(bump.c * np.exp(-1.0), rel=1e-14)
 
@@ -57,7 +56,7 @@ def test_eval_chi_center_value(bump):
 def test_eval_chi_even_symmetry():
     # offsets run in C order, so reversing the table negates every offset
     for dim in (1, 2, 3):
-        k = GridKernel(dim, 0.37, 0.05)
+        k = one_width_kernel(dim, 0.37, 0.05)
         assert np.array_equal(k.offsets[::-1], -k.offsets)
         assert np.array_equal(k.amp[::-1], k.amp)
 
@@ -108,10 +107,10 @@ def test_moments_against_trapezoid_oracle(bump):
 
 
 def test_grid_kernel_unit_mass_and_unresolved():
-    k = GridKernel(1, 0.2, 0.05)
+    k = one_width_kernel(1, 0.2, 0.05)
     assert k.sq.sum() * 0.05 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError, match="kernel unresolved"):
-        GridKernel(1, 0.2, 0.3)
+        one_width_kernel(1, 0.2, 0.3)
 
 
 def full_offset_count(dim, width, h):
@@ -125,7 +124,7 @@ def full_offset_count(dim, width, h):
     (1, 0.05, 2.0 / 1023, 0), (2, 4.007, 1.0, 4), (2, 1.0, 1.0, 0),
 ], ids=["1", "2", "3", "fine-51-offsets", "tail-cut", "one-node"])
 def test_box_amp_matches_a_per_entry_lookup(dim, width, h, n_cut):
-    k = GridKernel(dim, width, h)
+    k = one_width_kernel(dim, width, h)
     # at 4.007 h the four offsets at distance 4 h fall below TAIL_CUT, with
     # squared weights about 1e-248 of the peak: dropped, not underflowed
     assert len(k.offsets) == full_offset_count(dim, width, h) - n_cut
@@ -158,7 +157,7 @@ def test_offsets_match_the_product_filter(dim, width, h, on_edge, n_cut):
     # offsets at |o h| == width exactly are excluded (the (3, 4) diagonal at
     # 5 h among them), and those whose squared weight falls below TAIL_CUT of
     # the peak, or underflows to 0, are dropped
-    k = GridKernel(dim, width, h)
+    k = one_width_kernel(dim, width, h)
     ref, edge_count = product_filter_offsets(dim, width, h)
     assert edge_count == on_edge
     assert k.offsets.dtype == ref.dtype and np.array_equal(k.offsets, ref)
@@ -177,9 +176,9 @@ def test_offsets_match_the_product_filter(dim, width, h, on_edge, n_cut):
 def test_a_kernel_sharing_a_lattice_equals_a_new_one(dim, old_h, first, then, shared):
     # widths of one reach share the offset cube; a lattice is shared only
     # when the kept offsets are the same, and a cube only at one spacing
-    old = GridKernel(dim, first, old_h)
-    k = GridKernel(dim, then, 1.0, old.lattice)
-    new = GridKernel(dim, then, 1.0)
+    old = one_width_kernel(dim, first, old_h)
+    k = one_width_kernel(dim, then, 1.0, old.lattice)
+    new = one_width_kernel(dim, then, 1.0)
     for name in ("offsets", "amp", "sq", "box", "box_amp"):
         assert np.array_equal(getattr(k, name), getattr(new, name)), name
     assert (k.norm, k.halfwidth, k.width, k.h) == (new.norm, new.halfwidth, new.width, new.h)
@@ -201,7 +200,7 @@ def test_a_stack_equals_its_one_width_kernels(dim, widths, runs):
     assert [len(k.width) for k in stacks] == runs
     rows = [(k, i) for k in stacks for i in range(len(k.width))]
     for w, (k, i) in zip(widths, rows):
-        one = GridKernel(dim, w, 1.0)
+        one = one_width_kernel(dim, w, 1.0)
         assert k.width[i] == w and k.norm[i] == one.norm
         assert np.array_equal(k.offsets, one.offsets)
         for name in ("amp", "sq", "box_amp"):
@@ -216,7 +215,7 @@ def test_a_stack_equals_its_one_width_kernels(dim, widths, runs):
 def test_box_amp_is_exact_at_and_beyond_the_box_edge(dim):
     """``amp(b - o)`` read through :meth:`GridKernel.box_slot`, as the mixed
     state reads it, at differences ``b`` on, at and far past the box edge."""
-    k = GridKernel(dim, 0.2, 0.05)
+    k = one_width_kernel(dim, 0.2, 0.05)
     r = 2 * k.halfwidth
     steps = [-10**9, -10 * r, -r - 1, -r, -r + 1, 0, r - 1, r, r + 1, 10 * r, 10**9]
     diffs = np.array(list(itertools.product(steps, repeat=dim)))
@@ -230,7 +229,7 @@ def test_convolve_point_mass_gives_kernel_copy():
     vals = np.zeros(64)
     vals[30] = 1.0 / g.h
     rho = GridDensity(g, vals)
-    k = GridKernel(1, 0.2, g.h)
+    k = one_width_kernel(1, 0.2, g.h)
     out = convolve_sq(rho, k)
     expected = np.zeros(64)
     for o, v in zip(k.offsets, k.sq):
@@ -241,7 +240,7 @@ def test_convolve_point_mass_gives_kernel_copy():
 def test_convolve_constant_density_interior_unchanged():
     g = Grid.line(0.0, 0.05, 200)
     rho = GridDensity(g, np.full(200, 1.0 / (200 * 0.05)))
-    k = GridKernel(1, 0.2, g.h)
+    k = one_width_kernel(1, 0.2, g.h)
     out = convolve_sq(rho, k)
     inner = slice(k.halfwidth, 200 - k.halfwidth)
     assert np.allclose(out[inner], rho.values[inner], rtol=1e-12)
@@ -254,7 +253,7 @@ def test_convolve_mass_preserved_exactly():
     vals = np.exp(-((x - 2.5) / 0.4) ** 2)
     vals[vals < 1e-4 * vals.max()] = 0.0
     rho = density_from_values(g, vals, normalize=True)
-    out = convolve_sq(rho, GridKernel(1, 0.2, g.h))
+    out = convolve_sq(rho, one_width_kernel(1, 0.2, g.h))
     assert out.sum() * g.h == pytest.approx(rho.mass(), abs=1e-13)
 
 
@@ -265,7 +264,7 @@ def test_convolve_l1_error_order_eps_squared():
     errs = []
     eps_list = (0.4, 0.2, 0.1)
     for eps in eps_list:
-        out = convolve_sq(rho, GridKernel(1, eps, g.h))
+        out = convolve_sq(rho, one_width_kernel(1, eps, g.h))
         errs.append(np.abs(out - rho.values).sum() * g.h)
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2
@@ -313,7 +312,7 @@ def test_convolve_sq_matches_brute_force_double_loop():
     vals = np.zeros(24)
     vals[6:18] = rng.uniform(0.0, 1.0, size=12)
     rho = density_from_values(g, vals, normalize=True)
-    k = GridKernel(1, 0.2, g.h)
+    k = one_width_kernel(1, 0.2, g.h)
     expected = brute_offset_sum(rho.values, k.offsets, k.sq * g.h)
     assert np.allclose(convolve_sq(rho, k), expected,
                        rtol=1e-15, atol=0.0)
@@ -326,7 +325,7 @@ def test_convolve_sq_keeps_denormal_tails():
     vals[10] = 1.0 / g.h
     vals[50] = 1e-310
     rho = GridDensity(g, vals)
-    k = GridKernel(1, 0.2, g.h)
+    k = one_width_kernel(1, 0.2, g.h)
     out = convolve_sq(rho, k)
     window = 50 + k.offsets[:, 0]
     assert np.all(out[window] > 0.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from llot import quantum, regularizer
 from llot.errors import ValidationError
 from llot.grids import AtomicPlan, Grid, h1_seminorm_sqrt, marginal
-from llot.mollifier import BumpProfile, GridKernel
+from llot.mollifier import BumpProfile
 from llot.presets import cos4_window
 from llot.quantum import (
     MixedStateKernel,
@@ -18,13 +18,13 @@ from llot.quantum import (
     one_particle_density,
     rdm_max_eigenvalue,
 )
-from llot.regularizer import (build_regularized, kinetic_of_sqrt, kinetic_term, prepare_plan,
-                              smooth_plan)
+from llot.regularizer import (build_regularized, kinetic_of_sqrt, kinetic_term,
+                              potential_error, prepare_plan, smooth_plan)
 from instances import (fixture_paired_smooth, fixture_two_site, kinetic_instance, permutation_plan,
                        plan_from_atoms)
 from oracles import (OrbitalSet, amp_at, dense_kernel_matrix, dense_one_body_matrix,
                      dense_transfer, det_square_identity, expanded_rows, fine_paired_plan,
-                     signed_permutations, slater, small_three_particle_case,
+                     one_width_kernel, signed_permutations, slater, small_three_particle_case,
                      three_cluster_plan, traced_peak, upper_grid_edge_case, window_tuples)
 
 
@@ -51,7 +51,7 @@ def smooth_state():
 
 
 def orbital_set(grid, centers, eps, rho=None):
-    kernel = GridKernel(1, eps, grid.h)
+    kernel = one_width_kernel(1, eps, grid.h)
     return OrbitalSet(np.asarray(centers, dtype=float)[:, None], kernel, rho)
 
 
@@ -435,6 +435,28 @@ def test_rdm_max_eigenvalue_at_three_particles_matches_the_dense_oracle():
 def test_rdm_max_eigenvalue_below_one_on_a_smooth_plan(smooth_state):
     grid, rp, K = smooth_state
     assert 0.0 < rdm_max_eigenvalue(K) < 1.0
+
+
+@pytest.mark.parametrize("eps", [1.5, 3.0])
+def test_the_identities_hold_on_a_two_dimensional_lp_plan(two_disc_lp, eps):
+    # the plan the sweep smooths, an LP optimum, where the other d = 2 cases
+    # smooth hand-made plans.  The diagonal is sampled at nodes within 2 eps
+    # of the atoms per coordinate, 107 and 56 of them off the support's zeros
+    rho, sol = two_disc_lp
+    rp = build_regularized(sol.plan, rho, eps)
+    K = MixedStateKernel(rp)
+    assert rp.density().l1_distance(rho) <= 1e-10
+    assert one_particle_density(K).l1_distance(rho) <= 1e-10
+    assert abs(rp.mass() - 1.0) <= 1e-10
+    rng = np.random.default_rng(7)
+    a = rng.integers(rp.source.n_atoms, size=200)
+    x = rp.source.configs[a] + rng.integers(-int(2 * eps), int(2 * eps) + 1, (200, 2, 2))
+    direct = rp.evaluate(x)
+    assert np.count_nonzero(direct) > 50
+    assert np.all(np.abs(kernel_eval(K, x, x) - direct) <= 1e-10 * direct)
+    assert rdm_max_eigenvalue(K) <= 1.0 + 1e-10
+    lhs, bound = potential_error(rp)
+    assert lhs <= bound
 
 
 def test_rdm_max_eigenvalue_forms_gamma_on_the_support_only():

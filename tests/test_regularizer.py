@@ -13,7 +13,7 @@ from llot.grids import (
     snap_to_grid,
 )
 from llot.mmot import TransportProblem, solve_lp
-from llot.mollifier import BumpProfile, GridKernel
+from llot.mollifier import BumpProfile
 from llot.presets import paired_plan
 from llot.regularizer import (
     build_regularized,
@@ -24,8 +24,9 @@ from llot.regularizer import (
 from instances import kinetic_instance, permutation_plan, plan_from_atoms, potential_instance
 from oracles import (amp_at, coulomb_grad, coulomb_hess, dense_integrate_observable,
                      dense_q, dense_transfer, expanded, expanded_rows, fine_paired_plan,
-                     scattered_transfer, small_three_particle_case, three_cluster_plan,
-                     traced_peak, unequal_cluster_density, upper_grid_edge_case,
+                     one_width_kernel, scattered_transfer, small_three_particle_case,
+                     three_cluster_plan, traced_peak, unequal_cluster_density,
+                     upper_grid_edge_case,
                      whole_grid_kinetic_of_sqrt, whole_grid_tensor)
 
 EPS_TINY = 0.22
@@ -166,7 +167,7 @@ def test_sub_grid_width_gives_one_node_kernel(paired_smooth_fixture):
     grid, plan, rho, _ = paired_smooth_fixture
     eps = 0.5 * grid.h
     with pytest.raises(ValidationError, match="kernel unresolved"):
-        GridKernel(1, eps, grid.h)
+        one_width_kernel(1, eps, grid.h)
     rp = build_regularized(plan, rho, eps)
     assert rp.one_node_kernel
     assert rp.eps == eps
@@ -499,7 +500,7 @@ class SmoothedPlan:
     def __init__(self, source, eps, grid):
         self.source = snap_to_grid(source, grid)
         self.grid = grid
-        self.kernel = GridKernel(grid.dim, eps, grid.h)
+        self.kernel = one_width_kernel(grid.dim, eps, grid.h)
 
     def evaluate(self, configs) -> np.ndarray:
         """Q_eps at each of the configurations (m, n, dim), coordinates

@@ -9,10 +9,11 @@ from llot.grids import h1_seminorm_sqrt, marginal, separation
 from llot.mmot import TransportProblem, solve_lp
 from llot.mollifier import BumpProfile
 from llot.presets import SWEEP_ETAS, SWEEP_SCALE, sweep_density
-from llot.regularizer import (MAX_TENSOR_ENTRIES, RegularizedPlan, build_regularized,
-                              integrate_observable)
+from llot.regularizer import (MARGINAL_TOL, MAX_TENSOR_ENTRIES, RegularizedPlan,
+                              build_regularized, integrate_observable)
 from llot.semiclassics import (
     TrialCurve,
+    TrialEnergy,
     assembled_constant,
     fit_log_slope,
     sweep,
@@ -77,10 +78,10 @@ def test_optimize_finds_a_closed_form_interior_minimum(solved_instance, monkeypa
         return b_coef * eps**2, a_coef / eps**2
 
     monkeypatch.setattr(TrialCurve, "_smoothed", closed_form)
-    eps_opt, energy = curve.optimize(eta)
+    eps_opt, total = curve.optimize(eta)
     assert lo < eps_opt < hi
     assert abs(eps_opt - m) <= semiclassics.EPS_REL_TOL * m
-    assert energy.total == pytest.approx(2.0 * math.sqrt(a_coef * eta * b_coef), rel=1e-12)
+    assert total == pytest.approx(2.0 * math.sqrt(a_coef * eta * b_coef), rel=1e-12)
     assert len(set(widths)) < semiclassics.N_SCAN + 15
 
 
@@ -181,6 +182,17 @@ def test_three_particle_sweep_runs_past_the_tensor_cap():
         assert math.isfinite(r.total) and result.e_ot <= r.total
 
 
+def test_a_two_dimensional_lp_plan_pins_rho_and_its_sweep_runs(two_disc_lp):
+    # at HiGHS's default primal feasibility tolerance the plan missed rho by
+    # 2e-6 in L1, so the sweep's binned-marginal check raised before any eta
+    rho, sol = two_disc_lp
+    assert sol.residual <= 1e-12
+    assert marginal(sol.plan, rho.grid).l1_distance(rho) <= MARGINAL_TOL
+    result = sweep(rho, 2, [1e-6, 1e-3])
+    assert [r.error for r in result.records] == [None, None]
+    assert [r.eps_edge for r in result.records] == ["lower", "upper"]
+
+
 def test_sweep_survives_a_negligible_kernel_tail():
     # at 10x refinement an edge kernel offset has a squared weight near
     # 1e-299, which once pushed rho * kappa under DENOM_FLOOR at every eta
@@ -226,16 +238,16 @@ PER_EVALUATION_TOTALS = (
 
 def test_preset_sweep_smooths_each_width_once(monkeypatch):
     widths = []
-    smooth = semiclassics.smooth_plan
+    smooth = semiclassics.smooth_widths
 
     def counting_smooth(prep, eps):
-        widths.append(eps)
+        widths.extend(np.ravel(eps).tolist())
         return smooth(prep, eps)
 
-    monkeypatch.setattr(semiclassics, "smooth_plan", counting_smooth)
+    monkeypatch.setattr(semiclassics, "smooth_widths", counting_smooth)
     rho = sweep_density()
     result = sweep(rho, 2, SWEEP_ETAS)
-    assert len(widths) == len(set(widths)) <= 130
+    assert len(widths) == len(set(widths)) == 52
     plan = solve_lp(TransportProblem(2, rho)).plan
     assert len(result.records) == len(PER_EVALUATION_TOTALS)
     for r, before in zip(result.records, PER_EVALUATION_TOTALS):
@@ -251,15 +263,14 @@ def test_preset_sweep_settles_edge_optima_with_one_probe(monkeypatch):
     # 10 widths when the smoothing summed by slice-adds: its totals round
     # differently under the box-table products, and Brent's path follows
     # the rounding.  The widths are counted at smooth_widths, which the
-    # scan calls once for its 32 widths and smooth_plan once per width
+    # scan calls once for its 32 widths and each later width once alone
     widths = []
-    stacked = regularizer.smooth_widths
+    stacked = semiclassics.smooth_widths
 
     def counting(prep, eps):
         widths.extend(np.ravel(eps).tolist())
         return stacked(prep, eps)
 
-    monkeypatch.setattr(regularizer, "smooth_widths", counting)
     monkeypatch.setattr(semiclassics, "smooth_widths", counting)
     result = sweep(sweep_density(), 2, SWEEP_ETAS)
     assert len(widths) == 52
@@ -278,7 +289,9 @@ def test_preset_sweep_builds_seven_kernel_lattices_for_its_52_widths(monkeypatch
     # sweep's order of widths switches set 6 times; the prepared plan keeps
     # the last set only, so each switch is one build.  The 32 scan widths
     # are one stacked pass per set, runs of 1, 14, 10 and 7 widths; the 20
-    # refined widths are one-width passes
+    # refined widths follow as passes of one width each: the lower edge's
+    # probe on 3 offsets, the two interior searches' 18 widths on 5 and the
+    # upper edge's probe on 9
     builds, passes = [], []
     lattice = mollifier.KernelLattice
     stacked = semiclassics.smooth_widths
@@ -299,7 +312,8 @@ def test_preset_sweep_builds_seven_kernel_lattices_for_its_52_widths(monkeypatch
     assert result.widths_smoothed == 52
     assert len(builds) == 7
     assert sorted(set(builds)) == [3, 5, 7, 9]
-    assert passes == [[(1, 3), (14, 5), (10, 7), (7, 9)]]
+    assert passes == [[(1, 3), (14, 5), (10, 7), (7, 9)], [(1, 3)]] + \
+        [[(1, 5)]] * 18 + [[(1, 9)]]
 
 
 def three_cluster_curve_inputs():
@@ -474,14 +488,15 @@ def test_trial_energy_kinetic_uses_kernel_width(solved_instance):
 
 
 def test_scan_table_totals_equal_the_energy_totals(solved_instance):
-    # V + eta * K over the cached table adds the same two floats as
-    # energy(...).total, so the scan picks the same best point bit for bit
+    # V + eta * K over the cached table adds the same two floats as a
+    # TrialEnergy's total, so the scan picks the same best point bit for bit
     rho, sol = solved_instance
     curve = TrialCurve(rho, sol.plan)
     xs, potential, kinetic = curve._scan
     assert len(xs) == semiclassics.N_SCAN and (xs[0], xs[-1]) == curve.window()
     for eta in SWEEP_ETAS:
-        totals = [curve.energy(x, eta).total for x in xs]
+        totals = [TrialEnergy(eta, x, eta * k, v).total
+                  for x, (v, k) in zip(xs, map(curve._smoothed, xs))]
         assert np.array_equal(potential + eta * kinetic, totals)
 
 
@@ -493,9 +508,9 @@ def test_preset_sweep_reaches_the_window_minimum(solved_instance):
     result = sweep(rho, 2, SWEEP_ETAS)
     curve = TrialCurve(rho, sol.plan)
     assert curve.window() == result.eps_window
-    widths = np.geomspace(*curve.window(), 400)
+    table = [curve._smoothed(x) for x in np.geomspace(*curve.window(), 400)]
     for r in result.records:
-        floor = min(curve.energy(x, r.eta).total for x in widths)
+        floor = min(v + r.eta * k for v, k in table)
         assert r.total <= floor
 
 
